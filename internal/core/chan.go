@@ -52,10 +52,10 @@ type Chan struct {
 	name     string
 	capacity int
 
-	buf      []bufEntry
+	buf      fifo[bufEntry]
 	inflight int // sends charged but not yet arrived at the channel
-	sendq    []*waiter
-	recvq    []*waiter
+	sendq    fifo[*waiter]
+	recvq    fifo[*waiter]
 	closed   bool
 
 	// Stats.
@@ -89,7 +89,7 @@ func (c *Chan) Cap() int { return c.capacity }
 func (c *Chan) Closed() bool { return c.closed }
 
 // Len returns the number of values queued (arrived) in the buffer.
-func (c *Chan) Len() int { return len(c.buf) }
+func (c *Chan) Len() int { return c.buf.len() }
 
 // Send sends v, blocking until the channel can take it (rendezvous for
 // capacity 0, space in the buffer otherwise). Sending on a closed channel
@@ -140,7 +140,7 @@ func (rt *Runtime) closeChan(c *Chan) {
 	// panics); injected values are dropped; registered choice senders
 	// stay parked — send-readiness on a closed channel resolves to a
 	// fault only if that case is actually picked.
-	for _, w := range c.sendq {
+	for _, w := range c.sendq.live() {
 		if w.dead() {
 			continue
 		}
@@ -152,21 +152,20 @@ func (rt *Runtime) closeChan(c *Chan) {
 		}
 	}
 	// Waiting receivers (beyond what the buffer satisfies) see closed.
-	if len(c.buf) == 0 {
-		for _, w := range c.recvq {
+	if c.buf.len() == 0 {
+		for _, w := range c.recvq.live() {
 			if w.dead() {
 				continue
 			}
 			w.removed = true
-			ww := w
-			if ww.choice != nil {
-				ww.choice.done = true
-				rt.Eng.At(now, func() { rt.wakeWith(ww.t, opResult{idx: ww.idx, ok: false, ready: true}) })
-			} else {
-				rt.Eng.At(now, func() { rt.wakeWith(ww.t, opResult{ok: false, ready: true}) })
+			res := opResult{ok: false, ready: true}
+			if w.choice != nil {
+				w.choice.done = true
+				res.idx = w.idx
 			}
+			rt.wakeAt(w.t, now, res)
 		}
-		c.recvq = nil
+		c.recvq.reset()
 	}
 }
 
@@ -189,11 +188,11 @@ func (rt *Runtime) injectNow(c *Chan, v Msg, fromCore int) {
 		rt.deliverToReceiver(r, v, now+transit)
 		return
 	}
-	if c.capacity > 0 && len(c.buf)+c.inflight < c.capacity {
-		c.buf = append(c.buf, bufEntry{val: v, from: fromCore})
+	if c.capacity > 0 && c.buf.len()+c.inflight < c.capacity {
+		c.buf.push(bufEntry{val: v, from: fromCore})
 		return
 	}
-	c.sendq = append(c.sendq, &waiter{t: nil, val: v, from: fromCore})
+	c.sendq.push(&waiter{t: nil, val: v, from: fromCore})
 }
 
 // After returns a fresh channel that receives a single Tick message d
@@ -210,9 +209,8 @@ type Tick struct{}
 // popRecv removes and returns the next live receive waiter, or nil. The
 // winner is marked consumed (its choice, if any, resolves).
 func (c *Chan) popRecv() *waiter {
-	for len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
+	for c.recvq.len() > 0 {
+		w := c.recvq.pop()
 		if !w.dead() {
 			w.removed = true
 			if w.choice != nil {
@@ -226,9 +224,8 @@ func (c *Chan) popRecv() *waiter {
 
 // popSend removes and returns the next live send waiter, or nil.
 func (c *Chan) popSend() *waiter {
-	for len(c.sendq) > 0 {
-		w := c.sendq[0]
-		c.sendq = c.sendq[1:]
+	for c.sendq.len() > 0 {
+		w := c.sendq.pop()
 		if !w.dead() {
 			w.removed = true
 			if w.choice != nil {
@@ -241,7 +238,7 @@ func (c *Chan) popSend() *waiter {
 }
 
 func (c *Chan) haveRecvWaiter() bool {
-	for _, w := range c.recvq {
+	for _, w := range c.recvq.live() {
 		if !w.dead() {
 			return true
 		}
@@ -250,7 +247,7 @@ func (c *Chan) haveRecvWaiter() bool {
 }
 
 func (c *Chan) haveSendWaiter() bool {
-	for _, w := range c.sendq {
+	for _, w := range c.sendq.live() {
 		if !w.dead() {
 			return true
 		}
@@ -260,7 +257,7 @@ func (c *Chan) haveSendWaiter() bool {
 
 // recvReady reports whether a receive would complete without blocking.
 func (c *Chan) recvReady() bool {
-	return len(c.buf) > 0 || c.haveSendWaiter() || c.closed
+	return c.buf.len() > 0 || c.haveSendWaiter() || c.closed
 }
 
 // sendReady reports whether a send would complete without blocking.
@@ -271,7 +268,7 @@ func (c *Chan) sendReady() bool {
 		return true
 	}
 	if c.capacity > 0 {
-		return len(c.buf)+c.inflight < c.capacity
+		return c.buf.len()+c.inflight < c.capacity
 	}
 	return c.haveRecvWaiter()
 }
@@ -289,9 +286,8 @@ func (rt *Runtime) deliverToReceiver(r *waiter, v Msg, when uint64) {
 	if r.choice != nil {
 		res.idx = r.idx
 	}
-	t := r.t
-	t.received++
-	rt.Eng.At(when, func() { rt.wakeWith(t, res) })
+	r.t.received++
+	rt.wakeAt(r.t, when, res)
 }
 
 // opSend processes a send (or try-send) op for thread t.
@@ -301,7 +297,7 @@ func (rt *Runtime) opSend(t *Thread, o op) {
 
 	if o.try && !c.sendReady() {
 		_, end := rt.M.Core(t.core).Reserve(now, rt.Cfg.PollCost)
-		rt.Eng.At(end, func() { rt.resumeInPlace(t, opResult{ready: false}) })
+		rt.resumeAt(t, end, opResult{ready: false})
 		return
 	}
 	if c.closed {
@@ -328,7 +324,7 @@ func (rt *Runtime) opSend(t *Thread, o op) {
 	rt.M.Core(t.core).MsgsSent++
 	rt.M.Core(t.core).BytesSent += uint64(bytes)
 
-	rt.Eng.At(end, func() { rt.finishSendIdx(t, c, v, bytes, -1) })
+	rt.sendAt(t, end, c, v, bytes, -1)
 }
 
 // finishSendIdx completes a send once the sender has paid its local cost.
@@ -354,22 +350,21 @@ func (rt *Runtime) finishSendIdx(t *Thread, c *Chan, v Msg, bytes int, idx int) 
 			rt.stats.Rendezvous++
 			t.state = tBlocked
 			rt.releaseCore(t)
-			rt.Eng.At(arrival, func() { rt.wakeWith(t, doneRes) })
+			rt.wakeAt(t, arrival, doneRes)
 		} else {
 			rt.resumeInPlace(t, doneRes)
 		}
 		return
 	}
-	if c.capacity > 0 && len(c.buf)+c.inflight < c.capacity {
+	if c.capacity > 0 && c.buf.len()+c.inflight < c.capacity {
 		// Fire and forget: the value travels to the channel's buffer.
 		c.inflight++
 		from := t.core
 		rt.Eng.At(now+rt.M.P.InjectCycles, func() {
 			c.inflight--
-			c.buf = append(c.buf, bufEntry{val: v, from: from})
+			c.buf.push(bufEntry{val: v, from: from})
 			if r := c.popRecv(); r != nil {
-				e := c.buf[0]
-				c.buf = c.buf[1:]
+				e := c.buf.pop()
 				_, transit := rt.M.MsgCost(e.from, r.t.core, bytes)
 				rt.deliverToReceiver(r, e.val, rt.Eng.Now()+transit)
 			}
@@ -385,7 +380,7 @@ func (rt *Runtime) finishSendIdx(t *Thread, c *Chan, v Msg, bytes int, idx int) 
 		w.idx = idx
 		w.choice = &choiceRec{}
 	}
-	c.sendq = append(c.sendq, w)
+	c.sendq.push(w)
 	t.waits = append(t.waits, w)
 	t.state = tBlocked
 	rt.releaseCore(t)
@@ -398,12 +393,12 @@ func (rt *Runtime) opRecv(t *Thread, o op) {
 
 	if o.try && !c.recvReady() {
 		_, end := rt.M.Core(t.core).Reserve(now, rt.Cfg.PollCost)
-		rt.Eng.At(end, func() { rt.resumeInPlace(t, opResult{ready: false}) })
+		rt.resumeAt(t, end, opResult{ready: false})
 		return
 	}
 
 	_, end := rt.M.Core(t.core).Reserve(now, rt.M.P.MsgRecvCost)
-	rt.Eng.At(end, func() { rt.finishRecvIdx(t, c, -1) })
+	rt.recvAt(t, end, c, -1)
 }
 
 // finishRecvIdx completes a receive once the receiver has paid its local
@@ -424,9 +419,8 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 		return r
 	}
 
-	if len(c.buf) > 0 {
-		e := c.buf[0]
-		c.buf = c.buf[1:]
+	if c.buf.len() > 0 {
+		e := c.buf.pop()
 		bytes := rt.msgBytes(e.val)
 		_, transit := rt.M.MsgCost(e.from, t.core, bytes)
 		// Freeing buffer space may unblock a parked sender.
@@ -437,8 +431,7 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 		t.state = tBlocked
 		rt.releaseCore(t)
 		rt.traceMsg(c, e.from, t.core, now+transit)
-		res := withIdx(opResult{val: e.val, ok: true, ready: true})
-		rt.Eng.At(now+transit, func() { rt.wakeWith(t, res) })
+		rt.wakeAt(t, now+transit, withIdx(opResult{val: e.val, ok: true, ready: true}))
 		return
 	}
 	if s := c.popSend(); s != nil {
@@ -449,8 +442,7 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 			t.received++
 			t.state = tBlocked
 			rt.releaseCore(t)
-			res := withIdx(opResult{val: s.val, ok: true, ready: true})
-			rt.Eng.At(now+transit, func() { rt.wakeWith(t, res) })
+			rt.wakeAt(t, now+transit, withIdx(opResult{val: s.val, ok: true, ready: true}))
 			return
 		}
 		// Rendezvous with a blocked sender (or a choice send case).
@@ -459,18 +451,15 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 		arrival := now + transit
 		rt.traceMsg(c, s.t.core, t.core, arrival)
 		rt.stats.Rendezvous++
-		v := s.val
-		sender := s.t
 		sRes := opResult{ready: true, ok: true}
 		if s.choice != nil {
 			sRes.idx = s.idx
 		}
-		rt.Eng.At(arrival, func() { rt.wakeWith(sender, sRes) })
+		rt.wakeAt(s.t, arrival, sRes)
 		t.received++
 		t.state = tBlocked
 		rt.releaseCore(t)
-		res := withIdx(opResult{val: v, ok: true, ready: true})
-		rt.Eng.At(arrival, func() { rt.wakeWith(t, res) })
+		rt.wakeAt(t, arrival, withIdx(opResult{val: s.val, ok: true, ready: true}))
 		return
 	}
 	if c.closed {
@@ -483,7 +472,7 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 		w.idx = idx
 		w.choice = &choiceRec{}
 	}
-	c.recvq = append(c.recvq, w)
+	c.recvq.push(w)
 	t.waits = append(t.waits, w)
 	t.state = tBlocked
 	rt.releaseCore(t)
@@ -493,16 +482,15 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 // enter the channel buffer.
 func (rt *Runtime) promoteSender(c *Chan, s *waiter, now uint64) {
 	if s.t == nil {
-		c.buf = append(c.buf, bufEntry{val: s.val, from: s.from})
+		c.buf.push(bufEntry{val: s.val, from: s.from})
 		return
 	}
-	c.buf = append(c.buf, bufEntry{val: s.val, from: s.t.core})
-	sender := s.t
+	c.buf.push(bufEntry{val: s.val, from: s.t.core})
 	res := opResult{ready: true, ok: true}
 	if s.choice != nil {
 		res.idx = s.idx
 	}
-	rt.Eng.At(now, func() { rt.wakeWith(sender, res) })
+	rt.wakeAt(s.t, now, res)
 }
 
 // Call implements the paper's RPC idiom: "c <- (a, b, c1); r <- c1" — send

@@ -93,10 +93,10 @@ func (rt *Runtime) evalChoice(t *Thread, o op) {
 		for i, cs := range o.cases {
 			w := &waiter{t: t, choice: rec, idx: i}
 			if cs.Dir == RecvDir {
-				cs.Ch.recvq = append(cs.Ch.recvq, w)
+				cs.Ch.recvq.push(w)
 			} else {
 				w.val = cs.Val
-				cs.Ch.sendq = append(cs.Ch.sendq, w)
+				cs.Ch.sendq.push(w)
 			}
 			t.waits = append(t.waits, w)
 		}
@@ -131,7 +131,6 @@ func (rt *Runtime) evalChoice(t *Thread, o op) {
 					// Reclaim the core, then re-evaluate as if freshly
 					// charged.
 					t.pending = opResult{}
-					t.wake = nil
 					t.state = tReady
 					rt.rePoll(t, o)
 					return
@@ -181,7 +180,7 @@ func (rt *Runtime) execCase(t *Thread, cs Case, idx int) {
 	now := rt.Eng.Now()
 	if cs.Dir == RecvDir {
 		_, end := rt.M.Core(t.core).Reserve(now, rt.M.P.MsgRecvCost)
-		rt.Eng.At(end, func() { rt.finishRecvIdx(t, cs.Ch, idx) })
+		rt.recvAt(t, end, cs.Ch, idx)
 		return
 	}
 	// Send case.
@@ -204,5 +203,5 @@ func (rt *Runtime) execCase(t *Thread, cs Case, idx int) {
 	rt.stats.BytesSent += uint64(bytes)
 	cs.Ch.Sends++
 	t.sent++
-	rt.Eng.At(end, func() { rt.finishSendIdx(t, cs.Ch, v, bytes, idx) })
+	rt.sendAt(t, end, cs.Ch, v, bytes, idx)
 }

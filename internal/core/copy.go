@@ -84,6 +84,12 @@ func sizeOf(v reflect.Value, depth int) int {
 		}
 		return 8 + sizeOf(v.Elem(), depth-1)
 	case reflect.Struct:
+		if v.Type().Implements(queueType) {
+			// A queue (a channel's buffer inside a message, say) is
+			// sized as the slice of what it holds, not by how it holds it.
+			items := v.Field(0)
+			return sizeOf(items.Slice(int(v.Field(1).Int()), items.Len()), depth)
+		}
 		n := 0
 		for i := 0; i < v.NumField(); i++ {
 			n += sizeOf(v.Field(i), depth-1)

@@ -174,7 +174,7 @@ type Runtime struct {
 type coreState struct {
 	id       int
 	cur      *Thread // thread currently owning the core (running or mid-op)
-	runq     []*Thread
+	runq     fifo[*Thread]
 	lastTID  int  // last thread that ran; used to charge context switches
 	idle     bool // parked with empty queue, waiting for a kick
 	assigned int  // live threads placed on this core
@@ -217,7 +217,7 @@ func (rt *Runtime) Stats() Stats { return rt.stats }
 // currently owns the core). Schedulers use it to find stealable backlogs.
 func (rt *Runtime) CoreLoad(i int) int {
 	cs := rt.cores[i]
-	n := len(cs.runq)
+	n := cs.runq.len()
 	if cs.cur != nil {
 		n++
 	}
@@ -233,9 +233,8 @@ func (rt *Runtime) CoreAssigned(i int) int { return rt.cores[i].assigned }
 // retargets it to thief. It returns nil if nothing is stealable.
 func (rt *Runtime) StealFrom(victim, thief int) *Thread {
 	cs := rt.cores[victim]
-	for i := len(cs.runq) - 1; i >= 0; i-- {
-		t := cs.runq[i]
-		cs.runq = append(cs.runq[:i], cs.runq[i+1:]...)
+	for cs.runq.len() > 0 {
+		t := cs.runq.popBack()
 		if t.state == tDead {
 			continue
 		}
@@ -316,6 +315,7 @@ func (rt *Runtime) newThread(req *spawnReq) *Thread {
 		resume: make(chan opResult),
 		links:  make(map[int]*Thread),
 	}
+	t.step = t.runStep
 	rt.nextID++
 	t.core = rt.sched.Place(rt, req.hint)
 	if t.core < 0 || t.core >= rt.NumCores() {
@@ -348,9 +348,9 @@ func (rt *Runtime) makeReady(t *Thread) {
 	}
 	t.state = tReady
 	cs := rt.cores[t.core]
-	cs.runq = append(cs.runq, t)
+	cs.runq.push(t)
 	rt.dispatch(cs)
-	if cs.cur != nil && len(cs.runq) > 0 {
+	if cs.cur != nil && cs.runq.len() > 0 {
 		rt.kickIdleCore()
 	}
 }
@@ -377,9 +377,8 @@ func (rt *Runtime) dispatch(cs *coreState) {
 		return
 	}
 	var t *Thread
-	for len(cs.runq) > 0 {
-		t = cs.runq[0]
-		cs.runq = cs.runq[1:]
+	for cs.runq.len() > 0 {
+		t = cs.runq.pop()
 		if t.state != tDead {
 			break
 		}
@@ -413,13 +412,7 @@ func (rt *Runtime) dispatch(cs *coreState) {
 		rt.resumeThread(t, res)
 		return
 	}
-	rt.Eng.At(end, func() {
-		if t.state == tDead {
-			rt.releaseCore(t)
-			return
-		}
-		rt.resumeThread(t, res)
-	})
+	rt.resumeAt(t, end, res)
 }
 
 // releaseCore detaches t from its core (if it owns it) and redistributes.
@@ -454,24 +447,12 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 	switch o.kind {
 	case opCompute:
 		_, end := rt.M.Core(t.core).Reserve(now, o.cycles)
-		t.wake = rt.Eng.At(end, func() {
-			t.wake = nil
-			// Preempt at the op boundary if others are waiting for this
-			// core: without this, a compute loop starves its run queue.
-			cs := rt.cores[t.core]
-			if cs.cur == t && len(cs.runq) > 0 {
-				t.pending = opResult{}
-				cs.cur = nil
-				rt.makeReady(t)
-				return
-			}
-			rt.resumeThread(t, opResult{})
-		})
+		t.wake = rt.armStep(t, stepCompute, end)
 
 	case opSleep:
 		t.state = tBlocked
 		rt.releaseCore(t)
-		t.wake = rt.Eng.At(now+o.cycles, func() { rt.wakeWith(t, opResult{}) })
+		t.wake = rt.wakeAt(t, now+o.cycles, opResult{})
 
 	case opYield:
 		t.pending = opResult{}
@@ -557,6 +538,20 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 	}
 }
 
+// computeDone completes a Compute once its cycles have elapsed.
+func (rt *Runtime) computeDone(t *Thread) {
+	// Preempt at the op boundary if others are waiting for this core:
+	// without this, a compute loop starves its run queue.
+	cs := rt.cores[t.core]
+	if cs.cur == t && cs.runq.len() > 0 {
+		t.pending = opResult{}
+		cs.cur = nil
+		rt.makeReady(t)
+		return
+	}
+	rt.resumeThread(t, opResult{})
+}
+
 // wakeWith makes a blocked thread runnable with an op result to deliver.
 // A thread waits on at most one operation, so any wake clears its wait
 // registrations.
@@ -565,7 +560,6 @@ func (rt *Runtime) wakeWith(t *Thread, res opResult) {
 		return
 	}
 	t.cancelWaits()
-	t.wake = nil
 	t.pending = res
 	rt.makeReady(t)
 }

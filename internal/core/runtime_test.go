@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"chanos/internal/machine"
@@ -829,5 +830,106 @@ func TestShutdownKillsEverything(t *testing.T) {
 	rt.Shutdown()
 	if rt.Alive() != 0 {
 		t.Fatalf("alive after shutdown = %d", rt.Alive())
+	}
+}
+
+// Ten thousand threads queued behind one core drain in arrival order,
+// and the run queue rewinds onto the array it grew instead of leaking
+// it to a pop-front reslice.
+func TestRunQueueDrainsTenThousandThreads(t *testing.T) {
+	const n = 10000
+	rt := newRT(t, 1, Config{})
+	var order []int
+	for i := 0; i < n; i++ {
+		rt.Boot("w", func(th *Thread) { order = append(order, i) })
+	}
+	rt.Eng.RunUntil(rt.Eng.Now()) // every Boot has queued its thread
+	if got := rt.CoreLoad(0); got != n {
+		t.Fatalf("core load %d after booting %d threads", got, n)
+	}
+	rt.Run()
+	if len(order) != n {
+		t.Fatalf("%d of %d threads ran", len(order), n)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("thread %d ran %dth", v, i)
+		}
+	}
+	q := &rt.cores[0].runq
+	if q.len() != 0 || q.head != 0 || cap(q.items) < n-1 {
+		t.Fatalf("drained run queue: len %d head %d cap %d", q.len(), q.head, cap(q.items))
+	}
+}
+
+// A rendezvous ping-pong allocates at most two host objects per message
+// once warm: engine records are recycled, queues keep their arrays and
+// every continuation runs through the thread's prebound step.
+func TestRendezvousPingPongAllocs(t *testing.T) {
+	rt := newRT(t, 2, Config{})
+	ping, pong := rt.NewChan("ping", 0), rt.NewChan("pong", 0)
+	rt.Boot("a", func(th *Thread) {
+		for i := 0; ; i++ {
+			ping.Send(th, i)
+			pong.Recv(th)
+		}
+	}, OnCore(0))
+	rt.Boot("b", func(th *Thread) {
+		for {
+			v, _ := ping.Recv(th)
+			pong.Send(th, v)
+		}
+	}, OnCore(1))
+	const msgs = 200
+	exchange := func() {
+		for target := rt.Stats().Sends + msgs; rt.Stats().Sends < target; {
+			rt.Eng.Step()
+		}
+	}
+	exchange()
+	per := testing.AllocsPerRun(20, exchange) / msgs
+	t.Logf("%.2f allocs per message", per)
+	if per > 2 {
+		t.Fatalf("rendezvous allocates %.2f per message, want <= 2", per)
+	}
+}
+
+// segTracer records which threads a runtime reports run segments for.
+type segTracer struct{ names []string }
+
+func (s *segTracer) RunSegment(tid int, name string, coreID int, start, end sim.Time) {
+	s.names = append(s.names, name)
+}
+func (s *segTracer) Message(ch string, fromCore, toCore int, at sim.Time)  {}
+func (s *segTracer) Exit(tid int, name string, at sim.Time, abnormal bool) {}
+
+// Machines on one engine can share a channel. When a thread of runtime A
+// completes a receive for a thread of runtime B, the receiver's wake
+// runs on A — as the closures it replaced did — and so does the run it
+// leads to. The cluster experiments' numbers depend on this.
+func TestCrossRuntimeWakeRunsOnArmingRuntime(t *testing.T) {
+	eng := sim.NewEngine()
+	var trA, trB segTracer
+	rtA := NewRuntime(machine.New(eng, machine.DefaultParams(2)), Config{Tracer: &trA})
+	rtB := NewRuntime(machine.New(eng, machine.DefaultParams(2)), Config{Tracer: &trB})
+	t.Cleanup(rtA.Shutdown)
+	t.Cleanup(rtB.Shutdown)
+	ch := rtA.NewChan("shared", 0)
+	got := false
+	rtB.Boot("rx", func(th *Thread) {
+		ch.Recv(th)
+		got = true
+		th.Compute(10)
+	})
+	rtA.Boot("tx", func(th *Thread) {
+		th.Compute(1000) // rx blocks first
+		ch.Send(th, 1)
+	})
+	eng.Run()
+	if !got {
+		t.Fatal("rx never received")
+	}
+	if !slices.Contains(trA.names, "rx") {
+		t.Fatalf("runtime A ran %v, want rx's post-receive run", trA.names)
 	}
 }

@@ -120,8 +120,21 @@ type Thread struct {
 	yield   chan op
 	resume  chan opResult
 	pending opResult
-	wake    *sim.Event // scheduled compute/sleep completion, if any
-	waits   []*waiter  // live wait-queue registrations, for cancellation
+	wake    sim.Timer // scheduled compute/sleep completion, if any
+	waits   []*waiter // live wait-queue registrations, for cancellation
+
+	// step is t.runStep, bound once in newThread: the engine callback for
+	// the thread's pending continuation. A thread never has more than one
+	// of its own continuations in flight, so one set of operand fields
+	// serves every kind; stepKind is stepNone when none is pending.
+	step      func()
+	stepKind  stepKind
+	stepRT    *Runtime
+	stepCh    *Chan
+	stepVal   Msg
+	stepBytes int
+	stepIdx   int
+	stepRes   opResult
 
 	links     map[int]*Thread
 	monitors  []*Chan
@@ -308,10 +321,7 @@ func (rt *Runtime) threadExit(t *Thread, reason error) {
 	t.exitReason = reason
 	rt.cores[t.core].assigned--
 	rt.stats.Exits++
-	if t.wake != nil {
-		rt.Eng.Cancel(t.wake)
-		t.wake = nil
-	}
+	rt.cancelWake(t)
 	t.cancelWaits()
 	rt.releaseCore(t)
 
@@ -380,10 +390,7 @@ func (rt *Runtime) killThread(t *Thread, reason error) {
 		return
 	}
 	rt.stats.Kills++
-	if t.wake != nil {
-		rt.Eng.Cancel(t.wake)
-		t.wake = nil
-	}
+	rt.cancelWake(t)
 	t.cancelWaits()
 	// Pull it off the core / run queue bookkeeping happens in threadExit;
 	// here we just need the goroutine to unwind. The thread may be Ready
@@ -401,5 +408,89 @@ func (t *Thread) cancelWaits() {
 	for _, w := range t.waits {
 		w.removed = true
 	}
-	t.waits = nil
+	clear(t.waits)
+	t.waits = t.waits[:0]
+}
+
+// cancelWake disarms t's pending compute or sleep completion. An armed
+// wake of either kind is the thread's pending step, so the step is
+// cleared with it; a choice poll's wake is no step, and none is pending
+// while it is armed.
+func (rt *Runtime) cancelWake(t *Thread) {
+	if t.wake.Armed() {
+		rt.Eng.Cancel(t.wake)
+		t.stepKind, t.stepRT, t.stepRes = stepNone, nil, opResult{}
+	}
+}
+
+// stepKind names the continuation a thread's step runs.
+type stepKind uint8
+
+const (
+	stepNone    stepKind = iota
+	stepResume           // resumeInPlace(t, stepRes)
+	stepWake             // wakeWith(t, stepRes)
+	stepSend             // finishSendIdx(t, stepCh, stepVal, stepBytes, stepIdx)
+	stepRecv             // finishRecvIdx(t, stepCh, stepIdx)
+	stepCompute          // computeDone(t)
+)
+
+// armStep schedules t's step of kind k at time at; the caller fills the
+// operand fields k reads. The step runs on rt, the runtime arming it,
+// which is not always t's own: a channel shared across machines lets one
+// runtime complete another's thread. Arming a second step while one is
+// pending panics: two engine callbacks racing to continue one thread is
+// a broken invariant, and it must fail loudly rather than reorder events.
+func (rt *Runtime) armStep(t *Thread, k stepKind, at sim.Time) sim.Timer {
+	if t.stepKind != stepNone {
+		panic(fmt.Sprintf("core: thread %q arms step %d while step %d is pending", t.name, k, t.stepKind))
+	}
+	t.stepKind, t.stepRT = k, rt
+	return rt.Eng.At(at, t.step)
+}
+
+// resumeAt continues t, which keeps its core, with res at time at.
+func (rt *Runtime) resumeAt(t *Thread, at sim.Time, res opResult) {
+	rt.armStep(t, stepResume, at)
+	t.stepRes = res
+}
+
+// wakeAt makes the blocked t runnable with res at time at.
+func (rt *Runtime) wakeAt(t *Thread, at sim.Time, res opResult) sim.Timer {
+	tm := rt.armStep(t, stepWake, at)
+	t.stepRes = res
+	return tm
+}
+
+// sendAt finishes t's send of v on c (choice case idx, or -1) at time at.
+func (rt *Runtime) sendAt(t *Thread, at sim.Time, c *Chan, v Msg, bytes, idx int) {
+	rt.armStep(t, stepSend, at)
+	t.stepCh, t.stepVal, t.stepBytes, t.stepIdx = c, v, bytes, idx
+}
+
+// recvAt finishes t's receive on c (choice case idx, or -1) at time at.
+func (rt *Runtime) recvAt(t *Thread, at sim.Time, c *Chan, idx int) {
+	rt.armStep(t, stepRecv, at)
+	t.stepCh, t.stepIdx = c, idx
+}
+
+// runStep is the body of t.step. It clears the pending step before
+// running it, so the continuation may arm the next one.
+func (t *Thread) runStep() {
+	rt, k, c, v, bytes, idx, res := t.stepRT, t.stepKind, t.stepCh, t.stepVal, t.stepBytes, t.stepIdx, t.stepRes
+	t.stepKind, t.stepRT, t.stepCh, t.stepVal, t.stepRes = stepNone, nil, nil, nil, opResult{}
+	switch k {
+	case stepResume:
+		rt.resumeInPlace(t, res)
+	case stepWake:
+		rt.wakeWith(t, res)
+	case stepSend:
+		rt.finishSendIdx(t, c, v, bytes, idx)
+	case stepRecv:
+		rt.finishRecvIdx(t, c, idx)
+	case stepCompute:
+		rt.computeDone(t)
+	default:
+		panic(fmt.Sprintf("core: thread %q step fired with none pending", t.name))
+	}
 }

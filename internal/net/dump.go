@@ -62,7 +62,7 @@ func (s *Stack) SnapshotShards() []StackShardSnapshot {
 				FinSent:        c.finSent,
 				FinRcvd:        c.finRcvd,
 				Retries:        c.retries,
-				RTOArmed:       c.rto != nil && !c.rto.Canceled(),
+				RTOArmed:       c.rto.Armed(),
 				LastRx:         c.lastRx,
 			})
 		}

@@ -164,7 +164,7 @@ type Endpoint struct {
 	closed  bool // we sent FIN
 	done    bool // remote FIN delivered
 	retries int
-	rto     *sim.Event
+	rto     sim.Timer
 }
 
 // Dial opens a connection to the given port: the SYN goes on the wire
@@ -227,21 +227,17 @@ func rtoAfter(base uint64, retries int) uint64 {
 }
 
 func (ep *Endpoint) armRTO() {
-	if ep.rto != nil {
+	if ep.rto.Armed() {
 		return
 	}
 	ep.rto = ep.net.Eng.After(rtoAfter(ep.net.P.RTOCycles, ep.retries), ep.fireRTO)
 }
 
 func (ep *Endpoint) cancelRTO() {
-	if ep.rto != nil {
-		ep.net.Eng.Cancel(ep.rto)
-		ep.rto = nil
-	}
+	ep.net.Eng.Cancel(ep.rto)
 }
 
 func (ep *Endpoint) fireRTO() {
-	ep.rto = nil
 	if ep.retries >= ep.net.P.MaxRetries {
 		ep.net.GaveUp++
 		delete(ep.net.eps, ep.ID)

@@ -91,7 +91,7 @@ type stackConn struct {
 
 	finSent, finRcvd bool
 	retries          int
-	rto              *sim.Event
+	rto              sim.Timer
 	lastRx           sim.Time // last packet seen; idle sweep reaps silence
 }
 
@@ -500,21 +500,17 @@ func (s *Stack) transmit(t *core.Thread, st *shardState, p Packet) {
 // as an ordinary service message, so retransmission needs no locking
 // either.
 func (s *Stack) armRTO(t *core.Thread, c *stackConn) {
-	if c.rto != nil {
+	if c.rto.Armed() {
 		return
 	}
 	id, from := c.id, t.Core()
 	c.rto = s.rt.Eng.After(rtoAfter(s.P.RTOCycles, c.retries), func() {
-		c.rto = nil
 		s.rt.InjectSend(s.shardChan(id), kernel.Request{Op: "rto", Key: int(id)}, from)
 	})
 }
 
 func (s *Stack) clearRTO(c *stackConn) {
-	if c.rto != nil {
-		s.rt.Eng.Cancel(c.rto)
-		c.rto = nil
-	}
+	s.rt.Eng.Cancel(c.rto)
 }
 
 // rto retransmits a connection's outstanding packets, or tears the

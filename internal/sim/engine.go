@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -15,14 +14,17 @@ import (
 // Time is virtual time in CPU cycles since boot.
 type Time = uint64
 
-// Event is a scheduled callback. Events are ordered by (When, seq): two
-// events at the same virtual time run in the order they were scheduled,
-// which is what makes runs deterministic.
+// Event is the engine's record of one scheduled callback. Events are
+// ordered by (When, seq): two events at the same virtual time run in the
+// order they were scheduled, which is what makes runs deterministic.
+// The engine owns every record and recycles it once it fires or is
+// canceled; callers hold a Timer instead.
 type Event struct {
 	When Time
 	fn   func()
 	seq  uint64
-	idx  int // heap index, -1 once popped or canceled
+	gen  uint64 // bumped on every recycle; a Timer matches only its own
+	idx  int    // heap index, -1 while the record is not queued
 	// observer events fire normally but are invisible to the event
 	// count: Fired() does not include them and StopAtFired does not halt
 	// on them. They are for machinery that watches the machine (statd
@@ -32,15 +34,27 @@ type Event struct {
 	observer bool
 }
 
-// Canceled reports whether Cancel was called before the event fired.
-func (ev *Event) Canceled() bool { return ev.fn == nil }
+// Timer is a handle on one scheduled event. Records are reused, so a
+// handle remembers the generation it was issued at: once its event has
+// fired or been canceled the handle goes inert — Armed reports false and
+// Cancel does nothing — even after the record carries a newer event.
+// The zero Timer is inert.
+type Timer struct {
+	ev  *Event
+	gen uint64
+}
+
+// Armed reports whether the event is still scheduled: neither fired
+// nor canceled.
+func (t Timer) Armed() bool { return t.ev != nil && t.ev.gen == t.gen && t.ev.idx >= 0 }
 
 // Engine is a discrete-event simulator. It is not safe for concurrent use;
 // by design exactly one goroutine (the "engine goroutine") drives it.
 type Engine struct {
 	now    Time
 	seq    uint64
-	pq     eventHeap
+	pq     []*Event // min-heap on (When, seq)
+	free   []*Event // fired and canceled records, ready for reuse
 	fired  uint64
 	halted bool
 
@@ -53,8 +67,11 @@ type Engine struct {
 	stopReached bool
 
 	// triggers are callbacks armed on the counted-event axis (AtFired),
-	// kept sorted by (n, seq) and drained after each counted event.
+	// kept sorted by (n, seq) from index thead on and drained after each
+	// counted event. Draining advances thead; the slice rewinds to its
+	// start whenever it empties, so its backing array is reused.
 	triggers []firedTrigger
+	thead    int
 }
 
 // firedTrigger is one AtFired arming: fn runs the moment Fired()
@@ -98,21 +115,12 @@ func (e *Engine) Pending() int { return len(e.pq) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently reorder causality, which is always a bug in callers.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d in the past (now %d)", t, e.now))
-	}
-	if fn == nil {
-		panic("sim: nil event func")
-	}
-	ev := &Event{When: t, fn: fn, seq: e.seq}
-	e.seq++
-	heap.Push(&e.pq, ev)
-	return ev
+func (e *Engine) At(t Time, fn func()) Timer {
+	return e.schedule(t, fn, false)
 }
 
 // After schedules fn to run d cycles from now.
-func (e *Engine) After(d Time, fn func()) *Event {
+func (e *Engine) After(d Time, fn func()) Timer {
 	return e.At(e.now+d, fn)
 }
 
@@ -121,15 +129,44 @@ func (e *Engine) After(d Time, fn func()) *Event {
 // StopAtFired. Observer callbacks must not mutate simulated machine
 // state — they exist so telemetry sweeps and dump triggers leave the
 // replay coordinate system untouched.
-func (e *Engine) ObserveAt(t Time, fn func()) *Event {
-	ev := e.At(t, fn)
-	ev.observer = true
-	return ev
+func (e *Engine) ObserveAt(t Time, fn func()) Timer {
+	return e.schedule(t, fn, true)
 }
 
 // ObserveAfter schedules an observer event d cycles from now.
-func (e *Engine) ObserveAfter(d Time, fn func()) *Event {
+func (e *Engine) ObserveAfter(d Time, fn func()) Timer {
 	return e.ObserveAt(e.now+d, fn)
+}
+
+func (e *Engine) schedule(t Time, fn func(), observer bool) Timer {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %d in the past (now %d)", t, e.now))
+	}
+	if fn == nil {
+		panic("sim: nil event func")
+	}
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = &Event{}
+	}
+	ev.When, ev.fn, ev.seq, ev.observer = t, fn, e.seq, observer
+	e.seq++
+	ev.idx = len(e.pq)
+	e.pq = append(e.pq, ev)
+	e.up(ev.idx)
+	return Timer{ev: ev, gen: ev.gen}
+}
+
+// release retires a record that has left the heap: the generation bump
+// disarms every Timer issued for it before it goes back on the free list.
+func (e *Engine) release(ev *Event) {
+	ev.fn = nil
+	ev.idx = -1
+	ev.gen++
+	e.free = append(e.free, ev)
 }
 
 // AtFired schedules fn on the counted-event axis instead of the clock:
@@ -150,8 +187,9 @@ func (e *Engine) AtFired(n uint64, fn func()) {
 	}
 	tr := firedTrigger{n: n, seq: e.seq, fn: fn}
 	e.seq++
-	i := sort.Search(len(e.triggers), func(i int) bool {
-		t := e.triggers[i]
+	live := e.triggers[e.thead:]
+	i := e.thead + sort.Search(len(live), func(i int) bool {
+		t := live[i]
 		return t.n > tr.n || (t.n == tr.n && t.seq > tr.seq)
 	})
 	e.triggers = append(e.triggers, firedTrigger{})
@@ -159,16 +197,14 @@ func (e *Engine) AtFired(n uint64, fn func()) {
 	e.triggers[i] = tr
 }
 
-// Cancel removes a scheduled event. Canceling an already-fired or
-// already-canceled event is a harmless no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.fn == nil {
+// Cancel removes a scheduled event. Canceling through a Timer whose
+// event already fired or was canceled is a harmless no-op.
+func (e *Engine) Cancel(t Timer) {
+	if !t.Armed() {
 		return
 	}
-	ev.fn = nil
-	if ev.idx >= 0 {
-		heap.Remove(&e.pq, ev.idx)
-	}
+	e.remove(t.ev.idx)
+	e.release(t.ev)
 }
 
 // Step runs the single earliest event. It returns false if no events
@@ -182,33 +218,37 @@ func (e *Engine) Step() bool {
 		e.halted = true
 		return false
 	}
-	for len(e.pq) > 0 {
-		ev := heap.Pop(&e.pq).(*Event)
-		if ev.fn == nil {
-			continue // canceled
-		}
-		if ev.When < e.now {
-			panic("sim: event heap returned an event in the past")
-		}
-		e.now = ev.When
-		fn := ev.fn
-		ev.fn = nil
-		if !ev.observer {
-			e.fired++
-		}
-		fn()
-		if !ev.observer {
-			// Drain fired-count triggers: each may arm more (at strictly
-			// higher n), so re-check the head every iteration.
-			for len(e.triggers) > 0 && e.triggers[0].n <= e.fired {
-				tfn := e.triggers[0].fn
-				e.triggers = e.triggers[1:]
-				tfn()
-			}
-		}
-		return true
+	if len(e.pq) == 0 {
+		return false
 	}
-	return false
+	ev := e.pq[0]
+	e.remove(0)
+	if ev.When < e.now {
+		panic("sim: event heap returned an event in the past")
+	}
+	e.now = ev.When
+	fn, observer := ev.fn, ev.observer
+	// Recycle before the callback runs: it may schedule into the same
+	// record, and every handle on the fired event must already be inert.
+	e.release(ev)
+	if !observer {
+		e.fired++
+	}
+	fn()
+	if !observer {
+		// Drain fired-count triggers: each may arm more (at strictly
+		// higher n), so re-check the head every iteration.
+		for e.thead < len(e.triggers) && e.triggers[e.thead].n <= e.fired {
+			tfn := e.triggers[e.thead].fn
+			e.triggers[e.thead] = firedTrigger{}
+			e.thead++
+			if e.thead == len(e.triggers) {
+				e.triggers, e.thead = e.triggers[:0], 0
+			}
+			tfn()
+		}
+	}
+	return true
 }
 
 // Run executes events until none remain or Halt is called.
@@ -223,11 +263,7 @@ func (e *Engine) Run() {
 // remain pending).
 func (e *Engine) RunUntil(t Time) {
 	e.halted = false
-	for !e.halted {
-		ev := e.peek()
-		if ev == nil || ev.When > t {
-			break
-		}
+	for !e.halted && len(e.pq) > 0 && e.pq[0].When <= t {
 		e.Step()
 	}
 	if e.now < t && !e.stopReached {
@@ -242,43 +278,66 @@ func (e *Engine) RunUntil(t Time) {
 // stay queued, so the simulation can be resumed.
 func (e *Engine) Halt() { e.halted = true }
 
-func (e *Engine) peek() *Event {
-	for len(e.pq) > 0 {
-		if e.pq[0].fn == nil {
-			heap.Pop(&e.pq)
-			continue
+// The event heap is a binary min-heap on (When, seq) over e.pq. seq is
+// unique, so the order is total: any correct heap pops events in the
+// same sequence.
+
+func (e *Engine) less(i, j int) bool {
+	a, b := e.pq[i], e.pq[j]
+	if a.When != b.When {
+		return a.When < b.When
+	}
+	return a.seq < b.seq
+}
+
+func (e *Engine) swap(i, j int) {
+	e.pq[i], e.pq[j] = e.pq[j], e.pq[i]
+	e.pq[i].idx = i
+	e.pq[j].idx = j
+}
+
+// remove takes the element at i out of the heap.
+func (e *Engine) remove(i int) {
+	n := len(e.pq) - 1
+	if i != n {
+		e.swap(i, n)
+	}
+	e.pq[n] = nil
+	e.pq = e.pq[:n]
+	if i != n && !e.down(i) {
+		e.up(i)
+	}
+}
+
+func (e *Engine) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !e.less(j, i) {
+			break
 		}
-		return e.pq[0]
+		e.swap(i, j)
+		j = i
 	}
-	return nil
 }
 
-// eventHeap is a min-heap ordered by (When, seq).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].When != h[j].When {
-		return h[i].When < h[j].When
+// down sifts the element at i0 toward the leaves and reports whether it
+// moved.
+func (e *Engine) down(i0 int) bool {
+	n := len(e.pq)
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && e.less(r, j) {
+			j = r
+		}
+		if !e.less(j, i) {
+			break
+		}
+		e.swap(i, j)
+		i = j
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*h = old[:n-1]
-	return ev
+	return i > i0
 }

@@ -74,15 +74,15 @@ func TestEngineCancel(t *testing.T) {
 	if ran {
 		t.Fatal("canceled event ran")
 	}
-	if !ev.Canceled() {
-		t.Fatal("event does not report canceled")
+	if ev.Armed() {
+		t.Fatal("canceled event still reports armed")
 	}
 }
 
 func TestEngineCancelOneOfMany(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	var evs []*Event
+	var evs []Timer
 	for i := 0; i < 10; i++ {
 		i := i
 		evs = append(evs, e.At(Time(i+1), func() { got = append(got, i) }))
@@ -175,5 +175,147 @@ func TestEngineMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A Timer outlives its event: once the event fires or is canceled the
+// record is recycled, and the old handle must not reach the event that
+// now occupies it.
+func TestEngineStaleTimerInert(t *testing.T) {
+	e := NewEngine()
+	fired := Timer{}
+	fired = e.At(1, func() {
+		if fired.Armed() {
+			t.Error("timer still armed inside its own callback")
+		}
+	})
+	e.Run()
+	ran := 0
+	next := e.At(2, func() { ran++ })
+	if next.ev != fired.ev {
+		t.Fatal("fired record was not reused")
+	}
+	if fired.Armed() {
+		t.Fatal("fired timer reports armed after its record was reused")
+	}
+	e.Cancel(fired)
+	if !next.Armed() || e.Pending() != 1 {
+		t.Fatal("Cancel through a stale timer disarmed the record's new event")
+	}
+
+	canceled := e.At(3, func() { t.Error("canceled event ran") })
+	e.Cancel(canceled)
+	later := e.At(4, func() { ran++ })
+	if later.ev != canceled.ev {
+		t.Fatal("canceled record was not reused")
+	}
+	e.Cancel(canceled)
+	e.Run()
+	if ran != 2 {
+		t.Fatalf("ran %d events, want 2: a stale Cancel removed a live event", ran)
+	}
+	if (Timer{}).Armed() {
+		t.Fatal("zero Timer reports armed")
+	}
+	e.Cancel(Timer{}) // no-op
+}
+
+// Property: random At/After/Cancel/Step sequences, with records being
+// recycled underneath, fire exactly what a reference sorted by
+// (When, seq) fires, and Fired/Pending/Armed agree with it at every step.
+func TestEngineMatchesReferenceProperty(t *testing.T) {
+	type refEv struct {
+		id   int
+		when Time
+	}
+	for seed := uint64(1); seed <= 50; seed++ {
+		rng := NewRNG(seed)
+		e := NewEngine()
+		var (
+			timers []Timer
+			ref    []refEv // pending events in scheduling (seq) order
+			got    []int
+			want   []int
+			fired  uint64
+		)
+		schedule := func(when Time) {
+			id := len(timers)
+			timers = append(timers, e.At(when, func() { got = append(got, id) }))
+			ref = append(ref, refEv{id: id, when: when})
+		}
+		drop := func(i int) { ref = append(ref[:i], ref[i+1:]...) }
+		for op := 0; op < 400; op++ {
+			switch r := rng.Intn(10); {
+			case r < 3:
+				schedule(e.Now() + rng.Uint64n(20))
+			case r < 5:
+				schedule(e.Now()) // ties on the clock: seq decides
+			case r < 7 && len(timers) > 0:
+				id := rng.Intn(len(timers))
+				e.Cancel(timers[id])
+				for i, ev := range ref {
+					if ev.id == id {
+						drop(i)
+						break
+					}
+				}
+			default:
+				best := -1
+				for i, ev := range ref {
+					if best < 0 || ev.when < ref[best].when {
+						best = i // strict <: the earlier-scheduled wins ties
+					}
+				}
+				if e.Step() != (best >= 0) {
+					t.Fatalf("seed %d op %d: Step disagrees with %d pending in the reference", seed, op, len(ref))
+				}
+				if best >= 0 {
+					want = append(want, ref[best].id)
+					drop(best)
+					fired++
+				}
+			}
+			if e.Fired() != fired || e.Pending() != len(ref) {
+				t.Fatalf("seed %d op %d: Fired/Pending = %d/%d, reference %d/%d",
+					seed, op, e.Fired(), e.Pending(), fired, len(ref))
+			}
+			live := make([]bool, len(timers))
+			for _, ev := range ref {
+				live[ev.id] = true
+			}
+			for id, tm := range timers {
+				if tm.Armed() != live[id] {
+					t.Fatalf("seed %d op %d: timer %d Armed = %v, reference %v", seed, op, id, tm.Armed(), live[id])
+				}
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: fired %d events, reference %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d is event %d, reference %d", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// Steady state, scheduling and running an event with a prebound func
+// allocates nothing: records come off the free list and the heap and
+// trigger queue keep their arrays.
+func TestEngineStepAllocFree(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 8; i++ {
+		e.After(1, fn)
+		e.AtFired(e.Fired()+1, fn)
+		e.Step()
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		e.After(1, fn)
+		e.AtFired(e.Fired()+1, fn)
+		e.Step()
+	}); n != 0 {
+		t.Fatalf("At+AtFired+Step allocates %.1f per event, want 0", n)
 	}
 }

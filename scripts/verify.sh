@@ -278,13 +278,13 @@ if [ "$short" = "0" ]; then
     rm -f "$dumpfile" DUMP_GATE2.dump.json
 
     echo "== chaos matrix gate (seeded fault schedules, four invariants)"
-    # A quick sweep of seeded schedules — kills, disk write failures,
+    # A sweep of 100 seeded schedules — kills, disk write failures,
     # wire loss, NIC slowdowns, migrations — fanned across the scenario
     # matrix must come back all green on the four invariants (zero
     # acked-write loss, no client hang, bounded staleness, fail-stop-
     # or-heal). A red exits non-zero and fails the gate; the summary
     # JSON is the CI artifact.
-    out=$(go run ./cmd/chanos-sim -chaos-seeds 20 \
+    out=$(go run ./cmd/chanos-sim -chaos-seeds 100 \
         -chaos-out CHAOS_MATRIX.json -dump-on-fail .)
     echo "$out"
     test -s CHAOS_MATRIX.json || {
