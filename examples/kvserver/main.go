@@ -66,7 +66,7 @@ func main() {
 		FailWrites: *failWrites, FailShard: *failShard,
 	})
 	defer w.Close()
-	sys, kv, st, sd := w.Sys, w.KV, w.Stack, w.SD
+	sys, kv, st, sd := w.Sys, w.KV, w.Stk, w.SD
 
 	// Arm automatic core dumps: a shard fail-stop captures the machine
 	// the instant it happens (an engine observer event, invisible to the
@@ -87,7 +87,7 @@ func main() {
 	}
 
 	mode := "local-only durability"
-	if w.RM != nil {
+	if len(w.Repls) > 0 {
 		mode = "quorum replication to a second machine"
 		if *replReads {
 			mode += " + bounded-staleness replica reads"
@@ -179,14 +179,15 @@ func main() {
 	// replicated) and "failed-over"/"syncing" (degraded) are different
 	// operational situations, and a 0/0 replication line used to make
 	// them indistinguishable.
-	if w.RM == nil {
+	if len(w.Repls) == 0 {
 		fmt.Printf("  replication  state=%s (no replica attached; acks are local-flush only)\n", kv.Lifecycle())
 	} else {
 		var rWrites uint64
-		for _, d := range w.RM.KV.Disks() {
+		rm := w.Repls[0]
+		for _, d := range rm.KV.Disks() {
 			rWrites += d.Writes
 		}
-		rc := w.RM.KV.Counters()
+		rc := rm.KV.Counters()
 		fmt.Printf("  replication  state=%s; %d batches (%d records) shipped, %d acks, %d adverts; %d shard heals, %d detaches\n",
 			kv.Lifecycle(), kc.ReplBatches, kc.ReplRecords, kc.ReplAcks, kc.ReplAdverts, kc.ReplHeals, kc.ReplDetached)
 		fmt.Printf("  replica      %8d applied (%d stale), %d disk writes\n",

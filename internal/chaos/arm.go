@@ -15,16 +15,14 @@ import (
 	"chanos/internal/telemetry"
 )
 
-// faultPlane is the injection surface of one booted scenario: one slot
-// per node (single-machine scenarios have exactly node 0). The armer
-// never reaches around these — it mutates only what a real operator
-// could break: wires, NICs, disks, whole replica machines.
+// faultPlane is the injection surface of one booted scenario: one
+// serving machine per node (single-machine scenarios have exactly node
+// 0). The armer never reaches around these — it mutates only what a
+// real operator could break: a node's client wire, NIC, disks and
+// whole replica machines.
 type faultPlane struct {
-	eng    *sim.Engine
-	wires  []*net.Network            // client-facing wire, per node
-	nics   []*machine.NIC            // serving NIC, per node
-	stores []*store.Store            // primary store, per node
-	repls  [][]*store.ReplicaMachine // replica machines, per node
+	eng   *sim.Engine
+	nodes []*store.Machine
 
 	keyAt func(i int) string // scenario keyspace (bitrot targets)
 
@@ -83,8 +81,8 @@ func (a *armer) arm(sched Schedule) {
 	// for the invariant report, so it installs unconditionally. It runs
 	// on the recording shard's thread: bookkeeping only, with the
 	// injection deferred to a scheduled event at the same instant.
-	for _, s := range a.t.stores {
-		s.SetFlightHook(func(shard int, ev telemetry.FlightEvent) { a.onFlight(ev) })
+	for _, n := range a.t.nodes {
+		n.KV.SetFlightHook(func(shard int, ev telemetry.FlightEvent) { a.onFlight(ev) })
 	}
 }
 
@@ -111,31 +109,32 @@ func (a *armer) inject(c Clause) {
 	t := a.t
 	node := 0
 	if len(c.Args) > 0 {
-		node = c.Args[0] % len(t.stores)
+		node = c.Args[0] % len(t.nodes)
 	}
+	n := t.nodes[node]
 	switch c.Fault {
 	case FaultKillReplica:
 		slot := c.Args[1]
-		if rs := t.repls[node]; slot < len(rs) && !a.killed[node*64+slot] {
+		if rs := n.Repls; slot < len(rs) && !a.killed[node*64+slot] {
 			a.killed[node*64+slot] = true
 			rs[slot].Shutdown()
 		}
 	case FaultDiskFail:
-		disks := t.stores[node].Disks()
+		disks := n.KV.Disks()
 		disks[c.Args[1]%len(disks)].InjectWriteFailures(c.Args[2])
 	case FaultWireLoss:
-		a.lossWindow(t.wires[node], float64(c.Args[1])/1000, uint64(c.Args[2]))
+		a.lossWindow(n.NW, float64(c.Args[1])/1000, uint64(c.Args[2]))
 	case FaultReplLoss:
 		slot := c.Args[1]
-		if rs := t.repls[node]; slot < len(rs) && !a.killed[node*64+slot] {
+		if rs := n.Repls; slot < len(rs) && !a.killed[node*64+slot] {
 			a.lossWindow(rs[slot].NW, float64(c.Args[2])/1000, uint64(c.Args[3]))
 		}
 	case FaultNICSlow:
-		a.nicWindow(t.nics[node], uint64(c.Args[1]), uint64(c.Args[2]))
+		a.nicWindow(n.NIC, uint64(c.Args[1]), uint64(c.Args[2]))
 	case FaultMigrate:
 		if t.tryMigrate != nil {
-			rangeIdx := c.Args[0] % len(t.stores)
-			dest := c.Args[1] % len(t.stores)
+			rangeIdx := c.Args[0] % len(t.nodes)
+			dest := c.Args[1] % len(t.nodes)
 			if t.tryMigrate(rangeIdx, dest, func(r cluster.MigrationReport) {
 				a.migReports = append(a.migReports, r)
 			}) {
@@ -143,7 +142,7 @@ func (a *armer) inject(c Clause) {
 			}
 		}
 	case FaultBitrot:
-		t.stores[node].InjectBitrot(t.keyAt(c.Args[1]))
+		n.KV.InjectBitrot(t.keyAt(c.Args[1]))
 	}
 }
 

@@ -32,13 +32,9 @@ import (
 	"strings"
 
 	"chanos"
-	"chanos/internal/blockdev"
 	"chanos/internal/cluster"
 	"chanos/internal/core"
 	"chanos/internal/dump"
-	"chanos/internal/kernel"
-	"chanos/internal/machine"
-	"chanos/internal/net"
 	"chanos/internal/sim"
 	"chanos/internal/sim/detmap"
 	"chanos/internal/store"
@@ -227,15 +223,9 @@ func runKV(spec Spec, sched Schedule, r *Result) {
 	w.C.OnFailStop(func(d *dump.Dump) { failDump = d })
 
 	plane := &faultPlane{
-		eng:    eng,
-		wires:  []*net.Network{w.NW},
-		nics:   []*machine.NIC{w.NIC},
-		stores: []*store.Store{w.KV},
-		repls:  [][]*store.ReplicaMachine{nil},
-		keyAt:  func(i int) string { return w.WL.Key(i % filled.Keys) },
-	}
-	if w.RM != nil {
-		plane.repls[0] = []*store.ReplicaMachine{w.RM}
+		eng:   eng,
+		nodes: []*store.Machine{w.Machine},
+		keyAt: func(i int) string { return w.WL.Key(i % filled.Keys) },
 	}
 	a := newArmer(plane)
 	a.arm(sched)
@@ -419,10 +409,7 @@ func runCluster(spec Spec, sched Schedule, r *Result) {
 		return cw.Keys()[i%len(cw.Keys())]
 	}}
 	for _, n := range cl.Nodes {
-		plane.wires = append(plane.wires, n.NW)
-		plane.nics = append(plane.nics, n.NIC)
-		plane.stores = append(plane.stores, n.KV)
-		plane.repls = append(plane.repls, n.Repls)
+		plane.nodes = append(plane.nodes, n.Machine)
 	}
 	plane.tryMigrate = func(rangeIdx, dest int, onDone func(cluster.MigrationReport)) bool {
 		return cl.TryMigrate(rangeIdx, dest, onDone)
@@ -625,37 +612,9 @@ func writeRedDump(spec Spec, r *Result, failDump *dump.Dump, c *dump.Collector, 
 	r.ReplayCmd = dump.ReplayCommand(path)
 }
 
-// offlineAudit is the e16 recovery audit: boot a fresh world from the
-// store's platter snapshots alone (a separate engine — the main run's
-// event count never sees it), recover a store from them, and read
-// every wanted key back. Returns how many are missing or stale.
+// offlineAudit is the offline durability check (store.Audit) against
+// kv's platters as they stand now. Returns how many wanted keys are
+// missing or stale.
 func offlineAudit(kv *store.Store, cores int, seed uint64, want map[string]uint64) int {
-	var datas []map[int][]byte
-	for _, d := range kv.Disks() {
-		datas = append(datas, d.SnapshotData())
-	}
-	eng2 := sim.NewEngine()
-	m2 := machine.New(eng2, machine.DefaultParams(cores))
-	rt2 := core.NewRuntime(m2, core.Config{Seed: seed + 0xA0D17})
-	defer rt2.Shutdown()
-	k2 := kernel.New(rt2, kernel.Config{})
-	var disks []*blockdev.Disk
-	for _, data := range datas {
-		disks = append(disks, blockdev.NewDiskFrom(rt2, kv.P.Disk, data))
-	}
-	kv2 := store.New(rt2, k2, kv.P, disks)
-	lost := 0
-	rt2.Boot("chaos.offline-audit", func(t *core.Thread) {
-		// Sorted key order: the audit's Gets consume (their own
-		// engine's) events, and determinism discipline is habit, not
-		// optional.
-		for key, ver := range detmap.Sorted(want) {
-			g := kv2.Get(t, key)
-			if !g.Found || g.Ver < ver {
-				lost++
-			}
-		}
-	})
-	rt2.Run()
-	return lost
+	return store.Audit(cores, seed+0xA0D17, kv.P, kv.Platters(), want).Lost
 }

@@ -12,14 +12,10 @@ package cluster
 import (
 	"fmt"
 
-	"chanos/internal/blockdev"
 	"chanos/internal/core"
-	"chanos/internal/kernel"
-	"chanos/internal/machine"
 	"chanos/internal/net"
 	"chanos/internal/sim"
 	"chanos/internal/store"
-	"chanos/internal/telemetry"
 )
 
 // Params configures a cluster boot.
@@ -41,26 +37,16 @@ type Params struct {
 	Store store.Params
 	// Wire models every inter-machine link.
 	Wire net.WireParams
-	// Kernel lays out each machine's kernel cores.
-	Kernel kernel.Config
-	// BasePort: node i serves on BasePort+10*i; its replica j listens
-	// on BasePort+10*i+1+j. Default 7000.
-	BasePort int
 }
 
-// Node is one serving machine plus its replica group.
+// basePort: node i serves on basePort+10*i; its replica j listens on
+// basePort+10*i+1+j.
+const basePort = 7000
+
+// Node is one serving machine plus its replica group (Repls).
 type Node struct {
-	ID    int
-	M     *machine.Machine
-	RT    *core.Runtime
-	K     *kernel.Kernel
-	NIC   *machine.NIC
-	NW    *net.Network
-	Stk   *net.Stack
-	KV    *store.Store
-	SD    *telemetry.Statd
-	Repls []*store.ReplicaMachine
-	Port  int
+	*store.Machine
+	ID int
 
 	c    *Cluster
 	smap *ShardMap
@@ -97,64 +83,32 @@ func New(eng *sim.Engine, p Params) *Cluster {
 	if p.Cores <= 0 {
 		p.Cores = 8
 	}
-	if p.BasePort == 0 {
-		p.BasePort = 7000
-	}
 	smap := NewMap(p.Splits, p.Nodes)
 	c := &Cluster{Eng: eng, P: p}
 	for i := 0; i < p.Nodes; i++ {
-		c.Nodes = append(c.Nodes, c.bootNode(i, smap.Clone(), nil))
+		c.Nodes = append(c.Nodes, c.bootNode(i, smap.Clone()))
 	}
 	return c
 }
 
-// bootNode builds serving node id from optional platter snapshots (the
-// recovery path). Seeds are spread per machine so no two runtimes or
-// wires share a stream.
-func (c *Cluster) bootNode(id int, smap *ShardMap, disks []*blockdev.Disk) *Node {
+// bootNode builds serving node id. Seeds are spread per machine so no
+// two runtimes or wires share a stream.
+func (c *Cluster) bootNode(id int, smap *ShardMap) *Node {
 	p := c.P
 	seed := p.Seed + uint64(id)*131
-	m := machine.New(c.Eng, machine.DefaultParams(p.Cores))
-	rt := core.NewRuntime(m, core.Config{Seed: seed})
-	k := kernel.New(rt, p.Kernel)
-	nic := machine.NewNIC(m, machine.NICParams{})
-	wp := p.Wire
-	wp.Seed = seed + 7
-	nw := net.NewNetwork(c.Eng, nic, wp)
-	stk := net.NewStack(rt, k, nic, net.StackParams{})
-	kv := store.New(rt, k, p.Store, disks)
-	sd := telemetry.NewStatd(c.Eng)
-	sd.Register("store", kv)
-	sd.Register("net", stk)
-	sd.Register("nic", nic)
-	kv.AttachStatd(sd)
-	n := &Node{
-		ID: id, M: m, RT: rt, K: k, NIC: nic, NW: nw, Stk: stk, KV: kv, SD: sd,
-		Port: p.BasePort + 10*id, c: c, smap: smap,
-		genInflight: make(map[uint64]int),
+	n := &Node{ID: id, c: c, smap: smap, genInflight: make(map[uint64]int)}
+	mp := store.MachineParams{
+		Cores: p.Cores, Seed: seed, Wire: p.Wire, Store: p.Store, Port: basePort + 10*id,
+		Accept: fmt.Sprintf("node%d.accept", id), Conn: fmt.Sprintf("node%d.kv", id),
+		Serve: func(t *core.Thread, conn *net.Conn, _ *store.Store) { n.serveConn(t, conn) },
 	}
+	mp.Wire.Seed = seed + 7
 	for j := 0; j < p.RF; j++ {
-		rwp := p.Wire
-		rwp.Seed = seed + 11 + uint64(j)*13
-		rm := store.NewReplicaMachine(c.Eng, store.ReplicaMachineParams{
-			Cores: p.Cores, Seed: seed + 17 + uint64(j)*19,
-			Port: n.Port + 1 + j, Store: p.Store, Wire: rwp, Kernel: p.Kernel,
-		}, nil)
-		kv.AttachReplica(rm)
-		n.Repls = append(n.Repls, rm)
+		rp := store.ReplicaMachineParams{Seed: seed + 17 + uint64(j)*19, Port: mp.Port + 1 + j, Wire: p.Wire}
+		rp.Wire.Seed = seed + 11 + uint64(j)*13
+		mp.Replicas = append(mp.Replicas, rp)
 	}
-	l := stk.Listen(n.Port)
-	rt.Boot(fmt.Sprintf("node%d.accept", id), func(t *core.Thread) {
-		for {
-			conn, ok := l.Accept(t)
-			if !ok {
-				return
-			}
-			t.Spawn(fmt.Sprintf("node%d.kv.%d", id, conn.ID()), func(ht *core.Thread) {
-				n.serveConn(ht, conn)
-			})
-		}
-	})
+	n.Machine = store.NewMachine(c.Eng, mp)
 	return n
 }
 
@@ -164,10 +118,7 @@ func (c *Cluster) RunFor(cycles sim.Time) { c.Nodes[0].RT.RunFor(cycles) }
 // Shutdown tears every machine down.
 func (c *Cluster) Shutdown() {
 	for _, n := range c.Nodes {
-		for _, rm := range n.Repls {
-			rm.Shutdown()
-		}
-		n.RT.Shutdown()
+		n.Shutdown()
 	}
 }
 

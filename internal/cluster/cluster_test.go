@@ -5,10 +5,7 @@ import (
 	"sort"
 	"testing"
 
-	"chanos/internal/blockdev"
 	"chanos/internal/core"
-	"chanos/internal/kernel"
-	"chanos/internal/machine"
 	"chanos/internal/net"
 	"chanos/internal/sim"
 	"chanos/internal/store"
@@ -92,35 +89,6 @@ func prefill(t *testing.T, c *Cluster, keys []string, val []byte) {
 	if done < len(c.Nodes) {
 		t.Fatal("prefill never finished")
 	}
-}
-
-// auditStore boots a throwaway store from platter snapshots and checks
-// every acked write survived at >= its acknowledged version.
-func auditStore(t *testing.T, p store.Params, dp blockdev.DiskParams, datas []map[int][]byte,
-	acked map[string]uint64) (survived, lost int) {
-	t.Helper()
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.DefaultParams(8))
-	rt := core.NewRuntime(m, core.Config{Seed: 1})
-	defer rt.Shutdown()
-	k := kernel.New(rt, kernel.Config{})
-	var disks []*blockdev.Disk
-	for _, data := range datas {
-		disks = append(disks, blockdev.NewDiskFrom(rt, dp, data))
-	}
-	kv := store.New(rt, k, p, disks)
-	rt.Boot("auditor", func(th *core.Thread) {
-		for key, ver := range acked {
-			g := kv.Get(th, key)
-			if g.Found && g.Ver >= ver {
-				survived++
-			} else {
-				lost++
-			}
-		}
-	})
-	rt.Run()
-	return survived, lost
 }
 
 // TestClusterRoutingAndQuorum: requests reach their owners through the
@@ -309,11 +277,8 @@ func TestMigrationKillSourceMidStream(t *testing.T) {
 
 	// The kill: snapshot the source's replica platters (the survivors),
 	// then destroy the source machine.
-	p := src.KV.P
-	var datas []map[int][]byte
-	for _, d := range src.Repls[0].KV.Disks() {
-		datas = append(datas, d.SnapshotData())
-	}
+	replica := src.Repls[0].KV
+	platters := replica.Platters()
 	acked := make(map[string]uint64)
 	start, end := c.Nodes[0].smap.Range(1)
 	for key, ver := range pool.AckedPuts {
@@ -338,11 +303,11 @@ func TestMigrationKillSourceMidStream(t *testing.T) {
 		t.Error("no client ever failed against the dead node — kill not observed")
 	}
 
-	survived, lost := auditStore(t, p, p.Disk, datas, acked)
-	if lost != 0 {
-		t.Fatalf("source kill mid-migration lost %d acked writes (%d survived)", lost, survived)
+	a := store.Audit(8, 1, replica.P, platters, acked)
+	if a.Lost != 0 {
+		t.Fatalf("source kill mid-migration lost %d acked writes (%d survived)", a.Lost, a.Survived)
 	}
-	if survived == 0 {
+	if a.Survived == 0 {
 		t.Fatal("audit checked nothing — no acked writes in the migrating range")
 	}
 }

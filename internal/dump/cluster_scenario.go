@@ -97,8 +97,7 @@ func BuildCluster(seed uint64, cfg Config) *ClusterWorld {
 		Wire: net.DefaultWireParams(),
 	})
 	w := &ClusterWorld{Cl: cl, keys: keys, seed: seed, cfg: cfg}
-	w.C = &Collector{Eng: eng, Cluster: cl, Statd: cl.Nodes[0].SD,
-		Seed: seed, Config: cfg}
+	w.C = &Collector{Eng: eng, Cluster: cl, Seed: seed, Config: cfg}
 	return w
 }
 

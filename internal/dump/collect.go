@@ -4,28 +4,19 @@ import (
 	"fmt"
 
 	"chanos/internal/cluster"
-	"chanos/internal/core"
-	"chanos/internal/machine"
-	"chanos/internal/net"
 	"chanos/internal/sim"
 	"chanos/internal/store"
 	"chanos/internal/telemetry"
 )
 
-// Collector holds references to every dumpable subsystem of one
-// machine (plus its replica's store, if attached) and captures them
-// into a Dump. For a cluster world, Cluster is set instead of the
-// single-machine fields, and Snapshot captures every node. Snapshot
-// must run between engine events — host context or an observer event
-// — the same single-goroutine window every telemetry collector uses.
+// Collector captures a world's machines into a Dump: one machine M
+// (with its first replica's store, if attached), or every node of
+// Cluster. Snapshot must run between engine events — host context or
+// an observer event — the same single-goroutine window every telemetry
+// collector uses.
 type Collector struct {
 	Eng     *sim.Engine
-	RT      *core.Runtime
-	NIC     *machine.NIC
-	Stack   *net.Stack
-	Store   *store.Store
-	Replica *store.Store
-	Statd   *telemetry.Statd
+	M       *store.Machine
 	Cluster *cluster.Cluster
 
 	Seed   uint64
@@ -45,22 +36,19 @@ func (c *Collector) Snapshot(reason string) *Dump {
 		EventCount: c.Eng.Fired(),
 		AtCycles:   c.Eng.Now(),
 	}
-	if c.RT != nil {
-		d.Cores, d.Threads = c.RT.SnapshotSched()
-	}
-	if c.NIC != nil {
-		d.NIC = c.NIC.SnapshotQueues()
-	}
-	if c.Stack != nil {
-		d.Net = c.Stack.SnapshotShards()
-	}
-	if c.Store != nil {
-		d.Store = c.Store.SnapshotShards()
-	}
-	if c.Replica != nil {
-		d.Replica = c.Replica.SnapshotShards()
+	var sd *telemetry.Statd
+	if m := c.M; m != nil {
+		d.Cores, d.Threads = m.RT.SnapshotSched()
+		d.NIC = m.NIC.SnapshotQueues()
+		d.Net = m.Stk.SnapshotShards()
+		d.Store = m.KV.SnapshotShards()
+		if len(m.Repls) > 0 {
+			d.Replica = m.Repls[0].KV.SnapshotShards()
+		}
+		sd = m.SD
 	}
 	if c.Cluster != nil {
+		sd = c.Cluster.Nodes[0].SD
 		for _, n := range c.Cluster.Nodes {
 			md := MachineDump{Node: n.ID, MapVersion: c.Cluster.Map(n.ID).Version}
 			md.Cores, md.Threads = n.RT.SnapshotSched()
@@ -73,8 +61,8 @@ func (c *Collector) Snapshot(reason string) *Dump {
 			d.Machines = append(d.Machines, md)
 		}
 	}
-	if c.Statd != nil {
-		snap := *c.Statd.SnapshotNow()
+	if sd != nil {
+		snap := *sd.SnapshotNow()
 		// Seq counts host-side scrapes, which differ between an original
 		// run and its replay without the machine differing; normalise so
 		// dump equality means machine equality.
@@ -93,9 +81,6 @@ func (c *Collector) Snapshot(reason string) *Dump {
 // sequence, so arming this changes nothing about the run.
 func (c *Collector) OnFailStop(fn func(*Dump)) {
 	arm := func(s *store.Store, who string) {
-		if s == nil {
-			return
-		}
 		s.FailStopHook = func(shard int, errMsg string) {
 			if c.dumped {
 				return
@@ -105,8 +90,12 @@ func (c *Collector) OnFailStop(fn func(*Dump)) {
 			c.Eng.ObserveAt(c.Eng.Now(), func() { fn(c.Snapshot(reason)) })
 		}
 	}
-	arm(c.Store, "store")
-	arm(c.Replica, "replica store")
+	if m := c.M; m != nil {
+		arm(m.KV, "store")
+		if len(m.Repls) > 0 {
+			arm(m.Repls[0].KV, "replica store")
+		}
+	}
 	if c.Cluster != nil {
 		for _, n := range c.Cluster.Nodes {
 			arm(n.KV, fmt.Sprintf("node %d store", n.ID))

@@ -5,12 +5,9 @@ import (
 
 	"chanos"
 	"chanos/internal/core"
-	"chanos/internal/kernel"
-	"chanos/internal/machine"
 	"chanos/internal/net"
 	"chanos/internal/sim"
 	"chanos/internal/store"
-	"chanos/internal/telemetry"
 )
 
 // ScenarioKVLoad is the canonical replayable scenario: the full
@@ -47,18 +44,13 @@ func (c *Config) fill() {
 }
 
 // World is one booted kvload machine, ready to Run — and, armed with
-// its Collector, ready to dump.
+// its Collector, ready to dump. Its replica machine, if any, is
+// Repls[0].
 type World struct {
-	C     *Collector
-	Sys   *chanos.System
-	K     *kernel.Kernel
-	NIC   *machine.NIC
-	NW    *net.Network
-	Stack *net.Stack
-	KV    *store.Store
-	RM    *store.ReplicaMachine // nil without replicas
-	SD    *telemetry.Statd
-	WL    *store.Workload
+	*store.Machine
+	C   *Collector
+	Sys *chanos.System
+	WL  *store.Workload
 
 	// OnSlice, when set, runs in host context after each drive slice
 	// (slice index from 0). Host-side only — printing live stats here
@@ -110,82 +102,43 @@ type Report struct {
 	RPool           *net.ClientPool
 }
 
-// Build boots a kvload world. The construction order is the event-
-// sequence contract: it must not change between the run that wrote a
-// dump and the run that replays it, so examples/kvserver and the
-// -replay path both go through exactly this function.
+// Build boots a kvload world through store.NewMachine, whose fixed
+// boot order is the event-sequence contract: it must not change
+// between the run that wrote a dump and the run that replays it, so
+// examples/kvserver and the -replay path both go through exactly this
+// function.
 func Build(seed uint64, cfg Config) *World {
 	cfg.fill()
-	sys := chanos.New(cfg.Cores, chanos.Config{Seed: seed})
-	k := kernel.New(sys.RT, kernel.Config{})
-	nic := sys.NewNIC(machine.NICParams{})
-	wp := net.DefaultWireParams()
-	wp.Seed = seed
-	wp.LossProb = cfg.Loss
-	nw := sys.NewNetwork(nic, wp)
-	stk := sys.NewNetStack(k, nic, net.StackParams{})
-	kv := sys.NewStore(k, store.Params{Shards: cfg.Shards, LogBlocks: cfg.LogBlocks})
-	var rm *store.ReplicaMachine
+	mp := store.MachineParams{
+		Cores: cfg.Cores, Seed: seed, Wire: net.DefaultWireParams(),
+		Store: store.Params{Shards: cfg.Shards, LogBlocks: cfg.LogBlocks},
+		Port:  6379, Accept: "accept", Conn: "kv", Serve: store.ServeConn,
+	}
+	mp.Wire.Seed = seed
+	mp.Wire.LossProb = cfg.Loss
 	if cfg.Replicas > 0 {
-		rwp := net.DefaultWireParams()
-		rwp.Seed = seed + 1
-		readPort := 0
+		rp := store.ReplicaMachineParams{Seed: seed + 2, Wire: net.DefaultWireParams()}
+		rp.Wire.Seed = seed + 1
 		if cfg.ReplicaReads {
-			readPort = 6390
+			rp.ReadPort = 6390
 		}
-		rm = store.NewReplicaMachine(sys.Eng, store.ReplicaMachineParams{
-			Cores: cfg.Cores, Seed: seed + 2, ReadPort: readPort,
-			Store: store.Params{Shards: kv.Shards(), LogBlocks: cfg.LogBlocks},
-			Wire:  rwp,
-		}, nil)
-		kv.AttachReplica(rm)
+		mp.Replicas = append(mp.Replicas, rp)
 	}
-	l := stk.Listen(6379)
-
-	sd := telemetry.NewStatd(sys.Eng)
-	sd.Register("store", kv)
-	sd.Register("net", stk)
-	sd.Register("nic", nic)
-	kv.AttachStatd(sd)
-
-	sys.Boot("accept", func(t *chanos.Thread) {
-		for {
-			c, ok := l.Accept(t)
-			if !ok {
-				return
-			}
-			t.Spawn(fmt.Sprintf("kv.%d", c.ID()), func(ht *core.Thread) {
-				store.ServeConn(ht, c, kv)
-			})
-		}
-	})
-
-	wl := store.NewWorkload(seed, cfg.Clients, cfg.Keys, cfg.ReadPct, cfg.ValBytes)
-
-	w := &World{
-		Sys: sys, K: k, NIC: nic, NW: nw, Stack: stk, KV: kv, RM: rm,
-		SD: sd, WL: wl, seed: seed, cfg: cfg,
+	m := store.NewMachine(sim.NewEngine(), mp)
+	return &World{
+		Machine: m,
+		C:       &Collector{Eng: m.M.Eng, M: m, Seed: seed, Config: cfg},
+		Sys:     &chanos.System{Eng: m.M.Eng, M: m.M, RT: m.RT},
+		WL:      store.NewWorkload(seed, cfg.Clients, cfg.Keys, cfg.ReadPct, cfg.ValBytes),
+		seed:    seed, cfg: cfg,
 	}
-	w.C = &Collector{
-		Eng: sys.Eng, RT: sys.RT, NIC: nic, Stack: stk, Store: kv,
-		Statd: sd, Seed: seed, Config: cfg,
-	}
-	if rm != nil {
-		w.C.Replica = rm.KV
-	}
-	return w
 }
 
 // Config returns the world's filled scenario config.
 func (w *World) Config() Config { return w.cfg }
 
 // Close shuts the world's machines down.
-func (w *World) Close() {
-	if w.RM != nil {
-		w.RM.Shutdown()
-	}
-	w.Sys.Shutdown()
-}
+func (w *World) Close() { w.Shutdown() }
 
 // Run drives the scenario: prefill the keyspace, arm the injected disk
 // fault (if configured), then serve the closed-loop fleet until it has
@@ -215,9 +168,9 @@ func (w *World) Run() *Report {
 		disks[w.cfg.FailShard%len(disks)].InjectWriteFailures(w.cfg.FailWrites)
 	}
 
-	if w.cfg.ReplicaReads && w.RM != nil {
+	if w.cfg.ReplicaReads && len(w.Repls) > 0 {
 		rwl := store.NewWorkload(w.seed+5, w.cfg.Clients, w.cfg.Keys, 100, w.cfg.ValBytes)
-		r.RPool = net.NewClientPool(w.RM.NW, net.ClientParams{
+		r.RPool = net.NewClientPool(w.Repls[0].NW, net.ClientParams{
 			Port:        6390,
 			Clients:     w.cfg.Clients,
 			ReqsPerConn: 8,

@@ -6,12 +6,10 @@ import (
 	"chanos/internal/core"
 	"chanos/internal/dump"
 	"chanos/internal/kernel"
-	"chanos/internal/machine"
 	"chanos/internal/net"
 	"chanos/internal/sim"
 	"chanos/internal/stats"
 	"chanos/internal/store"
-	"chanos/internal/telemetry"
 )
 
 func init() {
@@ -32,9 +30,50 @@ type e15Result struct {
 }
 
 const (
-	e15Port     = 6379
+	kvPort      = 6379 // the store-serving port of every E15–E17 machine
 	e15ValBytes = 256
 )
+
+// kvMachine boots the E15–E17 serving machine on a fresh engine:
+// client wire → NIC RSS → netstack shard → per-connection server
+// thread → store shard → per-shard log device, with the wire seeded
+// like the runtime. A deliberately small per-shard cache (64 KB): the
+// aggregate cache grows with shards, so the sweeps show the working
+// set falling into cache as the service scales out. platters != nil
+// recovers the store from them; replicas attach before it serves.
+func kvMachine(cores, shards int, seed uint64, platters []map[int][]byte, replicas ...store.ReplicaMachineParams) (*world, *store.Machine) {
+	wp := net.DefaultWireParams()
+	wp.Seed = seed
+	m := store.NewMachine(sim.NewEngine(), store.MachineParams{
+		Cores: cores, Seed: seed, Wire: wp,
+		Store:    store.Params{Shards: shards, CacheBlocks: 16},
+		Platters: platters, Replicas: replicas,
+		Port: kvPort, Accept: "accept", Conn: "kv", Serve: store.ServeConn,
+	})
+	return &world{eng: m.M.Eng, m: m.M, rt: m.RT}, m
+}
+
+// kvReplica is the replica machine E16 and E17 attach: runtime seed
+// seed+2, inter-machine wire seed+1, replica reads on readPort (0 =
+// none).
+func kvReplica(seed uint64, readPort int) store.ReplicaMachineParams {
+	rp := store.ReplicaMachineParams{Seed: seed + 2, ReadPort: readPort, Wire: net.DefaultWireParams()}
+	rp.Wire.Seed = seed + 1
+	return rp
+}
+
+// kvPrefill writes wl's whole keyspace into kv, driving the machine
+// until the prefill thread finishes (at most 1000 1M-cycle slices).
+func kvPrefill(w *world, wl *store.Workload, kv *store.Store) {
+	filled := false
+	w.rt.Boot("prefill", func(t *core.Thread) {
+		wl.Prefill(t, kv)
+		filled = true
+	})
+	for i := 0; i < 1000 && !filled; i++ {
+		w.rt.RunFor(1_000_000)
+	}
+}
 
 func e15NumKeys(o Options) int {
 	if o.Quick {
@@ -50,52 +89,18 @@ func e15NumKeys(o Options) int {
 // readPct is the read share; the key distribution is two-tier (80% of
 // ops on the hottest 10% of keys).
 func e15Run(o Options, cores, shards, clients, readPct int, window sim.Time) e15Result {
-	w := newWorld(cores, o.seed(), core.Config{})
-	defer w.close()
-	k := kernel.New(w.rt, kernel.Config{})
-	nic := machine.NewNIC(w.m, machine.NICParams{})
-	wp := net.DefaultWireParams()
-	wp.Seed = o.seed()
-	nw := net.NewNetwork(w.eng, nic, wp)
-	stk := net.NewStack(w.rt, k, nic, net.StackParams{})
-	// A deliberately small per-shard cache (64 KB): the aggregate cache
-	// grows with shards, so the sweep shows the working set falling into
-	// cache as the service scales out.
-	kv := store.New(w.rt, k, store.Params{Shards: shards, CacheBlocks: 16}, nil)
-	sd := telemetry.NewStatd(w.eng)
-	sd.Register("store", kv)
-	sd.Register("net", stk)
-	sd.Register("nic", nic)
-	kv.AttachStatd(sd)
-	l := stk.Listen(e15Port)
-
-	w.rt.Boot("accept", func(t *core.Thread) {
-		for {
-			c, ok := l.Accept(t)
-			if !ok {
-				return
-			}
-			t.Spawn(fmt.Sprintf("kv.%d", c.ID()), func(ht *core.Thread) {
-				store.ServeConn(ht, c, kv)
-			})
-		}
-	})
+	w, m := kvMachine(cores, shards, o.seed(), nil)
+	defer m.Shutdown()
+	kv := m.KV
 
 	// Prefill so reads have data to hit, then drive the shared seeded
 	// workload (same generator as examples/kvserver).
 	wl := store.NewWorkload(o.seed(), clients, e15NumKeys(o), readPct, e15ValBytes)
-	filled := false
-	w.rt.Boot("prefill", func(t *core.Thread) {
-		wl.Prefill(t, kv)
-		filled = true
-	})
-	for i := 0; i < 1000 && !filled; i++ {
-		w.rt.RunFor(1_000_000)
-	}
+	kvPrefill(w, wl, kv)
 
 	base := kv.Counters()
-	pool := net.NewClientPool(nw, net.ClientParams{
-		Port:        e15Port,
+	pool := net.NewClientPool(m.NW, net.ClientParams{
+		Port:        kvPort,
 		Clients:     clients,
 		ReqsPerConn: 8,
 		ThinkCycles: 2000,
@@ -111,12 +116,11 @@ func e15Run(o Options, cores, shards, clients, readPct int, window sim.Time) e15
 	if hits+misses > 0 {
 		hr = float64(hits) / float64(hits+misses)
 	}
-	snap := sd.SnapshotNow()
+	snap := m.SD.SnapshotNow()
 	o.publishSnapshot(snap)
 	if len(snap.Conservation()) > 0 {
 		o.dumpInvariant(&dump.Collector{
-			Eng: w.eng, RT: w.rt, NIC: nic, Stack: stk, Store: kv, Statd: sd,
-			Seed: o.seed(),
+			Eng: w.eng, M: m, Seed: o.seed(),
 			Config: dump.Config{
 				Scenario: "e15-store", Cores: cores, Shards: shards,
 				Clients: clients, ReadPct: readPct,
@@ -131,7 +135,7 @@ func e15Run(o Options, cores, shards, clients, readPct int, window sim.Time) e15
 		hitRate:     hr,
 		ackedWrites: c.AckedWrites,
 		flushes:     c.FlushesDone,
-		retrans:     stk.Counters().Retransmits + nw.Retransmits,
+		retrans:     m.Stk.Counters().Retransmits + m.NW.Retransmits,
 		logFull:     c.LogFull,
 		consBad:     len(snap.Conservation()),
 	}
@@ -243,7 +247,6 @@ func e15Store(o Options) []*stats.Table {
 	tb.Note("claim (§4): a stateful kernel service sharded by object — here by key — scales like the netstack did")
 	tb.Note("writes are durable before they are acknowledged (group commit); p99 includes that wait")
 	tb.Note("conservation checks the final telemetry snapshot's read/write/ack/flush balance laws (internal/telemetry)")
-	tb.Note(pctlNote)
 
 	sb := stats.NewTable(fmt.Sprintf("E15b: store shard sweep at %d cores (50/50 mix; independent keys should not serialise)", sweepCores),
 		"store shards", "ops/sec", "p99 latency (us)", "cache hit rate", "acked writes")
@@ -253,7 +256,6 @@ func e15Store(o Options) []*stats.Table {
 			fmt.Sprintf("%.2f", r.hitRate), fmt.Sprint(r.ackedWrites))
 	}
 	sb.Note("one shard is the classic single-threaded storage daemon behind a lock; shards parallelise both the index and the log devices")
-	sb.Note(pctlNote)
 
 	mb := stats.NewTable(fmt.Sprintf("E15c: read/write mix at %d cores (shards = kernel cores)", sweepCores),
 		"read %", "ops/sec", "p99 latency (us)", "cache hit rate", "retransmits")
@@ -263,7 +265,6 @@ func e15Store(o Options) []*stats.Table {
 			fmt.Sprintf("%.2f", r.hitRate), fmt.Sprint(r.retrans))
 	}
 	mb.Note("reads ride the block cache; writes pay the log — the mix moves the bottleneck between them")
-	mb.Note(pctlNote)
 
 	mults := []float64{0.5, 2, 8}
 	if o.Quick {
@@ -278,13 +279,8 @@ func e15Store(o Options) []*stats.Table {
 	}
 	cb.Note("before compaction this workload died at ~1.0x with every further write refused; refused must stay 0")
 	cb.Note("compaction runs inside the shard as deferred self-messages — p99 stays bounded because serving never stops")
-	cb.Note(pctlNote)
 	return []*stats.Table{tb, sb, mb, cb}
 }
-
-// pctlNote flags the stats.Histogram.Percentile change so readers
-// comparing against pre-interpolation tables know why p99 cells moved.
-const pctlNote = "p99 interpolates within log2 buckets (was: bucket upper bound); values shifted vs tables from before the change"
 
 // consCell renders a conservation-violation count as a table cell.
 func consCell(bad int) string {

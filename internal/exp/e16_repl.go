@@ -3,13 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"chanos/internal/blockdev"
 	"chanos/internal/core"
-	"chanos/internal/kernel"
-	"chanos/internal/machine"
 	"chanos/internal/net"
 	"chanos/internal/sim"
-	"chanos/internal/sim/detmap"
 	"chanos/internal/stats"
 	"chanos/internal/store"
 )
@@ -29,7 +25,6 @@ type e16Result struct {
 }
 
 const (
-	e16Port     = 6379
 	e16ValBytes = 256
 	e16NumKeys  = 512
 )
@@ -40,67 +35,23 @@ const (
 // simulated machine on the far side of an inter-machine wire receiving
 // every store shard's log records.
 type e16World struct {
-	w       *world
-	nw      *net.Network
-	kv      *store.Store
-	rm      *store.ReplicaMachine // nil in local-only mode
-	wl      *store.Workload
-	clients int
-	seed    uint64
+	w  *world
+	m  *store.Machine // Repls[0] is the replica in quorum mode
+	wl *store.Workload
 }
 
 // e16Boot builds the topology, prefills the keyspace, and leaves the
 // client fleet un-started (callers attach their own pool so the kill
 // runs can track acknowledgements).
 func e16Boot(cores, shards, clients, readPct int, seed uint64, quorum bool) *e16World {
-	w := newWorld(cores, seed, core.Config{})
-	k := kernel.New(w.rt, kernel.Config{})
-	nic := machine.NewNIC(w.m, machine.NICParams{})
-	wp := net.DefaultWireParams()
-	wp.Seed = seed
-	nw := net.NewNetwork(w.eng, nic, wp)
-	stk := net.NewStack(w.rt, k, nic, net.StackParams{})
-	kv := store.New(w.rt, k, store.Params{Shards: shards, CacheBlocks: 16}, nil)
-	ew := &e16World{w: w, nw: nw, kv: kv, clients: clients, seed: seed}
+	var replicas []store.ReplicaMachineParams
 	if quorum {
-		rwp := net.DefaultWireParams()
-		rwp.Seed = seed + 1
-		ew.rm = store.NewReplicaMachine(w.eng, store.ReplicaMachineParams{
-			Cores: cores, Seed: seed + 2,
-			Store: store.Params{Shards: shards, CacheBlocks: 16},
-			Wire:  rwp,
-		}, nil)
-		kv.ReplicateTo(ew.rm)
+		replicas = append(replicas, kvReplica(seed, 0))
 	}
-	l := stk.Listen(e16Port)
-	w.rt.Boot("accept", func(t *core.Thread) {
-		for {
-			c, ok := l.Accept(t)
-			if !ok {
-				return
-			}
-			t.Spawn(fmt.Sprintf("kv.%d", c.ID()), func(ht *core.Thread) {
-				store.ServeConn(ht, c, kv)
-			})
-		}
-	})
-	ew.wl = store.NewWorkload(seed, clients, e16NumKeys, readPct, e16ValBytes)
-	filled := false
-	w.rt.Boot("prefill", func(t *core.Thread) {
-		ew.wl.Prefill(t, kv)
-		filled = true
-	})
-	for i := 0; i < 1000 && !filled; i++ {
-		w.rt.RunFor(1_000_000)
-	}
-	return ew
-}
-
-func (ew *e16World) close() {
-	if ew.rm != nil {
-		ew.rm.Shutdown()
-	}
-	ew.w.close()
+	w, m := kvMachine(cores, shards, seed, nil, replicas...)
+	wl := store.NewWorkload(seed, clients, e16NumKeys, readPct, e16ValBytes)
+	kvPrefill(w, wl, m.KV)
+	return &e16World{w: w, m: m, wl: wl}
 }
 
 // e16Run measures one replication mode: the throughput/p99 delta
@@ -108,9 +59,9 @@ func (ew *e16World) close() {
 // loss.
 func e16Run(o Options, cores, shards, clients, readPct int, window sim.Time, quorum bool) e16Result {
 	ew := e16Boot(cores, shards, clients, readPct, o.seed(), quorum)
-	defer ew.close()
-	pool := net.NewClientPool(ew.nw, net.ClientParams{
-		Port:        e16Port,
+	defer ew.m.Shutdown()
+	pool := net.NewClientPool(ew.m.NW, net.ClientParams{
+		Port:        kvPort,
 		Clients:     clients,
 		ReqsPerConn: 8,
 		ThinkCycles: 2000,
@@ -118,9 +69,9 @@ func e16Run(o Options, cores, shards, clients, readPct int, window sim.Time, quo
 		MakeReq:     ew.wl.MakeReq,
 	})
 	ew.w.rt.RunFor(window)
-	c := ew.kv.Counters()
+	c := ew.m.KV.Counters()
 	return e16Result{
-		shards:      ew.kv.Shards(),
+		shards:      ew.m.KV.Shards(),
 		opsPerSec:   ew.w.opsPerSec(pool.Responses, window),
 		p99Us:       ew.w.m.Seconds(pool.Lat.Percentile(99)) * 1e6,
 		ackedWrites: c.AckedWrites,
@@ -163,8 +114,8 @@ func e16Kill(o Options, seed uint64, killAt sim.Time) e16KillResult {
 	last := make([]lastReq, clients)
 	acked := make(map[string]uint64)
 	var ackedPuts uint64
-	net.NewClientPool(ew.nw, net.ClientParams{
-		Port:        e16Port,
+	net.NewClientPool(ew.m.NW, net.ClientParams{
+		Port:        kvPort,
 		Clients:     clients,
 		ReqsPerConn: 8,
 		ThinkCycles: 2000,
@@ -190,40 +141,15 @@ func e16Kill(o Options, seed uint64, killAt sim.Time) e16KillResult {
 	ew.w.rt.RunFor(killAt)
 
 	// The primary machine is gone. Nothing of it survives — the audit
-	// world is built from the REPLICA's platters alone.
-	var datas []map[int][]byte
-	for _, d := range ew.rm.KV.Disks() {
-		datas = append(datas, d.SnapshotData())
-	}
-	replicaParams := ew.rm.KV.P
+	// store boots from the REPLICA's platters alone.
+	replica := ew.m.Repls[0].KV
+	platters, params := replica.Platters(), replica.P
 	killMs := ew.w.m.Seconds(ew.w.eng.Now()-killBase) * 1e3
-	ew.close()
+	ew.m.Shutdown()
 
-	w2 := newWorld(cores, seed+9, core.Config{})
-	defer w2.close()
-	k2 := kernel.New(w2.rt, kernel.Config{})
-	var disks []*blockdev.Disk
-	for _, data := range datas {
-		disks = append(disks, blockdev.NewDiskFrom(w2.rt, replicaParams.Disk, data))
-	}
-	kv2 := store.New(w2.rt, k2, replicaParams, disks)
-	res := e16KillResult{killAtMs: killMs, ackedPuts: ackedPuts, tracked: len(acked)}
-	w2.rt.Boot("auditor", func(t *core.Thread) {
-		// The audit's Gets consume engine events: issue them in sorted
-		// key order, never raw map order, or same-seed runs diverge
-		// from here on (the PR 8 audit bug class).
-		for key, ver := range detmap.Sorted(acked) {
-			g := kv2.Get(t, key)
-			if g.Found && g.Ver >= ver {
-				res.survived++
-			} else {
-				res.lost++
-			}
-		}
-	})
-	w2.rt.Run()
-	res.replayed = kv2.Counters().Replayed
-	return res
+	a := store.Audit(cores, seed+9, params, platters, acked)
+	return e16KillResult{killAtMs: killMs, ackedPuts: ackedPuts, tracked: len(acked),
+		survived: a.Survived, lost: a.Lost, replayed: a.Replayed}
 }
 
 func e16Repl(o Options) []*stats.Table {

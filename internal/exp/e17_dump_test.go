@@ -27,26 +27,23 @@ func TestE17MidHealDump(t *testing.T) {
 	// Cycle 0: a fresh quorum pair serves and accumulates state, then
 	// the primary is killed; only the replica's platters survive.
 	ew := e17Boot(cores, shards, clients, readPct, seed, nil)
-	ew.attach(seed, 0)
-	ew.prefill()
+	ew.m.Attach(kvReplica(seed, 0))
+	kvPrefill(ew.w, ew.wl, ew.m.KV)
 	ew.e17Pool(acked, &ackedPuts)
 	ew.w.rt.RunFor(4_000_000)
-	var datas []map[int][]byte
-	for _, d := range ew.rm.KV.Disks() {
-		datas = append(datas, d.SnapshotData())
-	}
-	ew.close()
+	platters := ew.m.Repls[0].KV.Platters()
+	ew.m.Shutdown()
 
 	// Cycle 1: failover boot from the survivors, serve degraded, then
 	// attach a fresh replica AT RUNTIME and dump while it heals.
-	ew2 := e17Boot(cores, shards, clients, readPct, seed+101, datas)
-	defer ew2.close()
+	ew2 := e17Boot(cores, shards, clients, readPct, seed+101, platters)
+	defer ew2.m.Shutdown()
 	ew2.e17Pool(acked, &ackedPuts)
 	ew2.w.rt.RunFor(2_000_000)
-	ew2.attach(seed+101, 0)
+	ew2.m.Attach(kvReplica(seed+101, 0))
 	ew2.w.rt.RunFor(200_000)
 
-	midHeal := !ew2.kv.ReplCaughtUp()
+	midHeal := !ew2.m.KV.ReplCaughtUp()
 	d := ew2.collector(seed + 101).Snapshot("manual: E17 mid-heal snapshot")
 	if bad := d.Validate(); len(bad) > 0 {
 		t.Fatalf("mid-heal dump invalid: %v", bad)

@@ -4,14 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"chanos/internal/blockdev"
 	"chanos/internal/core"
 	"chanos/internal/dump"
-	"chanos/internal/kernel"
-	"chanos/internal/machine"
 	"chanos/internal/net"
 	"chanos/internal/sim"
-	"chanos/internal/sim/detmap"
 	"chanos/internal/stats"
 	"chanos/internal/store"
 	"chanos/internal/telemetry"
@@ -22,7 +18,6 @@ func init() {
 }
 
 const (
-	e17Port     = 6379
 	e17ReadPort = 6390
 	e17ValBytes = 256
 	e17NumKeys  = 512
@@ -31,80 +26,36 @@ const (
 // e17World is one life of the heal cycle: a primary machine serving the
 // KV wire workload, optionally recovered from a previous life's replica
 // platters, optionally attached (at boot or at runtime) to a fresh
-// replica machine.
+// replica machine — m.Repls[0], once attached.
 type e17World struct {
 	w       *world
-	nic     *machine.NIC
-	stk     *net.Stack
-	nw      *net.Network
-	kv      *store.Store
-	rm      *store.ReplicaMachine // nil until attach
+	m       *store.Machine
 	wl      *store.Workload
-	sd      *telemetry.Statd
-	p       store.Params
 	clients int
 	seed    uint64
 }
 
-// e17Boot builds the serving topology. datas != nil boots the store
-// from those platter snapshots — the failed-over state of the cycle.
-func e17Boot(cores, shards, clients, readPct int, seed uint64, datas []map[int][]byte) *e17World {
-	w := newWorld(cores, seed, core.Config{})
-	k := kernel.New(w.rt, kernel.Config{})
-	nic := machine.NewNIC(w.m, machine.NICParams{})
-	wp := net.DefaultWireParams()
-	wp.Seed = seed
-	nw := net.NewNetwork(w.eng, nic, wp)
-	stk := net.NewStack(w.rt, k, nic, net.StackParams{})
-	p := store.Params{Shards: shards, CacheBlocks: 16}
-	var disks []*blockdev.Disk
-	if datas != nil {
-		dp := e17DiskParams(p)
-		for _, data := range datas {
-			disks = append(disks, blockdev.NewDiskFrom(w.rt, dp, data))
-		}
-	}
-	kv := store.New(w.rt, k, p, disks)
-	sd := telemetry.NewStatd(w.eng)
-	sd.Register("store", kv)
-	sd.Register("net", stk)
-	sd.Register("nic", nic)
-	kv.AttachStatd(sd)
-	l := stk.Listen(e17Port)
-	w.rt.Boot("accept", func(t *core.Thread) {
-		for {
-			c, ok := l.Accept(t)
-			if !ok {
-				return
-			}
-			t.Spawn(fmt.Sprintf("kv.%d", c.ID()), func(ht *core.Thread) {
-				store.ServeConn(ht, c, kv)
-			})
-		}
-	})
+// e17Boot builds the serving topology. platters != nil boots the store
+// from those snapshots — the failed-over state of the cycle.
+func e17Boot(cores, shards, clients, readPct int, seed uint64, platters []map[int][]byte) *e17World {
+	w, m := kvMachine(cores, shards, seed, platters)
 	wl := store.NewWorkload(seed, clients, e17NumKeys, readPct, e17ValBytes)
-	return &e17World{w: w, nic: nic, stk: stk, nw: nw, kv: kv, wl: wl, sd: sd, p: p, clients: clients, seed: seed}
+	return &e17World{w: w, m: m, wl: wl, clients: clients, seed: seed}
 }
 
-// collector wires the world's subsystems (and replica, once attached)
-// into a machine core-dump collector. E17 worlds boot through the
+// collector points a machine core-dump collector at the world's
+// machine (and its replica, once attached). E17 worlds boot through the
 // experiment harness, not the kvload scenario, so their dumps validate
 // and inspect but do not replay — the scenario stamp says so.
 func (ew *e17World) collector(seed uint64) *dump.Collector {
-	c := &dump.Collector{
-		Eng: ew.w.eng, RT: ew.w.rt, NIC: ew.nic, Stack: ew.stk,
-		Store: ew.kv, Statd: ew.sd,
-		Seed: seed,
+	return &dump.Collector{
+		Eng: ew.w.eng, M: ew.m, Seed: seed,
 		Config: dump.Config{
 			Scenario: "e17-heal", Cores: ew.w.m.NumCores(),
-			Shards: ew.p.Shards, Clients: ew.clients,
+			Shards: ew.m.KV.P.Shards, Clients: ew.clients,
 			Keys: e17NumKeys, ValBytes: e17ValBytes,
 		},
 	}
-	if ew.rm != nil {
-		c.Replica = ew.rm.KV
-	}
-	return c
 }
 
 // scrape issues one live STATS request over the wire — a fresh endpoint
@@ -115,7 +66,7 @@ func (ew *e17World) collector(seed uint64) *dump.Collector {
 func (ew *e17World) scrape() *telemetry.Snapshot {
 	var snap *telemetry.Snapshot
 	done := false
-	ew.nw.Dial(e17Port, net.EndpointHooks{
+	ew.m.NW.Dial(kvPort, net.EndpointHooks{
 		OnOpen: func(ep *net.Endpoint) {
 			req := store.KVRequest{Op: store.WStats, Seq: 1}
 			ep.Send(req, req.WireBytes())
@@ -138,46 +89,6 @@ func (ew *e17World) scrape() *telemetry.Snapshot {
 	return snap
 }
 
-// e17DiskParams resolves the per-shard disk model the store would boot
-// fresh devices with, so recovered devices match.
-func e17DiskParams(p store.Params) blockdev.DiskParams {
-	w := newWorld(4, 1, core.Config{})
-	defer w.close()
-	k := kernel.New(w.rt, kernel.Config{})
-	return store.New(w.rt, k, p, nil).P.Disk
-}
-
-// prefill seeds the keyspace (fresh boots only).
-func (ew *e17World) prefill() {
-	filled := false
-	ew.w.rt.Boot("prefill", func(t *core.Thread) {
-		ew.wl.Prefill(t, ew.kv)
-		filled = true
-	})
-	for i := 0; i < 1000 && !filled; i++ {
-		ew.w.rt.RunFor(1_000_000)
-	}
-}
-
-// attach joins a FRESH replica machine to the (possibly live, serving)
-// store. readPort != 0 additionally serves bounded-lag replica reads.
-func (ew *e17World) attach(seed uint64, readPort int) {
-	rwp := net.DefaultWireParams()
-	rwp.Seed = seed + 1
-	ew.rm = store.NewReplicaMachine(ew.w.eng, store.ReplicaMachineParams{
-		Cores: ew.w.m.NumCores(), Seed: seed + 2, ReadPort: readPort,
-		Store: ew.p, Wire: rwp,
-	}, nil)
-	ew.kv.AttachReplica(ew.rm)
-}
-
-func (ew *e17World) close() {
-	if ew.rm != nil {
-		ew.rm.Shutdown()
-	}
-	ew.w.close()
-}
-
 // e17Pool starts the client fleet, tracking every PUT the fleet saw
 // acknowledged into acked (key → highest acked version) — the audit set
 // the kill at the end of the cycle is judged against.
@@ -187,8 +98,8 @@ func (ew *e17World) e17Pool(acked map[string]uint64, ackedPuts *uint64) *net.Cli
 		key string
 	}
 	last := make([]lastReq, ew.clients)
-	return net.NewClientPool(ew.nw, net.ClientParams{
-		Port:        e17Port,
+	return net.NewClientPool(ew.m.NW, net.ClientParams{
+		Port:        kvPort,
 		Clients:     ew.clients,
 		ReqsPerConn: 8,
 		ThinkCycles: 2000,
@@ -248,26 +159,25 @@ func e17HealCycles(o Options, cycles int, window sim.Time) []e17Cycle {
 	)
 	acked := make(map[string]uint64)
 	var ackedPuts uint64
-	var datas []map[int][]byte
+	var platters []map[int][]byte
 	var out []e17Cycle
-	var p store.Params
 
 	for c := 0; c < cycles; c++ {
 		seed := o.seed() + uint64(c)*101
-		ew := e17Boot(cores, shards, clients, readPct, seed, datas)
-		p = ew.kv.P
+		ew := e17Boot(cores, shards, clients, readPct, seed, platters)
+		kv := ew.m.KV
 		cy := e17Cycle{attach: "runtime"}
 		if c == 0 {
 			cy.attach = "boot"
-			ew.attach(seed, 0)
-			ew.prefill()
+			ew.m.Attach(kvReplica(seed, 0))
+			kvPrefill(ew.w, ew.wl, kv)
 			ew.e17Pool(acked, &ackedPuts)
 		} else {
 			// The failed-over store is live and serving degraded before
 			// the fresh replica joins.
 			ew.e17Pool(acked, &ackedPuts)
 			ew.w.rt.RunFor(2_000_000)
-			ew.attach(seed, 0)
+			ew.m.Attach(kvReplica(seed, 0))
 		}
 		healBase := ew.w.eng.Now()
 		// Scrape the serving machine over the wire while it heals: the
@@ -278,7 +188,7 @@ func e17HealCycles(o Options, cycles int, window sim.Time) []e17Cycle {
 			cy.scrapeSeq = snap.Seq
 			cy.scrapeSvcs = len(snap.Services)
 			cy.scrapeBad = len(snap.Conservation())
-			cy.midHeal = !ew.kv.ReplCaughtUp()
+			cy.midHeal = !kv.ReplCaughtUp()
 			o.publishSnapshot(snap)
 			if cy.scrapeBad > 0 {
 				o.dumpInvariant(ew.collector(seed),
@@ -288,62 +198,34 @@ func e17HealCycles(o Options, cycles int, window sim.Time) []e17Cycle {
 		healed := false
 		for step := 0; step < 4000; step++ {
 			ew.w.rt.RunFor(100_000)
-			if ew.kv.ReplCaughtUp() {
+			if kv.ReplCaughtUp() {
 				healed = true
 				break
 			}
 		}
 		cy.healMs = ew.w.m.Seconds(ew.w.eng.Now()-healBase) * 1e3
-		kc := ew.kv.Counters()
+		kc := kv.Counters()
 		cy.syncRecords = kc.ReplSyncRecords
 		cy.heals = kc.ReplHeals
 		if healed {
 			ew.w.rt.RunFor(window) // serve under the healed quorum
 		}
-		cy.quorum = ew.kv.ReplCaughtUp()
+		cy.quorum = kv.ReplCaughtUp()
 		cy.ackedPuts = ackedPuts
 		cy.tracked = len(acked)
 
 		// The kill: the primary machine is destroyed; only the replica's
 		// platters survive into the next cycle.
-		datas = nil
-		for _, d := range ew.rm.KV.Disks() {
-			datas = append(datas, d.SnapshotData())
-		}
-		ew.close()
+		replica := ew.m.Repls[0].KV
+		platters = replica.Platters()
+		ew.m.Shutdown()
 
 		// Audit the survivors against everything ever acked.
-		cy.survived, cy.lost = e17Audit(cores, o.seed()+uint64(c)*7+1, p, datas, acked)
+		a := store.Audit(cores, o.seed()+uint64(c)*7+1, replica.P, platters, acked)
+		cy.survived, cy.lost = a.Survived, a.Lost
 		out = append(out, cy)
 	}
 	return out
-}
-
-// e17Audit boots a throwaway store from the platter snapshots and
-// checks every acked PUT recovered at >= its acknowledged version.
-func e17Audit(cores int, seed uint64, p store.Params, datas []map[int][]byte, acked map[string]uint64) (survived, lost int) {
-	w := newWorld(cores, seed, core.Config{})
-	defer w.close()
-	k := kernel.New(w.rt, kernel.Config{})
-	var disks []*blockdev.Disk
-	for _, data := range datas {
-		disks = append(disks, blockdev.NewDiskFrom(w.rt, p.Disk, data))
-	}
-	kv := store.New(w.rt, k, p, disks)
-	w.rt.Boot("auditor", func(t *core.Thread) {
-		// Sorted order: the audit's Gets consume engine events, and raw
-		// map order would perturb same-seed replay (PR 8's bug class).
-		for key, ver := range detmap.Sorted(acked) {
-			g := kv.Get(t, key)
-			if g.Found && g.Ver >= ver {
-				survived++
-			} else {
-				lost++
-			}
-		}
-	})
-	w.rt.Run()
-	return survived, lost
 }
 
 // e17ReadResult is one read-routing mode of the scaling sweep.
@@ -367,15 +249,15 @@ func e17Reads(o Options, clients int, window sim.Time, replicaReads bool) e17Rea
 	)
 	seed := o.seed()
 	ew := e17Boot(cores, shards, clients, readPct, seed, nil)
-	defer ew.close()
-	ew.attach(seed, e17ReadPort)
-	ew.prefill()
+	defer ew.m.Shutdown()
+	rm := ew.m.Attach(kvReplica(seed, e17ReadPort))
+	kvPrefill(ew.w, ew.wl, ew.m.KV)
 
 	// Primary fleet: the mixed workload, GET responses counted.
 	var getsP uint64
 	lastGet := make([]bool, clients)
-	pool := net.NewClientPool(ew.nw, net.ClientParams{
-		Port:        e17Port,
+	pool := net.NewClientPool(ew.m.NW, net.ClientParams{
+		Port:        kvPort,
 		Clients:     clients,
 		ReqsPerConn: 8,
 		ThinkCycles: 2000,
@@ -398,7 +280,7 @@ func e17Reads(o Options, clients int, window sim.Time, replicaReads bool) e17Rea
 	var rpool *net.ClientPool
 	if replicaReads {
 		rwl := store.NewWorkload(seed+5, clients, e17NumKeys, 100, e17ValBytes)
-		rpool = net.NewClientPool(ew.rm.NW, net.ClientParams{
+		rpool = net.NewClientPool(rm.NW, net.ClientParams{
 			Port:        e17ReadPort,
 			Clients:     clients,
 			ReqsPerConn: 8,
@@ -421,7 +303,7 @@ func e17Reads(o Options, clients int, window sim.Time, replicaReads bool) e17Rea
 		ops += rpool.Responses
 		lat.Merge(&rpool.Lat)
 	}
-	rc := ew.rm.KV.Counters()
+	rc := rm.KV.Counters()
 	return e17ReadResult{
 		getsPerSec: ew.w.opsPerSec(getsP+getsR, window),
 		opsPerSec:  ew.w.opsPerSec(ops, window),

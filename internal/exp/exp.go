@@ -48,7 +48,7 @@ func (o Options) dumpInvariant(c *dump.Collector, reason string) {
 	}
 	d := c.Snapshot(reason)
 	path := filepath.Join(o.DumpDir, d.FileName())
-	if err := dump.WriteFile(path, d, c.Store); err != nil {
+	if err := dump.WriteFile(path, d, c.M.KV); err != nil {
 		fmt.Printf("  dump FAILED: %v\n", err)
 		return
 	}

@@ -42,12 +42,9 @@ package store
 import (
 	"fmt"
 
-	"chanos/internal/blockdev"
 	"chanos/internal/core"
 	"chanos/internal/kernel"
-	"chanos/internal/machine"
 	"chanos/internal/net"
-	"chanos/internal/sim"
 )
 
 // ReplRecord is one replicated log record. The version travels with it:
@@ -223,104 +220,6 @@ type replSync struct {
 	next      int
 	waitBlock int // source block a parked increment needs (-1 = none)
 }
-
-// ReplicaMachineParams configures one replica machine.
-type ReplicaMachineParams struct {
-	// Cores on the replica machine. Default 8.
-	Cores int
-	// Seed for the replica machine's runtime. Default 1.
-	Seed uint64
-	// Port the replica listens on for replication connections.
-	// Default 6380.
-	Port int
-	// ReadPort, if non-zero, serves bounded-staleness replica reads on
-	// this port (ServeReplicaReads): GETs only, refused while the
-	// bootstrap image is incomplete or the advertised lag exceeds
-	// Store.ReplicaLagBound.
-	ReadPort int
-	// Store is the replica store's parameters. Shards must equal the
-	// primary's shard count (AttachReplica enforces it): primary shard
-	// i streams to replica shard i, which the shared key hash
-	// guarantees once the counts match.
-	Store Params
-	// Wire models the inter-machine link (delay, jitter, loss, RTO).
-	Wire net.WireParams
-	// Kernel lays out the replica's kernel cores.
-	Kernel kernel.Config
-}
-
-// ReplicaMachine is one replica machine: its own cores, NIC, netstack,
-// kernel and store (with its own per-shard log devices), on the same
-// simulation engine as the primary. Replication traffic costs replica
-// cycles exactly like client traffic costs primary cycles.
-type ReplicaMachine struct {
-	M        *machine.Machine
-	RT       *core.Runtime
-	K        *kernel.Kernel
-	NIC      *machine.NIC
-	NW       *net.Network
-	Stk      *net.Stack
-	KV       *Store
-	Port     int
-	ReadPort int // 0 = replica reads not served
-}
-
-// NewReplicaMachine boots a replica machine on eng and starts its
-// accept loop: every replication connection gets a serving thread
-// running ServeReplica. disks carries replica storage over from a
-// previous life (recovery), nil boots fresh devices.
-func NewReplicaMachine(eng *sim.Engine, p ReplicaMachineParams, disks []*blockdev.Disk) *ReplicaMachine {
-	if p.Cores <= 0 {
-		p.Cores = 8
-	}
-	if p.Port == 0 {
-		p.Port = 6380
-	}
-	m := machine.New(eng, machine.DefaultParams(p.Cores))
-	rt := core.NewRuntime(m, core.Config{Seed: p.Seed})
-	k := kernel.New(rt, p.Kernel)
-	nic := machine.NewNIC(m, machine.NICParams{})
-	nw := net.NewNetwork(eng, nic, p.Wire)
-	stk := net.NewStack(rt, k, nic, net.StackParams{})
-	kv := New(rt, k, p.Store, disks)
-	kv.replicaRole = true
-	l := stk.Listen(p.Port)
-	rm := &ReplicaMachine{M: m, RT: rt, K: k, NIC: nic, NW: nw, Stk: stk, KV: kv, Port: p.Port, ReadPort: p.ReadPort}
-	rt.Boot("repl.accept", func(t *core.Thread) {
-		for {
-			c, ok := l.Accept(t)
-			if !ok {
-				return
-			}
-			t.Spawn(fmt.Sprintf("repl.%d", c.ID()), func(ht *core.Thread) {
-				ServeReplica(ht, c, kv)
-			})
-		}
-	})
-	if p.ReadPort != 0 {
-		rl := stk.Listen(p.ReadPort)
-		rt.Boot("replread.accept", func(t *core.Thread) {
-			for {
-				c, ok := rl.Accept(t)
-				if !ok {
-					return
-				}
-				t.Spawn(fmt.Sprintf("replread.%d", c.ID()), func(ht *core.Thread) {
-					ServeReplicaReads(ht, c, kv)
-				})
-			}
-		})
-	}
-	return rm
-}
-
-// Shutdown tears the replica machine down.
-func (rm *ReplicaMachine) Shutdown() { rm.RT.Shutdown() }
-
-// ReplicateTo attaches quorum replication; it is AttachReplica under
-// its original name (PR 4 allowed attaching only alongside New; the
-// lifecycle work generalised it to any moment — see lifecycle.go).
-func (s *Store) ReplicateTo(rm *ReplicaMachine) { s.AttachReplica(rm) }
 
 // dialReplica builds one shard's attachment: the endpoint to rm's
 // replication port, with hooks that re-enter the shard as messages

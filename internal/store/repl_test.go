@@ -32,7 +32,7 @@ func newRW(cores int, p Params, seed uint64, wire net.WireParams, disks []*block
 	rm := NewReplicaMachine(eng, ReplicaMachineParams{
 		Cores: cores, Seed: seed + 1, Store: p, Wire: wire,
 	}, nil)
-	kv.ReplicateTo(rm)
+	kv.AttachReplica(rm)
 	return &rw{eng: eng, m: m, rt: rt, k: k, kv: kv, rm: rm}
 }
 
@@ -234,7 +234,7 @@ func TestReplBootstrapSyncShipsCompactedImage(t *testing.T) {
 	rm := NewReplicaMachine(eng, ReplicaMachineParams{
 		Cores: 8, Seed: seed + 2, Store: p, Wire: quietWire(seed),
 	}, nil)
-	kv.ReplicateTo(rm)
+	kv.AttachReplica(rm)
 	caught := false
 	for step := 0; step < 2000; step++ {
 		rt.RunFor(50_000)
@@ -335,7 +335,7 @@ func TestCompactionPausesBootstrapSync(t *testing.T) {
 		Cores: 8, Seed: seed + 2, Store: p, Wire: quietWire(seed),
 	}, nil)
 	defer rm.Shutdown()
-	kv.ReplicateTo(rm)
+	kv.AttachReplica(rm)
 	churnDone := false
 	rt.Boot("churn", func(th *core.Thread) {
 		// A pipelined burst: the appends land while the bootstrap sweep

@@ -3,7 +3,7 @@
 #
 # Usage: scripts/verify.sh [-short]
 #   -short   skip the experiment smokes (build/vet/chanos-vet/gofmt/
-#            test + race tier only)
+#            test, perf/ vet + test and race tier only)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +33,12 @@ fi
 
 echo "== go test ./..."
 go test ./...
+
+echo "== perf/: go vet + go test"
+# perf/ is its own module and the root ./... patterns skip it. It
+# builds against dump, store and cluster, so an API change there that
+# breaks the benchmark must fail here, not in a benchmark run.
+(cd perf && go vet ./... && go test ./...)
 
 echo "== go test -race -short ./..."
 # The race tier runs in -short mode too: the simulator's contract is
