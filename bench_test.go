@@ -1,5 +1,5 @@
 // Root benchmark harness: one testing.B benchmark per experiment table/
-// figure (see EXPERIMENTS.md), plus wall-clock microbenchmarks of the
+// figure (see ARCHITECTURE.md's "Layer → experiments" table), plus wall-clock microbenchmarks of the
 // runtime itself. Experiment benchmarks run the full experiment per
 // iteration — use -benchtime=1x for a single regeneration:
 //

@@ -1,5 +1,6 @@
 // Command chanos-bench regenerates the experiment tables and figure
-// series described in EXPERIMENTS.md.
+// series (ARCHITECTURE.md's "Layer → experiments" table maps each to
+// the layer it measures).
 //
 // Usage:
 //
@@ -25,7 +26,7 @@ import (
 func main() {
 	var (
 		list    = flag.Bool("list", false, "list experiments")
-		runID   = flag.String("run", "", "run one experiment by id (E1..E17, A1..A4)")
+		runID   = flag.String("run", "", "run one experiment by id (E1..E19, A1..A4; -list shows them)")
 		all     = flag.Bool("all", false, "run every experiment")
 		quick   = flag.Bool("quick", false, "reduced sweeps and windows")
 		seed    = flag.Uint64("seed", 42, "simulation seed")

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"chanos/internal/dump"
@@ -37,7 +38,7 @@ func main() {
 	case *validate:
 		os.Exit(validateDump(flag.Arg(0)))
 	default:
-		os.Exit(inspect(flag.Arg(0)))
+		os.Exit(inspect(os.Stdout, flag.Arg(0), load(flag.Arg(0))))
 	}
 }
 
@@ -79,93 +80,79 @@ func diffDumps(pa, pb string) int {
 
 var lifecycleNames = []string{"solo", "failed-over", "syncing", "quorum", "failed"}
 
-func inspect(path string) int {
-	d := load(path)
-	fmt.Printf("machine core dump %s (schema v%d)\n", path, d.Version)
-	fmt.Printf("  reason      %s\n", d.Reason)
-	fmt.Printf("  repro       scenario=%s seed=%d event=%d (cycle %d)\n",
+// inspect renders d's human summary to out: the reproduction triple,
+// then one block per captured machine. It returns 1 when the dump
+// fails structural validation.
+func inspect(out io.Writer, path string, d *dump.Dump) int {
+	fmt.Fprintf(out, "machine core dump %s (schema v%d)\n", path, d.Version)
+	fmt.Fprintf(out, "  reason      %s\n", d.Reason)
+	fmt.Fprintf(out, "  repro       scenario=%s seed=%d event=%d (cycle %d)\n",
 		d.Config.Scenario, d.Seed, d.EventCount, d.AtCycles)
-	fmt.Printf("  replay      %s\n", dump.ReplayCommand(path))
-	fmt.Printf("  config      %d cores, %d clients, %d requests, %d keys, %d%% reads, logblocks=%d, replicas=%d\n",
-		d.Config.Cores, d.Config.Clients, d.Config.Requests, d.Config.Keys,
-		d.Config.ReadPct, d.Config.LogBlocks, d.Config.Replicas)
+	fmt.Fprintf(out, "  replay      %s\n", dump.ReplayCommand(path))
+	fmt.Fprintf(out, "  config      %d machines, %d cores, %d clients, %d requests, %d keys, %d%% reads, logblocks=%d, replicas=%d, rf=%d\n",
+		len(d.Machines), d.Config.Cores, d.Config.Clients, d.Config.Requests, d.Config.Keys,
+		d.Config.ReadPct, d.Config.LogBlocks, d.Config.Replicas, d.Config.RF)
 	if d.Config.FailWrites > 0 {
-		fmt.Printf("  fault       %d injected write failures on shard %d\n",
+		fmt.Fprintf(out, "  fault       %d injected write failures on shard %d\n",
 			d.Config.FailWrites, d.Config.FailShard)
 	}
+	if d.Config.Chaos != "" {
+		fmt.Fprintf(out, "  chaos       %s\n", d.Config.Chaos)
+	}
 
-	running, ready, blocked := 0, 0, 0
-	for _, t := range d.Threads {
-		switch t.State {
-		case "running":
-			running++
-		case "ready":
-			ready++
-		default:
-			blocked++
+	for _, m := range d.Machines {
+		fmt.Fprintf(out, "  node %d      map v%d, %d replica machines\n", m.Node, m.MapVersion, len(m.Replicas))
+		running, ready, blocked := 0, 0, 0
+		for _, t := range m.Threads {
+			switch t.State {
+			case "running":
+				running++
+			case "ready":
+				ready++
+			default:
+				blocked++
+			}
 		}
-	}
-	fmt.Printf("  sched       %d cores, %d threads (%d running, %d ready, %d blocked)\n",
-		len(d.Cores), len(d.Threads), running, ready, blocked)
-
-	var rxQ int
-	for _, q := range d.NIC {
-		rxQ += q.RxOccupancy
-	}
-	fmt.Printf("  nic         %d queues, %d rx frames queued\n", len(d.NIC), rxQ)
-	conns := 0
-	for _, sh := range d.Net {
-		conns += len(sh.Conns)
-	}
-	fmt.Printf("  net         %d shards, %d live connections\n", len(d.Net), conns)
-
-	sections := []struct {
-		name   string
-		shards []dumpShardView
-	}{
-		{"store", shardViews(d.Store)},
-		{"replica", shardViews(d.Replica)},
-	}
-	for _, sec := range sections {
-		for _, v := range sec.shards {
-			fmt.Printf("  %-7s #%d  %-11s %5d keys, %6d live bytes, %3d cached blocks, %4d disk writes, flight %d/%d%s\n",
-				sec.name, v.shard, v.state, v.keys, v.liveBytes, v.cached, v.diskWrites,
-				v.flightLen, v.flightRecorded, v.failed)
+		fmt.Fprintf(out, "    sched     %d cores, %d threads (%d running, %d ready, %d blocked)\n",
+			len(m.Cores), len(m.Threads), running, ready, blocked)
+		var rxQ int
+		for _, q := range m.NIC {
+			rxQ += q.RxOccupancy
 		}
-	}
-
-	if d.Telemetry != nil {
-		fmt.Printf("  telemetry   %d services at cycle %d\n", len(d.Telemetry.Services), d.Telemetry.AtCycles)
+		fmt.Fprintf(out, "    nic       %d queues, %d rx frames queued\n", len(m.NIC), rxQ)
+		conns := 0
+		for _, sh := range m.Net {
+			conns += len(sh.Conns)
+		}
+		fmt.Fprintf(out, "    net       %d shards, %d live connections\n", len(m.Net), conns)
+		printShards(out, "store", m.Store)
+		for j, rs := range m.Replicas {
+			printShards(out, fmt.Sprintf("replica%d", j), rs)
+		}
+		if m.Telemetry != nil {
+			fmt.Fprintf(out, "    telemetry %d services at cycle %d\n", len(m.Telemetry.Services), m.Telemetry.AtCycles)
+		}
 	}
 	if bad := d.Validate(); len(bad) > 0 {
-		fmt.Printf("  WARNING: dump fails structural validation (%d problems; run -validate)\n", len(bad))
+		fmt.Fprintf(out, "  WARNING: dump fails structural validation (%d problems; run -validate)\n", len(bad))
 		return 1
 	}
 	return 0
 }
 
-type dumpShardView struct {
-	shard, keys, liveBytes, cached, flightLen int
-	diskWrites, flightRecorded                uint64
-	state, failed                             string
-}
-
-func shardViews(shards []store.ShardSnapshot) []dumpShardView {
-	out := make([]dumpShardView, 0, len(shards))
+// printShards renders one store's shard lines under a section name.
+func printShards(out io.Writer, name string, shards []store.ShardSnapshot) {
 	for _, sh := range shards {
-		v := dumpShardView{
-			shard: sh.Shard, keys: len(sh.Index), liveBytes: sh.LiveBytes,
-			cached: len(sh.CacheBlocks), flightLen: len(sh.Flight),
-			diskWrites: sh.Disk.Writes, flightRecorded: sh.FlightRecorded,
-			state: "?",
-		}
+		state := "?"
 		if int(sh.Lifecycle) < len(lifecycleNames) {
-			v.state = lifecycleNames[sh.Lifecycle]
+			state = lifecycleNames[sh.Lifecycle]
 		}
+		failed := ""
 		if sh.Failed != "" {
-			v.failed = "  FAILED: " + sh.Failed
+			failed = "  FAILED: " + sh.Failed
 		}
-		out = append(out, v)
+		fmt.Fprintf(out, "    %-9s #%d  %-11s %5d keys, %6d live bytes, %3d cached blocks, %4d disk writes, flight %d/%d%s\n",
+			name, sh.Shard, state, len(sh.Index), sh.LiveBytes, len(sh.CacheBlocks), sh.Disk.Writes,
+			len(sh.Flight), sh.FlightRecorded, failed)
 	}
-	return out
 }

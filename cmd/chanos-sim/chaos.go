@@ -98,34 +98,6 @@ func runChaosSweep(n int, seed uint64, dumpDir, outPath string) int {
 	return 0
 }
 
-// replayChaos replays a dump that carries a fault schedule: the chaos
-// harness re-arms the identical timeline and halts at the recorded
-// event, then the replayed machine state is diffed against the dump.
-func replayChaos(d *dump.Dump) int {
-	rr, err := chaos.Replay(d)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)
-		return 1
-	}
-	defer rr.Close()
-	fmt.Printf("replay: halted at event %d (recorded %d), cycle %d, schedule %q\n",
-		rr.EventCount, d.EventCount, rr.EndCycles, d.Config.Chaos)
-	rd, err := rr.Snapshot(d.Reason)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)
-		return 1
-	}
-	if dump.Equal(d, rd) {
-		fmt.Println("replay: machine state matches the dump exactly")
-		return 0
-	}
-	fmt.Println("replay: MACHINE STATE DIVERGES from the dump:")
-	for _, line := range dump.Diff(d, rd) {
-		fmt.Printf("  %s\n", line)
-	}
-	return 1
-}
-
 // mustParse re-parses a schedule the harness already round-tripped.
 func mustParse(spec string) chaos.Schedule {
 	s, _ := chaos.Parse(spec)

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"chanos/internal/blockdev"
+	"chanos/internal/chaos"
 	"chanos/internal/core"
 	"chanos/internal/dump"
 	"chanos/internal/kernel"
@@ -243,82 +244,68 @@ func main() {
 
 // runScenario boots and drives a named replayable scenario.
 func runScenario(name string, cfg dump.Config, seed uint64, dumpDir string) int {
-	if name == dump.ScenarioCluster {
-		return runClusterScenario(cfg, seed, dumpDir)
-	}
-	if name != dump.ScenarioKVLoad {
+	var w dump.Scenario
+	switch name {
+	case dump.ScenarioKVLoad:
+		cfg.Scenario = name
+		w = dump.Build(seed, cfg)
+	case dump.ScenarioCluster:
+		w = dump.BuildCluster(seed, cfg)
+	default:
 		fmt.Fprintf(os.Stderr, "chanos-sim: unknown scenario %q (have: kvload, cluster)\n", name)
 		return 2
 	}
-	cfg.Scenario = name
-	w := dump.Build(seed, cfg)
 	defer w.Close()
+	d := w.Driver()
 	if dumpDir != "" {
-		w.C.OnFailStop(func(d *dump.Dump) { writeDump(dumpDir, d, w) })
+		d.C.OnFailStop(func(dd *dump.Dump) { writeDump(dumpDir, dd, d.C) })
 	}
-	cfg = w.Config()
-	fmt.Printf("chanos-sim: scenario kvload, %d cores, %d store shards, %d clients, %d keys, %d%% reads, seed %d\n",
-		cfg.Cores, w.KV.Shards(), cfg.Clients, cfg.Keys, cfg.ReadPct, seed)
+	cfg = d.Config()
+	n0 := d.C.Nodes[0]
+	fmt.Printf("chanos-sim: scenario %s, %d machines, %d cores each, %d store shards per node, %d clients, %d keys, %d%% reads, seed %d\n",
+		cfg.Scenario, machines(d.C), cfg.Cores, n0.KV.Shards(), cfg.Clients, cfg.Keys, cfg.ReadPct, seed)
 	if cfg.FailWrites > 0 {
 		fmt.Printf("  fault: next %d write completions on shard %d's log device will fail\n",
 			cfg.FailWrites, cfg.FailShard)
 	}
 	r := w.Run()
-	fmt.Printf("  served %d/%d requests over %d connections (%d errors, %d not-found) in %.2f simulated ms\n",
-		r.Responses, cfg.Requests, r.Completed, r.Errs, r.NotFound,
-		w.Sys.Seconds(w.Sys.Now())*1e3)
-	fmt.Printf("  engine: %d counted events, store state %s\n", w.Sys.Eng.Fired(), w.KV.Lifecycle())
+	var moved, lost uint64
+	if cw, ok := w.(*dump.ClusterWorld); ok {
+		moved, lost = cw.Pool.Moved, cw.Pool.Lost
+	}
+	fmt.Printf("  served %d/%d requests (%d not-found, %d redirects followed, %d errors, %d lost) in %.2f simulated ms\n",
+		r.Responses, cfg.Requests, r.NotFound, moved, r.Errs, lost, n0.M.Seconds(d.C.Eng.Now())*1e3)
+	fmt.Printf("  engine: %d counted events across %d machines\n", d.C.Eng.Fired(), machines(d.C))
+	for i, n := range d.C.Nodes {
+		fmt.Printf("  node %d: store state %s\n", i, n.KV.Lifecycle())
+	}
 	if r.Stalled {
 		fmt.Println("  stalled: the fleet stopped making progress")
 	}
 	for _, b := range r.ConservationBad {
 		fmt.Printf("  CONSERVATION VIOLATED: %s\n", b)
 	}
-	if cfg.FailWrites > 0 && dumpDir != "" && !w.C.Dumped() {
+	if cfg.FailWrites > 0 && dumpDir != "" && !d.C.Dumped() {
 		fmt.Fprintln(os.Stderr, "chanos-sim: injected fault never tripped a fail-stop")
 		return 1
 	}
 	return 0
 }
 
-// runClusterScenario boots and drives the N-machine cluster scenario.
-func runClusterScenario(cfg dump.Config, seed uint64, dumpDir string) int {
-	w := dump.BuildCluster(seed, cfg)
-	defer w.Close()
-	if dumpDir != "" {
-		w.C.OnFailStop(func(d *dump.Dump) {
-			path := filepath.Join(dumpDir, d.FileName())
-			if err := dump.WriteFile(path, d, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)
-				return
-			}
-			fmt.Printf("dump written: %s\n", path)
-			fmt.Printf("  reason: %s\n", d.Reason)
-			fmt.Printf("  replay: %s\n", dump.ReplayCommand(path))
-		})
+// machines counts every machine a collector's world runs: each serving
+// node and its replica machines.
+func machines(c *dump.Collector) int {
+	n := 0
+	for _, m := range c.Nodes {
+		n += 1 + len(m.Repls)
 	}
-	cfg = w.Config()
-	fmt.Printf("chanos-sim: scenario cluster, %d nodes x (1 primary + %d replicas), %d cores each, %d clients, %d keys, %d%% reads, seed %d\n",
-		cfg.Machines, cfg.RF, cfg.Cores, cfg.Clients, cfg.Keys, cfg.ReadPct, seed)
-	r := w.Run()
-	fmt.Printf("  served %d/%d requests (%d redirects followed, %d errors, %d lost) in %.2f simulated ms\n",
-		r.Responses, cfg.Requests, w.Pool.Moved, r.Errs, w.Pool.Lost,
-		w.Cl.Nodes[0].M.Seconds(w.Cl.Eng.Now())*1e3)
-	fmt.Printf("  engine: %d counted events across %d machines\n",
-		w.Cl.Eng.Fired(), cfg.Machines*(1+cfg.RF))
-	if r.Stalled {
-		fmt.Println("  stalled: the fleet stopped making progress")
-	}
-	for _, b := range r.ConservationBad {
-		fmt.Printf("  CONSERVATION VIOLATED: %s\n", b)
-	}
-	return 0
+	return n
 }
 
 // writeDump persists a core dump and prints the one-command replay line.
-func writeDump(dir string, d *dump.Dump, w *dump.World) {
+func writeDump(dir string, d *dump.Dump, c *dump.Collector) {
 	path := filepath.Join(dir, d.FileName())
-	if err := dump.WriteFile(path, d, w.KV); err != nil {
+	if err := dump.WriteFile(path, d, c); err != nil {
 		fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)
 		return
 	}
@@ -327,8 +314,11 @@ func writeDump(dir string, d *dump.Dump, w *dump.World) {
 	fmt.Printf("  replay: %s\n", dump.ReplayCommand(path))
 }
 
-// replayDump rebuilds a dumped machine and halts it at the dump's
-// recorded event count — the state just before the failing instant.
+// replayDump rebuilds a dumped world and halts it at the dump's
+// recorded event count — the state just before the failing instant —
+// then diffs the halted machines against the dump. A dump that carries
+// a fault schedule replays through the chaos harness, which re-arms the
+// identical timeline and re-runs the identical phases.
 func replayDump(path, redumpPath string) int {
 	d, err := dump.ReadFile(path)
 	if err != nil {
@@ -344,48 +334,37 @@ func replayDump(path, redumpPath string) int {
 	}
 	fmt.Printf("replay: scenario %s, seed %d, target event %d (%q)\n",
 		d.Config.Scenario, d.Seed, d.EventCount, d.Reason)
+	var w dump.Scenario
 	if d.Config.Chaos != "" {
-		// The dump's event sequence includes a fault schedule; the chaos
-		// harness re-arms it and re-runs the identical phases.
-		return replayChaos(d)
-	}
-	var c *dump.Collector
-	if d.Config.Scenario == dump.ScenarioCluster {
-		w, _, err := dump.ReplayCluster(d)
-		if w != nil {
-			defer w.Close()
+		var rr *chaos.Result
+		if rr, err = chaos.Replay(d); rr != nil {
+			w = rr.World
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)
-			return 1
-		}
-		c = w.C
-		fmt.Printf("replay: halted at event %d (recorded %d), cycle %d (%.3f simulated ms), %d machines\n",
-			c.Eng.Fired(), d.EventCount, c.Eng.Now(),
-			w.Cl.Nodes[0].M.Seconds(c.Eng.Now())*1e3, len(d.Machines)*(1+d.Config.RF))
 	} else {
-		w, _, err := dump.Replay(d)
-		if w != nil {
-			defer w.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)
-			return 1
-		}
-		c = w.C
-		fmt.Printf("replay: halted at event %d (recorded %d), cycle %d (%.3f simulated ms)\n",
-			w.Sys.Eng.Fired(), d.EventCount, w.Sys.Now(), w.Sys.Seconds(w.Sys.Now())*1e3)
+		w, _, err = dump.Replay(d)
+	}
+	if w != nil {
+		defer w.Close()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)
+		return 1
+	}
+	c := w.Driver().C
+	fmt.Printf("replay: halted at event %d (recorded %d), cycle %d (%.3f simulated ms), %d machines\n",
+		c.Eng.Fired(), d.EventCount, c.Eng.Now(), c.Nodes[0].M.Seconds(c.Eng.Now())*1e3, machines(c))
+	if d.Config.Chaos != "" {
+		fmt.Printf("replay: schedule %q re-armed\n", d.Config.Chaos)
 	}
 	rd := c.Snapshot(d.Reason)
-	if dump.Equal(d, rd) {
-		fmt.Println("replay: machine state matches the dump exactly")
-	} else {
+	if !dump.Equal(d, rd) {
 		fmt.Println("replay: MACHINE STATE DIVERGES from the dump:")
 		for _, line := range dump.Diff(d, rd) {
 			fmt.Printf("  %s\n", line)
 		}
 		return 1
 	}
+	fmt.Println("replay: machine state matches the dump exactly")
 	if redumpPath != "" {
 		if err := dump.WriteFile(redumpPath, rd, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)

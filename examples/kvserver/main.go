@@ -74,7 +74,7 @@ func main() {
 	// context after the run loop below.
 	writeDump := func(d *dump.Dump) {
 		path := filepath.Join(*dumpOnFail, d.FileName())
-		if err := dump.WriteFile(path, d, kv); err != nil {
+		if err := dump.WriteFile(path, d, w.C); err != nil {
 			fmt.Printf("  dump FAILED: %v\n", err)
 			return
 		}

@@ -53,11 +53,8 @@ func Replay(d *dump.Dump) (*Result, error) {
 // with the original (dump.Diff on the pair; byte-equal means the
 // machine state reproduced exactly).
 func (r *Result) Snapshot(reason string) (*dump.Dump, error) {
-	switch {
-	case r.W != nil:
-		return r.W.C.Snapshot(reason), nil
-	case r.CW != nil:
-		return r.CW.C.Snapshot(reason), nil
+	if r.World == nil {
+		return nil, fmt.Errorf("chaos: result holds no world (run without KeepWorld?)")
 	}
-	return nil, fmt.Errorf("chaos: result holds no world (run without KeepWorld?)")
+	return r.World.Driver().C.Snapshot(reason), nil
 }

@@ -31,7 +31,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"chanos"
 	"chanos/internal/cluster"
 	"chanos/internal/core"
 	"chanos/internal/dump"
@@ -57,20 +56,19 @@ var Invariants = []string{InvAckedLoss, InvClientHang, InvStaleness, InvFailStop
 // durability — the staleness invariant's failure mode.
 const StalenessCap = 4096
 
-// Harness drive-loop policy (host-side; never event-sequence state).
-// Budgets are sized for the worst legitimate laggard: a loss/slowdown
-// window can oversubscribe a shard's serial disk several-fold, leaving
-// a backlog of hundreds of millions of cycles that drains only after
-// the workload finishes — the drain and audit budgets must outlast it,
-// or a merely-slow run reads as a hung one.
+// Harness drive-loop policy (host-side; never event-sequence state),
+// as cycle horizons: each divides exactly by both worlds' drive slices
+// (400k cycles kvload, 100k cluster), so a phase's slice budget is
+// horizon / slice. Budgets are sized for the worst legitimate laggard:
+// a loss/slowdown window can oversubscribe a shard's serial disk
+// several-fold, leaving a backlog of hundreds of millions of cycles
+// that drains only after the workload finishes — the drain and audit
+// budgets must outlast it, or a merely-slow run reads as a hung one.
 const (
-	kvStallBudget = 250  // drive slices (400k cycles each) past the RTO horizon
-	clStallBudget = 1000 // cluster slices (100k cycles each), same horizon
-	kvDrainSlices = 2000 // ×400k = 800M cycles
-	clDrainSlices = 8000 // ×100k = 800M cycles
-	auditSlices   = 2000 // kvload audit, ×400k = 800M cycles
-	clAuditSlices = 8000 // cluster audit, ×100k = 800M cycles
-	settleSlices  = 3    // consecutive stable slices before drain exits
+	stallCycles  = 100_000_000 // zero-progress fleet horizon, past the wire's RTO give-up
+	drainCycles  = 800_000_000
+	auditCycles  = 800_000_000
+	settleSlices = 3 // consecutive stable slices before drain exits
 )
 
 // quiesced reports whether every shard of st has settled: no open-block
@@ -146,9 +144,8 @@ type Result struct {
 	DumpPath  string `json:"dump_path,omitempty"`
 	ReplayCmd string `json:"replay_cmd,omitempty"`
 
-	// Kept worlds (Spec.KeepWorld): exactly one is non-nil.
-	W  *dump.World        `json:"-"`
-	CW *dump.ClusterWorld `json:"-"`
+	// World is the scenario world, kept open with Spec.KeepWorld.
+	World dump.Scenario `json:"-"`
 }
 
 // Red reports whether any invariant was violated.
@@ -167,13 +164,9 @@ func (r *Result) violate(inv, format string, args ...any) {
 
 // Close releases a kept world.
 func (r *Result) Close() {
-	if r.W != nil {
-		r.W.Close()
-		r.W = nil
-	}
-	if r.CW != nil {
-		r.CW.Close()
-		r.CW = nil
+	if r.World != nil {
+		r.World.Close()
+		r.World = nil
 	}
 }
 
@@ -193,43 +186,52 @@ func Run(spec Spec) (*Result, error) {
 		return nil, err
 	}
 	r := &Result{Label: spec.Label, Seed: spec.Seed, Schedule: sched.String()}
-	if spec.Cfg.Machines > 0 {
-		runCluster(spec, sched, r)
+	cfg := spec.Cfg
+	cfg.Chaos = sched.String()
+	v := boot(spec.Seed, cfg)
+	if spec.KeepWorld {
+		r.World = v.world
 	} else {
-		runKV(spec, sched, r)
+		defer v.world.Close()
 	}
+	judge(spec, sched, v, r)
 	return r, nil
 }
 
-// ---- kvload scenarios (solo and replicated) ----
+// view is the judge's surface over one booted scenario world: what
+// differs between a kvload machine and a cluster, and nothing else.
+type view struct {
+	world dump.Scenario
+	// keyAt indexes the scenario keyspace (bitrot targets).
+	keyAt func(i int) string
+	// owners returns the key → serving-node mapping as it stands now
+	// (the audit asks each key's owner).
+	owners func() func(key string) int
+	// acked is the acked-write ledger — key → highest acknowledged
+	// version — read once the fleet has been retired.
+	acked func() map[string]uint64
+	// stop retires every client fleet.
+	stop func()
+	// migrate starts a live migration (cluster worlds; nil otherwise).
+	migrate func(rangeIdx, dest int, onDone func(cluster.MigrationReport)) bool
+}
 
-func runKV(spec Spec, sched Schedule, r *Result) {
-	cfg := spec.Cfg
-	cfg.Chaos = sched.String()
-	w := dump.Build(spec.Seed, cfg)
-	if spec.KeepWorld {
-		r.W = w
-	} else {
-		defer w.Close()
+// boot builds the world cfg selects (Machines > 0 = cluster) and its
+// view.
+func boot(seed uint64, cfg dump.Config) *view {
+	if cfg.Machines > 0 {
+		w := dump.BuildCluster(seed, cfg)
+		return &view{
+			world:   w,
+			keyAt:   func(i int) string { return w.Keys()[i%len(w.Keys())] },
+			owners:  func() func(string) int { return w.Cl.Map(0).NodeFor },
+			acked:   func() map[string]uint64 { return w.Pool.AckedPuts },
+			stop:    func() { w.Pool.Stop() },
+			migrate: w.Cl.TryMigrate,
+		}
 	}
+	w := dump.Build(seed, cfg)
 	filled := w.Config()
-	r.Scenario = filled.Scenario
-	eng := w.Sys.Eng
-	if spec.StopAt > 0 {
-		eng.StopAtFired(spec.StopAt)
-	}
-
-	var failDump *dump.Dump
-	w.C.OnFailStop(func(d *dump.Dump) { failDump = d })
-
-	plane := &faultPlane{
-		eng:   eng,
-		nodes: []*store.Machine{w.Machine},
-		keyAt: func(i int) string { return w.WL.Key(i % filled.Keys) },
-	}
-	a := newArmer(plane)
-	a.arm(sched)
-
 	// The acked-write ledger: the closed loop guarantees one
 	// outstanding request per client, so the last request drawn is the
 	// one the next response answers.
@@ -249,19 +251,52 @@ func runKV(spec Spec, sched Schedule, r *Result) {
 			acked[pending[client].Key] = resp.Ver
 		}
 	}
+	return &view{
+		world:  w,
+		keyAt:  func(i int) string { return w.WL.Key(i % filled.Keys) },
+		owners: func() func(string) int { return func(string) int { return 0 } },
+		acked:  func() map[string]uint64 { return acked },
+		stop: func() {
+			w.Pool.Stop()
+			if w.RPool != nil {
+				w.RPool.Stop()
+			}
+		},
+	}
+}
+
+// judge drives one armed world through the harness phases — fleet,
+// drain, live audit — and judges the four invariants over every
+// serving node.
+func judge(spec Spec, sched Schedule, v *view, r *Result) {
+	d := v.world.Driver()
+	filled := d.Config()
+	r.Scenario = filled.Scenario
+	eng, nodes, slice := d.C.Eng, d.C.Nodes, d.Slice()
+	if spec.StopAt > 0 {
+		eng.StopAtFired(spec.StopAt)
+	}
+
+	var failDump *dump.Dump
+	d.C.OnFailStop(func(fd *dump.Dump) { failDump = fd })
+
+	a := newArmer(&faultPlane{eng: eng, nodes: nodes, keyAt: v.keyAt, tryMigrate: v.migrate})
+	a.arm(sched)
 
 	var peakLag uint64
 	sample := func() {
-		for _, st := range w.KV.LifecycleReport() {
-			if st.State == store.LifecycleQuorum && st.MaxLag > peakLag {
-				peakLag = st.MaxLag
+		for _, n := range nodes {
+			for _, st := range n.KV.LifecycleReport() {
+				if st.State == store.LifecycleQuorum && st.MaxLag > peakLag {
+					peakLag = st.MaxLag
+				}
 			}
 		}
 	}
-	w.OnSlice = func(int) { sample() }
-	w.StallBudget = kvStallBudget
+	d.OnSlice = func(int) { sample() }
+	d.StallBudget = int(stallCycles / slice)
 
-	rep := w.Run()
+	rep := v.world.Run()
 	r.Stalled = rep.Stalled
 
 	// Retire the fleet before the drain: the closed loop reschedules
@@ -270,184 +305,18 @@ func runKV(spec Spec, sched Schedule, r *Result) {
 	// acked ledger, not further traffic. The stop instant is a function
 	// of simulated state (the drive loop's own exit), so replays retire
 	// the fleet at the identical event.
-	if w.Pool != nil {
-		w.Pool.Stop()
-	}
-	if w.RPool != nil {
-		w.RPool.Stop()
-	}
+	v.stop()
 
 	// Drain: give detection its horizon and the disks their backlog —
-	// run until the store's lifecycle leaves syncing AND every shard has
-	// quiesced (bounded), sampling staleness throughout.
-	slice := w.Sys.Cycles(0.0002)
+	// run until every node's lifecycle leaves syncing, every started
+	// migration has reported (done or aborted), and every store has
+	// quiesced (disk backlogs served, replica votes landed), bounded,
+	// sampling staleness throughout.
 	settled := 0
-	for i := 0; i < kvDrainSlices && !eng.StopReached(); i++ {
-		sample()
-		if w.KV.Lifecycle() != store.LifecycleSyncing && quiesced(w.KV) {
-			settled++
-		} else {
-			settled = 0
-		}
-		if settled >= settleSlices {
-			break
-		}
-		w.Sys.RunFor(slice)
-	}
-
-	// Live audit on the serving store, then the platter audit for keys
-	// whose shard fail-stopped.
-	keys := detmap.Keys(acked)
-	r.AuditKeys = len(keys)
-	var liveLost, erred []string
-	audited := false
-	if !eng.StopReached() {
-		w.Sys.Boot("chaos.audit", func(t *chanos.Thread) {
-			for _, key := range keys {
-				g := w.KV.Get(t, key)
-				switch {
-				case g.Err != "":
-					erred = append(erred, key)
-				case !g.Found || g.Ver < acked[key]:
-					liveLost = append(liveLost, key)
-				}
-			}
-			audited = true
-		})
-		for i := 0; i < auditSlices && !audited && !eng.StopReached(); i++ {
-			w.Sys.RunFor(slice)
-		}
-	}
-
-	r.EventCount = eng.Fired()
-	r.EndCycles = eng.Now()
-	r.Halted = eng.StopReached()
-	r.FiredClauses = a.fired
-	r.FlightKinds = a.kinds
-	lc := w.KV.Lifecycle()
-	r.Lifecycles = []string{lc}
-	if r.Halted {
-		return // frozen mid-flight: replay inspection, not judgement
-	}
-
-	// acked-loss.
-	if len(liveLost) > 0 {
-		r.violate(InvAckedLoss, "%d acked writes unreadable live (first %q)", len(liveLost), liveLost[0])
-	}
-	offline := erred
-	if !audited {
-		offline = keys // the live store never answered; judge the platters
-	}
-	if len(offline) > 0 {
-		r.AuditOffline = len(offline)
-		want := make(map[string]uint64, len(offline))
-		for _, k := range offline {
-			want[k] = acked[k]
-		}
-		if lost := offlineAudit(w.KV, filled.Cores, spec.Seed, want); lost > 0 {
-			r.violate(InvAckedLoss, "%d acked writes missing from primary platters", lost)
-		}
-	}
-
-	// client-hang. A stall or dead prefill against a loudly fail-stopped
-	// machine is the fail-stop arm of the invariant, not a hang.
-	loud := failstopped(lc, a.kinds, failDump != nil)
-	if rep.Stalled && !loud {
-		r.violate(InvClientHang, "fleet made no progress for %d slices", kvStallBudget)
-	}
-	if !rep.Filled && !loud {
-		r.violate(InvClientHang, "prefill never completed")
-	}
-	if !audited {
-		r.violate(InvClientHang, "live audit did not drain in %d slices", auditSlices)
-	}
-	if lc == store.LifecycleFailed {
-		for _, sh := range w.KV.SnapshotShards() {
-			if sh.Failed == "" {
-				continue
-			}
-			if parked := sh.Waiters + sh.ReplWait + sh.ParkedReads + sh.ParkedReplGet; parked > 0 {
-				r.violate(InvClientHang, "failed shard %d holds %d parked replies", sh.Shard, parked)
-			}
-		}
-	}
-
-	// staleness.
-	if peakLag > StalenessCap {
-		r.violate(InvStaleness, "armed attachment lag peaked at %d (cap %d)", peakLag, StalenessCap)
-	}
-
-	// failstop-or-heal.
-	judgeLifecycle(r, 0, lc, a.kinds, failDump != nil)
-
-	writeRedDump(spec, r, failDump, w.C, w.KV)
-}
-
-// ---- cluster scenarios ----
-
-func runCluster(spec Spec, sched Schedule, r *Result) {
-	cfg := spec.Cfg
-	cfg.Chaos = sched.String()
-	cw := dump.BuildCluster(spec.Seed, cfg)
-	if spec.KeepWorld {
-		r.CW = cw
-	} else {
-		defer cw.Close()
-	}
-	filled := cw.Config()
-	r.Scenario = filled.Scenario
-	cl := cw.Cl
-	eng := cw.C.Eng
-	if spec.StopAt > 0 {
-		eng.StopAtFired(spec.StopAt)
-	}
-
-	var failDump *dump.Dump
-	cw.C.OnFailStop(func(d *dump.Dump) { failDump = d })
-
-	plane := &faultPlane{eng: eng, keyAt: func(i int) string {
-		return cw.Keys()[i%len(cw.Keys())]
-	}}
-	for _, n := range cl.Nodes {
-		plane.nodes = append(plane.nodes, n.Machine)
-	}
-	plane.tryMigrate = func(rangeIdx, dest int, onDone func(cluster.MigrationReport)) bool {
-		return cl.TryMigrate(rangeIdx, dest, onDone)
-	}
-	a := newArmer(plane)
-	a.arm(sched)
-
-	var peakLag uint64
-	sample := func() {
-		for _, n := range cl.Nodes {
-			for _, st := range n.KV.LifecycleReport() {
-				if st.State == store.LifecycleQuorum && st.MaxLag > peakLag {
-					peakLag = st.MaxLag
-				}
-			}
-		}
-	}
-	cw.OnSlice = func(int) { sample() }
-	cw.StallBudget = clStallBudget
-
-	rep := cw.Run()
-	r.Stalled = rep.Stalled
-
-	// Retire the fleet before the drain (see runKV): without this the
-	// closed loop writes forever and no store ever quiesces.
-	if cw.Pool != nil {
-		cw.Pool.Stop()
-	}
-
-	// Drain: every node's lifecycle out of syncing, every started
-	// migration reported (done or aborted), and every store quiesced
-	// (disk backlogs served, replica votes landed), within the budget.
-	slice := sim.Time(100_000)
-	settled := 0
-	for i := 0; i < clDrainSlices && !eng.StopReached(); i++ {
+	for i := 0; i < int(drainCycles/slice) && !eng.StopReached(); i++ {
 		sample()
 		stable := a.migPending() == 0
-		for _, n := range cl.Nodes {
+		for _, n := range nodes {
 			if n.KV.Lifecycle() == store.LifecycleSyncing || !quiesced(n.KV) {
 				stable = false
 			}
@@ -460,34 +329,34 @@ func runCluster(spec Spec, sched Schedule, r *Result) {
 		if settled >= settleSlices {
 			break
 		}
-		cl.RunFor(slice)
+		d.RunFor(slice)
 	}
 
-	// Live audit at each key's mapped owner (the e18 audit), then the
-	// platter audit per failed node.
-	acked := cw.Pool.AckedPuts
+	// Live audit at each key's owner, booted on node 0, then the
+	// platter audit per node for keys whose live read failed.
+	acked := v.acked()
 	keys := detmap.Keys(acked)
 	r.AuditKeys = len(keys)
-	fm := cl.Map(0)
+	owner := v.owners()
 	var liveLost []string
 	erredByNode := make(map[int][]string)
 	audited := false
 	if !eng.StopReached() {
-		cl.Nodes[0].RT.Boot("chaos.audit", func(t *core.Thread) {
+		nodes[0].RT.Boot("chaos.audit", func(t *core.Thread) {
 			for _, key := range keys {
-				owner := fm.NodeFor(key)
-				g := cl.Nodes[owner].KV.Get(t, key)
+				n := owner(key)
+				g := nodes[n].KV.Get(t, key)
 				switch {
 				case g.Err != "":
-					erredByNode[owner] = append(erredByNode[owner], key)
+					erredByNode[n] = append(erredByNode[n], key)
 				case !g.Found || g.Ver < acked[key]:
 					liveLost = append(liveLost, key)
 				}
 			}
 			audited = true
 		})
-		for i := 0; i < clAuditSlices && !audited && !eng.StopReached(); i++ {
-			cl.RunFor(slice)
+		for i := 0; i < int(auditCycles/slice) && !audited && !eng.StopReached(); i++ {
+			d.RunFor(slice)
 		}
 	}
 
@@ -498,23 +367,22 @@ func runCluster(spec Spec, sched Schedule, r *Result) {
 	r.FlightKinds = a.kinds
 	r.MigStarted = a.migStarted
 	r.MigCompleted = len(a.migReports)
-	for _, n := range cl.Nodes {
+	for _, n := range nodes {
 		r.Lifecycles = append(r.Lifecycles, n.KV.Lifecycle())
 		r.ReplTolerated += n.KV.Counters().ReplTolerated
 	}
 	if r.Halted {
-		return
+		return // frozen mid-flight: replay inspection, not judgement
 	}
 
 	// acked-loss.
 	if len(liveLost) > 0 {
-		r.violate(InvAckedLoss, "%d acked writes unreadable at their mapped owner (first %q)", len(liveLost), liveLost[0])
+		r.violate(InvAckedLoss, "%d acked writes unreadable at their owner (first %q)", len(liveLost), liveLost[0])
 	}
 	if !audited {
-		// The live cluster never answered: judge every owner's platters.
+		// The live world never answered: judge every owner's platters.
 		for _, key := range keys {
-			owner := fm.NodeFor(key)
-			erredByNode[owner] = append(erredByNode[owner], key)
+			erredByNode[owner(key)] = append(erredByNode[owner(key)], key)
 		}
 	}
 	for node, keys := range detmap.Sorted(erredByNode) {
@@ -523,31 +391,31 @@ func runCluster(spec Spec, sched Schedule, r *Result) {
 		for _, k := range keys {
 			want[k] = acked[k]
 		}
-		if lost := offlineAudit(cl.Nodes[node].KV, filled.Cores, spec.Seed+uint64(node), want); lost > 0 {
+		if lost := offlineAudit(nodes[node].KV, filled.Cores, spec.Seed+uint64(node), want); lost > 0 {
 			r.violate(InvAckedLoss, "node %d: %d acked writes missing from primary platters", node, lost)
 		}
 	}
 
-	// client-hang. Pool.Lost counts requests abandoned after bounded
-	// retries — loud failures, not hangs, so they do not violate; and a
-	// stall against a loudly fail-stopped node is the fail-stop arm of
-	// the invariant, not a hang.
+	// client-hang. Abandoned cluster requests (Pool.Lost, after bounded
+	// retries) are loud failures, not hangs, so they do not violate;
+	// and a stall or dead prefill against a loudly fail-stopped node is
+	// the fail-stop arm of the invariant, not a hang.
 	loud := false
-	for _, n := range cl.Nodes {
+	for _, n := range nodes {
 		if failstopped(n.KV.Lifecycle(), a.kinds, failDump != nil) {
 			loud = true
 		}
 	}
 	if rep.Stalled && !loud {
-		r.violate(InvClientHang, "fleet made no progress for %d slices", clStallBudget)
+		r.violate(InvClientHang, "fleet made no progress for %d slices", d.StallBudget)
 	}
 	if !rep.Filled && !loud {
 		r.violate(InvClientHang, "prefill never completed")
 	}
 	if !audited {
-		r.violate(InvClientHang, "live audit did not drain in %d slices", clAuditSlices)
+		r.violate(InvClientHang, "live audit did not drain in %d slices", auditCycles/slice)
 	}
-	for _, n := range cl.Nodes {
+	for i, n := range nodes {
 		if n.KV.Lifecycle() != store.LifecycleFailed {
 			continue
 		}
@@ -556,7 +424,7 @@ func runCluster(spec Spec, sched Schedule, r *Result) {
 				continue
 			}
 			if parked := sh.Waiters + sh.ReplWait + sh.ParkedReads + sh.ParkedReplGet; parked > 0 {
-				r.violate(InvClientHang, "node %d failed shard %d holds %d parked replies", n.ID, sh.Shard, parked)
+				r.violate(InvClientHang, "node %d failed shard %d holds %d parked replies", i, sh.Shard, parked)
 			}
 		}
 	}
@@ -567,11 +435,11 @@ func runCluster(spec Spec, sched Schedule, r *Result) {
 	}
 
 	// failstop-or-heal, per node.
-	for _, n := range cl.Nodes {
-		judgeLifecycle(r, n.ID, n.KV.Lifecycle(), a.kinds, failDump != nil)
+	for i, n := range nodes {
+		judgeLifecycle(r, i, n.KV.Lifecycle(), a.kinds, failDump != nil)
 	}
 
-	writeRedDump(spec, r, failDump, cw.C, nil)
+	writeRedDump(spec, r, failDump, d.C)
 }
 
 // judgeLifecycle applies the failstop-or-heal rule to one node's final
@@ -595,7 +463,7 @@ func judgeLifecycle(r *Result, node int, lc string, kinds map[string]uint64, dum
 // when one was captured, else an on-demand snapshot whose event count
 // includes the drain and audit phases — chaos.Replay re-runs those
 // phases, so the coordinate still lands exactly).
-func writeRedDump(spec Spec, r *Result, failDump *dump.Dump, c *dump.Collector, kv *store.Store) {
+func writeRedDump(spec Spec, r *Result, failDump *dump.Dump, c *dump.Collector) {
 	if !r.Red() {
 		return
 	}
@@ -604,7 +472,7 @@ func writeRedDump(spec Spec, r *Result, failDump *dump.Dump, c *dump.Collector, 
 		d = c.Snapshot("chaos: " + strings.Join(r.Violations, ","))
 	}
 	path := filepath.Join(spec.DumpDir, d.FileName())
-	if err := dump.WriteFile(path, d, kv); err != nil {
+	if err := dump.WriteFile(path, d, c); err != nil {
 		r.Details = append(r.Details, "dump write failed: "+err.Error())
 		return
 	}

@@ -55,14 +55,9 @@ func TestClusterDumpStructural(t *testing.T) {
 		if indexed == 0 {
 			t.Fatalf("machine %d store captured no index entries", m.Node)
 		}
-	}
-	// Single-machine sections stay empty in a cluster dump; the
-	// top-level telemetry is node 0's plane.
-	if len(d.Store) != 0 || len(d.Cores) != 0 {
-		t.Fatal("cluster dump filled single-machine sections")
-	}
-	if d.Telemetry == nil {
-		t.Fatal("cluster dump missing node 0 telemetry")
+		if m.Telemetry == nil || len(m.NIC) == 0 || len(m.Net) == 0 {
+			t.Fatalf("machine %d missing its telemetry, nic or net capture", m.Node)
+		}
 	}
 	d2, err := Decode(d.Encode())
 	if err != nil {
@@ -91,27 +86,29 @@ func TestClusterDumpDeterminism(t *testing.T) {
 // event count and re-dump — every machine must match byte for byte.
 func TestClusterDumpDifferential(t *testing.T) {
 	orig := clusterDump(t, 21)
-	w, _, err := ReplayCluster(orig)
+	w, _, err := Replay(orig)
 	if w != nil {
 		defer w.Close()
 	}
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if got := w.C.Eng.Fired(); got != orig.EventCount {
+	c := w.Driver().C
+	if got := c.Eng.Fired(); got != orig.EventCount {
 		t.Fatalf("replay halted at event %d, recorded %d", got, orig.EventCount)
 	}
-	if got := w.C.Eng.Now(); got != orig.AtCycles {
+	if got := c.Eng.Now(); got != orig.AtCycles {
 		t.Fatalf("replay halted at cycle %d, dump captured at %d", got, orig.AtCycles)
 	}
-	redump := w.C.Snapshot(orig.Reason)
+	redump := c.Snapshot(orig.Reason)
 	if !Equal(orig, redump) {
 		t.Fatalf("replayed cluster differs from dump:\n%s", strings.Join(Diff(orig, redump), "\n"))
 	}
 }
 
-// TestClusterDumpValidate: the cluster branch of Validate catches
-// missing machines and short replica captures.
+// TestClusterDumpValidate: the per-machine check catches missing
+// machines, short replica captures and a node whose store shard lost
+// its log-device geometry.
 func TestClusterDumpValidate(t *testing.T) {
 	d := clusterDump(t, 21)
 	d2, err := Decode(d.Encode())
@@ -128,5 +125,12 @@ func TestClusterDumpValidate(t *testing.T) {
 	bad = d3.Validate()
 	if len(bad) == 0 || !strings.Contains(strings.Join(bad, "\n"), "rf 2 but 1 replica") {
 		t.Fatalf("Validate missed the short replica capture: %v", bad)
+	}
+	d4, _ := Decode(d.Encode())
+	d4.Machines[2].Store[1].Disk.NumBlocks = 0
+	d4.Machines[2].Store[1].Disk.BlockSize = 0
+	bad = d4.Validate()
+	if len(bad) == 0 || !strings.Contains(strings.Join(bad, "\n"), "machine 2: store shard 1: no log-device geometry") {
+		t.Fatalf("Validate missed node 2's zeroed disk geometry: %v", bad)
 	}
 }

@@ -52,24 +52,15 @@ func (c *Config) fillCluster() {
 // ClusterWorld is one booted cluster scenario, ready to Run — and,
 // armed with its Collector, ready to dump every machine at once.
 type ClusterWorld struct {
-	C    *Collector
+	Drive
 	Cl   *cluster.Cluster
 	Pool *cluster.Pool
 
-	// OnSlice, when set, runs in host context after each drive slice of
-	// the fleet phase (slice index from 0) — the cluster twin of
-	// World.OnSlice, used by the chaos harness to sample replica lag.
-	OnSlice func(i int)
-
-	// StallBudget overrides the zero-progress slice tolerance (0 = the
-	// default 200). Host-side drive-loop policy, never event-sequence
-	// state — see World.StallBudget.
-	StallBudget int
-
 	keys []string
-	seed uint64
-	cfg  Config
 }
+
+// clusterSlice is the cluster world's drive slice, in cycles.
+const clusterSlice = sim.Time(100_000)
 
 // Keys returns the scenario keyspace (the pool draws uniformly from
 // it; prefill wrote every entry at its owning node).
@@ -96,13 +87,16 @@ func BuildCluster(seed uint64, cfg Config) *ClusterWorld {
 			FlushCycles: 20_000},
 		Wire: net.DefaultWireParams(),
 	})
-	w := &ClusterWorld{Cl: cl, keys: keys, seed: seed, cfg: cfg}
-	w.C = &Collector{Eng: eng, Cluster: cl, Seed: seed, Config: cfg}
-	return w
+	c := &Collector{Eng: eng, Seed: seed, Config: cfg,
+		MapVersion: func(node int) uint64 { return cl.Map(node).Version }}
+	for _, n := range cl.Nodes {
+		c.Nodes = append(c.Nodes, n.Machine)
+	}
+	return &ClusterWorld{
+		Drive: Drive{C: c, seed: seed, cfg: cfg, slice: clusterSlice},
+		Cl:    cl, keys: keys,
+	}
 }
-
-// Config returns the world's filled scenario config.
-func (w *ClusterWorld) Config() Config { return w.cfg }
 
 // Close shuts every machine down.
 func (w *ClusterWorld) Close() { w.Cl.Shutdown() }
@@ -114,21 +108,16 @@ func (w *ClusterWorld) Close() { w.Cl.Shutdown() }
 // StopReached so a replay halts wherever its recorded instant lies.
 func (w *ClusterWorld) Run() *Report {
 	r := &Report{}
-	eng := w.C.Eng
-	slice := sim.Time(100_000)
 
-	for step := 0; step < 2_000 && !eng.StopReached(); step++ {
+	w.waitFor(w.slice, 2_000, func() bool {
 		ready := true
 		for _, n := range w.Cl.Nodes {
 			if !n.KV.ReplCaughtUp() {
 				ready = false
 			}
 		}
-		if ready {
-			break
-		}
-		w.Cl.RunFor(slice)
-	}
+		return ready
+	})
 
 	filled := 0
 	for _, n := range w.Cl.Nodes {
@@ -145,71 +134,17 @@ func (w *ClusterWorld) Run() *Report {
 			filled++
 		})
 	}
-	for filled < len(w.Cl.Nodes) && !eng.StopReached() {
-		w.Cl.RunFor(slice)
-	}
+	w.waitFor(w.slice, 0, func() bool { return filled == len(w.Cl.Nodes) })
 	r.Filled = filled == len(w.Cl.Nodes)
-	r.PrefillCycles = eng.Now()
+	r.PrefillCycles = w.C.Eng.Now()
 
 	w.Pool = w.Cl.NewPool(cluster.PoolParams{
 		Clients: w.cfg.Clients, Keys: w.keys, ReadPct: w.cfg.ReadPct,
 		ValBytes: w.cfg.ValBytes, ThinkCycles: 4_000, Seed: w.seed + 3,
 	})
-	budget := w.StallBudget
-	if budget <= 0 {
-		budget = 200
-	}
-	stalled := 0
-	for i := 0; w.Pool.Ops < uint64(w.cfg.Requests) && !eng.StopReached(); i++ {
-		before := w.Pool.Ops
-		w.Cl.RunFor(slice)
-		if w.OnSlice != nil {
-			w.OnSlice(i)
-		}
-		if eng.StopReached() {
-			break
-		}
-		if w.Pool.Ops == before {
-			stalled++
-		} else {
-			stalled = 0
-		}
-		if stalled >= budget {
-			r.Stalled = true
-			break
-		}
-	}
-
+	r.Stalled = w.drive(func() uint64 { return w.Pool.Ops })
 	r.Responses = w.Pool.Ops
 	r.Errs = w.Pool.Errs
-	r.Halted = eng.StopReached()
-	if !r.Halted {
-		r.ConservationBad = w.Cl.Nodes[0].SD.SnapshotNow().Conservation()
-	}
+	w.finish(r)
 	return r
-}
-
-// ReplayCluster is Replay for cluster dumps: rebuild the dumped
-// cluster from its (seed, config) and halt the shared engine at the
-// recorded event count — all N machines frozen in the dumped state.
-func ReplayCluster(d *Dump) (*ClusterWorld, *Report, error) {
-	if d.Config.Scenario != ScenarioCluster {
-		return nil, nil, fmt.Errorf("scenario %q is not a cluster dump", d.Config.Scenario)
-	}
-	if d.Config.Chaos != "" {
-		// See Replay: the fault schedule is part of the event sequence
-		// and internal/chaos owns its arming.
-		return nil, nil, fmt.Errorf("dump carries a chaos schedule %q: replay it through chaos.ReplayCluster (chanos-sim -replay routes there)", d.Config.Chaos)
-	}
-	w := BuildCluster(d.Seed, d.Config)
-	w.C.Eng.StopAtFired(d.EventCount)
-	rep := w.Run()
-	// An on-demand dump taken right after Run lands exactly on the drive
-	// loop's own exit, so the armed stop may never latch — the replay
-	// coordinate itself is the contract, not the latch.
-	if w.C.Eng.Fired() != d.EventCount {
-		return w, rep, fmt.Errorf("replay finished at event %d, recorded %d (dump from a different build?)",
-			w.C.Eng.Fired(), d.EventCount)
-	}
-	return w, rep, nil
 }

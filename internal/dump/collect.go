@@ -3,21 +3,21 @@ package dump
 import (
 	"fmt"
 
-	"chanos/internal/cluster"
 	"chanos/internal/sim"
 	"chanos/internal/store"
-	"chanos/internal/telemetry"
 )
 
-// Collector captures a world's machines into a Dump: one machine M
-// (with its first replica's store, if attached), or every node of
-// Cluster. Snapshot must run between engine events — host context or
-// an observer event — the same single-goroutine window every telemetry
+// Collector captures a world's serving machines into a Dump, one
+// MachineDump per entry of Nodes (with each machine's replica stores).
+// Snapshot must run between engine events — host context or an
+// observer event — the same single-goroutine window every telemetry
 // collector uses.
 type Collector struct {
-	Eng     *sim.Engine
-	M       *store.Machine
-	Cluster *cluster.Cluster
+	Eng   *sim.Engine
+	Nodes []*store.Machine
+	// MapVersion, when set, reports node i's installed shard-map
+	// version (cluster worlds); nil records version 0.
+	MapVersion func(node int) uint64
 
 	Seed   uint64
 	Config Config
@@ -25,7 +25,7 @@ type Collector struct {
 	dumped bool
 }
 
-// Snapshot captures the whole machine now. EventCount is the engine's
+// Snapshot captures every machine now. EventCount is the engine's
 // counted-event clock at this instant — the replay coordinate.
 func (c *Collector) Snapshot(reason string) *Dump {
 	d := &Dump{
@@ -36,38 +36,25 @@ func (c *Collector) Snapshot(reason string) *Dump {
 		EventCount: c.Eng.Fired(),
 		AtCycles:   c.Eng.Now(),
 	}
-	var sd *telemetry.Statd
-	if m := c.M; m != nil {
-		d.Cores, d.Threads = m.RT.SnapshotSched()
-		d.NIC = m.NIC.SnapshotQueues()
-		d.Net = m.Stk.SnapshotShards()
-		d.Store = m.KV.SnapshotShards()
-		if len(m.Repls) > 0 {
-			d.Replica = m.Repls[0].KV.SnapshotShards()
+	for i, m := range c.Nodes {
+		md := MachineDump{Node: i}
+		if c.MapVersion != nil {
+			md.MapVersion = c.MapVersion(i)
 		}
-		sd = m.SD
-	}
-	if c.Cluster != nil {
-		sd = c.Cluster.Nodes[0].SD
-		for _, n := range c.Cluster.Nodes {
-			md := MachineDump{Node: n.ID, MapVersion: c.Cluster.Map(n.ID).Version}
-			md.Cores, md.Threads = n.RT.SnapshotSched()
-			md.NIC = n.NIC.SnapshotQueues()
-			md.Net = n.Stk.SnapshotShards()
-			md.Store = n.KV.SnapshotShards()
-			for _, rm := range n.Repls {
-				md.Replicas = append(md.Replicas, rm.KV.SnapshotShards())
-			}
-			d.Machines = append(d.Machines, md)
+		md.Cores, md.Threads = m.RT.SnapshotSched()
+		md.NIC = m.NIC.SnapshotQueues()
+		md.Net = m.Stk.SnapshotShards()
+		md.Store = m.KV.SnapshotShards()
+		for _, rm := range m.Repls {
+			md.Replicas = append(md.Replicas, rm.KV.SnapshotShards())
 		}
-	}
-	if sd != nil {
-		snap := *sd.SnapshotNow()
+		snap := *m.SD.SnapshotNow()
 		// Seq counts host-side scrapes, which differ between an original
 		// run and its replay without the machine differing; normalise so
 		// dump equality means machine equality.
 		snap.Seq = 0
-		d.Telemetry = &snap
+		md.Telemetry = &snap
+		d.Machines = append(d.Machines, md)
 	}
 	return d
 }
@@ -75,10 +62,10 @@ func (c *Collector) Snapshot(reason string) *Dump {
 // OnFailStop arms automatic core dumps: when any store shard (primary
 // or replica) fail-stops, an observer event is scheduled at the current
 // instant, and when it runs — after the failing event completes, with
-// the counted-event clock untouched — fn receives the full machine
-// dump. Only the first fail-stop dumps; cascades reference the same
-// root cause. The observer event never perturbs the counted event
-// sequence, so arming this changes nothing about the run.
+// the counted-event clock untouched — fn receives the full dump. Only
+// the first fail-stop dumps; cascades reference the same root cause.
+// The observer event never perturbs the counted event sequence, so
+// arming this changes nothing about the run.
 func (c *Collector) OnFailStop(fn func(*Dump)) {
 	arm := func(s *store.Store, who string) {
 		s.FailStopHook = func(shard int, errMsg string) {
@@ -90,18 +77,10 @@ func (c *Collector) OnFailStop(fn func(*Dump)) {
 			c.Eng.ObserveAt(c.Eng.Now(), func() { fn(c.Snapshot(reason)) })
 		}
 	}
-	if m := c.M; m != nil {
-		arm(m.KV, "store")
-		if len(m.Repls) > 0 {
-			arm(m.Repls[0].KV, "replica store")
-		}
-	}
-	if c.Cluster != nil {
-		for _, n := range c.Cluster.Nodes {
-			arm(n.KV, fmt.Sprintf("node %d store", n.ID))
-			for j, rm := range n.Repls {
-				arm(rm.KV, fmt.Sprintf("node %d replica %d", n.ID, j))
-			}
+	for i, m := range c.Nodes {
+		arm(m.KV, fmt.Sprintf("node %d store", i))
+		for j, rm := range m.Repls {
+			arm(rm.KV, fmt.Sprintf("node %d replica %d", i, j))
 		}
 	}
 }

@@ -1,13 +1,14 @@
 // Package dump implements machine core dumps with deterministic
-// time-travel reproduction. A Dump is the whole simulated machine — every
-// core's run queue, every parked thread, NIC rings, netstack connection
-// tables, store shard indexes and caches, log-device platter contents,
-// the telemetry snapshot and per-shard flight-recorder rings — captured
-// between engine events and stamped with the (seed, config, event-count)
-// triple. Because the simulation is deterministic, that triple is a
-// complete reproduction recipe: re-run the same scenario from the same
-// seed and halt after the same number of counted events, and the machine
-// is back in the dumped state, one event away from the failure.
+// time-travel reproduction. A Dump is every serving machine of a
+// simulated world, one entry each — every core's run queue, every parked
+// thread, NIC rings, netstack connection tables, store shard indexes and
+// caches, log-device platter contents, replica stores, the telemetry
+// snapshot and per-shard flight-recorder rings — captured between engine
+// events and stamped with the (seed, config, event-count) triple.
+// Because the simulation is deterministic, that triple is a complete
+// reproduction recipe: re-run the same scenario from the same seed and
+// halt after the same number of counted events, and every machine is
+// back in the dumped state, one event away from the failure.
 //
 // Dumps are written automatically on invariant failures and shard
 // fail-stops (see Collector.OnFailStop), on demand from CLIs and tests,
@@ -40,9 +41,13 @@ import (
 // Machines section carries every node's full capture. Version 3 added
 // Config.Chaos: a serialized fault schedule (internal/chaos) whose
 // triggers are part of the event sequence, so a v2 build cannot
-// reproduce a chaos dump. Decode refuses dumps from a newer schema
-// than it understands.
-const Version = 3
+// reproduce a chaos dump. Version 4 made Machines the only machine
+// capture: a single-machine dump is one entry, each entry carries its
+// own telemetry snapshot, and the top-level cores, threads, nic, net,
+// store, replica and telemetry sections are gone — removed fields, so
+// a v3 reader would see an empty machine. Decode refuses dumps from a
+// newer schema than it understands.
+const Version = 4
 
 // Config is the scenario recipe half of a dump's reproduction triple.
 // Every knob that shapes the event sequence must be here — anything
@@ -92,32 +97,18 @@ type Dump struct {
 	EventCount uint64   `json:"event_count"`
 	AtCycles   sim.Time `json:"at_cycles"`
 
-	Cores   []core.CoreSched      `json:"cores"`
-	Threads []core.ThreadSnapshot `json:"threads"`
-
-	NIC []machine.NICQueueState  `json:"nic"`
-	Net []net.StackShardSnapshot `json:"net"`
-
-	Store []store.ShardSnapshot `json:"store,omitempty"`
-	// Replica is the replica machine's store shards (quorum
-	// configurations only).
-	Replica []store.ShardSnapshot `json:"replica,omitempty"`
-
-	// Machines is the cluster capture (cluster dumps only): one entry
-	// per serving node, each the full per-machine state the top-level
-	// sections hold for a single-machine dump, plus the node's replica
-	// stores and installed shard-map version.
-	Machines []MachineDump `json:"machines,omitempty"`
-
-	// Telemetry is the statd fold at capture time, with Seq normalised
-	// to 0: host-side scrapes bump the sequence number without touching
-	// the machine, so it is presentation state, not machine state.
-	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
+	// Machines is the capture: one entry per serving machine (one for
+	// a kvload dump, Config.Machines for a cluster), each holding the
+	// machine's whole state plus its replica machines' store shards.
+	Machines []MachineDump `json:"machines"`
 }
 
-// MachineDump is one cluster node's capture: the node's machine state
-// plus its replica machines' store shards and the shard-map version it
-// had installed.
+// MachineDump is one serving machine's capture: its scheduler, NIC,
+// netstack and store state, its replica machines' store shards (attach
+// order), the shard-map version it had installed (cluster nodes; 0
+// otherwise) and its statd fold. Telemetry's Seq is normalised to 0:
+// host-side scrapes bump the sequence number without touching the
+// machine, so it is presentation state, not machine state.
 type MachineDump struct {
 	Node       int                      `json:"node"`
 	MapVersion uint64                   `json:"map_version"`
@@ -127,11 +118,15 @@ type MachineDump struct {
 	Net        []net.StackShardSnapshot `json:"net"`
 	Store      []store.ShardSnapshot    `json:"store"`
 	Replicas   [][]store.ShardSnapshot  `json:"replicas,omitempty"`
+	Telemetry  *telemetry.Snapshot      `json:"telemetry,omitempty"`
 }
 
 // Validate structurally checks a dump: schema version, the reproduction
-// triple, and non-empty per-shard entries in every section a kvload
-// machine must have. Returns a list of problems (empty = valid).
+// triple, one capture per serving machine, and in every capture the
+// sections a serving machine must have — scheduler, NIC, netstack,
+// store shards with their log-device geometry, the configured replica
+// count and a telemetry snapshot. Returns a list of problems (empty =
+// valid).
 func (d *Dump) Validate() []string {
 	var bad []string
 	add := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
@@ -144,52 +139,39 @@ func (d *Dump) Validate() []string {
 	if d.EventCount == 0 {
 		add("event_count 0: no replay coordinate")
 	}
+	machines, rf := 1, d.Config.Replicas
 	if d.Config.Machines > 0 {
-		// Cluster dump: the per-machine sections carry what the
-		// top-level ones do for a single machine.
-		if len(d.Machines) != d.Config.Machines {
-			add("config has %d machines but machines section has %d", d.Config.Machines, len(d.Machines))
-		}
-		for _, m := range d.Machines {
-			if len(m.Cores) == 0 || len(m.Threads) == 0 {
-				add("machine %d: scheduler sections empty", m.Node)
-			}
-			if len(m.Store) == 0 {
-				add("machine %d: store section empty", m.Node)
-			}
-			if d.Config.RF > 0 && len(m.Replicas) != d.Config.RF {
-				add("machine %d: config has rf %d but %d replica captures", m.Node, d.Config.RF, len(m.Replicas))
-			}
-		}
-	} else {
-		if len(d.Cores) == 0 {
-			add("cores section empty")
-		}
-		if len(d.Threads) == 0 {
-			add("threads section empty")
-		}
-		if len(d.NIC) == 0 {
-			add("nic section empty")
-		}
-		if len(d.Net) == 0 {
-			add("net section empty")
-		}
-		if len(d.Store) == 0 {
-			add("store section empty")
-		}
-		for _, sh := range d.Store {
-			if sh.Disk.NumBlocks == 0 || sh.Disk.BlockSize == 0 {
-				add("store shard %d: no log-device geometry (shard never booted?)", sh.Shard)
-			}
-		}
-		if d.Config.Replicas > 0 && len(d.Replica) == 0 {
-			add("config has %d replicas but replica section empty", d.Config.Replicas)
-		}
+		machines, rf = d.Config.Machines, d.Config.RF
 	}
-	if d.Telemetry == nil {
-		add("telemetry section missing")
-	} else if len(d.Telemetry.Services) == 0 {
-		add("telemetry snapshot has no services")
+	if len(d.Machines) != machines {
+		add("config has %d machines but machines section has %d", machines, len(d.Machines))
+	}
+	for _, m := range d.Machines {
+		if len(m.Cores) == 0 || len(m.Threads) == 0 {
+			add("machine %d: scheduler sections empty", m.Node)
+		}
+		if len(m.NIC) == 0 {
+			add("machine %d: nic section empty", m.Node)
+		}
+		if len(m.Net) == 0 {
+			add("machine %d: net section empty", m.Node)
+		}
+		if len(m.Store) == 0 {
+			add("machine %d: store section empty", m.Node)
+		}
+		for _, sh := range m.Store {
+			if sh.Disk.NumBlocks == 0 || sh.Disk.BlockSize == 0 {
+				add("machine %d: store shard %d: no log-device geometry (shard never booted?)", m.Node, sh.Shard)
+			}
+		}
+		if rf > 0 && len(m.Replicas) != rf {
+			add("machine %d: config has rf %d but %d replica captures", m.Node, rf, len(m.Replicas))
+		}
+		if m.Telemetry == nil {
+			add("machine %d: telemetry section missing", m.Node)
+		} else if len(m.Telemetry.Services) == 0 {
+			add("machine %d: telemetry snapshot has no services", m.Node)
+		}
 	}
 	return bad
 }
@@ -333,15 +315,18 @@ func ReplayCommand(path string) string {
 	return fmt.Sprintf("go run ./cmd/chanos-sim -replay %s", path)
 }
 
-// WriteFile encodes the dump to path and tags the store's retained
-// flight-recorder dumps with the file reference (the rings ship inside
-// this dump; Store.FlightDumps keeps pointers, not copies).
-func WriteFile(path string, d *Dump, s *store.Store) error {
+// WriteFile encodes the dump to path and tags the retained
+// flight-recorder dumps of every store c collects with the file
+// reference (the rings ship inside this dump; Store.FlightDumps keeps
+// pointers, not copies). c may be nil.
+func WriteFile(path string, d *Dump, c *Collector) error {
 	if err := os.WriteFile(path, d.Encode(), 0o644); err != nil {
 		return fmt.Errorf("dump: write %s: %w", path, err)
 	}
-	if s != nil {
-		s.TagFlightDumps(path)
+	if c != nil {
+		for _, m := range c.Nodes {
+			m.KV.TagFlightDumps(path)
+		}
 	}
 	return nil
 }

@@ -38,14 +38,15 @@ func TestDumpStructural(t *testing.T) {
 	if bad := d.Validate(); len(bad) > 0 {
 		t.Fatalf("fail-stop dump invalid: %v", bad)
 	}
-	if !strings.Contains(d.Reason, "fail-stop: store shard 0") {
+	if !strings.Contains(d.Reason, "fail-stop: node 0 store shard 0") {
 		t.Fatalf("reason %q does not name the failed shard", d.Reason)
 	}
 	if d.EventCount == 0 || d.AtCycles == 0 {
 		t.Fatalf("replay coordinate missing: event_count=%d at_cycles=%d", d.EventCount, d.AtCycles)
 	}
+	m := d.Machines[0]
 	var sawFailed, sawFlight, sawIndex, sawBlocks bool
-	for _, sh := range d.Store {
+	for _, sh := range m.Store {
 		if sh.Failed != "" && sh.Lifecycle == 4 {
 			sawFailed = true
 		}
@@ -71,7 +72,7 @@ func TestDumpStructural(t *testing.T) {
 	if !sawBlocks {
 		t.Error("no platter contents captured")
 	}
-	if len(d.Threads) == 0 || len(d.Cores) == 0 {
+	if len(m.Threads) == 0 || len(m.Cores) == 0 {
 		t.Error("scheduler sections empty")
 	}
 	// The dump must round-trip through its own encoding.
@@ -114,13 +115,14 @@ func TestDumpDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if got := w.Sys.Eng.Fired(); got != orig.EventCount {
+	c := w.Driver().C
+	if got := c.Eng.Fired(); got != orig.EventCount {
 		t.Fatalf("replay halted at event %d, recorded %d", got, orig.EventCount)
 	}
-	if got := w.Sys.Eng.Now(); got != orig.AtCycles {
+	if got := c.Eng.Now(); got != orig.AtCycles {
 		t.Fatalf("replay halted at cycle %d, dump captured at %d", got, orig.AtCycles)
 	}
-	redump := w.C.Snapshot(orig.Reason)
+	redump := c.Snapshot(orig.Reason)
 	if !Equal(orig, redump) {
 		t.Fatalf("replayed state differs from dump:\n%s", strings.Join(Diff(orig, redump), "\n"))
 	}
@@ -154,7 +156,7 @@ func TestDumpDiffAndVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2.Store[0].Counters.Gets++
+	d2.Machines[0].Store[0].Counters.Gets++
 	d2.Seed = 99
 	diffs := Diff(d, d2)
 	if len(diffs) != 2 {
@@ -171,7 +173,8 @@ func TestDumpDiffAndVersion(t *testing.T) {
 	}
 	d3 := *d
 	d3.EventCount = 0
-	d3.Telemetry = nil
+	d3.Machines = append([]MachineDump(nil), d.Machines...)
+	d3.Machines[0].Telemetry = nil
 	if bad := d3.Validate(); len(bad) < 2 {
 		t.Fatalf("Validate missed problems: %v", bad)
 	}

@@ -1,8 +1,6 @@
 package dump
 
 import (
-	"fmt"
-
 	"chanos"
 	"chanos/internal/core"
 	"chanos/internal/net"
@@ -48,23 +46,9 @@ func (c *Config) fill() {
 // Repls[0].
 type World struct {
 	*store.Machine
-	C   *Collector
+	Drive
 	Sys *chanos.System
 	WL  *store.Workload
-
-	// OnSlice, when set, runs in host context after each drive slice
-	// (slice index from 0). Host-side only — printing live stats here
-	// cannot perturb the simulation.
-	OnSlice func(i int)
-
-	// StallBudget overrides how many consecutive zero-progress drive
-	// slices Run tolerates before declaring the fleet stalled (0 = the
-	// default 50). Host-side drive-loop policy only — it never touches
-	// the event sequence, so a replay may use any budget large enough
-	// to reach the recorded event. The chaos harness raises it past
-	// the wire's ~57M-cycle RTO give-up horizon so a run that must
-	// *detect* a dead replica isn't misread as a hung one.
-	StallBudget int
 
 	// TapReq/TapResp, when set before Run, observe every request the
 	// main pool draws and every response it receives (engine context,
@@ -78,28 +62,6 @@ type World struct {
 	// from here.
 	Pool  *net.ClientPool
 	RPool *net.ClientPool
-
-	seed uint64
-	cfg  Config
-}
-
-// Report is what one Run produced.
-type Report struct {
-	Filled         bool
-	PrefillCycles  sim.Time
-	Responses      uint64
-	Completed      uint64
-	Errs           uint64
-	NotFound       uint64
-	ReplicaGets    uint64
-	ReplicaRefused uint64
-	Stalled        bool
-	// Halted: the engine tripped StopAtFired (replay reached its
-	// recorded event count) before the workload finished.
-	Halted          bool
-	ConservationBad []string
-	Pool            *net.ClientPool
-	RPool           *net.ClientPool
 }
 
 // Build boots a kvload world through store.NewMachine, whose fixed
@@ -127,15 +89,14 @@ func Build(seed uint64, cfg Config) *World {
 	m := store.NewMachine(sim.NewEngine(), mp)
 	return &World{
 		Machine: m,
-		C:       &Collector{Eng: m.M.Eng, M: m, Seed: seed, Config: cfg},
-		Sys:     &chanos.System{Eng: m.M.Eng, M: m.M, RT: m.RT},
-		WL:      store.NewWorkload(seed, cfg.Clients, cfg.Keys, cfg.ReadPct, cfg.ValBytes),
-		seed:    seed, cfg: cfg,
+		Drive: Drive{
+			C:    &Collector{Eng: m.M.Eng, Nodes: []*store.Machine{m}, Seed: seed, Config: cfg},
+			seed: seed, cfg: cfg, slice: m.M.Cycles(0.0002),
+		},
+		Sys: &chanos.System{Eng: m.M.Eng, M: m.M, RT: m.RT},
+		WL:  store.NewWorkload(seed, cfg.Clients, cfg.Keys, cfg.ReadPct, cfg.ValBytes),
 	}
 }
-
-// Config returns the world's filled scenario config.
-func (w *World) Config() Config { return w.cfg }
 
 // Close shuts the world's machines down.
 func (w *World) Close() { w.Shutdown() }
@@ -147,16 +108,13 @@ func (w *World) Close() { w.Shutdown() }
 // replay halts wherever its recorded instant lies, even mid-prefill.
 func (w *World) Run() *Report {
 	r := &Report{}
-	eng := w.Sys.Eng
 
 	filled := false
 	w.Sys.Boot("prefill", func(t *chanos.Thread) {
 		w.WL.Prefill(t, w.KV)
 		filled = true
 	})
-	for !filled && !eng.StopReached() {
-		w.Sys.RunFor(w.Sys.Cycles(0.0005))
-	}
+	w.waitFor(w.Sys.Cycles(0.0005), 0, func() bool { return filled })
 	r.Filled = filled
 	r.PrefillCycles = w.Sys.Now()
 
@@ -222,67 +180,9 @@ func (w *World) Run() *Report {
 	r.Pool = pool
 	w.Pool = pool
 
-	slice := w.Sys.Cycles(0.0002)
-	budget := w.StallBudget
-	if budget <= 0 {
-		budget = 50
-	}
-	stalled := 0
-	for i := 0; pool.Responses < uint64(w.cfg.Requests) && !eng.StopReached(); i++ {
-		before := pool.Responses
-		w.Sys.RunFor(slice)
-		if w.OnSlice != nil {
-			w.OnSlice(i)
-		}
-		if eng.StopReached() {
-			break
-		}
-		if pool.Responses == before {
-			stalled++
-		} else {
-			stalled = 0
-		}
-		if stalled >= budget {
-			r.Stalled = true
-			break
-		}
-	}
-
+	r.Stalled = w.drive(func() uint64 { return pool.Responses })
 	r.Responses = pool.Responses
 	r.Completed = pool.Completed
-	r.Halted = eng.StopReached()
-	if !r.Halted {
-		// A halted replay is frozen mid-flight; the conservation fold is
-		// only meaningful over a machine that was allowed to drain.
-		r.ConservationBad = w.SD.SnapshotNow().Conservation()
-	}
+	w.finish(r)
 	return r
-}
-
-// Replay is the time-travel half of the dump contract: rebuild the
-// dumped world from its (seed, config) and run with the engine armed to
-// halt once EventCount counted events have fired — the machine stops in
-// exactly the dumped state, one event short of the failing instant.
-// The caller owns w (Close it) and can re-dump via w.C for differential
-// comparison, or resume with w.Sys.Eng.StopAtFired(0) to step past the
-// failure.
-func Replay(d *Dump) (*World, *Report, error) {
-	if d.Config.Scenario != ScenarioKVLoad {
-		return nil, nil, fmt.Errorf("scenario %q is not replayable (only %q worlds boot from a config; this dump still inspects and diffs)",
-			d.Config.Scenario, ScenarioKVLoad)
-	}
-	if d.Config.Chaos != "" {
-		// A chaos dump's event sequence includes its fault schedule;
-		// replaying without arming it would diverge. internal/chaos owns
-		// that arming (chaos.Replay) — dump cannot import it.
-		return nil, nil, fmt.Errorf("dump carries a chaos schedule %q: replay it through chaos.Replay (chanos-sim -replay routes there)", d.Config.Chaos)
-	}
-	w := Build(d.Seed, d.Config)
-	w.Sys.Eng.StopAtFired(d.EventCount)
-	rep := w.Run()
-	if !w.Sys.Eng.StopReached() {
-		return w, rep, fmt.Errorf("replay finished at event %d without reaching recorded event %d (dump from a different build?)",
-			w.Sys.Eng.Fired(), d.EventCount)
-	}
-	return w, rep, nil
 }

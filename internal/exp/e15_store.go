@@ -120,7 +120,7 @@ func e15Run(o Options, cores, shards, clients, readPct int, window sim.Time) e15
 	o.publishSnapshot(snap)
 	if len(snap.Conservation()) > 0 {
 		o.dumpInvariant(&dump.Collector{
-			Eng: w.eng, M: m, Seed: o.seed(),
+			Eng: w.eng, Nodes: []*store.Machine{m}, Seed: o.seed(),
 			Config: dump.Config{
 				Scenario: "e15-store", Cores: cores, Shards: shards,
 				Clients: clients, ReadPct: readPct,

@@ -48,8 +48,9 @@ func TestE17MidHealDump(t *testing.T) {
 	if bad := d.Validate(); len(bad) > 0 {
 		t.Fatalf("mid-heal dump invalid: %v", bad)
 	}
-	if len(d.Replica) != shards {
-		t.Fatalf("replica section has %d shards, want %d", len(d.Replica), shards)
+	m := d.Machines[0]
+	if len(m.Replicas) != 1 || len(m.Replicas[0]) != shards {
+		t.Fatalf("replica captures %d, want one of %d shards", len(m.Replicas), shards)
 	}
 	if d.Config.Scenario != "e17-heal" {
 		t.Fatalf("scenario stamp %q", d.Config.Scenario)
@@ -60,7 +61,7 @@ func TestE17MidHealDump(t *testing.T) {
 	}
 	// Mid-heal the primary must not be at quorum: shards are syncing
 	// (2) or still failed-over (1).
-	for _, sh := range d.Store {
+	for _, sh := range m.Store {
 		if sh.Lifecycle == 3 {
 			t.Fatalf("store shard %d already at quorum in a mid-heal dump", sh.Shard)
 		}

@@ -49,7 +49,7 @@ func e17Boot(cores, shards, clients, readPct int, seed uint64, platters []map[in
 // and inspect but do not replay — the scenario stamp says so.
 func (ew *e17World) collector(seed uint64) *dump.Collector {
 	return &dump.Collector{
-		Eng: ew.w.eng, M: ew.m, Seed: seed,
+		Eng: ew.w.eng, Nodes: []*store.Machine{ew.m}, Seed: seed,
 		Config: dump.Config{
 			Scenario: "e17-heal", Cores: ew.w.m.NumCores(),
 			Shards: ew.m.KV.P.Shards, Clients: ew.clients,

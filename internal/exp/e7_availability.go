@@ -78,8 +78,7 @@ func e7Availability(o Options) []*stats.Table {
 	// each fault costs the measured restart gap (supervised) or a full
 	// node reboot (monolithic fail-stop). The year itself cannot be
 	// event-simulated at per-call granularity (6.3e16 cycles), so the
-	// measured per-fault downtime feeds a fault-arrival model — see
-	// EXPERIMENTS.md for the substitution note.
+	// measured per-fault downtime feeds a fault-arrival model instead.
 	const rebootSec = 30.0
 	const year = 365.25 * 24 * 3600.0
 	const cyclesPerSec = 2e9

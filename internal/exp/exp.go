@@ -1,6 +1,7 @@
 // Package exp implements the experiment suite: one function per
-// experiment (E1..E13, ablations A1..A4), each returning printable tables
-// that regenerate the "figures" and "tables" described in EXPERIMENTS.md.
+// experiment (E1..E19, ablations A1..A4), each returning printable tables
+// that regenerate the experiment "figures" and "tables" (ARCHITECTURE.md's
+// "Layer → experiments" table maps each to the layer it measures).
 // The paper being a position paper has no evaluation of its own; every
 // experiment here tests a quantitative claim in its prose (see DESIGN.md
 // §3 for the claim-to-experiment mapping).
@@ -48,7 +49,7 @@ func (o Options) dumpInvariant(c *dump.Collector, reason string) {
 	}
 	d := c.Snapshot(reason)
 	path := filepath.Join(o.DumpDir, d.FileName())
-	if err := dump.WriteFile(path, d, c.M.KV); err != nil {
+	if err := dump.WriteFile(path, d, c); err != nil {
 		fmt.Printf("  dump FAILED: %v\n", err)
 		return
 	}

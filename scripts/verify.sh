@@ -267,6 +267,12 @@ if [ "$short" = "0" ]; then
         echo "verify: core dump failed structural validation" >&2
         exit 1
     }
+    # ...whose human summary renders every machine (this path also
+    # exits 1 on a structurally invalid dump)...
+    go run ./cmd/chanos-dump "$dumpfile" || {
+        echo "verify: core dump summary failed" >&2
+        exit 1
+    }
     # ...and time-travels: -replay rebuilds the world from the dump's
     # (seed, config) and must halt at exactly the recorded event count,
     # with the halted machine state matching the dump (the -redump file
