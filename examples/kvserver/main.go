@@ -266,6 +266,6 @@ func runCluster(machines, rf, cores, clients, requests, readPct, keys int, seed 
 			fmt.Printf("  CONSERVATION VIOLATED: %s\n", b)
 		}
 	} else {
-		fmt.Println("  telemetry    node 0 conservation laws hold")
+		fmt.Printf("  telemetry    conservation laws hold on all %d nodes\n", len(w.Cl.Nodes))
 	}
 }

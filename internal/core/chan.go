@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"chanos/internal/sim/fifo"
+)
 
 // Dir says which way a choice case moves data.
 type Dir int
@@ -14,27 +18,56 @@ const (
 
 // waiter is one parked operation on a channel: a blocked sender, a blocked
 // receiver, a registered choice case, or an injected (threadless) value
-// from a device or the runtime itself.
+// from a device or the runtime itself. Records are recycled: a thread's
+// come from its own free list and go back when it wakes or dies (see
+// Thread.newWait), an injected value's from its channel's runtime, back
+// when the value is taken or dropped (see Runtime.newInjected).
 type waiter struct {
-	t       *Thread // nil for injected values
-	val     Msg     // payload for send-side waiters
-	from    int     // sender core for injected values
-	choice  *choiceRec
-	idx     int // case index within the choice
-	removed bool
+	t      *Thread // nil for injected values
+	val    Msg     // payload for send-side waiters
+	from   int     // sender core for injected values
+	choice *choiceRec
+	idx    int    // case index within the choice
+	gen    uint64 // bumped on every release; a waitRef matches only its own
 }
 
-func (w *waiter) dead() bool {
-	if w.removed {
-		return true
-	}
-	if w.choice != nil && w.choice.done {
-		return true
-	}
-	if w.t != nil && w.t.state == tDead {
-		return true
-	}
-	return false
+// waitRef is a wait queue's handle on one waiter. A released record may
+// wait again at once, on another channel, so a ref remembers the
+// generation it was queued at: a choice registration left behind in one
+// queue reads as dead once its thread woke, and never aliases the
+// record's next wait.
+type waitRef struct {
+	w   *waiter
+	gen uint64
+}
+
+func (w *waiter) ref() waitRef { return waitRef{w: w, gen: w.gen} }
+
+// dead reports whether a queued ref no longer stands for a wait: its
+// record was released (the thread woke, died or took its value, or the
+// injected value was taken or dropped), or another case of its choice
+// won. A waiter is queued once, so a popped one leaves no live ref.
+func (r waitRef) dead() bool {
+	return r.w.gen != r.gen || r.w.choice != nil && r.w.choice.done
+}
+
+// release retires w: the generation bump kills every ref still queued.
+func (w *waiter) release() {
+	*w = waiter{t: w.t, gen: w.gen + 1}
+}
+
+// newInjected takes a threadless waiter from rt's free list.
+func (rt *Runtime) newInjected(v Msg, from int) *waiter {
+	w := rt.injected.Get()
+	w.val, w.from = v, from
+	return w
+}
+
+// releaseInjected returns a threadless waiter whose value was taken or
+// dropped.
+func (rt *Runtime) releaseInjected(w *waiter) {
+	w.release()
+	rt.injected.Put(w)
 }
 
 type bufEntry struct {
@@ -52,10 +85,10 @@ type Chan struct {
 	name     string
 	capacity int
 
-	buf      fifo[bufEntry]
+	buf      fifo.Queue[bufEntry]
 	inflight int // sends charged but not yet arrived at the channel
-	sendq    fifo[*waiter]
-	recvq    fifo[*waiter]
+	sendq    fifo.Queue[waitRef]
+	recvq    fifo.Queue[waitRef]
 	closed   bool
 
 	// Stats.
@@ -89,7 +122,7 @@ func (c *Chan) Cap() int { return c.capacity }
 func (c *Chan) Closed() bool { return c.closed }
 
 // Len returns the number of values queued (arrived) in the buffer.
-func (c *Chan) Len() int { return c.buf.len() }
+func (c *Chan) Len() int { return c.buf.Len() }
 
 // Send sends v, blocking until the channel can take it (rendezvous for
 // capacity 0, space in the buffer otherwise). Sending on a closed channel
@@ -140,24 +173,24 @@ func (rt *Runtime) closeChan(c *Chan) {
 	// panics); injected values are dropped; registered choice senders
 	// stay parked — send-readiness on a closed channel resolves to a
 	// fault only if that case is actually picked.
-	for _, w := range c.sendq.live() {
-		if w.dead() {
+	for _, r := range c.sendq.Live() {
+		if r.dead() {
 			continue
 		}
+		w := r.w
 		if w.t != nil && w.choice == nil {
-			w.removed = true
 			rt.killThread(w.t, fmt.Errorf("%w: %s", ErrSendClosed, c.name))
 		} else if w.t == nil {
-			w.removed = true
+			c.rt.releaseInjected(w)
 		}
 	}
 	// Waiting receivers (beyond what the buffer satisfies) see closed.
-	if c.buf.len() == 0 {
-		for _, w := range c.recvq.live() {
-			if w.dead() {
+	if c.buf.Len() == 0 {
+		for _, r := range c.recvq.Live() {
+			if r.dead() {
 				continue
 			}
-			w.removed = true
+			w := r.w
 			res := opResult{ok: false, ready: true}
 			if w.choice != nil {
 				w.choice.done = true
@@ -165,7 +198,7 @@ func (rt *Runtime) closeChan(c *Chan) {
 			}
 			rt.wakeAt(w.t, now, res)
 		}
-		c.recvq.reset()
+		c.recvq.Reset()
 	}
 }
 
@@ -174,7 +207,14 @@ func (rt *Runtime) closeChan(c *Chan) {
 // distance. Delivery is deferred one engine event so InjectSend is safe
 // to call from thread context too.
 func (rt *Runtime) InjectSend(c *Chan, v Msg, fromCore int) {
-	rt.Eng.At(rt.Eng.Now(), func() { rt.injectNow(c, v, fromCore) })
+	rt.inject.At(rt.Eng.Now(), injection{c: c, v: v, from: fromCore})
+}
+
+// injection is one deferred InjectSend or timer tick.
+type injection struct {
+	c    *Chan
+	v    Msg
+	from int
 }
 
 func (rt *Runtime) injectNow(c *Chan, v Msg, fromCore int) {
@@ -188,18 +228,18 @@ func (rt *Runtime) injectNow(c *Chan, v Msg, fromCore int) {
 		rt.deliverToReceiver(r, v, now+transit)
 		return
 	}
-	if c.capacity > 0 && c.buf.len()+c.inflight < c.capacity {
-		c.buf.push(bufEntry{val: v, from: fromCore})
+	if c.capacity > 0 && c.buf.Len()+c.inflight < c.capacity {
+		c.buf.Push(bufEntry{val: v, from: fromCore})
 		return
 	}
-	c.sendq.push(&waiter{t: nil, val: v, from: fromCore})
+	c.sendq.Push(c.rt.newInjected(v, fromCore).ref())
 }
 
 // After returns a fresh channel that receives a single Tick message d
 // cycles from now — the timeout building block for Choose.
 func (rt *Runtime) After(d uint64) *Chan {
 	c := rt.NewChan("timer", 1)
-	rt.Eng.After(d, func() { rt.injectNow(c, Tick{}, 0) })
+	rt.inject.After(d, injection{c: c, v: Tick{}})
 	return c
 }
 
@@ -207,12 +247,11 @@ func (rt *Runtime) After(d uint64) *Chan {
 type Tick struct{}
 
 // popRecv removes and returns the next live receive waiter, or nil. The
-// winner is marked consumed (its choice, if any, resolves).
+// winner's choice, if any, resolves.
 func (c *Chan) popRecv() *waiter {
-	for c.recvq.len() > 0 {
-		w := c.recvq.pop()
-		if !w.dead() {
-			w.removed = true
+	for c.recvq.Len() > 0 {
+		if r := c.recvq.Pop(); !r.dead() {
+			w := r.w
 			if w.choice != nil {
 				w.choice.done = true
 			}
@@ -222,12 +261,12 @@ func (c *Chan) popRecv() *waiter {
 	return nil
 }
 
-// popSend removes and returns the next live send waiter, or nil.
+// popSend removes and returns the next live send waiter, or nil. An
+// injected waiter is the caller's to release once it has the value.
 func (c *Chan) popSend() *waiter {
-	for c.sendq.len() > 0 {
-		w := c.sendq.pop()
-		if !w.dead() {
-			w.removed = true
+	for c.sendq.Len() > 0 {
+		if r := c.sendq.Pop(); !r.dead() {
+			w := r.w
 			if w.choice != nil {
 				w.choice.done = true
 			}
@@ -238,8 +277,8 @@ func (c *Chan) popSend() *waiter {
 }
 
 func (c *Chan) haveRecvWaiter() bool {
-	for _, w := range c.recvq.live() {
-		if !w.dead() {
+	for _, r := range c.recvq.Live() {
+		if !r.dead() {
 			return true
 		}
 	}
@@ -247,8 +286,8 @@ func (c *Chan) haveRecvWaiter() bool {
 }
 
 func (c *Chan) haveSendWaiter() bool {
-	for _, w := range c.sendq.live() {
-		if !w.dead() {
+	for _, r := range c.sendq.Live() {
+		if !r.dead() {
 			return true
 		}
 	}
@@ -257,7 +296,7 @@ func (c *Chan) haveSendWaiter() bool {
 
 // recvReady reports whether a receive would complete without blocking.
 func (c *Chan) recvReady() bool {
-	return c.buf.len() > 0 || c.haveSendWaiter() || c.closed
+	return c.buf.Len() > 0 || c.haveSendWaiter() || c.closed
 }
 
 // sendReady reports whether a send would complete without blocking.
@@ -268,7 +307,7 @@ func (c *Chan) sendReady() bool {
 		return true
 	}
 	if c.capacity > 0 {
-		return c.buf.len()+c.inflight < c.capacity
+		return c.buf.Len()+c.inflight < c.capacity
 	}
 	return c.haveRecvWaiter()
 }
@@ -356,34 +395,46 @@ func (rt *Runtime) finishSendIdx(t *Thread, c *Chan, v Msg, bytes int, idx int) 
 		}
 		return
 	}
-	if c.capacity > 0 && c.buf.len()+c.inflight < c.capacity {
+	if c.capacity > 0 && c.buf.Len()+c.inflight < c.capacity {
 		// Fire and forget: the value travels to the channel's buffer.
 		c.inflight++
-		from := t.core
-		rt.Eng.At(now+rt.M.P.InjectCycles, func() {
-			c.inflight--
-			c.buf.push(bufEntry{val: v, from: from})
-			if r := c.popRecv(); r != nil {
-				e := c.buf.pop()
-				_, transit := rt.M.MsgCost(e.from, r.t.core, bytes)
-				rt.deliverToReceiver(r, e.val, rt.Eng.Now()+transit)
-			}
-		})
+		rt.land.At(now+rt.M.P.InjectCycles, landing{c: c, v: v, from: t.core, bytes: bytes})
 		rt.resumeInPlace(t, doneRes)
 		return
 	}
 	// Block: rendezvous with no receiver, or buffer full.
-	w := &waiter{t: t, val: v, from: t.core}
+	w := t.newWait()
+	w.val, w.from = v, t.core
 	if idx >= 0 {
 		// A picked choice send that raced to non-ready: register as a
 		// resolved-choice waiter so completion carries the index.
 		w.idx = idx
 		w.choice = &choiceRec{}
 	}
-	c.sendq.push(w)
-	t.waits = append(t.waits, w)
+	c.sendq.Push(w.ref())
 	t.state = tBlocked
 	rt.releaseCore(t)
+}
+
+// landing is a buffered send on its way into the channel's buffer.
+type landing struct {
+	c           *Chan
+	v           Msg
+	from, bytes int
+}
+
+// landSend puts a buffered send's value into its channel once it has
+// travelled there, handing it straight on to a receiver that blocked
+// meanwhile.
+func (rt *Runtime) landSend(l landing) {
+	c := l.c
+	c.inflight--
+	c.buf.Push(bufEntry{val: l.v, from: l.from})
+	if r := c.popRecv(); r != nil {
+		e := c.buf.Pop()
+		_, transit := rt.M.MsgCost(e.from, r.t.core, l.bytes)
+		rt.deliverToReceiver(r, e.val, rt.Eng.Now()+transit)
+	}
 }
 
 // opRecv processes a receive (or try-receive) op for thread t.
@@ -419,8 +470,8 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 		return r
 	}
 
-	if c.buf.len() > 0 {
-		e := c.buf.pop()
+	if c.buf.Len() > 0 {
+		e := c.buf.Pop()
 		bytes := rt.msgBytes(e.val)
 		_, transit := rt.M.MsgCost(e.from, t.core, bytes)
 		// Freeing buffer space may unblock a parked sender.
@@ -437,12 +488,14 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 	if s := c.popSend(); s != nil {
 		if s.t == nil {
 			// Injected value.
-			bytes := rt.msgBytes(s.val)
-			_, transit := rt.M.MsgCost(s.from, t.core, bytes)
+			v, from := s.val, s.from
+			c.rt.releaseInjected(s)
+			bytes := rt.msgBytes(v)
+			_, transit := rt.M.MsgCost(from, t.core, bytes)
 			t.received++
 			t.state = tBlocked
 			rt.releaseCore(t)
-			rt.wakeAt(t, now+transit, withIdx(opResult{val: s.val, ok: true, ready: true}))
+			rt.wakeAt(t, now+transit, withIdx(opResult{val: v, ok: true, ready: true}))
 			return
 		}
 		// Rendezvous with a blocked sender (or a choice send case).
@@ -467,13 +520,12 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 		return
 	}
 	// Block.
-	w := &waiter{t: t}
+	w := t.newWait()
 	if idx >= 0 {
 		w.idx = idx
 		w.choice = &choiceRec{}
 	}
-	c.recvq.push(w)
-	t.waits = append(t.waits, w)
+	c.recvq.Push(w.ref())
 	t.state = tBlocked
 	rt.releaseCore(t)
 }
@@ -482,10 +534,11 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 // enter the channel buffer.
 func (rt *Runtime) promoteSender(c *Chan, s *waiter, now uint64) {
 	if s.t == nil {
-		c.buf.push(bufEntry{val: s.val, from: s.from})
+		c.buf.Push(bufEntry{val: s.val, from: s.from})
+		c.rt.releaseInjected(s)
 		return
 	}
-	c.buf.push(bufEntry{val: s.val, from: s.t.core})
+	c.buf.Push(bufEntry{val: s.val, from: s.t.core})
 	res := opResult{ready: true, ok: true}
 	if s.choice != nil {
 		res.idx = s.idx

@@ -91,14 +91,14 @@ func (rt *Runtime) evalChoice(t *Thread, o op) {
 	case ChooseWaiters:
 		rec := &choiceRec{}
 		for i, cs := range o.cases {
-			w := &waiter{t: t, choice: rec, idx: i}
+			w := t.newWait()
+			w.choice, w.idx = rec, i
 			if cs.Dir == RecvDir {
-				cs.Ch.recvq.push(w)
+				cs.Ch.recvq.Push(w.ref())
 			} else {
 				w.val = cs.Val
-				cs.Ch.sendq.push(w)
+				cs.Ch.sendq.Push(w.ref())
 			}
-			t.waits = append(t.waits, w)
 		}
 		t.state = tBlocked
 		rt.releaseCore(t)

@@ -1,6 +1,10 @@
 package core
 
-import "reflect"
+import (
+	"reflect"
+
+	"chanos/internal/sim/fifo"
+)
 
 // Sized lets message types report their payload size exactly; otherwise
 // the runtime estimates sizes with reflection (or falls back to
@@ -14,6 +18,9 @@ type Sized interface {
 type Copier interface {
 	CopyMsg() Msg
 }
+
+// queueType recognises a fifo.Queue inside a message (see sizeOf).
+var queueType = reflect.TypeFor[fifo.Any]()
 
 // msgBytes estimates the wire size of a payload in bytes.
 func (rt *Runtime) msgBytes(v Msg) int {

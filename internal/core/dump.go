@@ -34,7 +34,7 @@ func (rt *Runtime) SnapshotSched() ([]CoreSched, []ThreadSnapshot) {
 		if cs.cur != nil {
 			c.Running = cs.cur.id
 		}
-		for _, t := range cs.runq.live() {
+		for _, t := range cs.runq.Live() {
 			c.RunQueue = append(c.RunQueue, t.id)
 		}
 		cores[i] = c

@@ -23,6 +23,7 @@ import (
 
 	"chanos/internal/machine"
 	"chanos/internal/sim"
+	"chanos/internal/sim/fifo"
 )
 
 // ChooseImpl selects how blocked Choose operations wait; the paper (§5)
@@ -169,12 +170,23 @@ type Runtime struct {
 
 	threads map[int]*Thread
 	stats   Stats
+
+	// idle holds the hand-off channels of thread goroutines whose last
+	// thread exited (see work).
+	idle []chan *Thread
+
+	// inject and land carry InjectSend values and buffered sends to
+	// their channels through recycled engine events; injected recycles
+	// the threadless waiters of injected values that found no room.
+	inject   *sim.Relay[injection]
+	land     *sim.Relay[landing]
+	injected sim.FreeList[waiter]
 }
 
 type coreState struct {
 	id       int
 	cur      *Thread // thread currently owning the core (running or mid-op)
-	runq     fifo[*Thread]
+	runq     fifo.Queue[*Thread]
 	lastTID  int  // last thread that ran; used to charge context switches
 	idle     bool // parked with empty queue, waiting for a kick
 	assigned int  // live threads placed on this core
@@ -190,6 +202,8 @@ func NewRuntime(m *machine.Machine, cfg Config) *Runtime {
 		rng:     sim.NewRNG(cfg.Seed),
 		threads: make(map[int]*Thread),
 	}
+	rt.inject = sim.NewRelay(rt.Eng, func(in injection) { rt.injectNow(in.c, in.v, in.from) })
+	rt.land = sim.NewRelay(rt.Eng, rt.landSend)
 	rt.sched = cfg.Sched
 	if rt.sched == nil {
 		rt.sched = &roundRobin{}
@@ -217,7 +231,7 @@ func (rt *Runtime) Stats() Stats { return rt.stats }
 // currently owns the core). Schedulers use it to find stealable backlogs.
 func (rt *Runtime) CoreLoad(i int) int {
 	cs := rt.cores[i]
-	n := cs.runq.len()
+	n := cs.runq.Len()
 	if cs.cur != nil {
 		n++
 	}
@@ -233,8 +247,8 @@ func (rt *Runtime) CoreAssigned(i int) int { return rt.cores[i].assigned }
 // retargets it to thief. It returns nil if nothing is stealable.
 func (rt *Runtime) StealFrom(victim, thief int) *Thread {
 	cs := rt.cores[victim]
-	for cs.runq.len() > 0 {
-		t := cs.runq.popBack()
+	for cs.runq.Len() > 0 {
+		t := cs.runq.PopBack()
 		if t.state == tDead {
 			continue
 		}
@@ -291,8 +305,9 @@ func (rt *Runtime) Alive() int {
 	return n
 }
 
-// Shutdown kills every remaining thread so their goroutines exit. Call at
-// the end of a simulation to avoid leaking parked goroutines.
+// Shutdown kills every remaining thread and stops the idle thread
+// goroutines, so every goroutine the runtime started exits. Call at the
+// end of a simulation to avoid leaking parked goroutines.
 func (rt *Runtime) Shutdown() {
 	ids := make([]int, 0, len(rt.threads))
 	for id := range rt.threads {
@@ -304,6 +319,10 @@ func (rt *Runtime) Shutdown() {
 			rt.killThread(t, ErrKilled)
 		}
 	}
+	for _, w := range rt.idle {
+		close(w)
+	}
+	rt.idle = nil
 }
 
 func (rt *Runtime) newThread(req *spawnReq) *Thread {
@@ -324,19 +343,50 @@ func (rt *Runtime) newThread(req *spawnReq) *Thread {
 	rt.threads[t.id] = t
 	rt.cores[t.core].assigned++
 	rt.stats.Spawns++
-	fn := req.fn
-	go func() {
-		r := <-t.resume
-		defer func() {
-			reason := recover()
-			t.finish(reason)
-		}()
-		if r.poison != nil {
-			panic(r.poison)
-		}
-		fn(t)
-	}()
+	t.fn = req.fn
+	t.worker = rt.takeWorker()
+	t.worker <- t
 	return t
+}
+
+// takeWorker returns the hand-off channel of an idle thread goroutine,
+// starting a goroutine when none is idle.
+func (rt *Runtime) takeWorker() chan *Thread {
+	if n := len(rt.idle); n > 0 {
+		w := rt.idle[n-1]
+		rt.idle[n-1] = nil
+		rt.idle = rt.idle[:n-1]
+		return w
+	}
+	w := make(chan *Thread, 1)
+	go work(w)
+	return w
+}
+
+// work is a thread goroutine: it runs every thread handed to it on w,
+// one after another, until Shutdown closes w. Reusing goroutines keeps
+// thread churn from allocating a goroutine per thread, and keeps the
+// host's allocation count independent of which Go scheduler P a thread
+// happened to exit on.
+func work(w chan *Thread) {
+	for t := range w {
+		t.run()
+	}
+}
+
+// run runs t's function once its first resumption arrives. It returns
+// after finish has posted the exit op; the engine then retires t and
+// puts this goroutine back on the idle list.
+func (t *Thread) run() {
+	r := <-t.resume
+	defer func() {
+		reason := recover()
+		t.finish(reason)
+	}()
+	if r.poison != nil {
+		panic(r.poison)
+	}
+	t.fn(t)
 }
 
 // makeReady queues t on its core and kicks the dispatcher. If the core is
@@ -348,9 +398,9 @@ func (rt *Runtime) makeReady(t *Thread) {
 	}
 	t.state = tReady
 	cs := rt.cores[t.core]
-	cs.runq.push(t)
+	cs.runq.Push(t)
 	rt.dispatch(cs)
-	if cs.cur != nil && cs.runq.len() > 0 {
+	if cs.cur != nil && cs.runq.Len() > 0 {
 		rt.kickIdleCore()
 	}
 }
@@ -377,8 +427,8 @@ func (rt *Runtime) dispatch(cs *coreState) {
 		return
 	}
 	var t *Thread
-	for cs.runq.len() > 0 {
-		t = cs.runq.pop()
+	for cs.runq.Len() > 0 {
+		t = cs.runq.Pop()
 		if t.state != tDead {
 			break
 		}
@@ -543,7 +593,7 @@ func (rt *Runtime) computeDone(t *Thread) {
 	// Preempt at the op boundary if others are waiting for this core:
 	// without this, a compute loop starves its run queue.
 	cs := rt.cores[t.core]
-	if cs.cur == t && cs.runq.len() > 0 {
+	if cs.cur == t && cs.runq.Len() > 0 {
 		t.pending = opResult{}
 		cs.cur = nil
 		rt.makeReady(t)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"chanos/internal/machine"
 	"chanos/internal/sim"
@@ -857,8 +859,8 @@ func TestRunQueueDrainsTenThousandThreads(t *testing.T) {
 		}
 	}
 	q := &rt.cores[0].runq
-	if q.len() != 0 || q.head != 0 || cap(q.items) < n-1 {
-		t.Fatalf("drained run queue: len %d head %d cap %d", q.len(), q.head, cap(q.items))
+	if q.Len() != 0 || cap(q.Live()) < n-1 {
+		t.Fatalf("drained run queue: len %d cap %d", q.Len(), cap(q.Live()))
 	}
 }
 
@@ -931,5 +933,67 @@ func TestCrossRuntimeWakeRunsOnArmingRuntime(t *testing.T) {
 	}
 	if !slices.Contains(trA.names, "rx") {
 		t.Fatalf("runtime A ran %v, want rx's post-receive run", trA.names)
+	}
+}
+
+// A thread woken from a Choose and re-blocked on a different channel is
+// never woken through the registration its choice left behind. The
+// released record is reused for the new wait, so without generation
+// checks the ref still queued on b would alias the wait on c and hand
+// b's value to a receive on c.
+func TestStaleChoiceRegistrationNeverWakes(t *testing.T) {
+	rt := newRT(t, 2, Config{})
+	a, b, c := rt.NewChan("a", 0), rt.NewChan("b", 1), rt.NewChan("c", 0)
+	var got []Msg
+	w := rt.Boot("w", func(th *Thread) {
+		_, v, _ := th.Choose(Case{Ch: a, Dir: RecvDir}, Case{Ch: b, Dir: RecvDir})
+		got = append(got, v)
+		v, _ = c.Recv(th)
+		got = append(got, v)
+	}, OnCore(0))
+	rt.Boot("s", func(th *Thread) {
+		th.Sleep(10_000) // w is blocked in its Choose
+		choice := slices.Clone(w.waits)
+		a.Send(th, "a")
+		th.Sleep(10_000) // w is blocked on c, its b registration stale
+		if len(w.waits) != 1 || !slices.Contains(choice, w.waits[0]) {
+			t.Errorf("w waits on c with a fresh record, want a choice record reused")
+		}
+		b.Send(th, "b") // must stay in b's buffer
+		th.Sleep(10_000)
+		c.Send(th, "c")
+	}, OnCore(1))
+	rt.Run()
+	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
+		t.Fatalf("w received %v, want [a c]", got)
+	}
+	if b.Len() != 1 {
+		t.Fatalf("b holds %d values, want its one send still buffered", b.Len())
+	}
+}
+
+// A thread's goroutine outlives it: the next thread spawned runs on it,
+// so a hundred short-lived children need a handful of goroutines, and
+// Shutdown stops the idle ones.
+func TestThreadGoroutinesReused(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rt := NewRuntime(machine.New(sim.NewEngine(), machine.DefaultParams(2)), Config{})
+	rt.Boot("parent", func(th *Thread) {
+		done := th.NewChan("done", 1)
+		for i := 0; i < 100; i++ {
+			th.Spawn("child", func(ct *Thread) { done.Send(ct, i) })
+			done.Recv(th)
+		}
+	})
+	rt.Run()
+	if rt.Alive() != 0 || len(rt.idle) > 3 {
+		t.Fatalf("%d threads alive, %d idle goroutines after 101 threads ran one or two at a time", rt.Alive(), len(rt.idle))
+	}
+	rt.Shutdown()
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines after Shutdown, %d before the runtime", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

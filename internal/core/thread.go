@@ -120,8 +120,9 @@ type Thread struct {
 	yield   chan op
 	resume  chan opResult
 	pending opResult
-	wake    sim.Timer // scheduled compute/sleep completion, if any
-	waits   []*waiter // live wait-queue registrations, for cancellation
+	wake    sim.Timer            // scheduled compute/sleep completion, if any
+	waits   []*waiter            // live wait-queue registrations, for cancellation
+	free    sim.FreeList[waiter] // released registrations, reused by newWait
 
 	// step is t.runStep, bound once in newThread: the engine callback for
 	// the thread's pending continuation. A thread never has more than one
@@ -135,6 +136,9 @@ type Thread struct {
 	stepBytes int
 	stepIdx   int
 	stepRes   opResult
+
+	fn     func(*Thread) // the thread's body, run by its goroutine
+	worker chan *Thread  // hand-off channel of the goroutine running it
 
 	links     map[int]*Thread
 	monitors  []*Chan
@@ -356,6 +360,10 @@ func (rt *Runtime) threadExit(t *Thread, reason error) {
 	}
 	t.links = nil
 	delete(rt.threads, t.id)
+	// The goroutine has posted its exit and runs nothing of t's any
+	// more: it waits for the next thread.
+	rt.idle = append(rt.idle, t.worker)
+	t.fn, t.worker = nil, nil
 }
 
 func exitKind(reason error) (normal, abnormal bool) {
@@ -403,10 +411,22 @@ func (rt *Runtime) killThread(t *Thread, reason error) {
 	rt.handleOp(t, o)
 }
 
-// cancelWaits removes the thread from every channel wait queue.
+// newWait takes a waiter from t's free list and registers it in
+// t.waits; the caller fills it and queues its ref.
+func (t *Thread) newWait() *waiter {
+	w := t.free.Get()
+	w.t = t
+	t.waits = append(t.waits, w)
+	return w
+}
+
+// cancelWaits removes the thread from every channel wait queue: each
+// registration is released, so the refs still queued read as dead, and
+// goes back on the free list.
 func (t *Thread) cancelWaits() {
 	for _, w := range t.waits {
-		w.removed = true
+		w.release()
+		t.free.Put(w)
 	}
 	clear(t.waits)
 	t.waits = t.waits[:0]

@@ -59,6 +59,15 @@ type NIC struct {
 	rx          func(queue int, f Frame)
 	wire        func(f Frame)
 
+	// txDone and rxDMA carry each frame to the end of its TX
+	// serialisation or RX DMA through recycled engine events. A frame
+	// has its own record rather than a per-queue FIFO popped by one
+	// shared callback: RxDMACycles can change while frames are in
+	// flight (the chaos harness's NIC slowdown), so completions need not
+	// leave in arrival order.
+	txDone *sim.Relay[Frame]
+	rxDMA  *sim.Relay[Frame]
+
 	// qm is the per-queue metric set — the device-plane analogue of a
 	// kernel service's per-shard counters. The NIC runs in engine
 	// context, so there is no ownership question; keeping the counts
@@ -99,13 +108,24 @@ func NewNIC(m *Machine, p NICParams) *NIC {
 	if p.RxQueueDepth <= 0 {
 		p.RxQueueDepth = def.RxQueueDepth
 	}
-	return &NIC{
+	n := &NIC{
 		m:           m,
 		P:           p,
 		txBusyUntil: make([]sim.Time, p.Queues),
 		rxOcc:       make([]int, p.Queues),
 		qm:          make([]NICQueueCounters, p.Queues),
 	}
+	n.txDone = sim.NewRelay(m.Eng, func(f Frame) {
+		if n.wire != nil {
+			n.wire(f)
+		}
+	})
+	n.rxDMA = sim.NewRelay(m.Eng, func(f Frame) {
+		if n.rx != nil {
+			n.rx(f.Queue, f)
+		}
+	})
+	return n
 }
 
 // Queues returns the number of RX/TX queue pairs.
@@ -162,11 +182,7 @@ func (n *NIC) Transmit(f Frame) {
 	n.txBusyUntil[f.Queue] = end
 	n.qm[f.Queue].TxFrames++
 	n.qm[f.Queue].TxBytes += uint64(f.Bytes)
-	n.m.Eng.At(end, func() {
-		if n.wire != nil {
-			n.wire(f)
-		}
-	})
+	n.txDone.At(end, f)
 }
 
 // Arrive delivers a frame from the wire into RX queue f.Queue. A full
@@ -185,11 +201,7 @@ func (n *NIC) Arrive(f Frame) {
 	n.rxOcc[f.Queue]++
 	n.qm[f.Queue].RxFrames++
 	n.qm[f.Queue].RxBytes += uint64(f.Bytes)
-	n.m.Eng.After(n.P.RxDMACycles, func() {
-		if n.rx != nil {
-			n.rx(f.Queue, f)
-		}
-	})
+	n.rxDMA.After(n.P.RxDMACycles, f)
 }
 
 // RxDone returns one RX descriptor on queue q to the device (the host has

@@ -54,8 +54,8 @@ func (s *Stack) SnapshotShards() []StackShardSnapshot {
 				Port:           c.port,
 				NextSeq:        c.snd.nextSeq,
 				RecvNext:       c.rcv.next,
-				SendUnacked:    len(c.snd.unacked),
-				SendQueued:     len(c.snd.queued),
+				SendUnacked:    c.snd.unacked.Len(),
+				SendQueued:     c.snd.queued.Len(),
 				Window:         c.snd.wnd,
 				RecvBuffered:   c.recvCh.Len(),
 				ReassemblyHeld: len(c.rcv.held),

@@ -429,3 +429,39 @@ func TestAcceptBacklogSheds(t *testing.T) {
 		t.Fatal("shed clients never gave up")
 	}
 }
+
+// TestPacketPathAllocs bounds what one steady-state echo round trip
+// costs the host: Endpoint → wire → NIC → stack shard → Conn → app
+// thread and back. Wire hops, NIC completions, injections and packet
+// records are recycled, flows reuse their rings and scratch slices, and
+// blocked receivers reuse their waiters, so what remains is the four
+// kernel.Request boxings (the rx request of each arriving DATA and ACK,
+// and the app's tx request with its argument). A per-packet closure or
+// boxing coming back adds at least one allocation per round trip.
+func TestPacketPathAllocs(t *testing.T) {
+	w := newTW(8, 2, DefaultWireParams(), 5)
+	defer w.rt.Shutdown()
+	w.echoServer(1000)
+	var ping core.Msg = "ping"
+	echoed := 0
+	ep := w.nw.Dial(80, EndpointHooks{
+		OnOpen:    func(ep *Endpoint) { ep.Send(ping, 64) },
+		OnMessage: func(ep *Endpoint, _ core.Msg, _ int) { echoed++; ep.Send(ping, 64) },
+	})
+	const trips = 200
+	roundTrips := func() {
+		for target := echoed + trips; echoed < target; {
+			w.eng.Step()
+		}
+	}
+	roundTrips()
+	roundTrips()
+	per := testing.AllocsPerRun(10, roundTrips) / trips
+	t.Logf("%.2f allocs per echo round trip", per)
+	if per > 4.5 {
+		t.Fatalf("an echo round trip allocates %.2f, want <= 4.5", per)
+	}
+	if !ep.Open() || w.nw.Retransmits != 0 {
+		t.Fatalf("connection open %v, %d retransmits: not a steady state", ep.Open(), w.nw.Retransmits)
+	}
+}

@@ -63,6 +63,13 @@ type Network struct {
 	eps    map[ConnID]*Endpoint
 	nextID ConnID
 
+	// Each packet crosses the wire as one recycled relay event: toNIC
+	// lands it on the NIC, toEP hands it to its endpoint. pkts issues
+	// the records the packets ride in onto the RX rings.
+	toNIC *sim.Relay[Packet]
+	toEP  *sim.Relay[Packet]
+	pkts  sim.FreeList[Packet]
+
 	// Stats.
 	ToHost, ToClient uint64 // packets that survived the wire, per direction
 	WireDrops        uint64
@@ -82,6 +89,8 @@ func NewNetwork(eng *sim.Engine, nic *machine.NIC, p WireParams) *Network {
 		eps:    make(map[ConnID]*Endpoint),
 		nextID: 1,
 	}
+	n.toNIC = sim.NewRelay(eng, n.arrive)
+	n.toEP = sim.NewRelay(eng, n.deliver)
 	nic.OnTransmit(n.fromHost)
 	return n
 }
@@ -101,21 +110,27 @@ func (n *Network) drop() bool {
 }
 
 // fromHost carries a frame the NIC finished serialising to its endpoint.
+// It is the frame's consumer: the packet record goes back to the stack's
+// pool here, whether or not the wire then loses the packet.
 func (n *Network) fromHost(f machine.Frame) {
-	p, ok := f.Payload.(Packet)
+	pk, ok := f.Payload.(*Packet)
 	if !ok {
 		return
 	}
+	p := pk.take()
 	if n.drop() {
 		n.WireDrops++
 		return
 	}
 	n.ToClient++
-	n.Eng.After(n.delay(), func() {
-		if ep := n.eps[p.Conn]; ep != nil {
-			ep.handle(p)
-		}
-	})
+	n.toEP.After(n.delay(), p)
+}
+
+// deliver hands a packet that crossed the wire to its endpoint.
+func (n *Network) deliver(p Packet) {
+	if ep := n.eps[p.Conn]; ep != nil {
+		ep.handle(p)
+	}
 }
 
 // toHost carries an endpoint's packet onto the machine's NIC, landing on
@@ -126,12 +141,15 @@ func (n *Network) toHost(p Packet) {
 		return
 	}
 	n.ToHost++
-	n.Eng.After(n.delay(), func() {
-		n.nic.Arrive(machine.Frame{
-			Queue:   n.nic.QueueFor(int(p.Conn)),
-			Bytes:   p.MsgBytes(),
-			Payload: p,
-		})
+	n.toNIC.After(n.delay(), p)
+}
+
+// arrive lands a packet that crossed the wire on the NIC.
+func (n *Network) arrive(p Packet) {
+	n.nic.Arrive(machine.Frame{
+		Queue:   n.nic.QueueFor(int(p.Conn)),
+		Bytes:   p.MsgBytes(),
+		Payload: pooledPacket(&n.pkts, p),
 	})
 }
 
@@ -165,6 +183,7 @@ type Endpoint struct {
 	done    bool // remote FIN delivered
 	retries int
 	rto     sim.Timer
+	fire    func() // ep.fireRTO, bound once: arming allocates nothing
 }
 
 // Dial opens a connection to the given port: the SYN goes on the wire
@@ -172,6 +191,7 @@ type Endpoint struct {
 // MaxRetries is exhausted, e.g. when the listen backlog keeps shedding).
 func (n *Network) Dial(port int, hooks EndpointHooks) *Endpoint {
 	ep := &Endpoint{ID: n.nextID, Port: port, net: n, hooks: hooks}
+	ep.fire = ep.fireRTO
 	n.nextID++
 	n.eps[ep.ID] = ep
 	n.toHost(Packet{Conn: ep.ID, Port: port, Flags: SYN})
@@ -230,7 +250,7 @@ func (ep *Endpoint) armRTO() {
 	if ep.rto.Armed() {
 		return
 	}
-	ep.rto = ep.net.Eng.After(rtoAfter(ep.net.P.RTOCycles, ep.retries), ep.fireRTO)
+	ep.rto = ep.net.Eng.After(rtoAfter(ep.net.P.RTOCycles, ep.retries), ep.fire)
 }
 
 func (ep *Endpoint) cancelRTO() {

@@ -23,7 +23,11 @@
 // clusters with no new primitives.
 package net
 
-import "chanos/internal/core"
+import (
+	"chanos/internal/core"
+	"chanos/internal/sim"
+	"chanos/internal/sim/fifo"
+)
 
 // ConnID identifies one connection; it is the sharding key for the
 // netstack service and the RSS key for the NIC.
@@ -77,10 +81,37 @@ type Packet struct {
 	Bytes   int
 	Window  int
 	Payload core.Msg
+
+	pool *sim.FreeList[Packet] // the pool a record crossing the NIC came from
 }
 
 // MsgBytes implements core.Sized.
 func (p Packet) MsgBytes() int { return headerBytes + p.Bytes }
+
+// pooledPacket returns a record from pool holding p. A packet crosses
+// the NIC in machine.Frame.Payload as such a record. Each side issues
+// from its own pool — the stack for the frames it transmits, the wire
+// for the frames it lands on the RX rings — and the frame's one
+// consumer returns the record to the pool it came from (take):
+// Network.fromHost on the way out, the stack's receive hook on the way
+// in. A frame the NIC drops at a full RX ring leaves its record to the
+// garbage collector.
+func pooledPacket(pool *sim.FreeList[Packet], p Packet) *Packet {
+	pk := pool.Get()
+	*pk = p
+	pk.pool = pool
+	return pk
+}
+
+// take copies a pooled packet out and returns its record to its pool.
+func (pk *Packet) take() Packet {
+	pool := pk.pool
+	p := *pk
+	p.pool = nil
+	*pk = Packet{}
+	pool.Put(pk)
+	return p
+}
 
 // defaultWindow is the window assumed for a peer that has no receive
 // buffer to fill (remote endpoints deliver straight into callbacks) —
@@ -94,10 +125,11 @@ const defaultWindow = 1 << 16
 // embed one.
 type sendFlow struct {
 	nextSeq uint64
-	unacked []Packet
-	queued  []Packet // submitted but unsequenced: waiting for window
-	wnd     int      // peer's advertised receive window, in packets
-	wndAck  uint64   // newest cumulative ack that updated the window
+	unacked fifo.Queue[Packet]
+	queued  fifo.Queue[Packet] // submitted but unsequenced: waiting for window
+	out     []Packet           // drain's result, reused by the next drain
+	wnd     int                // peer's advertised receive window, in packets
+	wndAck  uint64             // newest cumulative ack that updated the window
 }
 
 // window returns the usable window. A zero advertisement degrades to a
@@ -116,23 +148,24 @@ func (s *sendFlow) window() int {
 // sendable (sequence-stamped, retained for retransmission). A closed
 // window queues the submission instead; acks release it later via drain.
 func (s *sendFlow) submit(p Packet) []Packet {
-	s.queued = append(s.queued, p)
+	s.queued.Push(p)
 	return s.drain()
 }
 
 // drain moves queued packets into the window, stamping sequence numbers
-// in submission order, and returns the ones to transmit now.
+// in submission order, and returns the ones to transmit now. The result
+// is the flow's own scratch slice, valid until the next submit or drain.
 func (s *sendFlow) drain() []Packet {
-	var out []Packet
-	for len(s.queued) > 0 && len(s.unacked) < s.window() {
-		p := s.queued[0]
-		s.queued = s.queued[1:]
+	clear(s.out)
+	s.out = s.out[:0]
+	for s.queued.Len() > 0 && s.unacked.Len() < s.window() {
+		p := s.queued.Pop()
 		s.nextSeq++
 		p.Seq = s.nextSeq
-		s.unacked = append(s.unacked, p)
-		out = append(out, p)
+		s.unacked.Push(p)
+		s.out = append(s.out, p)
 	}
-	return out
+	return s.out
 }
 
 // setWindow records the peer's advertised window, ignoring updates
@@ -152,31 +185,32 @@ func (s *sendFlow) setWindow(w int, ack uint64) {
 // ack drops packets covered by the cumulative ack and reports whether
 // anything is still outstanding (in flight or queued behind the window).
 func (s *sendFlow) ack(cum uint64) (outstanding bool) {
-	i := 0
-	for i < len(s.unacked) && s.unacked[i].Seq <= cum {
-		i++
+	for s.unacked.Len() > 0 && s.unacked.Front().Seq <= cum {
+		s.unacked.Pop()
 	}
-	s.unacked = s.unacked[i:]
-	return len(s.unacked) > 0 || len(s.queued) > 0
+	return !s.done()
 }
 
 // pending returns the unacknowledged in-flight packets, oldest first.
 // Queued-behind-window packets are not pending: they have no sequence
-// number yet and must not be retransmitted.
-func (s *sendFlow) pending() []Packet { return s.unacked }
+// number yet and must not be retransmitted. The slice aliases the flow:
+// it is for reading, and only until the flow next changes.
+func (s *sendFlow) pending() []Packet { return s.unacked.Live() }
 
 // done reports whether every submission has been sent and acknowledged.
-func (s *sendFlow) done() bool { return len(s.unacked) == 0 && len(s.queued) == 0 }
+func (s *sendFlow) done() bool { return s.unacked.Len() == 0 && s.queued.Len() == 0 }
 
 // recvFlow is the receiving half: it reassembles the sequence space,
 // holding out-of-order arrivals until the gap fills.
 type recvFlow struct {
 	next uint64 // next expected seq (first is 1)
 	held map[uint64]Packet
+	run  []Packet // accept's result, reused by the next accept
 }
 
 // accept processes one sequenced packet and returns the run of packets
 // now deliverable in order (nil for duplicates and out-of-order holds).
+// The run is the flow's own scratch slice, valid until the next accept.
 func (r *recvFlow) accept(p Packet) []Packet {
 	if r.next == 0 {
 		r.next = 1
@@ -191,7 +225,8 @@ func (r *recvFlow) accept(p Packet) []Packet {
 		r.held[p.Seq] = p
 		return nil
 	}
-	run := []Packet{p}
+	clear(r.run)
+	r.run = append(r.run[:0], p)
 	r.next++
 	for {
 		q, ok := r.held[r.next]
@@ -199,10 +234,10 @@ func (r *recvFlow) accept(p Packet) []Packet {
 			break
 		}
 		delete(r.held, r.next)
-		run = append(run, q)
+		r.run = append(r.run, q)
 		r.next++
 	}
-	return run
+	return r.run
 }
 
 // unaccept returns undeliverable packets to the reassembly buffer and

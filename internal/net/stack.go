@@ -60,14 +60,16 @@ func (p *StackParams) fill() {
 	}
 }
 
-// rxFrame is the kernel request argument for a received frame.
+// rxFrame is the kernel request argument for a received frame. It
+// travels as a *rxFrame from the stack's rxFree list: the receive hook
+// fills one, and the shard that handles the request returns it.
 type rxFrame struct {
 	Queue int
 	Pkt   Packet
 }
 
 // MsgBytes implements core.Sized.
-func (r rxFrame) MsgBytes() int { return r.Pkt.MsgBytes() }
+func (r *rxFrame) MsgBytes() int { return r.Pkt.MsgBytes() }
 
 // txReq is the kernel request argument for an application send.
 type txReq struct {
@@ -93,6 +95,12 @@ type stackConn struct {
 	retries          int
 	rto              sim.Timer
 	lastRx           sim.Time // last packet seen; idle sweep reaps silence
+
+	// The RTO timer's callback and its "rto" request are built once per
+	// connection; rtoFrom is the core that armed the pending timer.
+	rtoFire func()
+	rtoReq  core.Msg
+	rtoFrom int
 }
 
 // closedRec remembers a retired connection: when it went, and whether
@@ -112,6 +120,12 @@ type shardState struct {
 	conns      map[ConnID]*stackConn
 	closed     map[ConnID]closedRec
 	sweepArmed bool // an idle sweep is scheduled
+
+	// The sweep timer's callback and its "sweep" request are built once
+	// per shard; sweepFrom is the core that armed the pending sweep.
+	sweepFire func()
+	sweepReq  core.Msg
+	sweepFrom int
 
 	// m is this shard's private metric set: incremented freely on the
 	// shard's handler thread, folded only when statd sweeps by (see
@@ -190,6 +204,11 @@ type Stack struct {
 
 	listeners map[int]*Listener
 
+	// pkts issues the records transmitted packets ride in to the wire;
+	// rxFree holds released rx request arguments (see rxFrame).
+	pkts   sim.FreeList[Packet]
+	rxFree sim.FreeList[rxFrame]
+
 	// states indexes each shard's private state for telemetry sweeps;
 	// populated eagerly while RegisterEach builds the handlers. Only the
 	// metric fields are read from outside the owning shard thread, and
@@ -206,16 +225,26 @@ func NewStack(rt *core.Runtime, k *kernel.Kernel, nic *machine.NIC, p StackParam
 	s := &Stack{rt: rt, k: k, nic: nic, P: p, listeners: make(map[int]*Listener)}
 	s.svc = k.RegisterEach("net", p.Shards, s.shardHandler)
 	nic.OnReceive(func(queue int, f machine.Frame) {
-		pkt, ok := f.Payload.(Packet)
+		pk, ok := f.Payload.(*Packet)
 		if !ok {
 			nic.RxDone(queue)
 			return
 		}
-		rt.InjectSend(s.shardChan(pkt.Conn), kernel.Request{
-			Op: "rx", Key: int(pkt.Conn), Arg: rxFrame{Queue: queue, Pkt: pkt},
+		a := s.rxFree.Get()
+		a.Queue, a.Pkt = queue, pk.take()
+		rt.InjectSend(s.shardChan(a.Pkt.Conn), kernel.Request{
+			Op: "rx", Key: int(a.Pkt.Conn), Arg: a,
 		}, queue%rt.NumCores())
 	})
 	return s
+}
+
+// takeRx copies a handled rx request argument out and frees it.
+func (s *Stack) takeRx(a *rxFrame) (queue int, p Packet) {
+	queue, p = a.Queue, a.Pkt
+	*a = rxFrame{}
+	s.rxFree.Put(a)
+	return queue, p
 }
 
 // Shards returns the number of netstack shards.
@@ -245,10 +274,12 @@ func (s *Stack) Listen(port int) *Listener {
 // the closure, reachable only from that shard's thread.
 func (s *Stack) shardHandler(shard int) kernel.Handler {
 	st := &shardState{
-		id:     shard,
-		conns:  make(map[ConnID]*stackConn),
-		closed: make(map[ConnID]closedRec),
+		id:       shard,
+		conns:    make(map[ConnID]*stackConn),
+		closed:   make(map[ConnID]closedRec),
+		sweepReq: kernel.Request{Op: "sweep", Key: shard},
 	}
+	st.sweepFire = func() { s.rt.InjectSend(s.svc.Shard(st.id), st.sweepReq, st.sweepFrom) }
 	for len(s.states) <= shard {
 		s.states = append(s.states, nil)
 	}
@@ -256,10 +287,10 @@ func (s *Stack) shardHandler(shard int) kernel.Handler {
 	return func(t *core.Thread, req kernel.Request) core.Msg {
 		switch req.Op {
 		case "rx":
-			a := req.Arg.(rxFrame)
-			s.nic.RxDone(a.Queue)
+			queue, p := s.takeRx(req.Arg.(*rxFrame))
+			s.nic.RxDone(queue)
 			t.Compute(s.P.RxIRQCycles)
-			s.rx(t, st, a.Pkt)
+			s.rx(t, st, p)
 		case "tx":
 			a := req.Arg.(txReq)
 			c := st.conns[ConnID(req.Key)]
@@ -292,10 +323,8 @@ func (s *Stack) ensureSweep(t *core.Thread, st *shardState) {
 		return
 	}
 	st.sweepArmed = true
-	from := t.Core()
-	s.rt.Eng.After(s.P.IdleCycles/4, func() {
-		s.rt.InjectSend(s.svc.Shard(st.id), kernel.Request{Op: "sweep", Key: st.id}, from)
-	})
+	st.sweepFrom = t.Core()
+	s.rt.Eng.After(s.P.IdleCycles/4, st.sweepFire)
 }
 
 // sweep reaps connections that have been completely silent for
@@ -356,6 +385,8 @@ func (s *Stack) rx(t *core.Thread, st *shardState, p Packet) {
 			return
 		}
 		st.conns[p.Conn] = c
+		c.rtoReq = kernel.Request{Op: "rto", Key: int(c.id)}
+		c.rtoFire = func() { s.rt.InjectSend(s.shardChan(c.id), c.rtoReq, c.rtoFrom) }
 		st.m.Accepts++
 		s.transmit(t, st, Packet{Conn: c.id, Port: c.port, Flags: SYNACK, Window: s.advWindow(c)})
 		s.ensureSweep(t, st)
@@ -468,11 +499,11 @@ func (s *Stack) retire(st *shardState, c *stackConn, clean bool) {
 // goes on the wire now (tracked for retransmission), the rest queues
 // until acks reopen the window.
 func (s *Stack) sendSeq(t *core.Thread, st *shardState, c *stackConn, p Packet) {
-	wasQueued := len(c.snd.queued)
+	wasQueued := c.snd.queued.Len()
 	for _, q := range c.snd.submit(p) {
 		s.transmit(t, st, q)
 	}
-	if len(c.snd.queued) > wasQueued {
+	if c.snd.queued.Len() > wasQueued {
 		// The peer's advertised window blocked this submission: the
 		// packet waits for an ack to reopen it. Counted per stalled
 		// submission, so the rate tracks how often senders outrun
@@ -492,7 +523,7 @@ func (s *Stack) transmit(t *core.Thread, st *shardState, p Packet) {
 	s.nic.Transmit(machine.Frame{
 		Queue:   t.Core() % s.nic.Queues(),
 		Bytes:   p.MsgBytes(),
-		Payload: p,
+		Payload: pooledPacket(&s.pkts, p),
 	})
 }
 
@@ -503,10 +534,8 @@ func (s *Stack) armRTO(t *core.Thread, c *stackConn) {
 	if c.rto.Armed() {
 		return
 	}
-	id, from := c.id, t.Core()
-	c.rto = s.rt.Eng.After(rtoAfter(s.P.RTOCycles, c.retries), func() {
-		s.rt.InjectSend(s.shardChan(id), kernel.Request{Op: "rto", Key: int(id)}, from)
-	})
+	c.rtoFrom = t.Core()
+	c.rto = s.rt.Eng.After(rtoAfter(s.P.RTOCycles, c.retries), c.rtoFire)
 }
 
 func (s *Stack) clearRTO(c *stackConn) {

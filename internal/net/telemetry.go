@@ -43,9 +43,9 @@ func (s *Stack) CollectShard(shard int, emit func(telemetry.Value)) {
 	}
 	telemetry.EmitCounters(&st.m, emit)
 	var held, queued int
-	for _, c := range st.conns {
+	for _, c := range st.conns { //chanos:allow mapiter two integer sums; Len only reads the queue, so the fold is order-free
 		held += len(c.rcv.held)
-		queued += len(c.snd.queued)
+		queued += c.snd.queued.Len()
 	}
 	emit(telemetry.Gauge("Conns", uint64(len(st.conns))))
 	emit(telemetry.Gauge("TimeWait", uint64(len(st.closed))))

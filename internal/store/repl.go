@@ -198,6 +198,12 @@ type replShard struct {
 	quorum bool
 
 	advertArmed bool // a deferred "repladvert" self-message is in flight
+	// The advert timer's callback and its "repladvert" request are built
+	// once per attachment; advertFrom is the core that armed the
+	// pending timer.
+	advertFire func()
+	advertReq  core.Msg
+	advertFrom int
 }
 
 // seqRef is one write's sequence reference for one attachment: the
@@ -228,6 +234,8 @@ type replSync struct {
 func (s *Store) dialReplica(rm *ReplicaMachine, i int) *replShard {
 	r := &replShard{rm: rm}
 	svc, rt := s.svc, s.rt
+	r.advertReq = kernel.Request{Op: "repladvert", Key: i, Arg: replAdvertMsg{r: r}}
+	r.advertFire = func() { rt.InjectSend(svc.Shard(i), r.advertReq, r.advertFrom) }
 	r.ep = rm.NW.Dial(rm.Port, net.EndpointHooks{
 		OnOpen: func(*net.Endpoint) {
 			rt.InjectSend(svc.Shard(i), kernel.Request{Op: "replopen", Key: i, Arg: replOpenMsg{r: r}}, 0)
@@ -389,11 +397,8 @@ func (sh *shard) armAdvert(t *core.Thread, r *replShard) {
 		return // during bootstrap the image gate blocks replica reads anyway
 	}
 	r.advertArmed = true
-	svc, id, from := sh.s.svc, sh.id, t.Core()
-	rt := sh.s.rt
-	rt.Eng.After(sh.s.P.ReplAdvertiseCycles, func() {
-		rt.InjectSend(svc.Shard(id), kernel.Request{Op: "repladvert", Key: id, Arg: replAdvertMsg{r: r}}, from)
-	})
+	r.advertFrom = t.Core()
+	sh.s.rt.Eng.After(sh.s.P.ReplAdvertiseCycles, r.advertFire)
 }
 
 // replAdvert ships an empty batch advertising the current tail: Seq is

@@ -400,6 +400,13 @@ type shard struct {
 	waiters    []pendingWrite // acks riding on the next flush
 	flushArmed bool
 
+	// The group-commit timer's callback and its "flush" request are
+	// built once per shard; flushFrom is the core that armed the
+	// pending timer.
+	flushFire func()
+	flushReq  core.Msg
+	flushFrom int
+
 	reads map[int][]pendingRead // block -> GETs awaiting its disk read
 
 	// epoch is the shard's committed region epoch: appends land in
@@ -663,7 +670,9 @@ func (s *Store) shardHandler(id int) kernel.Handler {
 		cache:     newLRUCache(s.P.CacheBlocks),
 		reads:     make(map[int][]pendingRead),
 		openBlock: s.regionStart(0),
+		flushReq:  kernel.Request{Op: "flush", Key: id},
 	}
+	sh.flushFire = func() { s.rt.InjectSend(s.svc.Shard(id), sh.flushReq, sh.flushFrom) }
 	s.shards[id] = sh
 	return func(t *core.Thread, req kernel.Request) core.Msg {
 		switch req.Op {
@@ -989,11 +998,8 @@ func (sh *shard) armFlush(t *core.Thread) {
 		return
 	}
 	sh.flushArmed = true
-	svc, id, from := sh.s.svc, sh.id, t.Core()
-	rt := sh.s.rt
-	rt.Eng.After(sh.s.P.FlushCycles, func() {
-		rt.InjectSend(svc.Shard(id), kernel.Request{Op: "flush", Key: id}, from)
-	})
+	sh.flushFrom = t.Core()
+	sh.s.rt.Eng.After(sh.s.P.FlushCycles, sh.flushFire)
 }
 
 // flush writes the open block's current contents back to the log device

@@ -20,6 +20,7 @@ type Workload struct {
 
 	hot  int
 	rngs []*sim.RNG
+	keys []string // keys[i] is the i-th key, built once
 }
 
 // NewWorkload builds the generator for a client fleet.
@@ -28,15 +29,19 @@ func NewWorkload(seed uint64, clients, numKeys, readPct, valBytes int) *Workload
 	if hot < 1 {
 		hot = 1
 	}
-	w := &Workload{NumKeys: numKeys, ReadPct: readPct, Val: make([]byte, valBytes), hot: hot}
+	w := &Workload{NumKeys: numKeys, ReadPct: readPct, Val: make([]byte, valBytes), hot: hot,
+		keys: make([]string, numKeys)}
+	for i := range w.keys {
+		w.keys[i] = fmt.Sprintf("key/%05d", i)
+	}
 	for i := 0; i < clients; i++ {
 		w.rngs = append(w.rngs, sim.NewRNG(seed+uint64(i)*0x9e3779b9+1))
 	}
 	return w
 }
 
-// Key returns the i-th key of the keyspace.
-func (w *Workload) Key(i int) string { return fmt.Sprintf("key/%05d", i) }
+// Key returns the i-th key of the keyspace, 0 <= i < NumKeys.
+func (w *Workload) Key(i int) string { return w.keys[i] }
 
 // MakeReq draws one request for a client — the net.ClientParams.MakeReq
 // shape.

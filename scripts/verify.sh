@@ -308,6 +308,16 @@ if [ "$short" = "0" ]; then
         exit 1
     }
 
+    echo "== artifact pin (regenerated JSON must match the committed files)"
+    # Every simulated number is deterministic, so the E15-E18 smokes and
+    # the chaos sweep above must rewrite their artifacts byte for byte.
+    # A diff means a change moved a simulated event: commit the new
+    # artifacts together with the reason, or find the leak.
+    git diff --exit-code -- BENCH_E15.json BENCH_E16.json BENCH_E17.json BENCH_E18.json CHAOS_MATRIX.json || {
+        echo "verify: a regenerated artifact differs from the committed one" >&2
+        exit 1
+    }
+
     # ...and the matrix must be able to CATCH a red: a deliberately
     # unsound schedule (silent index bitrot late in the run) must trip
     # the acked-loss invariant, write a machine dump, and that dump's
