@@ -9,18 +9,15 @@
 //	chanos-bench [-quick]    (full suite)
 //
 // -json additionally writes each experiment's tables to BENCH_<id>.json
-// (machine-readable, for CI artifacts and plotting).
+// (machine-readable; the committed ones are pinned by internal/exp tests).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"chanos/internal/exp"
-	"chanos/internal/stats"
-	"chanos/internal/telemetry"
 )
 
 func main() {
@@ -68,13 +65,8 @@ func main() {
 
 func emit(e exp.Experiment, o exp.Options, csv, jsonOut bool) {
 	fmt.Printf("# %s — %s\n", e.ID, e.Title)
-	// Instrumented experiments hand over telemetry snapshots as they run;
-	// the last one — the final state of the last world measured — rides
-	// along in the JSON artifact.
-	var snap *telemetry.Snapshot
-	o.SnapshotSink = func(s *telemetry.Snapshot) { snap = s }
-	tables := e.Run(o)
-	for _, tb := range tables {
+	b := exp.RunBench(e, o)
+	for _, tb := range b.Tables {
 		if csv {
 			tb.CSV(os.Stdout)
 			fmt.Println()
@@ -82,47 +74,12 @@ func emit(e exp.Experiment, o exp.Options, csv, jsonOut bool) {
 			tb.Fprint(os.Stdout)
 		}
 	}
-	if jsonOut {
-		writeJSON(e, o, tables, snap)
+	if !jsonOut {
+		return
 	}
-}
-
-// benchJSON is the stable machine-readable schema behind -json.
-type benchJSON struct {
-	ID     string      `json:"id"`
-	Title  string      `json:"title"`
-	Seed   uint64      `json:"seed"`
-	Quick  bool        `json:"quick"`
-	Tables []tableJSON `json:"tables"`
-	// Telemetry is the final telemetry snapshot of the experiment's last
-	// measured world (present for instrumented experiments): the full
-	// per-service metric state behind the table cells.
-	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
-}
-
-type tableJSON struct {
-	Title string     `json:"title"`
-	Cols  []string   `json:"cols"`
-	Rows  [][]string `json:"rows"`
-	Notes []string   `json:"notes,omitempty"`
-}
-
-func writeJSON(e exp.Experiment, o exp.Options, tables []*stats.Table, snap *telemetry.Snapshot) {
-	out := benchJSON{ID: e.ID, Title: e.Title, Seed: o.Seed, Quick: o.Quick, Telemetry: snap}
-	for _, tb := range tables {
-		out.Tables = append(out.Tables, tableJSON{
-			Title: tb.Title, Cols: tb.Cols, Rows: tb.Rows, Notes: tb.Notes,
-		})
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chanos-bench: marshal %s: %v\n", e.ID, err)
+	if err := os.WriteFile(b.File(), b.JSON(), 0o644); err != nil {
+		fmt.Fprintf(os.Stderr, "chanos-bench: write %s: %v\n", b.File(), err)
 		os.Exit(1)
 	}
-	name := fmt.Sprintf("BENCH_%s.json", e.ID)
-	if err := os.WriteFile(name, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "chanos-bench: write %s: %v\n", name, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", name)
+	fmt.Printf("wrote %s\n", b.File())
 }

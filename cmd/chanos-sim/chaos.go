@@ -1,10 +1,10 @@
 // The chaos verbs: -chaos-schedule runs one fault schedule against the
 // selected scenario and judges it on the four invariants; -chaos-seeds
 // fans N seeded schedules across the standard scenario matrix and
-// prints the pass/fail fold (optionally writing the matrix summary
-// JSON, the CI artifact). Red runs print their (seed, config,
-// event-count) repro triple and the one-command replay line, and exit
-// non-zero.
+// prints the pass/fail fold, optionally writing the matrix summary JSON
+// (main_test.go pins the committed 100-seed CHAOS_MATRIX.json). Red runs
+// print their (seed, config, event-count) repro triple and the
+// one-command replay line, and exit non-zero.
 package main
 
 import (
@@ -56,10 +56,10 @@ func runChaosSchedule(spec string, cfg dump.Config, seed uint64, dumpDir string)
 	return 1
 }
 
-// runChaosSweep fans n seeded schedules across the standard matrix
-// (row seed counts scale proportionally from the full tier's 100) and
-// writes the summary JSON when outPath is set.
-func runChaosSweep(n int, seed uint64, dumpDir, outPath string) int {
+// chaosMatrix fans n seeded schedules across the standard matrix (row
+// seed counts scale proportionally from the full tier's 100), printing
+// one progress line per red seed and per finished row.
+func chaosMatrix(n int, seed uint64, dumpDir string) (*chaos.Matrix, error) {
 	full := chaos.DefaultRows(false)
 	var total int
 	for _, r := range full {
@@ -73,9 +73,15 @@ func runChaosSweep(n int, seed uint64, dumpDir, outPath string) int {
 		}
 		rows = append(rows, r)
 	}
-	m, err := chaos.Sweep(rows, seed*0x10_0001, dumpDir, func(format string, args ...any) {
+	return chaos.Sweep(rows, seed*0x10_0001, dumpDir, func(format string, args ...any) {
 		fmt.Printf("  "+format+"\n", args...)
 	})
+}
+
+// runChaosSweep runs chaosMatrix, prints its fold and writes the
+// summary JSON when outPath is set.
+func runChaosSweep(n int, seed uint64, dumpDir, outPath string) int {
+	m, err := chaosMatrix(n, seed, dumpDir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)
 		return 2

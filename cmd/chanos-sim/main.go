@@ -242,7 +242,9 @@ func main() {
 	}
 }
 
-// runScenario boots and drives a named replayable scenario.
+// runScenario boots and drives a named replayable scenario. It returns
+// 1 when the fleet stalled, a conservation law broke, or a request
+// errored or was lost with no fault injected.
 func runScenario(name string, cfg dump.Config, seed uint64, dumpDir string) int {
 	var w dump.Scenario
 	switch name {
@@ -287,6 +289,11 @@ func runScenario(name string, cfg dump.Config, seed uint64, dumpDir string) int 
 	}
 	if cfg.FailWrites > 0 && dumpDir != "" && !d.C.Dumped() {
 		fmt.Fprintln(os.Stderr, "chanos-sim: injected fault never tripped a fail-stop")
+		return 1
+	}
+	// Injected write failures fail requests by design; with none, an
+	// errored or lost request is a failed run.
+	if r.Stalled || len(r.ConservationBad) > 0 || (cfg.FailWrites == 0 && r.Errs+lost > 0) {
 		return 1
 	}
 	return 0

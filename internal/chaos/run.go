@@ -462,9 +462,10 @@ func judgeLifecycle(r *Result, node int, lc string, kinds map[string]uint64, dum
 // writeRedDump persists a red run's machine dump (the fail-stop dump
 // when one was captured, else an on-demand snapshot whose event count
 // includes the drain and audit phases — chaos.Replay re-runs those
-// phases, so the coordinate still lands exactly).
+// phases, so the coordinate still lands exactly). A replay writes none:
+// its dump is the one it replays.
 func writeRedDump(spec Spec, r *Result, failDump *dump.Dump, c *dump.Collector) {
-	if !r.Red() {
+	if !r.Red() || spec.StopAt > 0 {
 		return
 	}
 	d := failDump

@@ -86,7 +86,7 @@ type Matrix struct {
 	ByInvariant map[string]int `json:"by_invariant,omitempty"`
 }
 
-// JSON renders the matrix summary (the CI artifact).
+// JSON renders the matrix summary (CHAOS_MATRIX.json when committed).
 func (m *Matrix) JSON() []byte {
 	b, err := json.MarshalIndent(m, "", " ")
 	if err != nil {

@@ -11,6 +11,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -31,9 +32,9 @@ type Options struct {
 	Quick bool
 	// SnapshotSink, when set, receives the telemetry snapshots the
 	// instrumented experiments (E15, E17) collect from their worlds —
-	// chanos-bench embeds the last one in BENCH_<id>.json so the CI
-	// artifact carries the machine's full metric state, not just the
-	// table cells cut from it.
+	// RunBench embeds the last one in BENCH_<id>.json so the artifact
+	// carries the machine's full metric state, not just the table cells
+	// cut from it.
 	SnapshotSink func(*telemetry.Snapshot)
 	// DumpDir, when set, is where instrumented experiments write a
 	// machine core dump if an invariant gate fails mid-run
@@ -98,6 +99,41 @@ func Find(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// Bench is one experiment run in the stable machine-readable schema of
+// BENCH_<id>.json: what chanos-bench -json writes and what the committed
+// artifacts are compared against.
+type Bench struct {
+	ID     string         `json:"id"`
+	Title  string         `json:"title"`
+	Seed   uint64         `json:"seed"`
+	Quick  bool           `json:"quick"`
+	Tables []*stats.Table `json:"tables"`
+	// Telemetry is the last measured world's final snapshot (instrumented
+	// experiments only): the metric state behind the table cells.
+	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
+}
+
+// RunBench runs e under o and keeps the last telemetry snapshot it
+// publishes.
+func RunBench(e Experiment, o Options) *Bench {
+	b := &Bench{ID: e.ID, Title: e.Title, Seed: o.Seed, Quick: o.Quick}
+	o.SnapshotSink = func(s *telemetry.Snapshot) { b.Telemetry = s }
+	b.Tables = e.Run(o)
+	return b
+}
+
+// File is b's artifact name, BENCH_<id>.json.
+func (b *Bench) File() string { return fmt.Sprintf("BENCH_%s.json", b.ID) }
+
+// JSON renders b as the artifact's bytes.
+func (b *Bench) JSON() []byte {
+	buf, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		panic(err) // plain values only
+	}
+	return append(buf, '\n')
 }
 
 // world is one simulated machine + runtime, the unit every experiment

@@ -95,18 +95,15 @@ func TestE4SignalsWasteChannelsDont(t *testing.T) {
 // --- E6: VM granularity ---
 
 func TestE6PerPageIsTooManyThreads(t *testing.T) {
-	tbls := e6VMGranularity(q)
-	rows := tbls[0].Rows
-	// cols: granularity, service threads, touches/sec, elapsed
-	elapsed := map[string]string{}
+	tb := e6VMGranularity(q)[0]
+	counts := column(t, tb, "service threads")
 	threads := map[string]int{}
-	for _, r := range rows {
-		elapsed[r[0]] = r[3]
+	for i, g := range column(t, tb, "granularity") {
 		var n int
-		if _, err := fmt.Sscan(r[1], &n); err != nil {
-			t.Fatalf("bad thread count %q", r[1])
+		if _, err := fmt.Sscan(counts[i], &n); err != nil {
+			t.Fatalf("bad thread count %q", counts[i])
 		}
-		threads[r[0]] = n
+		threads[g] = n
 	}
 	if threads[vm.PerPage.String()] <= 10*threads[vm.PerRegion.String()] {
 		t.Fatalf("per-page should spawn far more threads: %v", threads)
@@ -133,14 +130,13 @@ func TestE7SupervisionRestartIsFast(t *testing.T) {
 // --- E11: choice implementations ---
 
 func TestE11WaitersBeatPollingWhenIdle(t *testing.T) {
-	tbls := e11Choice(q)
-	if len(tbls[0].Rows) == 0 {
+	polls := column(t, e11Choice(q)[0], "poll wasted polls/op")
+	if len(polls) == 0 {
 		t.Fatal("no rows")
 	}
 	// The poll column must show nonzero wasted polls.
-	last := tbls[0].Rows[len(tbls[0].Rows)-1]
-	if last[3] == "0.00" {
-		t.Fatalf("poll implementation recorded no polls: %v", last)
+	if last := polls[len(polls)-1]; last == "0.00" {
+		t.Fatalf("poll implementation recorded no polls at the widest k: %s", last)
 	}
 }
 
@@ -196,17 +192,18 @@ func TestE9StealingWinsFanOutLocalityFine(t *testing.T) {
 // --- E10 via its table ---
 
 func TestE10TableFlagsSeededBugs(t *testing.T) {
-	tbls := e10Proto(q)
+	tb := e10Proto(q)[0]
+	verdicts := column(t, tb, "verdict")
 	bugRows, cleanRows := 0, 0
-	for _, r := range tbls[0].Rows {
-		if strings.HasPrefix(r[0], "bug.") {
-			if r[3] != "BUG" {
-				t.Fatalf("seeded bug not flagged: %v", r)
+	for i, p := range column(t, tb, "protocol") {
+		if strings.HasPrefix(p, "bug.") {
+			if verdicts[i] != "BUG" {
+				t.Fatalf("seeded bug not flagged: %v", tb.Rows[i])
 			}
 			bugRows++
 		} else {
-			if r[3] != "ok" {
-				t.Fatalf("clean protocol flagged: %v", r)
+			if verdicts[i] != "ok" {
+				t.Fatalf("clean protocol flagged: %v", tb.Rows[i])
 			}
 			cleanRows++
 		}
@@ -358,19 +355,21 @@ func TestE18ClusterContract(t *testing.T) {
 	if len(tables) < 2 || len(tables[0].Rows) != 3 {
 		t.Fatalf("E18 produced the wrong shape: %d tables", len(tables))
 	}
-	// cols: phase ops ops/sec moved failed lost errs tolerated map-ver audit-keys audit-lost
-	for _, row := range tables[0].Rows {
-		if row[5] != "0" || row[6] != "0" || row[10] != "0" {
+	tb := tables[0]
+	lost, errs, auditLost := column(t, tb, "lost"), column(t, tb, "errs"), column(t, tb, "audit lost")
+	tolerated, mapVer := column(t, tb, "tolerated"), column(t, tb, "map ver")
+	for i, phase := range column(t, tb, "phase") {
+		if lost[i] != "0" || errs[i] != "0" || auditLost[i] != "0" {
 			t.Errorf("phase %s broke the contract: lost=%s errs=%s audit-lost=%s",
-				row[0], row[5], row[6], row[10])
+				phase, lost[i], errs[i], auditLost[i])
 		}
-		switch row[0] {
+		switch phase {
 		case "minority-kill":
-			if row[7] == "0" {
+			if tolerated[i] == "0" {
 				t.Error("minority kill was never tolerated")
 			}
 		case "migration":
-			if row[8] == "1" {
+			if mapVer[i] == "1" {
 				t.Error("migration did not advance the map version")
 			}
 		}
@@ -399,9 +398,11 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsProduceTables runs the full suite at quick scale:
-// every experiment must emit at least one table with at least one row,
-// deterministically.
+// TestAllExperimentsProduceTables runs the full suite at quick scale,
+// the settings of chanos-bench -quick: every experiment must emit at
+// least one table with at least one row; where a BENCH_<id>.json is
+// committed, the run must reproduce it byte for byte; and where the
+// experiment has gate predicates, its tables must satisfy them.
 func TestAllExperimentsProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
@@ -409,7 +410,8 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tbls := e.Run(q)
+			b := RunBench(e, q)
+			tbls := b.Tables
 			if len(tbls) == 0 {
 				t.Fatalf("%s produced no tables", e.ID)
 			}
@@ -425,6 +427,18 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 						t.Fatalf("%s table %q row width %d != %d cols",
 							e.ID, tb.Title, len(r), len(tb.Cols))
 					}
+				}
+			}
+			if want, ok := readArtifact(t, e.ID); ok {
+				if d := diffBench(b.JSON(), want); d != "" {
+					t.Fatalf("%s differs from the committed %s: %s\n"+
+						"if the change is meant, regenerate it with: go run ./cmd/chanos-bench -run %s -quick -json",
+						e.ID, b.File(), d, e.ID)
+				}
+			}
+			if gate := gates[e.ID]; gate != nil {
+				if err := gate(t, tbls); err != nil {
+					t.Fatal(err)
 				}
 			}
 		})

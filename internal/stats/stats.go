@@ -133,12 +133,12 @@ func (h *Histogram) Merge(other *Histogram) {
 }
 
 // Table is a titled grid of cells with optional footnotes; it renders as
-// aligned text (for the harness) or CSV (for plotting).
+// aligned text or CSV, and marshals as one table of a BENCH_<id>.json.
 type Table struct {
-	Title string
-	Cols  []string
-	Rows  [][]string
-	Notes []string
+	Title string     `json:"title"`
+	Cols  []string   `json:"cols"`
+	Rows  [][]string `json:"rows"`
+	Notes []string   `json:"notes,omitempty"`
 }
 
 // NewTable creates a table with the given title and column headers.

@@ -23,7 +23,7 @@
 // verb scrapes one from a live machine), and obey conservation laws —
 // every read and write arrival is accounted for by exactly one terminal
 // counter or one in-flight gauge — that Snapshot.Conservation checks and
-// tests/verify.sh gate on.
+// tests gate on (internal/exp's in the pinned E15 and E17c tables).
 package telemetry
 
 import (
