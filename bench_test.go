@@ -13,6 +13,7 @@ import (
 	"chanos"
 	"chanos/internal/core"
 	"chanos/internal/exp"
+	"chanos/internal/kernel"
 )
 
 // benchOpts keeps benchmark runs fast; the chanos-bench CLI runs the full
@@ -102,6 +103,31 @@ func BenchmarkRuntimeSendRecv(b *testing.B) {
 	b.StopTimer()
 	stop = true
 	sys.RunFor(10_000_000) // let the loops observe stop and exit
+}
+
+// BenchmarkKernelCall measures the host cost of one synchronous system
+// call: a request message to a kernel-service shard and the reply back.
+func BenchmarkKernelCall(b *testing.B) {
+	sys := chanos.New(4, chanos.Config{Seed: 1})
+	defer sys.Shutdown()
+	k := kernel.New(sys.RT, kernel.Config{})
+	k.Register("null", 1, func(*core.Thread, kernel.Request) core.Msg { return nil })
+	stop := false
+	n := 0
+	sys.Boot("app", func(t *chanos.Thread) {
+		for !stop {
+			k.Call(t, "null", 0, "null", nil)
+			n++
+		}
+	}, chanos.OnCore(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n < b.N {
+		sys.RunFor(1_000_000)
+	}
+	b.StopTimer()
+	stop = true
+	sys.RunFor(10_000_000) // let the caller observe stop and exit
 }
 
 // BenchmarkRuntimeSpawn measures host cost per simulated thread spawn.

@@ -98,7 +98,7 @@ func TestChaosDeterminism(t *testing.T) {
 	}{
 		"solo":     {12132, 3},
 		"repl":     {20763, 2},
-		"cluster3": {44084, 2},
+		"cluster3": {44082, 2},
 	}
 	rows := DefaultRows(true)
 	for _, row := range rows {

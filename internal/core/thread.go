@@ -137,6 +137,8 @@ type Thread struct {
 	stepIdx   int
 	stepRes   opResult
 
+	replyCh *Chan // synchronous-call reply channel (see ReplyChan)
+
 	fn     func(*Thread) // the thread's body, run by its goroutine
 	worker chan *Thread  // hand-off channel of the goroutine running it
 
@@ -182,6 +184,18 @@ func (t *Thread) ExitReason() error {
 
 // Dead reports whether the thread has exited.
 func (t *Thread) Dead() bool { return t.state == tDead }
+
+// ReplyChan returns the thread's reply channel for synchronous calls,
+// made by t.NewChan("syscall.reply", 1) at its first one. A thread has
+// at most one synchronous call outstanding, whichever kernel or server
+// it calls, so one channel serves all of them, and it lives exactly as
+// long as the thread: nothing keyed by thread id outlives a dead caller.
+func (t *Thread) ReplyChan() *Chan {
+	if t.replyCh == nil {
+		t.replyCh = t.NewChan("syscall.reply", 1)
+	}
+	return t.replyCh
+}
 
 // do posts one operation to the engine and parks until the result comes
 // back. A poison result unwinds the thread (kill, linked exit).

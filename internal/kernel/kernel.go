@@ -14,12 +14,19 @@
 // interrupt, a timer, a remote ack) returns Deferred and answers later
 // when the completion arrives as an ordinary request, rather than
 // blocking its thread or sharing state with the completion path.
+//
+// A request travels as a *Request taken from its service's free list:
+// Service.Send and Service.Inject fill a record and send the pointer,
+// and the shard's loop copies it into the Request value its handler
+// takes and puts the record back, so a syscall message costs the host
+// no allocation once the list is warm.
 package kernel
 
 import (
 	"fmt"
 
 	"chanos/internal/core"
+	"chanos/internal/sim"
 	"chanos/internal/sim/detmap"
 )
 
@@ -33,7 +40,9 @@ type Request struct {
 }
 
 // MsgBytes implements core.Sized: a syscall message is a small fixed
-// header plus its argument.
+// header plus its argument. The *Request that travels on a service
+// channel reaches it through the pointer's method set, so the record
+// and the value are sized alike.
 func (r Request) MsgBytes() int {
 	n := 48 + len(r.Op)
 	if s, ok := r.Arg.(core.Sized); ok {
@@ -63,9 +72,34 @@ var Deferred core.Msg = deferredReply{}
 // Service is a named, sharded kernel component.
 type Service struct {
 	Name    string
+	rt      *core.Runtime
 	shards  []*core.Chan
 	threads []*core.Thread
 	Ops     uint64
+
+	// free holds released request records (see req).
+	free sim.FreeList[Request]
+}
+
+// Send sends r from thread t to ch, one of the service's shard
+// channels.
+func (s *Service) Send(t *core.Thread, ch *core.Chan, r Request) { ch.Send(t, s.req(r)) }
+
+// Inject delivers r to ch, one of the service's shard channels, from
+// outside any thread (a timer, a device completion), as if sent from
+// core from (see core.Runtime.InjectSend).
+func (s *Service) Inject(ch *core.Chan, r Request, from int) {
+	s.rt.InjectSend(ch, s.req(r), from)
+}
+
+// req returns r in a record from the service's free list: the one
+// message form a service channel carries. The receiving shard's loop
+// puts the record back before its handler runs, so the sender hands
+// the record over at the send and keeps no use of it.
+func (s *Service) req(r Request) *Request {
+	rec := s.free.Get()
+	*rec = r
+	return rec
 }
 
 // ShardFor returns the channel of the shard owning key.
@@ -93,11 +127,6 @@ type Kernel struct {
 	kernelCores []int
 	nextKC      int
 	services    map[string]*Service
-
-	// replyCache reuses one synchronous-call reply channel per client
-	// thread (a thread has at most one outstanding Call). CallAsync
-	// always allocates, since many replies can be in flight.
-	replyCache map[int]*core.Chan
 
 	// SyscallQueueDepth is the per-shard request channel capacity
 	// (asynchronous sends queue up to this depth). Default 64.
@@ -136,7 +165,6 @@ func New(rt *core.Runtime, cfg Config) *Kernel {
 	k := &Kernel{
 		RT:                rt,
 		services:          make(map[string]*Service),
-		replyCache:        make(map[int]*core.Chan),
 		SyscallQueueDepth: cfg.SyscallQueueDepth,
 	}
 	if k.SyscallQueueDepth <= 0 {
@@ -187,7 +215,7 @@ func (k *Kernel) RegisterEach(name string, shards int, mk func(shard int) Handle
 	if shards <= 0 {
 		shards = len(k.kernelCores)
 	}
-	s := &Service{Name: name}
+	s := &Service{Name: name, rt: k.RT}
 	for i := 0; i < shards; i++ {
 		ch := k.RT.NewChan(fmt.Sprintf("%s.%d", name, i), k.SyscallQueueDepth)
 		s.shards = append(s.shards, ch)
@@ -199,7 +227,13 @@ func (k *Kernel) RegisterEach(name string, shards int, mk func(shard int) Handle
 				if !ok {
 					return
 				}
-				req := v.(Request)
+				rec, isReq := v.(*Request)
+				if !isReq {
+					panic(fmt.Sprintf("kernel: service %q shard %d received %T, want *kernel.Request (from Service.Send or Service.Inject)", name, i, v))
+				}
+				req := *rec
+				*rec = Request{}
+				s.free.Put(rec)
 				out := h(t, req)
 				s.Ops++
 				if req.Reply != nil && out != Deferred {
@@ -218,20 +252,24 @@ func (k *Kernel) Service(name string) *Service { return k.services[name] }
 
 // Call performs a synchronous system call: send the request message to
 // the right shard, then receive the reply. No trap, no mode switch — the
-// cost is two message hops.
+// cost is two message hops. The reply arrives on the calling thread's
+// own reply channel (core.Thread.ReplyChan), which dies with it.
 func (k *Kernel) Call(t *core.Thread, service string, key int, op string, arg core.Msg) core.Msg {
-	s := k.services[service]
-	if s == nil {
-		panic(fmt.Sprintf("kernel: no such service %q", service))
-	}
-	reply, ok := k.replyCache[t.ID()]
-	if !ok {
-		reply = t.NewChan("syscall.reply", 1)
-		k.replyCache[t.ID()] = reply
-	}
-	s.ShardFor(key).Send(t, Request{Op: op, Key: key, Arg: arg, Reply: reply})
+	s := k.service(service)
+	reply := t.ReplyChan()
+	s.Send(t, s.ShardFor(key), Request{Op: op, Key: key, Arg: arg, Reply: reply})
 	v, _ := reply.Recv(t)
 	return v
+}
+
+// service returns the named service, panicking (which faults the
+// calling thread) if there is none.
+func (k *Kernel) service(name string) *Service {
+	s := k.services[name]
+	if s == nil {
+		panic(fmt.Sprintf("kernel: no such service %q", name))
+	}
+	return s
 }
 
 // CallAsync issues the syscall and returns the reply channel immediately;
@@ -239,22 +277,16 @@ func (k *Kernel) Call(t *core.Thread, service string, key int, op string, arg co
 // many calls (the exception-less FlexSC pattern, without the kernel-visit
 // machinery).
 func (k *Kernel) CallAsync(t *core.Thread, service string, key int, op string, arg core.Msg) *core.Chan {
-	s := k.services[service]
-	if s == nil {
-		panic(fmt.Sprintf("kernel: no such service %q", service))
-	}
+	s := k.service(service)
 	reply := t.NewChan(service+".reply", 1)
-	s.ShardFor(key).Send(t, Request{Op: op, Key: key, Arg: arg, Reply: reply})
+	s.Send(t, s.ShardFor(key), Request{Op: op, Key: key, Arg: arg, Reply: reply})
 	return reply
 }
 
 // Post sends a request with no reply expected (one-way message).
 func (k *Kernel) Post(t *core.Thread, service string, key int, op string, arg core.Msg) {
-	s := k.services[service]
-	if s == nil {
-		panic(fmt.Sprintf("kernel: no such service %q", service))
-	}
-	s.ShardFor(key).Send(t, Request{Op: op, Key: key, Arg: arg})
+	s := k.service(service)
+	s.Send(t, s.ShardFor(key), Request{Op: op, Key: key, Arg: arg})
 }
 
 // serviceNames returns service names in sorted order (map iteration

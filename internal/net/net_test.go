@@ -433,11 +433,12 @@ func TestAcceptBacklogSheds(t *testing.T) {
 // TestPacketPathAllocs bounds what one steady-state echo round trip
 // costs the host: Endpoint → wire → NIC → stack shard → Conn → app
 // thread and back. Wire hops, NIC completions, injections and packet
-// records are recycled, flows reuse their rings and scratch slices, and
-// blocked receivers reuse their waiters, so what remains is the four
-// kernel.Request boxings (the rx request of each arriving DATA and ACK,
-// and the app's tx request with its argument). A per-packet closure or
-// boxing coming back adds at least one allocation per round trip.
+// records are recycled, flows reuse their rings and scratch slices,
+// blocked receivers reuse their waiters, and every kernel request (the
+// rx request of each arriving DATA and ACK, the app's tx request) and
+// its rx or tx argument rides a pooled record, so a warm round trip
+// allocates nothing. A per-packet closure or boxing coming back adds at
+// least one allocation per round trip.
 func TestPacketPathAllocs(t *testing.T) {
 	w := newTW(8, 2, DefaultWireParams(), 5)
 	defer w.rt.Shutdown()
@@ -458,8 +459,8 @@ func TestPacketPathAllocs(t *testing.T) {
 	roundTrips()
 	per := testing.AllocsPerRun(10, roundTrips) / trips
 	t.Logf("%.2f allocs per echo round trip", per)
-	if per > 4.5 {
-		t.Fatalf("an echo round trip allocates %.2f, want <= 4.5", per)
+	if per > 0.5 {
+		t.Fatalf("an echo round trip allocates %.2f, want <= 0.5", per)
 	}
 	if !ep.Open() || w.nw.Retransmits != 0 {
 		t.Fatalf("connection open %v, %d retransmits: not a steady state", ep.Open(), w.nw.Retransmits)

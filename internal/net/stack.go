@@ -71,14 +71,17 @@ type rxFrame struct {
 // MsgBytes implements core.Sized.
 func (r *rxFrame) MsgBytes() int { return r.Pkt.MsgBytes() }
 
-// txReq is the kernel request argument for an application send.
+// txReq is the kernel request argument for an application send. Like
+// rxFrame it travels as a *txReq from a free list, the stack's txFree:
+// Conn.Send fills one, and the shard that handles the request returns
+// it, whether or not the connection is still there.
 type txReq struct {
 	Payload core.Msg
 	Bytes   int
 }
 
 // MsgBytes implements core.Sized.
-func (r txReq) MsgBytes() int { return 16 + r.Bytes }
+func (r *txReq) MsgBytes() int { return 16 + r.Bytes }
 
 // stackConn is the per-connection state owned by exactly one shard
 // thread — mutated without any locking, because routing by ConnID means
@@ -96,10 +99,9 @@ type stackConn struct {
 	rto              sim.Timer
 	lastRx           sim.Time // last packet seen; idle sweep reaps silence
 
-	// The RTO timer's callback and its "rto" request are built once per
-	// connection; rtoFrom is the core that armed the pending timer.
+	// The RTO timer's callback is built once per connection; rtoFrom is
+	// the core that armed the pending timer.
 	rtoFire func()
-	rtoReq  core.Msg
 	rtoFrom int
 }
 
@@ -121,10 +123,9 @@ type shardState struct {
 	closed     map[ConnID]closedRec
 	sweepArmed bool // an idle sweep is scheduled
 
-	// The sweep timer's callback and its "sweep" request are built once
-	// per shard; sweepFrom is the core that armed the pending sweep.
+	// The sweep timer's callback is built once per shard; sweepFrom is
+	// the core that armed the pending sweep.
 	sweepFire func()
-	sweepReq  core.Msg
 	sweepFrom int
 
 	// m is this shard's private metric set: incremented freely on the
@@ -183,14 +184,16 @@ func (c *Conn) Recv(t *core.Thread) (core.Msg, bool) {
 
 // Send transmits one payload with the given simulated wire size.
 func (c *Conn) Send(t *core.Thread, payload core.Msg, bytes int) {
-	c.stack.shardChan(c.id).Send(t, kernel.Request{
-		Op: "tx", Key: int(c.id), Arg: txReq{Payload: payload, Bytes: bytes},
-	})
+	s := c.stack
+	a := s.txFree.Get()
+	a.Payload, a.Bytes = payload, bytes
+	s.svc.Send(t, s.shardChan(c.id), kernel.Request{Op: "tx", Key: int(c.id), Arg: a})
 }
 
 // Close sends the FIN after all queued data.
 func (c *Conn) Close(t *core.Thread) {
-	c.stack.shardChan(c.id).Send(t, kernel.Request{Op: "close", Key: int(c.id)})
+	s := c.stack
+	s.svc.Send(t, s.shardChan(c.id), kernel.Request{Op: "close", Key: int(c.id)})
 }
 
 // Stack is the netstack: a sharded kernel service bridging the NIC to
@@ -205,9 +208,11 @@ type Stack struct {
 	listeners map[int]*Listener
 
 	// pkts issues the records transmitted packets ride in to the wire;
-	// rxFree holds released rx request arguments (see rxFrame).
+	// rxFree and txFree hold released rx and tx request arguments (see
+	// rxFrame and txReq).
 	pkts   sim.FreeList[Packet]
 	rxFree sim.FreeList[rxFrame]
+	txFree sim.FreeList[txReq]
 
 	// states indexes each shard's private state for telemetry sweeps;
 	// populated eagerly while RegisterEach builds the handlers. Only the
@@ -232,7 +237,7 @@ func NewStack(rt *core.Runtime, k *kernel.Kernel, nic *machine.NIC, p StackParam
 		}
 		a := s.rxFree.Get()
 		a.Queue, a.Pkt = queue, pk.take()
-		rt.InjectSend(s.shardChan(a.Pkt.Conn), kernel.Request{
+		s.svc.Inject(s.shardChan(a.Pkt.Conn), kernel.Request{
 			Op: "rx", Key: int(a.Pkt.Conn), Arg: a,
 		}, queue%rt.NumCores())
 	})
@@ -245,6 +250,14 @@ func (s *Stack) takeRx(a *rxFrame) (queue int, p Packet) {
 	*a = rxFrame{}
 	s.rxFree.Put(a)
 	return queue, p
+}
+
+// takeTx copies a handled tx request argument out and frees it.
+func (s *Stack) takeTx(a *txReq) (payload core.Msg, bytes int) {
+	payload, bytes = a.Payload, a.Bytes
+	*a = txReq{}
+	s.txFree.Put(a)
+	return payload, bytes
 }
 
 // Shards returns the number of netstack shards.
@@ -274,12 +287,13 @@ func (s *Stack) Listen(port int) *Listener {
 // the closure, reachable only from that shard's thread.
 func (s *Stack) shardHandler(shard int) kernel.Handler {
 	st := &shardState{
-		id:       shard,
-		conns:    make(map[ConnID]*stackConn),
-		closed:   make(map[ConnID]closedRec),
-		sweepReq: kernel.Request{Op: "sweep", Key: shard},
+		id:     shard,
+		conns:  make(map[ConnID]*stackConn),
+		closed: make(map[ConnID]closedRec),
 	}
-	st.sweepFire = func() { s.rt.InjectSend(s.svc.Shard(st.id), st.sweepReq, st.sweepFrom) }
+	st.sweepFire = func() {
+		s.svc.Inject(s.svc.Shard(st.id), kernel.Request{Op: "sweep", Key: shard}, st.sweepFrom)
+	}
 	for len(s.states) <= shard {
 		s.states = append(s.states, nil)
 	}
@@ -292,12 +306,12 @@ func (s *Stack) shardHandler(shard int) kernel.Handler {
 			t.Compute(s.P.RxIRQCycles)
 			s.rx(t, st, p)
 		case "tx":
-			a := req.Arg.(txReq)
+			payload, bytes := s.takeTx(req.Arg.(*txReq))
 			c := st.conns[ConnID(req.Key)]
 			if c == nil || c.finSent {
 				return nil // connection gone: data silently dropped
 			}
-			s.sendSeq(t, st, c, Packet{Conn: c.id, Port: c.port, Flags: DATA, Bytes: a.Bytes, Payload: a.Payload})
+			s.sendSeq(t, st, c, Packet{Conn: c.id, Port: c.port, Flags: DATA, Bytes: bytes, Payload: payload})
 		case "close":
 			c := st.conns[ConnID(req.Key)]
 			if c == nil || c.finSent {
@@ -385,8 +399,9 @@ func (s *Stack) rx(t *core.Thread, st *shardState, p Packet) {
 			return
 		}
 		st.conns[p.Conn] = c
-		c.rtoReq = kernel.Request{Op: "rto", Key: int(c.id)}
-		c.rtoFire = func() { s.rt.InjectSend(s.shardChan(c.id), c.rtoReq, c.rtoFrom) }
+		c.rtoFire = func() {
+			s.svc.Inject(s.shardChan(c.id), kernel.Request{Op: "rto", Key: int(c.id)}, c.rtoFrom)
+		}
 		st.m.Accepts++
 		s.transmit(t, st, Packet{Conn: c.id, Port: c.port, Flags: SYNACK, Window: s.advWindow(c)})
 		s.ensureSweep(t, st)

@@ -40,7 +40,7 @@ func (s *Store) SetFlightHook(fn func(shard int, ev telemetry.FlightEvent)) {
 // and replays with the schedule.
 func (s *Store) InjectBitrot(key string) {
 	i := keyHash(key) % s.svc.Shards()
-	s.rt.InjectSend(s.svc.Shard(i), kernel.Request{Op: "bitrot", Key: i, Arg: key}, 0)
+	s.svc.Inject(s.svc.Shard(i), kernel.Request{Op: "bitrot", Key: i, Arg: key}, 0)
 }
 
 // bitrot applies the corruption on the shard's handler thread. The

@@ -149,7 +149,7 @@ func (sh *shard) scheduleCompact(t *core.Thread) {
 	svc, id, from := sh.s.svc, sh.id, t.Core()
 	rt := sh.s.rt
 	rt.Eng.After(sh.s.P.CompactStepCycles, func() {
-		rt.InjectSend(svc.Shard(id), kernel.Request{Op: "compact", Key: id}, from)
+		svc.Inject(svc.Shard(id), kernel.Request{Op: "compact", Key: id}, from)
 	})
 }
 
@@ -229,14 +229,13 @@ func (sh *shard) maybeCommitEpoch(t *core.Thread) {
 	}
 	c.sbIssued = true
 	svc, id, from := sh.s.svc, sh.id, t.Core()
-	rt := sh.s.rt
 	sh.disk.Program(t, blockdev.Request{
 		Op: blockdev.Write, Block: 0, Data: encSuper(sh.epoch + 1),
 	}, func(res blockdev.Result) {
 		if res.OK {
 			sh.m.EpochWritesDurable++
 		}
-		rt.InjectSend(svc.Shard(id), kernel.Request{
+		svc.Inject(svc.Shard(id), kernel.Request{
 			Op: "epochdone", Key: id,
 			Arg: flushDone{ok: res.OK, err: res.Err},
 		}, from)

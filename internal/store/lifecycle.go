@@ -187,7 +187,7 @@ func (s *Store) AttachReplica(rm *ReplicaMachine) {
 	s.shards[0].m.ReplAttaches++
 	for i := range s.shards {
 		r := s.dialReplica(rm, i)
-		s.rt.InjectSend(s.svc.Shard(i), kernel.Request{Op: "replattach", Key: i, Arg: replAttach{r: r}}, 0)
+		s.svc.Inject(s.svc.Shard(i), kernel.Request{Op: "replattach", Key: i, Arg: replAttach{r: r}}, 0)
 	}
 }
 

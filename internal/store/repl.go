@@ -198,11 +198,9 @@ type replShard struct {
 	quorum bool
 
 	advertArmed bool // a deferred "repladvert" self-message is in flight
-	// The advert timer's callback and its "repladvert" request are built
-	// once per attachment; advertFrom is the core that armed the
-	// pending timer.
+	// The advert timer's callback is built once per attachment;
+	// advertFrom is the core that armed the pending timer.
 	advertFire func()
-	advertReq  core.Msg
 	advertFrom int
 }
 
@@ -233,25 +231,26 @@ type replSync struct {
 // attachment is ignored by the handlers).
 func (s *Store) dialReplica(rm *ReplicaMachine, i int) *replShard {
 	r := &replShard{rm: rm}
-	svc, rt := s.svc, s.rt
-	r.advertReq = kernel.Request{Op: "repladvert", Key: i, Arg: replAdvertMsg{r: r}}
-	r.advertFire = func() { rt.InjectSend(svc.Shard(i), r.advertReq, r.advertFrom) }
+	svc := s.svc
+	r.advertFire = func() {
+		svc.Inject(svc.Shard(i), kernel.Request{Op: "repladvert", Key: i, Arg: replAdvertMsg{r: r}}, r.advertFrom)
+	}
 	r.ep = rm.NW.Dial(rm.Port, net.EndpointHooks{
 		OnOpen: func(*net.Endpoint) {
-			rt.InjectSend(svc.Shard(i), kernel.Request{Op: "replopen", Key: i, Arg: replOpenMsg{r: r}}, 0)
+			svc.Inject(svc.Shard(i), kernel.Request{Op: "replopen", Key: i, Arg: replOpenMsg{r: r}}, 0)
 		},
 		OnMessage: func(_ *net.Endpoint, payload core.Msg, _ int) {
 			if a, ok := payload.(ReplAck); ok {
-				rt.InjectSend(svc.Shard(i), kernel.Request{Op: "replack", Key: i, Arg: replAckMsg{r: r, a: a}}, 0)
+				svc.Inject(svc.Shard(i), kernel.Request{Op: "replack", Key: i, Arg: replAckMsg{r: r, a: a}}, 0)
 			}
 		},
 		OnClose: func(*net.Endpoint) {
-			rt.InjectSend(svc.Shard(i), kernel.Request{
+			svc.Inject(svc.Shard(i), kernel.Request{
 				Op: "replfail", Key: i, Arg: replFailMsg{r: r, err: "store: replication connection closed"},
 			}, 0)
 		},
 		OnFail: func(*net.Endpoint) {
-			rt.InjectSend(svc.Shard(i), kernel.Request{
+			svc.Inject(svc.Shard(i), kernel.Request{
 				Op: "replfail", Key: i, Arg: replFailMsg{r: r, err: "store: replication connection failed (retries exhausted)"},
 			}, 0)
 		},
@@ -581,7 +580,7 @@ func (sh *shard) scheduleReplSync(t *core.Thread, r *replShard) {
 	svc, id, from := sh.s.svc, sh.id, t.Core()
 	rt := sh.s.rt
 	rt.Eng.After(sh.s.P.CompactStepCycles, func() {
-		rt.InjectSend(svc.Shard(id), kernel.Request{Op: "replsync", Key: id, Arg: replSyncMsg{r: r}}, from)
+		svc.Inject(svc.Shard(id), kernel.Request{Op: "replsync", Key: id, Arg: replSyncMsg{r: r}}, from)
 	})
 }
 

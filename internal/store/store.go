@@ -400,11 +400,9 @@ type shard struct {
 	waiters    []pendingWrite // acks riding on the next flush
 	flushArmed bool
 
-	// The group-commit timer's callback and its "flush" request are
-	// built once per shard; flushFrom is the core that armed the
-	// pending timer.
+	// The group-commit timer's callback is built once per shard;
+	// flushFrom is the core that armed the pending timer.
 	flushFire func()
-	flushReq  core.Msg
 	flushFrom int
 
 	reads map[int][]pendingRead // block -> GETs awaiting its disk read
@@ -521,7 +519,7 @@ func New(rt *core.Runtime, k *kernel.Kernel, p Params, disks []*blockdev.Disk) *
 	s.svc = k.RegisterEach("store", shards, s.shardHandler)
 	if recover {
 		for i := 0; i < shards; i++ {
-			rt.InjectSend(s.svc.Shard(i), kernel.Request{Op: "recover", Key: i}, 0)
+			s.svc.Inject(s.svc.Shard(i), kernel.Request{Op: "recover", Key: i}, 0)
 		}
 	}
 	return s
@@ -621,7 +619,7 @@ func (s *Store) Scan(t *core.Thread, prefix string, limit int) ScanResult {
 	replies := make([]*core.Chan, n)
 	for i := 0; i < n; i++ {
 		replies[i] = t.NewChan("scan.reply", 1)
-		s.svc.Shard(i).Send(t, kernel.Request{
+		s.svc.Send(t, s.svc.Shard(i), kernel.Request{
 			Op: "scan", Key: i, Arg: scanArg{Prefix: prefix, Limit: limit}, Reply: replies[i],
 		})
 	}
@@ -670,9 +668,10 @@ func (s *Store) shardHandler(id int) kernel.Handler {
 		cache:     newLRUCache(s.P.CacheBlocks),
 		reads:     make(map[int][]pendingRead),
 		openBlock: s.regionStart(0),
-		flushReq:  kernel.Request{Op: "flush", Key: id},
 	}
-	sh.flushFire = func() { s.rt.InjectSend(s.svc.Shard(id), sh.flushReq, sh.flushFrom) }
+	sh.flushFire = func() {
+		s.svc.Inject(s.svc.Shard(id), kernel.Request{Op: "flush", Key: id}, sh.flushFrom)
+	}
 	s.shards[id] = sh
 	return func(t *core.Thread, req kernel.Request) core.Msg {
 		switch req.Op {
@@ -783,9 +782,8 @@ func (sh *shard) parkRead(t *core.Thread, block int, pr pendingRead) {
 
 func (sh *shard) programRead(t *core.Thread, block int) {
 	svc, id, from := sh.s.svc, sh.id, t.Core()
-	rt := sh.s.rt
 	sh.disk.Program(t, blockdev.Request{Op: blockdev.Read, Block: block}, func(res blockdev.Result) {
-		rt.InjectSend(svc.Shard(id), kernel.Request{
+		svc.Inject(svc.Shard(id), kernel.Request{
 			Op: "readdone", Key: id,
 			Arg: readDone{block: block, data: res.Data, ok: res.OK, err: res.Err},
 		}, from)
@@ -1024,11 +1022,10 @@ func (sh *shard) flush(t *core.Thread, sealed bool) {
 		cacheData = data
 	}
 	svc, id, from := sh.s.svc, sh.id, t.Core()
-	rt := sh.s.rt
 	sh.disk.Program(t, blockdev.Request{
 		Op: blockdev.Write, Block: block, Data: data,
 	}, func(res blockdev.Result) {
-		rt.InjectSend(svc.Shard(id), kernel.Request{
+		svc.Inject(svc.Shard(id), kernel.Request{
 			Op: "flushed", Key: id,
 			Arg: flushDone{batch: batch, block: block, data: cacheData, sealed: sealed, ok: res.OK, err: res.Err, at: issued},
 		}, from)
