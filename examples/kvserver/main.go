@@ -103,7 +103,7 @@ func main() {
 	// With -stats-every, a live telemetry line prints between run slices
 	// (host context; the collector costs the machine zero simulated
 	// cycles): the same snapshot path the STATS wire verb serves.
-	slice := sys.Cycles(0.0002)
+	slice := w.Slice()
 	statsStride := 0
 	if *statsEvery > 0 {
 		statsStride = int(sys.Cycles(*statsEvery/1e3)/slice) + 1
@@ -137,7 +137,7 @@ func main() {
 	prefillMs := sys.Seconds(r.PrefillCycles) * 1e3
 	if r.Stalled {
 		fmt.Printf("\n  stalled: no responses for %.1f simulated ms; giving up\n",
-			50*sys.Seconds(slice)*1e3)
+			float64(w.StallSlices())*sys.Seconds(slice)*1e3)
 	}
 
 	// The final report reads one telemetry snapshot — the same folded
@@ -220,7 +220,7 @@ func main() {
 		if len(r.ConservationBad) > 0 {
 			writeDump(w.C.Snapshot("invariant: telemetry conservation violated"))
 		} else if r.Stalled {
-			writeDump(w.C.Snapshot("stall: fleet made no progress for 50 slices"))
+			writeDump(w.C.Snapshot(fmt.Sprintf("stall: fleet made no progress for %d slices", w.StallSlices())))
 		}
 	}
 }

@@ -207,9 +207,9 @@ type view struct {
 	// owners returns the key → serving-node mapping as it stands now
 	// (the audit asks each key's owner).
 	owners func() func(key string) int
-	// acked is the acked-write ledger — key → highest acknowledged
-	// version — read once the fleet has been retired.
-	acked func() map[string]uint64
+	// acked is the acked-write ledger, read once the fleet has been
+	// retired.
+	acked func() store.Ledger
 	// stop retires every client fleet.
 	stop func()
 	// migrate starts a live migration (cluster worlds; nil otherwise).
@@ -225,37 +225,24 @@ func boot(seed uint64, cfg dump.Config) *view {
 			world:   w,
 			keyAt:   func(i int) string { return w.Keys()[i%len(w.Keys())] },
 			owners:  func() func(string) int { return w.Cl.Map(0).NodeFor },
-			acked:   func() map[string]uint64 { return w.Pool.AckedPuts },
+			acked:   func() store.Ledger { return w.Pool.AckedPuts },
 			stop:    func() { w.Pool.Stop() },
 			migrate: w.Cl.TryMigrate,
 		}
 	}
 	w := dump.Build(seed, cfg)
 	filled := w.Config()
-	// The acked-write ledger: the closed loop guarantees one
-	// outstanding request per client, so the last request drawn is the
-	// one the next response answers.
-	pending := make([]store.KVRequest, filled.Clients)
-	acked := make(map[string]uint64)
-	w.TapReq = func(client int, m core.Msg) {
-		if kr, ok := m.(store.KVRequest); ok {
-			pending[client] = kr
-		}
-	}
+	acked := store.Ledger{}
 	w.TapResp = func(client int, m core.Msg) {
-		resp, ok := m.(store.KVResponse)
-		if !ok || !resp.OK || pending[client].Op != store.WPut {
-			return
-		}
-		if resp.Ver > acked[pending[client].Key] {
-			acked[pending[client].Key] = resp.Ver
+		if resp, ok := m.(store.KVResponse); ok {
+			acked.Ack(w.WL.Outstanding(client), resp)
 		}
 	}
 	return &view{
 		world:  w,
 		keyAt:  func(i int) string { return w.WL.Key(i % filled.Keys) },
 		owners: func() func(string) int { return func(string) int { return 0 } },
-		acked:  func() map[string]uint64 { return acked },
+		acked:  func() store.Ledger { return acked },
 		stop: func() {
 			w.Pool.Stop()
 			if w.RPool != nil {
@@ -343,15 +330,10 @@ func judge(spec Spec, sched Schedule, v *view, r *Result) {
 	audited := false
 	if !eng.StopReached() {
 		nodes[0].RT.Boot("chaos.audit", func(t *core.Thread) {
-			for _, key := range keys {
-				n := owner(key)
-				g := nodes[n].KV.Get(t, key)
-				switch {
-				case g.Err != "":
-					erredByNode[n] = append(erredByNode[n], key)
-				case !g.Found || g.Ver < acked[key]:
-					liveLost = append(liveLost, key)
-				}
+			var erred []string
+			liveLost, erred = acked.LiveAudit(t, keys, func(key string) *store.Store { return nodes[owner(key)].KV })
+			for _, key := range erred {
+				erredByNode[owner(key)] = append(erredByNode[owner(key)], key)
 			}
 			audited = true
 		})

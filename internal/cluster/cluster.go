@@ -122,6 +122,18 @@ func (c *Cluster) Shutdown() {
 	}
 }
 
+// Ready reports whether every node's replica quorum is up: each
+// replicated node's store has caught up with all its replicas
+// (Store.ReplCaughtUp), and an unreplicated node is ready from boot.
+func (c *Cluster) Ready() bool {
+	for _, n := range c.Nodes {
+		if c.P.RF > 0 && !n.KV.ReplCaughtUp() {
+			return false
+		}
+	}
+	return true
+}
+
 // Map returns node id's installed shard map (read-only).
 func (c *Cluster) Map(id int) *ShardMap { return c.Nodes[id].smap }
 

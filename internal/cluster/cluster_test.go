@@ -22,14 +22,6 @@ func sortedKeys(m map[string]uint64) []string {
 	return out
 }
 
-func testKeys(n int) []string {
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key/%05d", i)
-	}
-	return keys
-}
-
 // boot3 builds a 3-node cluster with rf replicas per node and the
 // keyspace split in thirds, and drives it until every node's quorum
 // has formed.
@@ -38,7 +30,7 @@ func boot3(t *testing.T, rf int, keys []string, seed uint64) *Cluster {
 	eng := sim.NewEngine()
 	c := New(eng, Params{
 		Nodes:  3,
-		Splits: []string{keys[len(keys)/3], keys[2*len(keys)/3]},
+		Splits: store.EvenSplits(keys, 3),
 		RF:     rf,
 		Cores:  8,
 		Seed:   seed,
@@ -47,13 +39,7 @@ func boot3(t *testing.T, rf int, keys []string, seed uint64) *Cluster {
 	})
 	for step := 0; step < 2000; step++ {
 		c.RunFor(100_000)
-		ready := true
-		for _, n := range c.Nodes {
-			if rf > 0 && !n.KV.ReplCaughtUp() {
-				ready = false
-			}
-		}
-		if ready {
+		if c.Ready() {
 			return c
 		}
 	}
@@ -95,7 +81,7 @@ func prefill(t *testing.T, c *Cluster, keys []string, val []byte) {
 // cached map, a misrouted request bounces Moved with the right owner,
 // and every node's writes ride its own replica quorum.
 func TestClusterRoutingAndQuorum(t *testing.T) {
-	keys := testKeys(120)
+	keys := store.Keyspace(120)
 	c := boot3(t, 1, keys, 11)
 	defer c.Shutdown()
 
@@ -150,7 +136,7 @@ func TestClusterRoutingAndQuorum(t *testing.T) {
 // node's replica machines must not stop the node acking writes (the
 // majority rule), and the loss shows up as a tolerated detach.
 func TestClusterToleratesMinorityReplicaKill(t *testing.T) {
-	keys := testKeys(90)
+	keys := store.Keyspace(90)
 	c := boot3(t, 2, keys, 31)
 	defer c.Shutdown()
 
@@ -183,7 +169,7 @@ func TestClusterToleratesMinorityReplicaKill(t *testing.T) {
 // loses nothing — every acked PUT readable from the new owner at >=
 // its acked version.
 func TestMigrationMovesRangeUnderLoad(t *testing.T) {
-	keys := testKeys(120)
+	keys := store.Keyspace(120)
 	c := boot3(t, 1, keys, 43)
 	defer c.Shutdown()
 	prefill(t, c, keys, []byte("seed"))
@@ -255,7 +241,7 @@ func TestMigrationMovesRangeUnderLoad(t *testing.T) {
 // acked writes must all be on the source's replica platters; clients
 // see bounded failures, not hangs.
 func TestMigrationKillSourceMidStream(t *testing.T) {
-	keys := testKeys(240)
+	keys := store.Keyspace(240)
 	c := boot3(t, 1, keys, 59)
 	defer c.Shutdown()
 	prefill(t, c, keys, []byte("seed"))
@@ -316,7 +302,7 @@ func TestMigrationKillSourceMidStream(t *testing.T) {
 // flips. The migration must abort — the source keeps owning the range,
 // the map stays put, and every acked write is still served.
 func TestMigrationKillDestBeforeFlip(t *testing.T) {
-	keys := testKeys(240)
+	keys := store.Keyspace(240)
 	c := boot3(t, 1, keys, 71)
 	defer c.Shutdown()
 	prefill(t, c, keys, []byte("seed"))

@@ -134,3 +134,18 @@ func TestClusterDumpValidate(t *testing.T) {
 		t.Fatalf("Validate missed node 2's zeroed disk geometry: %v", bad)
 	}
 }
+
+// TestUnreplicatedClusterPrefillsAtOnce: an RF-0 cluster has no quorum
+// to wait for, so prefill starts at boot and ends in a few simulated ms
+// — not after the quorum wait's whole 2000-slice budget (200M cycles).
+func TestUnreplicatedClusterPrefillsAtOnce(t *testing.T) {
+	w := BuildCluster(7, Config{Machines: 3, RF: 0, Requests: 50})
+	defer w.Close()
+	r := w.Run()
+	if !r.Filled || r.Responses < 50 {
+		t.Fatalf("filled=%v served %d/50", r.Filled, r.Responses)
+	}
+	if r.PrefillCycles >= 20_000_000 {
+		t.Fatalf("prefill finished at %d cycles, want < 20M", r.PrefillCycles)
+	}
+}

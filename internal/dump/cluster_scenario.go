@@ -71,17 +71,10 @@ func (w *ClusterWorld) Keys() []string { return w.keys }
 // dump and the run that replays it.
 func BuildCluster(seed uint64, cfg Config) *ClusterWorld {
 	cfg.fillCluster()
-	keys := make([]string, cfg.Keys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key/%05d", i)
-	}
-	splits := make([]string, 0, cfg.Machines-1)
-	for i := 1; i < cfg.Machines; i++ {
-		splits = append(splits, keys[cfg.Keys*i/cfg.Machines])
-	}
+	keys := store.Keyspace(cfg.Keys)
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, cluster.Params{
-		Nodes: cfg.Machines, Splits: splits, RF: cfg.RF, Cores: cfg.Cores,
+		Nodes: cfg.Machines, Splits: store.EvenSplits(keys, cfg.Machines), RF: cfg.RF, Cores: cfg.Cores,
 		Seed: seed,
 		Store: store.Params{Shards: cfg.Shards, LogBlocks: cfg.LogBlocks,
 			FlushCycles: 20_000},
@@ -109,15 +102,7 @@ func (w *ClusterWorld) Close() { w.Cl.Shutdown() }
 func (w *ClusterWorld) Run() *Report {
 	r := &Report{}
 
-	w.waitFor(w.slice, 2_000, func() bool {
-		ready := true
-		for _, n := range w.Cl.Nodes {
-			if !n.KV.ReplCaughtUp() {
-				ready = false
-			}
-		}
-		return ready
-	})
+	w.waitFor(w.slice, 2_000, w.Cl.Ready)
 
 	filled := 0
 	for _, n := range w.Cl.Nodes {

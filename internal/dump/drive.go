@@ -61,6 +61,16 @@ func (d *Drive) Config() Config { return d.cfg }
 // of Run, and every step of a harness draining the world after it.
 func (d *Drive) Slice() sim.Time { return d.slice }
 
+// StallSlices is how many consecutive zero-progress drive slices Run
+// tolerates before declaring the fleet stalled: StallBudget, or by
+// default the stallCycles horizon in slices.
+func (d *Drive) StallSlices() int {
+	if d.StallBudget > 0 {
+		return d.StallBudget
+	}
+	return int(stallCycles / d.slice)
+}
+
 // RunFor advances the world's engine by cycles.
 func (d *Drive) RunFor(cycles sim.Time) { d.C.Eng.RunUntil(d.C.Eng.Now() + cycles) }
 
@@ -76,11 +86,7 @@ func (d *Drive) waitFor(step sim.Time, maxSteps int, done func() bool) {
 // reaches the config's request count, the engine trips a replay halt,
 // or StallBudget consecutive slices pass with no progress (stalled).
 func (d *Drive) drive(progress func() uint64) (stalled bool) {
-	eng := d.C.Eng
-	budget := d.StallBudget
-	if budget <= 0 {
-		budget = int(stallCycles / d.slice)
-	}
+	eng, budget := d.C.Eng, d.StallSlices()
 	idle := 0
 	for i := 0; progress() < uint64(d.cfg.Requests) && !eng.StopReached(); i++ {
 		before := progress()

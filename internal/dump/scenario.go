@@ -53,7 +53,7 @@ type World struct {
 	// TapReq/TapResp, when set before Run, observe every request the
 	// main pool draws and every response it receives (engine context,
 	// same instants either way — pure observation). The chaos harness
-	// builds its acked-write ledger here.
+	// builds its acked-write ledger on TapResp.
 	TapReq  func(client int, m core.Msg)
 	TapResp func(client int, m core.Msg)
 
@@ -71,20 +71,10 @@ type World struct {
 // function.
 func Build(seed uint64, cfg Config) *World {
 	cfg.fill()
-	mp := store.MachineParams{
-		Cores: cfg.Cores, Seed: seed, Wire: net.DefaultWireParams(),
-		Store: store.Params{Shards: cfg.Shards, LogBlocks: cfg.LogBlocks},
-		Port:  6379, Accept: "accept", Conn: "kv", Serve: store.ServeConn,
-	}
-	mp.Wire.Seed = seed
+	mp := store.KVMachine(cfg.Cores, seed, store.Params{Shards: cfg.Shards, LogBlocks: cfg.LogBlocks})
 	mp.Wire.LossProb = cfg.Loss
 	if cfg.Replicas > 0 {
-		rp := store.ReplicaMachineParams{Seed: seed + 2, Wire: net.DefaultWireParams()}
-		rp.Wire.Seed = seed + 1
-		if cfg.ReplicaReads {
-			rp.ReadPort = 6390
-		}
-		mp.Replicas = append(mp.Replicas, rp)
+		mp.Replicas = append(mp.Replicas, store.KVReplica(seed, cfg.ReplicaReads))
 	}
 	m := store.NewMachine(sim.NewEngine(), mp)
 	return &World{
@@ -128,55 +118,39 @@ func (w *World) Run() *Report {
 
 	if w.cfg.ReplicaReads && len(w.Repls) > 0 {
 		rwl := store.NewWorkload(w.seed+5, w.cfg.Clients, w.cfg.Keys, 100, w.cfg.ValBytes)
-		r.RPool = net.NewClientPool(w.Repls[0].NW, net.ClientParams{
-			Port:        6390,
-			Clients:     w.cfg.Clients,
-			ReqsPerConn: 8,
-			ThinkCycles: 2000,
-			Seed:        w.seed + 5,
-			MakeReq:     rwl.MakeReq,
-			OnResp: func(client, req int, payload core.Msg) {
-				if resp, ok := payload.(store.KVResponse); ok {
-					if resp.OK {
-						r.ReplicaGets++
-					} else {
-						r.ReplicaRefused++
-					}
+		r.RPool = net.NewClientPool(w.Repls[0].NW, rwl.Fleet(store.ReadPort, func(_, _ int, payload core.Msg) {
+			if resp, ok := payload.(store.KVResponse); ok {
+				if resp.OK {
+					r.ReplicaGets++
+				} else {
+					r.ReplicaRefused++
 				}
-			},
-		})
+			}
+		}))
 		w.RPool = r.RPool
 	}
 
-	makeReq := w.WL.MakeReq
+	fleet := w.WL.Fleet(store.KVPort, func(client, _ int, payload core.Msg) {
+		if w.TapResp != nil {
+			w.TapResp(client, payload)
+		}
+		resp, ok := payload.(store.KVResponse)
+		if !ok || resp.Err != "" {
+			r.Errs++
+			return
+		}
+		if !resp.Found && resp.OK && resp.Ver == 0 {
+			r.NotFound++
+		}
+	})
 	if w.TapReq != nil {
-		makeReq = func(client, req int) (core.Msg, int) {
+		fleet.MakeReq = func(client, req int) (core.Msg, int) {
 			m, n := w.WL.MakeReq(client, req)
 			w.TapReq(client, m)
 			return m, n
 		}
 	}
-	pool := net.NewClientPool(w.NW, net.ClientParams{
-		Port:        6379,
-		Clients:     w.cfg.Clients,
-		ReqsPerConn: 8,
-		ThinkCycles: 2000,
-		Seed:        w.seed,
-		MakeReq:     makeReq,
-		OnResp: func(client, req int, payload core.Msg) {
-			if w.TapResp != nil {
-				w.TapResp(client, payload)
-			}
-			resp, ok := payload.(store.KVResponse)
-			if !ok || resp.Err != "" {
-				r.Errs++
-				return
-			}
-			if !resp.Found && resp.OK && resp.Ver == 0 {
-				r.NotFound++
-			}
-		},
-	})
+	pool := net.NewClientPool(w.NW, fleet)
 	r.Pool = pool
 	w.Pool = pool
 

@@ -30,49 +30,47 @@ type e15Result struct {
 }
 
 const (
-	kvPort      = 6379 // the store-serving port of every E15–E17 machine
-	e15ValBytes = 256
+	kvValBytes = 256 // every E15–E17 value
+	kvNumKeys  = 512 // the E16/E17 keyspace
 )
 
-// kvMachine boots the E15–E17 serving machine on a fresh engine:
-// client wire → NIC RSS → netstack shard → per-connection server
-// thread → store shard → per-shard log device, with the wire seeded
-// like the runtime. A deliberately small per-shard cache (64 KB): the
-// aggregate cache grows with shards, so the sweeps show the working
-// set falling into cache as the service scales out. platters != nil
-// recovers the store from them; replicas attach before it serves.
-func kvMachine(cores, shards int, seed uint64, platters []map[int][]byte, replicas ...store.ReplicaMachineParams) (*world, *store.Machine) {
-	wp := net.DefaultWireParams()
-	wp.Seed = seed
-	m := store.NewMachine(sim.NewEngine(), store.MachineParams{
-		Cores: cores, Seed: seed, Wire: wp,
-		Store:    store.Params{Shards: shards, CacheBlocks: 16},
-		Platters: platters, Replicas: replicas,
-		Port: kvPort, Accept: "accept", Conn: "kv", Serve: store.ServeConn,
-	})
-	return &world{eng: m.M.Eng, m: m.M, rt: m.RT}, m
+// kvWorld boots the E15–E17 serving machine (store.KVMachine) on a
+// fresh engine, with a workload of clients over numKeys keys seeded
+// like the machine; the keyspace is not yet prefilled. A deliberately
+// small per-shard cache (64 KB): the aggregate cache grows with shards,
+// so the sweeps show the working set falling into cache as the service
+// scales out. platters != nil recovers the store from them; replicas
+// attach before it serves.
+func kvWorld(cores, shards, clients, numKeys, readPct int, seed uint64, platters []map[int][]byte,
+	replicas ...store.ReplicaMachineParams) (*store.Machine, *store.Workload) {
+	p := store.KVMachine(cores, seed, store.Params{Shards: shards, CacheBlocks: 16})
+	p.Platters, p.Replicas = platters, replicas
+	return store.NewMachine(sim.NewEngine(), p), store.NewWorkload(seed, clients, numKeys, readPct, kvValBytes)
 }
 
-// kvReplica is the replica machine E16 and E17 attach: runtime seed
-// seed+2, inter-machine wire seed+1, replica reads on readPort (0 =
-// none).
-func kvReplica(seed uint64, readPort int) store.ReplicaMachineParams {
-	rp := store.ReplicaMachineParams{Seed: seed + 2, ReadPort: readPort, Wire: net.DefaultWireParams()}
-	rp.Wire.Seed = seed + 1
-	return rp
-}
-
-// kvPrefill writes wl's whole keyspace into kv, driving the machine
-// until the prefill thread finishes (at most 1000 1M-cycle slices).
-func kvPrefill(w *world, wl *store.Workload, kv *store.Store) {
+// kvPrefill writes wl's whole keyspace into m's store, driving the
+// machine until the prefill thread finishes (at most 1000 1M-cycle
+// slices).
+func kvPrefill(m *store.Machine, wl *store.Workload) {
 	filled := false
-	w.rt.Boot("prefill", func(t *core.Thread) {
-		wl.Prefill(t, kv)
+	m.RT.Boot("prefill", func(t *core.Thread) {
+		wl.Prefill(t, m.KV)
 		filled = true
 	})
 	for i := 0; i < 1000 && !filled; i++ {
-		w.rt.RunFor(1_000_000)
+		m.RT.RunFor(1_000_000)
 	}
+}
+
+// ackedFleet starts wl's client fleet against m, recording every PUT
+// it sees acknowledged into acked and counting them in ackedPuts — the
+// audit set a primary kill is judged against.
+func ackedFleet(m *store.Machine, wl *store.Workload, acked store.Ledger, ackedPuts *uint64) {
+	net.NewClientPool(m.NW, wl.Fleet(store.KVPort, func(c, _ int, payload core.Msg) {
+		if resp, ok := payload.(store.KVResponse); ok && acked.Ack(wl.Outstanding(c), resp) {
+			*ackedPuts++
+		}
+	}))
 }
 
 func e15NumKeys(o Options) int {
@@ -89,25 +87,17 @@ func e15NumKeys(o Options) int {
 // readPct is the read share; the key distribution is two-tier (80% of
 // ops on the hottest 10% of keys).
 func e15Run(o Options, cores, shards, clients, readPct int, window sim.Time) e15Result {
-	w, m := kvMachine(cores, shards, o.seed(), nil)
+	m, wl := kvWorld(cores, shards, clients, e15NumKeys(o), readPct, o.seed(), nil)
 	defer m.Shutdown()
 	kv := m.KV
 
 	// Prefill so reads have data to hit, then drive the shared seeded
 	// workload (same generator as examples/kvserver).
-	wl := store.NewWorkload(o.seed(), clients, e15NumKeys(o), readPct, e15ValBytes)
-	kvPrefill(w, wl, kv)
+	kvPrefill(m, wl)
 
 	base := kv.Counters()
-	pool := net.NewClientPool(m.NW, net.ClientParams{
-		Port:        kvPort,
-		Clients:     clients,
-		ReqsPerConn: 8,
-		ThinkCycles: 2000,
-		Seed:        o.seed(),
-		MakeReq:     wl.MakeReq,
-	})
-	w.rt.RunFor(window)
+	pool := net.NewClientPool(m.NW, wl.Fleet(store.KVPort, nil))
+	m.RT.RunFor(window)
 
 	c := kv.Counters()
 	hits := c.CacheHits - base.CacheHits
@@ -120,18 +110,18 @@ func e15Run(o Options, cores, shards, clients, readPct int, window sim.Time) e15
 	o.publishSnapshot(snap)
 	if len(snap.Conservation()) > 0 {
 		o.dumpInvariant(&dump.Collector{
-			Eng: w.eng, Nodes: []*store.Machine{m}, Seed: o.seed(),
+			Eng: m.M.Eng, Nodes: []*store.Machine{m}, Seed: o.seed(),
 			Config: dump.Config{
 				Scenario: "e15-store", Cores: cores, Shards: shards,
 				Clients: clients, ReadPct: readPct,
-				Keys: e15NumKeys(o), ValBytes: e15ValBytes,
+				Keys: e15NumKeys(o), ValBytes: kvValBytes,
 			},
 		}, "invariant: E15 telemetry conservation violated")
 	}
 	return e15Result{
 		shards:      kv.Shards(),
-		opsPerSec:   w.opsPerSec(pool.Responses, window),
-		p99Us:       w.m.Seconds(pool.Lat.Percentile(99)) * 1e6,
+		opsPerSec:   float64(pool.Responses) / m.M.Seconds(window),
+		p99Us:       m.M.Seconds(pool.Lat.Percentile(99)) * 1e6,
 		hitRate:     hr,
 		ackedWrites: c.AckedWrites,
 		flushes:     c.FlushesDone,
@@ -181,11 +171,12 @@ func e15Churn(o Options, mult float64) e15ChurnResult {
 	var appended, refused uint64
 	stop := false
 	val := make([]byte, valBytes)
+	keys := store.Keyspace(numKeys)
 	for i := 0; i < writers; i++ {
 		rng := sim.NewRNG(o.seed() + uint64(i)*0x9e3779b9 + 1)
 		w.rt.Boot(fmt.Sprintf("churn.%d", i), func(t *core.Thread) {
 			for op := 0; !stop; op++ {
-				key := fmt.Sprintf("key/%05d", rng.Uint64n(numKeys))
+				key := keys[rng.Uint64n(numKeys)]
 				start := w.eng.Now()
 				if op%16 == 15 {
 					r := kv.Delete(t, key)

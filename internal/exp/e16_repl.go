@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"chanos/internal/core"
 	"chanos/internal/net"
 	"chanos/internal/sim"
 	"chanos/internal/stats"
@@ -24,56 +23,35 @@ type e16Result struct {
 	replRecords uint64
 }
 
-const (
-	e16ValBytes = 256
-	e16NumKeys  = 512
-)
-
-// e16World is the serving topology shared by the cost sweep and the
-// kill runs: the E15 vertical slice — client fleet on the wire → NIC →
-// netstack → store shard → log device — plus, in quorum mode, a second
+// e16Boot builds the serving topology shared by the cost sweep and the
+// kill runs — the E15 vertical slice (client fleet on the wire → NIC →
+// netstack → store shard → log device) plus, in quorum mode, a second
 // simulated machine on the far side of an inter-machine wire receiving
-// every store shard's log records.
-type e16World struct {
-	w  *world
-	m  *store.Machine // Repls[0] is the replica in quorum mode
-	wl *store.Workload
-}
-
-// e16Boot builds the topology, prefills the keyspace, and leaves the
-// client fleet un-started (callers attach their own pool so the kill
-// runs can track acknowledgements).
-func e16Boot(cores, shards, clients, readPct int, seed uint64, quorum bool) *e16World {
+// every store shard's log records (m.Repls[0]) — and prefills the
+// keyspace. The client fleet is left to the caller.
+func e16Boot(cores, shards, clients, readPct int, seed uint64, quorum bool) (*store.Machine, *store.Workload) {
 	var replicas []store.ReplicaMachineParams
 	if quorum {
-		replicas = append(replicas, kvReplica(seed, 0))
+		replicas = append(replicas, store.KVReplica(seed, false))
 	}
-	w, m := kvMachine(cores, shards, seed, nil, replicas...)
-	wl := store.NewWorkload(seed, clients, e16NumKeys, readPct, e16ValBytes)
-	kvPrefill(w, wl, m.KV)
-	return &e16World{w: w, m: m, wl: wl}
+	m, wl := kvWorld(cores, shards, clients, kvNumKeys, readPct, seed, nil, replicas...)
+	kvPrefill(m, wl)
+	return m, wl
 }
 
 // e16Run measures one replication mode: the throughput/p99 delta
 // between local-only and quorum acks is the price of surviving machine
 // loss.
 func e16Run(o Options, cores, shards, clients, readPct int, window sim.Time, quorum bool) e16Result {
-	ew := e16Boot(cores, shards, clients, readPct, o.seed(), quorum)
-	defer ew.m.Shutdown()
-	pool := net.NewClientPool(ew.m.NW, net.ClientParams{
-		Port:        kvPort,
-		Clients:     clients,
-		ReqsPerConn: 8,
-		ThinkCycles: 2000,
-		Seed:        o.seed(),
-		MakeReq:     ew.wl.MakeReq,
-	})
-	ew.w.rt.RunFor(window)
-	c := ew.m.KV.Counters()
+	m, wl := e16Boot(cores, shards, clients, readPct, o.seed(), quorum)
+	defer m.Shutdown()
+	pool := net.NewClientPool(m.NW, wl.Fleet(store.KVPort, nil))
+	m.RT.RunFor(window)
+	c := m.KV.Counters()
 	return e16Result{
-		shards:      ew.m.KV.Shards(),
-		opsPerSec:   ew.w.opsPerSec(pool.Responses, window),
-		p99Us:       ew.w.m.Seconds(pool.Lat.Percentile(99)) * 1e6,
+		shards:      m.KV.Shards(),
+		opsPerSec:   float64(pool.Responses) / m.M.Seconds(window),
+		p99Us:       m.M.Seconds(pool.Lat.Percentile(99)) * 1e6,
 		ackedWrites: c.AckedWrites,
 		replBatches: c.ReplBatches,
 		replRecords: c.ReplRecords,
@@ -103,49 +81,19 @@ func e16Kill(o Options, seed uint64, killAt sim.Time) e16KillResult {
 		clients = 64
 		readPct = 50
 	)
-	ew := e16Boot(cores, shards, clients, readPct, seed, true)
-	// Track acknowledged PUTs: the closed loop guarantees a client's
-	// response is observed before its next request is drawn, so the last
-	// request drawn per client is the one each response answers.
-	type lastReq struct {
-		op  store.WireOp
-		key string
-	}
-	last := make([]lastReq, clients)
-	acked := make(map[string]uint64)
+	m, wl := e16Boot(cores, shards, clients, readPct, seed, true)
+	acked := store.Ledger{}
 	var ackedPuts uint64
-	net.NewClientPool(ew.m.NW, net.ClientParams{
-		Port:        kvPort,
-		Clients:     clients,
-		ReqsPerConn: 8,
-		ThinkCycles: 2000,
-		Seed:        seed,
-		MakeReq: func(c, r int) (core.Msg, int) {
-			payload, bytes := ew.wl.MakeReq(c, r)
-			kr := payload.(store.KVRequest)
-			last[c] = lastReq{op: kr.Op, key: kr.Key}
-			return payload, bytes
-		},
-		OnResp: func(c, r int, payload core.Msg) {
-			resp, ok := payload.(store.KVResponse)
-			if !ok || !resp.OK || last[c].op != store.WPut {
-				return
-			}
-			ackedPuts++
-			if resp.Ver > acked[last[c].key] {
-				acked[last[c].key] = resp.Ver
-			}
-		},
-	})
-	killBase := ew.w.eng.Now()
-	ew.w.rt.RunFor(killAt)
+	ackedFleet(m, wl, acked, &ackedPuts)
+	killBase := m.M.Eng.Now()
+	m.RT.RunFor(killAt)
 
 	// The primary machine is gone. Nothing of it survives — the audit
 	// store boots from the REPLICA's platters alone.
-	replica := ew.m.Repls[0].KV
+	replica := m.Repls[0].KV
 	platters, params := replica.Platters(), replica.P
-	killMs := ew.w.m.Seconds(ew.w.eng.Now()-killBase) * 1e3
-	ew.m.Shutdown()
+	killMs := m.M.Seconds(m.M.Eng.Now()-killBase) * 1e3
+	m.Shutdown()
 
 	a := store.Audit(cores, seed+9, params, platters, acked)
 	return e16KillResult{killAtMs: killMs, ackedPuts: ackedPuts, tracked: len(acked),

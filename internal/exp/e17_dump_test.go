@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"chanos/internal/dump"
+	"chanos/internal/store"
 )
 
 // TestE17MidHealDump captures a machine core dump in the middle of an
@@ -21,36 +22,36 @@ func TestE17MidHealDump(t *testing.T) {
 		readPct = 50
 		seed    = 42
 	)
-	acked := make(map[string]uint64)
+	acked := store.Ledger{}
 	var ackedPuts uint64
 
 	// Cycle 0: a fresh quorum pair serves and accumulates state, then
 	// the primary is killed; only the replica's platters survive.
-	ew := e17Boot(cores, shards, clients, readPct, seed, nil)
-	ew.m.Attach(kvReplica(seed, 0))
-	kvPrefill(ew.w, ew.wl, ew.m.KV)
-	ew.e17Pool(acked, &ackedPuts)
-	ew.w.rt.RunFor(4_000_000)
-	platters := ew.m.Repls[0].KV.Platters()
-	ew.m.Shutdown()
+	m, wl := kvWorld(cores, shards, clients, kvNumKeys, readPct, seed, nil)
+	m.Attach(store.KVReplica(seed, false))
+	kvPrefill(m, wl)
+	ackedFleet(m, wl, acked, &ackedPuts)
+	m.RT.RunFor(4_000_000)
+	platters := m.Repls[0].KV.Platters()
+	m.Shutdown()
 
 	// Cycle 1: failover boot from the survivors, serve degraded, then
 	// attach a fresh replica AT RUNTIME and dump while it heals.
-	ew2 := e17Boot(cores, shards, clients, readPct, seed+101, platters)
-	defer ew2.m.Shutdown()
-	ew2.e17Pool(acked, &ackedPuts)
-	ew2.w.rt.RunFor(2_000_000)
-	ew2.m.Attach(kvReplica(seed+101, 0))
-	ew2.w.rt.RunFor(200_000)
+	m2, wl2 := kvWorld(cores, shards, clients, kvNumKeys, readPct, seed+101, platters)
+	defer m2.Shutdown()
+	ackedFleet(m2, wl2, acked, &ackedPuts)
+	m2.RT.RunFor(2_000_000)
+	m2.Attach(store.KVReplica(seed+101, false))
+	m2.RT.RunFor(200_000)
 
-	midHeal := !ew2.m.KV.ReplCaughtUp()
-	d := ew2.collector(seed + 101).Snapshot("manual: E17 mid-heal snapshot")
+	midHeal := !m2.KV.ReplCaughtUp()
+	d := e17Collector(m2, clients, seed+101).Snapshot("manual: E17 mid-heal snapshot")
 	if bad := d.Validate(); len(bad) > 0 {
 		t.Fatalf("mid-heal dump invalid: %v", bad)
 	}
-	m := d.Machines[0]
-	if len(m.Replicas) != 1 || len(m.Replicas[0]) != shards {
-		t.Fatalf("replica captures %d, want one of %d shards", len(m.Replicas), shards)
+	md := d.Machines[0]
+	if len(md.Replicas) != 1 || len(md.Replicas[0]) != shards {
+		t.Fatalf("replica captures %d, want one of %d shards", len(md.Replicas), shards)
 	}
 	if d.Config.Scenario != "e17-heal" {
 		t.Fatalf("scenario stamp %q", d.Config.Scenario)
@@ -61,7 +62,7 @@ func TestE17MidHealDump(t *testing.T) {
 	}
 	// Mid-heal the primary must not be at quorum: shards are syncing
 	// (2) or still failed-over (1).
-	for _, sh := range m.Store {
+	for _, sh := range md.Store {
 		if sh.Lifecycle == 3 {
 			t.Fatalf("store shard %d already at quorum in a mid-heal dump", sh.Shard)
 		}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"chanos/internal/core"
@@ -10,117 +9,25 @@ import (
 	"chanos/internal/sim"
 	"chanos/internal/stats"
 	"chanos/internal/store"
-	"chanos/internal/telemetry"
 )
 
 func init() {
 	register("E17", "replication lifecycle: quorum healing after failover, bounded-lag replica reads", e17Heal)
 }
 
-const (
-	e17ReadPort = 6390
-	e17ValBytes = 256
-	e17NumKeys  = 512
-)
-
-// e17World is one life of the heal cycle: a primary machine serving the
-// KV wire workload, optionally recovered from a previous life's replica
-// platters, optionally attached (at boot or at runtime) to a fresh
-// replica machine — m.Repls[0], once attached.
-type e17World struct {
-	w       *world
-	m       *store.Machine
-	wl      *store.Workload
-	clients int
-	seed    uint64
-}
-
-// e17Boot builds the serving topology. platters != nil boots the store
-// from those snapshots — the failed-over state of the cycle.
-func e17Boot(cores, shards, clients, readPct int, seed uint64, platters []map[int][]byte) *e17World {
-	w, m := kvMachine(cores, shards, seed, platters)
-	wl := store.NewWorkload(seed, clients, e17NumKeys, readPct, e17ValBytes)
-	return &e17World{w: w, m: m, wl: wl, clients: clients, seed: seed}
-}
-
-// collector points a machine core-dump collector at the world's
-// machine (and its replica, once attached). E17 worlds boot through the
+// e17Collector points a machine core-dump collector at an E17 machine
+// (and its replica, once attached). E17 worlds boot through the
 // experiment harness, not the kvload scenario, so their dumps validate
 // and inspect but do not replay — the scenario stamp says so.
-func (ew *e17World) collector(seed uint64) *dump.Collector {
+func e17Collector(m *store.Machine, clients int, seed uint64) *dump.Collector {
 	return &dump.Collector{
-		Eng: ew.w.eng, Nodes: []*store.Machine{ew.m}, Seed: seed,
+		Eng: m.M.Eng, Nodes: []*store.Machine{m}, Seed: seed,
 		Config: dump.Config{
-			Scenario: "e17-heal", Cores: ew.w.m.NumCores(),
-			Shards: ew.m.KV.P.Shards, Clients: ew.clients,
-			Keys: e17NumKeys, ValBytes: e17ValBytes,
+			Scenario: "e17-heal", Cores: m.M.NumCores(),
+			Shards: m.KV.P.Shards, Clients: clients,
+			Keys: kvNumKeys, ValBytes: kvValBytes,
 		},
 	}
-}
-
-// scrape issues one live STATS request over the wire — a fresh endpoint
-// dials the serving port, sends WStats, and parses the snapshot JSON out
-// of the response — exactly what an external monitoring agent would do,
-// while the machine keeps serving (and, mid-cycle, healing) underneath.
-// Returns nil if the scrape did not complete within the drive window.
-func (ew *e17World) scrape() *telemetry.Snapshot {
-	var snap *telemetry.Snapshot
-	done := false
-	ew.m.NW.Dial(kvPort, net.EndpointHooks{
-		OnOpen: func(ep *net.Endpoint) {
-			req := store.KVRequest{Op: store.WStats, Seq: 1}
-			ep.Send(req, req.WireBytes())
-		},
-		OnMessage: func(ep *net.Endpoint, payload core.Msg, bytes int) {
-			if resp, ok := payload.(store.KVResponse); ok && resp.OK {
-				var s telemetry.Snapshot
-				if json.Unmarshal(resp.Val, &s) == nil {
-					snap = &s
-				}
-			}
-			done = true
-			ep.Close()
-		},
-		OnFail: func(*net.Endpoint) { done = true },
-	})
-	for i := 0; i < 400 && !done; i++ {
-		ew.w.rt.RunFor(25_000)
-	}
-	return snap
-}
-
-// e17Pool starts the client fleet, tracking every PUT the fleet saw
-// acknowledged into acked (key → highest acked version) — the audit set
-// the kill at the end of the cycle is judged against.
-func (ew *e17World) e17Pool(acked map[string]uint64, ackedPuts *uint64) *net.ClientPool {
-	type lastReq struct {
-		op  store.WireOp
-		key string
-	}
-	last := make([]lastReq, ew.clients)
-	return net.NewClientPool(ew.m.NW, net.ClientParams{
-		Port:        kvPort,
-		Clients:     ew.clients,
-		ReqsPerConn: 8,
-		ThinkCycles: 2000,
-		Seed:        ew.seed,
-		MakeReq: func(c, r int) (core.Msg, int) {
-			payload, bytes := ew.wl.MakeReq(c, r)
-			kr := payload.(store.KVRequest)
-			last[c] = lastReq{op: kr.Op, key: kr.Key}
-			return payload, bytes
-		},
-		OnResp: func(c, r int, payload core.Msg) {
-			resp, ok := payload.(store.KVResponse)
-			if !ok || !resp.OK || last[c].op != store.WPut {
-				return
-			}
-			*ackedPuts++
-			if resp.Ver > acked[last[c].key] {
-				acked[last[c].key] = resp.Ver
-			}
-		},
-	})
 }
 
 // e17Cycle is one measured kill → failover → re-attach → heal cycle.
@@ -157,33 +64,36 @@ func e17HealCycles(o Options, cycles int, window sim.Time) []e17Cycle {
 		clients = 64
 		readPct = 50
 	)
-	acked := make(map[string]uint64)
+	acked := store.Ledger{}
 	var ackedPuts uint64
 	var platters []map[int][]byte
 	var out []e17Cycle
 
 	for c := 0; c < cycles; c++ {
 		seed := o.seed() + uint64(c)*101
-		ew := e17Boot(cores, shards, clients, readPct, seed, platters)
-		kv := ew.m.KV
+		// One life of the heal cycle: a primary serving the KV wire
+		// workload, recovered from the previous life's replica platters
+		// after cycle 0, with a fresh replica (m.Repls[0]) attached.
+		m, wl := kvWorld(cores, shards, clients, kvNumKeys, readPct, seed, platters)
+		kv := m.KV
 		cy := e17Cycle{attach: "runtime"}
 		if c == 0 {
 			cy.attach = "boot"
-			ew.m.Attach(kvReplica(seed, 0))
-			kvPrefill(ew.w, ew.wl, kv)
-			ew.e17Pool(acked, &ackedPuts)
+			m.Attach(store.KVReplica(seed, false))
+			kvPrefill(m, wl)
+			ackedFleet(m, wl, acked, &ackedPuts)
 		} else {
 			// The failed-over store is live and serving degraded before
 			// the fresh replica joins.
-			ew.e17Pool(acked, &ackedPuts)
-			ew.w.rt.RunFor(2_000_000)
-			ew.m.Attach(kvReplica(seed, 0))
+			ackedFleet(m, wl, acked, &ackedPuts)
+			m.RT.RunFor(2_000_000)
+			m.Attach(store.KVReplica(seed, false))
 		}
-		healBase := ew.w.eng.Now()
+		healBase := m.M.Eng.Now()
 		// Scrape the serving machine over the wire while it heals: the
 		// snapshot must come back consistent (conservation laws hold) even
 		// though the bootstrap stream is rewriting shard state underneath.
-		if snap := ew.scrape(); snap != nil {
+		if snap := m.Scrape(); snap != nil {
 			cy.scraped = true
 			cy.scrapeSeq = snap.Seq
 			cy.scrapeSvcs = len(snap.Services)
@@ -191,24 +101,24 @@ func e17HealCycles(o Options, cycles int, window sim.Time) []e17Cycle {
 			cy.midHeal = !kv.ReplCaughtUp()
 			o.publishSnapshot(snap)
 			if cy.scrapeBad > 0 {
-				o.dumpInvariant(ew.collector(seed),
+				o.dumpInvariant(e17Collector(m, clients, seed),
 					"invariant: E17 mid-heal STATS scrape violated conservation laws")
 			}
 		}
 		healed := false
 		for step := 0; step < 4000; step++ {
-			ew.w.rt.RunFor(100_000)
+			m.RT.RunFor(100_000)
 			if kv.ReplCaughtUp() {
 				healed = true
 				break
 			}
 		}
-		cy.healMs = ew.w.m.Seconds(ew.w.eng.Now()-healBase) * 1e3
+		cy.healMs = m.M.Seconds(m.M.Eng.Now()-healBase) * 1e3
 		kc := kv.Counters()
 		cy.syncRecords = kc.ReplSyncRecords
 		cy.heals = kc.ReplHeals
 		if healed {
-			ew.w.rt.RunFor(window) // serve under the healed quorum
+			m.RT.RunFor(window) // serve under the healed quorum
 		}
 		cy.quorum = kv.ReplCaughtUp()
 		cy.ackedPuts = ackedPuts
@@ -216,9 +126,9 @@ func e17HealCycles(o Options, cycles int, window sim.Time) []e17Cycle {
 
 		// The kill: the primary machine is destroyed; only the replica's
 		// platters survive into the next cycle.
-		replica := ew.m.Repls[0].KV
+		replica := m.Repls[0].KV
 		platters = replica.Platters()
-		ew.m.Shutdown()
+		m.Shutdown()
 
 		// Audit the survivors against everything ever acked.
 		a := store.Audit(cores, o.seed()+uint64(c)*7+1, replica.P, platters, acked)
@@ -248,54 +158,33 @@ func e17Reads(o Options, clients int, window sim.Time, replicaReads bool) e17Rea
 		readPct = 90
 	)
 	seed := o.seed()
-	ew := e17Boot(cores, shards, clients, readPct, seed, nil)
-	defer ew.m.Shutdown()
-	rm := ew.m.Attach(kvReplica(seed, e17ReadPort))
-	kvPrefill(ew.w, ew.wl, ew.m.KV)
+	m, wl := kvWorld(cores, shards, clients, kvNumKeys, readPct, seed, nil)
+	defer m.Shutdown()
+	rm := m.Attach(store.KVReplica(seed, true))
+	kvPrefill(m, wl)
 
 	// Primary fleet: the mixed workload, GET responses counted.
 	var getsP uint64
-	lastGet := make([]bool, clients)
-	pool := net.NewClientPool(ew.m.NW, net.ClientParams{
-		Port:        kvPort,
-		Clients:     clients,
-		ReqsPerConn: 8,
-		ThinkCycles: 2000,
-		Seed:        seed,
-		MakeReq: func(c, r int) (core.Msg, int) {
-			payload, bytes := ew.wl.MakeReq(c, r)
-			lastGet[c] = payload.(store.KVRequest).Op == store.WGet
-			return payload, bytes
-		},
-		OnResp: func(c, r int, payload core.Msg) {
-			if resp, ok := payload.(store.KVResponse); ok && resp.OK && lastGet[c] {
-				getsP++
-			}
-		},
-	})
+	pool := net.NewClientPool(m.NW, wl.Fleet(store.KVPort, func(c, _ int, payload core.Msg) {
+		if resp, ok := payload.(store.KVResponse); ok && resp.OK && wl.Outstanding(c).Op == store.WGet {
+			getsP++
+		}
+	}))
 
 	// Replica fleet: GET-only, same keyspace, served from the replica's
 	// version-correct index under the staleness bound.
 	var getsR uint64
 	var rpool *net.ClientPool
 	if replicaReads {
-		rwl := store.NewWorkload(seed+5, clients, e17NumKeys, 100, e17ValBytes)
-		rpool = net.NewClientPool(rm.NW, net.ClientParams{
-			Port:        e17ReadPort,
-			Clients:     clients,
-			ReqsPerConn: 8,
-			ThinkCycles: 2000,
-			Seed:        seed + 5,
-			MakeReq:     rwl.MakeReq,
-			OnResp: func(c, r int, payload core.Msg) {
-				if resp, ok := payload.(store.KVResponse); ok && resp.OK {
-					getsR++
-				}
-			},
-		})
+		rwl := store.NewWorkload(seed+5, clients, kvNumKeys, 100, kvValBytes)
+		rpool = net.NewClientPool(rm.NW, rwl.Fleet(store.ReadPort, func(_, _ int, payload core.Msg) {
+			if resp, ok := payload.(store.KVResponse); ok && resp.OK {
+				getsR++
+			}
+		}))
 	}
 
-	ew.w.rt.RunFor(window)
+	m.RT.RunFor(window)
 	ops := pool.Responses
 	var lat stats.Histogram
 	lat.Merge(&pool.Lat)
@@ -305,9 +194,9 @@ func e17Reads(o Options, clients int, window sim.Time, replicaReads bool) e17Rea
 	}
 	rc := rm.KV.Counters()
 	return e17ReadResult{
-		getsPerSec: ew.w.opsPerSec(getsP+getsR, window),
-		opsPerSec:  ew.w.opsPerSec(ops, window),
-		p99Us:      ew.w.m.Seconds(lat.Percentile(99)) * 1e6,
+		getsPerSec: float64(getsP+getsR) / m.M.Seconds(window),
+		opsPerSec:  float64(ops) / m.M.Seconds(window),
+		p99Us:      m.M.Seconds(lat.Percentile(99)) * 1e6,
 		lagged:     rc.RefusedSyncing + rc.RefusedLag,
 		waits:      rc.ReplicaWaits,
 	}

@@ -10,7 +10,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -21,7 +20,6 @@ import (
 	"chanos/internal/sim/detmap"
 	"chanos/internal/stats"
 	"chanos/internal/store"
-	"chanos/internal/telemetry"
 )
 
 func init() {
@@ -58,40 +56,12 @@ func e18Cluster(o Options) []*stats.Table {
 		clients = 12
 		window = 3_000_000
 	}
-	keys := make([]string, numKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key/%05d", i)
-	}
 	seed := o.seed()
 
 	// One cluster lives through all three phases: 3 serving nodes, each
 	// with 2 replica machines — 9 machines on one engine, one clock.
-	eng := sim.NewEngine()
-	c := cluster.New(eng, cluster.Params{
-		Nodes:  e18Nodes,
-		Splits: []string{keys[numKeys/3], keys[2*numKeys/3]},
-		RF:     e18RF,
-		Cores:  8,
-		Seed:   seed,
-		Store:  store.Params{Shards: 2, CacheBlocks: 16, FlushCycles: 20_000},
-		Wire:   net.DefaultWireParams(),
-	})
+	c, pool := e18Boot(e18Nodes, numKeys, clients, seed, seed)
 	defer c.Shutdown()
-	for step := 0; step < 2000; step++ {
-		c.RunFor(100_000)
-		ready := true
-		for _, n := range c.Nodes {
-			if !n.KV.ReplCaughtUp() {
-				ready = false
-			}
-		}
-		if ready {
-			break
-		}
-	}
-
-	pool := c.NewPool(cluster.PoolParams{Clients: clients, Keys: keys, ReadPct: 30,
-		ValBytes: e18ValBytes, ThinkCycles: 4000, Seed: seed + 3})
 
 	tolerated := func() uint64 {
 		var tot uint64
@@ -116,9 +86,7 @@ func e18Cluster(o Options) []*stats.Table {
 	// Phase 1: the healthy cluster under load.
 	base := e18Phase{name: "baseline"}
 	ops0 := pool.Ops
-	for drove := sim.Time(0); drove < window; drove += 100_000 {
-		c.RunFor(100_000)
-	}
+	e18Run(c, window)
 	measure(&base, ops0, window)
 
 	// Phase 2: kill one of node 1's two replica machines. Detection is
@@ -128,9 +96,7 @@ func e18Cluster(o Options) []*stats.Table {
 	ops0 = pool.Ops
 	c.Nodes[1].Repls[0].Shutdown()
 	killWindow := sim.Time(75_000_000) + window
-	for drove := sim.Time(0); drove < killWindow; drove += 100_000 {
-		c.RunFor(100_000)
-	}
+	e18Run(c, killWindow)
 	measure(&kill, ops0, killWindow)
 
 	// Phase 3: migrate the degraded node's range to node 2, live, under
@@ -144,15 +110,13 @@ func e18Cluster(o Options) []*stats.Table {
 	for ; migDrove < 400_000_000 && rep == nil; migDrove += 100_000 {
 		c.RunFor(100_000)
 	}
-	for drove := sim.Time(0); drove < window; drove += 100_000 {
-		c.RunFor(100_000)
-	}
+	e18Run(c, window)
 	measure(&mig, ops0, migDrove+window)
 
 	// A live STATS scrape of the migration destination closes the loop:
 	// the telemetry plane speaks wire like everything else, one level up
 	// or not.
-	if snap := e18Scrape(c, 2); snap != nil {
+	if snap := c.Nodes[2].Scrape(); snap != nil {
 		o.publishSnapshot(snap)
 	}
 
@@ -200,42 +164,9 @@ func e18Scaling(o Options, seed uint64) *stats.Table {
 	st := stats.NewTable("E18c / fabric scaling: the same service at N serving nodes",
 		"nodes", "machines", "clients", "ops", "ops/sec", "moved", "lost", "errs", "audit keys", "audit lost")
 	for _, nodes := range []int{3, 5, 7} {
-		keys := make([]string, numKeys)
-		for i := range keys {
-			keys[i] = fmt.Sprintf("key/%05d", i)
-		}
-		splits := make([]string, 0, nodes-1)
-		for i := 1; i < nodes; i++ {
-			splits = append(splits, keys[numKeys*i/nodes])
-		}
-		eng := sim.NewEngine()
-		c := cluster.New(eng, cluster.Params{
-			Nodes:  nodes,
-			Splits: splits,
-			RF:     e18RF,
-			Cores:  8,
-			Seed:   seed + uint64(nodes),
-			Store:  store.Params{Shards: 2, CacheBlocks: 16, FlushCycles: 20_000},
-			Wire:   net.DefaultWireParams(),
-		})
-		for step := 0; step < 2000; step++ {
-			c.RunFor(100_000)
-			ready := true
-			for _, n := range c.Nodes {
-				if !n.KV.ReplCaughtUp() {
-					ready = false
-				}
-			}
-			if ready {
-				break
-			}
-		}
 		clients := 6 * nodes
-		pool := c.NewPool(cluster.PoolParams{Clients: clients, Keys: keys, ReadPct: 30,
-			ValBytes: e18ValBytes, ThinkCycles: 4000, Seed: seed + 3})
-		for drove := sim.Time(0); drove < window; drove += 100_000 {
-			c.RunFor(100_000)
-		}
+		c, pool := e18Boot(nodes, numKeys, clients, seed+uint64(nodes), seed)
+		e18Run(c, window)
 		audKeys, audLost := e18Audit(c, pool)
 		st.AddRow(fmt.Sprint(nodes), fmt.Sprint(nodes*(1+e18RF)), fmt.Sprint(clients),
 			fmt.Sprint(pool.Ops), stats.F(float64(pool.Ops)/c.Nodes[0].M.Seconds(window)),
@@ -261,9 +192,43 @@ func e18Replicas(kv *store.Store) string {
 	return strings.Join(parts, " ")
 }
 
+// e18Boot boots an E18 cluster: nodes serving nodes of 1+e18RF
+// machines each over an evenly split numKeys keyspace, runtimes seeded
+// from seed. Once every quorum is up (at most 2000 100k-cycle slices)
+// it starts a 30%-read fleet of clients seeded from fleetSeed+3.
+func e18Boot(nodes, numKeys, clients int, seed, fleetSeed uint64) (*cluster.Cluster, *cluster.Pool) {
+	keys := store.Keyspace(numKeys)
+	c := cluster.New(sim.NewEngine(), cluster.Params{
+		Nodes:  nodes,
+		Splits: store.EvenSplits(keys, nodes),
+		RF:     e18RF,
+		Cores:  8,
+		Seed:   seed,
+		Store:  store.Params{Shards: 2, CacheBlocks: 16, FlushCycles: 20_000},
+		Wire:   net.DefaultWireParams(),
+	})
+	for step := 0; step < 2000; step++ {
+		c.RunFor(100_000)
+		if c.Ready() {
+			break
+		}
+	}
+	return c, c.NewPool(cluster.PoolParams{Clients: clients, Keys: keys, ReadPct: 30,
+		ValBytes: e18ValBytes, ThinkCycles: 4000, Seed: fleetSeed + 3})
+}
+
+// e18Run drives c for cycles in 100k-cycle slices.
+func e18Run(c *cluster.Cluster, cycles sim.Time) {
+	for drove := sim.Time(0); drove < cycles; drove += 100_000 {
+		c.RunFor(100_000)
+	}
+}
+
 // e18Audit reads every acked PUT back from the node the current map
 // assigns it to, below the wire (audit-only: the fleet's ledger is the
 // ground truth, the read is instantaneous bookkeeping on live state).
+// A read that errs counts as lost, and so does every key of an audit
+// that does not finish.
 func e18Audit(c *cluster.Cluster, pool *cluster.Pool) (keys, lost int) {
 	fm := c.Map(0)
 	// The audit's Gets consume engine events while the fleet is still
@@ -272,46 +237,14 @@ func e18Audit(c *cluster.Cluster, pool *cluster.Pool) (keys, lost int) {
 	acked := detmap.Keys(pool.AckedPuts)
 	audited := false
 	c.Nodes[0].RT.Boot("e18.audit", func(t *core.Thread) {
-		for _, key := range acked {
-			keys++
-			g := c.Nodes[fm.NodeFor(key)].KV.Get(t, key)
-			if !g.Found || g.Ver < pool.AckedPuts[key] {
-				lost++
-			}
-		}
-		audited = true
+		l, erred := pool.AckedPuts.LiveAudit(t, acked, func(key string) *store.Store { return c.Nodes[fm.NodeFor(key)].KV })
+		lost, audited = len(l)+len(erred), true
 	})
 	for step := 0; step < 2000 && !audited; step++ {
 		c.RunFor(100_000)
 	}
-	return keys, lost
-}
-
-// e18Scrape issues one live STATS request against node id over the
-// wire — what a monitoring agent watching the cluster would do.
-func e18Scrape(c *cluster.Cluster, id int) *telemetry.Snapshot {
-	var snap *telemetry.Snapshot
-	done := false
-	n := c.Nodes[id]
-	n.NW.Dial(n.Port, net.EndpointHooks{
-		OnOpen: func(ep *net.Endpoint) {
-			req := store.KVRequest{Op: store.WStats, Seq: 1}
-			ep.Send(req, req.WireBytes())
-		},
-		OnMessage: func(ep *net.Endpoint, payload core.Msg, _ int) {
-			if resp, ok := payload.(store.KVResponse); ok && resp.OK {
-				var s telemetry.Snapshot
-				if json.Unmarshal(resp.Val, &s) == nil {
-					snap = &s
-				}
-			}
-			done = true
-			ep.Close()
-		},
-		OnFail: func(*net.Endpoint) { done = true },
-	})
-	for i := 0; i < 400 && !done; i++ {
-		c.RunFor(25_000)
+	if !audited {
+		lost = len(acked)
 	}
-	return snap
+	return len(acked), lost
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -372,6 +373,31 @@ func TestE18ClusterContract(t *testing.T) {
 			if mapVer[i] == "1" {
 				t.Error("migration did not advance the map version")
 			}
+		}
+	}
+}
+
+// TestE18ScalingContract: the fabric-scaling table (full mode only, so
+// no quick pin covers it) keeps E18's audit contract at 3, 5 and 7
+// serving nodes — nothing lost or errored, and a non-empty acked-write
+// audit that finds nothing missing.
+func TestE18ScalingContract(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full-size clusters in -short mode")
+	}
+	tb := e18Scaling(q, q.seed())
+	nodes := column(t, tb, "nodes")
+	if strings.Join(nodes, ",") != "3,5,7" {
+		t.Fatalf("E18c rows are for %v nodes, want 3,5,7", nodes)
+	}
+	lost, errs := column(t, tb, "lost"), column(t, tb, "errs")
+	auditKeys, auditLost := column(t, tb, "audit keys"), column(t, tb, "audit lost")
+	for i, n := range nodes {
+		if lost[i] != "0" || errs[i] != "0" || auditLost[i] != "0" {
+			t.Errorf("%s nodes broke the contract: lost=%s errs=%s audit-lost=%s", n, lost[i], errs[i], auditLost[i])
+		}
+		if k, err := strconv.Atoi(auditKeys[i]); err != nil || k <= 0 {
+			t.Errorf("%s nodes audited %q acked keys, want > 0", n, auditKeys[i])
 		}
 	}
 }

@@ -21,6 +21,7 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"chanos/internal/blockdev"
@@ -115,6 +116,38 @@ func (m *Machine) serve(port int, accept, conn string, fn func(*core.Thread, *ne
 	})
 }
 
+// Scrape issues one live STATS request over the wire — a fresh client
+// endpoint dials the serving port, sends WStats and parses the snapshot
+// out of the response — exactly what an external monitoring agent
+// would do, while the machine keeps serving underneath. It drives the
+// engine in 25k-cycle steps, at most 400, and returns nil if the scrape
+// did not complete in that window.
+func (m *Machine) Scrape() *telemetry.Snapshot {
+	var snap *telemetry.Snapshot
+	done := false
+	m.NW.Dial(m.Port, net.EndpointHooks{
+		OnOpen: func(ep *net.Endpoint) {
+			req := KVRequest{Op: WStats, Seq: 1}
+			ep.Send(req, req.WireBytes())
+		},
+		OnMessage: func(ep *net.Endpoint, payload core.Msg, _ int) {
+			if resp, ok := payload.(KVResponse); ok && resp.OK {
+				var s telemetry.Snapshot
+				if json.Unmarshal(resp.Val, &s) == nil {
+					snap = &s
+				}
+			}
+			done = true
+			ep.Close()
+		},
+		OnFail: func(*net.Endpoint) { done = true },
+	})
+	for i := 0; i < 400 && !done; i++ {
+		m.RT.RunFor(25_000)
+	}
+	return snap
+}
+
 // Attach boots a replica machine on m's engine and attaches it to m's
 // store (AttachReplica) — at boot through MachineParams.Replicas, or
 // at runtime. A replica mirrors its primary: zero Cores and a zero
@@ -140,6 +173,36 @@ func (m *Machine) Shutdown() {
 		rm.Shutdown()
 	}
 	m.RT.Shutdown()
+}
+
+// The kvload serving machine's ports: clients on KVPort, replica reads
+// on ReadPort.
+const (
+	KVPort   = 6379
+	ReadPort = 6390
+)
+
+// KVMachine is the recipe for the kvload serving machine, which the
+// kvload scenario and experiments E15–E17 boot: clients on KVPort,
+// served by thread "accept" handing each connection to a "kv.<n>"
+// thread running ServeConn, over a client wire seeded like the runtime.
+func KVMachine(cores int, seed uint64, sp Params) MachineParams {
+	wp := net.DefaultWireParams()
+	wp.Seed = seed
+	return MachineParams{Cores: cores, Seed: seed, Wire: wp, Store: sp,
+		Port: KVPort, Accept: "accept", Conn: "kv", Serve: ServeConn}
+}
+
+// KVReplica is the replica machine a KVMachine attaches: runtime seed
+// seed+2, inter-machine wire seed+1, and replica reads on ReadPort when
+// reads is set.
+func KVReplica(seed uint64, reads bool) ReplicaMachineParams {
+	rp := ReplicaMachineParams{Seed: seed + 2, Wire: net.DefaultWireParams()}
+	rp.Wire.Seed = seed + 1
+	if reads {
+		rp.ReadPort = ReadPort
+	}
+	return rp
 }
 
 // ReplicaMachineParams configures one replica machine.
