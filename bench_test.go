@@ -8,12 +8,14 @@
 package chanos_test
 
 import (
+	"fmt"
 	"testing"
 
 	"chanos"
 	"chanos/internal/core"
 	"chanos/internal/exp"
 	"chanos/internal/kernel"
+	"chanos/internal/store"
 )
 
 // benchOpts keeps benchmark runs fast; the chanos-bench CLI runs the full
@@ -120,6 +122,56 @@ func BenchmarkKernelCall(b *testing.B) {
 			n++
 		}
 	}, chanos.OnCore(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n < b.N {
+		sys.RunFor(1_000_000)
+	}
+	b.StopTimer()
+	stop = true
+	sys.RunFor(10_000_000) // let the caller observe stop and exit
+}
+
+// BenchmarkStorePut measures the host cost of one synchronous PUT on a
+// warm one-shard store: the request, the append, the group-commit
+// flush it waits for, the disk completion and the reply.
+func BenchmarkStorePut(b *testing.B) {
+	benchStore(b, func(t *chanos.Thread, kv *chanos.Store, key string, val []byte) { kv.Put(t, key, val) })
+}
+
+// BenchmarkStoreGet measures the host cost of one GET served from the
+// open block or the block cache of a warm one-shard store.
+func BenchmarkStoreGet(b *testing.B) {
+	benchStore(b, func(t *chanos.Thread, kv *chanos.Store, key string, _ []byte) { kv.Get(t, key) })
+}
+
+// benchStore runs op from one thread over 64 keys, each first written
+// once so that the store and its free lists are warm before the timer
+// starts.
+func benchStore(b *testing.B, op func(t *chanos.Thread, kv *chanos.Store, key string, val []byte)) {
+	sys := chanos.New(4, chanos.Config{Seed: 1})
+	defer sys.Shutdown()
+	kv := sys.NewStore(kernel.New(sys.RT, kernel.Config{}), store.Params{Shards: 1})
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("bench/%02d", i)
+	}
+	val := make([]byte, 100)
+	warm, stop := false, false
+	n := 0
+	sys.Boot("app", func(t *chanos.Thread) {
+		for _, key := range keys {
+			kv.Put(t, key, val)
+		}
+		warm = true
+		for !stop {
+			op(t, kv, keys[n%len(keys)], val)
+			n++
+		}
+	}, chanos.OnCore(1))
+	for !warm {
+		sys.RunFor(1_000_000)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n < b.N {

@@ -108,6 +108,9 @@ type Disk struct {
 	// committing data (deterministic fault injection).
 	failWrites int
 
+	// complete carries every programmed operation to its completion.
+	complete *sim.Relay[progOp]
+
 	// Stats.
 	Reads, Writes uint64
 	BytesMoved    uint64
@@ -121,7 +124,9 @@ func NewDisk(rt *core.Runtime, p DiskParams) *Disk {
 	if p.NumBlocks <= 0 || p.BlockSize <= 0 {
 		panic("blockdev: bad disk geometry")
 	}
-	return &Disk{rt: rt, P: p, data: make(map[int][]byte), progOwner: -1}
+	d := &Disk{rt: rt, P: p, data: make(map[int][]byte), progOwner: -1}
+	d.complete = sim.NewRelay(rt.Eng, d.finish)
+	return d
 }
 
 // NewDiskFrom creates a disk whose initial contents are data — platters
@@ -172,7 +177,17 @@ const progWindow = 600
 // Program models thread t writing the device's request registers and
 // starting the operation; done is invoked (engine context) at completion
 // with the result. Concurrent programming by two threads is detected and
-// counted as a hazard; the losing request is corrupted (fails).
+// counted as a hazard; the losing request is corrupted (fails). A write
+// longer than a block fails the same way an out-of-range block does,
+// and leaves the block as it was.
+//
+// A write's data is captured at submit and committed at completion: the
+// one BlockSize copy staged here becomes the block itself when the
+// write completes, so the caller may reuse req.Data as soon as Program
+// returns, and a power cut before the completion (SnapshotData) sees
+// the block's prior contents. Completions ride the disk's relay, so a
+// caller whose done func is bound once programs the device without
+// allocating beyond that staged copy.
 func (d *Disk) Program(t *core.Thread, req Request, done func(Result)) {
 	now := d.rt.Eng.Now()
 	hazard := now < d.progWindowEnd && d.progOwner != t.ID()
@@ -182,13 +197,18 @@ func (d *Disk) Program(t *core.Thread, req Request, done func(Result)) {
 
 	if hazard {
 		d.Hazards++
-		res := Result{OK: false, Err: "device register corruption (concurrent programming)"}
-		d.rt.Eng.After(d.P.AccessCycles, func() { done(res) })
+		d.complete.After(d.P.AccessCycles, progOp{done: done,
+			res: Result{OK: false, Err: "device register corruption (concurrent programming)"}})
 		return
 	}
 	if req.Block < 0 || req.Block >= d.P.NumBlocks {
-		res := Result{OK: false, Err: fmt.Sprintf("block %d out of range", req.Block)}
-		d.rt.Eng.After(100, func() { done(res) })
+		d.complete.After(100, progOp{done: done,
+			res: Result{OK: false, Err: fmt.Sprintf("block %d out of range", req.Block)}})
+		return
+	}
+	if req.Op == Write && len(req.Data) > d.P.BlockSize {
+		d.complete.After(100, progOp{done: done,
+			res: Result{OK: false, Err: fmt.Sprintf("write of %d bytes exceeds the %d-byte block", len(req.Data), d.P.BlockSize)}})
 		return
 	}
 
@@ -201,42 +221,57 @@ func (d *Disk) Program(t *core.Thread, req Request, done func(Result)) {
 	end := start + cost
 	d.busyUntil = end
 
-	// Capture the data movement at completion time.
-	op := req.Op
-	blk := req.Block
-	var wdata []byte
-	if op == Write {
-		wdata = append([]byte(nil), req.Data...)
+	// Capture a write's data at submit; finish commits it at completion.
+	op := progOp{op: req.Op, block: req.Block, done: done}
+	if req.Op == Write {
+		op.data = make([]byte, d.P.BlockSize)
+		copy(op.data, req.Data)
 	}
-	d.rt.Eng.At(end, func() {
-		var res Result
-		switch op {
-		case Read:
-			buf, ok := d.data[blk]
-			if !ok {
-				buf = make([]byte, d.P.BlockSize)
-			}
-			res = Result{OK: true, Data: append([]byte(nil), buf...)}
-			d.Reads++
-		case Write:
-			if d.failWrites > 0 {
-				d.failWrites--
-				d.WriteFailures++
-				done(Result{OK: false, Err: "injected write failure"})
-				return
-			}
-			if len(wdata) > d.P.BlockSize {
-				wdata = wdata[:d.P.BlockSize]
-			}
-			buf := make([]byte, d.P.BlockSize)
-			copy(buf, wdata)
-			d.data[blk] = buf
-			res = Result{OK: true}
-			d.Writes++
+	d.complete.At(end, op)
+}
+
+// progOp is one programmed operation on its way to completion: a write
+// carries its staged block, and an operation refused at programming
+// time carries its failed result (res.Err set).
+type progOp struct {
+	op    Op
+	block int
+	data  []byte
+	res   Result
+	done  func(Result)
+}
+
+// finish is the completion interrupt: it moves the data and hands the
+// result to the operation's done func.
+func (d *Disk) finish(p progOp) {
+	if p.res.Err != "" {
+		p.done(p.res)
+		return
+	}
+	var res Result
+	switch p.op {
+	case Read:
+		buf, ok := d.data[p.block]
+		if ok {
+			buf = append([]byte(nil), buf...)
+		} else {
+			buf = make([]byte, d.P.BlockSize)
 		}
-		d.BytesMoved += bytes
-		done(res)
-	})
+		res = Result{OK: true, Data: buf}
+		d.Reads++
+	case Write:
+		if d.failWrites > 0 {
+			d.failWrites--
+			d.WriteFailures++
+			p.done(Result{OK: false, Err: "injected write failure"})
+			return
+		}
+		d.data[p.block] = p.data
+		res = Result{OK: true}
+		d.Writes++
+	}
+	d.BytesMoved += uint64(d.P.BlockSize)
+	p.done(res)
 }
 
 // Driver is the paper's design: one thread owns the device; requests

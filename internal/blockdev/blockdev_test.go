@@ -2,6 +2,7 @@ package blockdev
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"chanos/internal/core"
@@ -248,4 +249,142 @@ func runStorm(t *testing.T, rt *core.Runtime, do func(*core.Thread, int) Result,
 		stop(th)
 	})
 	rt.Run()
+}
+
+// programSync programs req on disk from th and waits for its completion
+// interrupt.
+func programSync(rt *core.Runtime, th *core.Thread, disk *Disk, req Request) Result {
+	irq := th.NewChan("irq", 1)
+	disk.Program(th, req, func(res Result) { rt.InjectSend(irq, res, th.Core()) })
+	v, _ := irq.Recv(th)
+	return v.(Result)
+}
+
+// fill returns a block-sized buffer of b.
+func fill(b byte) []byte { return bytes.Repeat([]byte{b}, 4096) }
+
+// TestOversizedWriteFails: a write longer than a block fails loudly,
+// naming both sizes, and leaves the block as it was — it is never
+// silently cut to fit.
+func TestOversizedWriteFails(t *testing.T) {
+	rt := newRT(t, 2)
+	disk := NewDisk(rt, DefaultDiskParams(16))
+	var first, over, back Result
+	rt.Boot("app", func(th *core.Thread) {
+		first = programSync(rt, th, disk, Request{Op: Write, Block: 2, Data: fill(0x11)})
+		over = programSync(rt, th, disk, Request{Op: Write, Block: 2, Data: bytes.Repeat([]byte{0x22}, 4097)})
+		back = programSync(rt, th, disk, Request{Op: Read, Block: 2})
+	})
+	rt.Run()
+	if !first.OK {
+		t.Fatalf("block-sized write failed: %s", first.Err)
+	}
+	if over.OK || !strings.Contains(over.Err, "4097") || !strings.Contains(over.Err, "4096") {
+		t.Fatalf("oversized write = %+v, want a failure naming 4097 and 4096 bytes", over)
+	}
+	if !bytes.Equal(back.Data, fill(0x11)) || disk.Writes != 1 {
+		t.Fatalf("oversized write changed the block (first byte %x, %d writes)", back.Data[0], disk.Writes)
+	}
+}
+
+// TestSnapshotOmitsInFlightWrite: a write is on the platter only once
+// its completion fires, so a power cut before that keeps the old block.
+func TestSnapshotOmitsInFlightWrite(t *testing.T) {
+	rt := newRT(t, 2)
+	disk := NewDisk(rt, DefaultDiskParams(16))
+	var during, after map[int][]byte
+	rt.Boot("app", func(th *core.Thread) {
+		irq := th.NewChan("irq", 1)
+		disk.Program(th, Request{Op: Write, Block: 1, Data: fill(0xAA)}, func(res Result) { rt.InjectSend(irq, res, th.Core()) })
+		during = disk.SnapshotData()
+		irq.Recv(th)
+		after = disk.SnapshotData()
+	})
+	rt.Run()
+	if _, ok := during[1]; ok {
+		t.Fatal("snapshot taken while the write was in flight holds its block")
+	}
+	if !bytes.Equal(after[1], fill(0xAA)) {
+		t.Fatal("snapshot after the completion lacks the written block")
+	}
+}
+
+// TestWriteCapturesDataAtSubmit: the caller may reuse req.Data as soon
+// as Program returns; the block commits what it held at submit.
+func TestWriteCapturesDataAtSubmit(t *testing.T) {
+	rt := newRT(t, 2)
+	disk := NewDisk(rt, DefaultDiskParams(16))
+	var back Result
+	rt.Boot("app", func(th *core.Thread) {
+		buf := fill(0x33)
+		irq := th.NewChan("irq", 1)
+		disk.Program(th, Request{Op: Write, Block: 4, Data: buf}, func(res Result) { rt.InjectSend(irq, res, th.Core()) })
+		copy(buf, fill(0x44))
+		irq.Recv(th)
+		back = programSync(rt, th, disk, Request{Op: Read, Block: 4})
+	})
+	rt.Run()
+	if !bytes.Equal(back.Data, fill(0x33)) {
+		t.Fatalf("block holds %x..., want the bytes submitted (33)", back.Data[0])
+	}
+}
+
+// TestInjectedFailureKeepsOldBlock: a failed write commits nothing, so
+// the block keeps the contents of the last write that succeeded.
+func TestInjectedFailureKeepsOldBlock(t *testing.T) {
+	rt := newRT(t, 2)
+	disk := NewDisk(rt, DefaultDiskParams(16))
+	var failed, back Result
+	rt.Boot("app", func(th *core.Thread) {
+		programSync(rt, th, disk, Request{Op: Write, Block: 6, Data: fill(0x55)})
+		disk.InjectWriteFailures(1)
+		failed = programSync(rt, th, disk, Request{Op: Write, Block: 6, Data: fill(0x66)})
+		back = programSync(rt, th, disk, Request{Op: Read, Block: 6})
+	})
+	rt.Run()
+	if failed.OK {
+		t.Fatal("injected failure reported success")
+	}
+	if !bytes.Equal(back.Data, fill(0x55)) {
+		t.Fatalf("block holds %x... after a failed write, want the old contents (55)", back.Data[0])
+	}
+}
+
+// TestShortWriteAfterTrimIsZeroPadded: a write shorter than a block
+// commits a whole block, its tail zeroes — nothing of the trimmed
+// contents survives.
+func TestShortWriteAfterTrimIsZeroPadded(t *testing.T) {
+	rt := newRT(t, 2)
+	disk := NewDisk(rt, DefaultDiskParams(16))
+	var back Result
+	rt.Boot("app", func(th *core.Thread) {
+		programSync(rt, th, disk, Request{Op: Write, Block: 5, Data: fill(0xEE)})
+		disk.Trim(5, 1)
+		programSync(rt, th, disk, Request{Op: Write, Block: 5, Data: []byte{1, 2, 3}})
+		back = programSync(rt, th, disk, Request{Op: Read, Block: 5})
+	})
+	rt.Run()
+	want := make([]byte, 4096)
+	copy(want, []byte{1, 2, 3})
+	if !bytes.Equal(back.Data, want) {
+		t.Fatalf("short write read back as %d bytes starting %x, want 1 2 3 then zeroes to 4096", len(back.Data), back.Data[:4])
+	}
+}
+
+// TestReadReturnsACopy: a read hands out its own buffer; writing to it
+// leaves the platter alone.
+func TestReadReturnsACopy(t *testing.T) {
+	rt := newRT(t, 2)
+	disk := NewDisk(rt, DefaultDiskParams(16))
+	var first, second Result
+	rt.Boot("app", func(th *core.Thread) {
+		programSync(rt, th, disk, Request{Op: Write, Block: 7, Data: fill(0x77)})
+		first = programSync(rt, th, disk, Request{Op: Read, Block: 7})
+		copy(first.Data, fill(0))
+		second = programSync(rt, th, disk, Request{Op: Read, Block: 7})
+	})
+	rt.Run()
+	if !bytes.Equal(second.Data, fill(0x77)) || !bytes.Equal(disk.SnapshotData()[7], fill(0x77)) {
+		t.Fatal("writing to a read's data changed the platter")
+	}
 }

@@ -77,29 +77,22 @@ type Service struct {
 	threads []*core.Thread
 	Ops     uint64
 
-	// free holds released request records (see req).
+	// free holds released request records: a service channel carries
+	// only records from it. The receiving shard's loop puts the record
+	// back before its handler runs, so the sender hands the record over
+	// at the send and keeps no use of it.
 	free sim.FreeList[Request]
 }
 
 // Send sends r from thread t to ch, one of the service's shard
 // channels.
-func (s *Service) Send(t *core.Thread, ch *core.Chan, r Request) { ch.Send(t, s.req(r)) }
+func (s *Service) Send(t *core.Thread, ch *core.Chan, r Request) { ch.Send(t, s.free.Hold(r)) }
 
 // Inject delivers r to ch, one of the service's shard channels, from
 // outside any thread (a timer, a device completion), as if sent from
 // core from (see core.Runtime.InjectSend).
 func (s *Service) Inject(ch *core.Chan, r Request, from int) {
-	s.rt.InjectSend(ch, s.req(r), from)
-}
-
-// req returns r in a record from the service's free list: the one
-// message form a service channel carries. The receiving shard's loop
-// puts the record back before its handler runs, so the sender hands
-// the record over at the send and keeps no use of it.
-func (s *Service) req(r Request) *Request {
-	rec := s.free.Get()
-	*rec = r
-	return rec
+	s.rt.InjectSend(ch, s.free.Hold(r), from)
 }
 
 // ShardFor returns the channel of the shard owning key.
@@ -231,9 +224,7 @@ func (k *Kernel) RegisterEach(name string, shards int, mk func(shard int) Handle
 				if !isReq {
 					panic(fmt.Sprintf("kernel: service %q shard %d received %T, want *kernel.Request (from Service.Send or Service.Inject)", name, i, v))
 				}
-				req := *rec
-				*rec = Request{}
-				s.free.Put(rec)
+				req := s.free.Take(rec)
 				out := h(t, req)
 				s.Ops++
 				if req.Reply != nil && out != Deferred {

@@ -351,7 +351,7 @@ func TestDeferredReplySurvivesRecordReuse(t *testing.T) {
 		replies := make([]*core.Chan, n)
 		for i := range replies {
 			replies[i] = th.NewChan("held.reply", 1)
-			rec := svc.req(Request{Op: "hold", Arg: i, Reply: replies[i]})
+			rec := svc.free.Hold(Request{Op: "hold", Arg: i, Reply: replies[i]})
 			recs = append(recs, rec)
 			svc.Shard(0).Send(th, rec)
 			th.Sleep(10_000) // the shard takes it before the next goes out

@@ -185,8 +185,7 @@ func (c *Conn) Recv(t *core.Thread) (core.Msg, bool) {
 // Send transmits one payload with the given simulated wire size.
 func (c *Conn) Send(t *core.Thread, payload core.Msg, bytes int) {
 	s := c.stack
-	a := s.txFree.Get()
-	a.Payload, a.Bytes = payload, bytes
+	a := s.txFree.Hold(txReq{Payload: payload, Bytes: bytes})
 	s.svc.Send(t, s.shardChan(c.id), kernel.Request{Op: "tx", Key: int(c.id), Arg: a})
 }
 
@@ -235,29 +234,12 @@ func NewStack(rt *core.Runtime, k *kernel.Kernel, nic *machine.NIC, p StackParam
 			nic.RxDone(queue)
 			return
 		}
-		a := s.rxFree.Get()
-		a.Queue, a.Pkt = queue, pk.take()
+		a := s.rxFree.Hold(rxFrame{Queue: queue, Pkt: pk.take()})
 		s.svc.Inject(s.shardChan(a.Pkt.Conn), kernel.Request{
 			Op: "rx", Key: int(a.Pkt.Conn), Arg: a,
 		}, queue%rt.NumCores())
 	})
 	return s
-}
-
-// takeRx copies a handled rx request argument out and frees it.
-func (s *Stack) takeRx(a *rxFrame) (queue int, p Packet) {
-	queue, p = a.Queue, a.Pkt
-	*a = rxFrame{}
-	s.rxFree.Put(a)
-	return queue, p
-}
-
-// takeTx copies a handled tx request argument out and frees it.
-func (s *Stack) takeTx(a *txReq) (payload core.Msg, bytes int) {
-	payload, bytes = a.Payload, a.Bytes
-	*a = txReq{}
-	s.txFree.Put(a)
-	return payload, bytes
 }
 
 // Shards returns the number of netstack shards.
@@ -301,17 +283,17 @@ func (s *Stack) shardHandler(shard int) kernel.Handler {
 	return func(t *core.Thread, req kernel.Request) core.Msg {
 		switch req.Op {
 		case "rx":
-			queue, p := s.takeRx(req.Arg.(*rxFrame))
-			s.nic.RxDone(queue)
+			f := s.rxFree.Take(req.Arg.(*rxFrame))
+			s.nic.RxDone(f.Queue)
 			t.Compute(s.P.RxIRQCycles)
-			s.rx(t, st, p)
+			s.rx(t, st, f.Pkt)
 		case "tx":
-			payload, bytes := s.takeTx(req.Arg.(*txReq))
+			a := s.txFree.Take(req.Arg.(*txReq))
 			c := st.conns[ConnID(req.Key)]
 			if c == nil || c.finSent {
 				return nil // connection gone: data silently dropped
 			}
-			s.sendSeq(t, st, c, Packet{Conn: c.id, Port: c.port, Flags: DATA, Bytes: bytes, Payload: payload})
+			s.sendSeq(t, st, c, Packet{Conn: c.id, Port: c.port, Flags: DATA, Bytes: a.Bytes, Payload: a.Payload})
 		case "close":
 			c := st.conns[ConnID(req.Key)]
 			if c == nil || c.finSent {

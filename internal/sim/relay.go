@@ -21,6 +21,23 @@ func (l *FreeList[T]) Get() *T {
 // Put returns x to the list. The caller must hold no other use of it.
 func (l *FreeList[T]) Put(x *T) { l.free = append(l.free, x) }
 
+// Hold returns a record from the list holding v.
+func (l *FreeList[T]) Hold(v T) *T {
+	x := l.Get()
+	*x = v
+	return x
+}
+
+// Take returns the value x holds and puts x back on the list, zeroed so
+// that it keeps nothing of this use alive.
+func (l *FreeList[T]) Take(x *T) T {
+	v := *x
+	var zero T
+	*x = zero
+	l.Put(x)
+	return v
+}
+
 // Relay carries values of type T to one fixed callback through engine
 // events that allocate nothing once warm. A closure per scheduled event
 // would allocate on every call; a relay instead recycles records, each

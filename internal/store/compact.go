@@ -228,18 +228,8 @@ func (sh *shard) maybeCommitEpoch(t *core.Thread) {
 		return
 	}
 	c.sbIssued = true
-	svc, id, from := sh.s.svc, sh.id, t.Core()
-	sh.disk.Program(t, blockdev.Request{
-		Op: blockdev.Write, Block: 0, Data: encSuper(sh.epoch + 1),
-	}, func(res blockdev.Result) {
-		if res.OK {
-			sh.m.EpochWritesDurable++
-		}
-		svc.Inject(svc.Shard(id), kernel.Request{
-			Op: "epochdone", Key: id,
-			Arg: flushDone{ok: res.OK, err: res.Err},
-		}, from)
-	})
+	d := sh.newDiskDone(t, "epochdone")
+	sh.disk.Program(t, blockdev.Request{Op: blockdev.Write, Block: 0, Data: encSuper(sh.epoch + 1)}, d.done)
 }
 
 // epochDone is the superblock write's completion interrupt: the epoch
@@ -248,7 +238,7 @@ func (sh *shard) maybeCommitEpoch(t *core.Thread) {
 // entry points there, and any read the shard programmed against the old
 // region completed before the superblock write did (serial FIFO disk),
 // so nothing in flight can touch the trimmed blocks.
-func (sh *shard) epochDone(t *core.Thread, d flushDone) {
+func (sh *shard) epochDone(t *core.Thread, d *diskDone) {
 	if sh.comp == nil || sh.failed != "" {
 		return
 	}

@@ -89,7 +89,7 @@ func (s *Store) SnapshotShards() []ShardSnapshot {
 			LiveBytes: sh.liveBytes,
 
 			Waiters:       len(sh.waiters),
-			ReplWait:      len(sh.replWait),
+			ReplWait:      sh.replWait.Len(),
 			ParkedReplGet: len(sh.replReads),
 			FlushArmed:    sh.flushArmed,
 			Compacting:    sh.comp != nil,

@@ -269,11 +269,10 @@ func (sh *shard) detachRepl(t *core.Thread, r *replShard) {
 		// contract — so these are AckedLocal terminals. The flight event
 		// carries how many writes the release unparked: the chaos
 		// no-client-hang gate reads it to confirm the heal path drained.
-		sh.m.flight.Record(sh.now(), "repl-release", "", uint64(len(sh.replWait)), 0)
-		for _, pw := range sh.replWait {
-			sh.ackLocal(t, pw)
+		sh.m.flight.Record(sh.now(), "repl-release", "", uint64(sh.replWait.Len()), 0)
+		for sh.replWait.Len() > 0 {
+			sh.ackLocal(t, sh.replWait.Pop())
 		}
-		sh.replWait = nil
 	} else {
 		// The vector shrank, so the majority threshold may have dropped
 		// and the dead attachment's missing vote no longer counts

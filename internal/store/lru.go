@@ -36,8 +36,8 @@ func (c *lruCache) get(block int) ([]byte, bool) {
 	return n.data, true
 }
 
-// put inserts (or refreshes) a block, evicting the least recently used
-// entry if the cache is over capacity.
+// put inserts (or refreshes) a block. A full cache evicts its least
+// recently used entry and reuses the node for the new block.
 func (c *lruCache) put(block int, data []byte) {
 	if n, ok := c.m[block]; ok {
 		n.data = data
@@ -45,14 +45,15 @@ func (c *lruCache) put(block int, data []byte) {
 		c.pushFront(n)
 		return
 	}
-	n := &lruNode{block: block, data: data}
+	n := new(lruNode)
+	if len(c.m) >= c.cap {
+		n = c.tail
+		c.unlink(n)
+		delete(c.m, n.block)
+	}
+	n.block, n.data = block, data
 	c.m[block] = n
 	c.pushFront(n)
-	if len(c.m) > c.cap {
-		ev := c.tail
-		c.unlink(ev)
-		delete(c.m, ev.block)
-	}
 }
 
 // dropRange evicts every cached block in [start, end) — used when a

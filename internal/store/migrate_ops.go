@@ -111,7 +111,7 @@ func (sh *shard) putV(t *core.Thread, a putvArg, reply *core.Chan) core.Msg {
 		return WriteResult{Err: "store: log region full"}
 	}
 	sh.applyRecord(recPut, a.Key, len(a.Val), a.Ver, 0)
-	refs := sh.replCapture(t, recPut, a.Key, a.Val, a.Ver)
+	refs := sh.replCapture(t, recPut, a.Key, len(a.Val), a.Ver)
 	sh.m.VerWrites++
 	sh.m.flight.Record(sh.now(), "putv", a.Key, a.Ver, uint64(len(a.Val)))
 	sh.waiters = append(sh.waiters, pendingWrite{reply: reply, refs: refs,
@@ -142,7 +142,7 @@ func (sh *shard) delV(t *core.Thread, a delvArg, reply *core.Chan) core.Msg {
 		return WriteResult{Err: "store: log region full"}
 	}
 	sh.applyRecord(recDel, a.Key, 0, a.Ver, 0)
-	refs := sh.replCapture(t, recDel, a.Key, nil, a.Ver)
+	refs := sh.replCapture(t, recDel, a.Key, 0, a.Ver)
 	sh.m.VerWrites++
 	sh.m.flight.Record(sh.now(), "delv", a.Key, a.Ver, 0)
 	sh.waiters = append(sh.waiters, pendingWrite{reply: reply, refs: refs,

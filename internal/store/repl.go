@@ -45,6 +45,7 @@ import (
 	"chanos/internal/core"
 	"chanos/internal/kernel"
 	"chanos/internal/net"
+	"chanos/internal/sim/fifo"
 )
 
 // ReplRecord is one replicated log record. The version travels with it:
@@ -185,6 +186,12 @@ type replShard struct {
 	lastShip uint64       // last sequence put on the wire (advert floor)
 	ackedSeq uint64       // cumulative replica-durable sequence
 	out      []ReplRecord // records captured since the last ship
+	// shipped holds the record buffers of data batches on the wire, in
+	// sequence order, until the cumulative ack covers their Seq: before
+	// that the transport may still hold the payload to retransmit it.
+	// spare holds buffers released that way, for the batches to come.
+	shipped fifo.Queue[shippedRecs]
+	spare   [][]ReplRecord
 
 	sync       *replSync // in-flight bootstrap sweep, nil when idle
 	synced     bool      // the replica holds a complete image
@@ -203,6 +210,18 @@ type replShard struct {
 	advertFire func()
 	advertFrom int
 }
+
+// shippedRecs is a shipped data batch's record buffer and the sequence
+// whose cumulative ack releases it.
+type shippedRecs struct {
+	seq  uint64
+	recs []ReplRecord
+}
+
+// replSpareBufs bounds an attachment's spare record buffers: enough for
+// the batches a steady stream keeps in flight, so a burst's backlog is
+// not kept once it drains.
+const replSpareBufs = 4
 
 // seqRef is one write's sequence reference for one attachment: the
 // replication sequence the write was captured at on that attachment's
@@ -241,7 +260,7 @@ func (s *Store) dialReplica(rm *ReplicaMachine, i int) *replShard {
 		},
 		OnMessage: func(_ *net.Endpoint, payload core.Msg, _ int) {
 			if a, ok := payload.(ReplAck); ok {
-				svc.Inject(svc.Shard(i), kernel.Request{Op: "replack", Key: i, Arg: replAckMsg{r: r, a: a}}, 0)
+				svc.Inject(svc.Shard(i), kernel.Request{Op: "replack", Key: i, Arg: s.acks.Hold(replAckMsg{r: r, a: a})}, 0)
 			}
 		},
 		OnClose: func(*net.Endpoint) {
@@ -359,24 +378,31 @@ func findRef(refs []seqRef, r *replShard) (uint64, bool) {
 }
 
 // replCapture assigns the next replication sequence on EVERY attachment
-// to a freshly appended record and buffers it for the next ship (at the
-// group-commit flush, so replication batches ride the same cadence as
-// the disk). The value is copied: the batch ships after this call
-// returns, and a pipelining writer may legitimately reuse its buffer
-// the moment the append is in the primary's open block — the replicas
-// must log the bytes the primary logged, not whatever the buffer holds
-// later. Returns the write's per-attachment sequence refs (nil when
-// replication is off). Compaction's re-appends never come through here:
-// the replicas already hold those records.
-func (sh *shard) replCapture(t *core.Thread, op byte, key string, val []byte, ver uint64) []seqRef {
+// to the record just appended to the open block, whose value is vlen
+// bytes long, and buffers it for the next ship (at the group-commit
+// flush, so replication batches ride the same cadence as the disk).
+// The value shipped is the record's own bytes in the open block, which
+// never change once written (see shard.open), not the writer's buffer:
+// the batch ships after this call returns, and a pipelining writer may
+// legitimately reuse its buffer the moment the append is in the
+// primary's open block — the replicas must log the bytes the primary
+// logged, not whatever the buffer holds later. Returns the write's
+// per-attachment sequence refs (nil when replication is off), which go
+// back to the shard's free list when the write is answered.
+// Compaction's re-appends never come through here: the replicas
+// already hold those records.
+func (sh *shard) replCapture(t *core.Thread, op byte, key string, vlen int, ver uint64) []seqRef {
 	if len(sh.repls) == 0 {
 		return nil
 	}
 	rec := ReplRecord{Op: op, Key: key, Ver: ver}
-	if len(val) > 0 {
-		rec.Val = copyBytes(val)
+	if n := len(sh.open); vlen > 0 {
+		rec.Val = sh.open[n-vlen : n : n]
 	}
-	refs := make([]seqRef, 0, len(sh.repls))
+	var refs []seqRef
+	if n := len(sh.refFree); n > 0 {
+		refs, sh.refFree = sh.refFree[n-1], sh.refFree[:n-1]
+	}
 	for _, r := range sh.repls {
 		r.lastSeq++
 		r.out = append(r.out, rec)
@@ -384,6 +410,15 @@ func (sh *shard) replCapture(t *core.Thread, op byte, key string, val []byte, ve
 		sh.armAdvert(t, r) // the tail moved: advertise it before the flush ships it
 	}
 	return refs
+}
+
+// freeRefs hands an answered write's refs back to the shard's free
+// list.
+func (sh *shard) freeRefs(refs []seqRef) {
+	if refs != nil {
+		clear(refs)
+		sh.refFree = append(sh.refFree, refs[:0])
+	}
 }
 
 // armAdvert schedules a tail advertisement (once per attachment) —
@@ -433,8 +468,25 @@ func (sh *shard) replShipOutOne(t *core.Thread, r *replShard) {
 		return
 	}
 	b := ReplBatch{Shard: sh.id, Seq: r.lastSeq, Epoch: sh.epoch, Recs: r.out}
+	r.shipped.Push(shippedRecs{seq: b.Seq, recs: r.out})
 	r.out = nil
+	if n := len(r.spare); n > 0 {
+		r.out, r.spare = r.spare[n-1], r.spare[:n-1]
+	}
 	sh.replSend(t, r, b)
+}
+
+// releaseShipped recycles the record buffers of the data batches r's
+// cumulative ack now covers: the replica has applied them, so no copy
+// the transport still holds will ever be delivered again.
+func (r *replShard) releaseShipped() {
+	for r.shipped.Len() > 0 && r.shipped.Front().seq <= r.ackedSeq {
+		recs := r.shipped.Pop().recs
+		if len(r.spare) < replSpareBufs {
+			clear(recs)
+			r.spare = append(r.spare, recs[:0])
+		}
+	}
 }
 
 // replSend puts one batch on r's wire (or queues it until the
@@ -493,6 +545,7 @@ func (sh *shard) replAckIn(t *core.Thread, m replAckMsg) {
 	if m.a.Seq > r.ackedSeq {
 		r.ackedSeq = m.a.Seq
 	}
+	r.releaseShipped()
 	sh.maybeQuorum(t, r)
 	sh.drainQuorum(t)
 }
@@ -515,12 +568,12 @@ func (sh *shard) maybeQuorum(t *core.Thread, r *replShard) {
 // only grow between attachment changes, so a prefix check suffices.
 func (sh *shard) drainQuorum(t *core.Thread) {
 	need := sh.quorumNeed()
-	for len(sh.replWait) > 0 && votes(sh.repls, sh.replWait[0]) >= need {
-		pw := sh.replWait[0]
-		sh.replWait = sh.replWait[1:]
+	for sh.replWait.Len() > 0 && votes(sh.repls, sh.replWait.Front()) >= need {
+		pw := sh.replWait.Pop()
 		sh.m.AckedWrites++
 		sh.m.AckedQuorum++
 		sh.m.writesInFlight--
+		sh.freeRefs(pw.refs)
 		if pw.reply != nil {
 			pw.reply.Send(t, pw.res)
 		}
@@ -673,7 +726,7 @@ func (sh *shard) replSyncStep(t *core.Thread, r *replShard) {
 // ApplyRepl executes one replication batch against the (replica) store,
 // blocking until every record it carries is durable on the local log.
 func (s *Store) ApplyRepl(t *core.Thread, b ReplBatch) ReplAck {
-	return s.k.Call(t, "store", b.Shard, "repl", b).(ReplAck)
+	return s.k.Call(t, "store", b.Shard, "repl", s.batches.Hold(b)).(ReplAck)
 }
 
 // applyRepl is the replica shard's handler: append each record at the

@@ -56,7 +56,7 @@ type pendingReplRead struct {
 // contract: bounded staleness, durable-only. On a store that has never
 // been fed by a primary it degrades to an ordinary local Get.
 func (s *Store) GetReplica(t *core.Thread, key string) GetResult {
-	return s.k.Call(t, "store", keyHash(key), "getr", getArg{Key: key}).(GetResult)
+	return s.k.Call(t, "store", keyHash(key), "getr", s.keyArgs.Hold(keyArg{Key: key})).(GetResult)
 }
 
 // getReplica is the shard handler for a bounded-lag replica read.

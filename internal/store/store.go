@@ -46,6 +46,7 @@ import (
 	"chanos/internal/kernel"
 	"chanos/internal/sim"
 	"chanos/internal/sim/detmap"
+	"chanos/internal/sim/fifo"
 	"chanos/internal/telemetry"
 )
 
@@ -185,10 +186,15 @@ func (r ScanResult) MsgBytes() int {
 	return n
 }
 
-// Service request arguments.
-type getArg struct{ Key string }
+// Service request arguments. The ones a client sends per operation
+// travel as records from the store's free lists — keyArg for get, getr
+// and delete, putArg for put, *ReplBatch for repl — and the shard takes
+// each back (sim.FreeList.Take) before its handler runs, as the kernel
+// does with the *Request around it. A record is sized through its
+// value's MsgBytes, so it bills what the value would.
+type keyArg struct{ Key string }
 
-func (a getArg) MsgBytes() int { return 16 + len(a.Key) }
+func (a keyArg) MsgBytes() int { return 16 + len(a.Key) }
 
 type putArg struct {
 	Key string
@@ -197,10 +203,6 @@ type putArg struct {
 
 func (a putArg) MsgBytes() int { return 24 + len(a.Key) + len(a.Val) }
 
-type delArg struct{ Key string }
-
-func (a delArg) MsgBytes() int { return 16 + len(a.Key) }
-
 type scanArg struct {
 	Prefix string
 	Limit  int
@@ -208,13 +210,24 @@ type scanArg struct {
 
 func (a scanArg) MsgBytes() int { return 24 + len(a.Prefix) }
 
-// flushDone is the disk interrupt for a completed log write: it carries
-// the acknowledgements the write made durable back into the shard, and
-// — for a sealing write only — the block's final contents, which enter
-// the cache now that they are known to be on disk (data is nil for
-// ordinary group-commit rewrites, so the message is billed for the
-// payload exactly when it carries one, like readDone).
-type flushDone struct {
+// diskDone is the disk interrupt for one operation on the shard's log
+// device, and the argument of the message (op) it re-enters the shard
+// as: "flushed" for a log write, "epochdone" for a superblock write,
+// "readdone" for a cache-miss read. A log write carries the
+// acknowledgements it made durable and — for a sealing write only —
+// the block's final contents, which enter the cache now that they are
+// known to be on disk; a read carries the block it read. data is nil
+// otherwise, so the message is billed for a payload exactly when it
+// carries one.
+//
+// Records come from the shard's free list and go back once their
+// message is handled. Each binds its done func (Program's completion
+// callback) once, when first taken, so a log write allocates nothing
+// beyond the disk's staged block. batch is the group-commit buffer: a
+// flush swaps it with the shard's waiters, so the two slices trade
+// places instead of a new batch growing per flush.
+type diskDone struct {
+	op     string
 	batch  []pendingWrite
 	block  int
 	data   []byte
@@ -224,20 +237,53 @@ type flushDone struct {
 	// at is the virtual time the write was issued — observability
 	// metadata for the flush-latency histogram, carried free (it does
 	// not change the message's billed size).
-	at sim.Time
+	at   sim.Time
+	from int // core of the thread that programmed the operation
+
+	sh   *shard
+	self *diskDone // the record done is bound to
+	done func(blockdev.Result)
 }
 
-func (d flushDone) MsgBytes() int { return 32 + len(d.data) }
+func (d diskDone) MsgBytes() int { return 32 + len(d.data) }
 
-// readDone is the disk interrupt for a completed cache-miss read.
-type readDone struct {
-	block int
-	data  []byte
-	ok    bool
-	err   string
+// newDiskDone takes a completion record for op from the shard's free
+// list.
+func (sh *shard) newDiskDone(t *core.Thread, op string) *diskDone {
+	d := sh.diskFree.Get()
+	if d.self != d {
+		// A new record, or a copy strict mode made in transit (whose done
+		// is bound to the original): bind done to this one.
+		d.sh, d.self = sh, d
+		d.done = d.complete
+	}
+	d.op, d.from = op, t.Core()
+	return d
 }
 
-func (r readDone) MsgBytes() int { return 32 + len(r.data) }
+// complete is the disk's completion interrupt: it records the outcome
+// and re-enters the shard as d's message.
+func (d *diskDone) complete(res blockdev.Result) {
+	d.ok, d.err = res.OK, res.Err
+	switch d.op {
+	case "readdone":
+		d.data = res.Data
+	case "epochdone":
+		if res.OK {
+			d.sh.m.EpochWritesDurable++
+		}
+	}
+	svc, id := d.sh.s.svc, d.sh.id
+	svc.Inject(svc.Shard(id), kernel.Request{Op: d.op, Key: id, Arg: d}, d.from)
+}
+
+// freeDiskDone puts a handled completion record back, keeping its
+// emptied batch buffer for the flush that takes the record next.
+func (sh *shard) freeDiskDone(d *diskDone) {
+	clear(d.batch)
+	*d = diskDone{batch: d.batch[:0], sh: d.sh, self: d.self, done: d.done}
+	sh.diskFree.Put(d)
+}
 
 // Log record encoding, little-endian:
 //
@@ -264,9 +310,10 @@ const (
 	blockHeader = 8 // per-block epoch stamp
 )
 
-// stampEpoch starts a fresh open-block buffer with its epoch stamp.
-func stampEpoch(epoch uint64) []byte {
-	b := make([]byte, blockHeader)
+// stampEpoch starts a fresh open-block buffer with its epoch stamp, at
+// a whole block's capacity so that appends never regrow it.
+func stampEpoch(epoch uint64, blockSize int) []byte {
+	b := make([]byte, blockHeader, blockSize)
 	binary.LittleEndian.PutUint64(b, epoch)
 	return b
 }
@@ -394,11 +441,18 @@ type shard struct {
 	idx   map[string]loc
 	cache *lruCache
 
-	open       []byte // contents of the open (tail) log block
+	// open holds the contents of the open (tail) log block. Its bytes
+	// are only ever appended to, and a seal hands the buffer to the cache
+	// and starts a new one, so a slice of written bytes never changes.
+	open       []byte
 	openBlock  int
 	dirty      int            // records appended since the last flush was issued
 	waiters    []pendingWrite // acks riding on the next flush
 	flushArmed bool
+	// diskFree recycles the disk completion records (diskDone); refFree
+	// recycles the per-write replication refs (replCapture).
+	diskFree sim.FreeList[diskDone]
+	refFree  [][]seqRef
 
 	// The group-commit timer's callback is built once per shard;
 	// flushFrom is the core that armed the pending timer.
@@ -417,7 +471,7 @@ type shard struct {
 	// replWait holds locally-durable writes (their flush completed)
 	// still waiting for a majority of the replicas' cumulative acks to
 	// cover their refs — the other half of the quorum. Capture order.
-	replWait []pendingWrite
+	replWait fifo.Queue[pendingWrite]
 	// primaryEpoch, on a replica shard, is the highest region epoch the
 	// primary has streamed (superblock switches travel with batches).
 	primaryEpoch uint64
@@ -463,6 +517,13 @@ type Store struct {
 
 	disks  []*blockdev.Disk
 	shards []*shard // per-shard private state, in shard order (stats only)
+
+	// Free lists of the pooled request arguments (see keyArg) and of the
+	// replica-ack messages the replication hooks inject (replAckMsg).
+	keyArgs sim.FreeList[keyArg]
+	putArgs sim.FreeList[putArg]
+	batches sim.FreeList[ReplBatch]
+	acks    sim.FreeList[replAckMsg]
 
 	replicas  []*ReplicaMachine // quorum replication targets, attach order
 	recovered bool              // booted from carried-over disks
@@ -588,25 +649,25 @@ func (s *Store) LiveRatio() float64 {
 
 // Get returns the current value of key.
 func (s *Store) Get(t *core.Thread, key string) GetResult {
-	return s.k.Call(t, "store", keyHash(key), "get", getArg{Key: key}).(GetResult)
+	return s.k.Call(t, "store", keyHash(key), "get", s.keyArgs.Hold(keyArg{Key: key})).(GetResult)
 }
 
 // Put stores val under key; the call returns only once the write's log
 // record is durable.
 func (s *Store) Put(t *core.Thread, key string, val []byte) WriteResult {
-	return s.k.Call(t, "store", keyHash(key), "put", putArg{Key: key, Val: val}).(WriteResult)
+	return s.k.Call(t, "store", keyHash(key), "put", s.putArgs.Hold(putArg{Key: key, Val: val})).(WriteResult)
 }
 
 // PutAsync issues a PUT and returns its reply channel immediately, so a
 // writer can keep a pipeline of writes riding the same group commit.
 func (s *Store) PutAsync(t *core.Thread, key string, val []byte) *core.Chan {
-	return s.k.CallAsync(t, "store", keyHash(key), "put", putArg{Key: key, Val: val})
+	return s.k.CallAsync(t, "store", keyHash(key), "put", s.putArgs.Hold(putArg{Key: key, Val: val}))
 }
 
 // Delete removes key (durably: the tombstone is flushed before the call
 // returns).
 func (s *Store) Delete(t *core.Thread, key string) WriteResult {
-	return s.k.Call(t, "store", keyHash(key), "delete", delArg{Key: key}).(WriteResult)
+	return s.k.Call(t, "store", keyHash(key), "delete", s.keyArgs.Hold(keyArg{Key: key})).(WriteResult)
 }
 
 // Scan returns up to limit keys with the given prefix, sorted, merged
@@ -676,12 +737,12 @@ func (s *Store) shardHandler(id int) kernel.Handler {
 	return func(t *core.Thread, req kernel.Request) core.Msg {
 		switch req.Op {
 		case "get":
-			return sh.get(t, req.Arg.(getArg).Key, req.Reply)
+			return sh.get(t, s.keyArgs.Take(req.Arg.(*keyArg)).Key, req.Reply)
 		case "put":
-			a := req.Arg.(putArg)
+			a := s.putArgs.Take(req.Arg.(*putArg))
 			return sh.write(t, a.Key, a.Val, req.Reply)
 		case "delete":
-			return sh.del(t, req.Arg.(delArg).Key, req.Reply)
+			return sh.del(t, s.keyArgs.Take(req.Arg.(*keyArg)).Key, req.Reply)
 		case "scan":
 			return sh.scan(req.Arg.(scanArg))
 		case "putv":
@@ -696,26 +757,31 @@ func (s *Store) shardHandler(id int) kernel.Handler {
 			if sh.dirty > 0 && sh.failed == "" {
 				sh.flush(t, false)
 			}
-		case "flushed":
-			sh.flushed(t, req.Arg.(flushDone))
-		case "readdone":
-			sh.readDone(t, req.Arg.(readDone))
+		case "flushed", "readdone", "epochdone":
+			d := req.Arg.(*diskDone)
+			switch req.Op {
+			case "flushed":
+				sh.flushed(t, d)
+			case "readdone":
+				sh.readDone(t, d)
+			default:
+				sh.epochDone(t, d)
+			}
+			sh.freeDiskDone(d)
 		case "compact":
 			sh.compactStep(t)
-		case "epochdone":
-			sh.epochDone(t, req.Arg.(flushDone))
 		case "recover":
 			sh.recover(t)
 		case "repl":
-			return sh.applyRepl(t, req.Arg.(ReplBatch), req.Reply)
+			return sh.applyRepl(t, s.batches.Take(req.Arg.(*ReplBatch)), req.Reply)
 		case "getr":
-			return sh.getReplica(t, req.Arg.(getArg).Key, req.Reply)
+			return sh.getReplica(t, s.keyArgs.Take(req.Arg.(*keyArg)).Key, req.Reply)
 		case "replattach":
 			sh.replAttachIn(t, req.Arg.(replAttach))
 		case "replopen":
 			sh.replOpen(t, req.Arg.(replOpenMsg))
 		case "replack":
-			sh.replAckIn(t, req.Arg.(replAckMsg))
+			sh.replAckIn(t, s.acks.Take(req.Arg.(*replAckMsg)))
 		case "replfail":
 			sh.replFailed(t, req.Arg.(replFailMsg))
 		case "replsync":
@@ -781,18 +847,14 @@ func (sh *shard) parkRead(t *core.Thread, block int, pr pendingRead) {
 }
 
 func (sh *shard) programRead(t *core.Thread, block int) {
-	svc, id, from := sh.s.svc, sh.id, t.Core()
-	sh.disk.Program(t, blockdev.Request{Op: blockdev.Read, Block: block}, func(res blockdev.Result) {
-		svc.Inject(svc.Shard(id), kernel.Request{
-			Op: "readdone", Key: id,
-			Arg: readDone{block: block, data: res.Data, ok: res.OK, err: res.Err},
-		}, from)
-	})
+	d := sh.newDiskDone(t, "readdone")
+	d.block = block
+	sh.disk.Program(t, blockdev.Request{Op: blockdev.Read, Block: block}, d.done)
 }
 
 // readDone lands a cache-miss block, answers every GET parked on it,
 // and resumes a compaction sweep waiting for the block's contents.
-func (sh *shard) readDone(t *core.Thread, d readDone) {
+func (sh *shard) readDone(t *core.Thread, d *diskDone) {
 	waiting := sh.reads[d.block]
 	delete(sh.reads, d.block)
 	if d.ok {
@@ -860,7 +922,7 @@ func (sh *shard) write(t *core.Thread, key string, val []byte, reply *core.Chan)
 		return WriteResult{Err: "store: log region full"}
 	}
 	sh.applyRecord(recPut, key, len(val), ver, 0)
-	refs := sh.replCapture(t, recPut, key, val, ver)
+	refs := sh.replCapture(t, recPut, key, len(val), ver)
 	sh.m.flight.Record(sh.now(), "put", key, ver, uint64(len(val)))
 	sh.waiters = append(sh.waiters, pendingWrite{reply: reply, refs: refs,
 		res: WriteResult{OK: true, Found: existed && !old.dead, Ver: ver}})
@@ -896,7 +958,7 @@ func (sh *shard) del(t *core.Thread, key string, reply *core.Chan) core.Msg {
 		return WriteResult{Err: "store: log region full"}
 	}
 	sh.applyRecord(recDel, key, 0, ver, 0)
-	refs := sh.replCapture(t, recDel, key, nil, ver)
+	refs := sh.replCapture(t, recDel, key, 0, ver)
 	sh.m.flight.Record(sh.now(), "del", key, ver, 0)
 	sh.waiters = append(sh.waiters, pendingWrite{reply: reply, refs: refs,
 		res: WriteResult{OK: true, Found: true, Ver: ver}})
@@ -968,7 +1030,7 @@ func (sh *shard) writeEpoch() uint64 {
 // false when the write epoch's region is exhausted.
 func (sh *shard) append(t *core.Thread, op byte, key string, val []byte, ver uint64) bool {
 	if sh.open == nil {
-		sh.open = stampEpoch(sh.writeEpoch())
+		sh.open = stampEpoch(sh.writeEpoch(), sh.s.P.Disk.BlockSize)
 	}
 	rec := recHeader + len(key) + len(val)
 	if len(sh.open)+rec+1 > sh.s.P.Disk.BlockSize {
@@ -982,7 +1044,7 @@ func (sh *shard) append(t *core.Thread, op byte, key string, val []byte, ver uin
 		// queued behind the seal write — slower, never stale.
 		sh.flush(t, true)
 		sh.openBlock++
-		sh.open = stampEpoch(sh.writeEpoch())
+		sh.open = stampEpoch(sh.writeEpoch(), sh.s.P.Disk.BlockSize)
 	}
 	sh.open = encRecord(sh.open, op, key, val, ver)
 	sh.dirty++
@@ -1003,33 +1065,25 @@ func (sh *shard) armFlush(t *core.Thread) {
 // flush writes the open block's current contents back to the log device
 // and hands the waiting acks to the completion interrupt. The disk
 // queues internally, so the shard never blocks — it goes straight back
-// to serving requests. sealed marks a block being written for the last
-// time: its contents enter the cache when (and only when) this write
-// completes.
+// to serving requests. The disk stages its own copy of the block, so
+// appends may continue into the open block at once. sealed marks a
+// block being written for the last time: the caller starts a new open
+// block right after, so this one becomes the cache's copy as it is,
+// entering the cache when (and only when) this write completes.
 func (sh *shard) flush(t *core.Thread, sealed bool) {
 	sh.replShipOut(t) // the records riding this flush ship to the replica now
-	batch := sh.waiters
-	sh.waiters = nil
+	d := sh.newDiskDone(t, "flushed")
+	d.batch, sh.waiters = sh.waiters, d.batch
 	sh.dirty = 0
 	sh.m.FlushesStarted++
 	sh.flushesIssued++
-	sh.m.BatchSize.Add(uint64(len(batch)))
-	issued := sh.now()
-	sh.m.flight.Record(issued, "flush", "", uint64(len(batch)), uint64(sh.openBlock))
-	block, data := sh.openBlock, copyBytes(sh.open)
-	var cacheData []byte
+	sh.m.BatchSize.Add(uint64(len(d.batch)))
+	d.at, d.block, d.sealed = sh.now(), sh.openBlock, sealed
+	sh.m.flight.Record(d.at, "flush", "", uint64(len(d.batch)), uint64(d.block))
 	if sealed {
-		cacheData = data
+		d.data = sh.open
 	}
-	svc, id, from := sh.s.svc, sh.id, t.Core()
-	sh.disk.Program(t, blockdev.Request{
-		Op: blockdev.Write, Block: block, Data: data,
-	}, func(res blockdev.Result) {
-		svc.Inject(svc.Shard(id), kernel.Request{
-			Op: "flushed", Key: id,
-			Arg: flushDone{batch: batch, block: block, data: cacheData, sealed: sealed, ok: res.OK, err: res.Err, at: issued},
-		}, from)
-	})
+	sh.disk.Program(t, blockdev.Request{Op: blockdev.Write, Block: d.block, Data: sh.open}, d.done)
 }
 
 // flushed is the disk completion interrupt: the records carried by the
@@ -1037,7 +1091,7 @@ func (sh *shard) flush(t *core.Thread, sealed bool) {
 // write fail-stops the shard instead — the in-memory index and cache
 // refer to records the platters never got, so continuing to serve would
 // hand out state a restart provably diverges from.
-func (sh *shard) flushed(t *core.Thread, d flushDone) {
+func (sh *shard) flushed(t *core.Thread, d *diskDone) {
 	sh.m.FlushesDone++
 	sh.flushesDone++
 	sh.m.FlushedRecords += uint64(len(d.batch))
@@ -1070,7 +1124,7 @@ func (sh *shard) flushed(t *core.Thread, d flushDone) {
 		// contract until an image completes.
 		for _, pw := range d.batch {
 			if pw.reply != nil {
-				sh.replWait = append(sh.replWait, pw)
+				sh.replWait.Push(pw)
 			} else {
 				sh.ackLocal(t, pw)
 			}
@@ -1104,6 +1158,7 @@ func (sh *shard) ackLocal(t *core.Thread, pw pendingWrite) {
 	sh.m.AckedWrites++
 	sh.m.AckedLocal++
 	sh.m.writesInFlight--
+	sh.freeRefs(pw.refs)
 	if pw.reply != nil {
 		pw.reply.Send(t, pw.res)
 	}
@@ -1118,6 +1173,7 @@ func (sh *shard) nackBatch(t *core.Thread, batch []pendingWrite, err string) {
 			sh.m.WriteErrors++
 			sh.m.writesInFlight--
 		}
+		sh.freeRefs(pw.refs)
 		if pw.reply != nil {
 			pw.reply.Send(t, pw.errMsg(err))
 		}
@@ -1148,8 +1204,8 @@ func (sh *shard) failStop(t *core.Thread, err string) {
 	}
 	sh.nackBatch(t, sh.waiters, err)
 	sh.waiters = nil
-	sh.nackBatch(t, sh.replWait, err)
-	sh.replWait = nil
+	sh.nackBatch(t, sh.replWait.Live(), err)
+	sh.replWait.Reset()
 	for _, pr := range sh.replReads {
 		// Parked replica reads were only ever in the in-flight gauge;
 		// the nack is their terminal count.
@@ -1235,7 +1291,9 @@ func (sh *shard) recover(t *core.Thread) {
 			if parsed == blockHeader {
 				break // stamp matched by accident (epoch 0 = zeroes): never written
 			}
-			tailBlock, tail, blocks = b, copyBytes(res.Data[:parsed]), blocks+1
+			// The read is this shard's own block-long copy: its prefix
+			// serves as the open block as it is.
+			tailBlock, tail, blocks = b, res.Data[:parsed], blocks+1
 		}
 		return
 	}

@@ -81,8 +81,9 @@ type shardMetrics struct {
 	FlushLatency stats.Histogram
 	BatchSize    stats.Histogram
 	// writesInFlight counts client writes between append and terminal
-	// disposition (ack or nack) — across the waiters list, the in-transit
-	// flushDone batch, and replWait. The writes conservation law's gauge.
+	// disposition (ack or nack) — across the waiters list, the batch of
+	// each flush in transit (diskDone), and replWait. The writes
+	// conservation law's gauge.
 	writesInFlight uint64
 	// flight is the shard's flight recorder (dumped on fail-stop).
 	flight telemetry.Flight
