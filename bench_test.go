@@ -107,6 +107,33 @@ func BenchmarkRuntimeSendRecv(b *testing.B) {
 	sys.RunFor(10_000_000) // let the loops observe stop and exit
 }
 
+// BenchmarkRuntimeHandoff measures the bare host cost of one switch to a
+// simulated thread and back: two threads share a core and Yield it to
+// each other, so each op is one Yield, one context-switch event and one
+// resumption.
+func BenchmarkRuntimeHandoff(b *testing.B) {
+	sys := chanos.New(1, chanos.Config{Seed: 1})
+	defer sys.Shutdown()
+	stop := false
+	n := 0
+	for range 2 {
+		sys.Boot("yielder", func(t *chanos.Thread) {
+			for !stop {
+				t.Yield()
+				n++
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n < b.N {
+		sys.RunFor(1_000_000)
+	}
+	b.StopTimer()
+	stop = true
+	sys.RunFor(10_000_000) // let the loops observe stop and exit
+}
+
 // BenchmarkKernelCall measures the host cost of one synchronous system
 // call: a request message to a kernel-service shard and the reply back.
 func BenchmarkKernelCall(b *testing.B) {

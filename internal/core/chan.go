@@ -18,10 +18,11 @@ const (
 
 // waiter is one parked operation on a channel: a blocked sender, a blocked
 // receiver, a registered choice case, or an injected (threadless) value
-// from a device or the runtime itself. Records are recycled: a thread's
-// come from its own free list and go back when it wakes or dies (see
-// Thread.newWait), an injected value's from its channel's runtime, back
-// when the value is taken or dropped (see Runtime.newInjected).
+// from a device or the runtime itself. Records are recycled through one
+// free list per runtime: a thread's come from its runtime's and go back
+// when it wakes or dies (see Thread.newWait), an injected value's from its
+// channel's runtime, back when the value is taken or dropped (see
+// Runtime.newInjected).
 type waiter struct {
 	t      *Thread // nil for injected values
 	val    Msg     // payload for send-side waiters
@@ -51,14 +52,15 @@ func (r waitRef) dead() bool {
 	return r.w.gen != r.gen || r.w.choice != nil && r.w.choice.done
 }
 
-// release retires w: the generation bump kills every ref still queued.
+// release retires w: the generation bump kills every ref still queued,
+// and a free record keeps neither its thread nor its value alive.
 func (w *waiter) release() {
-	*w = waiter{t: w.t, gen: w.gen + 1}
+	*w = waiter{gen: w.gen + 1}
 }
 
 // newInjected takes a threadless waiter from rt's free list.
 func (rt *Runtime) newInjected(v Msg, from int) *waiter {
-	w := rt.injected.Get()
+	w := rt.waiters.Get()
 	w.val, w.from = v, from
 	return w
 }
@@ -67,7 +69,7 @@ func (rt *Runtime) newInjected(v Msg, from int) *waiter {
 // dropped.
 func (rt *Runtime) releaseInjected(w *waiter) {
 	w.release()
-	rt.injected.Put(w)
+	rt.waiters.Put(w)
 }
 
 type bufEntry struct {

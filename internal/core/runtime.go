@@ -3,12 +3,14 @@
 // pi-calculus style, as in Erlang, Newsqueak and Go) executing on the
 // simulated many-core machine.
 //
-// Threads are real goroutines, but exactly one runs at a time: every
-// runtime operation (Compute, Send, Recv, Choose, Spawn, ...) hands
-// control back to the single engine goroutine, which charges virtual
-// cycles from the machine cost model and resumes threads in deterministic
-// event order. The result is a cooperatively-scheduled M:N runtime over
-// simulated cores whose entire execution is reproducible from a seed.
+// Threads are coroutines, and exactly one runs at a time: every runtime
+// operation (Compute, Send, Recv, Choose, Spawn, ...) yields control back
+// to the single engine goroutine, which charges virtual cycles from the
+// machine cost model and resumes threads in deterministic event order. A
+// switch between the engine and a thread is a coroutine switch
+// (iter.Pull), not a pair of channel operations between goroutines. The
+// result is a cooperatively-scheduled M:N runtime over simulated cores
+// whose entire execution is reproducible from a seed.
 //
 // The API mirrors the constructs of the paper's Section 3: channels are
 // first-class values (and can themselves be sent through channels), send
@@ -19,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"chanos/internal/machine"
@@ -171,16 +174,16 @@ type Runtime struct {
 	threads map[int]*Thread
 	stats   Stats
 
-	// idle holds the hand-off channels of thread goroutines whose last
-	// thread exited (see work).
-	idle []chan *Thread
+	// idle holds the workers whose last thread exited (see worker).
+	idle []*worker
 
 	// inject and land carry InjectSend values and buffered sends to
-	// their channels through recycled engine events; injected recycles
-	// the threadless waiters of injected values that found no room.
-	inject   *sim.Relay[injection]
-	land     *sim.Relay[landing]
-	injected sim.FreeList[waiter]
+	// their channels through recycled engine events; waiters recycles
+	// the wait records of this runtime's threads and of injected values
+	// that found no room.
+	inject  *sim.Relay[injection]
+	land    *sim.Relay[landing]
+	waiters sim.FreeList[waiter]
 }
 
 type coreState struct {
@@ -305,9 +308,9 @@ func (rt *Runtime) Alive() int {
 	return n
 }
 
-// Shutdown kills every remaining thread and stops the idle thread
-// goroutines, so every goroutine the runtime started exits. Call at the
-// end of a simulation to avoid leaking parked goroutines.
+// Shutdown kills every remaining thread and stops the idle workers, so
+// every goroutine the runtime started exits. Call at the end of a
+// simulation to avoid leaking parked goroutines.
 func (rt *Runtime) Shutdown() {
 	ids := make([]int, 0, len(rt.threads))
 	for id := range rt.threads {
@@ -320,21 +323,15 @@ func (rt *Runtime) Shutdown() {
 		}
 	}
 	for _, w := range rt.idle {
-		close(w)
+		w.stop()
 	}
 	rt.idle = nil
 }
 
 func (rt *Runtime) newThread(req *spawnReq) *Thread {
-	t := &Thread{
-		rt:     rt,
-		id:     rt.nextID,
-		name:   req.name,
-		yield:  make(chan op),
-		resume: make(chan opResult),
-		links:  make(map[int]*Thread),
-	}
+	t := &Thread{rt: rt, id: rt.nextID, name: req.name, fn: req.fn}
 	t.step = t.runStep
+	t.waits = t.waitBuf[:0]
 	rt.nextID++
 	t.core = rt.sched.Place(rt, req.hint)
 	if t.core < 0 || t.core >= rt.NumCores() {
@@ -343,50 +340,67 @@ func (rt *Runtime) newThread(req *spawnReq) *Thread {
 	rt.threads[t.id] = t
 	rt.cores[t.core].assigned++
 	rt.stats.Spawns++
-	t.fn = req.fn
-	t.worker = rt.takeWorker()
-	t.worker <- t
+	t.w = rt.takeWorker()
+	t.w.t = t
 	return t
 }
 
-// takeWorker returns the hand-off channel of an idle thread goroutine,
-// starting a goroutine when none is idle.
-func (rt *Runtime) takeWorker() chan *Thread {
+// worker is a thread coroutine. It runs the threads handed to it one
+// after another, and control passes between it and the engine goroutine
+// by coroutine switches: the engine's next resumes it with the answer to
+// its last op in in, and the running thread's yield posts its next op
+// and suspends it. Workers outlive their threads, because iter.Pull
+// starts a goroutine: a churn of short-lived threads reuses a handful of
+// them, and the host's allocation count stays independent of which Go
+// scheduler P a thread happened to exit on.
+type worker struct {
+	t     *Thread  // the thread it runs, nil while idle
+	in    opResult // the engine's answer to the op last yielded
+	yield func(op) bool
+	next  func() (op, bool)
+	stop  func()
+}
+
+// takeWorker returns an idle worker, starting one when none is idle.
+func (rt *Runtime) takeWorker() *worker {
 	if n := len(rt.idle); n > 0 {
 		w := rt.idle[n-1]
 		rt.idle[n-1] = nil
 		rt.idle = rt.idle[:n-1]
 		return w
 	}
-	w := make(chan *Thread, 1)
-	go work(w)
+	w := &worker{}
+	w.next, w.stop = iter.Pull(w.loop)
 	return w
 }
 
-// work is a thread goroutine: it runs every thread handed to it on w,
-// one after another, until Shutdown closes w. Reusing goroutines keeps
-// thread churn from allocating a goroutine per thread, and keeps the
-// host's allocation count independent of which Go scheduler P a thread
-// happened to exit on.
-func work(w chan *Thread) {
-	for t := range w {
-		t.run()
+// loop is the coroutine body: it runs each thread handed to it and
+// yields its exit op only once run has returned, so that while the
+// worker sits idle no frame of the dead thread stays reachable. It ends
+// when Shutdown stops the idle worker.
+func (w *worker) loop(yield func(op) bool) {
+	w.yield = yield
+	for yield(op{kind: opExit, exit: w.t.run(w.take())}) {
 	}
 }
 
-// run runs t's function once its first resumption arrives. It returns
-// after finish has posted the exit op; the engine then retires t and
-// puts this goroutine back on the idle list.
-func (t *Thread) run() {
-	r := <-t.resume
-	defer func() {
-		reason := recover()
-		t.finish(reason)
-	}()
+// take returns the engine's latest answer and clears it, so the worker
+// keeps no message alive once its thread has read it.
+func (w *worker) take() opResult {
+	r := w.in
+	w.in = opResult{}
+	return r
+}
+
+// run runs t's function from its first resumption r and returns why it
+// ended: a normal return, Exit, Fail, a kill's poison or a genuine panic.
+func (t *Thread) run(r opResult) (reason error) {
+	defer func() { reason = finish(recover()) }()
 	if r.poison != nil {
 		panic(r.poison)
 	}
 	t.fn(t)
+	return nil
 }
 
 // makeReady queues t on its core and kicks the dispatcher. If the core is
@@ -477,21 +491,21 @@ func (rt *Runtime) releaseCore(t *Thread) {
 	}
 }
 
-// resumeThread hands control to t's goroutine, waits for its next
+// resumeThread switches to t's coroutine with res, takes back its next
 // operation, and processes it. This is the only place user code runs.
 func (rt *Runtime) resumeThread(t *Thread, res opResult) {
 	if t.state == tDead {
 		panic("core: resuming dead thread " + t.name)
 	}
 	t.state = tRunning
-	t.resume <- res
-	o := <-t.yield
+	t.w.in = res
+	o, _ := t.w.next()
 	rt.handleOp(t, o)
 }
 
 // handleOp executes one runtime operation on behalf of t at the current
 // virtual time. t owns its core when handleOp is entered (except opExit
-// reached via kill, handled in finish()).
+// reached via killThread).
 func (rt *Runtime) handleOp(t *Thread, o op) {
 	now := rt.Eng.Now()
 	switch o.kind {
@@ -524,13 +538,10 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 
 	case opSpawn:
 		_, end := rt.M.Core(t.core).Reserve(now, rt.M.P.SpawnCost)
-		child := rt.newThread(o.spawn)
-		rt.Eng.At(end, func() {
-			rt.makeReady(child)
-			if t.state != tDead {
-				rt.resumeThread(t, opResult{thread: child})
-			}
-		})
+		child := rt.newThread(&t.spawnReq)
+		t.spawnReq = spawnReq{}
+		rt.armStep(t, stepSpawn, end)
+		t.stepPeer = child
 
 	case opSend:
 		rt.opSend(t, o)
@@ -543,17 +554,13 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 
 	case opClose:
 		_, end := rt.M.Core(t.core).Reserve(now, rt.Cfg.PollCost)
-		rt.Eng.At(end, func() {
-			rt.closeChan(o.ch)
-			rt.resumeInPlace(t, opResult{})
-		})
+		rt.armStep(t, stepClose, end)
+		t.stepCh = o.ch
 
 	case opKill:
 		_, end := rt.M.Core(t.core).Reserve(now, 30)
-		rt.Eng.At(end, func() {
-			rt.killThread(o.victim, ErrKilled)
-			rt.resumeInPlace(t, opResult{})
-		})
+		rt.armStep(t, stepKill, end)
+		t.stepPeer = o.victim
 
 	case opPark:
 		if t.permit {
@@ -566,19 +573,9 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 		rt.releaseCore(t)
 
 	case opUnpark:
-		v := o.victim
 		_, end := rt.M.Core(t.core).Reserve(now, rt.M.P.WakeCost)
-		rt.Eng.At(end, func() {
-			if v.state != tDead {
-				if v.parked {
-					v.parked = false
-					rt.wakeWith(v, opResult{})
-				} else {
-					v.permit = true
-				}
-			}
-			rt.resumeInPlace(t, opResult{})
-		})
+		rt.armStep(t, stepUnpark, end)
+		t.stepPeer = o.victim
 
 	case opExit:
 		rt.threadExit(t, o.exit)
@@ -600,6 +597,19 @@ func (rt *Runtime) computeDone(t *Thread) {
 		return
 	}
 	rt.resumeThread(t, opResult{})
+}
+
+// unpark wakes v from Park, or banks a permit if it is not parked.
+func (rt *Runtime) unpark(v *Thread) {
+	if v.state == tDead {
+		return
+	}
+	if v.parked {
+		v.parked = false
+		rt.wakeWith(v, opResult{})
+	} else {
+		v.permit = true
+	}
 }
 
 // wakeWith makes a blocked thread runnable with an op result to deliver.

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"weak"
 
 	"chanos/internal/machine"
 	"chanos/internal/sim"
@@ -990,10 +991,143 @@ func TestThreadGoroutinesReused(t *testing.T) {
 		t.Fatalf("%d threads alive, %d idle goroutines after 101 threads ran one or two at a time", rt.Alive(), len(rt.idle))
 	}
 	rt.Shutdown()
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails t unless the goroutine count falls back to before
+// within 100 ms: a stopped worker's goroutine exits on its own schedule.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	for i := 0; runtime.NumGoroutine() > before; i++ {
 		if i == 100 {
 			t.Fatalf("%d goroutines after Shutdown, %d before the runtime", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// A kill is fail-stop even when a deferred function of the victim tries
+// a runtime op as it unwinds: the op is answered with the kill too, so
+// it charges no cycles, and the victim's coroutine still reaches its
+// exit instead of waiting forever for a resumption — whether the kill
+// comes from another thread mid-run or from Shutdown.
+func TestKillAnswersDeferredOpsWithPoison(t *testing.T) {
+	for _, by := range []string{"thread", "shutdown"} {
+		t.Run(by, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			rt := NewRuntime(machine.New(sim.NewEngine(), machine.DefaultParams(2)), Config{})
+			hang := rt.NewChan("hang", 0)
+			victim := rt.Boot("victim", func(th *Thread) {
+				defer th.Compute(100)
+				hang.Recv(th)
+			}, OnCore(1))
+			var killAt sim.Time
+			if by == "thread" {
+				rt.Boot("killer", func(th *Thread) {
+					th.Sleep(1000)
+					killAt = th.Now()
+					th.Kill(victim)
+				}, OnCore(0))
+			}
+			rt.Run()
+			if by == "shutdown" {
+				killAt = rt.Eng.Now()
+			}
+			rt.Shutdown()
+			if !victim.Dead() || !errors.Is(victim.ExitReason(), ErrKilled) {
+				t.Fatalf("victim dead=%v reason=%v, want killed", victim.Dead(), victim.ExitReason())
+			}
+			if busy := rt.M.Core(1).BusyUntil(); busy > killAt {
+				t.Fatalf("victim's core busy until %d, past the kill at %d: the deferred Compute was charged", busy, killAt)
+			}
+			waitGoroutines(t, before)
+		})
+	}
+}
+
+// TestSpawnAllocs bounds what a warm spawn of a child that runs to exit
+// costs the host. The child runs on an idle worker, its spawn
+// continuation is a step, its Spawn request lives in its parent, and
+// when it blocks once on a receive its waiter comes from the runtime's
+// free list into the thread's inline waits array. What still allocates
+// is the Thread and its bound t.step: 2.00 per spawn, measured as a
+// parent that spawns the child, sleeps and hands it a nil value, minus
+// the same parent only sleeping.
+func TestSpawnAllocs(t *testing.T) {
+	rt := newRT(t, 2, Config{})
+	ch := rt.NewChan("ch", 0)
+	child := func(th *Thread) { ch.Recv(th) }
+	spawn, rounds := false, 0
+	rt.Boot("parent", func(th *Thread) {
+		for {
+			s := spawn
+			if s {
+				th.Spawn("child", child)
+			}
+			th.Sleep(1000) // the child is blocked in its Recv
+			if s {
+				ch.Send(th, nil)
+			}
+			rounds++
+		}
+	}, OnCore(0))
+	const n = 500
+	run := func() {
+		for target := rounds + n; rounds < target; {
+			rt.Eng.Step()
+		}
+	}
+	measure := func(s bool) float64 {
+		spawn = s
+		run()
+		return testing.AllocsPerRun(10, run) / n
+	}
+	sleep := measure(false)
+	per := measure(true) - sleep
+	t.Logf("%.2f allocs per spawn (%.2f per sleep-only round)", per, sleep)
+	if per > 2 {
+		t.Fatalf("a warm spawn allocates %.2f, want <= 2", per)
+	}
+}
+
+// A dead thread is garbage once its runtime lets go of it, however it
+// died, while its worker sits idle for the next thread: the worker
+// yields a thread's exit only after its run has returned, so no frame
+// of the dead thread stays on the coroutine's stack, and a released
+// waiter — here the Choose registration left queued on b — forgets its
+// thread. One collection, with no retry, must reclaim all four.
+func TestDeadThreadIsCollectable(t *testing.T) {
+	rt := newRT(t, 2, Config{})
+	a, b, hang := rt.NewChan("a", 0), rt.NewChan("b", 0), rt.NewChan("hang", 0)
+	var dead []weak.Pointer[Thread]
+	boot := func(name string, fn func(*Thread)) *Thread {
+		th := rt.Boot(name, fn)
+		dead = append(dead, weak.Make(th))
+		return th
+	}
+	boot("exits", func(th *Thread) { th.Compute(10) })
+	boot("panics", func(th *Thread) {
+		th.Compute(10)
+		panic("boom")
+	})
+	boot("chooses", func(th *Thread) {
+		th.Choose(Case{Ch: a, Dir: RecvDir}, Case{Ch: b, Dir: RecvDir})
+	})
+	victim := boot("killed", func(th *Thread) { hang.Recv(th) })
+	rt.Boot("driver", func(th *Thread) {
+		th.Sleep(1000)
+		a.Send(th, 1)
+		th.Kill(victim)
+	})
+	rt.Run()
+	if rt.Alive() != 0 || len(rt.idle) == 0 {
+		t.Fatalf("%d threads alive and %d idle workers after the run", rt.Alive(), len(rt.idle))
+	}
+	runtime.GC()
+	for i, w := range dead {
+		if w.Value() != nil {
+			t.Errorf("thread %d is still reachable after it died", i)
+		}
+	}
+	runtime.KeepAlive(b)
 }

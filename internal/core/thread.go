@@ -48,7 +48,6 @@ type op struct {
 	try    bool
 	cases  []Case
 	hasDef bool
-	spawn  *spawnReq
 	victim *Thread
 	exit   error
 }
@@ -117,12 +116,11 @@ type Thread struct {
 	core int
 
 	state   tstate
-	yield   chan op
-	resume  chan opResult
+	w       *worker // the coroutine running the thread, nil once dead
 	pending opResult
-	wake    sim.Timer            // scheduled compute/sleep completion, if any
-	waits   []*waiter            // live wait-queue registrations, for cancellation
-	free    sim.FreeList[waiter] // released registrations, reused by newWait
+	wake    sim.Timer  // scheduled compute/sleep completion, if any
+	waits   []*waiter  // live wait-queue registrations, for cancellation
+	waitBuf [2]*waiter // waits' first array: a Recv, Send or two-case Choose
 
 	// step is t.runStep, bound once in newThread: the engine callback for
 	// the thread's pending continuation. A thread never has more than one
@@ -136,13 +134,14 @@ type Thread struct {
 	stepBytes int
 	stepIdx   int
 	stepRes   opResult
+	stepPeer  *Thread // stepSpawn's child, stepKill's and stepUnpark's victim
 
 	replyCh *Chan // synchronous-call reply channel (see ReplyChan)
 
-	fn     func(*Thread) // the thread's body, run by its goroutine
-	worker chan *Thread  // hand-off channel of the goroutine running it
+	fn       func(*Thread) // the thread's body, run by its worker
+	spawnReq spawnReq      // the child Spawn asks for, until the engine makes it
 
-	links     map[int]*Thread
+	links     map[int]*Thread // made by the first Link
 	monitors  []*Chan
 	trapExits *Chan
 
@@ -197,11 +196,12 @@ func (t *Thread) ReplyChan() *Chan {
 	return t.replyCh
 }
 
-// do posts one operation to the engine and parks until the result comes
-// back. A poison result unwinds the thread (kill, linked exit).
+// do yields one operation to the engine and resumes with its result. A
+// poison result unwinds the thread (kill, linked exit).
 func (t *Thread) do(o op) opResult {
-	t.yield <- o
-	r := <-t.resume
+	w := t.w
+	w.yield(o)
+	r := w.take()
 	if r.poison != nil {
 		panic(r.poison)
 	}
@@ -233,12 +233,11 @@ func (t *Thread) Migrate(core int) {
 // Spawn starts fn as a new lightweight thread — the paper's
 // `start { foo(); }`. The spawn cost is charged to the parent.
 func (t *Thread) Spawn(name string, fn func(*Thread), opts ...SpawnOpt) *Thread {
-	req := &spawnReq{name: name, fn: fn, hint: PlaceHint{Core: -1}}
+	t.spawnReq = spawnReq{name: name, fn: fn, hint: PlaceHint{Core: -1}}
 	for _, o := range opts {
-		o(req)
+		o(&t.spawnReq)
 	}
-	r := t.do(op{kind: opSpawn, spawn: req})
-	return r.thread
+	return t.do(op{kind: opSpawn}).thread
 }
 
 // Exit terminates the thread immediately with a normal exit.
@@ -248,21 +247,18 @@ func (t *Thread) Exit() { panic(exitNormal{}) }
 // threads and monitors observe it.
 func (t *Thread) Fail(reason error) { panic(reason) }
 
-// finish runs on the thread goroutine as it unwinds (normal return, Exit,
-// Fail, Kill poison, or a genuine panic) and posts the exit op.
-func (t *Thread) finish(recovered any) {
-	var reason error
+// finish turns what a thread's unwinding recovered (nil for a normal
+// return, Exit, Fail, Kill poison, or a genuine panic) into its exit
+// reason.
+func finish(recovered any) error {
 	switch v := recovered.(type) {
 	case nil:
-		reason = exitNormal{}
-	case exitNormal:
-		reason = v
+		return exitNormal{}
 	case error:
-		reason = v
+		return v
 	default:
-		reason = PanicError{Value: v}
+		return PanicError{Value: v}
 	}
-	t.yield <- op{kind: opExit, exit: reason}
 }
 
 // Link establishes a bidirectional link with other (Erlang semantics): if
@@ -273,8 +269,15 @@ func (t *Thread) Link(other *Thread) {
 	if other == nil || other.id == t.id {
 		return
 	}
+	t.link(other)
+	other.link(t)
+}
+
+func (t *Thread) link(other *Thread) {
+	if t.links == nil {
+		t.links = make(map[int]*Thread)
+	}
 	t.links[other.id] = other
-	other.links[t.id] = t
 }
 
 // Unlink removes a link in both directions.
@@ -374,10 +377,11 @@ func (rt *Runtime) threadExit(t *Thread, reason error) {
 	}
 	t.links = nil
 	delete(rt.threads, t.id)
-	// The goroutine has posted its exit and runs nothing of t's any
-	// more: it waits for the next thread.
-	rt.idle = append(rt.idle, t.worker)
-	t.fn, t.worker = nil, nil
+	// The worker has returned from t's run and yielded its exit: it
+	// holds nothing of t's any more and waits for the next thread.
+	t.w.t = nil
+	rt.idle = append(rt.idle, t.w)
+	t.fn, t.w = nil, nil
 }
 
 func exitKind(reason error) (normal, abnormal bool) {
@@ -404,9 +408,15 @@ func (rt *Runtime) notifyExit(t *Thread, ch *Chan) {
 }
 
 // killThread forcibly unwinds a thread from the engine side. The victim's
-// goroutine is resumed with a poison result, which panics through user
-// code (running deferred cleanup is intentionally NOT modelled — this is
-// fail-stop) and posts opExit.
+// coroutine is resumed with a poison result, which panics through user
+// code. This is fail-stop: a deferred function still runs, but every
+// runtime operation it tries is answered with the poison too, so the
+// unwinding thread charges no cycles, sends nothing and wakes no one,
+// and the loop ends at its exit op. Core and run-queue bookkeeping
+// happens in threadExit. The thread may be Ready (queued with a pending
+// result), Blocked (no queue position), Running-but-parked (mid
+// Compute) or not yet started; in every case its coroutine is suspended,
+// waiting for its next resumption.
 func (rt *Runtime) killThread(t *Thread, reason error) {
 	if t.state == tDead {
 		return
@@ -414,21 +424,19 @@ func (rt *Runtime) killThread(t *Thread, reason error) {
 	rt.stats.Kills++
 	rt.cancelWake(t)
 	t.cancelWaits()
-	// Pull it off the core / run queue bookkeeping happens in threadExit;
-	// here we just need the goroutine to unwind. The thread may be Ready
-	// (queued with a pending result) or Blocked (no queue position) or
-	// Running-but-parked (mid Compute). In every case its goroutine is
-	// parked in do(), waiting on resume.
-	t.state = tBlocked // ensure resumeThread's dead-check passes
-	t.resume <- opResult{poison: reason}
-	o := <-t.yield // the wrapper's finish() posts opExit
-	rt.handleOp(t, o)
+	for {
+		t.w.in = opResult{poison: reason}
+		if o, _ := t.w.next(); o.kind == opExit {
+			rt.threadExit(t, o.exit)
+			return
+		}
+	}
 }
 
-// newWait takes a waiter from t's free list and registers it in
-// t.waits; the caller fills it and queues its ref.
+// newWait takes a waiter from its runtime's free list and registers it
+// in t.waits; the caller fills it and queues its ref.
 func (t *Thread) newWait() *waiter {
-	w := t.free.Get()
+	w := t.rt.waiters.Get()
 	w.t = t
 	t.waits = append(t.waits, w)
 	return w
@@ -440,7 +448,7 @@ func (t *Thread) newWait() *waiter {
 func (t *Thread) cancelWaits() {
 	for _, w := range t.waits {
 		w.release()
-		t.free.Put(w)
+		t.rt.waiters.Put(w)
 	}
 	clear(t.waits)
 	t.waits = t.waits[:0]
@@ -467,6 +475,10 @@ const (
 	stepSend             // finishSendIdx(t, stepCh, stepVal, stepBytes, stepIdx)
 	stepRecv             // finishRecvIdx(t, stepCh, stepIdx)
 	stepCompute          // computeDone(t)
+	stepSpawn            // makeReady(stepPeer), then resume t with it
+	stepClose            // closeChan(stepCh), then resumeInPlace(t)
+	stepKill             // killThread(stepPeer), then resumeInPlace(t)
+	stepUnpark           // unpark(stepPeer), then resumeInPlace(t)
 )
 
 // armStep schedules t's step of kind k at time at; the caller fills the
@@ -511,8 +523,8 @@ func (rt *Runtime) recvAt(t *Thread, at sim.Time, c *Chan, idx int) {
 // runStep is the body of t.step. It clears the pending step before
 // running it, so the continuation may arm the next one.
 func (t *Thread) runStep() {
-	rt, k, c, v, bytes, idx, res := t.stepRT, t.stepKind, t.stepCh, t.stepVal, t.stepBytes, t.stepIdx, t.stepRes
-	t.stepKind, t.stepRT, t.stepCh, t.stepVal, t.stepRes = stepNone, nil, nil, nil, opResult{}
+	rt, k, c, v, bytes, idx, res, p := t.stepRT, t.stepKind, t.stepCh, t.stepVal, t.stepBytes, t.stepIdx, t.stepRes, t.stepPeer
+	t.stepKind, t.stepRT, t.stepCh, t.stepVal, t.stepRes, t.stepPeer = stepNone, nil, nil, nil, opResult{}, nil
 	switch k {
 	case stepResume:
 		rt.resumeInPlace(t, res)
@@ -524,6 +536,20 @@ func (t *Thread) runStep() {
 		rt.finishRecvIdx(t, c, idx)
 	case stepCompute:
 		rt.computeDone(t)
+	case stepSpawn:
+		rt.makeReady(p)
+		if t.state != tDead {
+			rt.resumeThread(t, opResult{thread: p})
+		}
+	case stepClose:
+		rt.closeChan(c)
+		rt.resumeInPlace(t, opResult{})
+	case stepKill:
+		rt.killThread(p, ErrKilled)
+		rt.resumeInPlace(t, opResult{})
+	case stepUnpark:
+		rt.unpark(p)
+		rt.resumeInPlace(t, opResult{})
 	default:
 		panic(fmt.Sprintf("core: thread %q step fired with none pending", t.name))
 	}

@@ -2,9 +2,11 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"chanos/internal/baseline"
 	"chanos/internal/sim"
@@ -427,8 +429,9 @@ func TestRegistryComplete(t *testing.T) {
 // TestAllExperimentsProduceTables runs the full suite at quick scale,
 // the settings of chanos-bench -quick: every experiment must emit at
 // least one table with at least one row; where a BENCH_<id>.json is
-// committed, the run must reproduce it byte for byte; and where the
-// experiment has gate predicates, its tables must satisfy them.
+// committed, the run must reproduce it byte for byte; where the
+// experiment has gate predicates, its tables must satisfy them; and
+// every goroutine the run started must have exited once it returns.
 func TestAllExperimentsProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
@@ -436,7 +439,15 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			before := runtime.NumGoroutine()
 			b := RunBench(e, q)
+			// A stopped worker's goroutine exits on its own schedule.
+			for i := 0; runtime.NumGoroutine() > before; i++ {
+				if i == 100 {
+					t.Fatalf("%s left %d goroutines running, %d before it ran", e.ID, runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
 			tbls := b.Tables
 			if len(tbls) == 0 {
 				t.Fatalf("%s produced no tables", e.ID)

@@ -142,7 +142,7 @@ func TestScope(t *testing.T) {
 
 		{"sharedstate", "chanos/internal/store", true},
 		{"sharedstate", "chanos/internal/sim", false},      // the engine is the allowed home of goroutines
-		{"sharedstate", "chanos/internal/core", false},     // legacy goroutine-per-thread runtime
+		{"sharedstate", "chanos/internal/core", true},      // coroutine threads: no raw goroutine, no lock
 		{"sharedstate", "chanos/internal/baseline", false}, // the lock-based foil exists to use locks
 
 		{"msgownership", "chanos/internal/store", true},

@@ -5,8 +5,8 @@ import "strings"
 // Scoping: which analyzers apply to which packages. The contracts are
 // not uniform across the tree — the engine and device layers *are* the
 // allowed home of goroutines and buffer reuse, and the legacy seed
-// subsystems (core's goroutine-per-thread runtime, vfs/vm/ipc/proto,
-// the deliberately lock-based baseline foil) predate the netstack-era
+// subsystems (core's coroutine-thread runtime, vfs/vm/ipc/proto, the
+// deliberately lock-based baseline foil) predate the netstack-era
 // determinism contract. The tables below are the single source of
 // truth; DESIGN.md §static-analysis documents the rationale per row.
 
@@ -34,14 +34,14 @@ var scheduleAffecting = []string{
 
 // engineLayer lists the packages allowed to hold shared state and
 // goroutines: the simulation engine itself, the device layer beneath
-// the message discipline, core's legacy goroutine-per-thread runtime,
-// and baseline — the paper's lock-based counterexample, whose entire
-// point is to use the primitives the rest of the tree may not.
+// the message discipline, and baseline — the paper's lock-based
+// counterexample, whose entire point is to use the primitives the rest
+// of the tree may not. core is not among them: its threads are
+// coroutines (iter.Pull), so it starts no goroutine and takes no lock.
 var engineLayer = []string{
 	"chanos/internal/sim",
 	"chanos/internal/machine",
 	"chanos/internal/blockdev",
-	"chanos/internal/core",
 	"chanos/internal/baseline",
 }
 
