@@ -85,7 +85,7 @@ func (sh *shard) maybeCompact(t *core.Thread) {
 	}
 	p := &sh.s.P
 	usedBlocks := sh.openBlock - sh.s.regionStart(sh.epoch) + 1
-	if usedBlocks < p.CompactAtBlocks {
+	if usedBlocks < max(1, p.LogBlocks*3/4) { // the high-water mark
 		return
 	}
 	usable := p.Disk.BlockSize - blockHeader

@@ -385,3 +385,51 @@ func TestReplicaReadLagAndDurabilityGates(t *testing.T) {
 		t.Fatal("ReplicaWaits not counted: the durability park never happened")
 	}
 }
+
+// TestLifecycleFold pins the store-level lifecycle state over mixed
+// per-shard states. Each shard is written as a string: "-" a shard not
+// yet built, "x" fail-stopped, otherwise one letter per attachment, "q"
+// armed and "s" still syncing ("" is a shard with no attachment).
+func TestLifecycleFold(t *testing.T) {
+	for _, row := range []struct {
+		shards    []string
+		recovered bool
+		want      string
+	}{
+		{[]string{"", ""}, false, LifecycleSolo},
+		{[]string{"", ""}, true, LifecycleFailedOver},
+		{[]string{"-", ""}, false, LifecycleSolo},
+		{[]string{"-", "-"}, true, LifecycleFailedOver},
+		{[]string{"q", "q"}, false, LifecycleQuorum},
+		{[]string{"qq", "q"}, true, LifecycleQuorum},
+		{[]string{"q", "s"}, false, LifecycleSyncing},
+		{[]string{"q", "qs"}, false, LifecycleSyncing},
+		{[]string{"s", "s"}, true, LifecycleSyncing},
+		{[]string{"q", ""}, false, LifecycleSyncing},
+		{[]string{"q", "-"}, false, LifecycleSyncing},
+		{[]string{"-", "s"}, true, LifecycleSyncing},
+		{[]string{"x", "q"}, false, LifecycleFailed},
+		{[]string{"-", "x"}, false, LifecycleFailed},
+		{[]string{"", "x"}, true, LifecycleFailed},
+	} {
+		s := &Store{recovered: row.recovered}
+		for _, c := range row.shards {
+			if c == "-" {
+				s.shards = append(s.shards, nil)
+				continue
+			}
+			sh := &shard{s: s}
+			if c == "x" {
+				sh.failed = "store: shard fail-stop"
+			} else {
+				for _, a := range c {
+					sh.repls = append(sh.repls, &replShard{synced: a == 'q', quorum: a == 'q'})
+				}
+			}
+			s.shards = append(s.shards, sh)
+		}
+		if got := s.Lifecycle(); got != row.want {
+			t.Errorf("shards %q recovered=%v: Lifecycle() = %q, want %q", row.shards, row.recovered, got, row.want)
+		}
+	}
+}

@@ -56,44 +56,36 @@ const (
 	LifecycleFailed     = "failed"      // at least one shard fail-stopped
 )
 
-// Lifecycle reports the store's replication lifecycle state: the
-// aggregate of the per-shard state machines. Any fail-stopped shard
-// dominates; otherwise the store is at quorum only when every shard has
-// at least one attachment and every attachment is armed (a shard that
-// detached mid-sync leaves the store reported as syncing — not at
-// quorum — until a fresh attach heals it). Call from the simulation
-// host between run slices, like the stats counters.
+// lifecycleNames names the per-shard lifecycle codes (lifecycleCode).
+var lifecycleNames = [...]string{LifecycleSolo, LifecycleFailedOver, LifecycleSyncing, LifecycleQuorum, LifecycleFailed}
+
+// Lifecycle reports the store's replication lifecycle state: the fold
+// of the per-shard codes (lifecycleCode). Any fail-stopped shard
+// dominates; with no attachment anywhere the store is solo or failed-
+// over; it is at quorum only when every shard is (a shard that detached
+// mid-sync leaves the store reported as syncing — not at quorum — until
+// a fresh attach heals it). A shard not yet built counts as having no
+// attachment. Call from the simulation host between run slices, like
+// the stats counters.
 func (s *Store) Lifecycle() string {
-	attached, armed, total := 0, 0, 0
+	lo, hi := uint64(4), uint64(0)
 	for _, sh := range s.shards {
-		if sh == nil {
-			continue
+		code := uint64(0)
+		switch {
+		case sh != nil:
+			code = sh.lifecycleCode()
+		case s.recovered:
+			code = 1
 		}
-		if sh.failed != "" {
-			return LifecycleFailed
-		}
-		if len(sh.repls) > 0 {
-			attached++
-		}
-		for _, r := range sh.repls {
-			total++
-			if r.quorum {
-				armed++
-			}
-		}
+		lo, hi = min(lo, code), max(hi, code)
 	}
-	n := len(s.shards)
 	switch {
-	case attached == 0:
-		if s.recovered {
-			return LifecycleFailedOver
-		}
-		return LifecycleSolo
-	case attached == n && armed == total:
+	case hi == 4 || hi <= 1: // failed, or solo/failed-over alike on every shard
+		return lifecycleNames[hi]
+	case lo == 3:
 		return LifecycleQuorum
-	default:
-		return LifecycleSyncing
 	}
+	return LifecycleSyncing
 }
 
 // ReplicaStatus is one attached replica machine's row in the per-
@@ -132,9 +124,7 @@ func (s *Store) LifecycleReport() []ReplicaStatus {
 				if r.quorum {
 					st.Armed++
 				}
-				if lag := r.lastSeq - r.ackedSeq; lag > st.MaxLag {
-					st.MaxLag = lag
-				}
+				st.MaxLag = max(st.MaxLag, r.lag())
 			}
 		}
 		switch {
@@ -271,7 +261,7 @@ func (sh *shard) detachRepl(t *core.Thread, r *replShard) {
 		// no-client-hang gate reads it to confirm the heal path drained.
 		sh.m.flight.Record(sh.now(), "repl-release", "", uint64(sh.replWait.Len()), 0)
 		for sh.replWait.Len() > 0 {
-			sh.ackLocal(t, sh.replWait.Pop())
+			sh.ack(t, sh.replWait.Pop(), false)
 		}
 	} else {
 		// The vector shrank, so the majority threshold may have dropped

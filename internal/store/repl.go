@@ -325,6 +325,14 @@ func (sh *shard) quorumNeed() int {
 	return (len(sh.repls) + 1) / 2
 }
 
+// lag is the attachment's captured-but-unacked gap in sequences.
+func (r *replShard) lag() uint64 {
+	if r.lastSeq > r.ackedSeq {
+		return r.lastSeq - r.ackedSeq
+	}
+	return 0
+}
+
 // armedCount is how many attachments are armed (at quorum).
 func (sh *shard) armedCount() int {
 	n := 0
@@ -569,14 +577,7 @@ func (sh *shard) maybeQuorum(t *core.Thread, r *replShard) {
 func (sh *shard) drainQuorum(t *core.Thread) {
 	need := sh.quorumNeed()
 	for sh.replWait.Len() > 0 && votes(sh.repls, sh.replWait.Front()) >= need {
-		pw := sh.replWait.Pop()
-		sh.m.AckedWrites++
-		sh.m.AckedQuorum++
-		sh.m.writesInFlight--
-		sh.freeRefs(pw.refs)
-		if pw.reply != nil {
-			pw.reply.Send(t, pw.res)
-		}
+		sh.ack(t, sh.replWait.Pop(), true)
 	}
 }
 

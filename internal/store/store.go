@@ -64,15 +64,12 @@ type Params struct {
 	// 50_000 (25 µs).
 	FlushCycles uint64
 	// LogBlocks is the per-shard log region size in blocks. The device
-	// carries two regions plus a superblock; when the active region
-	// crosses CompactAtBlocks the shard compacts live records into the
-	// other one, so a churning workload never exhausts the log — only a
-	// live set that genuinely exceeds the region does. Default 8192.
+	// carries two regions plus a superblock; once 3/4 of the active
+	// region's blocks are in use (the high-water mark) the shard compacts
+	// live records into the other one, so a churning workload never
+	// exhausts the log — only a live set that genuinely exceeds the
+	// region does. Default 8192.
 	LogBlocks int
-	// CompactAtBlocks is the high-water mark: compaction starts once
-	// the active region has this many blocks in use. Default 3/4 of
-	// LogBlocks.
-	CompactAtBlocks int
 	// CompactBatch is how many index entries one compaction increment
 	// examines before yielding the shard back to request service.
 	// Default 64.
@@ -104,15 +101,6 @@ func (p *Params) fill() {
 	}
 	if p.LogBlocks <= 0 {
 		p.LogBlocks = 8192
-	}
-	if p.CompactAtBlocks <= 0 {
-		p.CompactAtBlocks = p.LogBlocks * 3 / 4
-	}
-	if p.CompactAtBlocks >= p.LogBlocks {
-		p.CompactAtBlocks = p.LogBlocks - 1
-	}
-	if p.CompactAtBlocks < 1 {
-		p.CompactAtBlocks = 1
 	}
 	if p.CompactBatch <= 0 {
 		p.CompactBatch = 64
@@ -187,21 +175,53 @@ func (r ScanResult) MsgBytes() int {
 }
 
 // Service request arguments. The ones a client sends per operation
-// travel as records from the store's free lists — keyArg for get, getr
-// and delete, putArg for put, *ReplBatch for repl — and the shard takes
-// each back (sim.FreeList.Take) before its handler runs, as the kernel
-// does with the *Request around it. A record is sized through its
-// value's MsgBytes, so it bills what the value would.
+// travel as records from the store's free lists — keyArg for get and
+// getr, writeArg for the four writes, *ReplBatch for repl — and the
+// shard takes each back (sim.FreeList.Take) before its handler runs, as
+// the kernel does with the *Request around it. A record is sized
+// through its value's MsgBytes, so it bills what the value would.
 type keyArg struct{ Key string }
 
 func (a keyArg) MsgBytes() int { return 16 + len(a.Key) }
 
-type putArg struct {
-	Key string
-	Val []byte
+// writeArg is the one request record of the four writes: PUT and DELETE
+// (Op recPut or recDel, a fresh version minted by the shard) and their
+// version-carrying forms PUTV and DELV (Versioned, applied at Ver).
+// A DELETE carries no value.
+type writeArg struct {
+	Op        byte
+	Versioned bool
+	Key       string
+	Val       []byte
+	Ver       uint64
 }
 
-func (a putArg) MsgBytes() int { return 24 + len(a.Key) + len(a.Val) }
+// MsgBytes bills the key, a PUT's value and length word, and a
+// versioned write's version word.
+func (a writeArg) MsgBytes() int {
+	n := 16 + len(a.Key)
+	if a.Op == recPut {
+		n += 8 + len(a.Val)
+	}
+	if a.Versioned {
+		n += 8
+	}
+	return n
+}
+
+// op is the kernel op the write travels as. The request bills its op
+// name's length, so each kind keeps the name it has always had.
+func (a writeArg) op() string {
+	switch {
+	case a.Op == recPut && a.Versioned:
+		return "putv"
+	case a.Op == recPut:
+		return "put"
+	case a.Versioned:
+		return "delv"
+	}
+	return "delete"
+}
 
 type scanArg struct {
 	Prefix string
@@ -520,10 +540,10 @@ type Store struct {
 
 	// Free lists of the pooled request arguments (see keyArg) and of the
 	// replica-ack messages the replication hooks inject (replAckMsg).
-	keyArgs sim.FreeList[keyArg]
-	putArgs sim.FreeList[putArg]
-	batches sim.FreeList[ReplBatch]
-	acks    sim.FreeList[replAckMsg]
+	keyArgs   sim.FreeList[keyArg]
+	writeArgs sim.FreeList[writeArg]
+	batches   sim.FreeList[ReplBatch]
+	acks      sim.FreeList[replAckMsg]
 
 	replicas  []*ReplicaMachine // quorum replication targets, attach order
 	recovered bool              // booted from carried-over disks
@@ -655,19 +675,24 @@ func (s *Store) Get(t *core.Thread, key string) GetResult {
 // Put stores val under key; the call returns only once the write's log
 // record is durable.
 func (s *Store) Put(t *core.Thread, key string, val []byte) WriteResult {
-	return s.k.Call(t, "store", keyHash(key), "put", s.putArgs.Hold(putArg{Key: key, Val: val})).(WriteResult)
+	return s.write(t, writeArg{Op: recPut, Key: key, Val: val})
 }
 
 // PutAsync issues a PUT and returns its reply channel immediately, so a
 // writer can keep a pipeline of writes riding the same group commit.
 func (s *Store) PutAsync(t *core.Thread, key string, val []byte) *core.Chan {
-	return s.k.CallAsync(t, "store", keyHash(key), "put", s.putArgs.Hold(putArg{Key: key, Val: val}))
+	return s.k.CallAsync(t, "store", keyHash(key), "put", s.writeArgs.Hold(writeArg{Op: recPut, Key: key, Val: val}))
 }
 
 // Delete removes key (durably: the tombstone is flushed before the call
 // returns).
 func (s *Store) Delete(t *core.Thread, key string) WriteResult {
-	return s.k.Call(t, "store", keyHash(key), "delete", s.keyArgs.Hold(keyArg{Key: key})).(WriteResult)
+	return s.write(t, writeArg{Op: recDel, Key: key})
+}
+
+// write sends one write to its key's shard and waits for the ack.
+func (s *Store) write(t *core.Thread, a writeArg) WriteResult {
+	return s.k.Call(t, "store", keyHash(a.Key), a.op(), s.writeArgs.Hold(a)).(WriteResult)
 }
 
 // Scan returns up to limit keys with the given prefix, sorted, merged
@@ -738,18 +763,10 @@ func (s *Store) shardHandler(id int) kernel.Handler {
 		switch req.Op {
 		case "get":
 			return sh.get(t, s.keyArgs.Take(req.Arg.(*keyArg)).Key, req.Reply)
-		case "put":
-			a := s.putArgs.Take(req.Arg.(*putArg))
-			return sh.write(t, a.Key, a.Val, req.Reply)
-		case "delete":
-			return sh.del(t, s.keyArgs.Take(req.Arg.(*keyArg)).Key, req.Reply)
+		case "put", "delete", "putv", "delv":
+			return sh.write(t, s.writeArgs.Take(req.Arg.(*writeArg)), req.Reply)
 		case "scan":
 			return sh.scan(req.Arg.(scanArg))
-		case "putv":
-			a := req.Arg.(putvArg)
-			return sh.putV(t, a, req.Reply)
-		case "delv":
-			return sh.delV(t, req.Arg.(delvArg), req.Reply)
 		case "export":
 			return sh.export(req.Arg.(exportArg))
 		case "flush":
@@ -891,77 +908,77 @@ func (sh *shard) readDone(t *core.Thread, d *diskDone) {
 	}
 }
 
-// write appends a PUT record to the open block and defers the ack until
-// the record is durable (group commit). Found in the ack reports
-// whether the key held a live value before this write.
-func (sh *shard) write(t *core.Thread, key string, val []byte, reply *core.Chan) core.Msg {
-	// The write is in the in-flight gauge from arrival: append (block
-	// seal) and replCapture below can yield the shard thread, and a
-	// telemetry snapshot taken in that window must still see the write
-	// accounted — the conservation laws hold at ANY instant, not just
-	// between requests. Every terminal below pairs its counter with the
-	// gauge decrement.
-	sh.m.Puts++
+// write is the one write path: PUT, DELETE, PUTV and DELV. The write is
+// in the in-flight gauge from arrival: append (block seal) and
+// replCapture can yield the shard thread, and a telemetry snapshot
+// taken in that window must still see the write accounted — the
+// conservation laws hold at ANY instant, not just between requests.
+// Every terminal pairs its counter with the gauge decrement.
+//
+// The checks run in one order: a fail-stopped shard refuses; a
+// versioned write at version 0 is refused (native versions start at
+// 1); a versioned write at or below the key's version is a duplicate,
+// acked without touching the log — what makes migration traffic safe
+// to deliver twice; a DELETE of an absent key answers at once (nothing
+// to make durable); an oversized record is refused; so is a write the
+// log region has no room for. Otherwise the record appends — at a fresh
+// version, or at Ver — and the ack waits for it to be durable (group
+// commit). Found reports whether the key held a live value before the
+// write. A tombstone keeps its version, so a re-created key continues
+// the sequence.
+func (sh *shard) write(t *core.Thread, a writeArg, reply *core.Chan) core.Msg {
+	if a.Op == recPut {
+		sh.m.Puts++
+	} else {
+		sh.m.Deletes++
+	}
 	sh.m.writesInFlight++
-	if sh.failed != "" {
-		sh.m.WriteErrors++
+	old, existed := sh.idx[a.Key]
+	live := existed && !old.dead
+	rec := recHeader + len(a.Key) + len(a.Val)
+	var err string
+	switch {
+	case sh.failed != "":
+		err = sh.failed
+	case a.Versioned && a.Ver == 0:
+		err = fmt.Sprintf("store: versioned write of %q at version 0", a.Key)
+	case a.Versioned && existed && old.ver >= a.Ver: // a duplicate DELV reports no live value
+		sh.m.VerStale++
 		sh.m.writesInFlight--
-		return WriteResult{Err: sh.failed}
-	}
-	rec := recHeader + len(key) + len(val)
-	if rec+1+blockHeader > sh.s.P.Disk.BlockSize {
-		sh.m.WriteErrors++
-		sh.m.writesInFlight--
-		return WriteResult{Err: fmt.Sprintf("store: record for %q is %d bytes; max %d", key, rec, sh.s.P.Disk.BlockSize-1-blockHeader-recHeader)}
-	}
-	old, existed := sh.idx[key]
-	ver := old.ver + 1 // tombstones keep their version, so re-creation continues the sequence
-	if !sh.append(t, recPut, key, val, ver) {
-		sh.m.LogFull++
-		sh.m.writesInFlight--
-		return WriteResult{Err: "store: log region full"}
-	}
-	sh.applyRecord(recPut, key, len(val), ver, 0)
-	refs := sh.replCapture(t, recPut, key, len(val), ver)
-	sh.m.flight.Record(sh.now(), "put", key, ver, uint64(len(val)))
-	sh.waiters = append(sh.waiters, pendingWrite{reply: reply, refs: refs,
-		res: WriteResult{OK: true, Found: existed && !old.dead, Ver: ver}})
-	sh.armFlush(t)
-	sh.maybeCompact(t)
-	return kernel.Deferred
-}
-
-// del appends a tombstone; a miss answers immediately (nothing to make
-// durable). The index keeps the tombstone (dead loc) so the key's
-// version sequence survives deletion.
-func (sh *shard) del(t *core.Thread, key string, reply *core.Chan) core.Msg {
-	// Same gauge-from-arrival discipline as write: append can yield
-	// mid-request, and a snapshot must never catch a delete counted but
-	// unclassified.
-	sh.m.Deletes++
-	sh.m.writesInFlight++
-	if sh.failed != "" {
-		sh.m.WriteErrors++
-		sh.m.writesInFlight--
-		return WriteResult{Err: sh.failed}
-	}
-	old, ok := sh.idx[key]
-	if !ok || old.dead {
+		return WriteResult{OK: true, Found: live && a.Op == recPut, Ver: old.ver}
+	case !a.Versioned && a.Op == recDel && !live:
 		sh.m.DeleteMisses++
 		sh.m.writesInFlight--
-		return WriteResult{OK: true, Found: false}
+		return WriteResult{OK: true}
+	case rec+1+blockHeader > sh.s.P.Disk.BlockSize:
+		err = fmt.Sprintf("store: record for %q is %d bytes; max %d", a.Key, rec, sh.s.P.Disk.BlockSize-1-blockHeader-recHeader)
 	}
-	ver := old.ver + 1
-	if !sh.append(t, recDel, key, nil, ver) {
+	if err != "" {
+		sh.m.WriteErrors++
+		sh.m.writesInFlight--
+		return WriteResult{Err: err}
+	}
+	ver := a.Ver
+	if !a.Versioned {
+		ver = old.ver + 1
+	}
+	if !sh.append(t, a.Op, a.Key, a.Val, ver) {
 		sh.m.LogFull++
 		sh.m.writesInFlight--
 		return WriteResult{Err: "store: log region full"}
 	}
-	sh.applyRecord(recDel, key, 0, ver, 0)
-	refs := sh.replCapture(t, recDel, key, 0, ver)
-	sh.m.flight.Record(sh.now(), "del", key, ver, 0)
+	sh.applyRecord(a.Op, a.Key, len(a.Val), ver, 0)
+	refs := sh.replCapture(t, a.Op, a.Key, len(a.Val), ver)
+	if a.Versioned {
+		sh.m.VerWrites++
+	}
+	kind := a.op()
+	if kind == "delete" {
+		kind = "del" // the flight recorder's name for a DELETE
+	}
+	sh.m.flight.Record(sh.now(), kind, a.Key, ver, uint64(len(a.Val)))
 	sh.waiters = append(sh.waiters, pendingWrite{reply: reply, refs: refs,
-		res: WriteResult{OK: true, Found: true, Ver: ver}})
+		res: WriteResult{OK: true, Found: live, Ver: ver}})
 	sh.armFlush(t)
 	sh.maybeCompact(t)
 	return kernel.Deferred
@@ -1126,7 +1143,7 @@ func (sh *shard) flushed(t *core.Thread, d *diskDone) {
 			if pw.reply != nil {
 				sh.replWait.Push(pw)
 			} else {
-				sh.ackLocal(t, pw)
+				sh.ack(t, pw, false)
 			}
 		}
 		sh.drainQuorum(t)
@@ -1144,19 +1161,23 @@ func (sh *shard) flushed(t *core.Thread, d *diskDone) {
 				}
 				continue
 			}
-			sh.ackLocal(t, pw)
+			sh.ack(t, pw, false)
 		}
 		sh.drainReplReads(t)
 	}
 	sh.maybeCommitEpoch(t)
 }
 
-// ackLocal completes a client write at local durability (the
-// solo/syncing contract): its terminal counters fire and it leaves the
-// in-flight gauge.
-func (sh *shard) ackLocal(t *core.Thread, pw pendingWrite) {
+// ack completes a client write — at majority quorum, or at local
+// durability (the solo/syncing contract): its terminal counters fire
+// and it leaves the in-flight gauge.
+func (sh *shard) ack(t *core.Thread, pw pendingWrite, quorum bool) {
 	sh.m.AckedWrites++
-	sh.m.AckedLocal++
+	if quorum {
+		sh.m.AckedQuorum++
+	} else {
+		sh.m.AckedLocal++
+	}
 	sh.m.writesInFlight--
 	sh.freeRefs(pw.refs)
 	if pw.reply != nil {

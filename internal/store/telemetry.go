@@ -122,9 +122,7 @@ func (sh *shard) replLag() uint64 {
 	}
 	var worst uint64
 	for _, r := range sh.repls {
-		if r.lastSeq > r.ackedSeq && r.lastSeq-r.ackedSeq > worst {
-			worst = r.lastSeq - r.ackedSeq
-		}
+		worst = max(worst, r.lag())
 	}
 	return worst
 }
@@ -171,12 +169,8 @@ func (s *Store) CollectShard(i int, emit func(telemetry.Value)) {
 			if r.quorum {
 				st = 3
 			}
-			var lag uint64
-			if r.lastSeq > r.ackedSeq {
-				lag = r.lastSeq - r.ackedSeq
-			}
 			emit(telemetry.Gauge(fmt.Sprintf("Repl%dState", slot), st))
-			emit(telemetry.Gauge(fmt.Sprintf("Repl%dLag", slot), lag))
+			emit(telemetry.Gauge(fmt.Sprintf("Repl%dLag", slot), r.lag()))
 		}
 	}
 	emit(telemetry.HistValue("FlushLatency", &sh.m.FlushLatency))

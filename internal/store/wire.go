@@ -139,17 +139,15 @@ func (s *Store) Apply(t *core.Thread, req KVRequest) KVResponse {
 	case WGet:
 		r := s.Get(t, req.Key)
 		return KVResponse{Seq: req.Seq, OK: r.Err == "", Found: r.Found, Ver: r.Ver, Val: r.Val, Err: r.Err}
-	case WPut:
-		r := s.Put(t, req.Key, req.Val)
-		return KVResponse{Seq: req.Seq, OK: r.OK, Found: r.Found, Ver: r.Ver, Err: r.Err}
-	case WDelete:
-		r := s.Delete(t, req.Key)
-		return KVResponse{Seq: req.Seq, OK: r.OK, Found: r.Found, Ver: r.Ver, Err: r.Err}
-	case WPutV:
-		r := s.PutV(t, req.Key, req.Val, req.Ver)
-		return KVResponse{Seq: req.Seq, OK: r.OK, Found: r.Found, Ver: r.Ver, Err: r.Err}
-	case WDelV:
-		r := s.DeleteV(t, req.Key, req.Ver)
+	case WPut, WDelete, WPutV, WDelV:
+		a := writeArg{Op: recPut, Key: req.Key, Val: req.Val}
+		if req.Op == WDelete || req.Op == WDelV {
+			a = writeArg{Op: recDel, Key: req.Key}
+		}
+		if req.Op == WPutV || req.Op == WDelV {
+			a.Versioned, a.Ver = true, req.Ver
+		}
+		r := s.write(t, a)
 		return KVResponse{Seq: req.Seq, OK: r.OK, Found: r.Found, Ver: r.Ver, Err: r.Err}
 	case WScan:
 		r := s.Scan(t, req.Key, req.Limit)

@@ -49,4 +49,7 @@ echo "== go test -race -short ./..."
 # new happens-before edges, just more of the same ones.
 go test -race -short ./...
 
+echo "== non-test Go lines outside perf/ (informational)"
+scripts/loc.sh | tail -n 1
+
 echo "verify: OK"
