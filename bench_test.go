@@ -15,6 +15,8 @@ import (
 	"chanos/internal/core"
 	"chanos/internal/exp"
 	"chanos/internal/kernel"
+	"chanos/internal/machine"
+	"chanos/internal/net"
 	"chanos/internal/store"
 )
 
@@ -207,6 +209,53 @@ func benchStore(b *testing.B, op func(t *chanos.Thread, kv *chanos.Store, key st
 	b.StopTimer()
 	stop = true
 	sys.RunFor(10_000_000) // let the caller observe stop and exit
+}
+
+// BenchmarkConnCycle measures the host cost of one warm connection
+// lifecycle on an eight-core machine with a two-shard netstack: a dial,
+// one echoed request, the close from both sides and the run until the
+// simulation is quiet. Each op starts one handler thread on the server.
+func BenchmarkConnCycle(b *testing.B) {
+	sys := chanos.New(8, chanos.Config{Seed: 1})
+	defer sys.Shutdown()
+	nic := sys.NewNIC(machine.NICParams{})
+	nw := sys.NewNetwork(nic, net.DefaultWireParams())
+	l := sys.NewNetStack(kernel.New(sys.RT, kernel.Config{}), nic, net.StackParams{Shards: 2}).Listen(80)
+	sys.Boot("accept", func(t *chanos.Thread) {
+		for {
+			c, ok := l.Accept(t)
+			if !ok {
+				return
+			}
+			t.Spawn("echo", func(ht *chanos.Thread) {
+				for {
+					v, ok := c.Recv(ht)
+					if !ok {
+						break
+					}
+					c.Send(ht, v, 256)
+				}
+				c.Close(ht)
+			})
+		}
+	})
+	var ping core.Msg = "ping"
+	hooks := net.EndpointHooks{
+		OnOpen:    func(ep *net.Endpoint) { ep.Send(ping, 64) },
+		OnMessage: func(ep *net.Endpoint, _ core.Msg, _ int) { ep.Close() },
+	}
+	cycle := func() {
+		nw.Dial(80, hooks)
+		sys.Run()
+	}
+	for range 300 {
+		cycle()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		cycle()
+	}
 }
 
 // BenchmarkRuntimeSpawn measures host cost per simulated thread spawn.

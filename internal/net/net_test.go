@@ -10,6 +10,9 @@ import (
 	"chanos/internal/sim"
 )
 
+// raceEnabled reports a -race build (see race_test.go).
+var raceEnabled bool
+
 // tw is one test world: machine, runtime, kernel, NIC, wire, stack.
 type tw struct {
 	eng *sim.Engine
@@ -136,6 +139,68 @@ func TestDeterministicReplay(t *testing.T) {
 	c := replayRun(6)
 	if a == c {
 		t.Fatalf("different seeds produced identical digests: %v", a)
+	}
+}
+
+// lossyPoolRun drives a ClientPool through a lossy wire with an RTO far
+// shorter than the think time and a single retry, so that connections
+// give up mid-dial, after the server's FIN, and during a client's think
+// time, sometimes long enough before the think ends that the client has
+// already dialled again. It returns every counter the run moves, and a
+// digest of each MakeReq and OnResp call with its client, request index
+// and virtual time.
+func lossyPoolRun(seed uint64) [16]uint64 {
+	wp := WireParams{DelayCycles: 5_000, JitterCycles: 10_000, LossProb: 0.05, RTOCycles: 20_000, MaxRetries: 1}
+	w := newTW(8, 2, wp, seed)
+	defer w.rt.Shutdown()
+	w.echoServer(500)
+	digest := uint64(14695981039346656037)
+	mix := func(vs ...uint64) {
+		for _, v := range vs {
+			digest = (digest ^ v) * 1099511628211
+		}
+	}
+	pool := NewClientPool(w.nw, ClientParams{
+		Port: 80, Clients: 16, ReqsPerConn: 4, ThinkCycles: 600_000, Seed: seed,
+		MakeReq: func(c, r int) (core.Msg, int) {
+			mix(1, uint64(c), uint64(r), uint64(w.eng.Now()))
+			return r, 64
+		},
+		OnResp: func(c, r int, payload core.Msg) {
+			mix(2, uint64(c), uint64(r), uint64(payload.(int)), uint64(w.eng.Now()))
+		},
+	})
+	w.rt.RunFor(100_000_000)
+	sc := w.st.Counters()
+	return [16]uint64{
+		w.eng.Fired(), pool.Responses, pool.Completed, pool.Failed,
+		w.nw.Retransmits, w.nw.GaveUp, w.nw.WireDrops, w.nw.WindowDeferred,
+		sc.Accepts, sc.RxPackets, sc.TxPackets, sc.Delivered,
+		sc.Retransmits, sc.GaveUp, sc.IdleReaped, digest,
+	}
+}
+
+// TestClientPoolLossyPin pins one lossy ClientPool run exactly. At this
+// seed 21 OnFail hooks arrive from endpoints whose dial already ended
+// (GaveUp exceeds Failed), and 17 think-time sends fire after their
+// endpoint gave up, 7 of them after their client dialled again: each
+// still builds its request with its own dial's index and puts it on
+// that endpoint, leaving the client's new dial alone. The pool's
+// bookkeeping must send the same requests at the same instants, count
+// the same outcomes and move no event.
+func TestClientPoolLossyPin(t *testing.T) {
+	got := lossyPoolRun(5)
+	want := [16]uint64{
+		120630, 2394, 582, 30,
+		2940, 51, 951, 0,
+		624, 9144, 9627, 2412,
+		415, 0, 19, 181043764638538402,
+	}
+	if got != want {
+		t.Fatalf("lossy ClientPool run moved:\n got  %v\n want %v", got, want)
+	}
+	if got[5] <= got[3] {
+		t.Fatalf("GaveUp %d <= Failed %d: no late OnFail from a finished endpoint", got[5], got[3])
 	}
 }
 
@@ -464,5 +529,49 @@ func TestPacketPathAllocs(t *testing.T) {
 	}
 	if !ep.Open() || w.nw.Retransmits != 0 {
 		t.Fatalf("connection open %v, %d retransmits: not a steady state", ep.Open(), w.nw.Retransmits)
+	}
+}
+
+// TestConnCycleAllocs pins what one warm connection lifecycle costs the
+// host: Dial, one echo, Close from both sides, and the run to quiet.
+// The stack's connection record, both flows on each side with their
+// rings and scratch slices, and both RTO callbacks are recycled. What
+// is left is exactly these 11 objects:
+//   - the Endpoint and the Conn, which their callers hold;
+//   - the socket's receive channel and its waiter ring, allocated by
+//     its first blocked Recv;
+//   - the channel's name from fmt.Sprintf, and the ConnID boxed for it;
+//   - the echo handler thread's name and its boxed ConnID, the spawn
+//     closure, the Thread and its step.
+//
+// Connection ids past 255 box into a fresh word, so the cycles measured
+// start past id 600. A per-connection record that stops being recycled
+// adds at least one allocation per cycle.
+func TestConnCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	w := newTW(8, 2, DefaultWireParams(), 5)
+	defer w.rt.Shutdown()
+	w.echoServer(1000)
+	var ping core.Msg = "ping"
+	hooks := EndpointHooks{
+		OnOpen:    func(ep *Endpoint) { ep.Send(ping, 64) },
+		OnMessage: func(ep *Endpoint, _ core.Msg, _ int) { ep.Close() },
+	}
+	cycle := func() {
+		w.nw.Dial(80, hooks)
+		w.rt.Run()
+	}
+	for i := 0; i < 600; i++ {
+		cycle()
+	}
+	const want = 11
+	if per := testing.AllocsPerRun(200, cycle); per != want {
+		t.Fatalf("a dial → echo → close cycle allocates %.0f, want %d", per, want)
+	}
+	if c := w.st.Counters(); c.Accepts != 801 || c.Delivered != 801 || c.Retransmits != 0 || len(w.nw.eps) != 0 {
+		t.Fatalf("accepts %d, delivered %d, %d retransmits, %d endpoints left: not clean cycles",
+			c.Accepts, c.Delivered, c.Retransmits, len(w.nw.eps))
 	}
 }

@@ -70,6 +70,10 @@ type Network struct {
 	toEP  *sim.Relay[Packet]
 	pkts  sim.FreeList[Packet]
 
+	// flows holds the flow records of cleanly reaped endpoints for the
+	// next Dial to reuse (see epFlows).
+	flows sim.FreeList[epFlows]
+
 	// Stats.
 	ToHost, ToClient uint64 // packets that survived the wire, per direction
 	WireDrops        uint64
@@ -176,22 +180,41 @@ type Endpoint struct {
 
 	net     *Network
 	hooks   EndpointHooks
-	snd     sendFlow
-	rcv     recvFlow
-	open    bool // SYNACK seen
-	closed  bool // we sent FIN
-	done    bool // remote FIN delivered
+	flows   *epFlows // nil once cleanly reaped
+	open    bool     // SYNACK seen
+	closed  bool     // we sent FIN
+	done    bool     // remote FIN delivered
 	retries int
 	rto     sim.Timer
-	fire    func() // ep.fireRTO, bound once: arming allocates nothing
 }
+
+// epFlows is the part of an Endpoint its Network recycles: both flows,
+// with their rings and scratch slices, and the RTO callback. Callers
+// hold the Endpoint itself, so it is never reused; the record is handed
+// back at the clean reap in maybeReap, which cancels the RTO, so no
+// stale timer can reach the next endpoint. An endpoint that gave up
+// keeps its record, because its owner may still send on it.
+type epFlows struct {
+	ep   *Endpoint
+	snd  sendFlow
+	rcv  recvFlow
+	fire func() // f.fireRTO, bound once per record: arming allocates nothing
+}
+
+func (f *epFlows) fireRTO() { f.ep.fireRTO() }
 
 // Dial opens a connection to the given port: the SYN goes on the wire
 // immediately and is retried on timeout until the server answers (or
 // MaxRetries is exhausted, e.g. when the listen backlog keeps shedding).
 func (n *Network) Dial(port int, hooks EndpointHooks) *Endpoint {
-	ep := &Endpoint{ID: n.nextID, Port: port, net: n, hooks: hooks}
-	ep.fire = ep.fireRTO
+	f := n.flows.Get()
+	if f.fire == nil {
+		f.fire = f.fireRTO
+	}
+	f.snd.reset(0)
+	f.rcv.reset()
+	ep := &Endpoint{ID: n.nextID, Port: port, net: n, hooks: hooks, flows: f}
+	f.ep = ep
 	n.nextID++
 	n.eps[ep.ID] = ep
 	n.toHost(Packet{Conn: ep.ID, Port: port, Flags: SYN})
@@ -213,7 +236,7 @@ func (ep *Endpoint) Send(payload core.Msg, bytes int) {
 	if ep.closed {
 		return
 	}
-	rel := ep.snd.submit(Packet{Conn: ep.ID, Port: ep.Port, Flags: DATA, Bytes: bytes, Payload: payload})
+	rel := ep.flows.snd.submit(Packet{Conn: ep.ID, Port: ep.Port, Flags: DATA, Bytes: bytes, Payload: payload})
 	if len(rel) == 0 {
 		ep.net.WindowDeferred++
 	}
@@ -230,7 +253,7 @@ func (ep *Endpoint) Close() {
 		return
 	}
 	ep.closed = true
-	for _, p := range ep.snd.submit(Packet{Conn: ep.ID, Port: ep.Port, Flags: FIN}) {
+	for _, p := range ep.flows.snd.submit(Packet{Conn: ep.ID, Port: ep.Port, Flags: FIN}) {
 		ep.net.toHost(p)
 	}
 	ep.armRTO()
@@ -250,7 +273,7 @@ func (ep *Endpoint) armRTO() {
 	if ep.rto.Armed() {
 		return
 	}
-	ep.rto = ep.net.Eng.After(rtoAfter(ep.net.P.RTOCycles, ep.retries), ep.fire)
+	ep.rto = ep.net.Eng.After(rtoAfter(ep.net.P.RTOCycles, ep.retries), ep.flows.fire)
 }
 
 func (ep *Endpoint) cancelRTO() {
@@ -273,7 +296,7 @@ func (ep *Endpoint) fireRTO() {
 		ep.armRTO()
 		return
 	}
-	pend := ep.snd.pending()
+	pend := ep.flows.snd.pending()
 	for _, p := range pend {
 		ep.net.toHost(p)
 		ep.net.Retransmits++
@@ -292,7 +315,7 @@ func (ep *Endpoint) handle(p Packet) {
 		}
 		ep.open = true
 		ep.retries = 0
-		ep.snd.setWindow(p.Window, 0) // server's initial receive window
+		ep.flows.snd.setWindow(p.Window, 0) // server's initial receive window
 		ep.cancelRTO()
 		if ep.hooks.OnOpen != nil {
 			ep.hooks.OnOpen(ep)
@@ -300,24 +323,24 @@ func (ep *Endpoint) handle(p Packet) {
 
 	case p.Flags&ACK != 0:
 		ep.retries = 0
-		ep.snd.setWindow(p.Window, p.Ack)
-		outstanding := ep.snd.ack(p.Ack)
-		for _, q := range ep.snd.drain() {
+		ep.flows.snd.setWindow(p.Window, p.Ack)
+		outstanding := ep.flows.snd.ack(p.Ack)
+		for _, q := range ep.flows.snd.drain() {
 			ep.net.toHost(q) // window reopened: release queued sends
 		}
 		if !outstanding {
 			ep.cancelRTO()
 			ep.maybeReap()
-		} else if len(ep.snd.pending()) > 0 {
+		} else if len(ep.flows.snd.pending()) > 0 {
 			ep.armRTO()
 		}
 
 	case p.Flags&(DATA|FIN) != 0:
-		run := ep.rcv.accept(p)
+		run := ep.flows.rcv.accept(p)
 		// Always re-ack: the peer retransmits until it hears from us.
 		// Endpoints deliver straight into callbacks — no buffer to fill —
 		// so they advertise an effectively unlimited window.
-		ep.net.toHost(Packet{Conn: ep.ID, Port: ep.Port, Flags: ACK, Ack: ep.rcv.cumAck(), Window: defaultWindow})
+		ep.net.toHost(Packet{Conn: ep.ID, Port: ep.Port, Flags: ACK, Ack: ep.flows.rcv.cumAck(), Window: defaultWindow})
 		for _, q := range run {
 			if q.Flags&FIN != 0 {
 				ep.done = true
@@ -332,10 +355,15 @@ func (ep *Endpoint) handle(p Packet) {
 	}
 }
 
-// maybeReap removes the endpoint once both directions are finished.
+// maybeReap removes the endpoint once both directions are finished and
+// hands its flows back to the network. A reaped endpoint is closed, so
+// Send and Close on it return before they would touch the flows.
 func (ep *Endpoint) maybeReap() {
-	if ep.done && ep.closed && ep.snd.done() {
+	if ep.done && ep.closed && ep.flows.snd.done() {
 		ep.cancelRTO()
 		delete(ep.net.eps, ep.ID)
+		ep.flows.ep = nil
+		ep.net.flows.Put(ep.flows)
+		ep.flows = nil
 	}
 }

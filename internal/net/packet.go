@@ -132,6 +132,15 @@ type sendFlow struct {
 	wndAck  uint64             // newest cumulative ack that updated the window
 }
 
+// reset empties the flow for a new connection whose peer advertises
+// wnd, keeping its rings and scratch slice.
+func (s *sendFlow) reset(wnd int) {
+	s.unacked.Reset()
+	s.queued.Reset()
+	clear(s.out)
+	*s = sendFlow{unacked: s.unacked, queued: s.queued, out: s.out[:0], wnd: wnd}
+}
+
 // window returns the usable window. A zero advertisement degrades to a
 // single in-flight packet: the classic zero-window probe, retransmitted
 // on the RTO until the peer's buffer drains and its acks reopen the
@@ -206,6 +215,14 @@ type recvFlow struct {
 	next uint64 // next expected seq (first is 1)
 	held map[uint64]Packet
 	run  []Packet // accept's result, reused by the next accept
+}
+
+// reset empties the flow for a new connection, keeping its reassembly
+// map and scratch slice.
+func (r *recvFlow) reset() {
+	clear(r.held)
+	clear(r.run)
+	r.next, r.run = 0, r.run[:0]
 }
 
 // accept processes one sequenced packet and returns the run of packets

@@ -85,7 +85,8 @@ func (r *txReq) MsgBytes() int { return 16 + r.Bytes }
 
 // stackConn is the per-connection state owned by exactly one shard
 // thread — mutated without any locking, because routing by ConnID means
-// no other thread ever touches it.
+// no other thread ever touches it. Records are recycled through the
+// shard's free list (see retire and reuse).
 type stackConn struct {
 	id   ConnID
 	port int
@@ -99,10 +100,20 @@ type stackConn struct {
 	rto              sim.Timer
 	lastRx           sim.Time // last packet seen; idle sweep reaps silence
 
-	// The RTO timer's callback is built once per connection; rtoFrom is
-	// the core that armed the pending timer.
+	// The RTO timer's callback is built once per record; rtoFrom is the
+	// core that armed the pending timer.
 	rtoFire func()
 	rtoFrom int
+}
+
+// reuse readies a new or recycled record for connection id: flows
+// empty but keeping their rings and scratch slices, the default
+// window, no retries, no FIN seen either way, no timer, and the socket
+// channel recvCh.
+func (c *stackConn) reuse(id ConnID, port int, recvCh *core.Chan, now sim.Time) {
+	c.snd.reset(defaultWindow)
+	c.rcv.reset()
+	*c = stackConn{id: id, port: port, snd: c.snd, rcv: c.rcv, recvCh: recvCh, lastRx: now, rtoFire: c.rtoFire}
 }
 
 // closedRec remembers a retired connection: when it went, and whether
@@ -127,6 +138,9 @@ type shardState struct {
 	// the core that armed the pending sweep.
 	sweepFire func()
 	sweepFrom int
+
+	// free holds retired connection records for the next SYN to reuse.
+	free sim.FreeList[stackConn]
 
 	// m is this shard's private metric set: incremented freely on the
 	// shard's handler thread, folded only when statd sweeps by (see
@@ -368,21 +382,19 @@ func (s *Stack) rx(t *core.Thread, st *shardState, p Packet) {
 		if l == nil {
 			return // no listener: the void swallows the SYN
 		}
-		c := &stackConn{
-			id:     p.Conn,
-			port:   p.Port,
-			snd:    sendFlow{wnd: defaultWindow},
-			recvCh: t.NewChan(fmt.Sprintf("conn.%d.recv", p.Conn), s.P.RecvBuf),
-			lastRx: s.rt.Eng.Now(),
-		}
+		c := st.free.Get()
+		c.reuse(p.Conn, p.Port, t.NewChan(fmt.Sprintf("conn.%d.recv", p.Conn), s.P.RecvBuf), s.rt.Eng.Now())
 		conn := &Conn{id: p.Conn, port: p.Port, stack: s, recv: c.recvCh}
 		if !l.accept.TrySend(t, conn) {
 			st.m.AcceptDrops++ // backlog full: shed; the client will retry
+			st.free.Put(c)
 			return
 		}
 		st.conns[p.Conn] = c
-		c.rtoFire = func() {
-			s.svc.Inject(s.shardChan(c.id), kernel.Request{Op: "rto", Key: int(c.id)}, c.rtoFrom)
+		if c.rtoFire == nil {
+			c.rtoFire = func() {
+				s.svc.Inject(s.shardChan(c.id), kernel.Request{Op: "rto", Key: int(c.id)}, c.rtoFrom)
+			}
 		}
 		st.m.Accepts++
 		s.transmit(t, st, Packet{Conn: c.id, Port: c.port, Flags: SYNACK, Window: s.advWindow(c)})
@@ -478,8 +490,17 @@ const timeWait = 16
 // TIME_WAIT; clean marks a completed FIN handshake (see closedRec).
 // The set is purged lazily once it grows; expiry is order-insensitive,
 // so map iteration hurts nothing.
+//
+// The record goes back on the shard's free list, but keeps its state
+// until a SYN reuses it, because rx still reads c after retiring it. A
+// record retired with its RTO armed is left to the garbage collector
+// instead: the stale timer reads c.id when it fires, and canceling it
+// would remove an engine event.
 func (s *Stack) retire(st *shardState, c *stackConn, clean bool) {
 	delete(st.conns, c.id)
+	if !c.rto.Armed() {
+		st.free.Put(c)
+	}
 	now := s.rt.Eng.Now()
 	st.closed[c.id] = closedRec{at: now, clean: clean}
 	if len(st.closed) >= 512 {
