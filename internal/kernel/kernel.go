@@ -82,6 +82,8 @@ type Service struct {
 	// back before its handler runs, so the sender hands the record over
 	// at the send and keeps no use of it.
 	free sim.FreeList[Request]
+	// replyName names the reply channels CallAsync makes, built once.
+	replyName string
 }
 
 // Send sends r from thread t to ch, one of the service's shard
@@ -208,7 +210,7 @@ func (k *Kernel) RegisterEach(name string, shards int, mk func(shard int) Handle
 	if shards <= 0 {
 		shards = len(k.kernelCores)
 	}
-	s := &Service{Name: name, rt: k.RT}
+	s := &Service{Name: name, replyName: name + ".reply", rt: k.RT}
 	for i := 0; i < shards; i++ {
 		ch := k.RT.NewChan(fmt.Sprintf("%s.%d", name, i), k.SyscallQueueDepth)
 		s.shards = append(s.shards, ch)
@@ -269,7 +271,7 @@ func (k *Kernel) service(name string) *Service {
 // machinery).
 func (k *Kernel) CallAsync(t *core.Thread, service string, key int, op string, arg core.Msg) *core.Chan {
 	s := k.service(service)
-	reply := t.NewChan(service+".reply", 1)
+	reply := t.NewChan(s.replyName, 1)
 	s.Send(t, s.ShardFor(key), Request{Op: op, Key: key, Arg: arg, Reply: reply})
 	return reply
 }

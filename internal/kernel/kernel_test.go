@@ -129,6 +129,9 @@ func TestCallAsyncOverlapsWork(t *testing.T) {
 	rt.Boot("app", func(th *core.Thread) {
 		reply := k.CallAsync(th, "slow", 0, "q", nil)
 		issueTime = th.Now()
+		if n := reply.Name(); n != "slow.reply" {
+			t.Errorf("async reply channel is named %q, want slow.reply", n)
+		}
 		th.Compute(100_000) // overlap with the service work
 		v, _ := reply.Recv(th)
 		collectTime = th.Now()

@@ -10,22 +10,22 @@ import (
 // TestLogPathAllocs pins the host cost of the store's write path once
 // warm: a PUT from one thread, each riding a group-commit flush of its
 // own that completes before the next PUT. The log path itself — pooled
-// request and completion records, the group-commit batch, the disk's
-// relay, the replication batch buffers, refs and ack messages — adds
-// nothing but the disk's one staged copy per log write. Measured per
-// PUT: solo 2.10 (10.57 before the log path was pooled), replicated
-// with one replica machine 9.22 (33.19 before). What still allocates:
+// request, reply and completion records, the group-commit batch, the
+// disk's relay, the replication batch buffers, refs and ack messages —
+// adds nothing but the disk's one staged copy per log write. Measured
+// per PUT: solo 1.10 (10.57 before the log path was pooled, 2.10 while
+// the reply was a boxed WriteResult), replicated with one replica
+// machine 6.22 (33.19 before, 9.22 while the reply and the replica's
+// ack were boxed per hop). What still allocates:
 //
-//   - the reply box: the WriteResult a PUT is answered with is a value
-//     boxed into the reply message (1);
 //   - the staged block copy of each log write, on each machine (1 solo,
 //     2 replicated);
 //   - a fresh open block whenever one seals (~0.06 per machine);
 //   - replicated only: each PUT ships two batches, the tail
 //     advertisement half a flush interval in and the record itself at
 //     the flush, and the replica answers both. Each batch costs its
-//     ReplBatch and ReplAck wire payloads and the ReplAck reply box of
-//     its apply (6).
+//     ReplBatch wire payload and the ReplAck its apply answers with,
+//     which goes on the wire as it is (4).
 func TestLogPathAllocs(t *testing.T) {
 	keys := make([]string, 64)
 	for i := range keys {
@@ -38,8 +38,8 @@ func TestLogPathAllocs(t *testing.T) {
 		replicated bool
 		ceiling    float64
 	}{
-		{"solo", false, 2.5},
-		{"replicated", true, 10},
+		{"solo", false, 1.2},
+		{"replicated", true, 6.4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var kv *Store
@@ -81,6 +81,77 @@ func TestLogPathAllocs(t *testing.T) {
 			}
 			if c := kv.Counters(); c.FlushesDone < uint64(puts)-1 {
 				t.Fatalf("%d flushes for %d puts: the puts did not each ride their own flush", c.FlushesDone, puts)
+			}
+		})
+	}
+}
+
+// TestGetPathAllocs pins the host cost of a warm GET from one thread,
+// served from the open block and from the block cache: the request and
+// reply records come from the store's free lists, the reply channel is
+// the thread's own, and the value is a view of its block (GetResult),
+// so nothing allocates. It was 2 per GET while the value was copied
+// and the reply was a value boxed into the message.
+func TestGetPathAllocs(t *testing.T) {
+	keys := make([]string, 8)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("get/%02d", i)
+	}
+	val := make([]byte, 100)
+	for _, tc := range []struct {
+		name   string
+		filler int // records written after keys: enough to seal their block
+	}{
+		{"open block", 0},
+		{"cache hit", 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newSW(4, Params{Shards: 1, CacheBlocks: 4}, 7, nil)
+			defer w.rt.Shutdown()
+			sh := w.kv.shards
+			gets, ready := 0, false
+			w.rt.Boot("app", func(th *core.Thread) {
+				for _, key := range keys {
+					w.kv.Put(th, key, val)
+				}
+				for i := 0; i < tc.filler; i++ {
+					w.kv.Put(th, fmt.Sprintf("fill/%02d", i), val)
+				}
+				ready = true
+				for {
+					if g := w.kv.Get(th, keys[gets%len(keys)]); !g.Found {
+						t.Errorf("get %d: %+v", gets, g)
+						return
+					}
+					gets++
+				}
+			}, core.OnCore(1))
+			for !ready {
+				if !w.eng.Step() {
+					t.Fatal("engine ran dry before the keys were written")
+				}
+			}
+			if open := sh[0].idx[keys[0]].block == sh[0].openBlock; open != (tc.filler == 0) {
+				t.Fatalf("keys in the open block: %v, want %v", open, tc.filler == 0)
+			}
+			// One run is a GET of every key. AllocsPerRun averages whole
+			// allocations per run, so a stray allocation of the Go
+			// runtime's, once in a while, does not count.
+			run := func() {
+				for target := gets + len(keys); gets < target; {
+					if !w.eng.Step() {
+						t.Fatal("engine ran dry before the gets completed")
+					}
+				}
+			}
+			run()
+			misses := w.kv.Counters().CacheMisses
+			per := testing.AllocsPerRun(100, run)
+			if w.kv.Counters().CacheMisses != misses {
+				t.Fatal("a measured GET missed the cache")
+			}
+			if per != 0 {
+				t.Fatalf("%d warm GETs allocate %.0f, want 0", len(keys), per)
 			}
 		})
 	}

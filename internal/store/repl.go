@@ -696,7 +696,9 @@ func (sh *shard) replSyncStep(t *core.Thread, r *replShard) {
 			return
 		}
 		r.lastSeq++
-		recs = append(recs, ReplRecord{Op: recPut, Key: k, Val: copyBytes(data[l.off : l.off+l.vlen]), Ver: l.ver})
+		// The value ships as a view of its block, like a GET's (see
+		// GetResult): the replica copies it into its own log.
+		recs = append(recs, ReplRecord{Op: recPut, Key: k, Val: data[l.off : l.off+l.vlen : l.off+l.vlen], Ver: l.ver})
 		sy.next++
 		done++
 	}
@@ -723,12 +725,6 @@ func (sh *shard) replSyncStep(t *core.Thread, r *replShard) {
 }
 
 // --- replica-side apply ---
-
-// ApplyRepl executes one replication batch against the (replica) store,
-// blocking until every record it carries is durable on the local log.
-func (s *Store) ApplyRepl(t *core.Thread, b ReplBatch) ReplAck {
-	return s.k.Call(t, "store", b.Shard, "repl", s.batches.Hold(b)).(ReplAck)
-}
 
 // applyRepl is the replica shard's handler: append each record at the
 // primary's version, version-aware (a duplicate or sync/stream overlap
@@ -799,10 +795,11 @@ func (sh *shard) applyRepl(t *core.Thread, b ReplBatch, reply *core.Chan) core.M
 }
 
 // ServeReplica pumps one replication connection on the replica
-// machine: apply each batch (blocking until its records are durable),
-// then send the cumulative ack back. A fail-stopped replica shard
-// answers with an error ack and the loop ends — the primary treats the
-// attachment as lost on seeing it.
+// machine: apply each batch (a store call that blocks until its records
+// are durable), then send the cumulative ack back — the ReplAck the
+// shard answered with, boxed once by the shard and put on the wire as
+// it is. A fail-stopped replica shard answers with an error ack and the
+// loop ends — the primary treats the attachment as lost on seeing it.
 func ServeReplica(t *core.Thread, c *net.Conn, s *Store) {
 	for {
 		v, ok := c.Recv(t)
@@ -813,8 +810,9 @@ func ServeReplica(t *core.Thread, c *net.Conn, s *Store) {
 		if !ok {
 			continue
 		}
-		ack := s.ApplyRepl(t, b)
-		c.Send(t, ack, ack.WireBytes())
+		reply := s.k.Call(t, "store", b.Shard, "repl", s.batches.Hold(b))
+		ack := reply.(ReplAck)
+		c.Send(t, reply, ack.WireBytes())
 		if ack.Err != "" {
 			break
 		}

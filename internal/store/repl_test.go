@@ -346,7 +346,7 @@ func TestCompactionPausesBootstrapSync(t *testing.T) {
 		}
 		for i, a := range acks {
 			v, _ := a.Recv(th)
-			if r, ok := v.(WriteResult); !ok || !r.OK {
+			if r, ok := v.(*WriteResult); !ok || !r.OK {
 				t.Errorf("churn put %d refused: %+v", i, v)
 				return
 			}

@@ -56,7 +56,7 @@ type pendingReplRead struct {
 // contract: bounded staleness, durable-only. On a store that has never
 // been fed by a primary it degrades to an ordinary local Get.
 func (s *Store) GetReplica(t *core.Thread, key string) GetResult {
-	return s.k.Call(t, "store", keyHash(key), "getr", s.keyArgs.Hold(keyArg{Key: key})).(GetResult)
+	return s.gets.Take(s.k.Call(t, "store", keyHash(key), "getr", s.keyArgs.Hold(keyArg{Key: key})).(*GetResult))
 }
 
 // getReplica is the shard handler for a bounded-lag replica read.
@@ -64,7 +64,7 @@ func (sh *shard) getReplica(t *core.Thread, key string, reply *core.Chan) core.M
 	sh.m.ReplicaGets++
 	if sh.failed != "" {
 		sh.m.ReadErrors++
-		return GetResult{Err: sh.failed}
+		return sh.getErr(sh.failed)
 	}
 	if !sh.s.replicaRole {
 		// A primary/solo store answering a replica-read is just a local
@@ -72,7 +72,7 @@ func (sh *shard) getReplica(t *core.Thread, key string, reply *core.Chan) core.M
 		l, ok := sh.idx[key]
 		if !ok || l.dead {
 			sh.m.GetNotFound++
-			return GetResult{Found: false}
+			return sh.notFound()
 		}
 		return sh.serveLoc(t, l, reply)
 	}
@@ -82,16 +82,16 @@ func (sh *shard) getReplica(t *core.Thread, key string, reply *core.Chan) core.M
 		// primary holds (this covers the window between attach and the
 		// first batch too).
 		sh.m.RefusedSyncing++
-		return GetResult{Err: ErrReplicaSyncing}
+		return sh.getErr(ErrReplicaSyncing)
 	}
 	if sh.primTail-sh.replApplied > sh.s.P.ReplicaLagBound {
 		sh.m.RefusedLag++
-		return GetResult{Err: ErrReplicaLag}
+		return sh.getErr(ErrReplicaLag)
 	}
 	l, ok := sh.idx[key]
 	if !ok || l.dead {
 		sh.m.GetNotFound++
-		return GetResult{Found: false}
+		return sh.notFound()
 	}
 	if l.seq > sh.replDurable {
 		// The version is applied but its group commit has not landed: a
@@ -147,7 +147,7 @@ func (sh *shard) requeueReplReads(t *core.Thread) {
 		l, ok := sh.idx[pr.key]
 		if !ok || l.dead {
 			sh.m.GetNotFound++
-			pr.reply.Send(t, GetResult{Found: false})
+			pr.reply.Send(t, sh.notFound())
 			continue
 		}
 		if l.seq > sh.replDurable {

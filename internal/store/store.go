@@ -132,7 +132,11 @@ func (p *Params) fill() {
 	}
 }
 
-// GetResult answers a GET.
+// GetResult answers a GET. Val is a read-only view of the log block
+// that holds the value, not a copy: a block's written bytes never
+// change (see shard.open), and the view's capacity ends at its length,
+// so an append to it reallocates. The shard answers with a *GetResult
+// from the store's free list, and Get and GetReplica take it back.
 type GetResult struct {
 	Found bool
 	Ver   uint64
@@ -145,7 +149,9 @@ func (r GetResult) MsgBytes() int { return 24 + len(r.Val) + len(r.Err) }
 
 // WriteResult answers a PUT or DELETE. Ver is the version the write
 // created (for DELETE, the tombstone's version); Found reports whether
-// the key existed before a DELETE.
+// the key existed before a DELETE. Like GetResult, it travels as a
+// *WriteResult from a store free list, which the caller's side takes
+// back.
 type WriteResult struct {
 	OK    bool
 	Found bool
@@ -423,9 +429,10 @@ type loc struct {
 // pendingWrite is an acknowledgement waiting for its record's block
 // write to complete (group commit) — and, under replication, for a
 // majority of replicas' cumulative acks to cover its refs (quorum).
-// res is the success reply: a WriteResult for client writes, a ReplAck
-// for replica-side applies (repl marks those; their acks are
-// durability receipts to the primary, not client acks).
+// res is the success reply: a *WriteResult record for client writes, a
+// ReplAck for replica-side applies (repl marks those; their acks are
+// durability receipts to the primary, not client acks). Either is boxed
+// once, when the write parks, and sent as it is.
 type pendingWrite struct {
 	reply *core.Chan
 	res   core.Msg
@@ -433,15 +440,16 @@ type pendingWrite struct {
 	repl  bool
 }
 
-// errMsg builds the failure reply matching the waiter's success type.
-func (pw pendingWrite) errMsg(err string) core.Msg {
-	if pw.repl {
-		if a, ok := pw.res.(ReplAck); ok {
-			return ReplAck{Shard: a.Shard, Seq: a.Seq, Err: err}
-		}
-		return ReplAck{Err: err}
+// nackFor turns the waiter's reply into the failure reply err: a client
+// write's record is rewritten in place, and a replica apply gets an
+// error ReplAck for the same sequence.
+func (pw pendingWrite) nackFor(err string) core.Msg {
+	if r, ok := pw.res.(*WriteResult); ok {
+		*r = WriteResult{Err: err}
+		return r
 	}
-	return WriteResult{Err: err}
+	a := pw.res.(ReplAck)
+	return ReplAck{Shard: a.Shard, Seq: a.Seq, Err: err}
 }
 
 // pendingRead is a GET waiting for its block to come back from disk.
@@ -544,6 +552,10 @@ type Store struct {
 	writeArgs sim.FreeList[writeArg]
 	batches   sim.FreeList[ReplBatch]
 	acks      sim.FreeList[replAckMsg]
+	// Free lists of the reply records: every GET and write is answered
+	// with one, and the client API takes it back.
+	gets   sim.FreeList[GetResult]
+	writes sim.FreeList[WriteResult]
 
 	replicas  []*ReplicaMachine // quorum replication targets, attach order
 	recovered bool              // booted from carried-over disks
@@ -669,7 +681,7 @@ func (s *Store) LiveRatio() float64 {
 
 // Get returns the current value of key.
 func (s *Store) Get(t *core.Thread, key string) GetResult {
-	return s.k.Call(t, "store", keyHash(key), "get", s.keyArgs.Hold(keyArg{Key: key})).(GetResult)
+	return s.gets.Take(s.k.Call(t, "store", keyHash(key), "get", s.keyArgs.Hold(keyArg{Key: key})).(*GetResult))
 }
 
 // Put stores val under key; the call returns only once the write's log
@@ -680,6 +692,7 @@ func (s *Store) Put(t *core.Thread, key string, val []byte) WriteResult {
 
 // PutAsync issues a PUT and returns its reply channel immediately, so a
 // writer can keep a pipeline of writes riding the same group commit.
+// The reply is a *WriteResult.
 func (s *Store) PutAsync(t *core.Thread, key string, val []byte) *core.Chan {
 	return s.k.CallAsync(t, "store", keyHash(key), "put", s.writeArgs.Hold(writeArg{Op: recPut, Key: key, Val: val}))
 }
@@ -692,8 +705,12 @@ func (s *Store) Delete(t *core.Thread, key string) WriteResult {
 
 // write sends one write to its key's shard and waits for the ack.
 func (s *Store) write(t *core.Thread, a writeArg) WriteResult {
-	return s.k.Call(t, "store", keyHash(a.Key), a.op(), s.writeArgs.Hold(a)).(WriteResult)
+	return s.takeWrite(s.k.Call(t, "store", keyHash(a.Key), a.op(), s.writeArgs.Hold(a)))
 }
+
+// takeWrite returns the WriteResult a write's reply v carries and puts
+// its record back on the free list.
+func (s *Store) takeWrite(v core.Msg) WriteResult { return s.writes.Take(v.(*WriteResult)) }
 
 // Scan returns up to limit keys with the given prefix, sorted, merged
 // across every shard (each shard scans its private index; the caller's
@@ -819,15 +836,26 @@ func (sh *shard) get(t *core.Thread, key string, reply *core.Chan) core.Msg {
 	sh.m.Gets++
 	if sh.failed != "" {
 		sh.m.ReadErrors++
-		return GetResult{Err: sh.failed}
+		return sh.getErr(sh.failed)
 	}
 	l, ok := sh.idx[key]
 	if !ok || l.dead {
 		sh.m.GetNotFound++
-		return GetResult{Found: false}
+		return sh.notFound()
 	}
 	return sh.serveLoc(t, l, reply)
 }
+
+// found, notFound and getErr are the three answers to a GET, each a
+// record from the store's free list. found's value is l's bytes in
+// block, viewed in place.
+func (sh *shard) found(l loc, block []byte) *GetResult {
+	return sh.s.gets.Hold(GetResult{Found: true, Ver: l.ver, Val: block[l.off : l.off+l.vlen : l.off+l.vlen]})
+}
+
+func (sh *shard) notFound() *GetResult { return sh.s.gets.Hold(GetResult{}) }
+
+func (sh *shard) getErr(err string) *GetResult { return sh.s.gets.Hold(GetResult{Err: err}) }
 
 // serveLoc materialises one index entry's value: from the open tail
 // block, the cache, or a disk read (the only deferring case — the GET
@@ -837,11 +865,11 @@ func (sh *shard) serveLoc(t *core.Thread, l loc, reply *core.Chan) core.Msg {
 	if l.block == sh.openBlock {
 		// The tail block lives in memory until sealed.
 		sh.m.CacheHits++
-		return GetResult{Found: true, Ver: l.ver, Val: copyBytes(sh.open[l.off : l.off+l.vlen])}
+		return sh.found(l, sh.open)
 	}
 	if data, hit := sh.cache.get(l.block); hit {
 		sh.m.CacheHits++
-		return GetResult{Found: true, Ver: l.ver, Val: copyBytes(data[l.off : l.off+l.vlen])}
+		return sh.found(l, data)
 	}
 	// The miss is the read's terminal count: whatever the parked disk
 	// read returns later (value or error) was already accounted here.
@@ -878,14 +906,12 @@ func (sh *shard) readDone(t *core.Thread, d *diskDone) {
 		sh.cache.put(d.block, d.data)
 	}
 	for _, pr := range waiting {
-		var res core.Msg
-		if !d.ok {
-			res = GetResult{Err: d.err}
-		} else {
-			res = GetResult{Found: true, Ver: pr.l.ver, Val: copyBytes(d.data[pr.l.off : pr.l.off+pr.l.vlen])}
-		}
-		if pr.reply != nil {
-			pr.reply.Send(t, res)
+		switch {
+		case pr.reply == nil: // a sweep's park: it wanted only the block
+		case !d.ok:
+			pr.reply.Send(t, sh.getErr(d.err))
+		default:
+			pr.reply.Send(t, sh.found(pr.l, d.data))
 		}
 	}
 	if c := sh.comp; c != nil && c.waitBlock == d.block {
@@ -945,18 +971,18 @@ func (sh *shard) write(t *core.Thread, a writeArg, reply *core.Chan) core.Msg {
 	case a.Versioned && existed && old.ver >= a.Ver: // a duplicate DELV reports no live value
 		sh.m.VerStale++
 		sh.m.writesInFlight--
-		return WriteResult{OK: true, Found: live && a.Op == recPut, Ver: old.ver}
+		return sh.s.writes.Hold(WriteResult{OK: true, Found: live && a.Op == recPut, Ver: old.ver})
 	case !a.Versioned && a.Op == recDel && !live:
 		sh.m.DeleteMisses++
 		sh.m.writesInFlight--
-		return WriteResult{OK: true}
+		return sh.s.writes.Hold(WriteResult{OK: true})
 	case rec+1+blockHeader > sh.s.P.Disk.BlockSize:
 		err = fmt.Sprintf("store: record for %q is %d bytes; max %d", a.Key, rec, sh.s.P.Disk.BlockSize-1-blockHeader-recHeader)
 	}
 	if err != "" {
 		sh.m.WriteErrors++
 		sh.m.writesInFlight--
-		return WriteResult{Err: err}
+		return sh.s.writes.Hold(WriteResult{Err: err})
 	}
 	ver := a.Ver
 	if !a.Versioned {
@@ -965,7 +991,7 @@ func (sh *shard) write(t *core.Thread, a writeArg, reply *core.Chan) core.Msg {
 	if !sh.append(t, a.Op, a.Key, a.Val, ver) {
 		sh.m.LogFull++
 		sh.m.writesInFlight--
-		return WriteResult{Err: "store: log region full"}
+		return sh.s.writes.Hold(WriteResult{Err: "store: log region full"})
 	}
 	sh.applyRecord(a.Op, a.Key, len(a.Val), ver, 0)
 	refs := sh.replCapture(t, a.Op, a.Key, len(a.Val), ver)
@@ -978,7 +1004,7 @@ func (sh *shard) write(t *core.Thread, a writeArg, reply *core.Chan) core.Msg {
 	}
 	sh.m.flight.Record(sh.now(), kind, a.Key, ver, uint64(len(a.Val)))
 	sh.waiters = append(sh.waiters, pendingWrite{reply: reply, refs: refs,
-		res: WriteResult{OK: true, Found: live, Ver: ver}})
+		res: sh.s.writes.Hold(WriteResult{OK: true, Found: live, Ver: ver})})
 	sh.armFlush(t)
 	sh.maybeCompact(t)
 	return kernel.Deferred
@@ -1196,7 +1222,7 @@ func (sh *shard) nackBatch(t *core.Thread, batch []pendingWrite, err string) {
 		}
 		sh.freeRefs(pw.refs)
 		if pw.reply != nil {
-			pw.reply.Send(t, pw.errMsg(err))
+			pw.reply.Send(t, pw.nackFor(err))
 		}
 	}
 }
@@ -1232,14 +1258,14 @@ func (sh *shard) failStop(t *core.Thread, err string) {
 		// the nack is their terminal count.
 		sh.m.ReadErrors++
 		if pr.reply != nil {
-			pr.reply.Send(t, GetResult{Err: err})
+			pr.reply.Send(t, sh.getErr(err))
 		}
 	}
 	sh.replReads = nil
 	for _, b := range detmap.Keys(sh.reads) {
 		for _, pr := range sh.reads[b] {
 			if pr.reply != nil {
-				pr.reply.Send(t, GetResult{Err: err})
+				pr.reply.Send(t, sh.getErr(err))
 			}
 		}
 		delete(sh.reads, b)
@@ -1352,5 +1378,3 @@ func (sh *shard) recover(t *core.Thread) {
 	// that just started above commits, epochDone re-attempts this).
 	sh.maybeStartReplSync(t)
 }
-
-func copyBytes(b []byte) []byte { return append([]byte(nil), b...) }

@@ -111,7 +111,8 @@ func (w *Workload) Prefill(t *core.Thread, s *Store) {
 	var replies []*core.Chan
 	flush := func() {
 		for _, r := range replies {
-			r.Recv(t)
+			v, _ := r.Recv(t)
+			s.takeWrite(v)
 		}
 		replies = replies[:0]
 	}
