@@ -44,8 +44,6 @@ type (
 	ExitNotice = core.ExitNotice
 	// SpawnOpt adjusts thread placement.
 	SpawnOpt = core.SpawnOpt
-	// Scheduler places threads on cores (implementations: internal/sched).
-	Scheduler = core.Scheduler
 	// Stats snapshots runtime counters.
 	Stats = core.Stats
 	// Time is virtual time in CPU cycles.
@@ -111,10 +109,6 @@ type Config struct {
 	Seed uint64
 	// Strict enables shared-nothing deep-copy message semantics.
 	Strict bool
-	// Sched overrides the placement policy (default round-robin).
-	Sched Scheduler
-	// Params overrides the machine cost model (nil = calibrated default).
-	Params *machine.Params
 }
 
 // System is a booted simulated machine plus channel runtime.
@@ -127,17 +121,8 @@ type System struct {
 // New builds a system with the given core count.
 func New(cores int, cfg Config) *System {
 	eng := sim.NewEngine()
-	p := machine.DefaultParams(cores)
-	if cfg.Params != nil {
-		p = *cfg.Params
-		p.Cores = cores
-	}
-	m := machine.New(eng, p)
-	rt := core.NewRuntime(m, core.Config{
-		Seed:   cfg.Seed,
-		Strict: cfg.Strict,
-		Sched:  cfg.Sched,
-	})
+	m := machine.New(eng, machine.DefaultParams(cores))
+	rt := core.NewRuntime(m, core.Config{Seed: cfg.Seed, Strict: cfg.Strict})
 	return &System{Eng: eng, M: m, RT: rt}
 }
 

@@ -250,6 +250,10 @@ func runScenario(name string, cfg dump.Config, seed uint64, dumpDir string) int 
 	switch name {
 	case dump.ScenarioKVLoad:
 		cfg.Scenario = name
+		if err := cfg.Check(); err != nil {
+			fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)
+			return 2
+		}
 		w = dump.Build(seed, cfg)
 	case dump.ScenarioCluster:
 		w = dump.BuildCluster(seed, cfg)
@@ -260,7 +264,7 @@ func runScenario(name string, cfg dump.Config, seed uint64, dumpDir string) int 
 	defer w.Close()
 	d := w.Driver()
 	if dumpDir != "" {
-		d.C.OnFailStop(func(dd *dump.Dump) { writeDump(dumpDir, dd, d.C) })
+		d.C.OnFailStop(func(dd *dump.Dump) { writeDump(dumpDir, dd) })
 	}
 	cfg = d.Config()
 	n0 := d.C.Nodes[0]
@@ -310,9 +314,9 @@ func machines(c *dump.Collector) int {
 }
 
 // writeDump persists a core dump and prints the one-command replay line.
-func writeDump(dir string, d *dump.Dump, c *dump.Collector) {
+func writeDump(dir string, d *dump.Dump) {
 	path := filepath.Join(dir, d.FileName())
-	if err := dump.WriteFile(path, d, c); err != nil {
+	if err := dump.WriteFile(path, d); err != nil {
 		fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)
 		return
 	}
@@ -373,7 +377,7 @@ func replayDump(path, redumpPath string) int {
 	}
 	fmt.Println("replay: machine state matches the dump exactly")
 	if redumpPath != "" {
-		if err := dump.WriteFile(redumpPath, rd, nil); err != nil {
+		if err := dump.WriteFile(redumpPath, rd); err != nil {
 			fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)
 			return 1
 		}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"chanos/internal/dump"
@@ -67,6 +69,69 @@ func TestRedChaosScheduleDumpsAndReplays(t *testing.T) {
 	if d := replayExactly(t, dir); d.Reason != "chaos: acked-loss" {
 		t.Fatalf("the bitrot red dumped %q, want it to name acked-loss", d.Reason)
 	}
+}
+
+// chanos-sim -scenario kvload -replicas 2 -fail-writes 1 -dump-on-fail DIR
+// chanos-sim -scenario kvload -machines 3
+// chanos-sim -replicas 2 -chaos-schedule cy:1000000:kill-replica:0:1
+//
+// A kvload world is one serving machine with at most one replica
+// machine. Each of these asks for more, so each exits 2 before booting
+// anything, says which flag is wrong, and writes no dump.
+func TestKVLoadRefusesImpossibleConfigs(t *testing.T) {
+	for _, c := range []struct {
+		name, flag string
+		run        func(dir string) int
+	}{
+		{"replicas-dump", "-replicas 2", func(dir string) int {
+			cfg := dump.Config{Cores: 64, Clients: 16, Replicas: 2, FailWrites: 1}
+			return runScenario(dump.ScenarioKVLoad, cfg, 1, dir)
+		}},
+		{"machines", "-machines 3", func(string) int {
+			cfg := dump.Config{Cores: 64, Clients: 16, Machines: 3}
+			return runScenario(dump.ScenarioKVLoad, cfg, 1, "")
+		}},
+		{"replicas-chaos", "-replicas 2", func(string) int {
+			cfg := dump.Config{Cores: 64, Clients: 16, Replicas: 2}
+			return runChaosSchedule("cy:1000000:kill-replica:0:1", cfg, 1, "")
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			code, stderr := stderrOf(t, func() int { return c.run(dir) })
+			if code != 2 {
+				t.Fatalf("exited %d, want 2", code)
+			}
+			if !strings.Contains(stderr, c.flag) {
+				t.Fatalf("message does not name %s: %q", c.flag, stderr)
+			}
+			if dumps, _ := filepath.Glob(filepath.Join(dir, "*.dump.json")); len(dumps) > 0 {
+				t.Fatalf("refused run wrote dumps: %v", dumps)
+			}
+		})
+	}
+}
+
+// stderrOf runs f with os.Stderr captured and returns f's exit code and
+// what it printed there (a few lines at most: the pipe is read after f
+// returns).
+func stderrOf(t *testing.T, f func() int) (int, string) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	saved := os.Stderr
+	os.Stderr = w
+	code := f()
+	os.Stderr = saved
+	w.Close()
+	b, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(b)
 }
 
 // replayExactly validates the one dump in dir, replays it with a

@@ -311,9 +311,6 @@ func NewDriver(rt *core.Runtime, disk *Disk, queueDepth, coreID int) *Driver {
 	return d
 }
 
-// Submit enqueues a request (helper for clients).
-func (d *Driver) Submit(t *core.Thread, req Request) { d.In.Send(t, req) }
-
 // SubmitSync performs a request and waits for the result.
 func (d *Driver) SubmitSync(t *core.Thread, op Op, block int, data []byte) Result {
 	reply := t.NewChan("io.reply", 1)

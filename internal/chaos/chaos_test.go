@@ -84,6 +84,26 @@ func TestChaosScheduleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunRefusesImpossibleKVLoad: a kvload world boots at most one
+// replica machine, so a config asking for two is an error before boot —
+// not a green run whose clause "fired" against a slot that never
+// existed.
+func TestRunRefusesImpossibleKVLoad(t *testing.T) {
+	sched, err := Parse("cy:1000000:kill-replica:0:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Run(Spec{Label: "repl", Seed: 1, Cfg: dump.Config{Replicas: 2}, Sched: sched})
+	if err == nil {
+		r.Close()
+		t.Fatalf("Run accepted a kvload config with two replica machines (%d/%d clauses fired)",
+			len(r.FiredClauses), len(sched))
+	}
+	if !strings.Contains(err.Error(), "-replicas 2") {
+		t.Fatalf("Run's error does not name the flag: %v", err)
+	}
+}
+
 // TestChaosDeterminism: the same seed and schedule, run twice, fire
 // the identical number of counted events and leave byte-identical
 // machine state — and that event count and fired-clause count are the

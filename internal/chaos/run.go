@@ -172,6 +172,9 @@ func (r *Result) Close() {
 
 // Run executes one chaos run per the spec and judges it.
 func Run(spec Spec) (*Result, error) {
+	if err := spec.Cfg.Check(); err != nil {
+		return nil, err
+	}
 	sched := spec.Sched
 	if spec.Cfg.Chaos != "" {
 		var err error
@@ -455,7 +458,7 @@ func writeRedDump(spec Spec, r *Result, failDump *dump.Dump, c *dump.Collector) 
 		d = c.Snapshot("chaos: " + strings.Join(r.Violations, ","))
 	}
 	path := filepath.Join(spec.DumpDir, d.FileName())
-	if err := dump.WriteFile(path, d, c); err != nil {
+	if err := dump.WriteFile(path, d); err != nil {
 		r.Details = append(r.Details, "dump write failed: "+err.Error())
 		return
 	}

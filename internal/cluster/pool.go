@@ -26,11 +26,11 @@ type PoolParams struct {
 	// ThinkCycles is the mean think time between requests; draws are
 	// uniform in [T/2, 3T/2). 0 = minimal.
 	ThinkCycles uint64
-	// Retries bounds redirect-following and redials per request.
-	// Default 6.
-	Retries int
-	Seed    uint64
+	Seed        uint64
 }
+
+// poolRetries bounds redirect-following and redials per request.
+const poolRetries = 6
 
 // Pool runs the fleet and accumulates results.
 type Pool struct {
@@ -65,9 +65,6 @@ func (pl *Pool) Stop() { pl.stopped = true }
 func (c *Cluster) NewPool(p PoolParams) *Pool {
 	if p.Clients <= 0 {
 		p.Clients = 1
-	}
-	if p.Retries <= 0 {
-		p.Retries = 6
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -106,7 +103,7 @@ func (pl *Pool) step(rng *sim.RNG) {
 	if int(rng.Uint64n(100)) < pl.p.ReadPct {
 		req = store.KVRequest{Op: store.WGet, Key: key}
 	}
-	pl.attempt(req, pl.smap.NodeFor(key), pl.p.Retries, rng)
+	pl.attempt(req, pl.smap.NodeFor(key), poolRetries, rng)
 }
 
 // attempt runs one request against one node; a Moved redirect or a

@@ -337,7 +337,7 @@ func (rt *Runtime) opSend(t *Thread, o op) {
 	now := rt.Eng.Now()
 
 	if o.try && !c.sendReady() {
-		_, end := rt.M.Core(t.core).Reserve(now, rt.Cfg.PollCost)
+		_, end := rt.M.Core(t.core).Reserve(now, pollCost)
 		rt.resumeAt(t, end, opResult{ready: false})
 		return
 	}
@@ -353,7 +353,7 @@ func (rt *Runtime) opSend(t *Thread, o op) {
 	var copyCost uint64
 	if rt.Cfg.Strict {
 		v = deepCopy(v)
-		copyCost = uint64(bytes) >> rt.Cfg.CopyShift
+		copyCost = uint64(bytes) >> copyShift
 		rt.stats.BytesCopied += uint64(bytes)
 	}
 	senderCycles, _ := rt.M.MsgCost(t.core, t.core, bytes)
@@ -445,7 +445,7 @@ func (rt *Runtime) opRecv(t *Thread, o op) {
 	now := rt.Eng.Now()
 
 	if o.try && !c.recvReady() {
-		_, end := rt.M.Core(t.core).Reserve(now, rt.Cfg.PollCost)
+		_, end := rt.M.Core(t.core).Reserve(now, pollCost)
 		rt.resumeAt(t, end, opResult{ready: false})
 		return
 	}

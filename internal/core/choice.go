@@ -51,7 +51,7 @@ func (t *Thread) RecvTimeout(c *Chan, d uint64) (v Msg, ok bool, timedOut bool) 
 // opChoose processes a choice op: charge setup cost, then evaluate.
 func (rt *Runtime) opChoose(t *Thread, o op) {
 	rt.stats.Chooses++
-	setup := rt.Cfg.ChooseSetup + uint64(len(o.cases))*rt.Cfg.ChooseCase
+	setup := chooseSetup + uint64(len(o.cases))*chooseCase
 	_, end := rt.M.Core(t.core).Reserve(rt.Eng.Now(), setup)
 	rt.Eng.At(end, func() { rt.evalChoice(t, o) })
 }
@@ -113,7 +113,7 @@ func (rt *Runtime) evalChoice(t *Thread, o op) {
 				return
 			}
 			rt.stats.ChoosePolls++
-			cost := rt.Cfg.PollCost * uint64(len(o.cases))
+			cost := pollCost * uint64(len(o.cases))
 			_, end := rt.M.Core(t.core).Reserve(rt.Eng.Now(), cost)
 			t.wake = rt.Eng.At(end, func() {
 				if t.state == tDead {
@@ -194,7 +194,7 @@ func (rt *Runtime) execCase(t *Thread, cs Case, idx int) {
 	var copyCost uint64
 	if rt.Cfg.Strict {
 		v = deepCopy(v)
-		copyCost = uint64(bytes) >> rt.Cfg.CopyShift
+		copyCost = uint64(bytes) >> copyShift
 		rt.stats.BytesCopied += uint64(bytes)
 	}
 	senderCycles, _ := rt.M.MsgCost(t.core, t.core, bytes)

@@ -8,7 +8,7 @@ import (
 
 // Sized lets message types report their payload size exactly; otherwise
 // the runtime estimates sizes with reflection (or falls back to
-// Config.DefaultBytes).
+// defaultBytes).
 type Sized interface {
 	MsgBytes() int
 }
@@ -49,7 +49,7 @@ func (rt *Runtime) msgBytes(v Msg) int {
 	}
 	n := sizeOf(reflect.ValueOf(v), 4)
 	if n <= 0 {
-		return rt.Cfg.DefaultBytes
+		return defaultBytes
 	}
 	return n
 }

@@ -43,6 +43,15 @@ const (
 	ChoosePoll
 )
 
+// Per-operation base costs (cycles).
+const (
+	chooseSetup  = 12 // fixed cost to evaluate a choice
+	chooseCase   = 6  // additional cost per case
+	pollCost     = 10 // cost of one readiness poll (Try*, ChoosePoll)
+	copyShift    = 2  // copy cost: bytes >> copyShift cycles (~4 bytes/cycle memcpy)
+	defaultBytes = 64 // assumed payload size when not measurable
+)
+
 // Config holds runtime policy knobs.
 type Config struct {
 	// Strict enforces the shared-nothing discipline of Erlang: every
@@ -54,13 +63,6 @@ type Config struct {
 	// Choose implementation strategy and poll interval (ChoosePoll).
 	Choose       ChooseImpl
 	PollInterval uint64
-
-	// Per-operation base costs (cycles). Zero values get defaults.
-	ChooseSetup  uint64 // fixed cost to evaluate a choice
-	ChooseCase   uint64 // additional cost per case
-	PollCost     uint64 // cost of one readiness poll (Try*, ChoosePoll)
-	CopyShift    uint   // copy cost: bytes >> CopyShift cycles
-	DefaultBytes int    // assumed payload size when not measurable
 
 	Seed uint64
 
@@ -75,21 +77,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.PollInterval == 0 {
 		c.PollInterval = 200
-	}
-	if c.ChooseSetup == 0 {
-		c.ChooseSetup = 12
-	}
-	if c.ChooseCase == 0 {
-		c.ChooseCase = 6
-	}
-	if c.PollCost == 0 {
-		c.PollCost = 10
-	}
-	if c.CopyShift == 0 {
-		c.CopyShift = 2 // ~4 bytes/cycle memcpy
-	}
-	if c.DefaultBytes == 0 {
-		c.DefaultBytes = 64
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -553,7 +540,7 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 		rt.opChoose(t, o)
 
 	case opClose:
-		_, end := rt.M.Core(t.core).Reserve(now, rt.Cfg.PollCost)
+		_, end := rt.M.Core(t.core).Reserve(now, pollCost)
 		rt.armStep(t, stepClose, end)
 		t.stepCh = o.ch
 

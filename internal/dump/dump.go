@@ -139,6 +139,9 @@ func (d *Dump) Validate() []string {
 	if d.EventCount == 0 {
 		add("event_count 0: no replay coordinate")
 	}
+	if err := d.Config.Check(); err != nil {
+		add("config: %v", err)
+	}
 	machines, rf := 1, d.Config.Replicas
 	if d.Config.Machines > 0 {
 		machines, rf = d.Config.Machines, d.Config.RF
@@ -315,18 +318,10 @@ func ReplayCommand(path string) string {
 	return fmt.Sprintf("go run ./cmd/chanos-sim -replay %s", path)
 }
 
-// WriteFile encodes the dump to path and tags the retained
-// flight-recorder dumps of every store c collects with the file
-// reference (the rings ship inside this dump; Store.FlightDumps keeps
-// pointers, not copies). c may be nil.
-func WriteFile(path string, d *Dump, c *Collector) error {
+// WriteFile encodes the dump to path.
+func WriteFile(path string, d *Dump) error {
 	if err := os.WriteFile(path, d.Encode(), 0o644); err != nil {
 		return fmt.Errorf("dump: write %s: %w", path, err)
-	}
-	if c != nil {
-		for _, m := range c.Nodes {
-			m.KV.TagFlightDumps(path)
-		}
 	}
 	return nil
 }

@@ -178,4 +178,9 @@ func TestDumpDiffAndVersion(t *testing.T) {
 	if bad := d3.Validate(); len(bad) < 2 {
 		t.Fatalf("Validate missed problems: %v", bad)
 	}
+	d4 := *d
+	d4.Config.Replicas = 2
+	if bad := strings.Join(d4.Validate(), "\n"); !strings.Contains(bad, "-replicas 2") {
+		t.Fatalf("Validate missed a kvload config with two replica machines: %q", bad)
+	}
 }

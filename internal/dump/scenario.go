@@ -1,6 +1,8 @@
 package dump
 
 import (
+	"fmt"
+
 	"chanos"
 	"chanos/internal/core"
 	"chanos/internal/net"
@@ -41,6 +43,26 @@ func (c *Config) fill() {
 	}
 }
 
+// Check refuses a kvload config the kvload world cannot boot as
+// written: one serving machine with at most one replica machine. Run
+// anyway, such a config records machines that never existed, so its
+// dump fails to replay and a chaos clause aimed at them never fires.
+// The errors name the command-line flag that sets the field. Other
+// scenarios pass.
+func (c Config) Check() error {
+	kvload := c.Scenario == ScenarioKVLoad || c.Scenario == "" && c.Machines == 0
+	if !kvload {
+		return nil
+	}
+	if c.Machines > 0 {
+		return fmt.Errorf("kvload: -machines %d: a kvload world is one serving machine (-scenario cluster boots several)", c.Machines)
+	}
+	if c.Replicas > 1 {
+		return fmt.Errorf("kvload: -replicas %d: a kvload world boots at most one replica machine", c.Replicas)
+	}
+	return nil
+}
+
 // World is one booted kvload machine, ready to Run — and, armed with
 // its Collector, ready to dump. Its replica machine, if any, is
 // Repls[0].
@@ -68,9 +90,13 @@ type World struct {
 // boot order is the event-sequence contract: it must not change
 // between the run that wrote a dump and the run that replays it, so
 // examples/kvserver and the -replay path both go through exactly this
-// function.
+// function. Build panics on a config Check refuses: callers that take a
+// config from outside the program check it first.
 func Build(seed uint64, cfg Config) *World {
 	cfg.fill()
+	if err := cfg.Check(); err != nil {
+		panic(err)
+	}
 	mp := store.KVMachine(cfg.Cores, seed, store.Params{Shards: cfg.Shards, LogBlocks: cfg.LogBlocks})
 	mp.Wire.LossProb = cfg.Loss
 	if cfg.Replicas > 0 {

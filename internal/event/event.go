@@ -12,7 +12,6 @@ package event
 
 import (
 	"chanos/internal/core"
-	"chanos/internal/sim/detmap"
 )
 
 // Kind classifies events.
@@ -104,12 +103,6 @@ func (b *Bus) PublishAsync(kind Kind, source int, payload core.Msg) {
 		b.rt.InjectSend(ch, ev, source)
 		b.Delivered++
 	}
-}
-
-// Kinds returns the kinds having subscribers, sorted (for deterministic
-// reporting).
-func (b *Bus) Kinds() []Kind {
-	return detmap.Keys(b.subs)
 }
 
 // CompletionStats records what a completion-processing worker achieved.

@@ -50,7 +50,7 @@ func (o Options) dumpInvariant(c *dump.Collector, reason string) {
 	}
 	d := c.Snapshot(reason)
 	path := filepath.Join(o.DumpDir, d.FileName())
-	if err := dump.WriteFile(path, d, c); err != nil {
+	if err := dump.WriteFile(path, d); err != nil {
 		fmt.Printf("  dump FAILED: %v\n", err)
 		return
 	}
@@ -148,15 +148,6 @@ type world struct {
 func newWorld(cores int, seed uint64, cfg core.Config) *world {
 	eng := sim.NewEngine()
 	m := machine.New(eng, machine.DefaultParams(cores))
-	cfg.Seed = seed
-	rt := core.NewRuntime(m, cfg)
-	return &world{eng: eng, m: m, rt: rt}
-}
-
-// newWorldParams builds a machine with custom parameters.
-func newWorldParams(p machine.Params, seed uint64, cfg core.Config) *world {
-	eng := sim.NewEngine()
-	m := machine.New(eng, p)
 	cfg.Seed = seed
 	rt := core.NewRuntime(m, cfg)
 	return &world{eng: eng, m: m, rt: rt}

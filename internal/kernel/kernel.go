@@ -298,12 +298,3 @@ func (k *Kernel) Stop(t *core.Thread) {
 		}
 	}
 }
-
-// StopAsync closes all service channels from harness context.
-func (k *Kernel) StopAsync() {
-	for _, n := range k.serviceNames() {
-		for _, ch := range k.services[n].shards {
-			k.RT.CloseAsync(ch)
-		}
-	}
-}

@@ -24,20 +24,22 @@ type StackParams struct {
 	// so a slow reader costs itself retransmissions instead of stalling
 	// its shard. Default 256.
 	RecvBuf int
-	// RxIRQCycles is the interrupt + driver cost a shard pays per
-	// received frame. Default 1200 (~0.6 µs).
-	RxIRQCycles uint64
-	// RTOCycles / MaxRetries govern server-side retransmission.
-	// Defaults 300_000 and 8.
-	RTOCycles  uint64
-	MaxRetries int
-	// IdleCycles is how long a connection may stay completely silent
+}
+
+const (
+	// rxIRQCycles is the interrupt + driver cost a shard pays per
+	// received frame (~0.6 µs).
+	rxIRQCycles uint64 = 1200
+	// rtoCycles / maxRetries govern server-side retransmission.
+	rtoCycles  uint64 = 300_000
+	maxRetries        = 8
+	// idleCycles is how long a connection may stay completely silent
 	// before the shard reaps it (the peer vanished without a FIN — gave
 	// up, or its final packets were all lost). Must exceed the longest
 	// backed-off retransmission gap, or a struggling-but-alive peer gets
-	// reaped mid-retry. Default 128 × RTOCycles.
-	IdleCycles uint64
-}
+	// reaped mid-retry.
+	idleCycles = 128 * rtoCycles
+)
 
 func (p *StackParams) fill() {
 	if p.AcceptBacklog <= 0 {
@@ -45,18 +47,6 @@ func (p *StackParams) fill() {
 	}
 	if p.RecvBuf <= 0 {
 		p.RecvBuf = 256
-	}
-	if p.RxIRQCycles == 0 {
-		p.RxIRQCycles = 1200
-	}
-	if p.RTOCycles == 0 {
-		p.RTOCycles = 300_000
-	}
-	if p.MaxRetries == 0 {
-		p.MaxRetries = 8
-	}
-	if p.IdleCycles == 0 {
-		p.IdleCycles = 128 * p.RTOCycles
 	}
 }
 
@@ -155,9 +145,6 @@ type Listener struct {
 	accept *core.Chan
 }
 
-// AcceptChan exposes the raw accept channel (e.g. for Choose).
-func (l *Listener) AcceptChan() *core.Chan { return l.accept }
-
 // Accept blocks until the next connection arrives. ok is false once the
 // listener's channel is closed.
 func (l *Listener) Accept(t *core.Thread) (*Conn, bool) {
@@ -186,9 +173,6 @@ func (c *Conn) MsgBytes() int { return 64 }
 
 // ID returns the connection id.
 func (c *Conn) ID() ConnID { return c.id }
-
-// RecvChan exposes the receive channel (e.g. for Choose over sockets).
-func (c *Conn) RecvChan() *core.Chan { return c.recv }
 
 // Recv returns the next in-order payload; ok is false after the peer
 // closes and the buffer drains.
@@ -299,7 +283,7 @@ func (s *Stack) shardHandler(shard int) kernel.Handler {
 		case "rx":
 			f := s.rxFree.Take(req.Arg.(*rxFrame))
 			s.nic.RxDone(f.Queue)
-			t.Compute(s.P.RxIRQCycles)
+			t.Compute(rxIRQCycles)
 			s.rx(t, st, f.Pkt)
 		case "tx":
 			a := s.txFree.Take(req.Arg.(*txReq))
@@ -334,11 +318,11 @@ func (s *Stack) ensureSweep(t *core.Thread, st *shardState) {
 	}
 	st.sweepArmed = true
 	st.sweepFrom = t.Core()
-	s.rt.Eng.After(s.P.IdleCycles/4, st.sweepFire)
+	s.rt.Eng.After(idleCycles/4, st.sweepFire)
 }
 
 // sweep reaps connections that have been completely silent for
-// IdleCycles: their peer is gone (gave up, or every closing packet was
+// idleCycles: their peer is gone (gave up, or every closing packet was
 // lost) and nothing else will ever remove them. Iteration is in id
 // order — reaping closes channels, which schedules events.
 func (s *Stack) sweep(t *core.Thread, st *shardState) {
@@ -346,7 +330,7 @@ func (s *Stack) sweep(t *core.Thread, st *shardState) {
 	now := s.rt.Eng.Now()
 	for _, id := range detmap.Keys(st.conns) {
 		c := st.conns[id]
-		if now-c.lastRx <= s.P.IdleCycles {
+		if now-c.lastRx <= idleCycles {
 			continue
 		}
 		st.m.IdleReaped++
@@ -372,7 +356,7 @@ func (s *Stack) rx(t *core.Thread, st *shardState, p Packet) {
 			return
 		}
 		if rec, was := st.closed[p.Conn]; was {
-			if s.rt.Eng.Now()-rec.at <= timeWait*s.P.RTOCycles {
+			if s.rt.Eng.Now()-rec.at <= timeWait*rtoCycles {
 				return // stale duplicate SYN for a finished connection
 			}
 			// TIME_WAIT expired: the id may be legitimately reused.
@@ -504,7 +488,7 @@ func (s *Stack) retire(st *shardState, c *stackConn, clean bool) {
 	now := s.rt.Eng.Now()
 	st.closed[c.id] = closedRec{at: now, clean: clean}
 	if len(st.closed) >= 512 {
-		horizon := timeWait * s.P.RTOCycles
+		horizon := timeWait * rtoCycles
 		for id, rec := range st.closed {
 			if now-rec.at > horizon {
 				delete(st.closed, id)
@@ -553,7 +537,7 @@ func (s *Stack) armRTO(t *core.Thread, c *stackConn) {
 		return
 	}
 	c.rtoFrom = t.Core()
-	c.rto = s.rt.Eng.After(rtoAfter(s.P.RTOCycles, c.retries), c.rtoFire)
+	c.rto = s.rt.Eng.After(rtoAfter(rtoCycles, c.retries), c.rtoFire)
 }
 
 func (s *Stack) clearRTO(c *stackConn) {
@@ -561,7 +545,7 @@ func (s *Stack) clearRTO(c *stackConn) {
 }
 
 // rto retransmits a connection's outstanding packets, or tears the
-// connection down after MaxRetries consecutive silent timeouts.
+// connection down after maxRetries consecutive silent timeouts.
 func (s *Stack) rto(t *core.Thread, st *shardState, id ConnID) {
 	c := st.conns[id]
 	if c == nil {
@@ -571,7 +555,7 @@ func (s *Stack) rto(t *core.Thread, st *shardState, id ConnID) {
 	if len(pend) == 0 {
 		return
 	}
-	if c.retries >= s.P.MaxRetries {
+	if c.retries >= maxRetries {
 		st.m.GaveUp++
 		if !c.finRcvd {
 			c.recvCh.Close(t)

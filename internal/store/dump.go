@@ -56,9 +56,8 @@ type ShardSnapshot struct {
 	Counters       StoreCounters `json:"counters"`
 	WritesInFlight uint64        `json:"writes_in_flight"`
 
-	// Flight is the shard's flight-recorder ring (oldest first) — the
-	// PR 6 rings ship inside the crash dump rather than as separate
-	// JSON blobs.
+	// Flight is the shard's flight-recorder ring (oldest first). The
+	// machine dump is the only place a ring ships.
 	Flight         []telemetry.FlightEvent `json:"flight,omitempty"`
 	FlightRecorded uint64                  `json:"flight_recorded"`
 
@@ -125,18 +124,4 @@ func (s *Store) SnapshotShards() []ShardSnapshot {
 		out = append(out, snap)
 	}
 	return out
-}
-
-// TagFlightDumps marks every retained flight-recorder dump as shipped
-// inside the machine dump at ref: the ring events move into the dump
-// file (SnapshotShards carries them per shard) and the retained
-// FlightDump keeps only the reference — Store.FlightDumps() stops
-// duplicating the JSON. Already-tagged dumps keep their first ref.
-func (s *Store) TagFlightDumps(ref string) {
-	for i := range s.flightDumps {
-		if s.flightDumps[i].MachineDump == "" {
-			s.flightDumps[i].MachineDump = ref
-			s.flightDumps[i].Events = nil
-		}
-	}
 }

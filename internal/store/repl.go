@@ -721,7 +721,12 @@ func (sh *shard) replSyncStep(t *core.Thread, r *replShard) {
 	}
 	r.sync = nil
 	sh.maybeQuorum(t, r)
-	sh.maybeCompact(t) // a compaction deferred behind the sync may start now
+	// No compaction waits for a sync (one pauses the sync, never the
+	// reverse): this re-runs the high-water check every write runs. It
+	// stays: a compaction started here schedules engine events and a
+	// skip counted here shows in the counters, so dropping the call
+	// could move pinned numbers.
+	sh.maybeCompact(t)
 }
 
 // --- replica-side apply ---

@@ -570,9 +570,6 @@ type Store struct {
 	// snapshot (AttachStatd). Metrics themselves live per shard
 	// (shardMetrics); Counters() folds them — see telemetry.go.
 	statd *telemetry.Statd
-	// flightDumps retains the flight-recorder dump of every shard that
-	// fail-stopped, in fail-stop order.
-	flightDumps []telemetry.FlightDump
 
 	// FailStopHook, when set, is called at the end of every shard
 	// fail-stop (after the shard's parked work has been drained) with
@@ -1239,10 +1236,10 @@ func (sh *shard) failStop(t *core.Thread, err string) {
 	}
 	sh.failed = err
 	sh.m.FailedShards++
-	// Dump the flight recorder first: the ring holds what the shard was
-	// doing in its last moments, before the drain below rewrites it.
+	// Record the fail-stop in the ring: the machine dump FailStopHook
+	// schedules ships it (ShardSnapshot.Flight), showing what the shard
+	// was doing in its last moments.
 	sh.m.flight.Record(sh.now(), "failstop", err, 0, 0)
-	sh.s.flightDumps = append(sh.s.flightDumps, sh.m.flight.Dump("store", sh.id, sh.now(), err))
 	sh.comp = nil
 	for _, r := range sh.repls {
 		r.sync = nil

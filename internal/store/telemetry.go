@@ -181,7 +181,3 @@ func (s *Store) CollectShard(i int, emit func(telemetry.Value)) {
 // with d.SnapshotNow(). (Registering the store as one of d's sources is
 // the caller's choice of name: d.Register("store", kv).)
 func (s *Store) AttachStatd(d *telemetry.Statd) { s.statd = d }
-
-// FlightDumps returns the flight-recorder dumps of every shard that has
-// fail-stopped, in fail-stop order.
-func (s *Store) FlightDumps() []telemetry.FlightDump { return s.flightDumps }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -86,9 +85,9 @@ func TestConservationOverMixedWorkload(t *testing.T) {
 }
 
 // TestFlightRecorderDumpOnFailStop injects a disk write failure, drives
-// the shard into fail-stop, and checks the dumped flight recorder: the
-// shard's last moments — the put, its doomed flush, the failstop itself —
-// in versioned JSON.
+// the shard into fail-stop, and checks the flight recorder its snapshot
+// (the machine dump's per-shard capture) carries: the shard's last
+// moments — the put, its doomed flush, the failstop itself.
 func TestFlightRecorderDumpOnFailStop(t *testing.T) {
 	p := smallParams()
 	p.Shards = 1
@@ -115,32 +114,19 @@ func TestFlightRecorderDumpOnFailStop(t *testing.T) {
 		t.Fatal("app thread never finished")
 	}
 
-	dumps := w.kv.FlightDumps()
-	if len(dumps) != 1 {
-		t.Fatalf("got %d flight dumps, want 1", len(dumps))
-	}
-	d := dumps[0]
-	if d.Version != telemetry.SnapshotVersion || d.Service != "store" || d.Shard != 0 {
-		t.Fatalf("dump header wrong: version=%d service=%q shard=%d", d.Version, d.Service, d.Shard)
-	}
-	if d.Err == "" || d.Recorded == 0 || len(d.Events) == 0 {
-		t.Fatalf("empty dump: %+v", d)
+	sn := w.kv.SnapshotShards()[0]
+	if sn.Failed == "" || sn.FlightRecorded == 0 || len(sn.Flight) == 0 {
+		t.Fatalf("fail-stopped shard's snapshot carries no flight ring: failed=%q recorded=%d events=%d",
+			sn.Failed, sn.FlightRecorded, len(sn.Flight))
 	}
 	kinds := make(map[string]int)
-	for _, ev := range d.Events {
+	for _, ev := range sn.Flight {
 		kinds[ev.Kind]++
 	}
 	for _, want := range []string{"put", "flush", "failstop"} {
 		if kinds[want] == 0 {
-			t.Errorf("dump is missing the shard's %q activity; kinds seen: %v", want, kinds)
+			t.Errorf("ring is missing the shard's %q activity; kinds seen: %v", want, kinds)
 		}
-	}
-	var back telemetry.FlightDump
-	if err := json.Unmarshal(d.JSON(), &back); err != nil {
-		t.Fatalf("dump JSON invalid: %v", err)
-	}
-	if back.Err != d.Err || len(back.Events) != len(d.Events) {
-		t.Fatalf("dump did not round-trip: %+v", back)
 	}
 
 	// Conservation must survive the failure path too: the nacked write and

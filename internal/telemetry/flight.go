@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"encoding/json"
-
-	"chanos/internal/sim"
-)
+import "chanos/internal/sim"
 
 // FlightEvent is one entry in a shard's flight recorder: a recent
 // operation, flush, replication batch or lifecycle transition. A and B
@@ -82,40 +78,4 @@ func (f *Flight) Events() []FlightEvent {
 	out = append(out, f.buf[f.next:]...)
 	out = append(out, f.buf[:f.next]...)
 	return out
-}
-
-// FlightDump is the versioned JSON form of one shard's recorder,
-// emitted next to the error when the shard fail-stops.
-type FlightDump struct {
-	Version  int           `json:"version"`
-	Service  string        `json:"service"`
-	Shard    int           `json:"shard"`
-	Err      string        `json:"err"`
-	AtCycles uint64        `json:"at_cycles"`
-	Recorded uint64        `json:"recorded"` // total events ever recorded
-	Events   []FlightEvent `json:"events"`   // retained tail, oldest first
-	// MachineDump, when set, is the path of the whole-machine core dump
-	// that carries this ring (internal/dump ships every shard's flight
-	// recorder inside the dump). Once a dump file holds the ring, the
-	// retained FlightDump drops its Events and keeps only this
-	// reference — one copy of the truth, not two.
-	MachineDump string `json:"machine_dump,omitempty"`
-}
-
-// Dump snapshots the ring into its serialisable form.
-func (f *Flight) Dump(service string, shard int, at sim.Time, errMsg string) FlightDump {
-	return FlightDump{
-		Version: SnapshotVersion, Service: service, Shard: shard,
-		Err: errMsg, AtCycles: at, Recorded: f.n, Events: f.Events(),
-	}
-}
-
-// JSON renders the dump (indented; these are small, for humans).
-func (d FlightDump) JSON() []byte {
-	b, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		// Every field is a plain value; marshal cannot fail.
-		panic(err)
-	}
-	return b
 }

@@ -164,8 +164,8 @@ func SumCounters(dst, src any) {
 	}
 }
 
-// SnapshotVersion is the flight-recorder and snapshot JSON schema
-// version; bump on any incompatible change.
+// SnapshotVersion is the snapshot JSON schema version; bump on any
+// incompatible change.
 const SnapshotVersion = 1
 
 // ServiceStats is one service's collected metrics: per-shard sets plus

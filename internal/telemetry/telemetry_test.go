@@ -44,25 +44,6 @@ func TestFlightRingOldestFirst(t *testing.T) {
 	}
 }
 
-func TestFlightDumpJSONRoundTrip(t *testing.T) {
-	var f Flight
-	f.Init(2)
-	f.Record(10, "put", "user/1", 1, 32)
-	f.Record(20, "flush", "", 3, 7)
-	f.Record(30, "failstop", "log write: boom", 0, 0)
-	d := f.Dump("store", 1, 31, "log write: boom")
-	if d.Version != SnapshotVersion || d.Service != "store" || d.Shard != 1 || d.Recorded != 3 {
-		t.Fatalf("dump header wrong: %+v", d)
-	}
-	var back FlightDump
-	if err := json.Unmarshal(d.JSON(), &back); err != nil {
-		t.Fatalf("dump JSON invalid: %v", err)
-	}
-	if back.Err != "log write: boom" || len(back.Events) != 2 || back.Events[1].Kind != "failstop" {
-		t.Fatalf("round-tripped dump = %+v", back)
-	}
-}
-
 func TestEmitAndSumCounters(t *testing.T) {
 	type cs struct {
 		Hits   uint64

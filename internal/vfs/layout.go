@@ -226,15 +226,6 @@ func (s *Super) inodeLoc(ino int) (blk, off int, err error) {
 	return int(s.InodeStart) + ino/InodesPerB, (ino % InodesPerB) * InodeSize, nil
 }
 
-// ReadSuper reads and validates the superblock.
-func ReadSuper(t *core.Thread, st BlockStore) (Super, error) {
-	sb := decodeSuper(st.ReadBlock(t, 0))
-	if sb.Magic != Magic {
-		return Super{}, fmt.Errorf("vfs: bad magic %#x", sb.Magic)
-	}
-	return sb, nil
-}
-
 // Mkfs formats the store: writes the superblock, zeroes the inode table
 // and bitmaps, and creates the root directory.
 func Mkfs(t *core.Thread, st BlockStore, nBlocks, nInodes int) (Super, error) {

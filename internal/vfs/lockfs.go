@@ -48,34 +48,30 @@ type LockFS struct {
 // LockFSConfig sizes the lock-based filesystem.
 type LockFSConfig struct {
 	Mode        LockFSMode
-	CacheShards int // default 8 (ignored in big-lock mode: always 1)
 	CacheBlocks int // default 512
-	VnodeLocks  int // lock table size, default 64
 }
+
+// vnodeLocks is the sharded mode's vnode lock table size.
+const vnodeLocks = 64
 
 // NewLockFS builds the lock-based frontend over a formatted disk.
 func NewLockFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg LockFSConfig) *LockFS {
 	if cfg.CacheBlocks <= 0 {
 		cfg.CacheBlocks = 512
 	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = 8
-	}
-	if cfg.VnodeLocks <= 0 {
-		cfg.VnodeLocks = 64
-	}
+	shards := nCacheShards
 	if cfg.Mode == LockModeBig {
-		cfg.CacheShards = 1
+		shards = 1
 	}
 	fs := &LockFS{rt: rt, sb: sb, mode: cfg.Mode, Trap: baseline.NewTrap(rt)}
-	for i := 0; i < cfg.CacheShards; i++ {
-		fs.caches = append(fs.caches, newCacheCore(drv, cfg.CacheBlocks/cfg.CacheShards))
+	for i := 0; i < shards; i++ {
+		fs.caches = append(fs.caches, newCacheCore(drv, cfg.CacheBlocks/shards))
 	}
 	switch cfg.Mode {
 	case LockModeBig:
 		fs.big = baseline.NewTicketLock(rt)
 	case LockModeShard:
-		for i := 0; i < cfg.VnodeLocks; i++ {
+		for i := 0; i < vnodeLocks; i++ {
 			fs.vnLocks = append(fs.vnLocks, baseline.NewMCSLock(rt))
 		}
 		for range fs.caches {

@@ -27,28 +27,22 @@ type MsgFS struct {
 
 // MsgFSConfig sizes the service fleet.
 type MsgFSConfig struct {
-	CacheShards int // default 8
 	CacheBlocks int // total cache capacity in blocks, default 512
-	AllocShards int // default 4
-	VMgrShards  int // vnode-manager shards, default 4
-	QueueDepth  int // service channel depth, default 32
 }
 
+// The service fleet's fixed shape.
+const (
+	// nCacheShards is the buffer-cache shard count of both frontends
+	// (LockFS's big-lock mode uses one).
+	nCacheShards = 8
+	nAllocShards = 4
+	nVMgrShards  = 4  // vnode-manager shards
+	queueDepth   = 32 // service channel depth
+)
+
 func (c *MsgFSConfig) fill() {
-	if c.CacheShards <= 0 {
-		c.CacheShards = 8
-	}
 	if c.CacheBlocks <= 0 {
 		c.CacheBlocks = 512
-	}
-	if c.AllocShards <= 0 {
-		c.AllocShards = 4
-	}
-	if c.VMgrShards <= 0 {
-		c.VMgrShards = 4
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 32
 	}
 }
 
@@ -166,12 +160,12 @@ func NewMsgFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg MsgFSConfig)
 	cfg.fill()
 	fs := &MsgFS{rt: rt, sb: sb}
 
-	// Buffer-cache shards: each owns blocks blk % CacheShards.
-	per := cfg.CacheBlocks / cfg.CacheShards
-	for i := 0; i < cfg.CacheShards; i++ {
+	// Buffer-cache shards: each owns blocks blk % nCacheShards.
+	per := cfg.CacheBlocks / nCacheShards
+	for i := 0; i < nCacheShards; i++ {
 		cc := newCacheCore(drv, per)
 		fs.cacheCores = append(fs.cacheCores, cc)
-		ch := rt.NewChan(fmt.Sprintf("fscache.%d", i), cfg.QueueDepth)
+		ch := rt.NewChan(fmt.Sprintf("fscache.%d", i), queueDepth)
 		fs.cacheShards = append(fs.cacheShards, ch)
 		rt.Boot(fmt.Sprintf("fscache.%d", i), func(t *core.Thread) {
 			st := directStore{cc}
@@ -200,11 +194,11 @@ func NewMsgFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg MsgFSConfig)
 	}
 
 	// Cylinder-group administrator shards: shard i owns CGs with
-	// cg % AllocShards == i.
-	for i := 0; i < cfg.AllocShards; i++ {
-		sa := newShardCGAlloc(&fs.sb, msgStore{fs}, i, cfg.AllocShards)
+	// cg % nAllocShards == i.
+	for i := 0; i < nAllocShards; i++ {
+		sa := newShardCGAlloc(&fs.sb, msgStore{fs}, i, nAllocShards)
 		fs.cgAllocs = append(fs.cgAllocs, sa)
-		ch := rt.NewChan(fmt.Sprintf("fscg.%d", i), cfg.QueueDepth)
+		ch := rt.NewChan(fmt.Sprintf("fscg.%d", i), queueDepth)
 		fs.allocShards = append(fs.allocShards, ch)
 		rt.Boot(fmt.Sprintf("fscg.%d", i), func(t *core.Thread) {
 			for {
@@ -228,7 +222,7 @@ func NewMsgFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg MsgFSConfig)
 	}
 
 	// The free-map / inode allocator thread.
-	fs.inodeAlloc = rt.NewChan("fsinodealloc", cfg.QueueDepth)
+	fs.inodeAlloc = rt.NewChan("fsinodealloc", queueDepth)
 	rt.Boot("fsinodealloc", func(t *core.Thread) {
 		ia := &inodeAllocator{fs: fs, cursor: RootIno + 1}
 		for {
@@ -251,8 +245,8 @@ func NewMsgFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg MsgFSConfig)
 	})
 
 	// Vnode-manager shards: hand out (and lazily spawn) vnode threads.
-	for i := 0; i < cfg.VMgrShards; i++ {
-		ch := rt.NewChan(fmt.Sprintf("fsvmgr.%d", i), cfg.QueueDepth)
+	for i := 0; i < nVMgrShards; i++ {
+		ch := rt.NewChan(fmt.Sprintf("fsvmgr.%d", i), queueDepth)
 		fs.vmShards = append(fs.vmShards, ch)
 		rt.Boot(fmt.Sprintf("fsvmgr.%d", i), func(t *core.Thread) {
 			vnodes := make(map[int]*core.Chan)
@@ -271,7 +265,7 @@ func NewMsgFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg MsgFSConfig)
 				}
 				vch, ok := vnodes[req.ino]
 				if !ok {
-					vch = fs.spawnVnode(t, req.ino, cfg.QueueDepth)
+					vch = fs.spawnVnode(t, req.ino)
 					vnodes[req.ino] = vch
 				}
 				req.reply.Send(t, vch)
@@ -287,8 +281,8 @@ func NewMsgFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg MsgFSConfig)
 // its directory/file data blocks, so no coherence is needed — this is the
 // state-stays-local payoff of the architecture. Writes go through to the
 // shared cache so eviction and sync still work.
-func (fs *MsgFS) spawnVnode(t *core.Thread, ino, depth int) *core.Chan {
-	vch := fs.rt.NewChan(fmt.Sprintf("vnode.%d", ino), depth)
+func (fs *MsgFS) spawnVnode(t *core.Thread, ino int) *core.Chan {
+	vch := fs.rt.NewChan(fmt.Sprintf("vnode.%d", ino), queueDepth)
 	fs.VnodesSpawned++
 	t.Spawn(fmt.Sprintf("vnode.%d", ino), func(vt *core.Thread) {
 		local := &vnodeStore{fs: fs, blocks: make(map[int][]byte)}

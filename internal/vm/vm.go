@@ -50,22 +50,21 @@ func (g Granularity) String() string {
 // ErrNoFrames is returned when physical memory is exhausted.
 var ErrNoFrames = errors.New("vm: out of physical frames")
 
+// faultWork is the cycles to zero-fill and map one page.
+const faultWork = 1500
+
 // Config sizes the VM system.
 type Config struct {
 	Gran        Granularity
-	PhysPages   int    // physical frames available
-	AddrPages   int    // virtual pages covered (service-owned)
-	RegionPages int    // pages per region for PerRegion (default 512)
-	FaultWork   uint64 // cycles to zero-fill and map one page (default 1500)
-	FrameShards int    // frame-allocator threads (default 4)
+	PhysPages   int // physical frames available
+	AddrPages   int // virtual pages covered (service-owned)
+	RegionPages int // pages per region for PerRegion (default 512)
+	FrameShards int // frame-allocator threads (default 4)
 }
 
 func (c *Config) fill() {
 	if c.RegionPages <= 0 {
 		c.RegionPages = 512
-	}
-	if c.FaultWork == 0 {
-		c.FaultWork = 1500
 	}
 	if c.FrameShards <= 0 {
 		c.FrameShards = 4
@@ -186,7 +185,7 @@ func New(rt *core.Runtime, cfg Config) *VM {
 					req.reply.Send(t, resp)
 					continue
 				}
-				t.Compute(vm.cfg.FaultWork)
+				t.Compute(faultWork)
 				tables[req.vpage] = resp.frame
 				vm.Faults++
 				req.reply.Send(t, resp)
@@ -243,7 +242,7 @@ func (vm *VM) Touch(t *core.Thread, tl *TLB, vpage uint64) error {
 		}
 		f := uint32(vm.libosFrames)
 		vm.libosFrames++
-		t.Compute(vm.cfg.FaultWork)
+		t.Compute(faultWork)
 		vm.libosMaps[vpage] = f
 		tl.m[vpage] = f
 		vm.Faults++

@@ -119,6 +119,3 @@ func (o *OpenLoop) scheduleNext() {
 		o.scheduleNext()
 	})
 }
-
-// Issued returns how many arrivals have fired so far.
-func (o *OpenLoop) Issued() int { return o.issued }
