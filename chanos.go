@@ -18,7 +18,7 @@
 // The deeper subsystems (kernel services, vnode-thread file system, VM
 // service, supervision trees, protocol verification) live in internal/
 // packages and are exercised by the examples and the experiment suite;
-// see README.md and DESIGN.md.
+// see DESIGN.md.
 package chanos
 
 import (

@@ -18,13 +18,8 @@ import (
 // runChaosSchedule runs one explicit schedule (or, with spec "gen", a
 // generated one) against the scenario cfg selects.
 func runChaosSchedule(spec string, cfg dump.Config, seed uint64, dumpDir string) int {
-	var sched chaos.Schedule
 	if spec != "gen" {
-		var err error
-		if sched, err = chaos.Parse(spec); err != nil {
-			fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)
-			return 2
-		}
+		cfg.Chaos = spec // chaos.Run parses it, refusing a malformed one
 	}
 	label := "kvload"
 	if cfg.Machines > 0 {
@@ -32,8 +27,7 @@ func runChaosSchedule(spec string, cfg dump.Config, seed uint64, dumpDir string)
 	} else if cfg.Replicas > 0 {
 		label = "repl"
 	}
-	r, err := chaos.Run(chaos.Spec{Label: label, Seed: seed, Cfg: cfg,
-		Sched: sched, DumpDir: dumpDir})
+	r, err := chaos.Run(chaos.Spec{Label: label, Seed: seed, Cfg: cfg, DumpDir: dumpDir})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)
 		return 2

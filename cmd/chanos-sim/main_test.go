@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -14,17 +16,78 @@ import (
 	"chanos/internal/dump"
 )
 
-// The CLI gates: each test drives the same entry point, with the same
-// arguments, as the chanos-sim command line in its comment, and asserts
-// exit codes and dump files. Flags left out take their defaults, which
-// the configs spell out (-cores 64, -clients 16).
+// TestMain runs main instead of the tests when run re-executes this
+// test binary with "main" as its first argument.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "main" {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// run runs chanos-sim with args in a child process, flag parsing
+// included, and returns its stdout, its stderr and its exit code.
+func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	cmd := exec.Command(os.Args[0], append([]string{"main"}, args...)...)
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+// The CLI gates: each test runs the chanos-sim command line in its
+// comment through run, and asserts exit codes, stdout and dump files.
+
+// world is the config every golden run shares: 64 cores, 128 clients
+// and 4096 keys at 70% reads, seed 7.
+var world = []string{"-cores", "64", "-clients", "128", "-keys", "4096", "-readpct", "70", "-seed", "7"}
+
+// chanos-sim -scenario kvload <world> -requests 2000 > testdata/solo.golden
+// chanos-sim -scenario kvload <world> -replicas 1 -replica-reads -requests 4000 > testdata/replica-reads.golden
+// chanos-sim -scenario cluster <world> -machines 3 -rf 2 -requests 3000 > testdata/cluster.golden
+// chanos-sim -scenario kvload <world> -requests 2000 -stats-every 0.1 > testdata/stats-every.golden
+//
+// The full reports of a solo, a replica-read, a 3x2 cluster and a live
+// stats run, byte for byte. A change that means to move them
+// regenerates the goldens with `go run ./cmd/chanos-sim` and these
+// arguments (<world> is the world variable above), and says why.
+func TestGoldenOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four full scenario runs")
+	}
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"solo.golden", []string{"-scenario", "kvload", "-requests", "2000"}},
+		{"replica-reads.golden", []string{"-scenario", "kvload", "-replicas", "1", "-replica-reads", "-requests", "4000"}},
+		{"cluster.golden", []string{"-scenario", "cluster", "-machines", "3", "-rf", "2", "-requests", "3000"}},
+		{"stats-every.golden", []string{"-scenario", "kvload", "-requests", "2000", "-stats-every", "0.1"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := wantExit(t, 0, append(tc.args, world...)...); got != string(want) {
+				t.Errorf("chanos-sim %v differs from testdata/%s:\ngot:\n%s\nwant:\n%s", tc.args, tc.golden, got, want)
+			}
+		})
+	}
+}
 
 // chanos-sim -scenario cluster -machines 3 -rf 2 -cores 8 -requests 200 -keys 120 -seed 9
 func TestClusterScenarioLosesNothing(t *testing.T) {
-	cfg := dump.Config{Cores: 8, Clients: 16, Requests: 200, Keys: 120, Machines: 3, RF: 2}
-	if code := runScenario(dump.ScenarioCluster, cfg, 9, ""); code != 0 {
-		t.Fatalf("9-machine cluster scenario exited %d: it stalled, broke conservation, or errored or lost requests", code)
-	}
+	wantExit(t, 0, "-scenario", "cluster", "-machines", "3", "-rf", "2", "-cores", "8", "-requests", "200", "-keys", "120", "-seed", "9")
 }
 
 // chanos-sim -scenario kvload -cores 8 -clients 8 -requests 400 -keys 2000 -readpct 5 -logblocks 2 -seed 7
@@ -33,10 +96,7 @@ func TestClusterScenarioLosesNothing(t *testing.T) {
 // writes with no fault injected, and the run must say so in its exit
 // code, not only in its printed error count.
 func TestScenarioExitsNonZeroOnRefusedWrites(t *testing.T) {
-	cfg := dump.Config{Cores: 8, Clients: 8, Requests: 400, Keys: 2000, ReadPct: 5, LogBlocks: 2}
-	if code := runScenario(dump.ScenarioKVLoad, cfg, 7, ""); code != 1 {
-		t.Fatalf("a run whose writes were refused exited %d, want 1", code)
-	}
+	wantExit(t, 1, "-scenario", "kvload", "-cores", "8", "-clients", "8", "-requests", "400", "-keys", "2000", "-readpct", "5", "-logblocks", "2", "-seed", "7")
 }
 
 // chanos-sim -scenario kvload -cores 8 -clients 8 -requests 300 -keys 64 -logblocks 64 -seed 7 -fail-writes 1 -dump-on-fail DIR
@@ -47,10 +107,7 @@ func TestScenarioExitsNonZeroOnRefusedWrites(t *testing.T) {
 // machine byte-equal to the dump.
 func TestFailStopDumpReplaysExactly(t *testing.T) {
 	dir := t.TempDir()
-	cfg := dump.Config{Cores: 8, Clients: 8, Requests: 300, Keys: 64, LogBlocks: 64, FailWrites: 1}
-	if code := runScenario(dump.ScenarioKVLoad, cfg, 7, dir); code != 0 {
-		t.Fatalf("injected write failure run exited %d", code)
-	}
+	wantExit(t, 0, "-scenario", "kvload", "-cores", "8", "-clients", "8", "-requests", "300", "-keys", "64", "-logblocks", "64", "-seed", "7", "-fail-writes", "1", "-dump-on-fail", dir)
 	replayExactly(t, dir)
 }
 
@@ -62,45 +119,105 @@ func TestFailStopDumpReplaysExactly(t *testing.T) {
 // replay halts at the exact recorded event with byte-equal state.
 func TestRedChaosScheduleDumpsAndReplays(t *testing.T) {
 	dir := t.TempDir()
-	cfg := dump.Config{Cores: 64, Shards: 2, Clients: 12, Requests: 240, ReadPct: 60, Keys: 96, LogBlocks: 64}
-	if code := runChaosSchedule("cy:4000000:bitrot:0:3", cfg, 7, dir); code != 1 {
-		t.Fatalf("the bitrot schedule exited %d, want 1 (red)", code)
-	}
+	wantExit(t, 1, "-chaos-schedule", "cy:4000000:bitrot:0:3", "-seed", "7", "-shards", "2", "-clients", "12", "-requests", "240", "-readpct", "60", "-keys", "96", "-logblocks", "64", "-dump-on-fail", dir)
 	if d := replayExactly(t, dir); d.Reason != "chaos: acked-loss" {
 		t.Fatalf("the bitrot red dumped %q, want it to name acked-loss", d.Reason)
+	}
+}
+
+// chanos-sim -chaos-schedule cy:3000000:nic-slow:0:4:100000 -fail-writes 1 -cores 8 -clients 8 -requests 300 -keys 64 -logblocks 64 -seed 7
+//
+// A chaos schedule runs the world the flags describe: the injected
+// write failure fail-stops the shard under the schedule too, so the
+// store ends failed, and the harness judges that loud failure green.
+func TestChaosScheduleArmsInjectedWriteFailures(t *testing.T) {
+	out := wantExit(t, 0, "-chaos-schedule", "cy:3000000:nic-slow:0:4:100000", "-fail-writes", "1", "-cores", "8", "-clients", "8", "-requests", "300", "-keys", "64", "-logblocks", "64", "-seed", "7")
+	if !strings.Contains(out, "lifecycles [failed]") || !strings.Contains(out, "GREEN") {
+		t.Fatalf("the schedule did not run the failed-write world green:\n%s", out)
 	}
 }
 
 // chanos-sim -scenario kvload -replicas 2 -fail-writes 1 -dump-on-fail DIR
 // chanos-sim -scenario kvload -machines 3
 // chanos-sim -replicas 2 -chaos-schedule cy:1000000:kill-replica:0:1
+// chanos-sim -scenario kvload -machines 3 -cores 8 -requests 100 -chaos-schedule gen
+// chanos-sim -scenario kvload -rf 2
+// chanos-sim -scenario kvload -replica-reads
 //
 // A kvload world is one serving machine with at most one replica
-// machine. Each of these asks for more, so each exits 2 before booting
-// anything, says which flag is wrong, and writes no dump.
+// machine, which alone serves replica reads. Each of these asks for
+// more, so each exits 2 before booting anything, says which flag is
+// wrong, and writes no dump.
 func TestKVLoadRefusesImpossibleConfigs(t *testing.T) {
-	for _, c := range []struct {
-		name, flag string
-		run        func(dir string) int
-	}{
-		{"replicas-dump", "-replicas 2", func(dir string) int {
-			cfg := dump.Config{Cores: 64, Clients: 16, Replicas: 2, FailWrites: 1}
-			return runScenario(dump.ScenarioKVLoad, cfg, 1, dir)
-		}},
-		{"machines", "-machines 3", func(string) int {
-			cfg := dump.Config{Cores: 64, Clients: 16, Machines: 3}
-			return runScenario(dump.ScenarioKVLoad, cfg, 1, "")
-		}},
-		{"replicas-chaos", "-replicas 2", func(string) int {
-			cfg := dump.Config{Cores: 64, Clients: 16, Replicas: 2}
-			return runChaosSchedule("cy:1000000:kill-replica:0:1", cfg, 1, "")
-		}},
-	} {
+	wantRefused(t, []refusal{
+		{"replicas-dump", "-replicas 2", []string{"-scenario", "kvload", "-replicas", "2", "-fail-writes", "1"}},
+		{"machines", "-machines 3", []string{"-scenario", "kvload", "-machines", "3"}},
+		{"replicas-chaos", "-replicas 2", []string{"-replicas", "2", "-chaos-schedule", "cy:1000000:kill-replica:0:1"}},
+		{"machines-chaos", "-machines 3", []string{"-scenario", "kvload", "-machines", "3", "-cores", "8", "-requests", "100", "-chaos-schedule", "gen"}},
+		{"rf", "-rf 2", []string{"-scenario", "kvload", "-rf", "2"}},
+		{"replica-reads", "-replica-reads", []string{"-scenario", "kvload", "-replica-reads"}},
+	})
+}
+
+// chanos-sim -scenario cluster -cores 8 -requests 100 -fail-writes 1 -dump-on-fail DIR
+// chanos-sim -scenario cluster -cores 8 -requests 100 -loss 0.2
+// chanos-sim -scenario cluster -replicas 1
+// chanos-sim -machines 3 -replica-reads -chaos-schedule gen
+// chanos-sim -scenario cluster -stats-every 1
+//
+// A cluster world reads none of kvload's replica, loss, fault or live
+// stats settings, so asking it for one exits 2 naming the flag instead
+// of running without it.
+func TestClusterRefusesWhatItIgnores(t *testing.T) {
+	wantRefused(t, []refusal{
+		{"fail-writes", "-fail-writes 1", []string{"-scenario", "cluster", "-cores", "8", "-requests", "100", "-fail-writes", "1"}},
+		{"loss", "-loss 0.2", []string{"-scenario", "cluster", "-cores", "8", "-requests", "100", "-loss", "0.2"}},
+		{"replicas", "-replicas 1", []string{"-scenario", "cluster", "-replicas", "1"}},
+		{"replica-reads-chaos", "-replica-reads", []string{"-machines", "3", "-replica-reads", "-chaos-schedule", "gen"}},
+		{"stats-every", "-stats-every", []string{"-scenario", "cluster", "-stats-every", "1"}},
+	})
+}
+
+// chanos-sim -requests 100
+// chanos-sim -scenario kvload -sched rr
+// chanos-sim -chaos-schedule gen -stats-every 1
+// chanos-sim -chaos-seeds 4 -cores 8
+// chanos-sim -redump out.json
+//
+// A flag the selected mode does not read is refused, not dropped.
+func TestFlagsOutsideTheirModeAreRefused(t *testing.T) {
+	wantRefused(t, []refusal{
+		{"vfs", "-requests", []string{"-requests", "100"}},
+		{"scenario", "-sched", []string{"-scenario", "kvload", "-sched", "rr"}},
+		{"chaos-schedule", "-stats-every", []string{"-chaos-schedule", "gen", "-stats-every", "1"}},
+		{"chaos-seeds", "-cores", []string{"-chaos-seeds", "4", "-cores", "8"}},
+		{"redump", "-redump", []string{"-redump", "out.json"}},
+	})
+}
+
+// refusal is one command line that must exit 2 naming flag.
+type refusal struct {
+	name, flag string
+	args       []string
+}
+
+// wantRefused runs each refusal, in parallel (none boots a world), with
+// -dump-on-fail pointing at a fresh directory where the mode reads it,
+// and requires exit 2, a stderr message naming the flag and no dump
+// written.
+func wantRefused(t *testing.T, cases []refusal) {
+	t.Helper()
+	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
 			dir := t.TempDir()
-			code, stderr := stderrOf(t, func() int { return c.run(dir) })
+			args := c.args
+			if slices.Contains(args, "-scenario") || slices.Contains(args, "-chaos-schedule") {
+				args = append(args, "-dump-on-fail", dir)
+			}
+			_, stderr, code := run(t, args...)
 			if code != 2 {
-				t.Fatalf("exited %d, want 2", code)
+				t.Fatalf("%v exited %d, want 2", args, code)
 			}
 			if !strings.Contains(stderr, c.flag) {
 				t.Fatalf("message does not name %s: %q", c.flag, stderr)
@@ -112,26 +229,15 @@ func TestKVLoadRefusesImpossibleConfigs(t *testing.T) {
 	}
 }
 
-// stderrOf runs f with os.Stderr captured and returns f's exit code and
-// what it printed there (a few lines at most: the pipe is read after f
-// returns).
-func stderrOf(t *testing.T, f func() int) (int, string) {
+// wantExit runs chanos-sim with args, requires exit code want and
+// returns its stdout.
+func wantExit(t *testing.T, want int, args ...string) string {
 	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
+	out, stderr, code := run(t, args...)
+	if code != want {
+		t.Fatalf("%v exited %d, want %d; stderr: %s\nstdout:\n%s", args, code, want, stderr, out)
 	}
-	defer r.Close()
-	saved := os.Stderr
-	os.Stderr = w
-	code := f()
-	os.Stderr = saved
-	w.Close()
-	b, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return code, string(b)
+	return out
 }
 
 // replayExactly validates the one dump in dir, replays it with a
@@ -150,9 +256,7 @@ func replayExactly(t *testing.T, dir string) *dump.Dump {
 		t.Fatalf("dump fails structural validation: %v", bad)
 	}
 	redump := filepath.Join(dir, "redump.json")
-	if code := replayDump(paths[0], redump); code != 0 {
-		t.Fatalf("replay exited %d", code)
-	}
+	wantExit(t, 0, "-replay", paths[0], "-redump", redump)
 	if stray, _ := filepath.Glob("*.dump.json"); len(stray) > 0 {
 		t.Errorf("replay wrote a dump into the working directory: %v", stray)
 	}

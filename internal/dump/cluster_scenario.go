@@ -68,9 +68,13 @@ func (w *ClusterWorld) Keys() []string { return w.keys }
 
 // BuildCluster boots a cluster world. As with Build, the construction
 // order here is the event-sequence contract between a run that wrote a
-// dump and the run that replays it.
+// dump and the run that replays it. BuildCluster panics on a config
+// Check refuses, as Build does.
 func BuildCluster(seed uint64, cfg Config) *ClusterWorld {
 	cfg.fillCluster()
+	if err := cfg.Check(); err != nil {
+		panic(err)
+	}
 	keys := store.Keyspace(cfg.Keys)
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, cluster.Params{

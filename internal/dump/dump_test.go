@@ -178,9 +178,59 @@ func TestDumpDiffAndVersion(t *testing.T) {
 	if bad := d3.Validate(); len(bad) < 2 {
 		t.Fatalf("Validate missed problems: %v", bad)
 	}
-	d4 := *d
-	d4.Config.Replicas = 2
-	if bad := strings.Join(d4.Validate(), "\n"); !strings.Contains(bad, "-replicas 2") {
-		t.Fatalf("Validate missed a kvload config with two replica machines: %q", bad)
+	for _, c := range []struct {
+		flag string
+		edit func(*Config)
+	}{
+		{"-replicas 2", func(c *Config) { c.Replicas = 2 }},
+		{"-rf 2", func(c *Config) { c.RF = 2 }},
+		{"-replica-reads", func(c *Config) { c.ReplicaReads = true }},
+		{"-fail-writes 1", func(c *Config) { c.Scenario = ScenarioCluster }},
+	} {
+		d4 := *d
+		c.edit(&d4.Config)
+		if bad := strings.Join(d4.Validate(), "\n"); !strings.Contains(bad, c.flag) {
+			t.Fatalf("Validate missed a %s config with %s: %q", d4.Config.Scenario, c.flag, bad)
+		}
 	}
+}
+
+// TestConfigCheckNamesTheIgnoredFlag: Check refuses every config field
+// its world would not read, naming the flag that sets it, and passes
+// the configs each world does run.
+func TestConfigCheckNamesTheIgnoredFlag(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		flag string // "" = accepted
+	}{
+		{Config{}, ""},
+		{Config{Replicas: 1, ReplicaReads: true, Loss: 0.2, FailWrites: 1, FailShard: 1}, ""},
+		{Config{Machines: 3, RF: 2}, ""},
+		{Config{Scenario: ScenarioCluster, RF: 2}, ""},
+		{Config{Scenario: "e15-store", RF: 2, Loss: 0.2}, ""},
+		{Config{Scenario: ScenarioKVLoad, Machines: 3}, "-machines 3"},
+		{Config{RF: 2}, "-rf 2"},
+		{Config{Replicas: 2}, "-replicas 2"},
+		{Config{ReplicaReads: true}, "-replica-reads"},
+		{Config{Replicas: 2, ReplicaReads: true}, "-replicas 2"},
+		{Config{Machines: 3, Replicas: 1}, "-replicas 1"},
+		{Config{Scenario: ScenarioCluster, ReplicaReads: true}, "-replica-reads"},
+		{Config{Machines: 3, Loss: 0.2}, "-loss 0.2"},
+		{Config{Scenario: ScenarioCluster, FailWrites: 1}, "-fail-writes 1"},
+		{Config{Scenario: ScenarioCluster, FailShard: 1}, "-fail-shard 1"},
+	} {
+		err := c.cfg.Check()
+		switch {
+		case c.flag == "" && err != nil:
+			t.Errorf("%+v refused: %v", c.cfg, err)
+		case c.flag != "" && (err == nil || !strings.Contains(err.Error(), c.flag)):
+			t.Errorf("%+v: want an error naming %s, got %v", c.cfg, c.flag, err)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("BuildCluster booted a config Check refuses")
+		}
+	}()
+	BuildCluster(7, Config{Machines: 3, Loss: 0.2}).Close()
 }

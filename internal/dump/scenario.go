@@ -11,11 +11,11 @@ import (
 )
 
 // ScenarioKVLoad is the canonical replayable scenario: the full
-// kvserver vertical — client fleet on the wire → NIC RSS → netstack
+// key-value vertical — client fleet on the wire → NIC RSS → netstack
 // shard → per-connection handler → store shard → per-shard log device,
 // optionally with a quorum replica machine — driven by the shared
-// seeded workload generator. examples/kvserver boots through Build so
-// its dumps replay under chanos-sim with the identical event sequence.
+// seeded workload generator. `chanos-sim -scenario kvload` boots through
+// Build, so its dumps replay under chanos-sim with the identical events.
 const ScenarioKVLoad = "kvload"
 
 // fill applies scenario defaults to zero fields.
@@ -43,22 +43,33 @@ func (c *Config) fill() {
 	}
 }
 
-// Check refuses a kvload config the kvload world cannot boot as
-// written: one serving machine with at most one replica machine. Run
-// anyway, such a config records machines that never existed, so its
-// dump fails to replay and a chaos clause aimed at them never fires.
-// The errors name the command-line flag that sets the field. Other
-// scenarios pass.
+// Check refuses a config that its world would not run as written:
+// machines or faults the world never boots, which the dump would record
+// and a run would appear to survive. The errors name the command-line
+// flag that sets the field. Scenarios other than kvload and cluster pass.
 func (c Config) Check() error {
-	kvload := c.Scenario == ScenarioKVLoad || c.Scenario == "" && c.Machines == 0
-	if !kvload {
-		return nil
+	world, cl := ScenarioKVLoad, c.Scenario == ScenarioCluster || c.Scenario == "" && c.Machines > 0
+	if cl {
+		world = ScenarioCluster
 	}
-	if c.Machines > 0 {
-		return fmt.Errorf("kvload: -machines %d: a kvload world is one serving machine (-scenario cluster boots several)", c.Machines)
-	}
-	if c.Replicas > 1 {
-		return fmt.Errorf("kvload: -replicas %d: a kvload world boots at most one replica machine", c.Replicas)
+	kv := !cl && (c.Scenario == ScenarioKVLoad || c.Scenario == "")
+	for _, r := range []struct {
+		refuse    bool
+		flag, why string
+	}{
+		{kv && c.Machines > 0, fmt.Sprintf("-machines %d", c.Machines), "a kvload world is one serving machine (-scenario cluster boots several)"},
+		{kv && c.RF > 0, fmt.Sprintf("-rf %d", c.RF), "a kvload world sets its replica machine with -replicas (-rf is per cluster node)"},
+		{kv && c.Replicas > 1, fmt.Sprintf("-replicas %d", c.Replicas), "a kvload world boots at most one replica machine"},
+		{kv && c.ReplicaReads && c.Replicas != 1, "-replica-reads", "replica reads need the replica machine of -replicas 1"},
+		{cl && c.Replicas > 0, fmt.Sprintf("-replicas %d", c.Replicas), "a cluster node's replica machines are set with -rf"},
+		{cl && c.ReplicaReads, "-replica-reads", "only a kvload world with -replicas 1 serves replica reads"},
+		{cl && c.Loss > 0, fmt.Sprintf("-loss %g", c.Loss), "a cluster world's wires drop no packets"},
+		{cl && c.FailWrites > 0, fmt.Sprintf("-fail-writes %d", c.FailWrites), "a cluster world injects no log-device write failures"},
+		{cl && c.FailShard > 0, fmt.Sprintf("-fail-shard %d", c.FailShard), "a cluster world injects no log-device write failures"},
+	} {
+		if r.refuse {
+			return fmt.Errorf("%s: %s: %s", world, r.flag, r.why)
+		}
 	}
 	return nil
 }
@@ -89,7 +100,7 @@ type World struct {
 // Build boots a kvload world through store.NewMachine, whose fixed
 // boot order is the event-sequence contract: it must not change
 // between the run that wrote a dump and the run that replays it, so
-// examples/kvserver and the -replay path both go through exactly this
+// chanos-sim's -scenario and -replay paths both go through exactly this
 // function. Build panics on a config Check refuses: callers that take a
 // config from outside the program check it first.
 func Build(seed uint64, cfg Config) *World {

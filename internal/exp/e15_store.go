@@ -92,7 +92,7 @@ func e15Run(o Options, cores, shards, clients, readPct int, window sim.Time) e15
 	kv := m.KV
 
 	// Prefill so reads have data to hit, then drive the shared seeded
-	// workload (same generator as examples/kvserver).
+	// workload (same generator as `chanos-sim -scenario kvload`).
 	kvPrefill(m, wl)
 
 	base := kv.Counters()

@@ -98,26 +98,29 @@ func e9FanOut(o Options, cores int, s core.Scheduler) float64 {
 	return w.opsPerSec(completed, w.eng.Now())
 }
 
-// Constructors shared with the shape tests.
-func newRR() core.Scheduler            { return &sched.RoundRobin{} }
-func newRand(o Options) core.Scheduler { return sched.NewRandom(o.seed()) }
-func newWS(o Options) core.Scheduler   { return sched.NewWorkStealing(o.seed()) }
+// e9Policy is one row of E9's policy table: a name and a constructor.
+type e9Policy struct {
+	name string
+	mk   func() core.Scheduler
+}
 
-func e9Placement(o Options) []*stats.Table {
-	coreCounts := []int{16, 64}
-	if o.Quick {
-		coreCounts = []int{16}
-	}
-	policies := []struct {
-		name string
-		mk   func() core.Scheduler
-	}{
+// e9Policies is E9's policy table, in row order.
+func e9Policies(o Options) []e9Policy {
+	return []e9Policy{
 		{"round-robin", func() core.Scheduler { return &sched.RoundRobin{} }},
 		{"random", func() core.Scheduler { return sched.NewRandom(o.seed()) }},
 		{"least-loaded", func() core.Scheduler { return &sched.LeastLoaded{} }},
 		{"locality", func() core.Scheduler { return &sched.Locality{} }},
 		{"work-stealing", func() core.Scheduler { return sched.NewWorkStealing(o.seed()) }},
 	}
+}
+
+func e9Placement(o Options) []*stats.Table {
+	coreCounts := []int{16, 64}
+	if o.Quick {
+		coreCounts = []int{16}
+	}
+	policies := e9Policies(o)
 	tb := stats.NewTable("E9 / Figure 5: pipeline throughput by placement policy (items/sec)",
 		"policy", "16 cores", "64 cores")
 	for _, p := range policies {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"chanos/internal/baseline"
+	"chanos/internal/core"
 	"chanos/internal/sim"
 	"chanos/internal/vm"
 )
@@ -180,13 +181,17 @@ func TestE13ChanOSBeatsVMClusterWithSharing(t *testing.T) {
 // --- E9: no policy dominates both workloads ---
 
 func TestE9StealingWinsFanOutLocalityFine(t *testing.T) {
-	wsFan := e9FanOut(q, 16, newWS(q))
-	rrFan := e9FanOut(q, 16, newRR())
+	mk := map[string]func() core.Scheduler{}
+	for _, p := range e9Policies(q) {
+		mk[p.name] = p.mk
+	}
+	wsFan := e9FanOut(q, 16, mk["work-stealing"]())
+	rrFan := e9FanOut(q, 16, mk["round-robin"]())
 	if wsFan <= rrFan {
 		t.Fatalf("work-stealing (%v) should beat round-robin (%v) on irregular fan-out", wsFan, rrFan)
 	}
-	randPipe := e9Pipeline(q, 16, newRand(q))
-	rrPipe := e9Pipeline(q, 16, newRR())
+	randPipe := e9Pipeline(q, 16, mk["random"]())
+	rrPipe := e9Pipeline(q, 16, mk["round-robin"]())
 	if randPipe >= rrPipe {
 		t.Fatalf("random (%v) should lose to round-robin (%v) on the pipeline", randPipe, rrPipe)
 	}

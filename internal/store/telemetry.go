@@ -128,7 +128,7 @@ func (sh *shard) replLag() uint64 {
 }
 
 // Counters folds every shard's private counter set into one total —
-// the read path for experiments, kvserver and tests.
+// the read path for experiments, chanos-sim and tests.
 func (s *Store) Counters() StoreCounters {
 	var c StoreCounters
 	for _, sh := range s.shards {
