@@ -22,9 +22,9 @@ func runChaosSchedule(spec string, cfg dump.Config, seed uint64, dumpDir string)
 		cfg.Chaos = spec // chaos.Run parses it, refusing a malformed one
 	}
 	label := "kvload"
-	if cfg.Machines > 0 {
-		label = fmt.Sprintf("cluster%d", cfg.Machines)
-	} else if cfg.Replicas > 0 {
+	if world, nodes, rf := cfg.Shape(); world == dump.ScenarioCluster {
+		label = fmt.Sprintf("cluster%d", nodes)
+	} else if rf > 0 {
 		label = "repl"
 	}
 	r, err := chaos.Run(chaos.Spec{Label: label, Seed: seed, Cfg: cfg, DumpDir: dumpDir})

@@ -250,14 +250,12 @@ func main() {
 // stall, a conservation break, an errored or lost request with no fault
 // injected, or a fault armed for a dump that never tripped one.
 func runWorld(cfg dump.Config, seed uint64, spec, dumpDir string, statsEvery float64) int {
-	if cfg.Scenario == dump.ScenarioCluster && cfg.Machines == 0 {
-		cfg.Machines = 3 // BuildCluster's default: both runners route on Machines
-	}
+	world, _, _ := cfg.Shape()
 	err := cfg.Check()
 	switch {
-	case cfg.Scenario != "" && cfg.Scenario != dump.ScenarioKVLoad && cfg.Scenario != dump.ScenarioCluster:
+	case world != dump.ScenarioKVLoad && world != dump.ScenarioCluster:
 		err = fmt.Errorf("-scenario %q: have kvload, cluster", cfg.Scenario)
-	case err == nil && statsEvery > 0 && (spec != "" || cfg.Machines > 0):
+	case err == nil && statsEvery > 0 && (spec != "" || world == dump.ScenarioCluster):
 		err = fmt.Errorf("-stats-every: only a kvload scenario run prints a live line, not a cluster or a chaos run")
 	}
 	if err != nil {
@@ -269,7 +267,7 @@ func runWorld(cfg dump.Config, seed uint64, spec, dumpDir string, statsEvery flo
 	}
 
 	var w dump.Scenario
-	if cfg.Machines > 0 {
+	if world == dump.ScenarioCluster {
 		w = dump.BuildCluster(seed, cfg)
 	} else {
 		w = dump.Build(seed, cfg)
@@ -486,18 +484,12 @@ func writeDump(dir string, d *dump.Dump) {
 // recorded event count — the state just before the failing instant —
 // then diffs the halted machines against the dump. A dump that carries
 // a fault schedule replays through the chaos harness, which re-arms the
-// identical timeline and re-runs the identical phases.
+// identical timeline and re-runs the identical phases. Either replay
+// refuses a dump that fails validation, naming each problem (exit 1).
 func replayDump(path, redumpPath string) int {
 	d, err := dump.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chanos-sim: %v\n", err)
-		return 1
-	}
-	if bad := d.Validate(); len(bad) > 0 {
-		fmt.Fprintf(os.Stderr, "chanos-sim: %s is not a valid dump:\n", path)
-		for _, b := range bad {
-			fmt.Fprintf(os.Stderr, "  %s\n", b)
-		}
 		return 1
 	}
 	fmt.Printf("replay: scenario %s, seed %d, target event %d (%q)\n",

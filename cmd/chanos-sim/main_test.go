@@ -111,6 +111,32 @@ func TestFailStopDumpReplaysExactly(t *testing.T) {
 	replayExactly(t, dir)
 }
 
+// chanos-sim -replay DIR/<dump>
+//
+// A dump whose captures disagree with its own config is refused before
+// anything boots: exit 1, with each problem named on stderr.
+func TestReplayRefusesAnInvalidDump(t *testing.T) {
+	w := dump.Build(7, dump.Config{Requests: 50})
+	w.Run()
+	d := w.C.Snapshot("on demand")
+	w.Close()
+	d.Config.Scenario = dump.ScenarioCluster
+	d.Machines[0].Telemetry = nil
+	path := filepath.Join(t.TempDir(), d.FileName())
+	if err := dump.WriteFile(path, d); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code := run(t, "-replay", path)
+	if code != 1 {
+		t.Fatalf("-replay of an invalid dump exited %d, want 1; stderr: %s", code, stderr)
+	}
+	for _, want := range []string{"config has 3 machines but machines section has 1", "machine 0: telemetry section missing"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr does not name %q:\n%s", want, stderr)
+		}
+	}
+}
+
 // chanos-sim -chaos-schedule cy:4000000:bitrot:0:3 -seed 7 -shards 2 -clients 12 -requests 240 -readpct 60 -keys 96 -logblocks 64 -dump-on-fail DIR
 // chanos-sim -replay DIR/<dump> -redump DIR/redump.json
 //

@@ -10,16 +10,21 @@ package chaos
 
 import (
 	"fmt"
+	"strings"
 
 	"chanos/internal/dump"
 )
 
 // Replay rebuilds a chaos dump's world and halts at its recorded
-// event. The returned Result keeps its world open (Result.Close) so
+// event, refusing first, as dump.Replay does, a dump that Validate
+// faults. The returned Result keeps its world open (Result.Close) so
 // callers can take a differential snapshot against the original dump.
 func Replay(d *dump.Dump) (*Result, error) {
 	if d.Config.Chaos == "" {
 		return nil, fmt.Errorf("chaos: dump carries no schedule; use dump.Replay")
+	}
+	if bad := d.Validate(); len(bad) > 0 {
+		return nil, fmt.Errorf("chaos: dump is not valid:\n  %s", strings.Join(bad, "\n  "))
 	}
 	sched, err := Parse(d.Config.Chaos)
 	if err != nil {

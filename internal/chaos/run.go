@@ -100,9 +100,9 @@ func failstopped(lc string, kinds map[string]uint64, dumped bool) bool {
 type Spec struct {
 	Label string // matrix row label ("solo", "repl", "cluster3", ...)
 	Seed  uint64
-	// Cfg selects the scenario (Machines > 0 = cluster). If Cfg.Chaos
-	// is set it is parsed as the schedule; else Sched is used; else a
-	// schedule is generated from (Cfg, Seed).
+	// Cfg selects the scenario (its filled Scenario; dump.Config.Shape).
+	// If Cfg.Chaos is set it is parsed as the schedule; else Sched is
+	// used; else a schedule is generated from (Cfg, Seed).
 	Cfg   dump.Config
 	Sched Schedule
 	// DumpDir receives red-run machine dumps ("" = current directory).
@@ -175,6 +175,9 @@ func Run(spec Spec) (*Result, error) {
 	if err := spec.Cfg.Check(); err != nil {
 		return nil, err
 	}
+	if world, _, _ := spec.Cfg.Shape(); world != dump.ScenarioKVLoad && world != dump.ScenarioCluster {
+		return nil, fmt.Errorf("chaos: scenario %q: only the kvload and cluster worlds boot from a config", world)
+	}
 	sched := spec.Sched
 	if spec.Cfg.Chaos != "" {
 		var err error
@@ -219,10 +222,9 @@ type view struct {
 	migrate func(rangeIdx, dest int, onDone func(cluster.MigrationReport)) bool
 }
 
-// boot builds the world cfg selects (Machines > 0 = cluster) and its
-// view.
+// boot builds the world cfg selects (dump.Config.Shape) and its view.
 func boot(seed uint64, cfg dump.Config) *view {
-	if cfg.Machines > 0 {
+	if world, _, _ := cfg.Shape(); world == dump.ScenarioCluster {
 		w := dump.BuildCluster(seed, cfg)
 		return &view{
 			world:   w,

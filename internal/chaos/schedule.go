@@ -182,14 +182,11 @@ func Parse(spec string) (Schedule, error) {
 // and range indexes in bounds, replica faults only where replicas
 // exist, migration only on clusters.
 func (s Schedule) Validate(cfg dump.Config) error {
-	nodes, rf := 1, cfg.Replicas
-	if cfg.Machines > 0 {
-		nodes, rf = cfg.Machines, cfg.RF
-	}
+	world, nodes, rf := cfg.Shape()
 	for i, c := range s {
 		switch c.Fault {
 		case FaultMigrate:
-			if cfg.Machines == 0 {
+			if world != dump.ScenarioCluster {
 				return fmt.Errorf("chaos: clause %d: migrate needs a cluster scenario", i)
 			}
 			if c.Args[0] >= nodes || c.Args[1] >= nodes {
@@ -239,11 +236,8 @@ const (
 // bitrot — that fault exists to prove the matrix catches reds.
 func Generate(cfg dump.Config, seed uint64) Schedule {
 	rng := sim.NewRNG(seed*0x9E3779B97F4A7C15 + 0xC4A05)
-	cluster := cfg.Machines > 0
-	nodes, rf, shards := 1, cfg.Replicas, cfg.Shards
-	if cluster {
-		nodes, rf = cfg.Machines, cfg.RF
-	}
+	world, nodes, rf := cfg.Shape()
+	cluster, shards := world == dump.ScenarioCluster, cfg.Shards
 	if shards <= 0 {
 		shards = 2
 	}

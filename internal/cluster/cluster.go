@@ -35,8 +35,6 @@ type Params struct {
 	Seed uint64
 	// Store parameterises each node's store (and its replicas').
 	Store store.Params
-	// Wire models every inter-machine link.
-	Wire net.WireParams
 }
 
 // basePort: node i serves on basePort+10*i; its replica j listens on
@@ -97,14 +95,17 @@ func (c *Cluster) bootNode(id int, smap *ShardMap) *Node {
 	p := c.P
 	seed := p.Seed + uint64(id)*131
 	n := &Node{ID: id, c: c, smap: smap, genInflight: make(map[uint64]int)}
+	// Every inter-machine link is the default intra-datacenter wire,
+	// its jitter seed spread per machine.
+	wire := net.DefaultWireParams()
 	mp := store.MachineParams{
-		Cores: p.Cores, Seed: seed, Wire: p.Wire, Store: p.Store, Port: basePort + 10*id,
+		Cores: p.Cores, Seed: seed, Wire: wire, Store: p.Store, Port: basePort + 10*id,
 		Accept: fmt.Sprintf("node%d.accept", id), Conn: fmt.Sprintf("node%d.kv", id),
 		Serve: func(t *core.Thread, conn *net.Conn, _ *store.Store) { n.serveConn(t, conn) },
 	}
 	mp.Wire.Seed = seed + 7
 	for j := 0; j < p.RF; j++ {
-		rp := store.ReplicaMachineParams{Seed: seed + 17 + uint64(j)*19, Port: mp.Port + 1 + j, Wire: p.Wire}
+		rp := store.ReplicaMachineParams{Seed: seed + 17 + uint64(j)*19, Port: mp.Port + 1 + j, Wire: wire}
 		rp.Wire.Seed = seed + 11 + uint64(j)*13
 		mp.Replicas = append(mp.Replicas, rp)
 	}

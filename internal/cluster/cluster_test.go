@@ -35,7 +35,6 @@ func boot3(t *testing.T, rf int, keys []string, seed uint64) *Cluster {
 		Cores:  8,
 		Seed:   seed,
 		Store:  store.Params{Shards: 2, CacheBlocks: 8, FlushCycles: 20_000},
-		Wire:   net.DefaultWireParams(),
 	})
 	for step := 0; step < 2000; step++ {
 		c.RunFor(100_000)
@@ -380,8 +379,7 @@ func TestMigrationKillDestBeforeFlip(t *testing.T) {
 func TestMigrationDuplicateDeliveryAppliesOnce(t *testing.T) {
 	eng := sim.NewEngine()
 	c := New(eng, Params{Nodes: 1, Cores: 8, Seed: 3,
-		Store: store.Params{Shards: 2, CacheBlocks: 8, FlushCycles: 20_000},
-		Wire:  net.DefaultWireParams()})
+		Store: store.Params{Shards: 2, CacheBlocks: 8, FlushCycles: 20_000}})
 	defer c.Shutdown()
 	n := c.Nodes[0]
 

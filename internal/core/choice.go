@@ -103,7 +103,7 @@ func (rt *Runtime) evalChoice(t *Thread, o op) {
 		t.state = tBlocked
 		rt.releaseCore(t)
 	case ChoosePoll:
-		// Busy-poll: re-check every PollInterval, charging poll cost on
+		// Busy-poll: re-check every pollInterval, charging poll cost on
 		// the thread's core each round — the "wasted cycles" strategy.
 		t.state = tBlocked
 		rt.releaseCore(t)
@@ -135,10 +135,10 @@ func (rt *Runtime) evalChoice(t *Thread, o op) {
 					rt.rePoll(t, o)
 					return
 				}
-				t.wake = rt.Eng.At(rt.Eng.Now()+rt.Cfg.PollInterval, poll)
+				t.wake = rt.Eng.At(rt.Eng.Now()+pollInterval, poll)
 			})
 		}
-		t.wake = rt.Eng.At(rt.Eng.Now()+rt.Cfg.PollInterval, poll)
+		t.wake = rt.Eng.At(rt.Eng.Now()+pollInterval, poll)
 	default:
 		panic("core: unknown choose implementation")
 	}
@@ -165,7 +165,7 @@ func (rt *Runtime) evalChoiceOnCore(t *Thread, o op) {
 	cs := rt.cores[t.core]
 	if cs.cur != nil && cs.cur != t {
 		// Core busy: retry when it frees — rare; just poll again shortly.
-		t.wake = rt.Eng.At(rt.Eng.Now()+rt.Cfg.PollInterval, func() { rt.evalChoiceOnCore(t, o) })
+		t.wake = rt.Eng.At(rt.Eng.Now()+pollInterval, func() { rt.evalChoiceOnCore(t, o) })
 		return
 	}
 	if cs.cur == nil {

@@ -38,18 +38,19 @@ const (
 	// ChooseWaiters registers a waiter on every channel in the choice;
 	// the first channel to become ready resolves the choice directly.
 	ChooseWaiters ChooseImpl = iota
-	// ChoosePoll re-polls all channels every PollInterval cycles,
+	// ChoosePoll re-polls all channels every pollInterval cycles,
 	// charging poll cost each round. Simpler hardware, wasted cycles.
 	ChoosePoll
 )
 
 // Per-operation base costs (cycles).
 const (
-	chooseSetup  = 12 // fixed cost to evaluate a choice
-	chooseCase   = 6  // additional cost per case
-	pollCost     = 10 // cost of one readiness poll (Try*, ChoosePoll)
-	copyShift    = 2  // copy cost: bytes >> copyShift cycles (~4 bytes/cycle memcpy)
-	defaultBytes = 64 // assumed payload size when not measurable
+	chooseSetup  = 12  // fixed cost to evaluate a choice
+	chooseCase   = 6   // additional cost per case
+	pollCost     = 10  // cost of one readiness poll (Try*, ChoosePoll)
+	pollInterval = 200 // cycles between ChoosePoll re-polls
+	copyShift    = 2   // copy cost: bytes >> copyShift cycles (~4 bytes/cycle memcpy)
+	defaultBytes = 64  // assumed payload size when not measurable
 )
 
 // Config holds runtime policy knobs.
@@ -60,9 +61,8 @@ type Config struct {
 	// bandwidth overhead", §3).
 	Strict bool
 
-	// Choose implementation strategy and poll interval (ChoosePoll).
-	Choose       ChooseImpl
-	PollInterval uint64
+	// Choose implementation strategy.
+	Choose ChooseImpl
 
 	Seed uint64
 
@@ -75,9 +75,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.PollInterval == 0 {
-		c.PollInterval = 200
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}

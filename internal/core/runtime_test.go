@@ -436,7 +436,7 @@ func TestRecvTimeout(t *testing.T) {
 }
 
 func TestChoosePollImplementation(t *testing.T) {
-	rt := newRT(t, 2, Config{Choose: ChoosePoll, PollInterval: 100})
+	rt := newRT(t, 2, Config{Choose: ChoosePoll})
 	a := rt.NewChan("a", 0)
 	var idx int
 	rt.Boot("chooser", func(th *Thread) {

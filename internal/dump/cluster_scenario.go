@@ -5,7 +5,6 @@ import (
 
 	"chanos/internal/cluster"
 	"chanos/internal/core"
-	"chanos/internal/net"
 	"chanos/internal/sim"
 	"chanos/internal/store"
 )
@@ -17,37 +16,6 @@ import (
 // one clock, one counted-event sequence — so a cluster dump replays
 // exactly like a single-machine one, just with more state to compare.
 const ScenarioCluster = "cluster"
-
-// fillCluster applies cluster-scenario defaults to zero fields. The
-// filled config is what the dump records, so the defaults are part of
-// the event-sequence contract too.
-func (c *Config) fillCluster() {
-	c.Scenario = ScenarioCluster
-	if c.Machines == 0 {
-		c.Machines = 3
-	}
-	if c.Cores == 0 {
-		c.Cores = 8
-	}
-	if c.Shards == 0 {
-		c.Shards = 2
-	}
-	if c.Clients == 0 {
-		c.Clients = 12
-	}
-	if c.Requests == 0 {
-		c.Requests = 300
-	}
-	if c.ReadPct == 0 {
-		c.ReadPct = 50
-	}
-	if c.Keys == 0 {
-		c.Keys = 120
-	}
-	if c.ValBytes == 0 {
-		c.ValBytes = 128
-	}
-}
 
 // ClusterWorld is one booted cluster scenario, ready to Run — and,
 // armed with its Collector, ready to dump every machine at once.
@@ -69,12 +37,9 @@ func (w *ClusterWorld) Keys() []string { return w.keys }
 // BuildCluster boots a cluster world. As with Build, the construction
 // order here is the event-sequence contract between a run that wrote a
 // dump and the run that replays it. BuildCluster panics on a config
-// Check refuses, as Build does.
+// Check refuses or one that fills to another world, as Build does.
 func BuildCluster(seed uint64, cfg Config) *ClusterWorld {
-	cfg.fillCluster()
-	if err := cfg.Check(); err != nil {
-		panic(err)
-	}
+	cfg = cfg.fillFor(ScenarioCluster)
 	keys := store.Keyspace(cfg.Keys)
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, cluster.Params{
@@ -82,7 +47,6 @@ func BuildCluster(seed uint64, cfg Config) *ClusterWorld {
 		Seed: seed,
 		Store: store.Params{Shards: cfg.Shards, LogBlocks: cfg.LogBlocks,
 			FlushCycles: 20_000},
-		Wire: net.DefaultWireParams(),
 	})
 	c := &Collector{Eng: eng, Seed: seed, Config: cfg,
 		MapVersion: func(node int) uint64 { return cl.Map(node).Version }}
@@ -90,7 +54,7 @@ func BuildCluster(seed uint64, cfg Config) *ClusterWorld {
 		c.Nodes = append(c.Nodes, n.Machine)
 	}
 	return &ClusterWorld{
-		Drive: Drive{C: c, seed: seed, cfg: cfg, slice: clusterSlice},
+		Drive: Drive{C: c, slice: clusterSlice},
 		Cl:    cl, keys: keys,
 	}
 }
@@ -104,7 +68,7 @@ func (w *ClusterWorld) Close() { w.Cl.Shutdown() }
 // the engine trips a StopAtFired replay halt. Every phase checks
 // StopReached so a replay halts wherever its recorded instant lies.
 func (w *ClusterWorld) Run() *Report {
-	r := &Report{}
+	r, cfg := &Report{}, w.Config()
 
 	w.waitFor(w.slice, 2_000, w.Cl.Ready)
 
@@ -116,7 +80,7 @@ func (w *ClusterWorld) Run() *Report {
 				if w.Cl.Map(n.ID).NodeFor(key) != n.ID {
 					continue
 				}
-				val := make([]byte, w.cfg.ValBytes)
+				val := make([]byte, cfg.ValBytes)
 				copy(val, key)
 				n.KV.Put(t, key, val)
 			}
@@ -128,8 +92,8 @@ func (w *ClusterWorld) Run() *Report {
 	r.PrefillCycles = w.C.Eng.Now()
 
 	w.Pool = w.Cl.NewPool(cluster.PoolParams{
-		Clients: w.cfg.Clients, Keys: w.keys, ReadPct: w.cfg.ReadPct,
-		ValBytes: w.cfg.ValBytes, ThinkCycles: 4_000, Seed: w.seed + 3,
+		Clients: cfg.Clients, Keys: w.keys, ReadPct: cfg.ReadPct,
+		ValBytes: cfg.ValBytes, ThinkCycles: 4_000, Seed: w.C.Seed + 3,
 	})
 	r.Stalled = w.drive(func() uint64 { return w.Pool.Ops })
 	r.Responses = w.Pool.Ops

@@ -5,17 +5,18 @@ package dump
 
 import (
 	"fmt"
+	"strings"
 
 	"chanos/internal/net"
 	"chanos/internal/sim"
 )
 
 // Drive is the half of a world that World and ClusterWorld share: the
-// collector over the world's serving machines, the host-side
-// drive-loop policy, and the (seed, config) recipe the world booted
-// from. Its loops advance the one engine every machine runs on, so a
-// kvload machine and a nine-machine cluster are driven — and halt on a
-// replay coordinate — by the same code.
+// collector over the world's serving machines — which holds the (seed,
+// config) recipe the world booted from, as every dump records it — and
+// the host-side drive-loop policy. Its loops advance the one engine
+// every machine runs on, so a kvload machine and a nine-machine cluster
+// are driven — and halt on a replay coordinate — by the same code.
 type Drive struct {
 	C *Collector
 
@@ -34,8 +35,6 @@ type Drive struct {
 	// a dead replica isn't misread as a hung one.
 	StallBudget int
 
-	seed  uint64
-	cfg   Config
 	slice sim.Time
 }
 
@@ -55,7 +54,7 @@ type Scenario interface {
 func (d *Drive) Driver() *Drive { return d }
 
 // Config returns the world's filled scenario config.
-func (d *Drive) Config() Config { return d.cfg }
+func (d *Drive) Config() Config { return d.C.Config }
 
 // Slice is the world's drive slice in cycles: every fleet-phase step
 // of Run, and every step of a harness draining the world after it.
@@ -88,7 +87,7 @@ func (d *Drive) waitFor(step sim.Time, maxSteps int, done func() bool) {
 func (d *Drive) drive(progress func() uint64) (stalled bool) {
 	eng, budget := d.C.Eng, d.StallSlices()
 	idle := 0
-	for i := 0; progress() < uint64(d.cfg.Requests) && !eng.StopReached(); i++ {
+	for i := 0; progress() < uint64(d.C.Config.Requests) && !eng.StopReached(); i++ {
 		before := progress()
 		d.RunFor(d.slice)
 		if d.OnSlice != nil {
@@ -146,30 +145,39 @@ type Report struct {
 }
 
 // Replay is the time-travel half of the dump contract: rebuild the
-// dumped world — kvload or cluster — from its (seed, config) and run
-// with the engine armed to halt once EventCount counted events have
-// fired, so every machine stops in exactly the dumped state, one event
-// short of the failing instant. The halt check is the replay
-// coordinate itself (Fired() == EventCount), not the stop latch: an
-// on-demand dump taken right after Run lands exactly on the drive
-// loop's own exit, where the armed stop never latches. The caller owns
-// w (Close it) and can re-dump via w.Driver().C for differential
-// comparison, or resume with StopAtFired(0) to step past the failure.
+// dumped world — kvload or cluster, as the recorded config selects —
+// from its (seed, config) and run with the engine armed to halt once
+// EventCount counted events have fired, so every machine stops in
+// exactly the dumped state, one event short of the failing instant.
+// Replay runs Validate first and refuses a faulted dump before anything
+// boots: captures that disagree with their own config would otherwise
+// reboot as another world. The closing check (Fired() == EventCount,
+// not the stop latch: an on-demand dump taken right after Run lands
+// exactly on the drive loop's own exit, where the armed stop never
+// latches) only proves the rebooted world ran that far — StopAtFired
+// halts any world there by construction. Whether the halted machines
+// are the dumped ones is the caller's to check: re-dump via
+// w.Driver().C and compare (Equal, Diff), as `chanos-sim -replay` does.
+// The caller owns w (Close it), and can resume with StopAtFired(0) to
+// step past the failure.
 func Replay(d *Dump) (Scenario, *Report, error) {
+	if bad := d.Validate(); len(bad) > 0 {
+		return nil, nil, fmt.Errorf("dump is not valid:\n  %s", strings.Join(bad, "\n  "))
+	}
 	var w Scenario
-	switch {
+	switch world, _, _ := d.Config.Shape(); {
 	case d.Config.Chaos != "":
 		// A chaos dump's event sequence includes its fault schedule;
 		// replaying without arming it would diverge. internal/chaos owns
 		// that arming (chaos.Replay) — dump cannot import it.
 		return nil, nil, fmt.Errorf("dump carries a chaos schedule %q: replay it through chaos.Replay (chanos-sim -replay routes there)", d.Config.Chaos)
-	case d.Config.Scenario == ScenarioKVLoad:
+	case world == ScenarioKVLoad:
 		w = Build(d.Seed, d.Config)
-	case d.Config.Scenario == ScenarioCluster:
+	case world == ScenarioCluster:
 		w = BuildCluster(d.Seed, d.Config)
 	default:
 		return nil, nil, fmt.Errorf("scenario %q is not replayable (only %q and %q worlds boot from a config; this dump still inspects and diffs)",
-			d.Config.Scenario, ScenarioKVLoad, ScenarioCluster)
+			world, ScenarioKVLoad, ScenarioCluster)
 	}
 	eng := w.Driver().C.Eng
 	eng.StopAtFired(d.EventCount)

@@ -69,9 +69,10 @@ type Config struct {
 	// FailWrites write completions on FailShard's log device fail.
 	FailWrites int `json:"fail_writes,omitempty"`
 	FailShard  int `json:"fail_shard,omitempty"`
-	// Machines and RF select the cluster scenario: Machines serving
+	// Machines and RF size the cluster scenario: Machines serving
 	// nodes, each with RF replica machines, routed by a shard map
-	// (internal/cluster). 0 machines = the single-machine scenarios.
+	// (internal/cluster). Scenario alone selects the world; an empty
+	// Scenario with Machines > 0 fills to cluster (see Shape).
 	Machines int `json:"machines,omitempty"`
 	RF       int `json:"rf,omitempty"`
 	// Chaos is a serialized fault schedule (internal/chaos grammar:
@@ -122,11 +123,11 @@ type MachineDump struct {
 }
 
 // Validate structurally checks a dump: schema version, the reproduction
-// triple, one capture per serving machine, and in every capture the
-// sections a serving machine must have — scheduler, NIC, netstack,
-// store shards with their log-device geometry, the configured replica
-// count and a telemetry snapshot. Returns a list of problems (empty =
-// valid).
+// triple, one capture per serving machine of the world its config
+// selects (Config.Shape), and in every capture the sections a serving
+// machine must have — scheduler, NIC, netstack, store shards with their
+// log-device geometry, the configured replica count and a telemetry
+// snapshot. Returns a list of problems (empty = valid).
 func (d *Dump) Validate() []string {
 	var bad []string
 	add := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
@@ -142,10 +143,7 @@ func (d *Dump) Validate() []string {
 	if err := d.Config.Check(); err != nil {
 		add("config: %v", err)
 	}
-	machines, rf := 1, d.Config.Replicas
-	if d.Config.Machines > 0 {
-		machines, rf = d.Config.Machines, d.Config.RF
-	}
+	_, machines, rf := d.Config.Shape()
 	if len(d.Machines) != machines {
 		add("config has %d machines but machines section has %d", machines, len(d.Machines))
 	}

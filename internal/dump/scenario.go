@@ -18,29 +18,48 @@ import (
 // Build, so its dumps replay under chanos-sim with the identical events.
 const ScenarioKVLoad = "kvload"
 
-// fill applies scenario defaults to zero fields.
+// fill picks the config's world once — Scenario, or cluster when
+// Scenario is empty and Machines > 0 — and applies that world's
+// defaults to zero fields. After fill, Scenario alone routes: Machines,
+// Replicas and RF only size the world (see Shape). The filled config is
+// what a dump records, so the defaults are part of the event-sequence
+// contract too.
 func (c *Config) fill() {
 	if c.Scenario == "" {
 		c.Scenario = ScenarioKVLoad
+		if c.Machines > 0 {
+			c.Scenario = ScenarioCluster
+		}
 	}
-	if c.Cores == 0 {
-		c.Cores = 8
+	// def sets a zero field to its kvload or its cluster default.
+	def := func(v *int, kvload, cluster int) {
+		if *v == 0 {
+			*v = kvload
+			if c.Scenario == ScenarioCluster {
+				*v = cluster
+			}
+		}
 	}
-	if c.Clients == 0 {
-		c.Clients = 16
+	def(&c.Machines, 0, 3)
+	def(&c.Cores, 8, 8)
+	def(&c.Shards, 0, 2) // 0 = store default
+	def(&c.Clients, 16, 12)
+	def(&c.Requests, 400, 300)
+	def(&c.ReadPct, 70, 50)
+	def(&c.Keys, 128, 120)
+	def(&c.ValBytes, 256, 128)
+}
+
+// Shape returns the world the filled config selects, the serving
+// machines it boots and the replica machines each of them attaches.
+// Validate, Replay, the chaos harness and chanos-sim route and size on
+// it, so none of them reads Machines as a selector.
+func (c Config) Shape() (world string, nodes, rf int) {
+	c.fill()
+	if c.Scenario == ScenarioCluster {
+		return c.Scenario, c.Machines, c.RF
 	}
-	if c.Requests == 0 {
-		c.Requests = 400
-	}
-	if c.ReadPct == 0 {
-		c.ReadPct = 70
-	}
-	if c.Keys == 0 {
-		c.Keys = 128
-	}
-	if c.ValBytes == 0 {
-		c.ValBytes = 256
-	}
+	return c.Scenario, 1, c.Replicas
 }
 
 // Check refuses a config that its world would not run as written:
@@ -48,11 +67,8 @@ func (c *Config) fill() {
 // and a run would appear to survive. The errors name the command-line
 // flag that sets the field. Scenarios other than kvload and cluster pass.
 func (c Config) Check() error {
-	world, cl := ScenarioKVLoad, c.Scenario == ScenarioCluster || c.Scenario == "" && c.Machines > 0
-	if cl {
-		world = ScenarioCluster
-	}
-	kv := !cl && (c.Scenario == ScenarioKVLoad || c.Scenario == "")
+	c.fill()
+	kv, cl := c.Scenario == ScenarioKVLoad, c.Scenario == ScenarioCluster
 	for _, r := range []struct {
 		refuse    bool
 		flag, why string
@@ -68,10 +84,25 @@ func (c Config) Check() error {
 		{cl && c.FailShard > 0, fmt.Sprintf("-fail-shard %d", c.FailShard), "a cluster world injects no log-device write failures"},
 	} {
 		if r.refuse {
-			return fmt.Errorf("%s: %s: %s", world, r.flag, r.why)
+			return fmt.Errorf("%s: %s: %s", c.Scenario, r.flag, r.why)
 		}
 	}
 	return nil
+}
+
+// fillFor fills cfg for the builder of world, panicking with Check's
+// refusal, or with one naming -scenario when cfg fills to another world:
+// a builder that booted it would record a dump of a world it is not.
+func (c Config) fillFor(world string) Config {
+	c.fill()
+	err := c.Check()
+	if err == nil && c.Scenario != world {
+		err = fmt.Errorf("%s: -scenario %s: this builder boots a %s world", c.Scenario, c.Scenario, world)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // World is one booted kvload machine, ready to Run — and, armed with
@@ -101,13 +132,11 @@ type World struct {
 // boot order is the event-sequence contract: it must not change
 // between the run that wrote a dump and the run that replays it, so
 // chanos-sim's -scenario and -replay paths both go through exactly this
-// function. Build panics on a config Check refuses: callers that take a
-// config from outside the program check it first.
+// function. Build panics on a config Check refuses, and on one that
+// fills to another world: callers that take a config from outside the
+// program check it first.
 func Build(seed uint64, cfg Config) *World {
-	cfg.fill()
-	if err := cfg.Check(); err != nil {
-		panic(err)
-	}
+	cfg = cfg.fillFor(ScenarioKVLoad)
 	mp := store.KVMachine(cfg.Cores, seed, store.Params{Shards: cfg.Shards, LogBlocks: cfg.LogBlocks})
 	mp.Wire.LossProb = cfg.Loss
 	if cfg.Replicas > 0 {
@@ -117,8 +146,8 @@ func Build(seed uint64, cfg Config) *World {
 	return &World{
 		Machine: m,
 		Drive: Drive{
-			C:    &Collector{Eng: m.M.Eng, Nodes: []*store.Machine{m}, Seed: seed, Config: cfg},
-			seed: seed, cfg: cfg, slice: m.M.Cycles(0.0002),
+			C:     &Collector{Eng: m.M.Eng, Nodes: []*store.Machine{m}, Seed: seed, Config: cfg},
+			slice: m.M.Cycles(0.0002),
 		},
 		Sys: &chanos.System{Eng: m.M.Eng, M: m.M, RT: m.RT},
 		WL:  store.NewWorkload(seed, cfg.Clients, cfg.Keys, cfg.ReadPct, cfg.ValBytes),
@@ -148,13 +177,14 @@ func (w *World) Run() *Report {
 	// Fault injection arms here — after prefill, before the fleet — in
 	// both original runs and replays, so the Nth write completion fails
 	// at the same instant on both.
-	if filled && w.cfg.FailWrites > 0 {
+	cfg := w.Config()
+	if filled && cfg.FailWrites > 0 {
 		disks := w.KV.Disks()
-		disks[w.cfg.FailShard%len(disks)].InjectWriteFailures(w.cfg.FailWrites)
+		disks[cfg.FailShard%len(disks)].InjectWriteFailures(cfg.FailWrites)
 	}
 
-	if w.cfg.ReplicaReads && len(w.Repls) > 0 {
-		rwl := store.NewWorkload(w.seed+5, w.cfg.Clients, w.cfg.Keys, 100, w.cfg.ValBytes)
+	if cfg.ReplicaReads && len(w.Repls) > 0 {
+		rwl := store.NewWorkload(w.C.Seed+5, cfg.Clients, cfg.Keys, 100, cfg.ValBytes)
 		r.RPool = net.NewClientPool(w.Repls[0].NW, rwl.Fleet(store.ReadPort, func(_, _ int, payload core.Msg) {
 			if resp, ok := payload.(store.KVResponse); ok {
 				if resp.OK {

@@ -15,7 +15,6 @@ import (
 
 	"chanos/internal/cluster"
 	"chanos/internal/core"
-	"chanos/internal/net"
 	"chanos/internal/sim"
 	"chanos/internal/sim/detmap"
 	"chanos/internal/stats"
@@ -205,7 +204,6 @@ func e18Boot(nodes, numKeys, clients int, seed, fleetSeed uint64) (*cluster.Clus
 		Cores:  8,
 		Seed:   seed,
 		Store:  store.Params{Shards: 2, CacheBlocks: 16, FlushCycles: 20_000},
-		Wire:   net.DefaultWireParams(),
 	})
 	for step := 0; step < 2000; step++ {
 		c.RunFor(100_000)

@@ -152,7 +152,7 @@ func e11Choice(o Options) []*stats.Table {
 		"k", "waiters (cycles/op)", "poll (cycles/op)", "poll wasted polls/op")
 
 	run := func(k int, impl core.ChooseImpl) (perOp float64, polls float64) {
-		w := newWorld(4, o.seed(), core.Config{Choose: impl, PollInterval: 200})
+		w := newWorld(4, o.seed(), core.Config{Choose: impl})
 		defer w.close()
 		chans := make([]*core.Chan, k)
 		cases := make([]core.Case, k)

@@ -35,12 +35,6 @@ fi
 echo "== go test ./..."
 go test ./...
 
-echo "== perf/: go vet + go test"
-# perf/ is its own module and the root ./... patterns skip it. It
-# builds against dump, store and cluster, so an API change there that
-# breaks the benchmark must fail here, not in a benchmark run.
-(cd perf && go vet ./... && go test ./...)
-
 echo "== go test -race -short ./..."
 # The race tier runs in -short mode too: the simulator's contract is
 # no shared memory outside the engine layer, and the detector holds
@@ -48,6 +42,13 @@ echo "== go test -race -short ./..."
 # it. Long sweeps are skipped — the schedules they explore don't add
 # new happens-before edges, just more of the same ones.
 go test -race -short ./...
+
+echo "== perf/: go vet + go test"
+# perf/ is its own module and the root ./... patterns skip it. It
+# builds against dump, store and cluster, so an API change there that
+# breaks the benchmark must fail here, not in a benchmark run. It runs
+# after the race tier so a perf/ failure cannot hide that tier's result.
+(cd perf && go vet ./... && go test ./...)
 
 echo "== non-test Go lines outside perf/ (informational)"
 scripts/loc.sh | tail -n 1
