@@ -12,8 +12,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"chanos/internal/core"
 	"chanos/internal/net"
 	"chanos/internal/sim/detmap"
@@ -90,7 +88,7 @@ func (f *forwarder) call(t *core.Thread, req store.KVRequest) (store.KVResponse,
 	}
 	f.nextSeq++
 	req.Seq = f.nextSeq
-	ch := t.NewChan(fmt.Sprintf("fwd.%d.%d.%d", f.n.ID, f.destID, req.Seq), 1)
+	ch := t.NewChan(core.Label("fwd.%d.%d.%d", f.n.ID, f.destID, int(req.Seq)), 1)
 	f.pending[req.Seq] = ch
 	rt := f.n.RT
 	rt.Eng.After(1, func() {

@@ -89,9 +89,11 @@ type Chan struct {
 
 	buf      fifo.Queue[bufEntry]
 	inflight int // sends charged but not yet arrived at the channel
-	sendq    fifo.Queue[waitRef]
-	recvq    fifo.Queue[waitRef]
-	closed   bool
+	// The wait queues borrow their arrays from the channel's runtime
+	// (Runtime.waitArrays) while they hold a ref.
+	sendq  fifo.Queue[waitRef]
+	recvq  fifo.Queue[waitRef]
+	closed bool
 
 	// Stats.
 	Sends, Recvs uint64
@@ -200,7 +202,7 @@ func (rt *Runtime) closeChan(c *Chan) {
 			}
 			rt.wakeAt(w.t, now, res)
 		}
-		c.recvq.Reset()
+		rt.waitArrays.Reset(&c.recvq)
 	}
 }
 
@@ -234,7 +236,7 @@ func (rt *Runtime) injectNow(c *Chan, v Msg, fromCore int) {
 		c.buf.Push(bufEntry{val: v, from: fromCore})
 		return
 	}
-	c.sendq.Push(c.rt.newInjected(v, fromCore).ref())
+	c.rt.waitArrays.Push(&c.sendq, c.rt.newInjected(v, fromCore).ref())
 }
 
 // After returns a fresh channel that receives a single Tick message d
@@ -252,7 +254,7 @@ type Tick struct{}
 // winner's choice, if any, resolves.
 func (c *Chan) popRecv() *waiter {
 	for c.recvq.Len() > 0 {
-		if r := c.recvq.Pop(); !r.dead() {
+		if r := c.rt.waitArrays.Pop(&c.recvq); !r.dead() {
 			w := r.w
 			if w.choice != nil {
 				w.choice.done = true
@@ -267,7 +269,7 @@ func (c *Chan) popRecv() *waiter {
 // injected waiter is the caller's to release once it has the value.
 func (c *Chan) popSend() *waiter {
 	for c.sendq.Len() > 0 {
-		if r := c.sendq.Pop(); !r.dead() {
+		if r := c.rt.waitArrays.Pop(&c.sendq); !r.dead() {
 			w := r.w
 			if w.choice != nil {
 				w.choice.done = true
@@ -413,7 +415,7 @@ func (rt *Runtime) finishSendIdx(t *Thread, c *Chan, v Msg, bytes int, idx int) 
 		w.idx = idx
 		w.choice = &choiceRec{}
 	}
-	c.sendq.Push(w.ref())
+	c.rt.waitArrays.Push(&c.sendq, w.ref())
 	t.state = tBlocked
 	rt.releaseCore(t)
 }
@@ -527,7 +529,7 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 		w.idx = idx
 		w.choice = &choiceRec{}
 	}
-	c.recvq.Push(w.ref())
+	c.rt.waitArrays.Push(&c.recvq, w.ref())
 	t.state = tBlocked
 	rt.releaseCore(t)
 }

@@ -94,10 +94,10 @@ func (rt *Runtime) evalChoice(t *Thread, o op) {
 			w := t.newWait()
 			w.choice, w.idx = rec, i
 			if cs.Dir == RecvDir {
-				cs.Ch.recvq.Push(w.ref())
+				cs.Ch.rt.waitArrays.Push(&cs.Ch.recvq, w.ref())
 			} else {
 				w.val = cs.Val
-				cs.Ch.sendq.Push(w.ref())
+				cs.Ch.rt.waitArrays.Push(&cs.Ch.sendq, w.ref())
 			}
 		}
 		t.state = tBlocked

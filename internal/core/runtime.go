@@ -158,16 +158,20 @@ type Runtime struct {
 	threads map[int]*Thread
 	stats   Stats
 
-	// idle holds the workers whose last thread exited (see worker).
-	idle []*worker
+	// workers holds every worker the runtime started; idle, those whose
+	// last thread exited with no step pending (see worker).
+	workers []*worker
+	idle    []*worker
 
 	// inject and land carry InjectSend values and buffered sends to
 	// their channels through recycled engine events; waiters recycles
 	// the wait records of this runtime's threads and of injected values
-	// that found no room.
-	inject  *sim.Relay[injection]
-	land    *sim.Relay[landing]
-	waiters sim.FreeList[waiter]
+	// that found no room, and waitArrays the arrays of its channels'
+	// wait queues, which are empty most of the time.
+	inject     *sim.Relay[injection]
+	land       *sim.Relay[landing]
+	waiters    sim.FreeList[waiter]
+	waitArrays fifo.Pool[waitRef]
 }
 
 type coreState struct {
@@ -292,9 +296,12 @@ func (rt *Runtime) Alive() int {
 	return n
 }
 
-// Shutdown kills every remaining thread and stops the idle workers, so
+// Shutdown kills every remaining thread and stops every worker, so
 // every goroutine the runtime started exits. Call at the end of a
-// simulation to avoid leaking parked goroutines.
+// simulation to avoid leaking parked goroutines. That includes a worker
+// still held by a dead thread's pending step (see Thread.letGo): the
+// step may fire yet, as the engine runs on, but it resumes no thread,
+// and it no longer puts its stopped worker on the idle list.
 func (rt *Runtime) Shutdown() {
 	ids := make([]int, 0, len(rt.threads))
 	for id := range rt.threads {
@@ -306,15 +313,17 @@ func (rt *Runtime) Shutdown() {
 			rt.killThread(t, ErrKilled)
 		}
 	}
-	for _, w := range rt.idle {
+	for _, w := range rt.workers {
+		if w.t != nil {
+			w.t.w = nil // held by a dead thread's pending step
+		}
 		w.stop()
 	}
-	rt.idle = nil
+	rt.workers, rt.idle = nil, nil
 }
 
 func (rt *Runtime) newThread(req *spawnReq) *Thread {
 	t := &Thread{rt: rt, id: rt.nextID, name: req.name, fn: req.fn}
-	t.step = t.runStep
 	t.waits = t.waitBuf[:0]
 	rt.nextID++
 	t.core = rt.sched.Place(rt, req.hint)
@@ -336,10 +345,13 @@ func (rt *Runtime) newThread(req *spawnReq) *Thread {
 // and suspends it. Workers outlive their threads, because iter.Pull
 // starts a goroutine: a churn of short-lived threads reuses a handful of
 // them, and the host's allocation count stays independent of which Go
-// scheduler P a thread happened to exit on.
+// scheduler P a thread happened to exit on. For the same reason a
+// thread's steps fire through its worker's step, bound once per worker
+// rather than once per thread.
 type worker struct {
 	t     *Thread  // the thread it runs, nil while idle
 	in    opResult // the engine's answer to the op last yielded
+	step  func()   // w.runStep: the engine callback for t's pending step
 	yield func(op) bool
 	next  func() (op, bool)
 	stop  func()
@@ -354,7 +366,9 @@ func (rt *Runtime) takeWorker() *worker {
 		return w
 	}
 	w := &worker{}
+	w.step = w.runStep
 	w.next, w.stop = iter.Pull(w.loop)
+	rt.workers = append(rt.workers, w)
 	return w
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"chanos/internal/machine"
 	"chanos/internal/sim"
+	"chanos/internal/sim/fifo"
 )
 
 // newRT builds a runtime over a fresh machine for tests.
@@ -1046,13 +1047,14 @@ func TestKillAnswersDeferredOpsWithPoison(t *testing.T) {
 }
 
 // TestSpawnAllocs bounds what a warm spawn of a child that runs to exit
-// costs the host. The child runs on an idle worker, its spawn
-// continuation is a step, its Spawn request lives in its parent, and
-// when it blocks once on a receive its waiter comes from the runtime's
-// free list into the thread's inline waits array. What still allocates
-// is the Thread and its bound t.step: 2.00 per spawn, measured as a
-// parent that spawns the child, sleeps and hands it a nil value, minus
-// the same parent only sleeping.
+// costs the host. The child runs on an idle worker, whose step (bound
+// once per worker) fires its continuations, its Spawn request lives in
+// its parent, and when it blocks once on a receive its waiter comes
+// from the runtime's free list into the thread's inline waits array and
+// the channel's wait-queue array from the runtime's pool. What still
+// allocates is the Thread: 1.00 per spawn, measured as a parent that
+// spawns the child, sleeps and hands it a nil value, minus the same
+// parent only sleeping.
 func TestSpawnAllocs(t *testing.T) {
 	rt := newRT(t, 2, Config{})
 	ch := rt.NewChan("ch", 0)
@@ -1085,8 +1087,8 @@ func TestSpawnAllocs(t *testing.T) {
 	sleep := measure(false)
 	per := measure(true) - sleep
 	t.Logf("%.2f allocs per spawn (%.2f per sleep-only round)", per, sleep)
-	if per > 2 {
-		t.Fatalf("a warm spawn allocates %.2f, want <= 2", per)
+	if per > 1 {
+		t.Fatalf("a warm spawn allocates %.2f, want <= 1", per)
 	}
 }
 
@@ -1130,4 +1132,142 @@ func TestDeadThreadIsCollectable(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(b)
+}
+
+// A thread killed while a step of its own is pending keeps its worker
+// until that step has fired, so the step runs against the dead thread
+// and never against the next thread the worker runs. The victim is
+// killed mid-Compute (the kill cancels that step) or while a wake
+// carrying a value is on its way to it across a 100k-cycle hop (the
+// wake still fires). The killer then spawns a thread that blocks on a
+// channel nobody sends on: were the victim's worker handed to it, the
+// stale wake would resume it.
+func TestKilledThreadsPendingStepStaysWithIt(t *testing.T) {
+	for _, pending := range []string{"compute", "wake"} {
+		t.Run(pending, func(t *testing.T) {
+			p := machine.DefaultParams(3)
+			p.InjectCycles = 100_000
+			rt := NewRuntime(machine.New(sim.NewEngine(), p), Config{})
+			t.Cleanup(rt.Shutdown)
+			ch, hang := rt.NewChan("ch", 0), rt.NewChan("hang", 0)
+			victim := rt.Boot("victim", func(th *Thread) {
+				if pending == "compute" {
+					th.Compute(100_000)
+				} else {
+					ch.Recv(th)
+				}
+			}, OnCore(1))
+			if pending == "wake" {
+				rt.Boot("sender", func(th *Thread) { ch.Send(th, "stale") }, OnCore(0))
+			}
+			var got []Msg
+			rt.Boot("killer", func(th *Thread) {
+				th.Sleep(1000) // the victim's step is pending
+				th.Kill(victim)
+				th.Spawn("next", func(nt *Thread) {
+					v, _ := hang.Recv(nt)
+					got = append(got, v)
+				}, OnCore(1))
+			}, OnCore(2))
+			rt.Run()
+			if !victim.Dead() || !errors.Is(victim.ExitReason(), ErrKilled) || victim.w != nil {
+				t.Fatalf("victim dead=%v reason=%v, worker held %v: want killed and its worker let go",
+					victim.Dead(), victim.ExitReason(), victim.w != nil)
+			}
+			if b := rt.Blocked(); len(got) != 0 || len(b) != 1 || b[0] != "next" {
+				t.Fatalf("next received %v, blocked threads %v: want nothing received and only next blocked", got, b)
+			}
+			if rt.Eng.Now() < 100_000 {
+				t.Fatalf("the run ended at %d, before the victim's step was due", rt.Eng.Now())
+			}
+		})
+	}
+}
+
+// A channel's wait-queue array goes back to its runtime's pool when
+// the queue empties or the channel closes, and the next queue that
+// needs one adopts it. It must arrive holding nothing of the queue it
+// left, live or dead. The array here comes from a closed channel with
+// two receivers blocked on it, or from a queue left holding two dead
+// refs by Choose cases that lost, which the next value through it
+// pops. A third thread then blocks on a fresh channel, whose queue
+// must adopt that array holding its ref and nothing else.
+func TestPooledWaitArrayCarriesNoStaleWaiter(t *testing.T) {
+	whole := func(q *fifo.Queue[waitRef]) []waitRef {
+		l := q.Live()
+		return l[:cap(l)]
+	}
+	for _, from := range []string{"close", "choice"} {
+		t.Run(from, func(t *testing.T) {
+			rt := newRT(t, 2, Config{})
+			a, b, c := rt.NewChan("a", 0), rt.NewChan("b", 1), rt.NewChan("c", 0)
+			for _, name := range []string{"r1", "r2"} {
+				rt.Boot(name, func(th *Thread) {
+					if from == "close" {
+						a.Recv(th)
+					} else {
+						th.Choose(Case{Ch: a, Dir: RecvDir}, Case{Ch: b, Dir: RecvDir})
+					}
+				})
+			}
+			rt.Run()
+			var old []waitRef
+			if from == "close" {
+				old = whole(&a.recvq)
+				rt.CloseAsync(a)
+			} else {
+				old = whole(&b.recvq)
+				rt.InjectSend(a, 1, 0)
+				rt.InjectSend(a, 2, 0)
+				rt.Run() // both choices win on a: b holds two dead refs
+				rt.InjectSend(b, 3, 0)
+			}
+			rt.Run()
+			if len(old) != 2 || rt.Alive() != 0 {
+				t.Fatalf("the array held %d refs and %d threads are alive, want 2 and both gone", len(old), rt.Alive())
+			}
+			var got Msg
+			r3 := rt.Boot("r3", func(th *Thread) { got, _ = c.Recv(th) })
+			rt.Run()
+			adopted := whole(&c.recvq)
+			if len(adopted) == 0 || &adopted[0] != &old[0] {
+				t.Fatalf("c's queue did not adopt the array its runtime got back")
+			}
+			if adopted[0].w == nil || adopted[0].w.t != r3 || adopted[0].dead() {
+				t.Fatalf("the adopted array's first ref is not r3's live wait")
+			}
+			for i, r := range adopted[1:] {
+				if r != (waitRef{}) {
+					t.Fatalf("slot %d of the adopted array still holds a ref of its last queue", i+1)
+				}
+			}
+			rt.InjectSend(c, "v", 0)
+			rt.Run()
+			if got != "v" || c.recvq.Len() != 0 || cap(c.recvq.Live()) != 0 {
+				t.Fatalf("r3 got %v and c's queue kept an array of %d: want v and the array back in the pool", got, cap(c.recvq.Live()))
+			}
+		})
+	}
+}
+
+// Label is fmt.Sprintf for the %d verb, at one allocation however large
+// the ids.
+func TestLabelMatchesSprintf(t *testing.T) {
+	for _, c := range []struct {
+		format string
+		ids    []int
+		want   string
+	}{
+		{"conn.%d.recv", []int{0}, "conn.0.recv"},
+		{"kv.conn.%d", []int{1 << 40}, "kv.conn.1099511627776"},
+		{"fwd.%d.%d.%d", []int{2, -1, 65536}, "fwd.2.-1.65536"},
+		{"timer", nil, "timer"},
+	} {
+		if got := Label(c.format, c.ids...); got != c.want {
+			t.Errorf("Label(%q, %v) = %q, want %q", c.format, c.ids, got, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { Label("fwd.%d.%d.%d", 1000, 2000, 3000) }); n != 1 {
+		t.Fatalf("Label allocates %.0f, want 1: the string", n)
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"chanos/internal/sim"
 )
@@ -122,11 +124,10 @@ type Thread struct {
 	waits   []*waiter  // live wait-queue registrations, for cancellation
 	waitBuf [2]*waiter // waits' first array: a Recv, Send or two-case Choose
 
-	// step is t.runStep, bound once in newThread: the engine callback for
-	// the thread's pending continuation. A thread never has more than one
-	// of its own continuations in flight, so one set of operand fields
-	// serves every kind; stepKind is stepNone when none is pending.
-	step      func()
+	// The thread's pending continuation, which its worker's step runs
+	// (see armStep). A thread never has more than one of its own
+	// continuations in flight, so one set of operand fields serves every
+	// kind; stepKind is stepNone when none is pending.
 	stepKind  stepKind
 	stepRT    *Runtime
 	stepCh    *Chan
@@ -238,6 +239,24 @@ func (t *Thread) Spawn(name string, fn func(*Thread), opts ...SpawnOpt) *Thread 
 		o(&t.spawnReq)
 	}
 	return t.do(op{kind: opSpawn}).thread
+}
+
+// Label formats a per-connection or per-request name such as
+// "conn.%d.recv": each %d in format takes the next id, in decimal. It is
+// fmt.Sprintf for that one verb, and costs only the string it returns,
+// where Sprintf also boxes every id it formats past 255.
+func Label(format string, ids ...int) string {
+	var buf [64]byte
+	b := buf[:0]
+	for len(ids) > 0 {
+		i := strings.Index(format, "%d")
+		if i < 0 {
+			break
+		}
+		b = strconv.AppendInt(append(b, format[:i]...), int64(ids[0]), 10)
+		format, ids = format[i+2:], ids[1:]
+	}
+	return string(append(b, format...))
 }
 
 // Exit terminates the thread immediately with a normal exit.
@@ -377,11 +396,23 @@ func (rt *Runtime) threadExit(t *Thread, reason error) {
 	}
 	t.links = nil
 	delete(rt.threads, t.id)
-	// The worker has returned from t's run and yielded its exit: it
-	// holds nothing of t's any more and waits for the next thread.
+	t.fn = nil
+	t.letGo()
+}
+
+// letGo puts a dead thread's worker back on its runtime's idle list once
+// no step of the thread is pending. The worker has returned from t's run
+// and yielded its exit, so it holds nothing of t's but the step: a
+// thread that dies with one pending (a wake on its way, say) keeps its
+// worker until the step has fired, so that the step runs against t and
+// never against the next thread the worker runs.
+func (t *Thread) letGo() {
+	if t.state != tDead || t.w == nil || t.stepKind != stepNone {
+		return
+	}
 	t.w.t = nil
-	rt.idle = append(rt.idle, t.w)
-	t.fn, t.w = nil, nil
+	t.rt.idle = append(t.rt.idle, t.w)
+	t.w = nil
 }
 
 func exitKind(reason error) (normal, abnormal bool) {
@@ -482,7 +513,8 @@ const (
 )
 
 // armStep schedules t's step of kind k at time at; the caller fills the
-// operand fields k reads. The step runs on rt, the runtime arming it,
+// operand fields k reads. The engine callback is t's worker's step,
+// bound once per worker. The step runs on rt, the runtime arming it,
 // which is not always t's own: a channel shared across machines lets one
 // runtime complete another's thread. Arming a second step while one is
 // pending panics: two engine callbacks racing to continue one thread is
@@ -492,7 +524,7 @@ func (rt *Runtime) armStep(t *Thread, k stepKind, at sim.Time) sim.Timer {
 		panic(fmt.Sprintf("core: thread %q arms step %d while step %d is pending", t.name, k, t.stepKind))
 	}
 	t.stepKind, t.stepRT = k, rt
-	return rt.Eng.At(at, t.step)
+	return rt.Eng.At(at, t.w.step)
 }
 
 // resumeAt continues t, which keeps its core, with res at time at.
@@ -520,7 +552,18 @@ func (rt *Runtime) recvAt(t *Thread, at sim.Time, c *Chan, idx int) {
 	t.stepCh, t.stepIdx = c, idx
 }
 
-// runStep is the body of t.step. It clears the pending step before
+// runStep is the body of w.step: it runs the pending step of w's
+// thread, then lets the worker go if that thread is dead and has no
+// step left (see letGo). The thread is read before the step runs,
+// because a thread that dies in its own step lets its worker go at once,
+// and a spawn later in the same step may hand the worker a new thread.
+func (w *worker) runStep() {
+	t := w.t
+	t.runStep()
+	t.letGo()
+}
+
+// runStep runs t's pending step. It clears the pending step before
 // running it, so the continuation may arm the next one.
 func (t *Thread) runStep() {
 	rt, k, c, v, bytes, idx, res, p := t.stepRT, t.stepKind, t.stepCh, t.stepVal, t.stepBytes, t.stepIdx, t.stepRes, t.stepPeer

@@ -1,7 +1,6 @@
 package net
 
 import (
-	"fmt"
 	"testing"
 
 	"chanos/internal/core"
@@ -46,7 +45,7 @@ func (w *tw) echoServer(compute uint64) *Listener {
 			if !ok {
 				return
 			}
-			t.Spawn(fmt.Sprintf("conn.%d", c.ID()), func(ht *core.Thread) {
+			t.Spawn(core.Label("conn.%d", int(c.ID())), func(ht *core.Thread) {
 				for {
 					v, ok := c.Recv(ht)
 					if !ok {
@@ -535,18 +534,18 @@ func TestPacketPathAllocs(t *testing.T) {
 // TestConnCycleAllocs pins what one warm connection lifecycle costs the
 // host: Dial, one echo, Close from both sides, and the run to quiet.
 // The stack's connection record, both flows on each side with their
-// rings and scratch slices, and both RTO callbacks are recycled. What
-// is left is exactly these 11 objects:
+// rings and scratch slices, and both RTO callbacks are recycled; the
+// socket channel's waiter array comes from its runtime's pool, and the
+// handler's steps fire through its reused worker. What is left is
+// exactly these 7 objects:
 //   - the Endpoint and the Conn, which their callers hold;
-//   - the socket's receive channel and its waiter ring, allocated by
-//     its first blocked Recv;
-//   - the channel's name from fmt.Sprintf, and the ConnID boxed for it;
-//   - the echo handler thread's name and its boxed ConnID, the spawn
-//     closure, the Thread and its step.
+//   - the socket's receive channel and its name;
+//   - the echo handler thread's name, its spawn closure and the Thread.
 //
-// Connection ids past 255 box into a fresh word, so the cycles measured
-// start past id 600. A per-connection record that stops being recycled
-// adds at least one allocation per cycle.
+// Both names come from core.Label, which boxes no id. fmt.Sprintf
+// would box every id past 255, so the cycles measured start past id
+// 600, where a name going back through fmt adds one allocation per
+// cycle, as does a per-connection record that stops being recycled.
 func TestConnCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race")
@@ -566,7 +565,7 @@ func TestConnCycleAllocs(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		cycle()
 	}
-	const want = 11
+	const want = 7
 	if per := testing.AllocsPerRun(200, cycle); per != want {
 		t.Fatalf("a dial → echo → close cycle allocates %.0f, want %d", per, want)
 	}

@@ -367,7 +367,7 @@ func (s *Stack) rx(t *core.Thread, st *shardState, p Packet) {
 			return // no listener: the void swallows the SYN
 		}
 		c := st.free.Get()
-		c.reuse(p.Conn, p.Port, t.NewChan(fmt.Sprintf("conn.%d.recv", p.Conn), s.P.RecvBuf), s.rt.Eng.Now())
+		c.reuse(p.Conn, p.Port, t.NewChan(core.Label("conn.%d.recv", int(p.Conn)), s.P.RecvBuf), s.rt.Eng.Now())
 		conn := &Conn{id: p.Conn, port: p.Port, stack: s, recv: c.recvCh}
 		if !l.accept.TrySend(t, conn) {
 			st.m.AcceptDrops++ // backlog full: shed; the client will retry

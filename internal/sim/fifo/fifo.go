@@ -13,6 +13,9 @@ package fifo
 // already popped compacts instead of growing, so a queue that never
 // drains stays bounded too.
 //
+// A queue that is empty most of the time can borrow its array from a
+// Pool instead (see Pool).
+//
 // The zero Queue is empty and ready to use. Its field layout — the
 // array first, the head index second — is read reflectively by the
 // channel runtime's message sizing (see Any).
@@ -80,4 +83,46 @@ func (q *Queue[T]) PopBack() T {
 func (q *Queue[T]) Reset() {
 	clear(q.items)
 	q.items, q.head = q.items[:0], 0
+}
+
+// Pool lends backing arrays to queues that are empty most of the time,
+// such as a channel's wait queues: a push into a queue with no array
+// borrows one, and the pop or Reset that empties the queue gives it
+// back. Every element a queue pops is zeroed, so an array comes back
+// holding nothing of its last queue. The zero Pool is empty and ready
+// to use.
+type Pool[T any] struct{ free [][]T }
+
+// Push pushes v on q, lending q an array from p if q has none.
+func (p *Pool[T]) Push(q *Queue[T], v T) {
+	if n := len(p.free); cap(q.items) == 0 && n > 0 {
+		q.items = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	}
+	q.Push(v)
+}
+
+// Pop pops q's oldest element, taking q's array back into p if that
+// empties q.
+func (p *Pool[T]) Pop(q *Queue[T]) T {
+	v := q.Pop()
+	if q.Len() == 0 {
+		p.reclaim(q)
+	}
+	return v
+}
+
+// Reset empties q and takes its array back into p.
+func (p *Pool[T]) Reset(q *Queue[T]) {
+	q.Reset()
+	p.reclaim(q)
+}
+
+// reclaim takes the array of the empty queue q back into p.
+func (p *Pool[T]) reclaim(q *Queue[T]) {
+	if cap(q.items) > 0 {
+		p.free = append(p.free, q.items)
+		q.items = nil
+	}
 }

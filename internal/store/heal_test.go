@@ -265,6 +265,15 @@ func TestReplicaLossDuringSyncDetaches(t *testing.T) {
 	if got := w2.kv.Lifecycle(); got != LifecycleQuorum {
 		t.Fatalf("healed store Lifecycle = %q, want %q", got, LifecycleQuorum)
 	}
+	// The host polls the per-replica rows every drive slice, so they
+	// reuse one buffer per store.
+	rows := w2.kv.LifecycleReport()
+	if len(rows) != 1 || rows[0].Port != 6382 || rows[0].State != LifecycleQuorum {
+		t.Fatalf("replica rows %+v, want one: the new attachment, at quorum", rows)
+	}
+	if n := testing.AllocsPerRun(10, func() { w2.kv.LifecycleReport() }); n != 0 {
+		t.Fatalf("LifecycleReport allocates %.0f, want 0", n)
+	}
 }
 
 // TestHealRearmsFailStop: after a heal completes, the quorum contract

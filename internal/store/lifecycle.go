@@ -104,9 +104,11 @@ type ReplicaStatus struct {
 }
 
 // LifecycleReport returns one row per attached replica machine, in
-// attach order. Host-side read, like Counters.
+// attach order. Host-side read, like Counters. The rows live in one
+// buffer per store, which the host polls every drive slice: they are
+// valid until the next call.
 func (s *Store) LifecycleReport() []ReplicaStatus {
-	out := make([]ReplicaStatus, 0, len(s.replicas))
+	out := s.report[:0]
 	for slot, rm := range s.replicas {
 		st := ReplicaStatus{Slot: slot, Port: rm.Port}
 		for _, sh := range s.shards {
@@ -137,6 +139,7 @@ func (s *Store) LifecycleReport() []ReplicaStatus {
 		}
 		out = append(out, st)
 	}
+	s.report = out
 	return out
 }
 

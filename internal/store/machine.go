@@ -22,7 +22,6 @@ package store
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"chanos/internal/blockdev"
 	"chanos/internal/core"
@@ -111,7 +110,7 @@ func (m *Machine) serve(port int, accept, conn string, fn func(*core.Thread, *ne
 			if !ok {
 				return
 			}
-			t.Spawn(fmt.Sprintf(name, c.ID()), func(ht *core.Thread) { fn(ht, c, kv) })
+			t.Spawn(core.Label(name, int(c.ID())), func(ht *core.Thread) { fn(ht, c, kv) })
 		}
 	})
 }

@@ -558,6 +558,7 @@ type Store struct {
 	writes sim.FreeList[WriteResult]
 
 	replicas  []*ReplicaMachine // quorum replication targets, attach order
+	report    []ReplicaStatus   // LifecycleReport's rows, reused
 	recovered bool              // booted from carried-over disks
 	// replicaRole marks a store built to RECEIVE replication (it lives
 	// on a ReplicaMachine): its replica-read path must refuse to serve

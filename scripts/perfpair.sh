@@ -1,0 +1,89 @@
+#!/usr/bin/env bash
+# perfpair.sh — alternating parent/change runs of one perf workload.
+#
+# Usage: scripts/perfpair.sh REV WORKLOAD N
+#
+# Checks REV out in a git worktree under .bench_build/perfpair/ and runs
+# N pairs of `bash perf/bench.sh -workload WORKLOAD -seconds 0`, one in
+# that worktree (the parent) and one in this checkout (the change), the
+# parent first in odd pairs and the change first in even ones, so that
+# a drift in the host's load falls on both sides alike. It then prints,
+# for every end-to-end metric BENCHMARK.json declares, each side's
+# median and quartiles, and how many pairs the change won, tied and
+# lost by the metric's direction. Host deltas are judged this way
+# (ROADMAP.md: alternating pairs), because one run of either side says
+# little on a noisy host.
+#
+# Each run's output goes to .bench_build/perfpair/runs/; the worktree is
+# removed on exit. The script writes nothing outside .bench_build/ but
+# git's own worktree records, and changes nothing under perf/.
+set -euo pipefail
+if [ $# -ne 3 ]; then
+    echo "usage: scripts/perfpair.sh REV WORKLOAD N" >&2
+    exit 2
+fi
+rev=$1 workload=$2 n=$3
+cd "$(dirname "$0")/.."
+root=$PWD
+dir=$root/.bench_build/perfpair
+base=$dir/parent
+git worktree remove --force "$base" 2>/dev/null || true
+rm -rf "$base" "$dir/runs"
+git worktree prune
+mkdir -p "$dir/runs"
+git worktree add --quiet --detach "$base" "$rev"
+trap 'git -C "$root" worktree remove --force "$base"' EXIT
+
+run() { # side pair
+    local at=$root
+    [ "$1" = parent ] && at=$base
+    (cd "$at" && bash perf/bench.sh -workload "$workload" -seconds 0) \
+        >"$dir/runs/$1.$2.out" 2>&1
+    tail -n 1 "$dir/runs/$1.$2.out" >"$dir/runs/$1.$2.json"
+    echo "pair $2 $1: $(head -c 160 "$dir/runs/$1.$2.json")..." >&2
+}
+for ((i = 1; i <= n; i++)); do
+    if ((i % 2)); then run parent $i; run change $i; else run change $i; run parent $i; fi
+done
+
+# One line per run and metric: side pair metric value; the directions
+# come from BENCHMARK.json's end_to_end entries, one per line.
+for f in "$dir"/runs/*.json; do
+    b=$(basename "$f" .json)
+    grep -o '"[a-z_0-9]*":{"value":[-0-9.e+]*' "$f" |
+        sed 's/^"\([^"]*\)":{"value":/\1 /' | sed "s/^/${b%%.*} ${b#*.} /"
+    grep -o '"failed":[0-9]*' "$f" | sed "s/\"failed\":/${b%%.*} ${b#*.} failed_ops /"
+done | awk -v n="$n" '
+    FNR == NR {
+        if (match($0, /"name": *"[a-z_0-9]*"/)) {
+            name = substr($0, RSTART, RLENGTH); sub(/.*"name": *"/, "", name); sub(/"$/, "", name)
+            if ($0 ~ /"better": *"higher"/) dir[name] = 1
+            else if ($0 ~ /"better": *"lower"/) dir[name] = -1
+        }
+        next
+    }
+    { v[$1, $3, $2] = $4; seen[$3] = 1 }
+    function q(side, m, p,    k, a, i, j, t, c, x) {
+        c = 0
+        for (i = 1; i <= n; i++) if ((side, m, i) in v) a[++c] = v[side, m, i]
+        for (i = 2; i <= c; i++) for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
+        if (c == 0) return "nan"
+        x = 1 + (c - 1) * p; k = int(x)
+        return k >= c ? a[c] : a[k] + (x - k) * (a[k+1] - a[k])
+    }
+    END {
+        dir["failed_ops"] = -1
+        printf "%-20s %-42s %-42s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "change won/tied/lost"
+        for (m in seen) {
+            if (!(m in dir)) continue
+            w = t = l = 0
+            for (i = 1; i <= n; i++) {
+                d = (v["change", m, i] - v["parent", m, i]) * dir[m]
+                if (d > 0) w++; else if (d < 0) l++; else t++
+            }
+            printf "%-20s %-42s %-42s %d/%d/%d\n", m,
+                sprintf("%.8g [%.8g, %.8g]", q("parent", m, 0.5), q("parent", m, 0.25), q("parent", m, 0.75)),
+                sprintf("%.8g [%.8g, %.8g]", q("change", m, 0.5), q("change", m, 0.25), q("change", m, 0.75)),
+                w, t, l
+        }
+    }' BENCHMARK.json - | { read -r head; echo "$head"; sort; }
