@@ -13,7 +13,9 @@
 // shard its own Disk (a disk-array stripe), so device queues never
 // couple independent shards. Regions, Trim, injected write failures
 // and power-cut snapshots (SnapshotData/NewDiskFrom) are the substrate
-// for log compaction, replication and every crash-recovery test.
+// for log compaction, replication and every crash-recovery test. A
+// write stages into a block buffer that an earlier write retired, so a
+// warm device moves blocks without allocating.
 package blockdev
 
 import (
@@ -111,6 +113,11 @@ type Disk struct {
 	// complete carries every programmed operation to its completion.
 	complete *sim.Relay[progOp]
 
+	// spare holds block buffers no block holds any more — the one a
+	// committed write replaced, or a failed write's staged copy — for
+	// the next writes to stage into (see stage and recycle).
+	spare [][]byte
+
 	// Stats.
 	Reads, Writes uint64
 	BytesMoved    uint64
@@ -182,12 +189,13 @@ const progWindow = 600
 // and leaves the block as it was.
 //
 // A write's data is captured at submit and committed at completion: the
-// one BlockSize copy staged here becomes the block itself when the
-// write completes, so the caller may reuse req.Data as soon as Program
-// returns, and a power cut before the completion (SnapshotData) sees
-// the block's prior contents. Completions ride the disk's relay, so a
-// caller whose done func is bound once programs the device without
-// allocating beyond that staged copy.
+// BlockSize buffer it is staged into here becomes the block itself when
+// the write completes, so the caller may reuse req.Data as soon as
+// Program returns, and a power cut before the completion (SnapshotData)
+// sees the block's prior contents. The stage is a buffer an earlier
+// write retired when one is spare (stage), and completions ride the
+// disk's relay, so a caller whose done func is bound once programs a
+// warm device without allocating.
 func (d *Disk) Program(t *core.Thread, req Request, done func(Result)) {
 	now := d.rt.Eng.Now()
 	hazard := now < d.progWindowEnd && d.progOwner != t.ID()
@@ -224,10 +232,38 @@ func (d *Disk) Program(t *core.Thread, req Request, done func(Result)) {
 	// Capture a write's data at submit; finish commits it at completion.
 	op := progOp{op: req.Op, block: req.Block, done: done}
 	if req.Op == Write {
-		op.data = make([]byte, d.P.BlockSize)
-		copy(op.data, req.Data)
+		op.data = d.stage(req.Data)
 	}
 	d.complete.At(end, op)
+}
+
+// spareBlocks caps the disk's spare buffers: a steady write stream
+// retires one buffer per commit and stages one per write, so a handful
+// covers the writes in flight, and a burst's backlog is not kept.
+const spareBlocks = 4
+
+// stage copies a write's data into a block buffer: a spare one, with
+// the bytes past the data cleared, or a new one when none is spare.
+func (d *Disk) stage(data []byte) []byte {
+	var buf []byte
+	if n := len(d.spare); n > 0 {
+		buf = d.spare[n-1]
+		d.spare[n-1], d.spare = nil, d.spare[:n-1]
+	} else {
+		buf = make([]byte, d.P.BlockSize)
+	}
+	clear(buf[copy(buf, data):])
+	return buf
+}
+
+// recycle offers buf, which no block holds any more, to the spare list.
+// Every buffer the disk holds is its own: reads, snapshots and
+// NewDiskFrom copy. A carried-over buffer of another length is left to
+// the garbage collector, as is a trimmed block's.
+func (d *Disk) recycle(buf []byte) {
+	if len(buf) == d.P.BlockSize && len(d.spare) < spareBlocks {
+		d.spare = append(d.spare, buf)
+	}
 }
 
 // progOp is one programmed operation on its way to completion: a write
@@ -263,8 +299,12 @@ func (d *Disk) finish(p progOp) {
 		if d.failWrites > 0 {
 			d.failWrites--
 			d.WriteFailures++
+			d.recycle(p.data)
 			p.done(Result{OK: false, Err: "injected write failure"})
 			return
+		}
+		if old, ok := d.data[p.block]; ok {
+			d.recycle(old)
 		}
 		d.data[p.block] = p.data
 		res = Result{OK: true}

@@ -388,3 +388,127 @@ func TestReadReturnsACopy(t *testing.T) {
 		t.Fatal("writing to a read's data changed the platter")
 	}
 }
+
+// TestRecycledBlockBuffers: a write stages into a buffer that an
+// earlier write retired — the block it replaced, or a failed write's
+// own stage — so nothing of a buffer's last use may show through, and
+// no copy handed out before may change.
+func TestRecycledBlockBuffers(t *testing.T) {
+	// onSpare runs do once the disk holds a spare buffer, failing the
+	// test when it holds none: each case must exercise a recycled stage.
+	onSpare := func(t *testing.T, disk *Disk, do func()) {
+		t.Helper()
+		if len(disk.spare) == 0 {
+			t.Fatal("no spare buffer to stage into: the case tests nothing")
+		}
+		do()
+	}
+
+	t.Run("short write zeroes its tail", func(t *testing.T) {
+		rt := newRT(t, 2)
+		disk := NewDisk(rt, DefaultDiskParams(16))
+		var back Result
+		rt.Boot("app", func(th *core.Thread) {
+			programSync(rt, th, disk, Request{Op: Write, Block: 1, Data: fill(0xEE)})
+			programSync(rt, th, disk, Request{Op: Write, Block: 1, Data: fill(0xDD)})
+			onSpare(t, disk, func() {
+				programSync(rt, th, disk, Request{Op: Write, Block: 2, Data: []byte{1, 2, 3}})
+			})
+			back = programSync(rt, th, disk, Request{Op: Read, Block: 2})
+		})
+		rt.Run()
+		want := make([]byte, 4096)
+		copy(want, []byte{1, 2, 3})
+		if !bytes.Equal(back.Data, want) {
+			t.Fatalf("short write read back as %d bytes, first %x, last %x; want 1 2 3 then zeroes to 4096",
+				len(back.Data), back.Data[:4], back.Data[len(back.Data)-1])
+		}
+	})
+
+	t.Run("failed stage never lands", func(t *testing.T) {
+		rt := newRT(t, 2)
+		disk := NewDisk(rt, DefaultDiskParams(16))
+		var failed Result
+		rt.Boot("app", func(th *core.Thread) {
+			programSync(rt, th, disk, Request{Op: Write, Block: 3, Data: fill(0x55)})
+			disk.InjectWriteFailures(1)
+			failed = programSync(rt, th, disk, Request{Op: Write, Block: 3, Data: fill(0x66)})
+			onSpare(t, disk, func() {
+				programSync(rt, th, disk, Request{Op: Write, Block: 4, Data: []byte{9}})
+			})
+			programSync(rt, th, disk, Request{Op: Write, Block: 5, Data: fill(0x77)})
+		})
+		rt.Run()
+		if failed.OK {
+			t.Fatal("injected failure reported success")
+		}
+		snap := disk.SnapshotData()
+		if !bytes.Equal(snap[3], fill(0x55)) {
+			t.Fatalf("block 3 holds %x... after its failed write, want the old contents (55)", snap[3][0])
+		}
+		for blk := 0; blk < disk.P.NumBlocks; blk++ {
+			if i := bytes.IndexByte(snap[blk], 0x66); i >= 0 {
+				t.Fatalf("block %d holds the failed write's byte 66 at offset %d", blk, i)
+			}
+		}
+		if snap[4][0] != 9 || len(snap[4]) != 4096 {
+			t.Fatalf("block 4 = %d bytes starting %x, want 4096 starting 09", len(snap[4]), snap[4][0])
+		}
+	})
+
+	t.Run("snapshot keeps replaced bytes", func(t *testing.T) {
+		rt := newRT(t, 2)
+		disk := NewDisk(rt, DefaultDiskParams(16))
+		var data map[int][]byte
+		var dump DiskSnapshot
+		rt.Boot("app", func(th *core.Thread) {
+			programSync(rt, th, disk, Request{Op: Write, Block: 5, Data: fill(0x11)})
+			data, dump = disk.SnapshotData(), disk.Snapshot()
+			programSync(rt, th, disk, Request{Op: Write, Block: 5, Data: fill(0x22)})
+			onSpare(t, disk, func() {
+				programSync(rt, th, disk, Request{Op: Write, Block: 6, Data: fill(0x33)})
+			})
+		})
+		rt.Run()
+		if !bytes.Equal(data[5], fill(0x11)) || !bytes.Equal(dump.Blocks[0].Data, fill(0x11)) {
+			t.Fatalf("snapshots taken before the overwrite changed: data %x..., dump %x...", data[5][0], dump.Blocks[0].Data[0])
+		}
+		if now := disk.SnapshotData(); !bytes.Equal(now[5], fill(0x22)) || !bytes.Equal(now[6], fill(0x33)) {
+			t.Fatalf("blocks 5 and 6 hold %x... and %x..., want 22 and 33", now[5][0], now[6][0])
+		}
+	})
+
+	t.Run("warm rewrite allocates nothing", func(t *testing.T) {
+		rt := newRT(t, 2)
+		disk := NewDisk(rt, DefaultDiskParams(16))
+		buf := fill(0x44)
+		writes := 0
+		rt.Boot("app", func(th *core.Thread) {
+			irq := th.NewChan("irq", 1)
+			var last Result
+			var wake core.Msg = true
+			done := func(res Result) { last = res; rt.InjectSend(irq, wake, th.Core()) }
+			for {
+				disk.Program(th, Request{Op: Write, Block: 7, Data: buf}, done)
+				irq.Recv(th)
+				if !last.OK {
+					t.Errorf("write %d: %s", writes, last.Err)
+					return
+				}
+				writes++
+			}
+		})
+		const n = 50
+		run := func() {
+			for target := writes + n; writes < target; {
+				if !rt.Eng.Step() {
+					t.Fatal("engine ran dry before the writes completed")
+				}
+			}
+		}
+		run()
+		if per := testing.AllocsPerRun(5, run) / n; per != 0 {
+			t.Fatalf("a warm rewrite of one block allocates %.2f, want 0", per)
+		}
+	})
+}

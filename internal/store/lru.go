@@ -45,11 +45,12 @@ func (c *lruCache) put(block int, data []byte) {
 		c.pushFront(n)
 		return
 	}
-	n := new(lruNode)
+	n := c.tail
 	if len(c.m) >= c.cap {
-		n = c.tail
 		c.unlink(n)
 		delete(c.m, n.block)
+	} else {
+		n = new(lruNode)
 	}
 	n.block, n.data = block, data
 	c.m[block] = n

@@ -45,6 +45,7 @@ import (
 	"chanos/internal/core"
 	"chanos/internal/kernel"
 	"chanos/internal/net"
+	"chanos/internal/sim"
 	"chanos/internal/sim/fifo"
 )
 
@@ -76,6 +77,13 @@ type ReplRecord struct {
 // that the shard's bootstrap image is complete up to Seq — a replica
 // must not serve reads from a partial image, and bounds its staleness
 // by primTail − applied (see replica_read.go and DESIGN.md).
+//
+// A batch crosses the replication wire as a *ReplBatch record from the
+// primary store's free list, naming that list (pool), and its one
+// consumer, ServeReplica, copies it out and hands the record back
+// (take) — net.Packet's rule. The transport may still hold the record
+// to retransmit it, but a retransmitted copy of a delivered packet is
+// dropped unread by the receiver's flow, so the reuse is never seen.
 type ReplBatch struct {
 	Shard int
 	Seq   uint64
@@ -83,6 +91,15 @@ type ReplBatch struct {
 	Image bool
 	Epoch uint64
 	Recs  []ReplRecord
+
+	pool *sim.FreeList[ReplBatch] // the free list a record on the wire came from
+}
+
+// take copies a batch off the wire and returns its record to its pool.
+func (b *ReplBatch) take() ReplBatch {
+	v := b.pool.Take(b)
+	v.pool = nil
+	return v
 }
 
 // MsgBytes implements core.Sized.
@@ -101,10 +118,23 @@ func (b ReplBatch) WireBytes() int { return b.MsgBytes() }
 // sequence <= Seq is on the replica's platters. A non-empty Err means
 // the replica shard fail-stopped; the primary treats that attachment
 // as lost (majority rules decide whether the shard survives it).
+//
+// Like a batch, an ack travels as a *ReplAck record from the replica
+// store's free list (see shard.replAck); the primary's endpoint hook is
+// its one consumer and takes it back.
 type ReplAck struct {
 	Shard int
 	Seq   uint64
 	Err   string
+
+	pool *sim.FreeList[ReplAck] // the free list the record came from
+}
+
+// take copies an ack off the wire and returns its record to its pool.
+func (a *ReplAck) take() ReplAck {
+	v := a.pool.Take(a)
+	v.pool = nil
+	return v
 }
 
 // MsgBytes implements core.Sized.
@@ -259,8 +289,8 @@ func (s *Store) dialReplica(rm *ReplicaMachine, i int) *replShard {
 			svc.Inject(svc.Shard(i), kernel.Request{Op: "replopen", Key: i, Arg: replOpenMsg{r: r}}, 0)
 		},
 		OnMessage: func(_ *net.Endpoint, payload core.Msg, _ int) {
-			if a, ok := payload.(ReplAck); ok {
-				svc.Inject(svc.Shard(i), kernel.Request{Op: "replack", Key: i, Arg: s.acks.Hold(replAckMsg{r: r, a: a})}, 0)
+			if a, ok := payload.(*ReplAck); ok {
+				svc.Inject(svc.Shard(i), kernel.Request{Op: "replack", Key: i, Arg: s.acks.Hold(replAckMsg{r: r, a: a.take()})}, 0)
 			}
 		},
 		OnClose: func(*net.Endpoint) {
@@ -515,7 +545,14 @@ func (sh *shard) replSend(t *core.Thread, r *replShard, b ReplBatch) {
 		r.queued = append(r.queued, b)
 		return
 	}
-	r.ep.Send(b, b.WireBytes())
+	sh.ship(r, b)
+}
+
+// ship puts b on r's wire as a record from the store's batch pool; the
+// replica's ServeReplica hands the record back (ReplBatch.take).
+func (sh *shard) ship(r *replShard, b ReplBatch) {
+	b.pool = &sh.s.batches
+	r.ep.Send(sh.s.batches.Hold(b), b.WireBytes())
 }
 
 // replOpen is the handshake-complete message: release everything queued
@@ -527,7 +564,7 @@ func (sh *shard) replOpen(t *core.Thread, m replOpenMsg) {
 	}
 	r.open = true
 	for _, b := range r.queued {
-		r.ep.Send(b, b.WireBytes())
+		sh.ship(r, b)
 	}
 	r.queued = nil
 }
@@ -735,10 +772,11 @@ func (sh *shard) replSyncStep(t *core.Thread, r *replShard) {
 // primary's version, version-aware (a duplicate or sync/stream overlap
 // is skipped), and defer the cumulative ack until the flush covering
 // the appends completes — the ack IS the replica's durability receipt,
-// so it rides the same group commit as everything else.
+// so it rides the same group commit as everything else. Every answer
+// is a *ReplAck record (replAck), parked in the waiter when deferred.
 func (sh *shard) applyRepl(t *core.Thread, b ReplBatch, reply *core.Chan) core.Msg {
 	if sh.failed != "" {
-		return ReplAck{Shard: sh.id, Seq: b.Seq, Err: sh.failed}
+		return sh.replAck(b.Seq, sh.failed)
 	}
 	// Lag advertisement: remember the furthest primary tail ever told to
 	// us, and whether the bootstrap image is complete — the replica-read
@@ -767,11 +805,11 @@ func (sh *shard) applyRepl(t *core.Thread, b ReplBatch, reply *core.Chan) core.M
 		}
 		if recHeader+len(rec.Key)+len(rec.Val)+1+blockHeader > sh.s.P.Disk.BlockSize {
 			sh.failStop(t, fmt.Sprintf("store: replica shard %d fail-stop: record for %q exceeds block size", sh.id, rec.Key))
-			return ReplAck{Shard: sh.id, Seq: b.Seq, Err: sh.failed}
+			return sh.replAck(b.Seq, sh.failed)
 		}
 		if !sh.append(t, rec.Op, rec.Key, rec.Val, rec.Ver) {
 			sh.failStop(t, fmt.Sprintf("store: replica shard %d fail-stop: log region full", sh.id))
-			return ReplAck{Shard: sh.id, Seq: b.Seq, Err: sh.failed}
+			return sh.replAck(b.Seq, sh.failed)
 		}
 		sh.applyRecord(rec.Op, rec.Key, len(rec.Val), rec.Ver, b.Seq)
 		sh.m.ReplApplied++
@@ -789,36 +827,46 @@ func (sh *shard) applyRepl(t *core.Thread, b ReplBatch, reply *core.Chan) core.M
 			sh.replDurable = b.Seq
 			sh.drainReplReads(t)
 		}
-		return ReplAck{Shard: sh.id, Seq: b.Seq}
+		return sh.replAck(b.Seq, "")
 	}
-	sh.waiters = append(sh.waiters, pendingWrite{
-		reply: reply, repl: true, res: ReplAck{Shard: sh.id, Seq: b.Seq},
-	})
+	sh.waiters = append(sh.waiters, pendingWrite{reply: reply, repl: true, res: sh.replAck(b.Seq, "")})
 	sh.armFlush(t)
 	sh.maybeCompact(t)
 	return kernel.Deferred
 }
 
+// replAck returns the replica shard's receipt for seq as a record from
+// the store's ack pool, which the primary's endpoint hook hands back
+// (ReplAck.take). A parked receipt that fails is rewritten in place
+// (pendingWrite.nackFor).
+func (sh *shard) replAck(seq uint64, err string) *ReplAck {
+	return sh.s.replAcks.Hold(ReplAck{Shard: sh.id, Seq: seq, Err: err, pool: &sh.s.replAcks})
+}
+
 // ServeReplica pumps one replication connection on the replica
 // machine: apply each batch (a store call that blocks until its records
-// are durable), then send the cumulative ack back — the ReplAck the
-// shard answered with, boxed once by the shard and put on the wire as
-// it is. A fail-stopped replica shard answers with an error ack and the
-// loop ends — the primary treats the attachment as lost on seeing it.
+// are durable), then send the cumulative ack back. It consumes each
+// batch record the wire delivers, copying it into the store's own
+// request record before the call, and puts the *ReplAck the shard
+// answered with on the wire as it is, reading what it needs of it
+// first: once sent, the record is the primary's to take back. A
+// fail-stopped replica shard answers with an error ack and the loop
+// ends — the primary treats the attachment as lost on seeing it.
 func ServeReplica(t *core.Thread, c *net.Conn, s *Store) {
 	for {
 		v, ok := c.Recv(t)
 		if !ok {
 			break
 		}
-		b, ok := v.(ReplBatch)
+		pb, ok := v.(*ReplBatch)
 		if !ok {
 			continue
 		}
-		reply := s.k.Call(t, "store", b.Shard, "repl", s.batches.Hold(b))
-		ack := reply.(ReplAck)
-		c.Send(t, reply, ack.WireBytes())
-		if ack.Err != "" {
+		b := pb.take()
+		ack := s.k.Call(t, "store", b.Shard, "repl", s.batches.Hold(b)).(*ReplAck)
+		failed := ack.Err != ""
+		c.Send(t, ack, ack.WireBytes())
+		if failed {
 			break
 		}
 	}

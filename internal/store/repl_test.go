@@ -10,6 +10,7 @@ import (
 	"chanos/internal/machine"
 	"chanos/internal/net"
 	"chanos/internal/sim"
+	"chanos/internal/telemetry"
 )
 
 // rw is a two-machine replication test world: a primary machine running
@@ -554,5 +555,87 @@ func TestReplicationDeterministicReplay(t *testing.T) {
 	}
 	if a[1] == 0 || a[4] == 0 {
 		t.Fatalf("workload replicated nothing: %v", a)
+	}
+}
+
+// TestPooledReplRecordsSurviveRetransmission: batches and acks cross
+// the replication wire as pooled records that their one consumer hands
+// back at once, while the sender's transport may still hold them to
+// retransmit. On a lossy wire, retransmitted copies arrive after their
+// records were reused for later batches and acks, and the receiving
+// flow must drop each unread. So the replica ends with the primary's
+// version of every acked key, and every ack the primary lands names a
+// sequence it shipped.
+func TestPooledReplRecordsSurviveRetransmission(t *testing.T) {
+	const seed = 71
+	wp := quietWire(seed)
+	wp.LossProb = 0.15
+	w := newRW(8, smallParams(), seed, wp, nil)
+	defer w.shutdown()
+	var stray []string
+	for i, sh := range w.kv.shards {
+		shipped := map[uint64]bool{}
+		sh.m.flight.Hook = func(ev telemetry.FlightEvent) {
+			switch ev.Kind {
+			case "repl-ship":
+				shipped[ev.A] = true
+			case "repl-ack":
+				if !shipped[ev.A] {
+					stray = append(stray, fmt.Sprintf("shard %d seq %d", i, ev.A))
+				}
+			}
+		}
+	}
+	const writers, puts = 3, 40
+	acked := map[string]uint64{}
+	var keys []string
+	finished := 0
+	for i := 0; i < writers; i++ {
+		w.rt.Boot(fmt.Sprintf("app.%d", i), func(th *core.Thread) {
+			for j := 0; j < puts; j++ {
+				key := fmt.Sprintf("w%d/k%d", i, j%8)
+				r := w.kv.Put(th, key, []byte(fmt.Sprintf("v%d.%d", i, j)))
+				if !r.OK {
+					t.Errorf("put %s: %s", key, r.Err)
+					return
+				}
+				if _, ok := acked[key]; !ok {
+					keys = append(keys, key)
+				}
+				acked[key] = r.Ver
+			}
+			finished++
+		})
+	}
+	w.rt.Run()
+	if finished != writers {
+		t.Fatalf("%d of %d writers finished (a quorum ack never arrived)", finished, writers)
+	}
+	if w.rm.NW.Retransmits == 0 || w.rm.Stk.Counters().Retransmits == 0 {
+		t.Fatalf("retransmits: batches %d, acks %d; want both > 0, or the reuse hazard is not exercised",
+			w.rm.NW.Retransmits, w.rm.Stk.Counters().Retransmits)
+	}
+	if len(stray) > 0 {
+		t.Fatalf("the primary landed %d acks for sequences it never shipped, first %s", len(stray), stray[0])
+	}
+	primary := map[string]uint64{}
+	w.rt.Boot("audit.primary", func(th *core.Thread) {
+		for _, key := range keys {
+			primary[key] = w.kv.Get(th, key).Ver
+		}
+	})
+	w.rt.Run()
+	audited := 0
+	w.rm.RT.Boot("audit.replica", func(th *core.Thread) {
+		for _, key := range keys {
+			if g := w.rm.KV.Get(th, key); g.Ver != primary[key] || primary[key] != acked[key] {
+				t.Errorf("%s: replica ver %d, primary %d, acked %d", key, g.Ver, primary[key], acked[key])
+			}
+			audited++
+		}
+	})
+	w.rm.RT.Run()
+	if audited != len(keys) || len(keys) != writers*8 {
+		t.Fatalf("audited %d of %d keys, want %d", audited, len(keys), writers*8)
 	}
 }

@@ -248,10 +248,11 @@ func (a scanArg) MsgBytes() int { return 24 + len(a.Prefix) }
 //
 // Records come from the shard's free list and go back once their
 // message is handled. Each binds its done func (Program's completion
-// callback) once, when first taken, so a log write allocates nothing
-// beyond the disk's staged block. batch is the group-commit buffer: a
-// flush swaps it with the shard's waiters, so the two slices trade
-// places instead of a new batch growing per flush.
+// callback) once, when first taken, and the disk stages into a block
+// buffer an earlier write retired, so a warm log write allocates
+// nothing. batch is the group-commit buffer: a flush swaps it with the
+// shard's waiters, so the two slices trade places instead of a new
+// batch growing per flush.
 type diskDone struct {
 	op     string
 	batch  []pendingWrite
@@ -430,9 +431,10 @@ type loc struct {
 // write to complete (group commit) — and, under replication, for a
 // majority of replicas' cumulative acks to cover its refs (quorum).
 // res is the success reply: a *WriteResult record for client writes, a
-// ReplAck for replica-side applies (repl marks those; their acks are
-// durability receipts to the primary, not client acks). Either is boxed
-// once, when the write parks, and sent as it is.
+// *ReplAck record for replica-side applies (repl marks those; their
+// acks are durability receipts to the primary, not client acks). Either
+// comes from a store free list when the write parks and is sent as it
+// is.
 type pendingWrite struct {
 	reply *core.Chan
 	res   core.Msg
@@ -440,16 +442,17 @@ type pendingWrite struct {
 	repl  bool
 }
 
-// nackFor turns the waiter's reply into the failure reply err: a client
-// write's record is rewritten in place, and a replica apply gets an
-// error ReplAck for the same sequence.
+// nackFor turns the waiter's reply into the failure reply err,
+// rewriting its record in place: a client write's becomes a refusal,
+// and a replica apply's an error ack for the same sequence.
 func (pw pendingWrite) nackFor(err string) core.Msg {
 	if r, ok := pw.res.(*WriteResult); ok {
 		*r = WriteResult{Err: err}
 		return r
 	}
-	a := pw.res.(ReplAck)
-	return ReplAck{Shard: a.Shard, Seq: a.Seq, Err: err}
+	a := pw.res.(*ReplAck)
+	a.Err = err
+	return a
 }
 
 // pendingRead is a GET waiting for its block to come back from disk.
@@ -546,12 +549,16 @@ type Store struct {
 	disks  []*blockdev.Disk
 	shards []*shard // per-shard private state, in shard order (stats only)
 
-	// Free lists of the pooled request arguments (see keyArg) and of the
-	// replica-ack messages the replication hooks inject (replAckMsg).
+	// Free lists of the pooled request arguments (see keyArg), of the
+	// replica-ack messages the replication hooks inject (replAckMsg)
+	// and of the replication wire's records: batches serve both as
+	// request arguments and as a primary's batches on the wire
+	// (ReplBatch), replAcks as a replica's receipts (ReplAck).
 	keyArgs   sim.FreeList[keyArg]
 	writeArgs sim.FreeList[writeArg]
 	batches   sim.FreeList[ReplBatch]
 	acks      sim.FreeList[replAckMsg]
+	replAcks  sim.FreeList[ReplAck]
 	// Free lists of the reply records: every GET and write is answered
 	// with one, and the client API takes it back.
 	gets   sim.FreeList[GetResult]
@@ -1177,7 +1184,7 @@ func (sh *shard) flushed(t *core.Thread, d *diskDone) {
 				// Replica side: this ack IS the durability receipt —
 				// the sequence it covers is now on our platters, so
 				// replica reads parked on it may serve.
-				if a, ok := pw.res.(ReplAck); ok && a.Seq > sh.replDurable {
+				if a := pw.res.(*ReplAck); a.Seq > sh.replDurable {
 					sh.replDurable = a.Seq
 				}
 				if pw.reply != nil {

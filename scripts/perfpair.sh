@@ -14,6 +14,13 @@
 # (ROADMAP.md: alternating pairs), because one run of either side says
 # little on a noisy host.
 #
+# It then checks that no engine event moved: perf prints one line per
+# world it runs to stderr ("<workload> seed S <kind> rep: ..., N
+# events"), and both sides of every pair must agree on each world's
+# event count, and on the result's correct and failed fields. It prints
+# "events: identical in N pairs" or the first pair and world that
+# differ, and exits 1 on a difference.
+#
 # Each run's output goes to .bench_build/perfpair/runs/; the worktree is
 # removed on exit. The script writes nothing outside .bench_build/ but
 # git's own worktree records, and changes nothing under perf/.
@@ -87,3 +94,23 @@ done | awk -v n="$n" '
                 w, t, l
         }
     }' BENCHMARK.json - | { read -r head; echo "$head"; sort; }
+
+# One line per world and run: its event count, then the result's
+# correct and failed fields.
+worlds() { # side pair
+    sed -n 's/^\([^ ]* seed [0-9]* [a-z]*\) rep: .*, \([0-9]*\) events$/\1: \2 events/p' "$dir/runs/$1.$2.out"
+    grep -o '"correct":[a-z]*\|"failed":[0-9]*' "$dir/runs/$1.$2.json"
+}
+for ((i = 1; i <= n; i++)); do
+    if ! grep -q ' events$' "$dir/runs/parent.$i.out"; then
+        echo "events: pair $i: the parent's run printed no world" >&2
+        exit 1
+    fi
+    if ! d=$(diff <(worlds parent $i) <(worlds change $i)); then
+        p=$(awk '/^< /{print substr($0, 3); exit}' <<<"$d")
+        c=$(awk '/^> /{print substr($0, 3); exit}' <<<"$d")
+        echo "events: pair $i differs: parent '${p:-nothing}', change '${c:-nothing}'" >&2
+        exit 1
+    fi
+done
+echo "events: identical in $n pairs"
