@@ -88,9 +88,9 @@ func (f *forwarder) call(t *core.Thread, req store.KVRequest) (store.KVResponse,
 	}
 	f.nextSeq++
 	req.Seq = f.nextSeq
-	ch := t.NewChan(core.Label("fwd.%d.%d.%d", f.n.ID, f.destID, int(req.Seq)), 1)
-	f.pending[req.Seq] = ch
 	rt := f.n.RT
+	ch := t.NewChan(rt.Label("fwd.%d.%d.%d", f.n.ID, f.destID, int(req.Seq)), 1)
+	f.pending[req.Seq] = ch
 	rt.Eng.After(1, func() {
 		if f.failed {
 			return // fail() already woke the caller

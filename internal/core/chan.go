@@ -101,19 +101,35 @@ type Chan struct {
 
 // NewChan creates a channel. Capacity 0 means rendezvous semantics.
 func (rt *Runtime) NewChan(name string, capacity int) *Chan {
+	c := new(Chan)
+	rt.initChan(c, name, capacity)
+	return c
+}
+
+// initChan makes *c a fresh channel of rt, taking rt's next channel id.
+func (rt *Runtime) initChan(c *Chan, name string, capacity int) {
 	if capacity < 0 {
 		panic("core: negative channel capacity")
 	}
-	c := &Chan{rt: rt, id: rt.nextCh, name: name, capacity: capacity}
+	*c = Chan{rt: rt, id: rt.nextCh, name: name, capacity: capacity}
 	rt.nextCh++
-	return c
 }
 
 // NewChan allocates a fresh channel from thread context, charging a small
 // allocation cost. Per-call reply channels (the RPC idiom of §3) use this.
 func (t *Thread) NewChan(name string, capacity int) *Chan {
+	c := new(Chan)
+	t.InitChan(c, name, capacity)
+	return c
+}
+
+// InitChan is NewChan into storage its caller owns, such as a field of
+// the record that holds the channel: it charges the same cycles and
+// takes the channel id at the same moment, and allocates nothing. *c
+// must not be a channel still in use.
+func (t *Thread) InitChan(c *Chan, name string, capacity int) {
 	t.Compute(16)
-	return t.rt.NewChan(name, capacity)
+	t.rt.initChan(c, name, capacity)
 }
 
 // Name returns the channel's name.

@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"iter"
 	"sort"
+	"strconv"
+	"strings"
 
 	"chanos/internal/machine"
 	"chanos/internal/sim"
@@ -172,6 +174,9 @@ type Runtime struct {
 	land       *sim.Relay[landing]
 	waiters    sim.FreeList[waiter]
 	waitArrays fifo.Pool[waitRef]
+
+	// labels is the chunk that Label writes names into (see Label).
+	labels strings.Builder
 }
 
 type coreState struct {
@@ -217,6 +222,37 @@ func (rt *Runtime) NumCores() int { return rt.M.NumCores() }
 
 // Stats returns a snapshot of runtime counters.
 func (rt *Runtime) Stats() Stats { return rt.stats }
+
+// labelChunk is the size of the chunks Label writes names into.
+const labelChunk = 4 << 10
+
+// Label formats a per-connection or per-request name such as
+// "conn.%d.recv": each %d in format takes the next id, in decimal. It is
+// fmt.Sprintf for that one verb, but a name is no object of its own: its
+// text goes on the end of the runtime's current chunk, a strings.Builder
+// of 4 KB, and the name is a substring of it. A chunk is only ever
+// appended to, so a name never changes while anything holds it, and a
+// full chunk is freed once no name in it is held.
+func (rt *Runtime) Label(format string, ids ...int) string {
+	var buf [64]byte
+	b := buf[:0]
+	for len(ids) > 0 {
+		i := strings.Index(format, "%d")
+		if i < 0 {
+			break
+		}
+		b = strconv.AppendInt(append(b, format[:i]...), int64(ids[0]), 10)
+		format, ids = format[i+2:], ids[1:]
+	}
+	b = append(b, format...)
+	if rt.labels.Cap()-rt.labels.Len() < len(b) {
+		rt.labels.Reset()
+		rt.labels.Grow(max(labelChunk, len(b)))
+	}
+	start := rt.labels.Len()
+	rt.labels.Write(b)
+	return rt.labels.String()[start:]
+}
 
 // CoreLoad returns the run-queue length of core i (plus one if a thread
 // currently owns the core). Schedulers use it to find stealable backlogs.
@@ -323,7 +359,7 @@ func (rt *Runtime) Shutdown() {
 }
 
 func (rt *Runtime) newThread(req *spawnReq) *Thread {
-	t := &Thread{rt: rt, id: rt.nextID, name: req.name, fn: req.fn}
+	t := &Thread{rt: rt, id: rt.nextID, name: req.name, fn: req.fn, arg: req.arg}
 	t.waits = t.waitBuf[:0]
 	rt.nextID++
 	t.core = rt.sched.Place(rt, req.hint)

@@ -1250,24 +1250,79 @@ func TestPooledWaitArrayCarriesNoStaleWaiter(t *testing.T) {
 	}
 }
 
-// Label is fmt.Sprintf for the %d verb, at one allocation however large
-// the ids.
-func TestLabelMatchesSprintf(t *testing.T) {
-	for _, c := range []struct {
-		format string
-		ids    []int
-		want   string
-	}{
-		{"conn.%d.recv", []int{0}, "conn.0.recv"},
-		{"kv.conn.%d", []int{1 << 40}, "kv.conn.1099511627776"},
-		{"fwd.%d.%d.%d", []int{2, -1, 65536}, "fwd.2.-1.65536"},
-		{"timer", nil, "timer"},
-	} {
-		if got := Label(c.format, c.ids...); got != c.want {
-			t.Errorf("Label(%q, %v) = %q, want %q", c.format, c.ids, got, c.want)
-		}
+// ReplyChan's channel lives in its Thread, and it is made exactly as
+// t.NewChan("syscall.reply", 1) would make it: the same name and
+// capacity, 16 cycles charged, and the channel id taken after those
+// cycles, here after a thread on another core took one meanwhile. A
+// second call charges nothing and returns the same channel.
+func TestReplyChanMatchesNewChan(t *testing.T) {
+	type made struct {
+		name         string
+		capacity, id int
+		first, again sim.Time
+		same         bool
 	}
-	if n := testing.AllocsPerRun(10, func() { Label("fwd.%d.%d.%d", 1000, 2000, 3000) }); n != 1 {
-		t.Fatalf("Label allocates %.0f, want 1: the string", n)
+	world := func(reply bool) made {
+		rt := newRT(t, 2, Config{})
+		var m made
+		rt.Boot("caller", func(th *Thread) {
+			start := th.Now()
+			var c *Chan
+			if reply {
+				c = th.ReplyChan()
+			} else {
+				c = th.NewChan("syscall.reply", 1)
+			}
+			m.first = th.Now() - start
+			if reply {
+				start = th.Now()
+				m.same = th.ReplyChan() == c
+				m.again = th.Now() - start
+			}
+			m.name, m.capacity, m.id = c.Name(), c.Cap(), c.id
+		}, OnCore(0))
+		rt.Boot("other", func(th *Thread) {
+			th.Compute(8)
+			th.NewChan("other", 0)
+		}, OnCore(1))
+		rt.Run()
+		return m
+	}
+	want, got := world(false), world(true)
+	if got.name != "syscall.reply" || got.capacity != 1 || got.id != want.id || got.first != want.first || got.first < 16 {
+		t.Fatalf("ReplyChan made %q cap %d id %d in %d cycles; NewChan made %q cap %d id %d in %d",
+			got.name, got.capacity, got.id, got.first, want.name, want.capacity, want.id, want.first)
+	}
+	if !got.same || got.again != 0 {
+		t.Fatalf("a second ReplyChan returned the same channel %v and charged %d cycles, want true and 0", got.same, got.again)
+	}
+}
+
+// A SpawnArg thread reads its argument with Arg while it runs, and once
+// dead it no longer holds it: a dead thread someone still holds keeps no
+// connection alive.
+func TestDeadSpawnArgThreadDropsItsArg(t *testing.T) {
+	rt := newRT(t, 2, Config{})
+	type conn struct {
+		id   int
+		name string // a pointer field keeps it off the tiny allocator
+	}
+	var got any
+	body := func(th *Thread) { got = th.Arg() }
+	var child *Thread
+	var held weak.Pointer[conn]
+	func() { // so that no variable of the test holds the argument
+		arg := &conn{id: 7}
+		held = weak.Make(arg)
+		rt.Boot("parent", func(th *Thread) { child = th.SpawnArg("child", body, arg) })
+		rt.Run()
+	}()
+	if c, ok := got.(*conn); !ok || c.id != 7 {
+		t.Fatalf("the child read Arg %v, want its conn", got)
+	}
+	got = nil
+	runtime.GC()
+	if !child.Dead() || child.Arg() != nil || held.Value() != nil {
+		t.Fatalf("dead %v, Arg %v, argument reachable %v: a dead thread holds its argument", child.Dead(), child.Arg(), held.Value() != nil)
 	}
 }

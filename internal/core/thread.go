@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"chanos/internal/sim"
 )
@@ -66,6 +64,7 @@ type opResult struct {
 type spawnReq struct {
 	name string
 	fn   func(*Thread)
+	arg  any
 	hint PlaceHint
 }
 
@@ -137,9 +136,10 @@ type Thread struct {
 	stepRes   opResult
 	stepPeer  *Thread // stepSpawn's child, stepKill's and stepUnpark's victim
 
-	replyCh *Chan // synchronous-call reply channel (see ReplyChan)
+	replyCh Chan // synchronous-call reply channel, made by ReplyChan
 
 	fn       func(*Thread) // the thread's body, run by its worker
+	arg      any           // SpawnArg's operand (see Arg)
 	spawnReq spawnReq      // the child Spawn asks for, until the engine makes it
 
 	links     map[int]*Thread // made by the first Link
@@ -186,16 +186,21 @@ func (t *Thread) ExitReason() error {
 func (t *Thread) Dead() bool { return t.state == tDead }
 
 // ReplyChan returns the thread's reply channel for synchronous calls,
-// made by t.NewChan("syscall.reply", 1) at its first one. A thread has
-// at most one synchronous call outstanding, whichever kernel or server
-// it calls, so one channel serves all of them, and it lives exactly as
-// long as the thread: nothing keyed by thread id outlives a dead caller.
+// made by t.InitChan(…, "syscall.reply", 1) at its first one, in the
+// Thread's own storage. A thread has at most one synchronous call
+// outstanding, whichever kernel or server it calls, so one channel
+// serves all of them, and it lives exactly as long as the thread:
+// nothing keyed by thread id outlives a dead caller.
 func (t *Thread) ReplyChan() *Chan {
-	if t.replyCh == nil {
-		t.replyCh = t.NewChan("syscall.reply", 1)
+	if t.replyCh.rt == nil {
+		t.InitChan(&t.replyCh, "syscall.reply", 1)
 	}
-	return t.replyCh
+	return &t.replyCh
 }
+
+// Arg returns the operand the thread was spawned with by SpawnArg (nil
+// for any other thread, and once the thread is dead).
+func (t *Thread) Arg() any { return t.arg }
 
 // do yields one operation to the engine and resumes with its result. A
 // poison result unwinds the thread (kill, linked exit).
@@ -241,22 +246,14 @@ func (t *Thread) Spawn(name string, fn func(*Thread), opts ...SpawnOpt) *Thread 
 	return t.do(op{kind: opSpawn}).thread
 }
 
-// Label formats a per-connection or per-request name such as
-// "conn.%d.recv": each %d in format takes the next id, in decimal. It is
-// fmt.Sprintf for that one verb, and costs only the string it returns,
-// where Sprintf also boxes every id it formats past 255.
-func Label(format string, ids ...int) string {
-	var buf [64]byte
-	b := buf[:0]
-	for len(ids) > 0 {
-		i := strings.Index(format, "%d")
-		if i < 0 {
-			break
-		}
-		b = strconv.AppendInt(append(b, format[:i]...), int64(ids[0]), 10)
-		format, ids = format[i+2:], ids[1:]
-	}
-	return string(append(b, format...))
+// SpawnArg is Spawn for a body that many threads share, such as a
+// per-connection handler: fn is bound once by its caller, and each
+// thread's own operand travels as arg, which fn reads with t.Arg(). It
+// costs what Spawn costs, in cycles and in events, and no closure per
+// thread.
+func (t *Thread) SpawnArg(name string, fn func(*Thread), arg any) *Thread {
+	t.spawnReq = spawnReq{name: name, fn: fn, arg: arg, hint: PlaceHint{Core: -1}}
+	return t.do(op{kind: opSpawn}).thread
 }
 
 // Exit terminates the thread immediately with a normal exit.
@@ -396,7 +393,7 @@ func (rt *Runtime) threadExit(t *Thread, reason error) {
 	}
 	t.links = nil
 	delete(rt.threads, t.id)
-	t.fn = nil
+	t.fn, t.arg = nil, nil
 	t.letGo()
 }
 

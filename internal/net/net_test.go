@@ -36,26 +36,30 @@ func newTW(cores, shards int, wp WireParams, seed uint64) *tw {
 }
 
 // echoServer accepts on port 80 and echoes every payload back with the
-// given app compute per request.
+// given app compute per request. Like store.Machine's accept loop, it
+// binds the handler once and hands each thread its Conn as its spawn
+// argument.
 func (w *tw) echoServer(compute uint64) *Listener {
 	l := w.st.Listen(80)
+	echo := func(t *core.Thread) {
+		c := t.Arg().(*Conn)
+		for {
+			v, ok := c.Recv(t)
+			if !ok {
+				break
+			}
+			t.Compute(compute)
+			c.Send(t, v, 256)
+		}
+		c.Close(t)
+	}
 	w.rt.Boot("accept", func(t *core.Thread) {
 		for {
 			c, ok := l.Accept(t)
 			if !ok {
 				return
 			}
-			t.Spawn(core.Label("conn.%d", int(c.ID())), func(ht *core.Thread) {
-				for {
-					v, ok := c.Recv(ht)
-					if !ok {
-						break
-					}
-					ht.Compute(compute)
-					c.Send(ht, v, 256)
-				}
-				c.Close(ht)
-			})
+			t.SpawnArg(w.rt.Label("conn.%d", int(c.ID())), echo, c)
 		}
 	})
 	return l
@@ -536,16 +540,19 @@ func TestPacketPathAllocs(t *testing.T) {
 // The stack's connection record, both flows on each side with their
 // rings and scratch slices, and both RTO callbacks are recycled; the
 // socket channel's waiter array comes from its runtime's pool, and the
-// handler's steps fire through its reused worker. What is left is
-// exactly these 7 objects:
-//   - the Endpoint and the Conn, which their callers hold;
-//   - the socket's receive channel and its name;
-//   - the echo handler thread's name, its spawn closure and the Thread.
+// handler's steps fire through its reused worker. Both names are
+// written into the runtime's label chunk, the socket channel lives in
+// its Conn, and the handler is bound once and takes its Conn as its
+// spawn argument. What is left is exactly these 3 objects, each held by
+// a caller:
+//   - the Endpoint, which the dialer holds;
+//   - the Conn with its socket channel, which the handler holds;
+//   - the echo handler's Thread, which its runtime holds while it runs.
 //
-// Both names come from core.Label, which boxes no id. fmt.Sprintf
-// would box every id past 255, so the cycles measured start past id
-// 600, where a name going back through fmt adds one allocation per
-// cycle, as does a per-connection record that stops being recycled.
+// The cycles measured start past id 600. A name going back through
+// fmt.Sprintf would box every id past 255 and add one allocation per
+// cycle, as would a per-connection record that stops being recycled, a
+// socket channel of its own or a spawn closure.
 func TestConnCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race")
@@ -565,12 +572,37 @@ func TestConnCycleAllocs(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		cycle()
 	}
-	const want = 7
+	const want = 3
 	if per := testing.AllocsPerRun(200, cycle); per != want {
 		t.Fatalf("a dial → echo → close cycle allocates %.0f, want %d", per, want)
 	}
 	if c := w.st.Counters(); c.Accepts != 801 || c.Delivered != 801 || c.Retransmits != 0 || len(w.nw.eps) != 0 {
 		t.Fatalf("accepts %d, delivered %d, %d retransmits, %d endpoints left: not clean cycles",
 			c.Accepts, c.Delivered, c.Retransmits, len(w.nw.eps))
+	}
+}
+
+// In strict mode a message is deep-copied at each send, but a Conn is a
+// capability like a channel: the handler must receive the Conn whose
+// socket channel the shard delivers to, not a copy holding a copy of it.
+func TestStrictModePassesConnByReference(t *testing.T) {
+	eng := sim.NewEngine()
+	m := machine.New(eng, machine.DefaultParams(8))
+	rt := core.NewRuntime(m, core.Config{Seed: 3, Strict: true})
+	defer rt.Shutdown()
+	k := kernel.New(rt, kernel.Config{})
+	nic := machine.NewNIC(m, machine.NICParams{})
+	wp := DefaultWireParams()
+	wp.Seed = 3
+	w := &tw{eng: eng, m: m, rt: rt, k: k, nic: nic, nw: NewNetwork(eng, nic, wp), st: NewStack(rt, k, nic, StackParams{Shards: 2})}
+	w.echoServer(1000)
+	var got core.Msg
+	w.nw.Dial(80, EndpointHooks{
+		OnOpen:    func(ep *Endpoint) { ep.Send("ping", 64) },
+		OnMessage: func(ep *Endpoint, p core.Msg, _ int) { got = p; ep.Close() },
+	})
+	rt.Run()
+	if got != "ping" || rt.Stats().BytesCopied == 0 {
+		t.Fatalf("strict echo got %v with %d bytes copied, want ping and copies", got, rt.Stats().BytesCopied)
 	}
 }

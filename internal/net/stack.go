@@ -164,12 +164,17 @@ type Conn struct {
 	id    ConnID
 	port  int
 	stack *Stack
-	recv  *core.Chan
+	recv  core.Chan // the socket channel, whose shard holds it as recvCh
 }
 
 // MsgBytes implements core.Sized (a Conn travels through the accept
 // channel as a capability).
 func (c *Conn) MsgBytes() int { return 64 }
+
+// CopyMsg implements core.Copier: like a channel, a Conn is a
+// capability, so strict mode passes it by reference. A copy would hold a
+// copy of the socket channel, which the shard never delivers to.
+func (c *Conn) CopyMsg() core.Msg { return c }
 
 // ID returns the connection id.
 func (c *Conn) ID() ConnID { return c.id }
@@ -367,8 +372,9 @@ func (s *Stack) rx(t *core.Thread, st *shardState, p Packet) {
 			return // no listener: the void swallows the SYN
 		}
 		c := st.free.Get()
-		c.reuse(p.Conn, p.Port, t.NewChan(core.Label("conn.%d.recv", int(p.Conn)), s.P.RecvBuf), s.rt.Eng.Now())
-		conn := &Conn{id: p.Conn, port: p.Port, stack: s, recv: c.recvCh}
+		conn := &Conn{id: p.Conn, port: p.Port, stack: s}
+		t.InitChan(&conn.recv, s.rt.Label("conn.%d.recv", int(p.Conn)), s.P.RecvBuf)
+		c.reuse(p.Conn, p.Port, &conn.recv, s.rt.Eng.Now())
 		if !l.accept.TrySend(t, conn) {
 			st.m.AcceptDrops++ // backlog full: shed; the client will retry
 			st.free.Put(c)

@@ -100,17 +100,20 @@ func NewMachine(eng *sim.Engine, p MachineParams) *Machine {
 }
 
 // serve listens on port and boots the accept loop: thread accept hands
-// each connection to a thread of its own running fn.
+// each connection to a thread of its own running fn. The handler body is
+// bound once, and each thread takes its connection as its spawn
+// argument.
 func (m *Machine) serve(port int, accept, conn string, fn func(*core.Thread, *net.Conn, *Store)) {
 	l := m.Stk.Listen(port)
-	kv, name := m.KV, conn+".%d"
-	m.RT.Boot(accept, func(t *core.Thread) {
+	rt, kv, name := m.RT, m.KV, conn+".%d"
+	handle := func(t *core.Thread) { fn(t, t.Arg().(*net.Conn), kv) }
+	rt.Boot(accept, func(t *core.Thread) {
 		for {
 			c, ok := l.Accept(t)
 			if !ok {
 				return
 			}
-			t.Spawn(core.Label(name, int(c.ID())), func(ht *core.Thread) { fn(ht, c, kv) })
+			t.SpawnArg(rt.Label(name, int(c.ID())), handle, c)
 		}
 	})
 }

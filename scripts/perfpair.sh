@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # perfpair.sh — alternating parent/change runs of one perf workload.
 #
-# Usage: scripts/perfpair.sh REV WORKLOAD N
+# Usage: scripts/perfpair.sh REV WORKLOAD N [SECONDS]
 #
 # Checks REV out in a git worktree under .bench_build/perfpair/ and runs
-# N pairs of `bash perf/bench.sh -workload WORKLOAD -seconds 0`, one in
-# that worktree (the parent) and one in this checkout (the change), the
-# parent first in odd pairs and the change first in even ones, so that
-# a drift in the host's load falls on both sides alike. It then prints,
+# N pairs of `bash perf/bench.sh -workload WORKLOAD -seconds SECONDS`
+# (SECONDS defaults to 0, one world per run; the benchmark itself runs
+# 10, which is where max_rss_mb is judged, because the collector's pacing
+# moves it at short runs), one in that worktree (the parent) and one in
+# this checkout (the change), the parent first in odd pairs and the
+# change first in even ones, so that a drift in the host's load falls on
+# both sides alike. It then prints,
 # for every end-to-end metric BENCHMARK.json declares, each side's
 # median and quartiles, and how many pairs the change won, tied and
 # lost by the metric's direction. Host deltas are judged this way
@@ -15,21 +18,22 @@
 # little on a noisy host.
 #
 # It then checks that no engine event moved: perf prints one line per
-# world it runs to stderr ("<workload> seed S <kind> rep: ..., N
-# events"), and both sides of every pair must agree on each world's
-# event count, and on the result's correct and failed fields. It prints
-# "events: identical in N pairs" or the first pair and world that
-# differ, and exits 1 on a difference.
+# world it runs to stderr ("<workload> seed S <kind> rep: ..., N ops,
+# F failed, E events"), and both sides of every pair must agree on each
+# world's ops, failed ops and event count, over the worlds both ran (a
+# run of SECONDS > 0 runs as many as fit), and on the result's correct
+# field. It prints "events: identical in N pairs" or the first pair and
+# world that differ, and exits 1 on a difference.
 #
 # Each run's output goes to .bench_build/perfpair/runs/; the worktree is
 # removed on exit. The script writes nothing outside .bench_build/ but
 # git's own worktree records, and changes nothing under perf/.
 set -euo pipefail
-if [ $# -ne 3 ]; then
-    echo "usage: scripts/perfpair.sh REV WORKLOAD N" >&2
+if [ $# -lt 3 ] || [ $# -gt 4 ]; then
+    echo "usage: scripts/perfpair.sh REV WORKLOAD N [SECONDS]" >&2
     exit 2
 fi
-rev=$1 workload=$2 n=$3
+rev=$1 workload=$2 n=$3 seconds=${4:-0}
 cd "$(dirname "$0")/.."
 root=$PWD
 dir=$root/.bench_build/perfpair
@@ -44,7 +48,7 @@ trap 'git -C "$root" worktree remove --force "$base"' EXIT
 run() { # side pair
     local at=$root
     [ "$1" = parent ] && at=$base
-    (cd "$at" && bash perf/bench.sh -workload "$workload" -seconds 0) \
+    (cd "$at" && bash perf/bench.sh -workload "$workload" -seconds "$seconds") \
         >"$dir/runs/$1.$2.out" 2>&1
     tail -n 1 "$dir/runs/$1.$2.out" >"$dir/runs/$1.$2.json"
     echo "pair $2 $1: $(head -c 160 "$dir/runs/$1.$2.json")..." >&2
@@ -95,18 +99,20 @@ done | awk -v n="$n" '
         }
     }' BENCHMARK.json - | { read -r head; echo "$head"; sort; }
 
-# One line per world and run: its event count, then the result's
-# correct and failed fields.
+# One line per world a run ran: its ops, failed ops and event count.
 worlds() { # side pair
-    sed -n 's/^\([^ ]* seed [0-9]* [a-z]*\) rep: .*, \([0-9]*\) events$/\1: \2 events/p' "$dir/runs/$1.$2.out"
-    grep -o '"correct":[a-z]*\|"failed":[0-9]*' "$dir/runs/$1.$2.json"
+    sed -n 's/^\([^ ]* seed [0-9]* [a-z]*\) rep: .*, \([0-9]* ops, [0-9]* failed, [0-9]* events\)$/\1: \2/p' "$dir/runs/$1.$2.out"
 }
 for ((i = 1; i <= n; i++)); do
-    if ! grep -q ' events$' "$dir/runs/parent.$i.out"; then
-        echo "events: pair $i: the parent's run printed no world" >&2
+    k=$(worlds parent $i | wc -l)
+    kc=$(worlds change $i | wc -l)
+    if ((k == 0 || kc == 0)); then
+        echo "events: pair $i: a run printed no world" >&2
         exit 1
     fi
-    if ! d=$(diff <(worlds parent $i) <(worlds change $i)); then
+    ((kc < k)) && k=$kc
+    if ! d=$(diff <(worlds parent $i | head -n "$k"; grep -o '"correct":[a-z]*' "$dir/runs/parent.$i.json") \
+        <(worlds change $i | head -n "$k"; grep -o '"correct":[a-z]*' "$dir/runs/change.$i.json")); then
         p=$(awk '/^< /{print substr($0, 3); exit}' <<<"$d")
         c=$(awk '/^> /{print substr($0, 3); exit}' <<<"$d")
         echo "events: pair $i differs: parent '${p:-nothing}', change '${c:-nothing}'" >&2
