@@ -100,9 +100,6 @@ func (s *System) NewStore(k *kernel.Kernel, p store.Params) *Store {
 // OnCore pins a spawned thread to a core.
 func OnCore(c int) SpawnOpt { return core.OnCore(c) }
 
-// Near hints placement close to another thread.
-func Near(t *Thread) SpawnOpt { return core.Near(t) }
-
 // Config tunes a System.
 type Config struct {
 	// Seed makes the whole simulation reproducible. 0 = 1.
@@ -135,9 +132,6 @@ func (s *System) NewChan(name string, capacity int) *Chan {
 func (s *System) Boot(name string, fn func(*Thread), opts ...SpawnOpt) *Thread {
 	return s.RT.Boot(name, fn, opts...)
 }
-
-// After returns a channel that receives one core.Tick after d cycles.
-func (s *System) After(d Time) *Chan { return s.RT.After(d) }
 
 // Run drives the simulation until all threads are blocked or dead.
 func (s *System) Run() { s.RT.Run() }

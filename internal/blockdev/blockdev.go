@@ -116,7 +116,7 @@ type Disk struct {
 	// spare holds block buffers no block holds any more — the one a
 	// committed write replaced, or a failed write's staged copy — for
 	// the next writes to stage into (see stage and recycle).
-	spare [][]byte
+	spare sim.BufList[byte]
 
 	// Stats.
 	Reads, Writes uint64
@@ -242,17 +242,15 @@ func (d *Disk) Program(t *core.Thread, req Request, done func(Result)) {
 // covers the writes in flight, and a burst's backlog is not kept.
 const spareBlocks = 4
 
-// stage copies a write's data into a block buffer: a spare one, with
-// the bytes past the data cleared, or a new one when none is spare.
+// stage copies a write's data into a block buffer: a spare one, which
+// Put cleared, or a new one when none is spare.
 func (d *Disk) stage(data []byte) []byte {
-	var buf []byte
-	if n := len(d.spare); n > 0 {
-		buf = d.spare[n-1]
-		d.spare[n-1], d.spare = nil, d.spare[:n-1]
-	} else {
+	buf := d.spare.Get()
+	if buf == nil {
 		buf = make([]byte, d.P.BlockSize)
 	}
-	clear(buf[copy(buf, data):])
+	buf = buf[:d.P.BlockSize]
+	copy(buf, data)
 	return buf
 }
 
@@ -261,8 +259,8 @@ func (d *Disk) stage(data []byte) []byte {
 // NewDiskFrom copy. A carried-over buffer of another length is left to
 // the garbage collector, as is a trimmed block's.
 func (d *Disk) recycle(buf []byte) {
-	if len(buf) == d.P.BlockSize && len(d.spare) < spareBlocks {
-		d.spare = append(d.spare, buf)
+	if len(buf) == d.P.BlockSize {
+		d.spare.Put(buf, spareBlocks)
 	}
 }
 

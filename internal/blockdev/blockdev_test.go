@@ -398,7 +398,7 @@ func TestRecycledBlockBuffers(t *testing.T) {
 	// test when it holds none: each case must exercise a recycled stage.
 	onSpare := func(t *testing.T, disk *Disk, do func()) {
 		t.Helper()
-		if len(disk.spare) == 0 {
+		if disk.spare.Len() == 0 {
 			t.Fatal("no spare buffer to stage into: the case tests nothing")
 		}
 		do()

@@ -81,7 +81,7 @@ func quiesced(st *store.Store) bool {
 		if sh.Failed != "" {
 			continue // fail-stop nacked its parked work; counters are final
 		}
-		if sh.Dirty > 0 || sh.FlushesIssued != sh.FlushesDone || sh.ReplWait > 0 {
+		if sh.Dirty > 0 || sh.Counters.FlushesStarted != sh.Counters.FlushesDone || sh.ReplWait > 0 {
 			return false
 		}
 	}

@@ -163,7 +163,7 @@ type Runtime struct {
 	// workers holds every worker the runtime started; idle, those whose
 	// last thread exited with no step pending (see worker).
 	workers []*worker
-	idle    []*worker
+	idle    sim.FreeList[worker]
 
 	// inject and land carry InjectSend values and buffered sends to
 	// their channels through recycled engine events; waiters recycles
@@ -355,7 +355,7 @@ func (rt *Runtime) Shutdown() {
 		}
 		w.stop()
 	}
-	rt.workers, rt.idle = nil, nil
+	rt.workers, rt.idle = nil, sim.FreeList[worker]{}
 }
 
 func (rt *Runtime) newThread(req *spawnReq) *Thread {
@@ -395,16 +395,12 @@ type worker struct {
 
 // takeWorker returns an idle worker, starting one when none is idle.
 func (rt *Runtime) takeWorker() *worker {
-	if n := len(rt.idle); n > 0 {
-		w := rt.idle[n-1]
-		rt.idle[n-1] = nil
-		rt.idle = rt.idle[:n-1]
-		return w
+	w := rt.idle.Get()
+	if w.step == nil {
+		w.step = w.runStep
+		w.next, w.stop = iter.Pull(w.loop)
+		rt.workers = append(rt.workers, w)
 	}
-	w := &worker{}
-	w.step = w.runStep
-	w.next, w.stop = iter.Pull(w.loop)
-	rt.workers = append(rt.workers, w)
 	return w
 }
 

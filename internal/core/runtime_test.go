@@ -988,8 +988,8 @@ func TestThreadGoroutinesReused(t *testing.T) {
 		}
 	})
 	rt.Run()
-	if rt.Alive() != 0 || len(rt.idle) > 3 {
-		t.Fatalf("%d threads alive, %d idle goroutines after 101 threads ran one or two at a time", rt.Alive(), len(rt.idle))
+	if rt.Alive() != 0 || rt.idle.Len() > 3 {
+		t.Fatalf("%d threads alive, %d idle goroutines after 101 threads ran one or two at a time", rt.Alive(), rt.idle.Len())
 	}
 	rt.Shutdown()
 	waitGoroutines(t, before)
@@ -1122,8 +1122,8 @@ func TestDeadThreadIsCollectable(t *testing.T) {
 		th.Kill(victim)
 	})
 	rt.Run()
-	if rt.Alive() != 0 || len(rt.idle) == 0 {
-		t.Fatalf("%d threads alive and %d idle workers after the run", rt.Alive(), len(rt.idle))
+	if rt.Alive() != 0 || rt.idle.Len() == 0 {
+		t.Fatalf("%d threads alive and %d idle workers after the run", rt.Alive(), rt.idle.Len())
 	}
 	runtime.GC()
 	for i, w := range dead {

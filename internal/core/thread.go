@@ -408,7 +408,7 @@ func (t *Thread) letGo() {
 		return
 	}
 	t.w.t = nil
-	t.rt.idle = append(t.rt.idle, t.w)
+	t.rt.idle.Put(t.w)
 	t.w = nil
 }
 

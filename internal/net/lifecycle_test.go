@@ -50,6 +50,51 @@ func TestRetiredWithArmedRTOIsNotReused(t *testing.T) {
 	}
 }
 
+// A server that closes first retires its connection when the client's
+// FIN arrives, on rx's FIN path, and only after it has built the final
+// ACK from the record: the client's FIN is acknowledged (no
+// retransmission, the endpoint reaps cleanly), the id enters TIME_WAIT
+// as a clean close, and the record goes back on the shard's free list.
+func TestServerFirstCloseRetiresOnClientFin(t *testing.T) {
+	w := newTW(8, 1, DefaultWireParams(), 7)
+	defer w.rt.Shutdown()
+	l := w.st.Listen(80)
+	w.rt.Boot("accept", func(t *core.Thread) {
+		for {
+			c, ok := l.Accept(t)
+			if !ok {
+				return
+			}
+			c.Close(t)
+		}
+	})
+	st := w.st.states[0]
+	waiting := false
+	ep := w.nw.Dial(80, EndpointHooks{OnClose: func(ep *Endpoint) {
+		// Close once the ack of the server's FIN has landed, so that
+		// the client's FIN is all the server still waits for.
+		w.eng.After(20*w.nw.P.DelayCycles, func() {
+			c := st.conns[ep.ID]
+			waiting = c != nil && c.finSent && !c.finRcvd && c.snd.done()
+			ep.Close()
+		})
+	}})
+	w.rt.Run()
+	if !waiting {
+		t.Fatal("the server's connection was not waiting for the client's FIN alone: the case tests nothing")
+	}
+	if rec, was := st.closed[ep.ID]; len(st.conns) != 0 || !was || !rec.clean {
+		t.Fatalf("%d connections live, TIME_WAIT entry %v (clean %v), want none live and a clean entry", len(st.conns), was, rec.clean)
+	}
+	if st.free.Len() != 1 {
+		t.Fatalf("%d stack records free after the close, want 1", st.free.Len())
+	}
+	if w.nw.Retransmits != 0 || w.nw.GaveUp != 0 || w.nw.flows.Len() != 1 {
+		t.Fatalf("the client's FIN went unanswered: %d retransmits, %d gave up, %d flow records reaped (want 0, 0, 1)",
+			w.nw.Retransmits, w.nw.GaveUp, w.nw.flows.Len())
+	}
+}
+
 // A recycled stackConn starts clean: whatever its last connection left
 // in it, the SYN that reuses it sees fresh sequence state, no held or
 // queued packets, no retries, no FIN either way, no timer, the default

@@ -121,7 +121,7 @@ func (n *Network) fromHost(f machine.Frame) {
 	if !ok {
 		return
 	}
-	p := pk.take()
+	p := sim.TakeBack(pk, &pk.pool)
 	if n.drop() {
 		n.WireDrops++
 		return

@@ -92,7 +92,7 @@ func (p Packet) MsgBytes() int { return headerBytes + p.Bytes }
 // the NIC in machine.Frame.Payload as such a record. Each side issues
 // from its own pool — the stack for the frames it transmits, the wire
 // for the frames it lands on the RX rings — and the frame's one
-// consumer returns the record to the pool it came from (take):
+// consumer returns the record to the pool it came from (sim.TakeBack):
 // Network.fromHost on the way out, the stack's receive hook on the way
 // in. A frame the NIC drops at a full RX ring leaves its record to the
 // garbage collector.
@@ -101,16 +101,6 @@ func pooledPacket(pool *sim.FreeList[Packet], p Packet) *Packet {
 	*pk = p
 	pk.pool = pool
 	return pk
-}
-
-// take copies a pooled packet out and returns its record to its pool.
-func (pk *Packet) take() Packet {
-	pool := pk.pool
-	p := *pk
-	p.pool = nil
-	*pk = Packet{}
-	pool.Put(pk)
-	return p
 }
 
 // defaultWindow is the window assumed for a peer that has no receive

@@ -237,7 +237,7 @@ func NewStack(rt *core.Runtime, k *kernel.Kernel, nic *machine.NIC, p StackParam
 			nic.RxDone(queue)
 			return
 		}
-		a := s.rxFree.Hold(rxFrame{Queue: queue, Pkt: pk.take()})
+		a := s.rxFree.Hold(rxFrame{Queue: queue, Pkt: sim.TakeBack(pk, &pk.pool)})
 		s.svc.Inject(s.shardChan(a.Pkt.Conn), kernel.Request{
 			Op: "rx", Key: int(a.Pkt.Conn), Arg: a,
 		}, queue%rt.NumCores())
@@ -430,13 +430,12 @@ func (s *Stack) rx(t *core.Thread, st *shardState, p Packet) {
 		}
 		c.lastRx = s.rt.Eng.Now()
 		run := c.rcv.accept(p)
+		closed := false // the FIN completed the close
 		for i, q := range run {
 			if q.Flags&FIN != 0 {
 				c.finRcvd = true
 				c.recvCh.Close(t)
-				if c.finSent && c.snd.done() {
-					s.retire(st, c, true)
-				}
+				closed = c.finSent && c.snd.done()
 			} else if c.recvCh.TrySend(t, q.Payload) {
 				st.m.Delivered++
 			} else {
@@ -453,8 +452,14 @@ func (s *Stack) rx(t *core.Thread, st *shardState, p Packet) {
 		// Ack what was actually taken — and re-ack duplicates, so a peer
 		// whose ack was lost stops retransmitting. The advertised window
 		// tells the peer how much more the socket buffer can take: 0
-		// throttles it to probes instead of a retransmit storm.
-		s.transmit(t, st, Packet{Conn: c.id, Port: c.port, Flags: ACK, Ack: c.rcv.cumAck(), Window: s.advWindow(c)})
+		// throttles it to probes instead of a retransmit storm. A
+		// completed close retires c once the ACK is built: that is c's
+		// last use.
+		ack := Packet{Conn: c.id, Port: c.port, Flags: ACK, Ack: c.rcv.cumAck(), Window: s.advWindow(c)}
+		if closed {
+			s.retire(st, c, true)
+		}
+		s.transmit(t, st, ack)
 	}
 }
 
@@ -481,16 +486,12 @@ const timeWait = 16
 // The set is purged lazily once it grows; expiry is order-insensitive,
 // so map iteration hurts nothing.
 //
-// The record goes back on the shard's free list, but keeps its state
-// until a SYN reuses it, because rx still reads c after retiring it. A
-// record retired with its RTO armed is left to the garbage collector
-// instead: the stale timer reads c.id when it fires, and canceling it
-// would remove an engine event.
+// The record goes back on the shard's free list last, so retiring is
+// every caller's last use of c. A record retired with its RTO armed is
+// left to the garbage collector instead: the stale timer reads c.id
+// when it fires, and canceling it would remove an engine event.
 func (s *Stack) retire(st *shardState, c *stackConn, clean bool) {
 	delete(st.conns, c.id)
-	if !c.rto.Armed() {
-		st.free.Put(c)
-	}
 	now := s.rt.Eng.Now()
 	st.closed[c.id] = closedRec{at: now, clean: clean}
 	if len(st.closed) >= 512 {
@@ -500,6 +501,9 @@ func (s *Stack) retire(st *shardState, c *stackConn, clean bool) {
 				delete(st.closed, id)
 			}
 		}
+	}
+	if !c.rto.Armed() {
+		st.free.Put(c)
 	}
 }
 

@@ -53,8 +53,8 @@ func (t Timer) Armed() bool { return t.ev != nil && t.ev.gen == t.gen && t.ev.id
 type Engine struct {
 	now    Time
 	seq    uint64
-	pq     []*Event // min-heap on (When, seq)
-	free   []*Event // fired and canceled records, ready for reuse
+	pq     []*Event        // min-heap on (When, seq)
+	free   FreeList[Event] // fired and canceled records, ready for reuse
 	fired  uint64
 	halted bool
 
@@ -145,13 +145,7 @@ func (e *Engine) schedule(t Time, fn func(), observer bool) Timer {
 	if fn == nil {
 		panic("sim: nil event func")
 	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		ev = &Event{}
-	}
+	ev := e.free.Get()
 	ev.When, ev.fn, ev.seq, ev.observer = t, fn, e.seq, observer
 	e.seq++
 	ev.idx = len(e.pq)
@@ -166,7 +160,7 @@ func (e *Engine) release(ev *Event) {
 	ev.fn = nil
 	ev.idx = -1
 	ev.gen++
-	e.free = append(e.free, ev)
+	e.free.Put(ev)
 }
 
 // AtFired schedules fn on the counted-event axis instead of the clock:

@@ -3,6 +3,12 @@
 // one.
 package fifo
 
+import (
+	"math"
+
+	"chanos/internal/sim"
+)
+
 // Queue is a first-in first-out queue that keeps its backing array. A
 // pop advances a head index instead of slicing the front away, which
 // would strand the array's capacity and make the next append
@@ -88,17 +94,13 @@ func (q *Queue[T]) Reset() {
 // Pool lends backing arrays to queues that are empty most of the time,
 // such as a channel's wait queues: a push into a queue with no array
 // borrows one, and the pop or Reset that empties the queue gives it
-// back. Every element a queue pops is zeroed, so an array comes back
-// holding nothing of its last queue. The zero Pool is empty and ready
-// to use.
-type Pool[T any] struct{ free [][]T }
+// back, cleared (sim.BufList). The zero Pool is empty and ready to use.
+type Pool[T any] struct{ arrays sim.BufList[T] }
 
 // Push pushes v on q, lending q an array from p if q has none.
 func (p *Pool[T]) Push(q *Queue[T], v T) {
-	if n := len(p.free); cap(q.items) == 0 && n > 0 {
-		q.items = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if cap(q.items) == 0 {
+		q.items = p.arrays.Get()
 	}
 	q.Push(v)
 }
@@ -119,10 +121,9 @@ func (p *Pool[T]) Reset(q *Queue[T]) {
 	p.reclaim(q)
 }
 
-// reclaim takes the array of the empty queue q back into p.
+// reclaim takes the array of the empty queue q back into p, which
+// keeps every array it is given.
 func (p *Pool[T]) reclaim(q *Queue[T]) {
-	if cap(q.items) > 0 {
-		p.free = append(p.free, q.items)
-		q.items = nil
-	}
+	p.arrays.Put(q.items, math.MaxInt)
+	q.items = nil
 }

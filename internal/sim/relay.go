@@ -1,43 +1,5 @@
 package sim
 
-// FreeList recycles records of type T: Get takes the most recently put
-// record, or allocates a zero one when the list is empty, and Put hands
-// a record back. A record comes back exactly as it was put, so whoever
-// puts one clears what must not leak into its next use.
-type FreeList[T any] struct{ free []*T }
-
-// Get returns a record from the list, or a new zero record.
-func (l *FreeList[T]) Get() *T {
-	n := len(l.free)
-	if n == 0 {
-		return new(T)
-	}
-	x := l.free[n-1]
-	l.free[n-1] = nil
-	l.free = l.free[:n-1]
-	return x
-}
-
-// Put returns x to the list. The caller must hold no other use of it.
-func (l *FreeList[T]) Put(x *T) { l.free = append(l.free, x) }
-
-// Hold returns a record from the list holding v.
-func (l *FreeList[T]) Hold(v T) *T {
-	x := l.Get()
-	*x = v
-	return x
-}
-
-// Take returns the value x holds and puts x back on the list, zeroed so
-// that it keeps nothing of this use alive.
-func (l *FreeList[T]) Take(x *T) T {
-	v := *x
-	var zero T
-	*x = zero
-	l.Put(x)
-	return v
-}
-
 // Relay carries values of type T to one fixed callback through engine
 // events that allocate nothing once warm. A closure per scheduled event
 // would allocate on every call; a relay instead recycles records, each

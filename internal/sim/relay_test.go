@@ -14,12 +14,13 @@ func TestRelayReusedRecordFiresOnce(t *testing.T) {
 	r := NewRelay(e, func(v int) { got = append(got, v) })
 	r.After(10, 1)
 	e.Run()
-	if len(r.recs.free) != 1 {
-		t.Fatalf("%d records free after one fired, want 1", len(r.recs.free))
+	if r.recs.Len() != 1 {
+		t.Fatalf("%d records free after one fired, want 1", r.recs.Len())
 	}
-	rec := r.recs.free[0]
+	rec := r.recs.Get() // the one free record; put back at once
+	r.recs.Put(rec)
 	r.After(5, 2)
-	if len(r.recs.free) != 0 || rec.v != 2 {
+	if r.recs.Len() != 0 || rec.v != 2 {
 		t.Fatalf("second value did not reuse the released record")
 	}
 	e.Run()
@@ -51,8 +52,8 @@ func TestRelayOrderAndSelfScheduling(t *testing.T) {
 	if want := []int{1, 100, 50, 2, 3}; !slices.Equal(got, want) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}
-	if len(r.recs.free) != 2 {
-		t.Fatalf("%d records after the run, want 2 (two values were ever in flight at once)", len(r.recs.free))
+	if r.recs.Len() != 2 {
+		t.Fatalf("%d records after the run, want 2 (two values were ever in flight at once)", r.recs.Len())
 	}
 }
 

@@ -213,7 +213,7 @@ func (sh *shard) compactStep(t *core.Thread) {
 	if sh.dirty > 0 {
 		sh.flush(t, false)
 	}
-	c.needFlushes = sh.flushesIssued
+	c.needFlushes = sh.m.FlushesStarted
 	sh.maybeCommitEpoch(t)
 }
 
@@ -224,7 +224,7 @@ func (sh *shard) compactStep(t *core.Thread) {
 // recoverable whether or not the commit has happened yet.
 func (sh *shard) maybeCommitEpoch(t *core.Thread) {
 	c := sh.comp
-	if c == nil || !c.copied || c.sbIssued || sh.flushesDone < c.needFlushes {
+	if c == nil || !c.copied || c.sbIssued || sh.m.FlushesDone < c.needFlushes {
 		return
 	}
 	c.sbIssued = true

@@ -35,14 +35,12 @@ type ShardSnapshot struct {
 	Dirty     int    `json:"dirty"`
 	LiveBytes int    `json:"live_bytes"`
 
-	Waiters       int    `json:"waiters"`
-	ReplWait      int    `json:"repl_wait"`
-	ParkedReads   int    `json:"parked_reads"`
-	ParkedReplGet int    `json:"parked_repl_gets"`
-	FlushArmed    bool   `json:"flush_armed,omitempty"`
-	Compacting    bool   `json:"compacting,omitempty"`
-	FlushesIssued uint64 `json:"flushes_issued"`
-	FlushesDone   uint64 `json:"flushes_done"`
+	Waiters       int  `json:"waiters"`
+	ReplWait      int  `json:"repl_wait"`
+	ParkedReads   int  `json:"parked_reads"`
+	ParkedReplGet int  `json:"parked_repl_gets"`
+	FlushArmed    bool `json:"flush_armed,omitempty"`
+	Compacting    bool `json:"compacting,omitempty"`
 
 	PrimaryEpoch  uint64 `json:"primary_epoch,omitempty"`
 	PrimTail      uint64 `json:"prim_tail,omitempty"`
@@ -92,8 +90,6 @@ func (s *Store) SnapshotShards() []ShardSnapshot {
 			ParkedReplGet: len(sh.replReads),
 			FlushArmed:    sh.flushArmed,
 			Compacting:    sh.comp != nil,
-			FlushesIssued: sh.flushesIssued,
-			FlushesDone:   sh.flushesDone,
 
 			PrimaryEpoch:  sh.primaryEpoch,
 			PrimTail:      sh.primTail,

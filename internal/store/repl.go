@@ -81,9 +81,10 @@ type ReplRecord struct {
 // A batch crosses the replication wire as a *ReplBatch record from the
 // primary store's free list, naming that list (pool), and its one
 // consumer, ServeReplica, copies it out and hands the record back
-// (take) — net.Packet's rule. The transport may still hold the record
-// to retransmit it, but a retransmitted copy of a delivered packet is
-// dropped unread by the receiver's flow, so the reuse is never seen.
+// (sim.TakeBack) — net.Packet's rule. The transport may still hold
+// the record to retransmit it, but a retransmitted copy of a delivered
+// packet is dropped unread by the receiver's flow, so the reuse is
+// never seen.
 type ReplBatch struct {
 	Shard int
 	Seq   uint64
@@ -93,13 +94,6 @@ type ReplBatch struct {
 	Recs  []ReplRecord
 
 	pool *sim.FreeList[ReplBatch] // the free list a record on the wire came from
-}
-
-// take copies a batch off the wire and returns its record to its pool.
-func (b *ReplBatch) take() ReplBatch {
-	v := b.pool.Take(b)
-	v.pool = nil
-	return v
 }
 
 // MsgBytes implements core.Sized.
@@ -128,13 +122,6 @@ type ReplAck struct {
 	Err   string
 
 	pool *sim.FreeList[ReplAck] // the free list the record came from
-}
-
-// take copies an ack off the wire and returns its record to its pool.
-func (a *ReplAck) take() ReplAck {
-	v := a.pool.Take(a)
-	v.pool = nil
-	return v
 }
 
 // MsgBytes implements core.Sized.
@@ -221,7 +208,7 @@ type replShard struct {
 	// that the transport may still hold the payload to retransmit it.
 	// spare holds buffers released that way, for the batches to come.
 	shipped fifo.Queue[shippedRecs]
-	spare   [][]ReplRecord
+	spare   sim.BufList[ReplRecord]
 
 	sync       *replSync // in-flight bootstrap sweep, nil when idle
 	synced     bool      // the replica holds a complete image
@@ -290,7 +277,7 @@ func (s *Store) dialReplica(rm *ReplicaMachine, i int) *replShard {
 		},
 		OnMessage: func(_ *net.Endpoint, payload core.Msg, _ int) {
 			if a, ok := payload.(*ReplAck); ok {
-				svc.Inject(svc.Shard(i), kernel.Request{Op: "replack", Key: i, Arg: s.acks.Hold(replAckMsg{r: r, a: a.take()})}, 0)
+				svc.Inject(svc.Shard(i), kernel.Request{Op: "replack", Key: i, Arg: s.acks.Hold(replAckMsg{r: r, a: sim.TakeBack(a, &a.pool)})}, 0)
 			}
 		},
 		OnClose: func(*net.Endpoint) {
@@ -437,10 +424,7 @@ func (sh *shard) replCapture(t *core.Thread, op byte, key string, vlen int, ver 
 	if n := len(sh.open); vlen > 0 {
 		rec.Val = sh.open[n-vlen : n : n]
 	}
-	var refs []seqRef
-	if n := len(sh.refFree); n > 0 {
-		refs, sh.refFree = sh.refFree[n-1], sh.refFree[:n-1]
-	}
+	refs := sh.refFree.Get()
 	for _, r := range sh.repls {
 		r.lastSeq++
 		r.out = append(r.out, rec)
@@ -448,15 +432,6 @@ func (sh *shard) replCapture(t *core.Thread, op byte, key string, vlen int, ver 
 		sh.armAdvert(t, r) // the tail moved: advertise it before the flush ships it
 	}
 	return refs
-}
-
-// freeRefs hands an answered write's refs back to the shard's free
-// list.
-func (sh *shard) freeRefs(refs []seqRef) {
-	if refs != nil {
-		clear(refs)
-		sh.refFree = append(sh.refFree, refs[:0])
-	}
 }
 
 // armAdvert schedules a tail advertisement (once per attachment) —
@@ -507,10 +482,7 @@ func (sh *shard) replShipOutOne(t *core.Thread, r *replShard) {
 	}
 	b := ReplBatch{Shard: sh.id, Seq: r.lastSeq, Epoch: sh.epoch, Recs: r.out}
 	r.shipped.Push(shippedRecs{seq: b.Seq, recs: r.out})
-	r.out = nil
-	if n := len(r.spare); n > 0 {
-		r.out, r.spare = r.spare[n-1], r.spare[:n-1]
-	}
+	r.out = r.spare.Get()
 	sh.replSend(t, r, b)
 }
 
@@ -519,11 +491,7 @@ func (sh *shard) replShipOutOne(t *core.Thread, r *replShard) {
 // the transport still holds will ever be delivered again.
 func (r *replShard) releaseShipped() {
 	for r.shipped.Len() > 0 && r.shipped.Front().seq <= r.ackedSeq {
-		recs := r.shipped.Pop().recs
-		if len(r.spare) < replSpareBufs {
-			clear(recs)
-			r.spare = append(r.spare, recs[:0])
-		}
+		r.spare.Put(r.shipped.Pop().recs, replSpareBufs)
 	}
 }
 
@@ -549,7 +517,7 @@ func (sh *shard) replSend(t *core.Thread, r *replShard, b ReplBatch) {
 }
 
 // ship puts b on r's wire as a record from the store's batch pool; the
-// replica's ServeReplica hands the record back (ReplBatch.take).
+// replica's ServeReplica hands the record back (sim.TakeBack).
 func (sh *shard) ship(r *replShard, b ReplBatch) {
 	b.pool = &sh.s.batches
 	r.ep.Send(sh.s.batches.Hold(b), b.WireBytes())
@@ -837,7 +805,7 @@ func (sh *shard) applyRepl(t *core.Thread, b ReplBatch, reply *core.Chan) core.M
 
 // replAck returns the replica shard's receipt for seq as a record from
 // the store's ack pool, which the primary's endpoint hook hands back
-// (ReplAck.take). A parked receipt that fails is rewritten in place
+// (sim.TakeBack). A parked receipt that fails is rewritten in place
 // (pendingWrite.nackFor).
 func (sh *shard) replAck(seq uint64, err string) *ReplAck {
 	return sh.s.replAcks.Hold(ReplAck{Shard: sh.id, Seq: seq, Err: err, pool: &sh.s.replAcks})
@@ -862,7 +830,7 @@ func ServeReplica(t *core.Thread, c *net.Conn, s *Store) {
 		if !ok {
 			continue
 		}
-		b := pb.take()
+		b := sim.TakeBack(pb, &pb.pool)
 		ack := s.k.Call(t, "store", b.Shard, "repl", s.batches.Hold(b)).(*ReplAck)
 		failed := ack.Err != ""
 		c.Send(t, ack, ack.WireBytes())

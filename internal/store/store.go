@@ -38,6 +38,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -481,9 +482,9 @@ type shard struct {
 	waiters    []pendingWrite // acks riding on the next flush
 	flushArmed bool
 	// diskFree recycles the disk completion records (diskDone); refFree
-	// recycles the per-write replication refs (replCapture).
+	// the per-write replication refs, from replCapture to the answer.
 	diskFree sim.FreeList[diskDone]
-	refFree  [][]seqRef
+	refFree  sim.BufList[seqRef]
 
 	// The group-commit timer's callback is built once per shard;
 	// flushFrom is the core that armed the pending timer.
@@ -525,10 +526,6 @@ type shard struct {
 	liveBytes int
 	// comp is the in-flight compaction, nil when idle (compact.go).
 	comp *compaction
-	// flushesIssued/flushesDone sequence this shard's log writes; the
-	// disk is serial FIFO, so "done == the count issued at time T" means
-	// everything issued up to T is on the platters.
-	flushesIssued, flushesDone uint64
 	// failed, once set, fail-stops the shard: a log write failed, so
 	// the in-memory state is no longer a prefix-consistent view of the
 	// disk. Every subsequent request is refused with this error; a
@@ -1124,7 +1121,6 @@ func (sh *shard) flush(t *core.Thread, sealed bool) {
 	d.batch, sh.waiters = sh.waiters, d.batch
 	sh.dirty = 0
 	sh.m.FlushesStarted++
-	sh.flushesIssued++
 	sh.m.BatchSize.Add(uint64(len(d.batch)))
 	d.at, d.block, d.sealed = sh.now(), sh.openBlock, sealed
 	sh.m.flight.Record(d.at, "flush", "", uint64(len(d.batch)), uint64(d.block))
@@ -1141,7 +1137,6 @@ func (sh *shard) flush(t *core.Thread, sealed bool) {
 // hand out state a restart provably diverges from.
 func (sh *shard) flushed(t *core.Thread, d *diskDone) {
 	sh.m.FlushesDone++
-	sh.flushesDone++
 	sh.m.FlushedRecords += uint64(len(d.batch))
 	sh.m.FlushLatency.Add(sh.now() - d.at)
 	if !d.ok {
@@ -1210,7 +1205,7 @@ func (sh *shard) ack(t *core.Thread, pw pendingWrite, quorum bool) {
 		sh.m.AckedLocal++
 	}
 	sh.m.writesInFlight--
-	sh.freeRefs(pw.refs)
+	sh.refFree.Put(pw.refs, math.MaxInt)
 	if pw.reply != nil {
 		pw.reply.Send(t, pw.res)
 	}
@@ -1225,7 +1220,7 @@ func (sh *shard) nackBatch(t *core.Thread, batch []pendingWrite, err string) {
 			sh.m.WriteErrors++
 			sh.m.writesInFlight--
 		}
-		sh.freeRefs(pw.refs)
+		sh.refFree.Put(pw.refs, math.MaxInt)
 		if pw.reply != nil {
 			pw.reply.Send(t, pw.nackFor(err))
 		}

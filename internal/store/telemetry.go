@@ -33,6 +33,10 @@ type StoreCounters struct {
 	DeleteMisses               uint64 // DELETEs of absent keys (nothing to make durable)
 	WriteErrors                uint64 // PUT/DELETEs refused or nacked with an error (excl. LogFull)
 
+	// FlushesStarted and FlushesDone also sequence the shard's log
+	// writes: the disk is serial FIFO, so once FlushesDone reaches the
+	// FlushesStarted of time T, every flush issued by T is on the
+	// platters (compaction's epoch barrier, chaos's quiescence).
 	FlushesStarted, FlushesDone uint64
 	FlushedRecords              uint64
 	AckedWrites                 uint64 // write acks sent (durability confirmed)
