@@ -155,7 +155,11 @@ type Runtime struct {
 	nextID int
 	nextCh int
 
-	idleStack []int // cores that went idle with nothing stealable
+	// idleStack holds the cores that went idle with nothing stealable,
+	// the most recently idled on top; idleGen marks, during a compaction,
+	// which cores' latest entry is already kept (see pushIdle).
+	idleStack []int
+	idleGen   uint64
 
 	threads map[int]*Thread
 	stats   Stats
@@ -183,9 +187,10 @@ type coreState struct {
 	id       int
 	cur      *Thread // thread currently owning the core (running or mid-op)
 	runq     fifo.Queue[*Thread]
-	lastTID  int  // last thread that ran; used to charge context switches
-	idle     bool // parked with empty queue, waiting for a kick
-	assigned int  // live threads placed on this core
+	lastTID  int    // last thread that ran; used to charge context switches
+	idle     bool   // parked with empty queue, waiting for a kick
+	assigned int    // live threads placed on this core
+	keptGen  uint64 // rt.idleGen of the compaction that kept this core's entry
 }
 
 // NewRuntime builds a runtime over machine m.
@@ -205,7 +210,7 @@ func NewRuntime(m *machine.Machine, cfg Config) *Runtime {
 		rt.sched = &roundRobin{}
 	}
 	rt.cores = make([]*coreState, m.NumCores())
-	rt.idleStack = make([]int, 0, m.NumCores())
+	rt.idleStack = make([]int, 0, 2*m.NumCores())
 	for i := range rt.cores {
 		rt.cores[i] = &coreState{id: i, lastTID: -1, idle: true}
 	}
@@ -449,6 +454,33 @@ func (rt *Runtime) makeReady(t *Thread) {
 	}
 }
 
+// pushIdle marks cs idle and puts it on top of the idle stack. A core
+// that dispatch wakes directly leaves its entry behind, so the stack would
+// grow with simulated time; once it holds two entries per core, pushIdle
+// drops in place every entry a kick would skip: that of a core no longer
+// idle and any but the latest of an idle core, which lies below the latest
+// and is reached only after a kick has taken that core. What is left is one
+// entry per idle core in the same order, so every kick finds the same core,
+// and the stack never outgrows its first array.
+func (rt *Runtime) pushIdle(cs *coreState) {
+	cs.idle = true
+	rt.idleStack = append(rt.idleStack, cs.id)
+	if len(rt.idleStack) < 2*len(rt.cores) {
+		return
+	}
+	rt.idleGen++
+	w := len(rt.idleStack)
+	for r := w - 1; r >= 0; r-- {
+		c := rt.cores[rt.idleStack[r]]
+		if c.idle && c.keptGen != rt.idleGen {
+			c.keptGen = rt.idleGen
+			w--
+			rt.idleStack[w] = c.id
+		}
+	}
+	rt.idleStack = rt.idleStack[:copy(rt.idleStack, rt.idleStack[w:])]
+}
+
 // kickIdleCore wakes one idle core so its scheduler can attempt a steal.
 func (rt *Runtime) kickIdleCore() {
 	for len(rt.idleStack) > 0 {
@@ -483,8 +515,7 @@ func (rt *Runtime) dispatch(cs *coreState) {
 			t = st
 		} else {
 			if !cs.idle {
-				cs.idle = true
-				rt.idleStack = append(rt.idleStack, cs.id)
+				rt.pushIdle(cs)
 			}
 			return
 		}

@@ -24,6 +24,11 @@ echo "== chanos-vet ./... (determinism + no-shared-memory contracts)"
 # //chanos:allow waivers, which the tool counts and prints.
 go run ./cmd/chanos-vet ./...
 
+echo "== bash -n scripts/*.sh"
+# The scripts run outside go test (perfpair.sh only by hand), so a syntax
+# error in one would otherwise go unnoticed until someone runs it.
+for f in scripts/*.sh; do bash -n "$f"; done
+
 echo "== gofmt check"
 badfmt=$(gofmt -l .)
 if [ -n "$badfmt" ]; then
