@@ -186,24 +186,27 @@ func main() {
 		}
 	})
 
-	// With tracing on, statd sweeps the scheduler and emits per-core
-	// run-queue depth and busy-permille counter series into the same
-	// timeline — Perfetto shows load imbalance alongside the run
-	// segments. The sweep is engine-context and costs the simulated
-	// machine nothing, so the trace stays behaviour-neutral. Started
-	// only now: its perpetual re-arm would keep the boot-phase Run()
-	// (which drains to quiescence) from ever returning.
-	if collector != nil {
+	window := m.Cycles(*seconds)
+	if collector == nil {
+		rt.RunFor(window)
+	} else {
+		// With tracing on, the window runs as 1M-cycle slices, and
+		// between slices statd's per-core run-queue depth, assigned
+		// threads and busy permille go into the same timeline as
+		// counter series: Perfetto shows load imbalance alongside the
+		// run segments. Slicing the window moves no event and a
+		// snapshot schedules none, so the trace stays behaviour-neutral.
 		sd := telemetry.NewStatd(eng)
-		sd.Tracer = collector
 		sd.Register("sched", telemetry.NewSchedSource(rt, func(c int) uint64 {
 			return uint64(m.Core(c).Utilization(eng.Now()) * 1000)
 		}))
-		sd.Start()
+		for end := eng.Now() + window; eng.Now() < end; {
+			rt.RunFor(min(1_000_000, end-eng.Now()))
+			for _, v := range sd.SnapshotNow().Service("sched").Totals {
+				collector.Counter("sched."+v.Name, eng.Now(), float64(v.V))
+			}
+		}
 	}
-
-	window := m.Cycles(*seconds)
-	rt.RunFor(window)
 
 	var totalOps uint64
 	for _, c := range counts {
@@ -329,12 +332,19 @@ func runKVLoad(w *dump.World, statsEvery float64) *dump.Report {
 	}
 
 	// The live line reads the snapshot the STATS wire verb serves, in
-	// host context between slices: it costs the machine no cycles.
+	// host context between slices: it costs the machine no cycles. It
+	// prints every statsEvery ms rounded up to whole slices, and its
+	// first rate counts from the start of the fleet phase, not of the
+	// prefill.
 	if statsEvery > 0 {
-		stride := int(sys.Cycles(statsEvery/1e3)/w.Slice()) + 1
+		slice := w.Slice()
+		stride := max(1, int((sys.Cycles(statsEvery/1e3)+slice-1)/slice))
 		var lastResp, lastHits, lastMisses uint64
-		lastAt := sys.Now()
+		var lastAt sim.Time
 		w.OnSlice = func(i int) {
+			if i == 0 {
+				lastAt = sys.Now() - slice
+			}
 			if (i+1)%stride != 0 {
 				return
 			}

@@ -85,6 +85,75 @@ func TestGoldenOutput(t *testing.T) {
 	}
 }
 
+// chanos-sim -cores 8 -clients 4 -seconds 0.0022 -seed 3
+// chanos-sim -cores 8 -clients 4 -seconds 0.0022 -seed 3 -trace F
+//
+// A traced VFS run prints the untraced run's report plus its trace
+// line: the trace observes the machine without moving it. Its 4.4M-cycle
+// window runs as 1M-cycle slices, and F holds one sample of each sched
+// gauge at every slice boundary — 0.5 ms apart at 2 GHz, the last
+// after the 0.4M-cycle remainder — besides the run segments.
+func TestTracedRunMatchesUntraced(t *testing.T) {
+	args := []string{"-cores", "8", "-clients", "4", "-seconds", "0.0022", "-seed", "3"}
+	plain := wantExit(t, 0, args...)
+	path := filepath.Join(t.TempDir(), "trace.json")
+	traced := wantExit(t, 0, append(args, "-trace", path)...)
+	lines := strings.Split(traced, "\n")
+	lines = slices.DeleteFunc(lines, func(l string) bool { return strings.HasPrefix(l, "  trace ") })
+	if len(lines) != len(strings.Split(traced, "\n"))-1 {
+		t.Fatalf("traced stdout has no single trace line:\n%s", traced)
+	}
+	if got := strings.Join(lines, "\n"); got != plain {
+		t.Fatalf("traced stdout differs from the untraced run's:\ngot:\n%s\nwant:\n%s", got, plain)
+	}
+
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []struct {
+		Name string  `json:"name"`
+		Ph   string  `json:"ph"`
+		TS   float64 `json:"ts"`
+	}
+	if err := json.Unmarshal(b, &evs); err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string][]float64{}
+	var segments int
+	var lastStart float64
+	for _, ev := range evs {
+		switch ev.Ph {
+		case "C":
+			samples[ev.Name] = append(samples[ev.Name], ev.TS)
+		case "X":
+			segments++
+			lastStart = max(lastStart, ev.TS)
+		}
+	}
+	if segments == 0 {
+		t.Fatal("trace holds no run segments")
+	}
+	wantGaps := []float64{500, 500, 500, 200}
+	for _, name := range []string{"sched.RunQueue", "sched.Assigned", "sched.BusyPermille"} {
+		ts := samples[name]
+		if len(ts) != len(wantGaps)+1 {
+			t.Fatalf("%s: %d samples at %v, want one per slice (%d)", name, len(ts), ts, len(wantGaps)+1)
+		}
+		for i, gap := range wantGaps {
+			if d := ts[i+1] - ts[i]; d < gap-0.01 || d > gap+0.01 {
+				t.Fatalf("%s: samples at %v, want gaps %v µs", name, ts, wantGaps)
+			}
+		}
+		if ts[len(ts)-1] < lastStart {
+			t.Fatalf("%s: last sample at %.3f µs, before the last run segment (%.3f µs)", name, ts[len(ts)-1], lastStart)
+		}
+	}
+	if len(samples) != 3 {
+		t.Fatalf("trace holds counter series %v, want the three sched gauges", samples)
+	}
+}
+
 // chanos-sim -scenario cluster -machines 3 -rf 2 -cores 8 -requests 200 -keys 120 -seed 9
 func TestClusterScenarioLosesNothing(t *testing.T) {
 	wantExit(t, 0, "-scenario", "cluster", "-machines", "3", "-rf", "2", "-cores", "8", "-requests", "200", "-keys", "120", "-seed", "9")

@@ -9,9 +9,9 @@ import (
 
 // Collector captures a world's serving machines into a Dump, one
 // MachineDump per entry of Nodes (with each machine's replica stores).
-// Snapshot must run between engine events — host context or an
-// observer event — the same single-goroutine window every telemetry
-// collector uses.
+// Snapshot must run between engine events — from the host between
+// drive slices or from an engine trigger (sim.Engine.AfterEvent) — the
+// same single-goroutine window every telemetry read uses.
 type Collector struct {
 	Eng   *sim.Engine
 	Nodes []*store.Machine
@@ -26,7 +26,7 @@ type Collector struct {
 }
 
 // Snapshot captures every machine now. EventCount is the engine's
-// counted-event clock at this instant — the replay coordinate.
+// fired-event count at this instant — the replay coordinate.
 func (c *Collector) Snapshot(reason string) *Dump {
 	d := &Dump{
 		Version:    Version,
@@ -60,12 +60,12 @@ func (c *Collector) Snapshot(reason string) *Dump {
 }
 
 // OnFailStop arms automatic core dumps: when any store shard (primary
-// or replica) fail-stops, an observer event is scheduled at the current
-// instant, and when it runs — after the failing event completes, with
-// the counted-event clock untouched — fn receives the full dump. Only
-// the first fail-stop dumps; cascades reference the same root cause.
-// The observer event never perturbs the counted event sequence, so
-// arming this changes nothing about the run.
+// or replica) fail-stops, the capture is armed with AfterEvent, and
+// once the failing event and its triggers have returned — before the
+// next event pops — fn receives the full dump. That is the state a
+// replay halted at the dump's EventCount rests in. Only the first
+// fail-stop dumps; cascades reference the same root cause. The capture
+// adds no event, so arming this changes nothing about the run.
 func (c *Collector) OnFailStop(fn func(*Dump)) {
 	arm := func(s *store.Store, who string) {
 		s.FailStopHook = func(shard int, errMsg string) {
@@ -74,7 +74,7 @@ func (c *Collector) OnFailStop(fn func(*Dump)) {
 			}
 			c.dumped = true
 			reason := fmt.Sprintf("fail-stop: %s shard %d: %s", who, shard, errMsg)
-			c.Eng.ObserveAt(c.Eng.Now(), func() { fn(c.Snapshot(reason)) })
+			c.Eng.AfterEvent(func() { fn(c.Snapshot(reason)) })
 		}
 	}
 	for i, m := range c.Nodes {

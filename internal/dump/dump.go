@@ -7,7 +7,7 @@
 // events and stamped with the (seed, config, event-count) triple.
 // Because the simulation is deterministic, that triple is a complete
 // reproduction recipe: re-run the same scenario from the same seed and
-// halt after the same number of counted events, and every machine is
+// halt after the same number of fired events, and every machine is
 // back in the dumped state, one event away from the failure.
 //
 // Dumps are written automatically on invariant failures and shard
@@ -92,9 +92,9 @@ type Dump struct {
 	Config  Config `json:"config"`
 
 	// EventCount is the dump's position on the engine's deterministic
-	// clock: the number of counted (non-observer) events fired when the
-	// capturing observer event ran. Replaying the same seed+config with
-	// StopAtFired(EventCount) halts the engine in exactly this state.
+	// clock: the number of events fired when the capture ran, between
+	// events. Replaying the same seed+config with StopAtFired(EventCount)
+	// halts the engine in exactly this state.
 	EventCount uint64   `json:"event_count"`
 	AtCycles   sim.Time `json:"at_cycles"`
 

@@ -1,6 +1,7 @@
 package dump
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -125,6 +126,57 @@ func TestDumpDifferential(t *testing.T) {
 	redump := c.Snapshot(orig.Reason)
 	if !Equal(orig, redump) {
 		t.Fatalf("replayed state differs from dump:\n%s", strings.Join(Diff(orig, redump), "\n"))
+	}
+}
+
+// TestFailStopCaptureIsInvisible: a capture that actually trips costs
+// the machine nothing. The same world with its injected write failure
+// runs twice, once with OnFailStop armed and once without; both end
+// with the same event count, clock and report, and the armed run's
+// dump replays exactly.
+func TestFailStopCaptureIsInvisible(t *testing.T) {
+	type outcome struct {
+		fired, now                   uint64
+		report                       Report
+		responses, completed, failed uint64
+		p50, p99                     uint64
+	}
+	run := func(arm bool) (outcome, *Dump) {
+		w := Build(7, testConfig())
+		defer w.Close()
+		var d *Dump
+		if arm {
+			w.C.OnFailStop(func(got *Dump) { d = got })
+		}
+		r := w.Run()
+		o := outcome{
+			fired: w.C.Eng.Fired(), now: w.C.Eng.Now(), report: *r,
+			responses: r.Pool.Responses, completed: r.Pool.Completed, failed: r.Pool.Failed,
+			p50: r.Pool.Lat.Percentile(50), p99: r.Pool.Lat.Percentile(99),
+		}
+		o.report.Pool = nil
+		return o, d
+	}
+	plain, none := run(false)
+	armed, d := run(true)
+	if none != nil || d == nil {
+		t.Fatalf("dump captured unarmed: %v; armed: %v", none != nil, d != nil)
+	}
+	if plain.report.Errs == 0 {
+		t.Fatal("the injected write failure failed no request")
+	}
+	if !reflect.DeepEqual(plain, armed) {
+		t.Fatalf("arming the capture moved the run:\n  unarmed: %+v\n  armed:   %+v", plain, armed)
+	}
+	w, _, err := Replay(d)
+	if w != nil {
+		defer w.Close()
+	}
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if redump := w.Driver().C.Snapshot(d.Reason); !Equal(d, redump) {
+		t.Fatalf("replayed state differs from the tripped capture:\n%s", strings.Join(Diff(d, redump), "\n"))
 	}
 }
 

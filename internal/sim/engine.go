@@ -25,13 +25,6 @@ type Event struct {
 	seq  uint64
 	gen  uint64 // bumped on every recycle; a Timer matches only its own
 	idx  int    // heap index, -1 while the record is not queued
-	// observer events fire normally but are invisible to the event
-	// count: Fired() does not include them and StopAtFired does not halt
-	// on them. They are for machinery that watches the machine (statd
-	// sweeps, dump triggers) — with the count blind to them, "replay to
-	// event N" lands on the same instant whether observation was armed
-	// or not.
-	observer bool
 }
 
 // Timer is a handle on one scheduled event. Records are reused, so a
@@ -59,23 +52,24 @@ type Engine struct {
 	halted bool
 
 	// stopAtFired, when non-zero, halts the run loop the moment `fired`
-	// reaches it — BEFORE the next counted event pops, so the machine
-	// rests exactly at the state after counted event N. stopReached
-	// latches when the limit trips (it also suppresses RunUntil's final
-	// clock-force, so Now() stays at the last counted event's time).
+	// reaches it — BEFORE the next event pops, so the machine rests
+	// exactly at the state after event N. stopReached latches when the
+	// limit trips (it also suppresses RunUntil's final clock-force, so
+	// Now() stays at the last event's time).
 	stopAtFired uint64
 	stopReached bool
 
-	// triggers are callbacks armed on the counted-event axis (AtFired),
-	// kept sorted by (n, seq) from index thead on and drained after each
-	// counted event. Draining advances thead; the slice rewinds to its
-	// start whenever it empties, so its backing array is reused.
+	// triggers are callbacks armed on the fired-event axis (AtFired,
+	// AfterEvent), kept sorted by (n, seq) from index thead on and
+	// drained after each event. Draining advances thead; the slice
+	// rewinds to its start whenever it empties, so its backing array is
+	// reused.
 	triggers []firedTrigger
 	thead    int
 }
 
-// firedTrigger is one AtFired arming: fn runs the moment Fired()
-// reaches n, immediately after counted event n's own callback returns.
+// firedTrigger is one AtFired or AfterEvent arming: fn runs the moment
+// Fired() reaches n, immediately after event n's own callback returns.
 type firedTrigger struct {
 	n   uint64
 	seq uint64
@@ -90,18 +84,19 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Fired returns the number of counted events executed so far. Observer
-// events (ObserveAt/ObserveAfter) are excluded: the count is the
-// replay coordinate a core dump records, and it must be identical with
-// observation on or off.
+// Fired returns the number of events executed so far. Every event
+// counts: the count is the replay coordinate a core dump records, so
+// observation never schedules an event — it reads the machine from the
+// host between events, or from a trigger (AtFired, AfterEvent), which
+// the count does not include.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// StopAtFired arms a halt just before counted event n+1: once Fired()
-// reaches n, Step refuses to pop further events and Run/RunUntil
-// return with the clock at counted event n's time. 0 disarms. This is
-// the time-travel half of the dump contract — replaying a seed with
-// StopAtFired(dump.EventCount) parks the machine in exactly the
-// dumped state.
+// StopAtFired arms a halt just before event n+1: once Fired() reaches
+// n, Step refuses to pop further events and Run/RunUntil return with
+// the clock at event n's time. 0 disarms. This is the time-travel half
+// of the dump contract — replaying a seed with
+// StopAtFired(dump.EventCount) parks the machine in exactly the dumped
+// state.
 func (e *Engine) StopAtFired(n uint64) {
 	e.stopAtFired = n
 	e.stopReached = n > 0 && e.fired >= n
@@ -116,29 +111,6 @@ func (e *Engine) Pending() int { return len(e.pq) }
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently reorder causality, which is always a bug in callers.
 func (e *Engine) At(t Time, fn func()) Timer {
-	return e.schedule(t, fn, false)
-}
-
-// After schedules fn to run d cycles from now.
-func (e *Engine) After(d Time, fn func()) Timer {
-	return e.At(e.now+d, fn)
-}
-
-// ObserveAt schedules an observer event at absolute time t: it fires
-// like any event but does not advance Fired() and cannot trip
-// StopAtFired. Observer callbacks must not mutate simulated machine
-// state — they exist so telemetry sweeps and dump triggers leave the
-// replay coordinate system untouched.
-func (e *Engine) ObserveAt(t Time, fn func()) Timer {
-	return e.schedule(t, fn, true)
-}
-
-// ObserveAfter schedules an observer event d cycles from now.
-func (e *Engine) ObserveAfter(d Time, fn func()) Timer {
-	return e.ObserveAt(e.now+d, fn)
-}
-
-func (e *Engine) schedule(t Time, fn func(), observer bool) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d in the past (now %d)", t, e.now))
 	}
@@ -146,12 +118,17 @@ func (e *Engine) schedule(t Time, fn func(), observer bool) Timer {
 		panic("sim: nil event func")
 	}
 	ev := e.free.Get()
-	ev.When, ev.fn, ev.seq, ev.observer = t, fn, e.seq, observer
+	ev.When, ev.fn, ev.seq = t, fn, e.seq
 	e.seq++
 	ev.idx = len(e.pq)
 	e.pq = append(e.pq, ev)
 	e.up(ev.idx)
 	return Timer{ev: ev, gen: ev.gen}
+}
+
+// After schedules fn to run d cycles from now.
+func (e *Engine) After(d Time, fn func()) Timer {
+	return e.At(e.now+d, fn)
 }
 
 // release retires a record that has left the heap: the generation bump
@@ -163,21 +140,34 @@ func (e *Engine) release(ev *Event) {
 	e.free.Put(ev)
 }
 
-// AtFired schedules fn on the counted-event axis instead of the clock:
-// it runs once Fired() reaches n, immediately after counted event n's
-// own callback returns and before the next event pops. This is the
-// chaos harness's event-count trigger — because it keys off the same
+// AtFired schedules fn on the fired-event axis instead of the clock:
+// it runs once Fired() reaches n, immediately after event n's own
+// callback returns and before the next event pops. This is the chaos
+// harness's event-count trigger — because it keys off the same
 // coordinate StopAtFired halts on, a fault armed at event N lands at
 // the identical instant in an original run and in a dump replay,
 // whatever the wall-clock of event N turns out to be. Arming a trigger
 // at or before the current count panics, like scheduling in the past.
 // Triggers with equal n run in arming order.
 func (e *Engine) AtFired(n uint64, fn func()) {
-	if fn == nil {
-		panic("sim: nil AtFired func")
-	}
 	if n <= e.fired {
 		panic(fmt.Sprintf("sim: AtFired trigger at event %d in the past (fired %d)", n, e.fired))
+	}
+	e.trigger(n, fn)
+}
+
+// AfterEvent runs fn once the running event and every trigger already
+// armed for it have returned, before the next event pops — the instant
+// between events that a replay halted at this Fired() rests in. It is
+// how engine-context code observes the machine: a fail-stop hook arms
+// its dump capture here, and the capture adds no event. Call it from
+// an event or a trigger.
+func (e *Engine) AfterEvent(fn func()) { e.trigger(e.fired, fn) }
+
+// trigger inserts fn at count n, after every trigger already armed at n.
+func (e *Engine) trigger(n uint64, fn func()) {
+	if fn == nil {
+		panic("sim: nil trigger func")
 	}
 	tr := firedTrigger{n: n, seq: e.seq, fn: fn}
 	e.seq++
@@ -205,9 +195,7 @@ func (e *Engine) Cancel(t Timer) {
 // remain or an armed StopAtFired limit has been reached.
 func (e *Engine) Step() bool {
 	if e.stopAtFired > 0 && e.fired >= e.stopAtFired {
-		// The machine rests exactly after counted event N: nothing more
-		// pops — not even pending observer events, which never mutate
-		// machine state anyway.
+		// The machine rests exactly after event N: nothing more pops.
 		e.stopReached = true
 		e.halted = true
 		return false
@@ -221,26 +209,22 @@ func (e *Engine) Step() bool {
 		panic("sim: event heap returned an event in the past")
 	}
 	e.now = ev.When
-	fn, observer := ev.fn, ev.observer
+	fn := ev.fn
 	// Recycle before the callback runs: it may schedule into the same
 	// record, and every handle on the fired event must already be inert.
 	e.release(ev)
-	if !observer {
-		e.fired++
-	}
+	e.fired++
 	fn()
-	if !observer {
-		// Drain fired-count triggers: each may arm more (at strictly
-		// higher n), so re-check the head every iteration.
-		for e.thead < len(e.triggers) && e.triggers[e.thead].n <= e.fired {
-			tfn := e.triggers[e.thead].fn
-			e.triggers[e.thead] = firedTrigger{}
-			e.thead++
-			if e.thead == len(e.triggers) {
-				e.triggers, e.thead = e.triggers[:0], 0
-			}
-			tfn()
+	// Drain fired-count triggers: each may arm more (AfterEvent at this
+	// count, AtFired above it), so re-check the head every iteration.
+	for e.thead < len(e.triggers) && e.triggers[e.thead].n <= e.fired {
+		tfn := e.triggers[e.thead].fn
+		e.triggers[e.thead] = firedTrigger{}
+		e.thead++
+		if e.thead == len(e.triggers) {
+			e.triggers, e.thead = e.triggers[:0], 0
 		}
+		tfn()
 	}
 	return true
 }
@@ -261,8 +245,8 @@ func (e *Engine) RunUntil(t Time) {
 		e.Step()
 	}
 	if e.now < t && !e.stopReached {
-		// A tripped StopAtFired pins the clock to the last counted
-		// event's time: replay must come to rest at the dumped instant,
+		// A tripped StopAtFired pins the clock to the last event's
+		// time: replay must come to rest at the dumped instant,
 		// not at the caller's slice boundary.
 		e.now = t
 	}

@@ -2,74 +2,8 @@ package sim
 
 import "testing"
 
-// TestObserverEventsDoNotCount is the dump subsystem's coordinate
-// contract: observer events fire at their scheduled instants but leave
-// Fired() — the replay coordinate — untouched, so a run with observers
-// armed and one without count the same events in the same order.
-func TestObserverEventsDoNotCount(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.At(10, func() { order = append(order, "a") })
-	e.ObserveAt(10, func() { order = append(order, "obs") })
-	e.At(10, func() { order = append(order, "b") })
-	e.ObserveAfter(20, func() { order = append(order, "obs2") })
-	e.At(30, func() { order = append(order, "c") })
-	e.Run()
-	if e.Fired() != 3 {
-		t.Fatalf("Fired() = %d, want 3 (observers must not count)", e.Fired())
-	}
-	want := []string{"a", "obs", "b", "obs2", "c"}
-	if len(order) != len(want) {
-		t.Fatalf("ran %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("ran %v, want %v", order, want)
-		}
-	}
-}
-
-// TestObserverInsertionPreservesCountedOrder checks that interleaving
-// an observer between counted events shifts nothing: the Nth counted
-// event is the same event at the same time either way.
-func TestObserverInsertionPreservesCountedOrder(t *testing.T) {
-	run := func(observe bool) (times []Time, fired uint64) {
-		e := NewEngine()
-		var rearm func()
-		step := Time(0)
-		rearm = func() {
-			step += 5
-			if step > 50 {
-				return
-			}
-			e.After(5, func() { times = append(times, e.Now()); rearm() })
-		}
-		rearm()
-		if observe {
-			var sweep func()
-			sweep = func() { e.ObserveAfter(3, sweep) }
-			e.ObserveAfter(3, func() { sweep() })
-		}
-		e.RunUntil(40)
-		return times, e.Fired()
-	}
-	plainT, plainN := run(false)
-	obsT, obsN := run(true)
-	if plainN != obsN {
-		t.Fatalf("fired diverged: %d without observers, %d with", plainN, obsN)
-	}
-	if len(plainT) != len(obsT) {
-		t.Fatalf("counted schedule diverged: %v vs %v", plainT, obsT)
-	}
-	for i := range plainT {
-		if plainT[i] != obsT[i] {
-			t.Fatalf("counted schedule diverged at %d: %v vs %v", i, plainT, obsT)
-		}
-	}
-}
-
 // TestStopAtFired replays a run to event N: the engine halts with
-// exactly N counted events executed and the clock at event N's time,
+// exactly N events executed and the clock at event N's time,
 // ignoring the RunUntil target's clock-force.
 func TestStopAtFired(t *testing.T) {
 	build := func() (*Engine, *int) {
@@ -112,28 +46,12 @@ func TestStopAtFired(t *testing.T) {
 	}
 }
 
-// TestStopAtFiredSkipsPendingObservers: once the limit trips, pending
-// observer events do not fire either — the machine state a redump sees
-// is the state right after counted event N.
-func TestStopAtFiredSkipsPendingObservers(t *testing.T) {
-	e := NewEngine()
-	counted, observed := 0, 0
-	e.At(10, func() { counted++ })
-	e.ObserveAt(10, func() { observed++ })
-	e.At(20, func() { counted++ })
-	e.StopAtFired(1)
-	e.Run()
-	if counted != 1 || observed != 0 {
-		t.Fatalf("counted=%d observed=%d, want 1/0", counted, observed)
-	}
-}
-
 // TestAtFired covers the counted-event trigger axis the chaos harness
 // arms its ev: clauses on: a trigger runs immediately after counted
 // event n's callback (same instant, before the next event pops), equal
-// arming counts run in arming order, observer events never advance the
-// axis, and arming at or before the current count panics like
-// scheduling in the past.
+// arming counts run in arming order, triggers are not counted, and
+// arming at or before the current count panics like scheduling in the
+// past.
 func TestAtFired(t *testing.T) {
 	e := NewEngine()
 	var order []string
@@ -141,7 +59,6 @@ func TestAtFired(t *testing.T) {
 		i := i
 		e.At(i*10, func() { order = append(order, "ev") })
 	}
-	e.ObserveAt(15, func() { order = append(order, "obs") })
 	e.AtFired(2, func() { order = append(order, "trigB") })
 	e.AtFired(2, func() {
 		order = append(order, "trigC")
@@ -151,7 +68,7 @@ func TestAtFired(t *testing.T) {
 	})
 	e.AtFired(4, func() { order = append(order, "trigD") })
 	e.Run()
-	want := []string{"ev", "obs", "ev", "trigB", "trigC", "ev", "ev", "trigD", "ev"}
+	want := []string{"ev", "ev", "trigB", "trigC", "ev", "ev", "trigD", "ev"}
 	if len(order) != len(want) {
 		t.Fatalf("ran %v, want %v", order, want)
 	}
@@ -161,7 +78,7 @@ func TestAtFired(t *testing.T) {
 		}
 	}
 	if e.Fired() != 5 {
-		t.Fatalf("Fired() = %d, want 5 (triggers and observers must not count)", e.Fired())
+		t.Fatalf("Fired() = %d, want 5 (triggers must not count)", e.Fired())
 	}
 
 	defer func() {
@@ -189,5 +106,61 @@ func TestAtFiredArmsMoreWork(t *testing.T) {
 	}
 	if e.Fired() != 2 {
 		t.Fatalf("Fired() = %d, want 2", e.Fired())
+	}
+}
+
+// TestAfterEvent: a callback armed from an event runs after that
+// event's own callback and after the triggers already armed at its
+// count — including one armed by an earlier AfterEvent — but before
+// the next event pops, at the same instant, and is not counted.
+func TestAfterEvent(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.At(10, func() {
+		order = append(order, "ev1")
+		e.AfterEvent(func() {
+			order = append(order, "after")
+			if e.Now() != 10 || e.Fired() != 1 {
+				t.Fatalf("AfterEvent ran at cycle %d, fired %d; want 10, 1", e.Now(), e.Fired())
+			}
+			e.AfterEvent(func() { order = append(order, "after2") })
+		})
+	})
+	e.At(10, func() { order = append(order, "ev2") })
+	e.AtFired(1, func() { order = append(order, "trig") })
+	e.Run()
+	want := []string{"ev1", "trig", "after", "after2", "ev2"}
+	if len(order) != len(want) {
+		t.Fatalf("ran %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("ran %v, want %v", order, want)
+		}
+	}
+	if e.Fired() != 2 {
+		t.Fatalf("Fired() = %d, want 2 (AfterEvent must not count)", e.Fired())
+	}
+}
+
+// TestAfterEventFromTheLastEvent: armed from the last event a run
+// pops — the world's last, or the last before a StopAtFired halt — the
+// callback still runs before Run returns, so a capture armed by the
+// failing event is never lost to an empty heap or a replay halt.
+func TestAfterEventFromTheLastEvent(t *testing.T) {
+	for _, stop := range []uint64{0, 1} {
+		e := NewEngine()
+		ran := 0
+		e.At(10, func() { e.AfterEvent(func() { ran++ }) })
+		if stop == 0 {
+			e.At(20, func() { e.AfterEvent(func() { ran++ }) })
+		} else {
+			e.At(20, func() { t.Fatal("event 2 popped past StopAtFired(1)") })
+			e.StopAtFired(stop)
+		}
+		e.Run()
+		if want := 2 - int(stop); ran != want {
+			t.Fatalf("stop=%d: %d AfterEvent callbacks ran, want %d", stop, ran, want)
+		}
 	}
 }

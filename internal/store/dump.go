@@ -63,8 +63,8 @@ type ShardSnapshot struct {
 }
 
 // SnapshotShards captures every shard in shard order. Read-only on the
-// shards; call between engine events (host context or an observer
-// event), the same window every telemetry collector uses.
+// shards; call between engine events (host context or an engine
+// trigger), the same window every telemetry read uses.
 func (s *Store) SnapshotShards() []ShardSnapshot {
 	out := make([]ShardSnapshot, 0, len(s.shards))
 	for i, sh := range s.shards {

@@ -4,155 +4,39 @@ import (
 	"chanos/internal/sim"
 )
 
-// Tracer is the slice of trace.Collector statd needs to emit counter
-// series (queue depth, cache-hit ratio) into a Perfetto timeline.
-type Tracer interface {
-	Counter(name string, at sim.Time, value float64)
-}
-
 type namedSource struct {
 	name string
 	src  Source
 }
 
-// Statd is the telemetry aggregation service. It periodically sweeps
-// every registered source one shard at a time — each visit is a
-// self-addressed deferred step (sim.Engine.After), the same
-// re-arm-yourself discipline the store uses for flushes and compaction
-// sweeps — and publishes the folded result as the latest Snapshot.
-//
-// The sweep runs in engine/device context, NOT on a kernel service
-// thread: reading a shard's private metric set happens between handler
-// executions and costs the simulated machine zero cycles, so an
-// instrumented run and an uninstrumented run of the same seed execute
-// the exact same schedule. (Engine events at one virtual time fire in
-// scheduling order, so the interleaved sweep steps cannot reorder
-// anything else either.)
+// Statd is the telemetry aggregation service: a fixed list of named
+// sources that SnapshotNow folds into one Snapshot on demand. It
+// schedules nothing: every reader — a host loop between drive slices, a
+// dump capture, the store's STATS verb — calls SnapshotNow, and reading
+// a shard's private metric set costs the simulated machine zero cycles,
+// so an instrumented run and an uninstrumented run of the same seed
+// fire the same events.
 type Statd struct {
 	eng     *sim.Engine
 	sources []namedSource
-
-	// SweepCycles is the idle gap between the end of one sweep and the
-	// start of the next; StepCycles is the virtual-time spacing between
-	// per-shard visits within a sweep (0 = visit all shards at one
-	// instant).
-	SweepCycles sim.Time
-	StepCycles  sim.Time
-
-	// Tracer, when set, receives per-service counter series after every
-	// completed sweep.
-	Tracer Tracer
-
-	latest  *Snapshot
 	seq     uint64
-	started bool
-	stopped bool
 }
 
-// NewStatd returns a statd on eng with a 1M-cycle sweep period (0.5ms
-// at the default 2GHz machine) and 4k-cycle step spacing.
-func NewStatd(eng *sim.Engine) *Statd {
-	return &Statd{eng: eng, SweepCycles: 1_000_000, StepCycles: 4_000}
-}
+// NewStatd returns a statd on eng with no sources.
+func NewStatd(eng *sim.Engine) *Statd { return &Statd{eng: eng} }
 
-// Register adds a named source. All registration must happen before
-// Start so the sweep order (and thus Snapshot layout) is fixed.
+// Register adds a named source. Register every source before the first
+// snapshot so the Snapshot layout is fixed.
 func (d *Statd) Register(name string, src Source) {
 	d.sources = append(d.sources, namedSource{name, src})
 }
 
-// Start arms the periodic sweep. Sweep steps are OBSERVER events
-// (sim.Engine.ObserveAfter): they fire in engine context like any
-// event but stay invisible to the engine's counted-event clock, so a
-// core dump's (seed, config, event-count) replay coordinate is
-// identical with statd running or not.
-func (d *Statd) Start() {
-	if d.started {
-		return
-	}
-	d.started = true
-	d.eng.ObserveAfter(d.SweepCycles, d.beginSweep)
-}
-
-// Stop halts future sweeps (the current one finishes).
-func (d *Statd) Stop() { d.stopped = true }
-
-// Latest returns the most recently published snapshot (nil before the
-// first sweep completes).
-func (d *Statd) Latest() *Snapshot { return d.latest }
-
-// beginSweep starts walking (source, shard) pairs, one shard per step.
-func (d *Statd) beginSweep() {
-	if d.stopped {
-		return
-	}
-	perShard := make([][][]Value, len(d.sources))
-	for i, ns := range d.sources {
-		perShard[i] = make([][]Value, ns.src.Shards())
-	}
-	d.step(0, 0, perShard)
-}
-
-func (d *Statd) step(si, shard int, perShard [][][]Value) {
-	// Skip past exhausted sources (including zero-shard ones).
-	for si < len(d.sources) && shard >= d.sources[si].src.Shards() {
-		si, shard = si+1, 0
-	}
-	if si == len(d.sources) {
-		d.publish(perShard)
-		if !d.stopped {
-			d.eng.ObserveAfter(d.SweepCycles, d.beginSweep)
-		}
-		return
-	}
-	var vals []Value
-	d.sources[si].src.CollectShard(shard, func(v Value) { vals = append(vals, v) })
-	perShard[si][shard] = vals
-	next := func() { d.step(si, shard+1, perShard) }
-	if d.StepCycles == 0 {
-		next()
-		return
-	}
-	d.eng.ObserveAfter(d.StepCycles, next)
-}
-
-func (d *Statd) publish(perShard [][][]Value) {
-	d.seq++
-	snap := &Snapshot{Version: SnapshotVersion, Seq: d.seq, AtCycles: d.eng.Now()}
-	for i, ns := range d.sources {
-		snap.Services = append(snap.Services, foldService(ns.name, perShard[i]))
-	}
-	d.latest = snap
-	d.emitTrace(snap)
-}
-
-// emitTrace turns the snapshot's gauges (and the derived cache-hit
-// ratio) into trace counter series so Perfetto shows queue depth and
-// hit ratio alongside the run segments.
-func (d *Statd) emitTrace(snap *Snapshot) {
-	if d.Tracer == nil {
-		return
-	}
-	at := sim.Time(snap.AtCycles)
-	for i := range snap.Services {
-		svc := &snap.Services[i]
-		for _, v := range svc.Totals {
-			if v.Kind == KindGauge {
-				d.Tracer.Counter(svc.Name+"."+v.Name, at, float64(v.V))
-			}
-		}
-		if hits, misses := svc.Total("CacheHits"), svc.Total("CacheMisses"); hits+misses > 0 {
-			d.Tracer.Counter(svc.Name+".cache_hit_ratio", at,
-				float64(hits)/float64(hits+misses))
-		}
-	}
-}
-
 // SnapshotNow collects every source synchronously (all shards at the
-// current instant) and publishes the result. This is the path behind
-// the store's STATS wire verb: the scrape request itself arrives as a
-// message and costs wire traffic like any other request, but building
-// the snapshot costs the machine nothing.
+// current instant) and returns the fold, stamped with the next sequence
+// number. This is also the path behind the store's STATS wire verb: the
+// scrape request itself arrives as a message and costs wire traffic
+// like any other request, but building the snapshot costs the machine
+// nothing.
 func (d *Statd) SnapshotNow() *Snapshot {
 	d.seq++
 	snap := &Snapshot{Version: SnapshotVersion, Seq: d.seq, AtCycles: d.eng.Now()}
@@ -165,7 +49,6 @@ func (d *Statd) SnapshotNow() *Snapshot {
 		}
 		snap.Services = append(snap.Services, foldService(ns.name, perShard))
 	}
-	d.latest = snap
 	return snap
 }
 

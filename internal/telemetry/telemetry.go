@@ -4,20 +4,22 @@
 // NIC queues, scheduler cores) owns a private metric set — plain Go
 // counters, gauges and log2 histograms that only the owning handler
 // thread ever writes, so there is no shared bookkeeping memory and no
-// atomics anywhere (the scalability literature's first bottleneck). A
-// statd sweeper aggregates by *visiting* the shards with deferred
-// self-addressed steps and copying their values out; the shards never
-// push, never lock, never even know they are being observed.
+// atomics anywhere (the scalability literature's first bottleneck).
+// Statd aggregates by *visiting* the shards and copying their values
+// out; the shards never push, never lock, never even know they are
+// being observed.
 //
-// The sweep runs in DEVICE context (sim-engine callbacks, like NIC RSS
-// dispatch and disk completion interrupts), not on a kernel service
-// thread, and that choice is load-bearing: a statd handler thread would
-// occupy cores, charge context switches and delay co-located services,
-// so merely enabling telemetry would change every interleaving
-// downstream of it. The repo's observability contract is the opposite —
-// same seed, telemetry on or off, byte-identical final state and op
-// counts — so the observer must cost the observed machine nothing. See
-// DESIGN.md §telemetry for the derivation.
+// A read schedules nothing and charges no cycles: it runs from the host
+// between drive slices, from an engine trigger (sim.Engine.AfterEvent)
+// or inside the handler serving a STATS request — never on a statd
+// service thread and never as an engine event of its own. That choice
+// is load-bearing: a statd thread would occupy cores,
+// charge context switches and delay co-located services, and a statd
+// event would shift the event count a core dump replays to. The repo's
+// observability contract is the opposite — same seed, telemetry on or
+// off, byte-identical final state, op counts and event count — so the
+// observer must cost the observed machine nothing. See DESIGN.md
+// §telemetry for the derivation.
 //
 // Snapshots are versioned and JSON-serialisable (the store's STATS wire
 // verb scrapes one from a live machine), and obey conservation laws —
@@ -40,7 +42,7 @@ type Kind uint8
 // Metric kinds.
 const (
 	KindCounter Kind = iota + 1 // monotone count owned by one shard
-	KindGauge                   // instantaneous level, read at sweep time
+	KindGauge                   // instantaneous level, read at snapshot time
 	KindHist                    // log2 histogram (stats.Histogram)
 )
 
@@ -199,7 +201,7 @@ func (s *ServiceStats) TotalHist(name string) *HistStats {
 }
 
 // Snapshot is one aggregated view of every registered service, as
-// published by a statd sweep or built on demand by SnapshotNow.
+// Statd.SnapshotNow builds it.
 type Snapshot struct {
 	Version  int            `json:"version"`
 	Seq      uint64         `json:"seq"`

@@ -9,7 +9,7 @@ import (
 )
 
 // fakeSource is a hand-driven telemetry.Source for exercising the fold
-// and sweep machinery without a real service.
+// without a real service.
 type fakeSource struct {
 	shards  int
 	collect func(shard int, emit func(Value))
@@ -164,69 +164,8 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// traceSink records statd's counter-series emissions.
-type traceSink struct {
-	names map[string]int
-}
-
-func (ts *traceSink) Counter(name string, at sim.Time, value float64) {
-	if ts.names == nil {
-		ts.names = make(map[string]int)
-	}
-	ts.names[name]++
-}
-
-// TestStatdPeriodicSweep drives the deferred-step sweep on a bare engine:
-// snapshots publish periodically, gauges become trace counter series, and
-// — critically — a stopped statd lets the engine drain to quiescence
-// (the perpetual re-arm is what hangs run-to-idle loops otherwise).
-func TestStatdPeriodicSweep(t *testing.T) {
-	eng := sim.NewEngine()
-	sd := NewStatd(eng)
-	ts := &traceSink{}
-	sd.Tracer = ts
-	sd.Register("svc", &fakeSource{shards: 3, collect: func(shard int, emit func(Value)) {
-		emit(Counter("CacheHits", 8))
-		emit(Counter("CacheMisses", 2))
-		emit(Gauge("Depth", uint64(shard)))
-	}})
-	sd.Start()
-	if sd.Latest() != nil {
-		t.Fatal("snapshot published before the first sweep")
-	}
-	eng.RunUntil(2*sd.SweepCycles + 10*sd.StepCycles)
-	snap := sd.Latest()
-	if snap == nil {
-		t.Fatal("no snapshot after two sweep periods")
-	}
-	if snap.Seq < 1 || snap.AtCycles == 0 {
-		t.Fatalf("snapshot header: %+v", snap)
-	}
-	if got := snap.Total("svc", "CacheHits"); got != 24 {
-		t.Fatalf("CacheHits total = %d, want 24 (3 shards × 8)", got)
-	}
-	if ts.names["svc.Depth"] == 0 {
-		t.Fatalf("gauge not emitted as a trace counter series: %v", ts.names)
-	}
-	if ts.names["svc.cache_hit_ratio"] == 0 {
-		t.Fatalf("derived cache-hit ratio not emitted: %v", ts.names)
-	}
-
-	// Stop → the armed sweep fires as a no-op and the engine quiesces.
-	sd.Stop()
-	eng.Run()
-	if eng.Pending() != 0 {
-		t.Fatalf("stopped statd left %d events pending", eng.Pending())
-	}
-	seq := sd.Latest().Seq
-	eng.RunUntil(eng.Now() + 10*sd.SweepCycles)
-	if sd.Latest().Seq != seq {
-		t.Fatal("stopped statd kept publishing")
-	}
-}
-
 // Zero-shard sources (a service registered before its shards boot) must
-// not wedge the sweep walk.
+// not wedge the fold, and a snapshot schedules nothing on the engine.
 func TestStatdSkipsEmptySources(t *testing.T) {
 	eng := sim.NewEngine()
 	sd := NewStatd(eng)
@@ -240,11 +179,10 @@ func TestStatdSkipsEmptySources(t *testing.T) {
 	if snap.Total("svc", "Ops") != 7 {
 		t.Fatalf("fold after empty source wrong: %+v", snap)
 	}
-	sd.Start()
-	eng.RunUntil(2 * sd.SweepCycles)
-	if sd.Latest() == nil || sd.Latest().Total("svc", "Ops") != 7 {
-		t.Fatal("periodic sweep wedged on the zero-shard source")
+	if next := sd.SnapshotNow(); next.Seq != snap.Seq+1 {
+		t.Fatalf("snapshot seq %d after %d, want consecutive", next.Seq, snap.Seq)
 	}
-	sd.Stop()
-	eng.Run()
+	if eng.Pending() != 0 || eng.Fired() != 0 {
+		t.Fatalf("snapshots touched the engine: %d pending, %d fired", eng.Pending(), eng.Fired())
+	}
 }
