@@ -14,8 +14,10 @@
 // couple independent shards. Regions, Trim, injected write failures
 // and power-cut snapshots (SnapshotData/NewDiskFrom) are the substrate
 // for log compaction, replication and every crash-recovery test. A
-// write stages into a block buffer that an earlier write retired, so a
-// warm device moves blocks without allocating.
+// committed block is immutable: a read lends the platter's own buffer,
+// and a write that gives its buffer (Give) commits it uncopied. Other
+// writes stage into a buffer an earlier write retired, so a warm device
+// moves blocks without allocating; a lent buffer is never retired.
 package blockdev
 
 import (
@@ -40,13 +42,21 @@ type Request struct {
 	Op    Op
 	Block int
 	Data  []byte // payload for writes
+	// Give hands a write's buffer to the disk instead of having it
+	// copied: Data[:BlockSize] becomes the block at completion, its
+	// bytes past len(Data) zeroed (a buffer of less than a block's
+	// capacity is copied). The caller may keep reading the buffer but
+	// must never write to it again.
+	Give  bool
 	Reply *core.Chan
 }
 
 // MsgBytes implements core.Sized: requests carry their payload.
 func (r Request) MsgBytes() int { return 48 + len(r.Data) }
 
-// Result is the driver's answer.
+// Result is the driver's answer. A read's Data is the platter's own
+// block, lent read-only: it never changes, and a reader that means to
+// write to it copies it first.
 type Result struct {
 	OK   bool
 	Err  string
@@ -97,7 +107,7 @@ type Disk struct {
 	rt *core.Runtime
 	P  DiskParams
 
-	data      map[int][]byte
+	data      map[int]platterBlock
 	busyUntil sim.Time
 
 	// Register-programming hazard model: the device's request registers
@@ -113,9 +123,10 @@ type Disk struct {
 	// complete carries every programmed operation to its completion.
 	complete *sim.Relay[progOp]
 
-	// spare holds block buffers no block holds any more — the one a
-	// committed write replaced, or a failed write's staged copy — for
-	// the next writes to stage into (see stage and recycle).
+	// spare holds block buffers of the disk's own that no block holds
+	// any more — the one a committed write replaced, or a failed
+	// write's staged copy — for the next writes to stage into (see
+	// stage and recycle).
 	spare sim.BufList[byte]
 
 	// Stats.
@@ -126,12 +137,20 @@ type Disk struct {
 	Trims         uint64
 }
 
+// platterBlock is one committed block. own marks a buffer the disk
+// staged itself and never lent (read, or given by a write), the only
+// kind recycle keeps.
+type platterBlock struct {
+	buf []byte
+	own bool
+}
+
 // NewDisk creates an empty disk.
 func NewDisk(rt *core.Runtime, p DiskParams) *Disk {
 	if p.NumBlocks <= 0 || p.BlockSize <= 0 {
 		panic("blockdev: bad disk geometry")
 	}
-	d := &Disk{rt: rt, P: p, data: make(map[int][]byte), progOwner: -1}
+	d := &Disk{rt: rt, P: p, data: make(map[int]platterBlock), progOwner: -1}
 	d.complete = sim.NewRelay(rt.Eng, d.finish)
 	return d
 }
@@ -142,7 +161,7 @@ func NewDisk(rt *core.Runtime, p DiskParams) *Disk {
 func NewDiskFrom(rt *core.Runtime, p DiskParams, data map[int][]byte) *Disk {
 	d := NewDisk(rt, p)
 	for blk, buf := range data {
-		d.data[blk] = append([]byte(nil), buf...)
+		d.data[blk] = platterBlock{buf: append([]byte(nil), buf...), own: true}
 	}
 	return d
 }
@@ -152,8 +171,8 @@ func NewDiskFrom(rt *core.Runtime, p DiskParams, data map[int][]byte) *Disk {
 // yet fired) are absent — exactly what a power cut would leave behind.
 func (d *Disk) SnapshotData() map[int][]byte {
 	out := make(map[int][]byte, len(d.data))
-	for blk, buf := range d.data {
-		out[blk] = append([]byte(nil), buf...)
+	for blk, b := range d.data {
+		out[blk] = append([]byte(nil), b.buf...)
 	}
 	return out
 }
@@ -189,13 +208,14 @@ const progWindow = 600
 // and leaves the block as it was.
 //
 // A write's data is captured at submit and committed at completion: the
-// BlockSize buffer it is staged into here becomes the block itself when
-// the write completes, so the caller may reuse req.Data as soon as
-// Program returns, and a power cut before the completion (SnapshotData)
-// sees the block's prior contents. The stage is a buffer an earlier
-// write retired when one is spare (stage), and completions ride the
-// disk's relay, so a caller whose done func is bound once programs a
-// warm device without allocating.
+// BlockSize buffer it is staged into here, or a given buffer itself,
+// becomes the block when the write completes, so the caller may reuse
+// req.Data as soon as Program returns unless it gave it, and a power cut
+// before the completion (SnapshotData) sees the block's prior contents.
+// The stage is a buffer an earlier write retired when one is spare
+// (stage), and completions ride the disk's relay, so a caller whose
+// done func is bound once programs a warm device without allocating.
+// A read completes with the platter's own block (Result).
 func (d *Disk) Program(t *core.Thread, req Request, done func(Result)) {
 	now := d.rt.Eng.Now()
 	hazard := now < d.progWindowEnd && d.progOwner != t.ID()
@@ -232,7 +252,7 @@ func (d *Disk) Program(t *core.Thread, req Request, done func(Result)) {
 	// Capture a write's data at submit; finish commits it at completion.
 	op := progOp{op: req.Op, block: req.Block, done: done}
 	if req.Op == Write {
-		op.data = d.stage(req.Data)
+		op.data = d.stage(req)
 	}
 	d.complete.At(end, op)
 }
@@ -242,25 +262,31 @@ func (d *Disk) Program(t *core.Thread, req Request, done func(Result)) {
 // covers the writes in flight, and a burst's backlog is not kept.
 const spareBlocks = 4
 
-// stage copies a write's data into a block buffer: a spare one, which
-// Put cleared, or a new one when none is spare.
-func (d *Disk) stage(data []byte) []byte {
+// stage makes a write's block: a given buffer as it is, or a copy of
+// the data in a block buffer of the disk's own, a spare one, which Put
+// cleared, or a new one when none is spare.
+func (d *Disk) stage(req Request) platterBlock {
+	if req.Give && cap(req.Data) >= d.P.BlockSize {
+		buf := req.Data[:d.P.BlockSize]
+		clear(buf[len(req.Data):])
+		return platterBlock{buf: buf}
+	}
 	buf := d.spare.Get()
 	if buf == nil {
 		buf = make([]byte, d.P.BlockSize)
 	}
 	buf = buf[:d.P.BlockSize]
-	copy(buf, data)
-	return buf
+	copy(buf, req.Data)
+	return platterBlock{buf: buf, own: true}
 }
 
-// recycle offers buf, which no block holds any more, to the spare list.
-// Every buffer the disk holds is its own: reads, snapshots and
+// recycle offers b, which no block holds any more, to the spare list if
+// the buffer is the disk's own and was never lent. Snapshots and
 // NewDiskFrom copy. A carried-over buffer of another length is left to
 // the garbage collector, as is a trimmed block's.
-func (d *Disk) recycle(buf []byte) {
-	if len(buf) == d.P.BlockSize {
-		d.spare.Put(buf, spareBlocks)
+func (d *Disk) recycle(b platterBlock) {
+	if b.own && len(b.buf) == d.P.BlockSize {
+		d.spare.Put(b.buf, spareBlocks)
 	}
 }
 
@@ -270,13 +296,14 @@ func (d *Disk) recycle(buf []byte) {
 type progOp struct {
 	op    Op
 	block int
-	data  []byte
+	data  platterBlock
 	res   Result
 	done  func(Result)
 }
 
 // finish is the completion interrupt: it moves the data and hands the
-// result to the operation's done func.
+// result to the operation's done func. A read lends the block's buffer,
+// which marks it no longer the disk's own.
 func (d *Disk) finish(p progOp) {
 	if p.res.Err != "" {
 		p.done(p.res)
@@ -285,13 +312,13 @@ func (d *Disk) finish(p progOp) {
 	var res Result
 	switch p.op {
 	case Read:
-		buf, ok := d.data[p.block]
-		if ok {
-			buf = append([]byte(nil), buf...)
-		} else {
-			buf = make([]byte, d.P.BlockSize)
+		b, ok := d.data[p.block]
+		if !ok {
+			b.buf = make([]byte, d.P.BlockSize)
+		} else if b.own {
+			d.data[p.block] = platterBlock{buf: b.buf}
 		}
-		res = Result{OK: true, Data: buf}
+		res = Result{OK: true, Data: b.buf}
 		d.Reads++
 	case Write:
 		if d.failWrites > 0 {
@@ -301,9 +328,7 @@ func (d *Disk) finish(p progOp) {
 			p.done(Result{OK: false, Err: "injected write failure"})
 			return
 		}
-		if old, ok := d.data[p.block]; ok {
-			d.recycle(old)
-		}
+		d.recycle(d.data[p.block])
 		d.data[p.block] = p.data
 		res = Result{OK: true}
 		d.Writes++

@@ -371,22 +371,119 @@ func TestShortWriteAfterTrimIsZeroPadded(t *testing.T) {
 	}
 }
 
-// TestReadReturnsACopy: a read hands out its own buffer; writing to it
-// leaves the platter alone.
-func TestReadReturnsACopy(t *testing.T) {
-	rt := newRT(t, 2)
-	disk := NewDisk(rt, DefaultDiskParams(16))
-	var first, second Result
-	rt.Boot("app", func(th *core.Thread) {
-		programSync(rt, th, disk, Request{Op: Write, Block: 7, Data: fill(0x77)})
-		first = programSync(rt, th, disk, Request{Op: Read, Block: 7})
-		copy(first.Data, fill(0))
-		second = programSync(rt, th, disk, Request{Op: Read, Block: 7})
-	})
-	rt.Run()
-	if !bytes.Equal(second.Data, fill(0x77)) || !bytes.Equal(disk.SnapshotData()[7], fill(0x77)) {
-		t.Fatal("writing to a read's data changed the platter")
+// TestReadLendsTheCommittedBlock: a read completes with the platter's
+// own block, not a copy, and a write that gives its buffer commits that
+// buffer as the block. Neither buffer is ever recycled: an overwrite of
+// the block, a failed write and a Trim leave the bytes a reader or a
+// giver holds as they were, however many writes stage after them.
+func TestReadLendsTheCommittedBlock(t *testing.T) {
+	// run boots fn and, after it, churn: writes to other blocks, one of
+	// which would restage (and so rewrite) a lent buffer if the disk
+	// had recycled it.
+	run := func(t *testing.T, fn func(rt *core.Runtime, th *core.Thread, disk *Disk)) *Disk {
+		t.Helper()
+		rt := newRT(t, 2)
+		disk := NewDisk(rt, DefaultDiskParams(16))
+		rt.Boot("app", func(th *core.Thread) {
+			fn(rt, th, disk)
+			for b := 10; b < 16; b++ {
+				programSync(rt, th, disk, Request{Op: Write, Block: b, Data: fill(0xCC)})
+				programSync(rt, th, disk, Request{Op: Write, Block: b, Data: fill(0xCD)})
+			}
+		})
+		rt.Run()
+		return disk
 	}
+	// given returns a buffer with a whole block's capacity holding b.
+	given := func(b ...byte) []byte { return append(make([]byte, 0, 4096), b...) }
+	padded := func(b ...byte) []byte { return append(b, make([]byte, 4096-len(b))...) }
+
+	t.Run("overwrite", func(t *testing.T) {
+		var first, second Result
+		disk := run(t, func(rt *core.Runtime, th *core.Thread, disk *Disk) {
+			programSync(rt, th, disk, Request{Op: Write, Block: 7, Data: fill(0x77)})
+			first = programSync(rt, th, disk, Request{Op: Read, Block: 7})
+			second = programSync(rt, th, disk, Request{Op: Read, Block: 7})
+			programSync(rt, th, disk, Request{Op: Write, Block: 7, Data: fill(0x78)})
+		})
+		if &first.Data[0] != &second.Data[0] {
+			t.Fatal("two reads of one block returned two buffers: a read copies the block")
+		}
+		if !bytes.Equal(first.Data, fill(0x77)) {
+			t.Fatalf("a read's block holds %x... after the block was overwritten, want 77", first.Data[0])
+		}
+		if now := disk.SnapshotData()[7]; !bytes.Equal(now, fill(0x78)) {
+			t.Fatalf("block 7 holds %x..., want the overwrite (78)", now[0])
+		}
+	})
+
+	t.Run("failed write", func(t *testing.T) {
+		var lent, failed, failedGive Result
+		gave := given(0x55, 0x55)
+		disk := run(t, func(rt *core.Runtime, th *core.Thread, disk *Disk) {
+			programSync(rt, th, disk, Request{Op: Write, Block: 4, Data: fill(0x44)})
+			lent = programSync(rt, th, disk, Request{Op: Read, Block: 4})
+			disk.InjectWriteFailures(2)
+			failed = programSync(rt, th, disk, Request{Op: Write, Block: 4, Data: fill(0x45)})
+			failedGive = programSync(rt, th, disk, Request{Op: Write, Block: 3, Data: gave, Give: true})
+		})
+		if failed.OK || failedGive.OK {
+			t.Fatal("an injected failure reported success")
+		}
+		if !bytes.Equal(lent.Data, fill(0x44)) {
+			t.Fatalf("a read's block holds %x... after a failed overwrite, want 44", lent.Data[0])
+		}
+		if !bytes.Equal(gave[:4096], padded(0x55, 0x55)) {
+			t.Fatal("a failed write's given buffer changed after the failure")
+		}
+		if snap := disk.SnapshotData(); !bytes.Equal(snap[4], fill(0x44)) || snap[3] != nil {
+			t.Fatalf("platter after failed writes: block 4 starts %x (want 44), block 3 present %v (want absent)", snap[4][0], snap[3] != nil)
+		}
+	})
+
+	t.Run("trim", func(t *testing.T) {
+		var lent Result
+		run(t, func(rt *core.Runtime, th *core.Thread, disk *Disk) {
+			programSync(rt, th, disk, Request{Op: Write, Block: 5, Data: fill(0x55)})
+			lent = programSync(rt, th, disk, Request{Op: Read, Block: 5})
+			disk.Trim(5, 1)
+			programSync(rt, th, disk, Request{Op: Write, Block: 5, Data: fill(0x56)})
+		})
+		if !bytes.Equal(lent.Data, fill(0x55)) {
+			t.Fatalf("a read's block holds %x... after a Trim, want 55", lent.Data[0])
+		}
+	})
+
+	t.Run("given write", func(t *testing.T) {
+		var during, after map[int][]byte
+		var back Result
+		gave := given(1, 2, 3)
+		disk := run(t, func(rt *core.Runtime, th *core.Thread, disk *Disk) {
+			programSync(rt, th, disk, Request{Op: Write, Block: 6, Data: fill(0x66)})
+			irq := th.NewChan("irq", 1)
+			disk.Program(th, Request{Op: Write, Block: 6, Data: gave, Give: true}, func(res Result) { rt.InjectSend(irq, res, th.Core()) })
+			during = disk.SnapshotData()
+			irq.Recv(th)
+			after = disk.SnapshotData()
+			back = programSync(rt, th, disk, Request{Op: Read, Block: 6})
+			programSync(rt, th, disk, Request{Op: Write, Block: 6, Data: fill(0x67)})
+		})
+		if !bytes.Equal(during[6], fill(0x66)) {
+			t.Fatalf("snapshot during a given write holds %x..., want the prior block (66)", during[6][0])
+		}
+		if !bytes.Equal(after[6], padded(1, 2, 3)) {
+			t.Fatal("a given write did not commit its bytes zero-padded to the block")
+		}
+		if &back.Data[0] != &gave[0] {
+			t.Fatal("a given write's block is a copy, not the given buffer")
+		}
+		if !bytes.Equal(gave[:4096], padded(1, 2, 3)) {
+			t.Fatal("a given buffer changed after its block was overwritten")
+		}
+		if now := disk.SnapshotData()[6]; !bytes.Equal(now, fill(0x67)) {
+			t.Fatalf("block 6 holds %x..., want the overwrite (67)", now[0])
+		}
+	})
 }
 
 // TestRecycledBlockBuffers: a write stages into a buffer that an

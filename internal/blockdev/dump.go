@@ -51,7 +51,7 @@ func (d *Disk) Snapshot() DiskSnapshot {
 		FailWritesArmed: d.failWrites,
 	}
 	for _, b := range detmap.Keys(d.data) {
-		s.Blocks = append(s.Blocks, BlockSnapshot{Block: b, Data: append([]byte(nil), d.data[b]...)})
+		s.Blocks = append(s.Blocks, BlockSnapshot{Block: b, Data: append([]byte(nil), d.data[b].buf...)})
 	}
 	return s
 }

@@ -250,10 +250,10 @@ func (a scanArg) MsgBytes() int { return 24 + len(a.Prefix) }
 // Records come from the shard's free list and go back once their
 // message is handled. Each binds its done func (Program's completion
 // callback) once, when first taken, and the disk stages into a block
-// buffer an earlier write retired, so a warm log write allocates
-// nothing. batch is the group-commit buffer: a flush swaps it with the
-// shard's waiters, so the two slices trade places instead of a new
-// batch growing per flush.
+// buffer an earlier write retired or takes a sealed block as it is, so
+// a warm log write allocates nothing. batch is the group-commit buffer:
+// a flush swaps it with the shard's waiters, so the two slices trade
+// places instead of a new batch growing per flush.
 type diskDone struct {
 	op     string
 	batch  []pendingWrite
@@ -344,6 +344,13 @@ func stampEpoch(epoch uint64, blockSize int) []byte {
 	b := make([]byte, blockHeader, blockSize)
 	binary.LittleEndian.PutUint64(b, epoch)
 	return b
+}
+
+// reopen starts an open-block buffer holding tail, the surviving bytes
+// of a replayed block. The read lent the platter's own block, which
+// appends must not write into, so the tail is copied.
+func reopen(tail []byte, blockSize int) []byte {
+	return append(make([]byte, 0, blockSize), tail...)
 }
 
 // blockEpoch reads a block's epoch stamp.
@@ -462,6 +469,10 @@ type pendingRead struct {
 	l     loc
 }
 
+// parkedReadLists caps a shard's spare pending-read lists: reads in
+// flight at once are few, and a burst's backlog is not kept.
+const parkedReadLists = 4
+
 // shard is one handler thread's private world. No locks: only the shard
 // thread (and, for stats, the single-goroutine simulation host) touches
 // it.
@@ -473,9 +484,11 @@ type shard struct {
 	idx   map[string]loc
 	cache *lruCache
 
-	// open holds the contents of the open (tail) log block. Its bytes
-	// are only ever appended to, and a seal hands the buffer to the cache
-	// and starts a new one, so a slice of written bytes never changes.
+	// open holds the contents of the open (tail) log block, at a whole
+	// block's capacity. Its bytes are only ever appended to, and a seal
+	// gives the buffer to the disk, which commits it as the block, and
+	// to the cache, and starts a new one, so a slice of written bytes
+	// never changes.
 	open       []byte
 	openBlock  int
 	dirty      int            // records appended since the last flush was issued
@@ -491,7 +504,8 @@ type shard struct {
 	flushFire func()
 	flushFrom int
 
-	reads map[int][]pendingRead // block -> GETs awaiting its disk read
+	reads    map[int][]pendingRead // block -> GETs awaiting its disk read
+	readFree sim.BufList[pendingRead]
 
 	// epoch is the shard's committed region epoch: appends land in
 	// region epoch&1 (epoch+1&1 while a compaction is in flight).
@@ -884,9 +898,13 @@ func (sh *shard) serveLoc(t *core.Thread, l loc, reply *core.Chan) core.Msg {
 // programs the disk read (its completion re-enters the shard as a
 // "readdone" message), later parkers ride the same read. A pendingRead
 // with a nil reply just materialises the block into the cache — the
-// compaction and bootstrap-sync sweeps park that way.
+// compaction and bootstrap-sync sweeps park that way. A block's list
+// comes from readFree and goes back once readDone has answered it.
 func (sh *shard) parkRead(t *core.Thread, block int, pr pendingRead) {
 	waiting := sh.reads[block]
+	if waiting == nil {
+		waiting = sh.readFree.Get()
+	}
 	sh.reads[block] = append(waiting, pr)
 	if len(waiting) == 0 {
 		sh.programRead(t, block)
@@ -899,8 +917,9 @@ func (sh *shard) programRead(t *core.Thread, block int) {
 	sh.disk.Program(t, blockdev.Request{Op: blockdev.Read, Block: block}, d.done)
 }
 
-// readDone lands a cache-miss block, answers every GET parked on it,
-// and resumes a compaction sweep waiting for the block's contents.
+// readDone lands a cache-miss block, the platter's own buffer, answers
+// every GET parked on it, and resumes a compaction sweep waiting for
+// the block's contents.
 func (sh *shard) readDone(t *core.Thread, d *diskDone) {
 	waiting := sh.reads[d.block]
 	delete(sh.reads, d.block)
@@ -916,6 +935,7 @@ func (sh *shard) readDone(t *core.Thread, d *diskDone) {
 			pr.reply.Send(t, sh.found(pr.l, d.data))
 		}
 	}
+	sh.readFree.Put(waiting, parkedReadLists)
 	if c := sh.comp; c != nil && c.waitBlock == d.block {
 		c.waitBlock = -1
 		if !d.ok {
@@ -1113,8 +1133,9 @@ func (sh *shard) armFlush(t *core.Thread) {
 // to serving requests. The disk stages its own copy of the block, so
 // appends may continue into the open block at once. sealed marks a
 // block being written for the last time: the caller starts a new open
-// block right after, so this one becomes the cache's copy as it is,
-// entering the cache when (and only when) this write completes.
+// block right after, so this one is given to the disk as the block
+// itself, uncopied, and becomes the cache's copy as it is, entering
+// the cache when (and only when) this write completes.
 func (sh *shard) flush(t *core.Thread, sealed bool) {
 	sh.replShipOut(t) // the records riding this flush ship to the replica now
 	d := sh.newDiskDone(t, "flushed")
@@ -1127,7 +1148,7 @@ func (sh *shard) flush(t *core.Thread, sealed bool) {
 	if sealed {
 		d.data = sh.open
 	}
-	sh.disk.Program(t, blockdev.Request{Op: blockdev.Write, Block: d.block, Data: sh.open}, d.done)
+	sh.disk.Program(t, blockdev.Request{Op: blockdev.Write, Block: d.block, Data: sh.open, Give: sealed}, d.done)
 }
 
 // flushed is the disk completion interrupt: the records carried by the
@@ -1338,8 +1359,6 @@ func (sh *shard) recover(t *core.Thread) {
 			if parsed == blockHeader {
 				break // stamp matched by accident (epoch 0 = zeroes): never written
 			}
-			// The read is this shard's own block-long copy: its prefix
-			// serves as the open block as it is.
 			tailBlock, tail, blocks = b, res.Data[:parsed], blocks+1
 		}
 		return
@@ -1363,12 +1382,12 @@ func (sh *shard) recover(t *core.Thread) {
 		if aTail >= 0 {
 			srcUsed = (aTail-sh.s.regionStart(sh.epoch))*sh.s.P.Disk.BlockSize + len(aBytes)
 		}
-		sh.openBlock, sh.open = cTail, cBytes
+		sh.openBlock, sh.open = cTail, reopen(cBytes, sh.s.P.Disk.BlockSize)
 		sh.resumeCompaction(t, srcUsed)
 		return
 	}
 	if aTail >= 0 {
-		sh.openBlock, sh.open = aTail, aBytes
+		sh.openBlock, sh.open = aTail, reopen(aBytes, sh.s.P.Disk.BlockSize)
 	} else {
 		sh.openBlock, sh.open = sh.s.regionStart(sh.epoch), nil
 	}

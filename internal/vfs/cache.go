@@ -62,7 +62,9 @@ func (c *cacheCore) get(t *core.Thread, blk int) []byte {
 	c.Stats.Misses++
 	c.evictIfFull(t)
 	res := c.drv.SubmitSync(t, blockdev.Read, blk, nil)
-	data := res.Data
+	// The read lends the platter's own block, and put rewrites an
+	// entry in place, so the entry holds a copy.
+	data := append([]byte(nil), res.Data...)
 	if !res.OK || data == nil {
 		data = make([]byte, BlockSize)
 	}

@@ -69,7 +69,9 @@ func (d driverStore) ReadBlock(t *core.Thread, blk int) []byte {
 	if !res.OK || res.Data == nil {
 		return make([]byte, BlockSize)
 	}
-	return res.Data
+	// The read lends the platter's own block; callers write into
+	// theirs.
+	return append([]byte(nil), res.Data...)
 }
 
 func (d driverStore) WriteBlock(t *core.Thread, blk int, data []byte) {

@@ -410,3 +410,33 @@ func TestSplitPath(t *testing.T) {
 		t.Fatalf("long name: %v", err)
 	}
 }
+
+// TestReadsAreCopies: the disk lends a read's block, the platter's own
+// buffer, and the write-back cache rewrites an entry in place (put), so
+// a block read through the cache, or straight through the driver, must
+// be a copy: a rewrite reaches the platter only by writeback or sync.
+func TestReadsAreCopies(t *testing.T) {
+	fx := newFixture(t, 2)
+	disk := blockdev.NewDisk(fx.rt, blockdev.DefaultDiskParams(64))
+	drv := blockdev.NewDriver(fx.rt, disk, 4, 0)
+	block := func(b byte) []byte { return bytes.Repeat([]byte{b}, BlockSize) }
+	fx.rt.Boot("main", func(th *core.Thread) {
+		st := driverStore{drv: drv}
+		st.WriteBlock(th, 3, block(0x33))
+		copy(st.ReadBlock(th, 3), block(0x99))
+		if got := disk.SnapshotData()[3]; !bytes.Equal(got, block(0x33)) {
+			t.Errorf("writing to an uncached read changed the platter to %x...", got[0])
+		}
+		c := newCacheCore(drv, 4)
+		c.get(th, 3)
+		c.put(th, 3, block(0x44))
+		if got := disk.SnapshotData()[3]; !bytes.Equal(got, block(0x33)) {
+			t.Errorf("a cached rewrite reached the platter (%x...) before its writeback", got[0])
+		}
+		c.sync(th)
+		if got := disk.SnapshotData()[3]; !bytes.Equal(got, block(0x44)) {
+			t.Errorf("block holds %x... after sync, want the rewrite (44)", got[0])
+		}
+	})
+	fx.rt.Run()
+}

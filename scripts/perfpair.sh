@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
-# perfpair.sh — alternating parent/change runs of one perf workload.
+# perfpair.sh — alternating parent/change runs of perf workloads.
 #
-# Usage: scripts/perfpair.sh REV WORKLOAD N [SECONDS]
+# Usage: scripts/perfpair.sh REV WORKLOAD N [SECONDS [SEED]]
 #
 # Checks REV out in a git worktree under .bench_build/perfpair/parent and
 # this checkout's working tree (tracked and untracked files, as `git add
 # -A` would stage them, committed from a throwaway index) in a second one
 # under .bench_build/perfpair/change, and runs N pairs of
-# `bash perf/bench.sh -workload WORKLOAD -seconds SECONDS` (SECONDS
-# defaults to 0, one world per run; the benchmark itself runs 10, which
-# is where max_rss_mb is judged, because the collector's pacing moves it
-# at short runs), one in each worktree, the parent first in odd pairs and
+# `bash perf/bench.sh -workload WORKLOAD -seconds SECONDS -seed SEED`
+# (SECONDS defaults to 0, one world per run; the benchmark itself runs
+# 10, which is where max_rss_mb is judged, because the collector's
+# pacing moves it at short runs; SEED defaults to 7, and a claim made at
+# one seed is checked at another), one in each worktree, the parent
+# first in odd pairs and
 # the change first in even ones, so that a drift in the host's load falls
 # on both sides alike. The two sides build and run from directories that
 # differ only in their last name, so only the code differs between them:
@@ -20,7 +22,9 @@
 # declares, each side's median and quartiles, and how many pairs the
 # change won, tied and lost by the metric's direction. Host deltas are
 # judged this way (ROADMAP.md: alternating pairs), because one run of
-# either side says little on a noisy host.
+# either side says little on a noisy host. WORKLOAD `all` runs N pairs
+# of every workload BENCHMARK.json declares, one workload after the
+# other, and prints a table and an events check for each.
 #
 # Every run has GODEBUG=gctrace=1, and two more rows come from its trace:
 # gc_peak_live_mb, the largest live heap a collection left (the `->N MB`
@@ -34,22 +38,28 @@
 # world's ops, failed ops and event count, over the worlds both ran (a
 # run of SECONDS > 0 runs as many as fit), and on the result's correct
 # field. It prints "events: identical in N pairs" or the first pair and
-# world that differ, and exits 1 on a difference.
+# world that differ, and exits 1 on a difference (after every workload
+# has run).
 #
 # Each run's stdout (its last line is the result) and stderr (world lines
-# and the GC trace) go to .bench_build/perfpair/runs/; the worktrees are
+# and the GC trace) go to .bench_build/perfpair/runs/WORKLOAD/; the
+# worktrees are
 # removed on exit. The script writes nothing outside .bench_build/ but
 # git's own worktree records and the objects of the change side's
 # commit, and changes nothing under perf/.
 set -euo pipefail
-if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-    echo "usage: scripts/perfpair.sh REV WORKLOAD N [SECONDS]" >&2
+if [ $# -lt 3 ] || [ $# -gt 5 ]; then
+    echo "usage: scripts/perfpair.sh REV WORKLOAD N [SECONDS [SEED]]" >&2
     exit 2
 fi
-rev=$1 workload=$2 n=$3 seconds=${4:-0}
+rev=$1 n=$3 seconds=${4:-0} seed=${5:-7}
 cd "$(dirname "$0")/.."
 root=$PWD
 dir=$root/.bench_build/perfpair
+workloads=$2
+if [ "$2" = all ]; then
+    workloads=$(sed -n 's/.*"name": *"\([^"]*\)", *"why".*/\1/p' BENCHMARK.json)
+fi
 for side in parent change; do
     git worktree remove --force "$dir/$side" 2>/dev/null || true
     rm -rf "${dir:?}/$side"
@@ -66,15 +76,13 @@ git worktree add --quiet --detach "$dir/parent" "$rev"
 git worktree add --quiet --detach "$dir/change" "$change"
 trap 'for side in parent change; do git -C "$root" worktree remove --force "$dir/$side"; done' EXIT
 
-run() { # side pair
-    (cd "$dir/$1" && GODEBUG=gctrace=1 bash perf/bench.sh -workload "$workload" -seconds "$seconds") \
-        >"$dir/runs/$1.$2.out" 2>"$dir/runs/$1.$2.err"
-    tail -n 1 "$dir/runs/$1.$2.out" >"$dir/runs/$1.$2.json"
-    echo "pair $2 $1: $(head -c 160 "$dir/runs/$1.$2.json")..." >&2
+run() { # workload side pair
+    local out=$dir/runs/$1/$2.$3
+    (cd "$dir/$2" && GODEBUG=gctrace=1 bash perf/bench.sh -workload "$1" -seconds "$seconds" -seed "$seed") \
+        >"$out.out" 2>"$out.err"
+    tail -n 1 "$out.out" >"$out.json"
+    echo "$1 pair $3 $2: $(head -c 160 "$out.json")..." >&2
 }
-for ((i = 1; i <= n; i++)); do
-    if ((i % 2)); then run parent $i; run change $i; else run change $i; run parent $i; fi
-done
 
 # The perf process's GC trace: its peak live heap in MB and its cycles.
 # bench.sh runs go build first, whose own trace (if it collects at all)
@@ -89,14 +97,16 @@ gctrace() { # run.err
         END { printf "gc_peak_live_mb %d\ngc_cycles %d\n", peak, n }' "$1"
 }
 
-# One line per run and metric: side pair metric value; the directions
-# come from BENCHMARK.json's end_to_end entries, one per line.
-for f in "$dir"/runs/*.json; do
+# table prints one workload's runs (in runs/WORKLOAD/), one line per
+# run and metric: side pair metric value; the directions come from
+# BENCHMARK.json's end_to_end entries, one per line.
+table() { # workload
+for f in "$dir/runs/$1"/*.json; do
     b=$(basename "$f" .json)
     {
         grep -o '"[a-z_0-9]*":{"value":[-0-9.e+]*' "$f" | sed 's/^"\([^"]*\)":{"value":/\1 /'
         grep -o '"failed":[0-9]*' "$f" | sed 's/"failed":/failed_ops /'
-        gctrace "$dir/runs/$b.err"
+        gctrace "$dir/runs/$1/$b.err"
     } | sed "s/^/${b%%.*} ${b#*.} /"
 done | awk -v n="$n" '
     FNR == NR {
@@ -132,25 +142,41 @@ done | awk -v n="$n" '
                 w, t, l
         }
     }' BENCHMARK.json - | { read -r head; echo "$head"; sort; }
+}
 
 # One line per world a run ran: its ops, failed ops and event count.
-worlds() { # side pair
-    sed -n 's/^\([^ ]* seed [0-9]* [a-z]*\) rep: .*, \([0-9]* ops, [0-9]* failed, [0-9]* events\)$/\1: \2/p' "$dir/runs/$1.$2.err"
+worlds() { # workload side pair
+    sed -n 's/^\([^ ]* seed [0-9]* [a-z]*\) rep: .*, \([0-9]* ops, [0-9]* failed, [0-9]* events\)$/\1: \2/p' "$dir/runs/$1/$2.$3.err"
 }
-for ((i = 1; i <= n; i++)); do
-    k=$(worlds parent $i | wc -l)
-    kc=$(worlds change $i | wc -l)
-    if ((k == 0 || kc == 0)); then
-        echo "events: pair $i: a run printed no world" >&2
-        exit 1
-    fi
-    ((kc < k)) && k=$kc
-    if ! d=$(diff <(worlds parent $i | head -n "$k"; grep -o '"correct":[a-z]*' "$dir/runs/parent.$i.json") \
-        <(worlds change $i | head -n "$k"; grep -o '"correct":[a-z]*' "$dir/runs/change.$i.json")); then
-        p=$(awk '/^< /{print substr($0, 3); exit}' <<<"$d")
-        c=$(awk '/^> /{print substr($0, 3); exit}' <<<"$d")
-        echo "events: pair $i differs: parent '${p:-nothing}', change '${c:-nothing}'" >&2
-        exit 1
-    fi
+events() { # workload
+    local i k kc d p c
+    for ((i = 1; i <= n; i++)); do
+        k=$(worlds "$1" parent $i | wc -l)
+        kc=$(worlds "$1" change $i | wc -l)
+        if ((k == 0 || kc == 0)); then
+            echo "events: pair $i: a run printed no world" >&2
+            return 1
+        fi
+        ((kc < k)) && k=$kc
+        if ! d=$(diff <(worlds "$1" parent $i | head -n "$k"; grep -o '"correct":[a-z]*' "$dir/runs/$1/parent.$i.json") \
+            <(worlds "$1" change $i | head -n "$k"; grep -o '"correct":[a-z]*' "$dir/runs/$1/change.$i.json")); then
+            p=$(awk '/^< /{print substr($0, 3); exit}' <<<"$d")
+            c=$(awk '/^> /{print substr($0, 3); exit}' <<<"$d")
+            echo "events: pair $i differs: parent '${p:-nothing}', change '${c:-nothing}'" >&2
+            return 1
+        fi
+    done
+    echo "events: identical in $n pairs"
+}
+
+status=0
+for w in $workloads; do
+    mkdir -p "$dir/runs/$w"
+    for ((i = 1; i <= n; i++)); do
+        if ((i % 2)); then run "$w" parent $i; run "$w" change $i; else run "$w" change $i; run "$w" parent $i; fi
+    done
+    echo "== $w seed $seed, $n pairs, -seconds $seconds"
+    table "$w"
+    events "$w" || status=1
 done
-echo "events: identical in $n pairs"
+exit $status
