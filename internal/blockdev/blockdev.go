@@ -15,12 +15,14 @@
 // and power-cut snapshots (SnapshotData/NewDiskFrom) are the substrate
 // for log compaction, replication and every crash-recovery test. A
 // committed block is immutable: a read lends the platter's own buffer,
-// and a write that gives its buffer (Give) commits it uncopied. Other
-// writes stage into a buffer an earlier write retired, so a warm device
-// moves blocks without allocating; a lent buffer is never retired.
+// and a write that gives its buffer (Give) commits it uncopied, or the
+// identical block of the disk it shares from (ShareFrom). Other writes
+// stage into a buffer an earlier write retired, so a warm device moves
+// blocks without allocating; a lent buffer is never retired.
 package blockdev
 
 import (
+	"bytes"
 	"fmt"
 
 	"chanos/internal/baseline"
@@ -46,7 +48,9 @@ type Request struct {
 	// copied: Data[:BlockSize] becomes the block at completion, its
 	// bytes past len(Data) zeroed (a buffer of less than a block's
 	// capacity is copied). The caller may keep reading the buffer but
-	// must never write to it again.
+	// must never write to it again. A disk that shares from a source
+	// (ShareFrom) may commit the source's identical block instead, so
+	// the block a given write leaves is its Result's Data.
 	Give  bool
 	Reply *core.Chan
 }
@@ -56,11 +60,13 @@ func (r Request) MsgBytes() int { return 48 + len(r.Data) }
 
 // Result is the driver's answer. A read's Data is the platter's own
 // block, lent read-only: it never changes, and a reader that means to
-// write to it copies it first.
+// write to it copies it first. A given write's Data is the buffer the
+// block now holds, the given one or the source's identical block
+// (ShareFrom), read-only the same way; other writes carry none.
 type Result struct {
 	OK   bool
 	Err  string
-	Data []byte // payload for reads
+	Data []byte // payload for reads and given writes
 }
 
 // MsgBytes implements core.Sized.
@@ -129,6 +135,10 @@ type Disk struct {
 	// stage and recycle).
 	spare sim.BufList[byte]
 
+	// src is the disk whose identical blocks a given write commits
+	// instead of its own buffer (ShareFrom); nil shares nothing.
+	src *Disk
+
 	// Stats.
 	Reads, Writes uint64
 	BytesMoved    uint64
@@ -175,6 +185,26 @@ func (d *Disk) SnapshotData() map[int][]byte {
 		out[blk] = append([]byte(nil), b.buf...)
 	}
 	return out
+}
+
+// ShareFrom makes a given write commit src's block at the same number
+// instead of the given buffer when the two hold the same bytes and src
+// lent or was given that block, so never recycles it. The adopted
+// block is not this disk's own either, so it never changes. A
+// replica's disk shares from its primary's, whose sealed blocks it
+// writes again byte for byte. This disk only reads src; a later call
+// replaces it, and nil stops the sharing.
+func (d *Disk) ShareFrom(src *Disk) { d.src = src }
+
+// adopt returns the block a given write of buf to block commits: src's
+// identical block when ShareFrom allows it, else buf itself.
+func (d *Disk) adopt(block int, buf []byte) []byte {
+	if d.src != nil {
+		if b, ok := d.src.data[block]; ok && !b.own && bytes.Equal(b.buf, buf) {
+			return b.buf
+		}
+	}
+	return buf
 }
 
 // InjectWriteFailures makes the next n write completions report failure
@@ -303,7 +333,9 @@ type progOp struct {
 
 // finish is the completion interrupt: it moves the data and hands the
 // result to the operation's done func. A read lends the block's buffer,
-// which marks it no longer the disk's own.
+// which marks it no longer the disk's own. A given write (a block not
+// the disk's own) commits its source's identical block when there is
+// one (adopt), dropping the given buffer, and answers with the block.
 func (d *Disk) finish(p progOp) {
 	if p.res.Err != "" {
 		p.done(p.res)
@@ -329,8 +361,12 @@ func (d *Disk) finish(p progOp) {
 			return
 		}
 		d.recycle(d.data[p.block])
-		d.data[p.block] = p.data
 		res = Result{OK: true}
+		if !p.data.own {
+			p.data.buf = d.adopt(p.block, p.data.buf)
+			res.Data = p.data.buf
+		}
+		d.data[p.block] = p.data
 		d.Writes++
 	}
 	d.BytesMoved += uint64(d.P.BlockSize)

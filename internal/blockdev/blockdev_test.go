@@ -263,6 +263,12 @@ func programSync(rt *core.Runtime, th *core.Thread, disk *Disk, req Request) Res
 // fill returns a block-sized buffer of b.
 func fill(b byte) []byte { return bytes.Repeat([]byte{b}, 4096) }
 
+// given returns a buffer with a whole block's capacity holding b.
+func given(b ...byte) []byte { return append(make([]byte, 0, 4096), b...) }
+
+// padded returns b zero-padded to a whole block.
+func padded(b ...byte) []byte { return append(b, make([]byte, 4096-len(b))...) }
+
 // TestOversizedWriteFails: a write longer than a block fails loudly,
 // naming both sizes, and leaves the block as it was — it is never
 // silently cut to fit.
@@ -394,10 +400,6 @@ func TestReadLendsTheCommittedBlock(t *testing.T) {
 		rt.Run()
 		return disk
 	}
-	// given returns a buffer with a whole block's capacity holding b.
-	given := func(b ...byte) []byte { return append(make([]byte, 0, 4096), b...) }
-	padded := func(b ...byte) []byte { return append(b, make([]byte, 4096-len(b))...) }
-
 	t.Run("overwrite", func(t *testing.T) {
 		var first, second Result
 		disk := run(t, func(rt *core.Runtime, th *core.Thread, disk *Disk) {
@@ -606,6 +608,143 @@ func TestRecycledBlockBuffers(t *testing.T) {
 		run()
 		if per := testing.AllocsPerRun(5, run) / n; per != 0 {
 			t.Fatalf("a warm rewrite of one block allocates %.2f, want 0", per)
+		}
+	})
+}
+
+// TestShareFromAdoptsIdenticalBlocks: a disk that shares from a source
+// commits the source's block for a given write only when the source
+// holds that block number, lent or given (never a buffer it staged
+// itself), with the same length and bytes. An adopted block never
+// changes, whatever the source later writes, trims or stages at that
+// number, and the adopter never recycles it.
+func TestShareFromAdoptsIdenticalBlocks(t *testing.T) {
+	// run boots fn with a source disk of srcBlockSize-byte blocks and a
+	// 4096-byte adopter that shares from it.
+	run := func(t *testing.T, srcBlockSize int, fn func(rt *core.Runtime, th *core.Thread, src, dst *Disk)) {
+		t.Helper()
+		rt := newRT(t, 2)
+		sp := DefaultDiskParams(16)
+		sp.BlockSize = srcBlockSize
+		src, dst := NewDisk(rt, sp), NewDisk(rt, DefaultDiskParams(16))
+		dst.ShareFrom(src)
+		rt.Boot("app", func(th *core.Thread) { fn(rt, th, src, dst) })
+		rt.Run()
+	}
+	same := func(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+	t.Run("identical given block", func(t *testing.T) {
+		var res, back Result
+		var held []byte
+		srcBuf, dstBuf := given(1, 2, 3), given(1, 2, 3)
+		run(t, 4096, func(rt *core.Runtime, th *core.Thread, src, dst *Disk) {
+			programSync(rt, th, src, Request{Op: Write, Block: 5, Data: srcBuf, Give: true})
+			res = programSync(rt, th, dst, Request{Op: Write, Block: 5, Data: dstBuf, Give: true})
+			held = dst.data[5].buf
+			if dst.data[5].own {
+				t.Error("an adopted block is the adopter's own: it would recycle it")
+			}
+			back = programSync(rt, th, dst, Request{Op: Read, Block: 5})
+			// The source rewrites, trims and restages block 5; the
+			// adopter overwrites it, which must not recycle it.
+			programSync(rt, th, src, Request{Op: Write, Block: 5, Data: fill(0x51)})
+			programSync(rt, th, src, Request{Op: Write, Block: 5, Data: given(9, 9), Give: true})
+			src.Trim(5, 1)
+			for i := 0; i < 4; i++ {
+				programSync(rt, th, src, Request{Op: Write, Block: 5, Data: fill(0x52 + byte(i))})
+			}
+			programSync(rt, th, dst, Request{Op: Write, Block: 5, Data: fill(0x61)})
+			if dst.spare.Len() != 0 {
+				t.Error("the adopter recycled the adopted block when it overwrote it")
+			}
+			for i := 0; i < 4; i++ {
+				programSync(rt, th, dst, Request{Op: Write, Block: 6, Data: fill(0x62 + byte(i))})
+			}
+		})
+		if !res.OK || !same(res.Data, srcBuf) || !same(held, srcBuf) || !same(back.Data, srcBuf) {
+			t.Fatal("an identical given block was not adopted: the adopter keeps its own copy")
+		}
+		if !bytes.Equal(srcBuf[:4096], padded(1, 2, 3)) {
+			t.Fatal("an adopted block changed after the source rewrote, trimmed and restaged its number")
+		}
+	})
+
+	t.Run("staged source block", func(t *testing.T) {
+		var res Result
+		dstBuf := given(0x77)
+		run(t, 4096, func(rt *core.Runtime, th *core.Thread, src, dst *Disk) {
+			programSync(rt, th, src, Request{Op: Write, Block: 7, Data: padded(0x77)})
+			res = programSync(rt, th, dst, Request{Op: Write, Block: 7, Data: dstBuf, Give: true})
+			// The source replaces its staged block, which it recycles,
+			// and stages the next writes into it.
+			programSync(rt, th, src, Request{Op: Write, Block: 7, Data: fill(0x78)})
+			for b := 8; b < 12; b++ {
+				programSync(rt, th, src, Request{Op: Write, Block: b, Data: fill(0x79)})
+			}
+		})
+		if !res.OK || !same(res.Data, dstBuf) {
+			t.Fatal("a block the source staged itself was adopted: the source may recycle it")
+		}
+		if !bytes.Equal(res.Data, padded(0x77)) {
+			t.Fatalf("the adopter's block 7 starts %x after the source restaged, want 77", res.Data[0])
+		}
+	})
+
+	t.Run("no match", func(t *testing.T) {
+		cases := []struct {
+			name     string
+			srcSize  int
+			srcBlock int
+			srcBytes []byte
+		}{
+			{"differing bytes", 4096, 3, given(1, 2, 4)},
+			{"another block number", 4096, 4, given(1, 2, 3)},
+			{"another length", 2048, 3, append(make([]byte, 0, 2048), 1, 2, 3)},
+			{"absent", 4096, -1, nil},
+		}
+		for _, c := range cases {
+			t.Run(c.name, func(t *testing.T) {
+				var res Result
+				dstBuf := given(1, 2, 3)
+				run(t, c.srcSize, func(rt *core.Runtime, th *core.Thread, src, dst *Disk) {
+					if c.srcBlock >= 0 {
+						programSync(rt, th, src, Request{Op: Write, Block: c.srcBlock, Data: c.srcBytes, Give: true})
+					}
+					res = programSync(rt, th, dst, Request{Op: Write, Block: 3, Data: dstBuf, Give: true})
+				})
+				if !res.OK || !same(res.Data, dstBuf) {
+					t.Fatal("the adopter committed the source's block, which is not the same block")
+				}
+			})
+		}
+	})
+
+	t.Run("failed write adopts nothing", func(t *testing.T) {
+		var res Result
+		run(t, 4096, func(rt *core.Runtime, th *core.Thread, src, dst *Disk) {
+			programSync(rt, th, src, Request{Op: Write, Block: 2, Data: given(2), Give: true})
+			dst.InjectWriteFailures(1)
+			res = programSync(rt, th, dst, Request{Op: Write, Block: 2, Data: given(2), Give: true})
+			if _, ok := dst.data[2]; ok {
+				t.Error("a failed given write committed a block")
+			}
+		})
+		if res.OK || res.Data != nil {
+			t.Fatalf("a failed given write answered OK %v with %d bytes", res.OK, len(res.Data))
+		}
+	})
+
+	t.Run("ordinary write", func(t *testing.T) {
+		var res Result
+		var held []byte
+		srcBuf := given(4)
+		run(t, 4096, func(rt *core.Runtime, th *core.Thread, src, dst *Disk) {
+			programSync(rt, th, src, Request{Op: Write, Block: 4, Data: srcBuf, Give: true})
+			res = programSync(rt, th, dst, Request{Op: Write, Block: 4, Data: padded(4)})
+			held = dst.data[4].buf
+		})
+		if !res.OK || res.Data != nil || same(held, srcBuf) {
+			t.Fatal("a write that did not give its buffer adopted the source's block or answered with one")
 		}
 	})
 }

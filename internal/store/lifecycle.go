@@ -158,6 +158,12 @@ func (s *Store) LifecycleReport() []ReplicaStatus {
 // or failed-over store. Panics if this machine is already attached or
 // the shard counts differ — primary shard i streams to replica shard i,
 // which the shared key hash guarantees once the counts match.
+//
+// Replica shard i's disk shares from primary shard i's
+// (blockdev.Disk.ShareFrom), replacing any earlier primary's: the
+// replica seals the blocks the primary sealed, byte for byte, so each
+// one lives in host memory once. The pointer runs from replica to
+// primary only, and no simulated number moves.
 func (s *Store) AttachReplica(rm *ReplicaMachine) {
 	if rm.KV.Shards() != s.Shards() {
 		panic(fmt.Sprintf("store: replica has %d shards, primary %d — counts must match",
@@ -179,6 +185,7 @@ func (s *Store) AttachReplica(rm *ReplicaMachine) {
 	// returned, so the slot is always populated).
 	s.shards[0].m.ReplAttaches++
 	for i := range s.shards {
+		rm.KV.disks[i].ShareFrom(s.disks[i])
 		r := s.dialReplica(rm, i)
 		s.svc.Inject(s.svc.Shard(i), kernel.Request{Op: "replattach", Key: i, Arg: replAttach{r: r}}, 0)
 	}

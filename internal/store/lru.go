@@ -1,6 +1,6 @@
 package store
 
-import "chanos/internal/sim/detmap"
+import "chanos/internal/sim"
 
 // lruCache is the per-shard block cache: sealed log blocks keyed by
 // block number, least-recently-used eviction. It is owned by exactly
@@ -10,6 +10,8 @@ type lruCache struct {
 	cap        int
 	m          map[int]*lruNode
 	head, tail *lruNode // head = most recently used
+	// free holds the nodes dropRange removed, for put to reuse.
+	free sim.FreeList[lruNode]
 }
 
 type lruNode struct {
@@ -37,7 +39,8 @@ func (c *lruCache) get(block int) ([]byte, bool) {
 }
 
 // put inserts (or refreshes) a block. A full cache evicts its least
-// recently used entry and reuses the node for the new block.
+// recently used entry and reuses the node for the new block; one that
+// is not full takes a node dropRange freed, or a new one.
 func (c *lruCache) put(block int, data []byte) {
 	if n, ok := c.m[block]; ok {
 		n.data = data
@@ -50,7 +53,7 @@ func (c *lruCache) put(block int, data []byte) {
 		c.unlink(n)
 		delete(c.m, n.block)
 	} else {
-		n = new(lruNode)
+		n = c.free.Get()
 	}
 	n.block, n.data = block, data
 	c.m[block] = n
@@ -60,16 +63,20 @@ func (c *lruCache) put(block int, data []byte) {
 // dropRange evicts every cached block in [start, end) — used when a
 // compacted region is retired: its block numbers will be rewritten with
 // different contents under a later epoch, and a stale hit must be
-// impossible by construction, not by luck. Candidates are sorted so the
-// eviction order (and thus the recency list) replays deterministically.
+// impossible by construction, not by luck. It walks the recency list,
+// so it never ranges over the map, and removing a node leaves the order
+// of the others as it was. A dropped node goes on the free list, its
+// block buffer released to the GC.
 func (c *lruCache) dropRange(start, end int) {
-	for _, b := range detmap.Keys(c.m) {
-		if b < start || b >= end {
-			continue
+	for n := c.head; n != nil; {
+		next := n.next
+		if n.block >= start && n.block < end {
+			c.unlink(n)
+			delete(c.m, n.block)
+			n.data = nil
+			c.free.Put(n)
 		}
-		n := c.m[b]
-		c.unlink(n)
-		delete(c.m, b)
+		n = next
 	}
 }
 

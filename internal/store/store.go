@@ -243,9 +243,10 @@ func (a scanArg) MsgBytes() int { return 24 + len(a.Prefix) }
 // "readdone" for a cache-miss read. A log write carries the
 // acknowledgements it made durable and — for a sealing write only —
 // the block's final contents, which enter the cache now that they are
-// known to be on disk; a read carries the block it read. data is nil
-// otherwise, so the message is billed for a payload exactly when it
-// carries one.
+// known to be on disk (the buffer the disk committed, which on a
+// replica may be its primary's); a read carries the block it read.
+// data is nil otherwise, so the message is billed for a payload
+// exactly when it carries one.
 //
 // Records come from the shard's free list and go back once their
 // message is handled. Each binds its done func (Program's completion
@@ -296,6 +297,13 @@ func (d *diskDone) complete(res blockdev.Result) {
 	switch d.op {
 	case "readdone":
 		d.data = res.Data
+	case "flushed":
+		if d.sealed && res.OK {
+			// The block the disk committed: the given buffer, or the
+			// primary's identical one on a replica's disk. Its length
+			// stays the message's.
+			d.data = res.Data[:len(d.data)]
+		}
 	case "epochdone":
 		if res.OK {
 			d.sh.m.EpochWritesDurable++
@@ -1134,8 +1142,10 @@ func (sh *shard) armFlush(t *core.Thread) {
 // appends may continue into the open block at once. sealed marks a
 // block being written for the last time: the caller starts a new open
 // block right after, so this one is given to the disk as the block
-// itself, uncopied, and becomes the cache's copy as it is, entering
-// the cache when (and only when) this write completes.
+// itself, uncopied. The block the disk commits — this buffer, or on a
+// replica the primary's identical block (AttachReplica) — becomes the
+// cache's copy as it is, entering the cache when (and only when) this
+// write completes.
 func (sh *shard) flush(t *core.Thread, sealed bool) {
 	sh.replShipOut(t) // the records riding this flush ship to the replica now
 	d := sh.newDiskDone(t, "flushed")

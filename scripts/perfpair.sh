@@ -20,7 +20,10 @@
 # pairs and moved host_allocs_per_op against a worktree of the same
 # commit. It then prints, for every end-to-end metric BENCHMARK.json
 # declares, each side's median and quartiles, and how many pairs the
-# change won, tied and lost by the metric's direction. Host deltas are
+# change won, tied and lost by the metric's direction, and the change's
+# median against the parent's in percent. A metric whose median moved
+# the worse way by more than its BENCHMARK.json bound (a share of the
+# parent's median) is marked OVER BOUND. Host deltas are
 # judged this way (ROADMAP.md: alternating pairs), because one run of
 # either side says little on a noisy host. WORKLOAD `all` runs N pairs
 # of every workload BENCHMARK.json declares, one workload after the
@@ -114,6 +117,9 @@ done | awk -v n="$n" '
             name = substr($0, RSTART, RLENGTH); sub(/.*"name": *"/, "", name); sub(/"$/, "", name)
             if ($0 ~ /"better": *"higher"/) dir[name] = 1
             else if ($0 ~ /"better": *"lower"/) dir[name] = -1
+            if (match($0, /"bound": *[0-9.]+/)) {
+                b = substr($0, RSTART, RLENGTH); sub(/.*: */, "", b); bound[name] = b + 0
+            }
         }
         next
     }
@@ -128,7 +134,7 @@ done | awk -v n="$n" '
     }
     END {
         dir["failed_ops"] = dir["gc_peak_live_mb"] = dir["gc_cycles"] = -1
-        printf "%-20s %-42s %-42s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "change won/tied/lost"
+        printf "%-20s %-42s %-42s %-20s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "change won/tied/lost", "median delta"
         for (m in seen) {
             if (!(m in dir)) continue
             w = t = l = 0
@@ -136,10 +142,17 @@ done | awk -v n="$n" '
                 d = (v["change", m, i] - v["parent", m, i]) * dir[m]
                 if (d > 0) w++; else if (d < 0) l++; else t++
             }
-            printf "%-20s %-42s %-42s %d/%d/%d\n", m,
-                sprintf("%.8g [%.8g, %.8g]", q("parent", m, 0.5), q("parent", m, 0.25), q("parent", m, 0.75)),
-                sprintf("%.8g [%.8g, %.8g]", q("change", m, 0.5), q("change", m, 0.25), q("change", m, 0.75)),
-                w, t, l
+            pm = q("parent", m, 0.5); cm = q("change", m, 0.5)
+            delta = "n/a"
+            if (pm != "nan" && cm != "nan" && pm != 0) {
+                rel = (cm - pm) / pm
+                delta = sprintf("%+.1f%%", 100 * rel)
+                if ((m in bound) && -rel * dir[m] > bound[m]) delta = delta " OVER BOUND"
+            }
+            printf "%-20s %-42s %-42s %-20s %s\n", m,
+                sprintf("%.8g [%.8g, %.8g]", pm, q("parent", m, 0.25), q("parent", m, 0.75)),
+                sprintf("%.8g [%.8g, %.8g]", cm, q("change", m, 0.25), q("change", m, 0.75)),
+                sprintf("%d/%d/%d", w, t, l), delta
         }
     }' BENCHMARK.json - | { read -r head; echo "$head"; sort; }
 }
