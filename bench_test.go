@@ -73,7 +73,6 @@ func BenchmarkStoreHeal(b *testing.B) { benchExperiment(b, "E17") }
 // Ablations (design-choice knobs called out in DESIGN.md).
 
 func BenchmarkA1MsgCostSensitivity(b *testing.B)  { benchExperiment(b, "A1") }
-func BenchmarkA2QueueDepth(b *testing.B)          { benchExperiment(b, "A2") }
 func BenchmarkA3KernelCoreFraction(b *testing.B)  { benchExperiment(b, "A3") }
 func BenchmarkA4TrapCostSensitivity(b *testing.B) { benchExperiment(b, "A4") }
 

@@ -23,8 +23,7 @@ import (
 func main() {
 	var (
 		list    = flag.Bool("list", false, "list experiments")
-		runID   = flag.String("run", "", "run one experiment by id (E1..E19, A1..A4; -list shows them)")
-		all     = flag.Bool("all", false, "run every experiment")
+		runID   = flag.String("run", "", "run one experiment by id (E1..E19, A1, A3, A4; -list shows them)")
 		quick   = flag.Bool("quick", false, "reduced sweeps and windows")
 		seed    = flag.Uint64("seed", 42, "simulation seed")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -52,11 +51,8 @@ func main() {
 			os.Exit(1)
 		}
 		emit(e, o, *csv, *jsonOut)
-	case *all:
-		fallthrough
 	default:
-		// -all, or bare invocation (with or without -quick/-seed): the
-		// full suite.
+		// Bare invocation (with or without -quick/-seed): the full suite.
 		for _, e := range exp.All() {
 			emit(e, o, *csv, *jsonOut)
 		}

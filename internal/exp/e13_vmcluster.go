@@ -11,7 +11,6 @@ import (
 
 func init() {
 	register("E13", "Figure 7: the alternative — a chip as a cluster of VMs (§1, §6)", e13VMCluster)
-	register("A2", "Ablation 2: syscall queue depth (§3 blocking vs non-blocking send)", a2QueueDepth)
 }
 
 const (
@@ -128,44 +127,5 @@ func e13VMCluster(o Options) []*stats.Table {
 	}
 	tb.Note("claim (§1, §6): 'give up and run a thousand VMs in one box; that seems undesirable' —")
 	tb.Note("cross-VM sharing pays vNIC round trips that single-system messages avoid")
-	return []*stats.Table{tb}
-}
-
-func a2QueueDepth(o Options) []*stats.Table {
-	cores := 16
-	clients := 8
-	window := sim.Time(3_000_000)
-	if o.Quick {
-		window = 1_200_000
-	}
-	run := func(depth int) float64 {
-		w := newWorld(cores, o.seed(), core.Config{})
-		defer w.close()
-		k := kernel.New(w.rt, kernel.Config{KernelCoreFraction: 0.25, SyscallQueueDepth: depth})
-		k.Register("svc", 0, func(t *core.Thread, req kernel.Request) core.Msg {
-			t.Compute(e13Service)
-			return nil
-		})
-		var appCores []int
-		for c := 0; c < cores && len(appCores) < clients; c++ {
-			if !k.IsKernelCore(c) {
-				appCores = append(appCores, c)
-			}
-		}
-		ops := closedLoop(w, len(appCores), window,
-			func(i int) []core.SpawnOpt { return []core.SpawnOpt{core.OnCore(appCores[i])} },
-			func(t *core.Thread, i int) {
-				t.Compute(e13Think)
-				k.Call(t, "svc", i, "op", nil)
-			})
-		return w.opsPerSec(ops, window)
-	}
-	tb := stats.NewTable("A2: syscall throughput vs service queue depth",
-		"queue depth", "ops/sec")
-	for _, d := range []int{1, 8, 64} {
-		tb.AddRow(fmt.Sprint(d), stats.F(run(d)))
-	}
-	tb.Note("blocking send (depth ~0/1) is 'easier to implement ... and more powerful; however,")
-	tb.Note("non-blocking send ... is probably faster' (§3) — queueing decouples caller and service")
 	return []*stats.Table{tb}
 }

@@ -139,6 +139,8 @@ func e3Primitives(o Options) []*stats.Table {
 	row("trap pair (mode switch + pollution)", trap)
 	tb.Note("claim (§1): lightweight send is within a small factor of a procedure call;")
 	tb.Note("middleweight messages (Mach) and traps are 1-2 orders costlier (§2)")
+	tb.Note("the same-core send row is mostly context switches, not send cost: each send wakes the receiver")
+	tb.Note("on the sender's own core and hands it that core; the claim is the cross-core send, where each keeps its core")
 	return []*stats.Table{tb}
 }
 
@@ -166,8 +168,6 @@ func e11Choice(o Options) []*stats.Table {
 			}
 		}, core.OnCore(0))
 		w.rt.Boot("producer", func(t *core.Thread) {
-			rng := t.Runtime()
-			_ = rng
 			for i := 0; i < rounds; i++ {
 				t.Sleep(1000) // choice must actually wait
 				chans[i%k].Send(t, i)

@@ -121,15 +121,15 @@ func e9Placement(o Options) []*stats.Table {
 		coreCounts = []int{16}
 	}
 	policies := e9Policies(o)
-	tb := stats.NewTable("E9 / Figure 5: pipeline throughput by placement policy (items/sec)",
-		"policy", "16 cores", "64 cores")
+	cols := []string{"policy"}
+	for _, c := range coreCounts {
+		cols = append(cols, fmt.Sprintf("%d cores", c))
+	}
+	tb := stats.NewTable("E9 / Figure 5: pipeline throughput by placement policy (items/sec)", cols...)
 	for _, p := range policies {
 		row := []string{p.name}
 		for _, c := range coreCounts {
 			row = append(row, stats.F(e9Pipeline(o, c, p.mk())))
-		}
-		for len(row) < 3 {
-			row = append(row, "-")
 		}
 		tb.AddRow(row...)
 	}

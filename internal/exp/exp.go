@@ -1,10 +1,12 @@
 // Package exp implements the experiment suite: one function per
-// experiment (E1..E19, ablations A1..A4), each returning printable tables
-// that regenerate the experiment "figures" and "tables" (ARCHITECTURE.md's
-// "Layer → experiments" table maps each to the layer it measures).
-// The paper being a position paper has no evaluation of its own; every
-// experiment here tests a quantitative claim in its prose (see DESIGN.md
-// §3 for the claim-to-experiment mapping).
+// experiment (E1..E19, ablations A1, A3 and A4), each returning printable
+// tables that regenerate the experiment "figures" and "tables"
+// (ARCHITECTURE.md's "Layer → experiments" table maps each to the layer
+// it measures). The paper being a position paper has no evaluation of its
+// own; every experiment here tests a quantitative claim in its prose.
+// ARCHITECTURE.md's "Paper claims → experiments → gates" table maps each
+// claim to its experiment, its committed BENCH_<id>.json and the gate
+// predicate that checks it.
 //
 // The same functions back cmd/chanos-bench and the testing.B benchmarks
 // in the repository root, so tables are reproducible from either.
