@@ -189,10 +189,6 @@ func (n *Node) apply(t *core.Thread, req store.KVRequest) store.KVResponse {
 		// applies wherever it lands (version-safe), stats describe the
 		// machine that served them.
 		return n.KV.Apply(t, req)
-	case store.WScan:
-		// Scans are node-local in a cluster: a prefix can span ranges,
-		// and stitching cross-node scans is a client concern.
-		return n.KV.Apply(t, req)
 	}
 
 	// Routed single-key ops. A flipped-but-not-yet-installed migration

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -127,6 +128,62 @@ func TestClusterRoutingAndQuorum(t *testing.T) {
 		kc := n.KV.Counters()
 		if kc.AckedQuorum == 0 && kc.AckedWrites > 0 {
 			t.Errorf("node %d acked %d writes, none at quorum", n.ID, kc.AckedWrites)
+		}
+	}
+}
+
+// TestUnknownWireOpIsRefused: a request whose op is outside the defined
+// set (the zero op, and one past the last) is routed by its key like any
+// other. The key's owner answers it with the store's "unknown wire op"
+// error and goes on serving the connection; another node bounces it
+// Moved to the owner.
+func TestUnknownWireOpIsRefused(t *testing.T) {
+	keys := store.Keyspace(30)
+	c := boot3(t, 1, keys, 17)
+	defer c.Shutdown()
+	key := keys[0]
+	owner := c.Map(0).NodeFor(key)
+	other := (owner + 1) % len(c.Nodes)
+	bad := []store.KVRequest{{Op: 0, Seq: 1, Key: key}, {Op: store.WMapSet + 1, Seq: 2, Key: key}}
+
+	// exchange sends reqs one at a time on a fresh connection to node id
+	// and returns the responses.
+	exchange := func(id int, reqs []store.KVRequest) []store.KVResponse {
+		var got []store.KVResponse
+		send := func(ep *net.Endpoint) { ep.Send(reqs[len(got)], reqs[len(got)].WireBytes()) }
+		n := c.Nodes[id]
+		n.NW.Dial(n.Port, net.EndpointHooks{
+			OnOpen: send,
+			OnMessage: func(ep *net.Endpoint, payload core.Msg, _ int) {
+				got = append(got, payload.(store.KVResponse))
+				if len(got) < len(reqs) {
+					send(ep)
+				} else {
+					ep.Close()
+				}
+			},
+		})
+		for step := 0; step < 100 && len(got) < len(reqs); step++ {
+			c.RunFor(100_000)
+		}
+		if len(got) < len(reqs) {
+			t.Fatalf("node %d answered %d of %d requests", id, len(got), len(reqs))
+		}
+		return got
+	}
+
+	got := exchange(owner, append(slices.Clone(bad), store.KVRequest{Op: store.WGet, Seq: 3, Key: key}))
+	for i, r := range got[:len(bad)] {
+		if r.OK || r.Moved || r.Err != "store: unknown wire op" {
+			t.Errorf("owner answered op %d with %+v, want Err %q", bad[i].Op, r, "store: unknown wire op")
+		}
+	}
+	if r := got[len(bad)]; !r.OK {
+		t.Errorf("owner refused a GET after the unknown ops: %+v", r)
+	}
+	for i, r := range exchange(other, bad) {
+		if !r.Moved || r.Owner != owner {
+			t.Errorf("node %d answered op %d with %+v, want Moved to node %d", other, bad[i].Op, r, owner)
 		}
 	}
 }

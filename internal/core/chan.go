@@ -345,7 +345,6 @@ func (rt *Runtime) deliverToReceiver(r *waiter, v Msg, when uint64) {
 	if r.choice != nil {
 		res.idx = r.idx
 	}
-	r.t.received++
 	rt.wakeAt(r.t, when, res)
 }
 
@@ -379,7 +378,6 @@ func (rt *Runtime) opSend(t *Thread, o op) {
 	rt.stats.Sends++
 	rt.stats.BytesSent += uint64(bytes)
 	c.Sends++
-	t.sent++
 	rt.M.Core(t.core).MsgsSent++
 	rt.M.Core(t.core).BytesSent += uint64(bytes)
 
@@ -498,7 +496,6 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 		if s := c.popSend(); s != nil {
 			rt.promoteSender(c, s, now)
 		}
-		t.received++
 		t.state = tBlocked
 		rt.releaseCore(t)
 		rt.traceMsg(c, e.from, t.core, now+transit)
@@ -512,7 +509,6 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 			c.rt.releaseInjected(s)
 			bytes := rt.msgBytes(v)
 			_, transit := rt.M.MsgCost(from, t.core, bytes)
-			t.received++
 			t.state = tBlocked
 			rt.releaseCore(t)
 			rt.wakeAt(t, now+transit, withIdx(opResult{val: v, ok: true, ready: true}))
@@ -529,7 +525,6 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 			sRes.idx = s.idx
 		}
 		rt.wakeAt(s.t, arrival, sRes)
-		t.received++
 		t.state = tBlocked
 		rt.releaseCore(t)
 		rt.wakeAt(t, arrival, withIdx(opResult{val: s.val, ok: true, ready: true}))

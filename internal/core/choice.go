@@ -27,16 +27,6 @@ func (t *Thread) Choose(cases ...Case) (idx int, v Msg, ok bool) {
 	return r.idx, r.val, r.ok
 }
 
-// ChooseDefault is Choose with a default: if no case is immediately ready
-// it returns idx == -1 without blocking.
-func (t *Thread) ChooseDefault(cases ...Case) (idx int, v Msg, ok bool) {
-	if len(cases) == 0 {
-		panic("core: ChooseDefault with no cases")
-	}
-	r := t.do(op{kind: opChoose, cases: cases, hasDef: true})
-	return r.idx, r.val, r.ok
-}
-
 // RecvTimeout receives from c with a timeout of d cycles. timedOut is true
 // if the timer fired first.
 func (t *Thread) RecvTimeout(c *Chan, d uint64) (v Msg, ok bool, timedOut bool) {
@@ -81,10 +71,6 @@ func (rt *Runtime) evalChoice(t *Thread, o op) {
 	if len(ready) > 0 {
 		pick := ready[rt.rng.Intn(len(ready))]
 		rt.execCase(t, o.cases[pick], pick)
-		return
-	}
-	if o.hasDef {
-		rt.resumeInPlace(t, opResult{idx: -1})
 		return
 	}
 	switch rt.Cfg.Choose {
@@ -202,6 +188,5 @@ func (rt *Runtime) execCase(t *Thread, cs Case, idx int) {
 	rt.stats.Sends++
 	rt.stats.BytesSent += uint64(bytes)
 	cs.Ch.Sends++
-	t.sent++
 	rt.sendAt(t, end, cs.Ch, v, bytes, idx)
 }

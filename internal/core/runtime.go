@@ -287,7 +287,6 @@ func (rt *Runtime) StealFrom(victim, thief int) *Thread {
 		cs.assigned--
 		rt.cores[thief].assigned++
 		t.core = thief
-		t.migrations++
 		return t
 	}
 	return nil
@@ -582,19 +581,6 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 	case opYield:
 		t.pending = opResult{}
 		rt.releaseCore(t)
-		rt.makeReady(t)
-
-	case opMigrate:
-		cs := rt.cores[t.core]
-		if cs.cur == t {
-			cs.cur = nil
-		}
-		cs.assigned--
-		rt.cores[o.core].assigned++
-		t.core = o.core
-		t.migrations++
-		rt.dispatch(cs)
-		t.pending = opResult{}
 		rt.makeReady(t)
 
 	case opSpawn:

@@ -363,19 +363,6 @@ func TestChooseBlocksUntilReady(t *testing.T) {
 	}
 }
 
-func TestChooseDefault(t *testing.T) {
-	rt := newRT(t, 1, Config{})
-	a := rt.NewChan("a", 0)
-	var idx int
-	rt.Boot("main", func(th *Thread) {
-		idx, _, _ = th.ChooseDefault(Case{Ch: a, Dir: RecvDir})
-	})
-	rt.Run()
-	if idx != -1 {
-		t.Fatalf("ChooseDefault on empty = %d, want -1", idx)
-	}
-}
-
 func TestChooseSendCase(t *testing.T) {
 	rt := newRT(t, 2, Config{})
 	out := rt.NewChan("out", 0)
@@ -484,20 +471,6 @@ func TestOnCorePlacement(t *testing.T) {
 	}
 }
 
-func TestMigrate(t *testing.T) {
-	rt := newRT(t, 4, Config{})
-	var before, after int
-	rt.Boot("t", func(th *Thread) {
-		before = th.Core()
-		th.Migrate((before + 1) % 4)
-		after = th.Core()
-	}, OnCore(0))
-	rt.Run()
-	if before != 0 || after != 1 {
-		t.Fatalf("migrate: before=%d after=%d", before, after)
-	}
-}
-
 func TestMonitorNormalAndAbnormalExit(t *testing.T) {
 	rt := newRT(t, 4, Config{})
 	notices := rt.NewChan("notices", 8)
@@ -544,67 +517,6 @@ func TestMonitorAlreadyDead(t *testing.T) {
 	rt.Run()
 	if n.Name != "fast" {
 		t.Fatalf("late monitor notice = %+v", n)
-	}
-}
-
-func TestLinkKillsPeerOnAbnormalExit(t *testing.T) {
-	rt := newRT(t, 4, Config{})
-	blocked := rt.NewChan("blocked", 0)
-	var peer *Thread
-	rt.Boot("main", func(th *Thread) {
-		peer = th.Spawn("peer", func(th2 *Thread) {
-			blocked.Recv(th2) // parks forever
-		})
-		crasher := th.Spawn("crasher", func(th2 *Thread) {
-			th2.Sleep(1000)
-			th2.Fail(errors.New("died"))
-		})
-		th.Sleep(100)
-		peer.Link(crasher)
-	})
-	rt.Run()
-	if !peer.Dead() {
-		t.Fatal("linked peer survived abnormal exit")
-	}
-	if !errors.Is(peer.ExitReason(), ErrLinkedExit) {
-		t.Fatalf("peer exit reason = %v", peer.ExitReason())
-	}
-}
-
-func TestLinkNormalExitDoesNotKill(t *testing.T) {
-	rt := newRT(t, 4, Config{})
-	survived := false
-	rt.Boot("main", func(th *Thread) {
-		quiet := th.Spawn("quiet", func(th2 *Thread) {
-			th2.Sleep(5000)
-			survived = true
-		})
-		normal := th.Spawn("normal", func(th2 *Thread) {})
-		quiet.Link(normal)
-	})
-	rt.Run()
-	if !survived {
-		t.Fatal("peer killed by a normal exit")
-	}
-}
-
-func TestTrapExitsConvertsKillToMessage(t *testing.T) {
-	rt := newRT(t, 4, Config{})
-	exits := rt.NewChan("exits", 4)
-	var notice ExitNotice
-	rt.Boot("supervisor-ish", func(th *Thread) {
-		th.TrapExits(exits)
-		worker := th.Spawn("worker", func(th2 *Thread) {
-			th2.Sleep(1000)
-			th2.Fail(errors.New("crash"))
-		})
-		th.Link(worker)
-		v, _ := exits.Recv(th)
-		notice = v.(ExitNotice)
-	})
-	rt.Run()
-	if notice.Name != "worker" || !notice.Abnorm {
-		t.Fatalf("trap-exit notice = %+v", notice)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"chanos/internal/sim"
 )
@@ -27,7 +26,6 @@ const (
 	opCompute opKind = iota
 	opSleep
 	opYield
-	opMigrate
 	opSpawn
 	opSend
 	opRecv
@@ -42,12 +40,10 @@ const (
 type op struct {
 	kind   opKind
 	cycles uint64
-	core   int
 	ch     *Chan
 	val    Msg
 	try    bool
 	cases  []Case
-	hasDef bool
 	victim *Thread
 	exit   error
 }
@@ -83,8 +79,6 @@ func Near(t *Thread) SpawnOpt { return func(r *spawnReq) { r.hint.Near = t } }
 var (
 	// ErrKilled marks a thread terminated by Kill or Shutdown.
 	ErrKilled = errors.New("killed")
-	// ErrLinkedExit marks a thread killed because a linked peer died.
-	ErrLinkedExit = errors.New("linked thread exited abnormally")
 	// ErrSendClosed is the fault raised by sending on a closed channel.
 	ErrSendClosed = errors.New("send on closed channel")
 )
@@ -98,9 +92,9 @@ type PanicError struct{ Value any }
 
 func (e PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// ExitNotice is delivered to monitor channels (and to exit-trapping linked
-// threads) when a thread dies. This is the paper's upward notification
-// flow: thread death is just another message.
+// ExitNotice is delivered to monitor channels when a thread dies. This
+// is the paper's upward notification flow: thread death is just another
+// message.
 type ExitNotice struct {
 	TID    int
 	Name   string
@@ -142,9 +136,7 @@ type Thread struct {
 	arg      any           // SpawnArg's operand (see Arg)
 	spawnReq spawnReq      // the child Spawn asks for, until the engine makes it
 
-	links     map[int]*Thread // made by the first Link
-	monitors  []*Chan
-	trapExits *Chan
+	monitors []*Chan
 
 	parked bool // blocked in Park
 	permit bool // Unpark arrived before Park
@@ -152,9 +144,6 @@ type Thread struct {
 	segStart sim.Time // when this thread last gained its core (tracing)
 
 	exitReason error
-	migrations uint64
-	sent       uint64
-	received   uint64
 }
 
 // ID returns the thread id (unique within the runtime).
@@ -203,7 +192,7 @@ func (t *Thread) ReplyChan() *Chan {
 func (t *Thread) Arg() any { return t.arg }
 
 // do yields one operation to the engine and resumes with its result. A
-// poison result unwinds the thread (kill, linked exit).
+// poison result unwinds the thread (kill).
 func (t *Thread) do(o op) opResult {
 	w := t.w
 	w.yield(o)
@@ -228,14 +217,6 @@ func (t *Thread) Sleep(d uint64) { t.do(op{kind: opSleep, cycles: d}) }
 // Yield releases the core to the next runnable thread.
 func (t *Thread) Yield() { t.do(op{kind: opYield}) }
 
-// Migrate moves the thread to another core (queueing behind its work).
-func (t *Thread) Migrate(core int) {
-	if core < 0 || core >= t.rt.NumCores() {
-		panic(fmt.Sprintf("core: migrate to invalid core %d", core))
-	}
-	t.do(op{kind: opMigrate, core: core})
-}
-
 // Spawn starts fn as a new lightweight thread — the paper's
 // `start { foo(); }`. The spawn cost is charged to the parent.
 func (t *Thread) Spawn(name string, fn func(*Thread), opts ...SpawnOpt) *Thread {
@@ -259,8 +240,8 @@ func (t *Thread) SpawnArg(name string, fn func(*Thread), arg any) *Thread {
 // Exit terminates the thread immediately with a normal exit.
 func (t *Thread) Exit() { panic(exitNormal{}) }
 
-// Fail terminates the thread abnormally with the given reason; linked
-// threads and monitors observe it.
+// Fail terminates the thread abnormally with the given reason; monitors
+// observe it.
 func (t *Thread) Fail(reason error) { panic(reason) }
 
 // finish turns what a thread's unwinding recovered (nil for a normal
@@ -277,39 +258,8 @@ func finish(recovered any) error {
 	}
 }
 
-// Link establishes a bidirectional link with other (Erlang semantics): if
-// either dies abnormally, the other is killed — unless it traps exits, in
-// which case it receives an ExitNotice message instead. Links are the
-// primitive beneath supervision trees (§5 partial failure).
-func (t *Thread) Link(other *Thread) {
-	if other == nil || other.id == t.id {
-		return
-	}
-	t.link(other)
-	other.link(t)
-}
-
-func (t *Thread) link(other *Thread) {
-	if t.links == nil {
-		t.links = make(map[int]*Thread)
-	}
-	t.links[other.id] = other
-}
-
-// Unlink removes a link in both directions.
-func (t *Thread) Unlink(other *Thread) {
-	if other == nil {
-		return
-	}
-	delete(t.links, other.id)
-	delete(other.links, t.id)
-}
-
-// TrapExits redirects linked-exit kills into ExitNotice messages on ch.
-func (t *Thread) TrapExits(ch *Chan) { t.trapExits = ch }
-
 // Monitor registers notify to receive an ExitNotice when other dies.
-// Unlike Link, monitoring is unidirectional and never kills the watcher.
+// Monitoring is unidirectional and never kills the watcher.
 func (t *Thread) Monitor(other *Thread, notify *Chan) {
 	if other == nil {
 		return
@@ -370,28 +320,6 @@ func (rt *Runtime) threadExit(t *Thread, reason error) {
 		rt.notifyExit(t, ch)
 	}
 	t.monitors = nil
-	// Iterate links in id order: map order would make kill cascades (and
-	// therefore the whole simulation) nondeterministic.
-	ids := make([]int, 0, len(t.links))
-	for id := range t.links {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		peer := t.links[id]
-		delete(peer.links, t.id)
-		if peer.state == tDead {
-			continue
-		}
-		if abnormal {
-			if peer.trapExits != nil {
-				rt.InjectSend(peer.trapExits, rt.exitNotice(t), t.core)
-			} else {
-				rt.killThread(peer, ErrLinkedExit)
-			}
-		}
-	}
-	t.links = nil
 	delete(rt.threads, t.id)
 	t.fn, t.arg = nil, nil
 	t.letGo()
@@ -422,17 +350,14 @@ func exitKind(reason error) (normal, abnormal bool) {
 	return false, true
 }
 
-func (rt *Runtime) exitNotice(t *Thread) ExitNotice {
+// notifyExit sends the dead thread t's ExitNotice on ch.
+func (rt *Runtime) notifyExit(t *Thread, ch *Chan) {
 	_, abnormal := exitKind(t.exitReason)
 	n := ExitNotice{TID: t.id, Name: t.name, Abnorm: abnormal}
 	if abnormal {
 		n.Reason = t.exitReason
 	}
-	return n
-}
-
-func (rt *Runtime) notifyExit(t *Thread, ch *Chan) {
-	rt.InjectSend(ch, rt.exitNotice(t), t.core)
+	rt.InjectSend(ch, n, t.core)
 }
 
 // killThread forcibly unwinds a thread from the engine side. The victim's

@@ -120,7 +120,7 @@ type Bench struct {
 // RunBench runs e under o and keeps the last telemetry snapshot it
 // publishes.
 func RunBench(e Experiment, o Options) *Bench {
-	b := &Bench{ID: e.ID, Title: e.Title, Seed: o.Seed, Quick: o.Quick}
+	b := &Bench{ID: e.ID, Title: e.Title, Seed: o.seed(), Quick: o.Quick}
 	o.SnapshotSink = func(s *telemetry.Snapshot) { b.Telemetry = s }
 	b.Tables = e.Run(o)
 	return b

@@ -22,6 +22,20 @@ func TestE18ScalingContract(t *testing.T) {
 	}
 }
 
+// TestRunBenchRecordsTheSeedItRan: Options with no Seed run at the
+// default 42, so the artifact must say 42 and match a -seed 42 run byte
+// for byte.
+func TestRunBenchRecordsTheSeedItRan(t *testing.T) {
+	e, _ := Find("E4")
+	b := RunBench(e, Options{Quick: true})
+	if b.Seed != 42 {
+		t.Fatalf("RunBench with no seed recorded seed %d, want 42, the seed it ran", b.Seed)
+	}
+	if d := diffBench(b.JSON(), RunBench(e, q).JSON()); d != "" {
+		t.Fatalf("a run with no seed differs from a seed-42 run: %s", d)
+	}
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"A1", "A3", "A4", "E1", "E10", "E11", "E12", "E13",
 		"E14", "E15", "E16", "E17", "E18", "E19", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9"}

@@ -13,7 +13,7 @@ import (
 // audit iterated its acked-write ledger in map order while the fleet
 // was live). Two escapes, in order of preference:
 //
-//  1. Rewrite through internal/sim/detmap (Sorted/SortedFunc/Keys):
+//  1. Rewrite through internal/sim/detmap (Sorted/Keys):
 //     ranging over the returned iterator or key slice is clean because
 //     the range operand is no longer a map.
 //  2. Prove the loop is an order-insensitive fold. The analyzer

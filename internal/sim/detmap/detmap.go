@@ -32,17 +32,6 @@ func Keys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
 	return ks
 }
 
-// KeysFunc returns m's keys sorted by cmp (a three-way comparison as
-// in slices.SortFunc), for key types that are not cmp.Ordered.
-func KeysFunc[M ~map[K]V, K comparable, V any](m M, cmp func(a, b K) int) []K {
-	ks := make([]K, 0, len(m))
-	for k := range m { //chanos:allow mapiter detmap is the sorted-iteration primitive itself; the sort below erases map order
-		ks = append(ks, k)
-	}
-	slices.SortFunc(ks, cmp)
-	return ks
-}
-
 // Sorted returns an iterator over m's entries in ascending key order:
 //
 //	for k, v := range detmap.Sorted(m) { ... }
@@ -61,26 +50,4 @@ func Sorted[M ~map[K]V, K cmp.Ordered, V any](m M) iter.Seq2[K, V] {
 			}
 		}
 	}
-}
-
-// SortedFunc is Sorted for key types that are not cmp.Ordered,
-// ordered by the given three-way comparison.
-func SortedFunc[M ~map[K]V, K comparable, V any](m M, cmp func(a, b K) int) iter.Seq2[K, V] {
-	return func(yield func(K, V) bool) {
-		for _, k := range KeysFunc(m, cmp) {
-			if !yield(k, m[k]) {
-				return
-			}
-		}
-	}
-}
-
-// Values returns m's values in ascending key order.
-func Values[M ~map[K]V, K cmp.Ordered, V any](m M) []V {
-	ks := Keys(m)
-	vs := make([]V, 0, len(ks))
-	for _, k := range ks {
-		vs = append(vs, m[k])
-	}
-	return vs
 }

@@ -41,30 +41,6 @@ func TestSortedEarlyBreak(t *testing.T) {
 	}
 }
 
-func TestSortedFuncCustomOrder(t *testing.T) {
-	type key struct{ a, b int }
-	m := map[key]string{{2, 1}: "x", {1, 9}: "y", {1, 2}: "z"}
-	var got []string
-	for _, v := range SortedFunc(m, func(p, q key) int {
-		if p.a != q.a {
-			return p.a - q.a
-		}
-		return p.b - q.b
-	}) {
-		got = append(got, v)
-	}
-	if !slices.Equal(got, []string{"z", "y", "x"}) {
-		t.Fatalf("SortedFunc order %v", got)
-	}
-}
-
-func TestValuesByKeyOrder(t *testing.T) {
-	m := map[int]string{3: "c", 1: "a", 2: "b"}
-	if got := Values(m); !slices.Equal(got, []string{"a", "b", "c"}) {
-		t.Fatalf("Values = %v", got)
-	}
-}
-
 func TestEmptyAndNilMaps(t *testing.T) {
 	var nilm map[int]int
 	if got := Keys(nilm); len(got) != 0 {

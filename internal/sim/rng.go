@@ -73,13 +73,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Split returns a new independent generator derived from this one. Handy
-// for giving each simulated client its own stream while preserving
-// determinism regardless of interleaving.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() | 1)
-}
-
 // Zipf draws from a Zipf(s) distribution over {0, ..., n-1} using a
 // precomputed CDF: rank 0 is the most popular item. Used for file and
 // directory popularity in the FS workloads.

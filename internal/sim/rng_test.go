@@ -141,12 +141,3 @@ func TestZipfUniformWhenSZero(t *testing.T) {
 		}
 	}
 }
-
-func TestSplitIndependence(t *testing.T) {
-	r := NewRNG(21)
-	a := r.Split()
-	b := r.Split()
-	if a.Uint64() == b.Uint64() {
-		t.Fatal("split generators produced identical first draw")
-	}
-}

@@ -471,54 +471,6 @@ func TestReplicaFailureFailStopsPrimary(t *testing.T) {
 	}
 }
 
-// TestScanFailStoppedShardReturnsErrorNotPartial is the regression test
-// for the partial-scan bug: Scan used to return the surviving shards'
-// keys alongside a non-empty Err, so callers treating Keys as a
-// complete merge silently lost the failed shard's keyspace.
-func TestScanFailStoppedShardReturnsErrorNotPartial(t *testing.T) {
-	p := smallParams()
-	p.Shards = 2
-	w := newSW(8, p, 57, nil)
-	defer w.rt.Shutdown()
-	checked := false
-	w.rt.Boot("app", func(th *core.Thread) {
-		for i := 0; i < 8; i++ {
-			if r := w.kv.Put(th, fmt.Sprintf("s%02d", i), []byte("v")); !r.OK {
-				t.Errorf("setup put %d: %+v", i, r)
-			}
-		}
-		// Fail-stop exactly one shard: find a key it owns and fail the
-		// write under it.
-		victim := 0
-		var key string
-		for i := 0; ; i++ {
-			key = fmt.Sprintf("kill%d", i)
-			if keyHash(key)%2 == victim {
-				break
-			}
-		}
-		w.kv.Disks()[victim].InjectWriteFailures(1)
-		if r := w.kv.Put(th, key, []byte("boom")); r.OK {
-			t.Errorf("write on dying shard acked: %+v", r)
-		}
-		sc := w.kv.Scan(th, "s", 0)
-		if sc.Err == "" {
-			t.Errorf("scan with a fail-stopped shard reported no error: %+v", sc)
-		}
-		if len(sc.Keys) != 0 || len(sc.Vers) != 0 {
-			t.Errorf("scan returned a partial merge alongside its error: %v", sc.Keys)
-		}
-		checked = true
-	})
-	w.rt.Run()
-	if !checked {
-		t.Fatal("app thread never finished")
-	}
-	if w.kv.Counters().FailedShards != 1 {
-		t.Fatalf("FailedShards = %d, want 1", w.kv.Counters().FailedShards)
-	}
-}
-
 // replDigest runs a seeded quorum-replicated workload and returns its
 // countable outcome, for the determinism check.
 func replDigest(seed uint64) [6]uint64 {

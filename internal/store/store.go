@@ -39,8 +39,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"chanos/internal/blockdev"
 	"chanos/internal/core"
@@ -163,24 +161,6 @@ type WriteResult struct {
 // MsgBytes implements core.Sized.
 func (r WriteResult) MsgBytes() int { return 24 + len(r.Err) }
 
-// ScanResult answers a SCAN: matching keys in sorted order with their
-// current versions. Values are deliberately not carried — a scan reads
-// the index, not the log.
-type ScanResult struct {
-	Keys []string
-	Vers []uint64
-	Err  string
-}
-
-// MsgBytes implements core.Sized.
-func (r ScanResult) MsgBytes() int {
-	n := 16 + 8*len(r.Vers) + len(r.Err)
-	for _, k := range r.Keys {
-		n += 8 + len(k)
-	}
-	return n
-}
-
 // Service request arguments. The ones a client sends per operation
 // travel as records from the store's free lists — keyArg for get and
 // getr, writeArg for the four writes, *ReplBatch for repl — and the
@@ -229,13 +209,6 @@ func (a writeArg) op() string {
 	}
 	return "delete"
 }
-
-type scanArg struct {
-	Prefix string
-	Limit  int
-}
-
-func (a scanArg) MsgBytes() int { return 24 + len(a.Prefix) }
 
 // diskDone is the disk interrupt for one operation on the shard's log
 // device, and the argument of the message (op) it re-enters the shard
@@ -736,54 +709,6 @@ func (s *Store) write(t *core.Thread, a writeArg) WriteResult {
 // its record back on the free list.
 func (s *Store) takeWrite(v core.Msg) WriteResult { return s.writes.Take(v.(*WriteResult)) }
 
-// Scan returns up to limit keys with the given prefix, sorted, merged
-// across every shard (each shard scans its private index; the caller's
-// thread merges). If any shard errors, the result is empty except for
-// Err — a scan that silently omitted a failed shard's keys would read
-// as a complete (and wrong) answer.
-func (s *Store) Scan(t *core.Thread, prefix string, limit int) ScanResult {
-	n := s.svc.Shards()
-	replies := make([]*core.Chan, n)
-	for i := 0; i < n; i++ {
-		replies[i] = t.NewChan("scan.reply", 1)
-		s.svc.Send(t, s.svc.Shard(i), kernel.Request{
-			Op: "scan", Key: i, Arg: scanArg{Prefix: prefix, Limit: limit}, Reply: replies[i],
-		})
-	}
-	type kv struct {
-		key string
-		ver uint64
-	}
-	var all []kv
-	var firstErr string
-	for i := 0; i < n; i++ {
-		v, _ := replies[i].Recv(t)
-		r := v.(ScanResult)
-		if r.Err != "" && firstErr == "" {
-			firstErr = r.Err
-		}
-		for j := range r.Keys {
-			all = append(all, kv{r.Keys[j], r.Vers[j]})
-		}
-	}
-	if firstErr != "" {
-		// A partial merge must not masquerade as a complete scan: every
-		// reply has been drained above, so returning only the error is
-		// safe and unambiguous.
-		return ScanResult{Err: firstErr}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
-	}
-	out := ScanResult{}
-	for _, e := range all {
-		out.Keys = append(out.Keys, e.key)
-		out.Vers = append(out.Vers, e.ver)
-	}
-	return out
-}
-
 // --- shard handler ---
 
 func (s *Store) shardHandler(id int) kernel.Handler {
@@ -806,8 +731,6 @@ func (s *Store) shardHandler(id int) kernel.Handler {
 			return sh.get(t, s.keyArgs.Take(req.Arg.(*keyArg)).Key, req.Reply)
 		case "put", "delete", "putv", "delv":
 			return sh.write(t, s.writeArgs.Take(req.Arg.(*writeArg)), req.Reply)
-		case "scan":
-			return sh.scan(req.Arg.(scanArg))
 		case "export":
 			return sh.export(req.Arg.(exportArg))
 		case "flush":
@@ -1038,27 +961,6 @@ func (sh *shard) write(t *core.Thread, a writeArg, reply *core.Chan) core.Msg {
 	sh.armFlush(t)
 	sh.maybeCompact(t)
 	return kernel.Deferred
-}
-
-func (sh *shard) scan(a scanArg) ScanResult {
-	sh.m.Scans++
-	if sh.failed != "" {
-		return ScanResult{Err: sh.failed}
-	}
-	var keys []string
-	for _, k := range detmap.Keys(sh.idx) {
-		if l := sh.idx[k]; !l.dead && strings.HasPrefix(k, a.Prefix) {
-			keys = append(keys, k)
-		}
-	}
-	if a.Limit > 0 && len(keys) > a.Limit {
-		keys = keys[:a.Limit]
-	}
-	out := ScanResult{Keys: keys}
-	for _, k := range keys {
-		out.Vers = append(out.Vers, sh.idx[k].ver)
-	}
-	return out
 }
 
 // applyRecord updates the index and the live-bytes accounting for a

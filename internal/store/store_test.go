@@ -36,7 +36,7 @@ func smallParams() Params {
 	return Params{Shards: 2, CacheBlocks: 2, FlushCycles: 20_000, LogBlocks: 64}
 }
 
-func TestPutGetDeleteScanVersions(t *testing.T) {
+func TestPutGetDeleteVersions(t *testing.T) {
 	w := newSW(8, smallParams(), 3, nil)
 	defer w.rt.Shutdown()
 	done := false
@@ -75,19 +75,10 @@ func TestPutGetDeleteScanVersions(t *testing.T) {
 		if r := w.kv.Put(th, "user/0", []byte("v0b")); !r.OK || r.Ver != 3 || r.Found {
 			t.Errorf("re-create after delete: %+v, want ver 3, found=false", r)
 		}
-		sc := w.kv.Scan(th, "user/", 0)
-		if len(sc.Keys) != 3 || sc.Keys[0] != "user/0" || sc.Keys[1] != "user/1" || sc.Keys[2] != "user/2" {
-			t.Errorf("scan = %v", sc.Keys)
-		}
-		if sc.Vers[0] != 3 || sc.Vers[1] != 2 || sc.Vers[2] != 1 {
-			t.Errorf("scan versions = %v", sc.Vers)
-		}
-		// A deleted-and-not-recreated key stays out of scans.
-		if r := w.kv.Delete(th, "user/2"); !r.OK || !r.Found {
-			t.Errorf("delete user/2: %+v", r)
-		}
-		if sc := w.kv.Scan(th, "user/", 0); len(sc.Keys) != 2 {
-			t.Errorf("scan after delete = %v", sc.Keys)
+		for i, want := range []uint64{3, 2, 1} {
+			if g := w.kv.Get(th, fmt.Sprintf("user/%d", i)); !g.Found || g.Ver != want {
+				t.Errorf("get user/%d = %+v, want version %d", i, g, want)
+			}
 		}
 		done = true
 	})
@@ -143,7 +134,9 @@ func TestCacheMissGoesToDiskThenHits(t *testing.T) {
 
 // TestWireKVOverNetstack drives the full vertical slice: endpoint on
 // the wire → NIC RSS → netstack shard → per-connection server thread →
-// store shard → log device, and back.
+// store shard → log device, and back. A request whose op is outside the
+// defined set (the zero op, and one past the last) is answered with an
+// error, and the connection goes on serving.
 func TestWireKVOverNetstack(t *testing.T) {
 	eng := sim.NewEngine()
 	m := machine.New(eng, machine.DefaultParams(16))
@@ -176,7 +169,9 @@ func TestWireKVOverNetstack(t *testing.T) {
 		{Op: WGet, Seq: 3, Key: "a"},
 		{Op: WDelete, Seq: 4, Key: "b"},
 		{Op: WGet, Seq: 5, Key: "b"},
-		{Op: WScan, Seq: 6, Key: "", Limit: 10},
+		{Op: 0, Seq: 6, Key: "a"},
+		{Op: WMapSet + 1, Seq: 7, Key: "a"},
+		{Op: WGet, Seq: 8, Key: "a"},
 	}
 	var got []KVResponse
 	next := 0
@@ -218,8 +213,13 @@ func TestWireKVOverNetstack(t *testing.T) {
 	if got[4].Found {
 		t.Fatalf("GET deleted b: %+v", got[4])
 	}
-	if len(got[5].Keys) != 1 || got[5].Keys[0] != "a" {
-		t.Fatalf("SCAN: %+v", got[5])
+	for _, r := range got[5:7] {
+		if r.OK || r.Err != "store: unknown wire op" {
+			t.Fatalf("unknown op: %+v, want Err %q", r, "store: unknown wire op")
+		}
+	}
+	if !got[7].Found || string(got[7].Val) != "alpha" {
+		t.Fatalf("GET a after the unknown ops: %+v", got[7])
 	}
 }
 
@@ -304,39 +304,6 @@ func TestWireDuplicatePutAppliesOnce(t *testing.T) {
 	rt.Run()
 	if !done {
 		t.Fatal("final check never ran")
-	}
-}
-
-// TestScanMergesAcrossShards: keys hash across all shards; a prefix
-// scan must return the union, sorted, truncated to the limit.
-func TestScanMergesAcrossShards(t *testing.T) {
-	p := smallParams()
-	p.Shards = 4
-	w := newSW(16, p, 11, nil)
-	defer w.rt.Shutdown()
-	done := false
-	w.rt.Boot("app", func(th *core.Thread) {
-		for i := 0; i < 16; i++ {
-			w.kv.Put(th, fmt.Sprintf("item/%02d", i), []byte("x"))
-		}
-		w.kv.Put(th, "other/0", []byte("y"))
-		sc := w.kv.Scan(th, "item/", 0)
-		if len(sc.Keys) != 16 {
-			t.Errorf("scan returned %d keys: %v", len(sc.Keys), sc.Keys)
-		}
-		for i := 1; i < len(sc.Keys); i++ {
-			if sc.Keys[i-1] >= sc.Keys[i] {
-				t.Errorf("scan unsorted at %d: %v", i, sc.Keys)
-			}
-		}
-		if lim := w.kv.Scan(th, "item/", 5); len(lim.Keys) != 5 || lim.Keys[0] != "item/00" {
-			t.Errorf("limited scan = %v", lim.Keys)
-		}
-		done = true
-	})
-	w.rt.Run()
-	if !done {
-		t.Fatal("app thread never finished")
 	}
 }
 
@@ -434,9 +401,6 @@ func TestFailedFlushFailStopsShard(t *testing.T) {
 		}
 		if r := w.kv.Put(th, "after", []byte("x")); r.OK {
 			t.Errorf("fail-stopped shard accepted a write: %+v", r)
-		}
-		if sc := w.kv.Scan(th, "", 0); sc.Err == "" {
-			t.Errorf("fail-stopped shard answered a scan: %+v", sc)
 		}
 		checked = true
 	})

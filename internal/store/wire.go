@@ -21,7 +21,6 @@ const (
 	WGet WireOp = iota + 1
 	WPut
 	WDelete
-	WScan
 	// WStats scrapes a live telemetry snapshot: the response Val carries
 	// the machine's telemetry.Snapshot as JSON. Serving it costs wire
 	// traffic like any request, but building the snapshot costs the
@@ -51,8 +50,6 @@ func (op WireOp) String() string {
 		return "PUT"
 	case WDelete:
 		return "DELETE"
-	case WScan:
-		return "SCAN"
 	case WStats:
 		return "STATS"
 	case WPutV:
@@ -67,22 +64,20 @@ func (op WireOp) String() string {
 	return "?"
 }
 
-// KVRequest is one client request. For WScan, Key is the prefix and
-// Limit bounds the result. For WPutV/WDelV, Ver is the version the
-// record applies at.
+// KVRequest is one client request. For WPutV/WDelV, Ver is the version
+// the record applies at.
 type KVRequest struct {
-	Op    WireOp
-	Seq   uint32 // client-chosen tag, echoed in the response
-	Key   string
-	Val   []byte
-	Limit int
-	Ver   uint64 // version-carrying writes only
+	Op  WireOp
+	Seq uint32 // client-chosen tag, echoed in the response
+	Key string
+	Val []byte
+	Ver uint64 // version-carrying writes only
 }
 
-// MsgBytes implements core.Sized: op + seq + limit + lengths, then key
-// and value bytes; a version-carrying write additionally pays for the
-// version word (requests that never carry one cost what they always
-// did).
+// MsgBytes implements core.Sized: a 16-byte header (op, seq, lengths),
+// then key and value bytes; a version-carrying write additionally pays
+// for the version word (requests that never carry one cost what they
+// always did).
 func (r KVRequest) MsgBytes() int {
 	n := 16 + len(r.Key) + len(r.Val)
 	if r.Ver != 0 {
@@ -106,8 +101,6 @@ type KVResponse struct {
 	Found bool
 	Ver   uint64
 	Val   []byte
-	Keys  []string // scan results
-	Vers  []uint64 // scan results: Keys[i] is at version Vers[i]
 	Err   string
 
 	Moved  bool
@@ -118,10 +111,7 @@ type KVResponse struct {
 // MsgBytes implements core.Sized. A Moved redirect pays for its owner
 // and map-version words; ordinary responses cost what they always did.
 func (r KVResponse) MsgBytes() int {
-	n := 24 + len(r.Val) + len(r.Err) + 8*len(r.Vers)
-	for _, k := range r.Keys {
-		n += 2 + len(k)
-	}
+	n := 24 + len(r.Val) + len(r.Err)
 	if r.Moved {
 		n += 12
 	}
@@ -149,9 +139,6 @@ func (s *Store) Apply(t *core.Thread, req KVRequest) KVResponse {
 		}
 		r := s.write(t, a)
 		return KVResponse{Seq: req.Seq, OK: r.OK, Found: r.Found, Ver: r.Ver, Err: r.Err}
-	case WScan:
-		r := s.Scan(t, req.Key, req.Limit)
-		return KVResponse{Seq: req.Seq, OK: r.Err == "", Found: len(r.Keys) > 0, Keys: r.Keys, Vers: r.Vers, Err: r.Err}
 	case WStats:
 		if s.statd == nil {
 			return KVResponse{Seq: req.Seq, Err: "store: no statd attached"}

@@ -1,5 +1,5 @@
 // Package supervise implements Erlang-style supervision trees over the
-// runtime's links and monitors. The paper holds up the AXD301's nine
+// runtime's monitors. The paper holds up the AXD301's nine
 // nines as evidence that "it may be feasible to aim for not failing"
 // (§5): instead of making the kernel fail-stop, components are restarted
 // by supervisors when they die. Experiment E7 measures the availability

@@ -1,13 +1,9 @@
 // Package workload provides deterministic workload generators for the
-// experiment suite: weighted operation mixes, Zipf object popularity, and
-// open-loop Poisson arrival processes, all driven by seeded RNG streams.
+// experiment suite: weighted operation mixes and Zipf object popularity,
+// both driven by seeded RNG streams.
 package workload
 
-import (
-	"fmt"
-
-	"chanos/internal/sim"
-)
+import "chanos/internal/sim"
 
 // Mix is a weighted discrete distribution over named operations.
 type Mix struct {
@@ -79,43 +75,3 @@ func (p *Popularity) Next() int { return p.perm[p.zipf.Next()] }
 
 // N returns the object count.
 func (p *Popularity) N() int { return len(p.perm) }
-
-// OpenLoop schedules Poisson arrivals on the engine at a given rate
-// (events per second of simulated time), calling emit for each arrival
-// with its sequence number, until n events have been issued.
-type OpenLoop struct {
-	Eng          *sim.Engine
-	RatePerSec   float64
-	CyclesPerSec uint64
-	N            int
-	Emit         func(seq int)
-
-	rng    *sim.RNG
-	issued int
-}
-
-// Start begins the arrival process. It panics on a zero rate or emit.
-func (o *OpenLoop) Start(rng *sim.RNG) {
-	if o.RatePerSec <= 0 || o.Emit == nil || o.CyclesPerSec == 0 {
-		panic(fmt.Sprintf("workload: bad OpenLoop config %+v", o))
-	}
-	o.rng = rng
-	o.scheduleNext()
-}
-
-func (o *OpenLoop) scheduleNext() {
-	if o.issued >= o.N {
-		return
-	}
-	gapSec := o.rng.ExpFloat64() / o.RatePerSec
-	gap := sim.Time(gapSec * float64(o.CyclesPerSec))
-	if gap == 0 {
-		gap = 1
-	}
-	o.Eng.After(gap, func() {
-		seq := o.issued
-		o.issued++
-		o.Emit(seq)
-		o.scheduleNext()
-	})
-}

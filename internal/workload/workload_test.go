@@ -65,44 +65,3 @@ func TestPopularitySkewAndCoverage(t *testing.T) {
 		t.Fatalf("no hot object: max share %v", float64(maxC)/n)
 	}
 }
-
-func TestOpenLoopRate(t *testing.T) {
-	eng := sim.NewEngine()
-	const cyclesPerSec = 1_000_000
-	var arrivals []sim.Time
-	o := &OpenLoop{
-		Eng:          eng,
-		RatePerSec:   1000,
-		CyclesPerSec: cyclesPerSec,
-		N:            2000,
-		Emit:         func(seq int) { arrivals = append(arrivals, eng.Now()) },
-	}
-	o.Start(sim.NewRNG(13))
-	eng.Run()
-	if len(arrivals) != 2000 {
-		t.Fatalf("issued %d arrivals", len(arrivals))
-	}
-	// 2000 arrivals at 1000/s should take ~2 simulated seconds.
-	sec := float64(eng.Now()) / cyclesPerSec
-	if sec < 1.5 || sec > 2.5 {
-		t.Fatalf("2000 arrivals took %v simulated seconds, want ~2", sec)
-	}
-	for i := 1; i < len(arrivals); i++ {
-		if arrivals[i] < arrivals[i-1] {
-			t.Fatal("arrivals out of order")
-		}
-	}
-}
-
-func TestOpenLoopDeterministic(t *testing.T) {
-	run := func() sim.Time {
-		eng := sim.NewEngine()
-		o := &OpenLoop{Eng: eng, RatePerSec: 500, CyclesPerSec: 1_000_000, N: 100, Emit: func(int) {}}
-		o.Start(sim.NewRNG(21))
-		eng.Run()
-		return eng.Now()
-	}
-	if run() != run() {
-		t.Fatal("open loop nondeterministic")
-	}
-}
