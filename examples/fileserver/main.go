@@ -89,30 +89,14 @@ func run(kind string) (opsPerSec float64, vnodes uint64) {
 			t.Spawn(fmt.Sprintf("client%d", i), func(ct *core.Thread) {
 				// Open a working set once (the paper's channel plumbing /
 				// fd table), then operate on handles.
-				type opener interface {
-					stat(ct *core.Thread) (vfs.Inode, error)
-					read(ct *core.Thread) ([]byte, error)
-					write(ct *core.Thread, data []byte) error
-				}
-				handles := make(map[string]opener)
-				open := func(p string) opener {
+				handles := make(map[string]*vfs.Handle)
+				open := func(p string) *vfs.Handle {
 					if h, ok := handles[p]; ok {
 						return h
 					}
-					var h opener
-					switch f := fs.(type) {
-					case *vfs.MsgFS:
-						mh, err := f.Open(ct, p)
-						if err != nil {
-							return nil
-						}
-						h = msgHandle{mh}
-					case *vfs.LockFS:
-						ino, err := f.Open(ct, p)
-						if err != nil {
-							return nil
-						}
-						h = lockHandle{f, ino}
+					h, err := fs.Open(ct, p)
+					if err != nil {
+						return nil
 					}
 					handles[p] = h
 					return h
@@ -125,11 +109,11 @@ func run(kind string) (opsPerSec float64, vnodes uint64) {
 					}
 					switch rng.Intn(10) {
 					case 0, 1, 2, 3, 4: // 50% stat
-						h.stat(ct)
+						h.Stat(ct)
 					case 5, 6, 7: // 30% read
-						h.read(ct)
+						h.Read(ct, 0, 64)
 					default: // 20% write
-						h.write(ct, []byte("fresh data"))
+						h.Write(ct, 0, []byte("fresh data"))
 					}
 					counts[i]++
 					ct.Compute(500)
@@ -150,20 +134,3 @@ func run(kind string) (opsPerSec float64, vnodes uint64) {
 	}
 	return float64(total) / sys.Seconds(window), vnodes
 }
-
-// msgHandle adapts a MsgFS handle (direct vnode channel).
-type msgHandle struct{ h *vfs.Handle }
-
-func (m msgHandle) stat(ct *core.Thread) (vfs.Inode, error) { return m.h.Stat(ct) }
-func (m msgHandle) read(ct *core.Thread) ([]byte, error)    { return m.h.Read(ct, 0, 64) }
-func (m msgHandle) write(ct *core.Thread, d []byte) error   { return m.h.Write(ct, 0, d) }
-
-// lockHandle adapts a LockFS inode handle (trap + lock per op).
-type lockHandle struct {
-	fs  *vfs.LockFS
-	ino int
-}
-
-func (l lockHandle) stat(ct *core.Thread) (vfs.Inode, error) { return l.fs.StatIno(ct, l.ino) }
-func (l lockHandle) read(ct *core.Thread) ([]byte, error)    { return l.fs.ReadIno(ct, l.ino, 0, 64) }
-func (l lockHandle) write(ct *core.Thread, d []byte) error   { return l.fs.WriteIno(ct, l.ino, 0, d) }

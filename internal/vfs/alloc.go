@@ -7,8 +7,9 @@ import (
 // bitmapAlloc is the allocation logic shared by every frontend: free
 // data blocks tracked in per-cylinder-group bitmaps, free inodes found by
 // scanning the inode table (with a rotating cursor). The message frontend
-// runs this inside cylinder-group administrator threads; the lock
-// frontends run it inline under locks.
+// runs its block side inside cylinder-group administrator threads and its
+// inode side inside the free-map thread; the lock frontends run it inline
+// under locks.
 type bitmapAlloc struct {
 	sb          *Super
 	st          BlockStore

@@ -128,23 +128,3 @@ func (d directStore) ReadBlock(t *core.Thread, blk int) []byte { return d.c.get(
 func (d directStore) WriteBlock(t *core.Thread, blk int, data []byte) {
 	d.c.put(t, blk, data)
 }
-
-// memStore is an uncached, zero-cost in-memory BlockStore used by Mkfs
-// before the system is up, and by tests.
-type memStore struct {
-	blocks map[int][]byte
-}
-
-// NewMemStore returns an in-memory BlockStore (no simulated cost).
-func NewMemStore() BlockStore { return &memStore{blocks: make(map[int][]byte)} }
-
-func (m *memStore) ReadBlock(t *core.Thread, blk int) []byte {
-	if b, ok := m.blocks[blk]; ok {
-		return append([]byte(nil), b...)
-	}
-	return make([]byte, BlockSize)
-}
-
-func (m *memStore) WriteBlock(t *core.Thread, blk int, data []byte) {
-	m.blocks[blk] = append([]byte(nil), data...)
-}

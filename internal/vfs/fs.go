@@ -1,55 +1,9 @@
 package vfs
 
 import (
-	"strings"
-
 	"chanos/internal/blockdev"
 	"chanos/internal/core"
 )
-
-// FS is the client-facing filesystem interface implemented by every
-// frontend (MsgFS, BigLock/ShardLock LockFS). Paths are slash-separated
-// and absolute ("/a/b/c").
-type FS interface {
-	Lookup(t *core.Thread, path string) (int, error)
-	Create(t *core.Thread, path string) (int, error)
-	Mkdir(t *core.Thread, path string) (int, error)
-	Unlink(t *core.Thread, path string) error
-	Stat(t *core.Thread, path string) (Inode, error)
-	Read(t *core.Thread, path string, off, n int) ([]byte, error)
-	Write(t *core.Thread, path string, off int, data []byte) error
-	ReadDir(t *core.Thread, path string) ([]string, error)
-}
-
-// splitPath breaks an absolute path into components; "/" yields nil.
-func splitPath(p string) ([]string, error) {
-	if !strings.HasPrefix(p, "/") {
-		return nil, ErrNotFound
-	}
-	var out []string
-	for _, c := range strings.Split(p, "/") {
-		if c == "" || c == "." {
-			continue
-		}
-		if len(c) > MaxName {
-			return nil, ErrNameLen
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-// splitParent returns the parent components and the final name.
-func splitParent(p string) (parent []string, name string, err error) {
-	comps, err := splitPath(p)
-	if err != nil {
-		return nil, "", err
-	}
-	if len(comps) == 0 {
-		return nil, "", ErrExists // operating on "/"
-	}
-	return comps[:len(comps)-1], comps[len(comps)-1], nil
-}
 
 // Format writes a fresh filesystem through the driver (direct, uncached)
 // and returns its superblock. Call once from a setup thread before

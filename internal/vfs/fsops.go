@@ -25,6 +25,53 @@ type InodeStore interface {
 	PutInode(t *core.Thread, ino int, in Inode) error
 }
 
+// vnOp names one entry of the operation table (Ctx.apply), plus vWalk,
+// which the backends answer from the walk alone.
+type vnOp int
+
+const (
+	vWalk   vnOp = iota // resolve only: the path's inode number
+	vLookup             // the inode named in this directory
+	vCreate
+	vMkdir
+	vUnlink
+	vStat
+	vRead
+	vWrite
+	vList
+)
+
+// vnReq is one operation for a vnode. MsgFS sends it to the vnode's
+// thread (reply is its answer channel); LockFS applies it inline.
+type vnReq struct {
+	op    vnOp
+	name  string
+	off   int
+	n     int
+	data  []byte
+	reply *core.Chan
+}
+
+// MsgBytes implements core.Sized.
+func (r vnReq) MsgBytes() int { return 64 + len(r.name) + len(r.data) }
+
+type vnResp struct {
+	ino   int
+	inode Inode
+	data  []byte
+	names []string
+	err   error
+}
+
+// MsgBytes implements core.Sized.
+func (r vnResp) MsgBytes() int {
+	n := 96 + len(r.data)
+	for _, s := range r.names {
+		n += len(s) + 16
+	}
+	return n
+}
+
 // Ctx bundles the stores a filesystem operation runs against.
 type Ctx struct {
 	SB *Super
@@ -38,12 +85,6 @@ type Ctx struct {
 type rawInodeStore struct {
 	sb *Super
 	st BlockStore
-}
-
-// NewRawInodeStore wraps a BlockStore as an InodeStore for callers that
-// already serialise inode-table access (single thread or lock held).
-func NewRawInodeStore(sb *Super, st BlockStore) InodeStore {
-	return rawInodeStore{sb: sb, st: st}
 }
 
 func (r rawInodeStore) GetInode(t *core.Thread, ino int) (Inode, error) {
@@ -76,14 +117,17 @@ func WriteInode(t *core.Thread, st BlockStore, sb *Super, ino int, in Inode) err
 	return nil
 }
 
-// DirLookup searches directory dirIno for name.
-func (x *Ctx) DirLookup(t *core.Thread, dirIno int, name string) (int, error) {
+// scanDir reads directory dirIno's blocks in order and calls visit on
+// each slot (its block number, the block, the slot's bytes and its
+// entry) until visit returns true. It returns the directory's inode and
+// whether visit stopped the scan.
+func (x *Ctx) scanDir(t *core.Thread, dirIno int, visit func(blk int, b, slot []byte, d dirent) bool) (Inode, bool, error) {
 	di, err := x.In.GetInode(t, dirIno)
 	if err != nil {
-		return 0, err
+		return di, false, err
 	}
 	if di.Mode != ModeDir {
-		return 0, ErrNotDir
+		return di, false, ErrNotDir
 	}
 	for _, blk := range di.Direct {
 		if blk == 0 {
@@ -91,38 +135,41 @@ func (x *Ctx) DirLookup(t *core.Thread, dirIno int, name string) (int, error) {
 		}
 		b := x.St.ReadBlock(t, int(blk))
 		for s := 0; s < DirentsPB; s++ {
-			d := decodeDirent(b[s*DirentSize:])
-			if d.ino != 0 && d.name == name {
-				return int(d.ino), nil
+			slot := b[s*DirentSize : (s+1)*DirentSize]
+			if visit(int(blk), b, slot, decodeDirent(slot)) {
+				return di, true, nil
 			}
 		}
 	}
-	return 0, ErrNotFound
+	return di, false, nil
+}
+
+// DirLookup searches directory dirIno for name.
+func (x *Ctx) DirLookup(t *core.Thread, dirIno int, name string) (int, error) {
+	var ino int
+	_, found, err := x.scanDir(t, dirIno, func(_ int, _, _ []byte, d dirent) bool {
+		if d.ino == 0 || d.name != name {
+			return false
+		}
+		ino = int(d.ino)
+		return true
+	})
+	if err == nil && !found {
+		return 0, ErrNotFound
+	}
+	return ino, err
 }
 
 // DirList returns the names in directory dirIno.
 func (x *Ctx) DirList(t *core.Thread, dirIno int) ([]string, error) {
-	di, err := x.In.GetInode(t, dirIno)
-	if err != nil {
-		return nil, err
-	}
-	if di.Mode != ModeDir {
-		return nil, ErrNotDir
-	}
 	var names []string
-	for _, blk := range di.Direct {
-		if blk == 0 {
-			continue
+	_, _, err := x.scanDir(t, dirIno, func(_ int, _, _ []byte, d dirent) bool {
+		if d.ino != 0 {
+			names = append(names, d.name)
 		}
-		b := x.St.ReadBlock(t, int(blk))
-		for s := 0; s < DirentsPB; s++ {
-			d := decodeDirent(b[s*DirentSize:])
-			if d.ino != 0 {
-				names = append(names, d.name)
-			}
-		}
-	}
-	return names, nil
+		return false
+	})
+	return names, err
 }
 
 // dirInsert adds (name -> ino) to directory dirIno, allocating a
@@ -131,26 +178,16 @@ func (x *Ctx) dirInsert(t *core.Thread, dirIno int, name string, ino int) error 
 	if len(name) == 0 || len(name) > MaxName {
 		return ErrNameLen
 	}
-	di, err := x.In.GetInode(t, dirIno)
-	if err != nil {
+	di, done, err := x.scanDir(t, dirIno, func(blk int, b, slot []byte, d dirent) bool {
+		if d.ino != 0 {
+			return false
+		}
+		encodeDirent(slot, dirent{ino: uint32(ino), name: name})
+		x.St.WriteBlock(t, blk, b)
+		return true
+	})
+	if err != nil || done {
 		return err
-	}
-	if di.Mode != ModeDir {
-		return ErrNotDir
-	}
-	for _, blk := range di.Direct {
-		if blk == 0 {
-			continue
-		}
-		b := x.St.ReadBlock(t, int(blk))
-		for s := 0; s < DirentsPB; s++ {
-			d := decodeDirent(b[s*DirentSize:])
-			if d.ino == 0 {
-				encodeDirent(b[s*DirentSize:], dirent{ino: uint32(ino), name: name})
-				x.St.WriteBlock(t, int(blk), b)
-				return nil
-			}
-		}
 	}
 	for i, blk := range di.Direct {
 		if blk != 0 {
@@ -170,31 +207,20 @@ func (x *Ctx) dirInsert(t *core.Thread, dirIno int, name string, ino int) error 
 	return ErrNoSpace // directory full
 }
 
-// dirRemove deletes name from directory dirIno, returning the inode it
-// referenced.
-func (x *Ctx) dirRemove(t *core.Thread, dirIno int, name string) (int, error) {
-	di, err := x.In.GetInode(t, dirIno)
-	if err != nil {
-		return 0, err
-	}
-	if di.Mode != ModeDir {
-		return 0, ErrNotDir
-	}
-	for _, blk := range di.Direct {
-		if blk == 0 {
-			continue
+// dirRemove deletes name from directory dirIno.
+func (x *Ctx) dirRemove(t *core.Thread, dirIno int, name string) error {
+	_, found, err := x.scanDir(t, dirIno, func(blk int, b, slot []byte, d dirent) bool {
+		if d.ino == 0 || d.name != name {
+			return false
 		}
-		b := x.St.ReadBlock(t, int(blk))
-		for s := 0; s < DirentsPB; s++ {
-			d := decodeDirent(b[s*DirentSize:])
-			if d.ino != 0 && d.name == name {
-				clear(b[s*DirentSize : (s+1)*DirentSize])
-				x.St.WriteBlock(t, int(blk), b)
-				return int(d.ino), nil
-			}
-		}
+		clear(slot)
+		x.St.WriteBlock(t, blk, b)
+		return true
+	})
+	if err == nil && !found {
+		return ErrNotFound
 	}
-	return 0, ErrNotFound
+	return err
 }
 
 // CreateEntry allocates an inode of the given mode and links it under
@@ -240,7 +266,7 @@ func (x *Ctx) RemoveEntry(t *core.Thread, dirIno int, name string) error {
 			return ErrNotEmpty
 		}
 	}
-	if _, err := x.dirRemove(t, dirIno, name); err != nil {
+	if err := x.dirRemove(t, dirIno, name); err != nil {
 		return err
 	}
 	for _, blk := range in.Direct {
@@ -335,7 +361,27 @@ func (x *Ctx) FileWrite(t *core.Thread, ino, off int, data []byte) error {
 	return x.In.PutInode(t, ino, in)
 }
 
-// Stat returns the inode for ino.
-func (x *Ctx) Stat(t *core.Thread, ino int) (Inode, error) {
-	return x.In.GetInode(t, ino)
+// apply runs req against vnode ino: the one operation table every
+// frontend shares.
+func (x *Ctx) apply(t *core.Thread, ino int, req vnReq) vnResp {
+	var r vnResp
+	switch req.op {
+	case vLookup:
+		r.ino, r.err = x.DirLookup(t, ino, req.name)
+	case vCreate:
+		r.ino, r.err = x.CreateEntry(t, ino, req.name, ModeFile)
+	case vMkdir:
+		r.ino, r.err = x.CreateEntry(t, ino, req.name, ModeDir)
+	case vUnlink:
+		r.err = x.RemoveEntry(t, ino, req.name)
+	case vStat:
+		r.inode, r.err = x.In.GetInode(t, ino)
+	case vRead:
+		r.data, r.err = x.FileRead(t, ino, req.off, req.n)
+	case vWrite:
+		r.err = x.FileWrite(t, ino, req.off, req.data)
+	case vList:
+		r.names, r.err = x.DirList(t, ino)
+	}
+	return r
 }

@@ -84,19 +84,6 @@ func (s *Super) encode(b []byte) {
 	le.PutUint32(b[24:], s.DataStart)
 }
 
-func decodeSuper(b []byte) Super {
-	le := binary.LittleEndian
-	return Super{
-		Magic:       le.Uint32(b[0:]),
-		NBlocks:     le.Uint32(b[4:]),
-		NInodes:     le.Uint32(b[8:]),
-		InodeStart:  le.Uint32(b[12:]),
-		InodeBlocks: le.Uint32(b[16:]),
-		CGCount:     le.Uint32(b[20:]),
-		DataStart:   le.Uint32(b[24:]),
-	}
-}
-
 // Inode is the 64-byte on-disk inode.
 type Inode struct {
 	Mode   uint16

@@ -29,6 +29,7 @@ func (m LockFSMode) String() string {
 // layout and operation logic as MsgFS, executed by the calling thread
 // under locks, with trap costs at the syscall boundary.
 type LockFS struct {
+	frontend
 	rt   *core.Runtime
 	sb   Super
 	mode LockFSMode
@@ -64,6 +65,7 @@ func NewLockFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg LockFSConfi
 		shards = 1
 	}
 	fs := &LockFS{rt: rt, sb: sb, mode: cfg.Mode, Trap: baseline.NewTrap(rt)}
+	fs.frontend = frontend{fs}
 	for i := 0; i < shards; i++ {
 		fs.caches = append(fs.caches, newCacheCore(drv, cfg.CacheBlocks/shards))
 	}
@@ -209,205 +211,59 @@ func (fs *LockFS) exit(t *core.Thread) {
 	fs.Ops++
 }
 
-// walk resolves components with per-directory lock crabbing (shard mode)
-// or under the big lock (already held).
+// walk resolves components with each directory locked for its lookup
+// (shard mode) or under the big lock (already held).
 func (fs *LockFS) walk(t *core.Thread, x Ctx, comps []string) (int, error) {
 	ino := RootIno
 	for _, c := range comps {
-		if fs.mode == LockModeShard {
-			l := fs.vnLock(ino)
-			l.Acquire(t)
-			next, err := x.DirLookup(t, ino, c)
-			l.Release(t)
-			if err != nil {
-				return 0, err
-			}
-			ino = next
-		} else {
-			next, err := x.DirLookup(t, ino, c)
-			if err != nil {
-				return 0, err
-			}
-			ino = next
+		r := fs.withTarget(t, x, ino, vnReq{op: vLookup, name: c})
+		if r.err != nil {
+			return 0, r.err
 		}
+		ino = r.ino
 	}
 	return ino, nil
 }
 
-// withTarget runs fn with the target vnode locked (shard mode).
-func (fs *LockFS) withTarget(t *core.Thread, ino int, fn func()) {
+// withTarget applies req to vnode ino with ino's lock held (shard mode).
+func (fs *LockFS) withTarget(t *core.Thread, x Ctx, ino int, req vnReq) vnResp {
 	if fs.mode == LockModeShard {
 		l := fs.vnLock(ino)
 		l.Acquire(t)
-		fn()
-		l.Release(t)
-		return
+		defer l.Release(t)
 	}
-	fn()
+	return x.apply(t, ino, req)
 }
 
-// Lookup implements FS.
-func (fs *LockFS) Lookup(t *core.Thread, path string) (int, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return 0, err
-	}
-	fs.enter(t)
-	defer fs.exit(t)
-	return fs.walk(t, fs.ctx(), comps)
-}
-
-// Create implements FS.
-func (fs *LockFS) Create(t *core.Thread, path string) (int, error) {
-	return fs.makeEntry(t, path, ModeFile)
-}
-
-// Mkdir implements FS.
-func (fs *LockFS) Mkdir(t *core.Thread, path string) (int, error) {
-	return fs.makeEntry(t, path, ModeDir)
-}
-
-func (fs *LockFS) makeEntry(t *core.Thread, path string, mode uint16) (int, error) {
-	parent, name, err := splitParent(path)
-	if err != nil {
-		return 0, err
-	}
-	fs.enter(t)
-	defer fs.exit(t)
-	x := fs.ctx()
-	dir, err := fs.walk(t, x, parent)
-	if err != nil {
-		return 0, err
-	}
-	var ino int
-	fs.withTarget(t, dir, func() { ino, err = x.CreateEntry(t, dir, name, mode) })
-	return ino, err
-}
-
-// Unlink implements FS.
-func (fs *LockFS) Unlink(t *core.Thread, path string) error {
-	parent, name, err := splitParent(path)
-	if err != nil {
-		return err
-	}
-	fs.enter(t)
-	defer fs.exit(t)
-	x := fs.ctx()
-	dir, err := fs.walk(t, x, parent)
-	if err != nil {
-		return err
-	}
-	fs.withTarget(t, dir, func() { err = x.RemoveEntry(t, dir, name) })
-	return err
-}
-
-// Stat implements FS.
-func (fs *LockFS) Stat(t *core.Thread, path string) (Inode, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return Inode{}, err
-	}
+// run implements backend: one syscall that walks comps, then applies req
+// to the inode reached. A walk alone never takes the target's lock.
+func (fs *LockFS) run(t *core.Thread, comps []string, req vnReq) vnResp {
 	fs.enter(t)
 	defer fs.exit(t)
 	x := fs.ctx()
 	ino, err := fs.walk(t, x, comps)
-	if err != nil {
-		return Inode{}, err
+	if err != nil || req.op == vWalk {
+		return vnResp{ino: ino, err: err}
 	}
-	var in Inode
-	fs.withTarget(t, ino, func() { in, err = x.Stat(t, ino) })
-	return in, err
+	return fs.withTarget(t, x, ino, req)
 }
 
-// Read implements FS.
-func (fs *LockFS) Read(t *core.Thread, path string, off, n int) ([]byte, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return nil, err
+// open implements backend: the handle holds the inode number, as an fd
+// table would.
+func (fs *LockFS) open(t *core.Thread, comps []string) (*Handle, error) {
+	r := fs.run(t, comps, vnReq{op: vWalk})
+	if r.err != nil {
+		return nil, r.err
 	}
+	return &Handle{Ino: r.ino, lfs: fs}, nil
+}
+
+// at is one syscall on an open file: it skips the walk but still traps
+// and locks.
+func (fs *LockFS) at(t *core.Thread, ino int, req vnReq) vnResp {
 	fs.enter(t)
 	defer fs.exit(t)
-	x := fs.ctx()
-	ino, err := fs.walk(t, x, comps)
-	if err != nil {
-		return nil, err
-	}
-	var data []byte
-	fs.withTarget(t, ino, func() { data, err = x.FileRead(t, ino, off, n) })
-	return data, err
-}
-
-// Write implements FS.
-func (fs *LockFS) Write(t *core.Thread, path string, off int, data []byte) error {
-	comps, err := splitPath(path)
-	if err != nil {
-		return err
-	}
-	fs.enter(t)
-	defer fs.exit(t)
-	x := fs.ctx()
-	ino, err := fs.walk(t, x, comps)
-	if err != nil {
-		return err
-	}
-	fs.withTarget(t, ino, func() { err = x.FileWrite(t, ino, off, data) })
-	return err
-}
-
-// ReadDir implements FS.
-func (fs *LockFS) ReadDir(t *core.Thread, path string) ([]string, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return nil, err
-	}
-	fs.enter(t)
-	defer fs.exit(t)
-	x := fs.ctx()
-	ino, err := fs.walk(t, x, comps)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	fs.withTarget(t, ino, func() { names, err = x.DirList(t, ino) })
-	return names, err
-}
-
-// Open resolves a path to its inode number (the fd-table analogue: later
-// ino-based calls skip the walk but still trap and lock).
-func (fs *LockFS) Open(t *core.Thread, path string) (int, error) {
-	return fs.Lookup(t, path)
-}
-
-// StatIno stats an open file by inode number.
-func (fs *LockFS) StatIno(t *core.Thread, ino int) (Inode, error) {
-	fs.enter(t)
-	defer fs.exit(t)
-	x := fs.ctx()
-	var in Inode
-	var err error
-	fs.withTarget(t, ino, func() { in, err = x.Stat(t, ino) })
-	return in, err
-}
-
-// ReadIno reads from an open file by inode number.
-func (fs *LockFS) ReadIno(t *core.Thread, ino, off, n int) ([]byte, error) {
-	fs.enter(t)
-	defer fs.exit(t)
-	x := fs.ctx()
-	var data []byte
-	var err error
-	fs.withTarget(t, ino, func() { data, err = x.FileRead(t, ino, off, n) })
-	return data, err
-}
-
-// WriteIno writes to an open file by inode number.
-func (fs *LockFS) WriteIno(t *core.Thread, ino, off int, data []byte) error {
-	fs.enter(t)
-	defer fs.exit(t)
-	x := fs.ctx()
-	var err error
-	fs.withTarget(t, ino, func() { err = x.FileWrite(t, ino, off, data) })
-	return err
+	return fs.withTarget(t, fs.ctx(), ino, req)
 }
 
 // CacheStats aggregates shard statistics (engine must be idle).

@@ -11,6 +11,7 @@ import (
 // shards and cylinder-group allocators are threads; everything talks in
 // messages, nothing shares memory or takes a lock.
 type MsgFS struct {
+	frontend
 	rt *core.Runtime
 	sb Super
 
@@ -102,49 +103,6 @@ type allocResp struct {
 	err error
 }
 
-// Vnode protocol.
-type vnOp int
-
-const (
-	vLookup vnOp = iota
-	vCreate
-	vMkdir
-	vUnlink
-	vStat
-	vRead
-	vWrite
-	vList
-)
-
-type vnReq struct {
-	op    vnOp
-	name  string
-	off   int
-	n     int
-	data  []byte
-	reply *core.Chan
-}
-
-// MsgBytes implements core.Sized.
-func (r vnReq) MsgBytes() int { return 64 + len(r.name) + len(r.data) }
-
-type vnResp struct {
-	ino   int
-	inode Inode
-	data  []byte
-	names []string
-	err   error
-}
-
-// MsgBytes implements core.Sized.
-func (r vnResp) MsgBytes() int {
-	n := 96 + len(r.data)
-	for _, s := range r.names {
-		n += len(s) + 16
-	}
-	return n
-}
-
 // vmReq asks a vnode-manager shard for the channel of ino's vnode thread,
 // or (forget) retires a vnode whose inode was unlinked so a reused inode
 // number gets a fresh thread.
@@ -159,6 +117,7 @@ type vmReq struct {
 func NewMsgFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg MsgFSConfig) *MsgFS {
 	cfg.fill()
 	fs := &MsgFS{rt: rt, sb: sb}
+	fs.frontend = frontend{fs}
 
 	// Buffer-cache shards: each owns blocks blk % nCacheShards.
 	per := cfg.CacheBlocks / nCacheShards
@@ -224,7 +183,7 @@ func NewMsgFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg MsgFSConfig)
 	// The free-map / inode allocator thread.
 	fs.inodeAlloc = rt.NewChan("fsinodealloc", queueDepth)
 	rt.Boot("fsinodealloc", func(t *core.Thread) {
-		ia := &inodeAllocator{fs: fs, cursor: RootIno + 1}
+		ia := newBitmapAllocWithInodes(&fs.sb, msgStore{fs}, msgInodeStore{fs})
 		for {
 			v, ok := fs.inodeAlloc.Recv(t)
 			if !ok {
@@ -234,9 +193,9 @@ func NewMsgFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg MsgFSConfig)
 			var resp allocResp
 			switch req.op {
 			case aAllocInode:
-				resp.ino, resp.err = ia.alloc(t)
+				resp.ino, resp.err = ia.AllocInode(t)
 			case aFreeInode:
-				ia.free(t, req.ino)
+				ia.FreeInode(t, req.ino)
 			}
 			if req.reply != nil {
 				req.reply.Send(t, resp)
@@ -294,29 +253,16 @@ func (fs *MsgFS) spawnVnode(t *core.Thread, ino int) *core.Chan {
 			}
 			req := v.(vnReq)
 			var resp vnResp
-			switch req.op {
-			case vLookup:
-				resp.ino, resp.err = x.DirLookup(vt, ino, req.name)
-			case vCreate:
-				resp.ino, resp.err = x.CreateEntry(vt, ino, req.name, ModeFile)
-			case vMkdir:
-				resp.ino, resp.err = x.CreateEntry(vt, ino, req.name, ModeDir)
-			case vUnlink:
+			if req.op == vUnlink {
 				// Resolve the victim first so its vnode thread can be
 				// retired (its inode number may be reused).
 				gone, lerr := x.DirLookup(vt, ino, req.name)
-				resp.err = x.RemoveEntry(vt, ino, req.name)
+				resp = x.apply(vt, ino, req)
 				if lerr == nil && resp.err == nil {
 					fs.vmShards[gone%len(fs.vmShards)].Send(vt, vmReq{ino: gone, forget: true})
 				}
-			case vStat:
-				resp.inode, resp.err = x.Stat(vt, ino)
-			case vRead:
-				resp.data, resp.err = x.FileRead(vt, ino, req.off, req.n)
-			case vWrite:
-				resp.err = x.FileWrite(vt, ino, req.off, req.data)
-			case vList:
-				resp.names, resp.err = x.DirList(vt, ino)
+			} else {
+				resp = x.apply(vt, ino, req)
 			}
 			req.reply.Send(vt, resp)
 		}
@@ -379,163 +325,33 @@ func (fs *MsgFS) walk(t *core.Thread, comps []string) (int, error) {
 	return ino, nil
 }
 
-// Lookup implements FS.
-func (fs *MsgFS) Lookup(t *core.Thread, path string) (int, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return 0, err
-	}
-	return fs.walk(t, comps)
-}
-
-// Create implements FS.
-func (fs *MsgFS) Create(t *core.Thread, path string) (int, error) {
-	parent, name, err := splitParent(path)
-	if err != nil {
-		return 0, err
-	}
-	dir, err := fs.walk(t, parent)
-	if err != nil {
-		return 0, err
-	}
-	resp := fs.vnCall(t, dir, vnReq{op: vCreate, name: name})
-	return resp.ino, resp.err
-}
-
-// Mkdir implements FS.
-func (fs *MsgFS) Mkdir(t *core.Thread, path string) (int, error) {
-	parent, name, err := splitParent(path)
-	if err != nil {
-		return 0, err
-	}
-	dir, err := fs.walk(t, parent)
-	if err != nil {
-		return 0, err
-	}
-	resp := fs.vnCall(t, dir, vnReq{op: vMkdir, name: name})
-	return resp.ino, resp.err
-}
-
-// Unlink implements FS.
-func (fs *MsgFS) Unlink(t *core.Thread, path string) error {
-	parent, name, err := splitParent(path)
-	if err != nil {
-		return err
-	}
-	dir, err := fs.walk(t, parent)
-	if err != nil {
-		return err
-	}
-	return fs.vnCall(t, dir, vnReq{op: vUnlink, name: name}).err
-}
-
-// Stat implements FS.
-func (fs *MsgFS) Stat(t *core.Thread, path string) (Inode, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return Inode{}, err
-	}
+// run implements backend: it walks comps by messaging each directory
+// vnode in turn, then sends req to the vnode reached.
+func (fs *MsgFS) run(t *core.Thread, comps []string, req vnReq) vnResp {
 	ino, err := fs.walk(t, comps)
-	if err != nil {
-		return Inode{}, err
+	if err != nil || req.op == vWalk {
+		return vnResp{ino: ino, err: err}
 	}
-	resp := fs.vnCall(t, ino, vnReq{op: vStat})
-	return resp.inode, resp.err
+	return fs.vnCall(t, ino, req)
 }
 
-// Read implements FS.
-func (fs *MsgFS) Read(t *core.Thread, path string, off, n int) ([]byte, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return nil, err
-	}
+// open implements backend: the handle holds the vnode thread's channel.
+func (fs *MsgFS) open(t *core.Thread, comps []string) (*Handle, error) {
 	ino, err := fs.walk(t, comps)
 	if err != nil {
 		return nil, err
 	}
-	resp := fs.vnCall(t, ino, vnReq{op: vRead, off: off, n: n})
-	return resp.data, resp.err
+	return &Handle{Ino: ino, ch: fs.vnodeChan(t, ino)}, nil
 }
 
-// Write implements FS.
-func (fs *MsgFS) Write(t *core.Thread, path string, off int, data []byte) error {
-	comps, err := splitPath(path)
-	if err != nil {
-		return err
-	}
-	ino, err := fs.walk(t, comps)
-	if err != nil {
-		return err
-	}
-	return fs.vnCall(t, ino, vnReq{op: vWrite, off: off, data: data}).err
-}
-
-// ReadDir implements FS.
-func (fs *MsgFS) ReadDir(t *core.Thread, path string) ([]string, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return nil, err
-	}
-	ino, err := fs.walk(t, comps)
-	if err != nil {
-		return nil, err
-	}
-	resp := fs.vnCall(t, ino, vnReq{op: vList})
-	return resp.names, resp.err
-}
-
-// Handle is an open file: a direct channel to the file's vnode thread.
-// This is the paper's connection plumbing — resolve a path once, then
-// "move the data directly to its destination by a single send operation".
-type Handle struct {
-	Ino int
-	fs  *MsgFS
-	ch  *core.Chan
-}
-
-// Open resolves path and returns a handle bound to its vnode thread.
-func (fs *MsgFS) Open(t *core.Thread, path string) (*Handle, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return nil, err
-	}
-	ino, err := fs.walk(t, comps)
-	if err != nil {
-		return nil, err
-	}
-	return &Handle{Ino: ino, fs: fs, ch: fs.vnodeChan(t, ino)}, nil
-}
-
-// call sends one request straight to the vnode thread.
-func (h *Handle) call(t *core.Thread, req vnReq) vnResp {
-	reply := t.NewChan("h.reply", 1)
-	req.reply = reply
-	h.ch.Send(t, req)
-	v, _ := reply.Recv(t)
-	return v.(vnResp)
-}
-
-// Stat returns the file's inode.
-func (h *Handle) Stat(t *core.Thread) (Inode, error) {
-	r := h.call(t, vnReq{op: vStat})
-	return r.inode, r.err
-}
-
-// Read reads n bytes at off.
-func (h *Handle) Read(t *core.Thread, off, n int) ([]byte, error) {
-	r := h.call(t, vnReq{op: vRead, off: off, n: n})
-	return r.data, r.err
-}
-
-// Write writes data at off.
-func (h *Handle) Write(t *core.Thread, off int, data []byte) error {
-	return h.call(t, vnReq{op: vWrite, off: off, data: data}).err
-}
-
-// Stop closes every service channel (vnode threads keep running until
-// runtime shutdown; they are parked on empty channels and cost nothing).
+// Stop writes every cache shard's dirty blocks back to the disk, then
+// closes every service channel (vnode threads keep running until runtime
+// shutdown; they are parked on empty channels and cost nothing).
 func (fs *MsgFS) Stop(t *core.Thread) {
 	for _, ch := range fs.cacheShards {
+		reply := t.NewChan("c.reply", 1)
+		ch.Send(t, cacheReq{op: cSync, reply: reply})
+		reply.Recv(t)
 		ch.Close(t)
 	}
 	for _, ch := range fs.allocShards {
@@ -693,42 +509,4 @@ func (sa *shardCGAlloc) allocBlock(t *core.Thread, hint int) (int, error) {
 
 func (sa *shardCGAlloc) freeBlock(t *core.Thread, blk int) {
 	sa.inner.FreeBlock(t, blk)
-}
-
-// inodeAllocator is the free-map thread's inode side: single-threaded
-// scan with a rotating cursor, claims via atomic shard RMW.
-type inodeAllocator struct {
-	fs     *MsgFS
-	cursor int
-}
-
-func (ia *inodeAllocator) alloc(t *core.Thread) (int, error) {
-	ist := msgInodeStore{ia.fs}
-	n := int(ia.fs.sb.NInodes)
-	for i := 0; i < n; i++ {
-		ino := ia.cursor + i
-		for ino >= n {
-			ino = ino - n + RootIno + 1
-		}
-		if ino <= RootIno {
-			continue
-		}
-		in, err := ist.GetInode(t, ino)
-		if err != nil {
-			return 0, err
-		}
-		if in.Mode == ModeFree {
-			if err := ist.PutInode(t, ino, Inode{Mode: ModeFile}); err != nil {
-				return 0, err
-			}
-			ia.cursor = ino + 1
-			return ino, nil
-		}
-	}
-	return 0, ErrNoSpace
-}
-
-func (ia *inodeAllocator) free(t *core.Thread, ino int) {
-	ist := msgInodeStore{ia.fs}
-	_ = ist.PutInode(t, ino, Inode{})
 }

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -29,6 +30,19 @@ func TestGeometry(t *testing.T) {
 	}
 	if _, err := Geometry(4, 0); err == nil {
 		t.Fatal("tiny disk accepted")
+	}
+}
+
+func decodeSuper(b []byte) Super {
+	le := binary.LittleEndian
+	return Super{
+		Magic:       le.Uint32(b[0:]),
+		NBlocks:     le.Uint32(b[4:]),
+		NInodes:     le.Uint32(b[8:]),
+		InodeStart:  le.Uint32(b[12:]),
+		InodeBlocks: le.Uint32(b[16:]),
+		CGCount:     le.Uint32(b[20:]),
+		DataStart:   le.Uint32(b[24:]),
 	}
 }
 
@@ -65,6 +79,25 @@ func TestDirentRoundTrip(t *testing.T) {
 	}
 }
 
+// memStore is an uncached, zero-cost in-memory BlockStore for tests
+// that exercise the layout and operation logic without a disk.
+type memStore struct {
+	blocks map[int][]byte
+}
+
+func newMemStore() BlockStore { return &memStore{blocks: make(map[int][]byte)} }
+
+func (m *memStore) ReadBlock(t *core.Thread, blk int) []byte {
+	if b, ok := m.blocks[blk]; ok {
+		return append([]byte(nil), b...)
+	}
+	return make([]byte, BlockSize)
+}
+
+func (m *memStore) WriteBlock(t *core.Thread, blk int, data []byte) {
+	m.blocks[blk] = append([]byte(nil), data...)
+}
+
 // memCtx builds an operation context over the in-memory store (no
 // simulation required for pure-logic tests, but a thread is still needed
 // for the API; we use a tiny runtime).
@@ -74,12 +107,12 @@ func memCtx(t *testing.T) (*core.Runtime, func(th *core.Thread) (Ctx, Super)) {
 	rt := core.NewRuntime(m, core.Config{Seed: 31})
 	t.Cleanup(rt.Shutdown)
 	return rt, func(th *core.Thread) (Ctx, Super) {
-		st := NewMemStore()
+		st := newMemStore()
 		sb, err := Mkfs(th, st, 2048, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := Ctx{SB: &sb, St: st, In: NewRawInodeStore(&sb, st), Al: newBitmapAlloc(&sb, st)}
+		x := Ctx{SB: &sb, St: st, In: rawInodeStore{sb: &sb, st: st}, Al: newBitmapAlloc(&sb, st)}
 		return x, sb
 	}
 }
@@ -129,7 +162,7 @@ func TestFsopsFileReadWrite(t *testing.T) {
 			t.Error("offset read mismatch")
 		}
 		// Size via stat.
-		in, _ := x.Stat(th, ino)
+		in, _ := x.In.GetInode(th, ino)
 		if int(in.Size) != len(payload) {
 			t.Errorf("size = %d want %d", in.Size, len(payload))
 		}
@@ -200,7 +233,7 @@ func TestFsopsDirectoriesAndNotEmpty(t *testing.T) {
 func TestAllocatorExhaustionAndReuse(t *testing.T) {
 	rt, _ := memCtx(t)
 	rt.Boot("test", func(th *core.Thread) {
-		st := NewMemStore()
+		st := newMemStore()
 		// Small fs: few CGs.
 		sb, err := Mkfs(th, st, 200, 64)
 		if err != nil {
@@ -307,6 +340,39 @@ func scenario(t *testing.T, th *core.Thread, fs FS) {
 	if _, err := fs.Lookup(th, "/home/missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing lookup: %v", err)
 	}
+	h, err := fs.Open(th, "/home/readme")
+	if err != nil {
+		t.Errorf("open: %v", err)
+		return
+	}
+	if err := h.Write(th, 4, []byte("LIGHT")); err != nil {
+		t.Errorf("handle write: %v", err)
+	}
+	want := "the LIGHTweight"
+	if back, err := h.Read(th, 0, len(want)); err != nil || string(back) != want {
+		t.Errorf("handle read: %v %q, want %q", err, back, want)
+	}
+	if in, err := h.Stat(th); err != nil || int(in.Size) != len(msg) || in.Mode != ModeFile {
+		t.Errorf("handle stat: %v %+v", err, in)
+	}
+	if back, err := fs.Read(th, "/home/readme", 0, len(want)); err != nil || string(back) != want {
+		t.Errorf("read after handle write: %v %q", err, back)
+	}
+	if _, err := fs.Open(th, "/home/missing"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("open missing: %v", err)
+	}
+	if _, err := fs.Create(th, "/home/readme"); !errors.Is(err, ErrExists) {
+		t.Errorf("create existing: %v", err)
+	}
+	if _, err := fs.Lookup(th, "/home/readme/x"); !errors.Is(err, ErrNotDir) {
+		t.Errorf("lookup through a file: %v", err)
+	}
+	if err := fs.Unlink(th, "/home"); !errors.Is(err, ErrNotEmpty) {
+		t.Errorf("unlink non-empty dir: %v", err)
+	}
+	if _, err := fs.Stat(th, "home/readme"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("relative path: %v", err)
+	}
 	if err := fs.Unlink(th, "/home/readme"); err != nil {
 		t.Errorf("unlink: %v", err)
 	}
@@ -366,6 +432,37 @@ func TestConcurrentClientsDistinctFiles(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestMsgFSStopWritesBack: the cache shards are write-back, so Stop must
+// sync them before it closes them, or a file written before Stop is
+// gone for the next filesystem mounted on the same disk.
+func TestMsgFSStopWritesBack(t *testing.T) {
+	fx := newFixture(t, 8)
+	disk := blockdev.NewDisk(fx.rt, blockdev.DefaultDiskParams(4096))
+	drv := blockdev.NewDriver(fx.rt, disk, 64, 0)
+	fx.rt.Boot("main", func(th *core.Thread) {
+		sb, err := Format(th, drv, 4096, 512)
+		if err != nil {
+			t.Errorf("format: %v", err)
+			return
+		}
+		fs := NewMsgFS(fx.rt, drv, sb, MsgFSConfig{})
+		if _, err := fs.Create(th, "/f"); err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		if err := fs.Write(th, "/f", 0, []byte("durable")); err != nil {
+			t.Errorf("write: %v", err)
+			return
+		}
+		fs.Stop(th)
+		again := NewMsgFS(fx.rt, drv, sb, MsgFSConfig{})
+		if got, err := again.Read(th, "/f", 0, 64); err != nil || string(got) != "durable" {
+			t.Errorf("after Stop, a fresh MsgFS reads %q, %v; want \"durable\"", got, err)
+		}
+	})
+	fx.rt.Run()
 }
 
 func TestMsgFSVnodeThreadsSpawned(t *testing.T) {
