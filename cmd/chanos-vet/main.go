@@ -10,9 +10,9 @@
 //	chanos-vet [flags] [packages]
 //
 // With no package patterns it checks ./... from the current module.
-// Exit status is 1 if any non-waived finding exists, 0 otherwise
-// (unused waivers are reported but do not fail the run — they warn of
-// waiver rot ahead of a future lint-budget gate).
+// Exit status is 1 if any non-waived finding exists or any waiver is
+// unused or malformed (a waiver that suppresses nothing is rot: it
+// would silently excuse whatever later lands on its line), 0 otherwise.
 //
 // Flags:
 //
@@ -90,7 +90,7 @@ func main() {
 				"unused_waivers": len(unused),
 			},
 		})
-		if len(live) > 0 {
+		if len(live) > 0 || len(unused) > 0 {
 			os.Exit(1)
 		}
 		return
@@ -110,10 +110,10 @@ func main() {
 		if w.Malformed != "" {
 			reason = w.Malformed
 		}
-		fmt.Printf("chanos-vet: warning: %s:%d: //chanos:allow %s: %s\n", w.File, w.Line, w.Analyzer, reason)
+		fmt.Printf("%s:%d: //chanos:allow %s: %s\n", w.File, w.Line, w.Analyzer, reason)
 	}
-	if len(live) > 0 {
-		fmt.Printf("chanos-vet: %d non-waived finding(s)\n", len(live))
+	if len(live) > 0 || len(unused) > 0 {
+		fmt.Printf("chanos-vet: %d non-waived finding(s), %d unused waiver(s)\n", len(live), len(unused))
 		os.Exit(1)
 	}
 	fmt.Printf("chanos-vet: ok (%d packages, %d findings, %d waivers)\n", len(pkgs), len(live), len(waived))

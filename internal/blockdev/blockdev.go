@@ -28,6 +28,7 @@ import (
 	"chanos/internal/baseline"
 	"chanos/internal/core"
 	"chanos/internal/sim"
+	"chanos/internal/sim/detmap"
 )
 
 // Op is a block operation.
@@ -170,7 +171,7 @@ func NewDisk(rt *core.Runtime, p DiskParams) *Disk {
 // crashed machine's storage into a fresh simulation for recovery.
 func NewDiskFrom(rt *core.Runtime, p DiskParams, data map[int][]byte) *Disk {
 	d := NewDisk(rt, p)
-	for blk, buf := range data {
+	for blk, buf := range detmap.Sorted(data) {
 		d.data[blk] = platterBlock{buf: append([]byte(nil), buf...), own: true}
 	}
 	return d
@@ -181,7 +182,7 @@ func NewDiskFrom(rt *core.Runtime, p DiskParams, data map[int][]byte) *Disk {
 // yet fired) are absent — exactly what a power cut would leave behind.
 func (d *Disk) SnapshotData() map[int][]byte {
 	out := make(map[int][]byte, len(d.data))
-	for blk, b := range d.data {
+	for blk, b := range detmap.Sorted(d.data) {
 		out[blk] = append([]byte(nil), b.buf...)
 	}
 	return out

@@ -48,25 +48,6 @@ func DefaultRows(short bool) []RowSpec {
 	}
 }
 
-// PartRows splits a row set into `parts` near-equal shares by seed
-// count and returns share `part` (0-based). The invariant-named test
-// sweeps each take one share, so together they cover the full matrix
-// with no seed run twice.
-func PartRows(rows []RowSpec, part, parts int) []RowSpec {
-	out := make([]RowSpec, 0, len(rows))
-	for _, r := range rows {
-		lo := r.Seeds * part / parts
-		hi := r.Seeds * (part + 1) / parts
-		if hi <= lo {
-			continue
-		}
-		rr := r
-		rr.Seeds = hi - lo
-		out = append(out, rr)
-	}
-	return out
-}
-
 // RowResult is one scenario family's fold.
 type RowResult struct {
 	Label        string         `json:"label"`

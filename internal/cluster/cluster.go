@@ -15,6 +15,7 @@ import (
 	"chanos/internal/core"
 	"chanos/internal/net"
 	"chanos/internal/sim"
+	"chanos/internal/sim/detmap"
 	"chanos/internal/store"
 )
 
@@ -244,7 +245,7 @@ func (n *Node) installMap(m *ShardMap) {
 func (n *Node) drainBefore(t *core.Thread, gen uint64) {
 	for {
 		busy := 0
-		for g, c := range n.genInflight {
+		for g, c := range detmap.Sorted(n.genInflight) {
 			if g <= gen {
 				busy += c
 			}

@@ -4,13 +4,3 @@ package lint
 func All() []*Analyzer {
 	return []*Analyzer{MapIter, WallClock, SharedState, MsgOwnership}
 }
-
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

@@ -10,10 +10,40 @@ package lint
 
 import (
 	"fmt"
+	"go/importer"
+	"go/token"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"testing"
 )
+
+// byName returns the named analyzer, or nil.
+func byName(name string) *Analyzer {
+	for _, a := range All() {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
+}
+
+// loadDir parses and type-checks the single package in dir (every .go
+// file), labeling it with importPath. Fixture packages live under
+// testdata/, where the go tool will not list them for Load.
+func loadDir(dir, importPath string) (*Pkg, error) {
+	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	sort.Strings(matches)
+	if len(matches) == 0 {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
+	return check(fset, imp, importPath, dir, matches)
+}
 
 // wantRe matches `// want "regex"` and `// want ` + backquoted regex.
 var wantRe = regexp.MustCompile("// want (?:\"([^\"]+)\"|`([^`]+)`)")
@@ -29,14 +59,14 @@ type wantMark struct {
 // assertions.
 func runGolden(t *testing.T, analyzer, dir, importPath string) *Result {
 	t.Helper()
-	a := ByName(analyzer)
+	a := byName(analyzer)
 	if a == nil {
 		t.Fatalf("no analyzer named %q", analyzer)
 	}
 	if !Applies(a, importPath) {
 		t.Fatalf("fixture import path %s is outside %s's scope; the test would vacuously pass", importPath, analyzer)
 	}
-	pkg, err := LoadDir(filepath.Join("testdata", "src", dir), importPath)
+	pkg, err := loadDir(filepath.Join("testdata", "src", dir), importPath)
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
@@ -150,7 +180,7 @@ func TestScope(t *testing.T) {
 		{"msgownership", "chanos/internal/baseline", false},
 	}
 	for _, c := range cases {
-		a := ByName(c.analyzer)
+		a := byName(c.analyzer)
 		if a == nil {
 			t.Fatalf("no analyzer named %q", c.analyzer)
 		}

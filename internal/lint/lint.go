@@ -15,7 +15,7 @@
 //     packages — Go randomizes map order, so any such loop on a live
 //     path perturbs the event schedule between same-seed runs (the
 //     PR 8 audit bug class). Rewrite through internal/sim/detmap or
-//     prove the body is an order-insensitive fold.
+//     waive the line with the reason its order cannot matter.
 //   - wallclock: no time.Now/timers and no unseeded math/rand under
 //     internal/ and examples/ — the simulated clock and the engine's
 //     seeded RNG are the only time and randomness sources.
@@ -33,8 +33,8 @@
 //
 // on the flagged line or the line directly above it. The justification
 // is mandatory; chanos-vet counts and prints every waiver so the
-// inventory stays visible, and flags waivers that no longer suppress
-// anything.
+// inventory stays visible, and fails on a waiver that no longer
+// suppresses anything.
 package lint
 
 import (
@@ -187,8 +187,8 @@ func (r *Result) Unused() []*Waiver {
 }
 
 // Run applies each analyzer to each package it is scoped to (see
-// Applies) and resolves waivers. Packages must come from Load or
-// LoadDir so their type information is complete.
+// Applies) and resolves waivers. Packages must come from Load (or the
+// fixture loader in the tests) so their type information is complete.
 func Run(pkgs []*Pkg, analyzers []*Analyzer) *Result {
 	names := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {

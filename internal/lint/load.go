@@ -12,7 +12,6 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
-	"sort"
 )
 
 // A Pkg is one parsed, type-checked package ready for analysis.
@@ -57,24 +56,6 @@ func Load(root string, patterns ...string) ([]*Pkg, error) {
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// LoadDir parses and type-checks the single package in dir (every
-// non-test .go file), labeling it with importPath. It is the loader
-// the golden-fixture tests use: fixture packages live under testdata/
-// where the go tool will not list them.
-func LoadDir(dir, importPath string) (*Pkg, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(matches)
-	if len(matches) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	return check(fset, imp, importPath, dir, matches)
 }
 
 func check(fset *token.FileSet, imp types.Importer, importPath, dir string, filenames []string) (*Pkg, error) {

@@ -271,3 +271,14 @@ func shortExpr(e ast.Expr) string {
 	}
 	return s
 }
+
+// isBuiltinCall reports whether call invokes the predeclared builtin
+// of the given name (not a user function shadowing it).
+func isBuiltinCall(p *Pass, call *ast.CallExpr, name string) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, isBuiltin := p.Info.Uses[id].(*types.Builtin)
+	return isBuiltin
+}

@@ -496,7 +496,7 @@ func (s *Stack) retire(st *shardState, c *stackConn, clean bool) {
 	st.closed[c.id] = closedRec{at: now, clean: clean}
 	if len(st.closed) >= 512 {
 		horizon := timeWait * rtoCycles
-		for id, rec := range st.closed {
+		for id, rec := range st.closed { //chanos:allow mapiter the purge only deletes, so its order cannot matter; detmap would allocate and sort on every retire of a busy shard
 			if now-rec.at > horizon {
 				delete(st.closed, id)
 			}

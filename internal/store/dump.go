@@ -104,7 +104,7 @@ func (s *Store) SnapshotShards() []ShardSnapshot {
 
 			Disk: sh.disk.Snapshot(),
 		}
-		for _, prs := range sh.reads {
+		for _, prs := range detmap.Sorted(sh.reads) {
 			snap.ParkedReads += len(prs)
 		}
 		for _, k := range detmap.Keys(sh.idx) {

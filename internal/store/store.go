@@ -1278,7 +1278,7 @@ func (sh *shard) recover(t *core.Thread) {
 	aTail, aBytes, _ := replayRegion(sh.epoch)
 	cTail, cBytes, cBlocks := replayRegion(sh.epoch + 1)
 	sh.liveBytes = 0
-	for k, l := range sh.idx {
+	for k, l := range detmap.Sorted(sh.idx) {
 		sh.liveBytes += recHeader + len(k)
 		if !l.dead {
 			sh.liveBytes += l.vlen

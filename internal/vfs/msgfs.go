@@ -18,7 +18,6 @@ type MsgFS struct {
 	cacheShards []*core.Chan
 	cacheCores  []*cacheCore // engine-idle inspection only
 	allocShards []*core.Chan
-	cgAllocs    []*shardCGAlloc
 	inodeAlloc  *core.Chan
 	vmShards    []*core.Chan
 
@@ -156,7 +155,6 @@ func NewMsgFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg MsgFSConfig)
 	// cg % nAllocShards == i.
 	for i := 0; i < nAllocShards; i++ {
 		sa := newShardCGAlloc(&fs.sb, msgStore{fs}, i, nAllocShards)
-		fs.cgAllocs = append(fs.cgAllocs, sa)
 		ch := rt.NewChan(fmt.Sprintf("fscg.%d", i), queueDepth)
 		fs.allocShards = append(fs.allocShards, ch)
 		rt.Boot(fmt.Sprintf("fscg.%d", i), func(t *core.Thread) {

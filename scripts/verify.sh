@@ -21,7 +21,8 @@ echo "== chanos-vet ./... (determinism + no-shared-memory contracts)"
 # Hard gate: any non-waived finding from the four custom analyzers
 # (mapiter, wallclock, sharedstate, msgownership) fails the build.
 # Suppression is only possible via inline, justified
-# //chanos:allow waivers, which the tool counts and prints.
+# //chanos:allow waivers, which the tool counts and prints; a waiver
+# that suppresses nothing, or a malformed one, fails the build too.
 go run ./cmd/chanos-vet ./...
 
 echo "== bash -n scripts/*.sh"
