@@ -135,9 +135,9 @@ func TestChaosDeterminism(t *testing.T) {
 		events uint64
 		fired  int
 	}{
-		"solo":     {12132, 3},
-		"repl":     {20763, 2},
-		"cluster3": {44082, 2},
+		"solo":     {13346, 3},
+		"repl":     {19446, 2},
+		"cluster3": {42407, 2},
 	}
 	rows := DefaultRows(true)
 	for _, row := range rows {

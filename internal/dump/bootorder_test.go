@@ -29,15 +29,15 @@ func TestBootOrderOracle(t *testing.T) {
 		run              func() (fired, responses uint64)
 		fired, responses uint64
 	}{
-		{"kvload rf0", func() (uint64, uint64) { return runKV(kv(0, false)) }, 9061, 201},
-		{"kvload rf1", func() (uint64, uint64) { return runKV(kv(1, false)) }, 13499, 213},
-		{"kvload rf1 replica reads", func() (uint64, uint64) { return runKV(kv(1, true)) }, 27193, 201},
+		{"kvload rf0", func() (uint64, uint64) { return runKV(kv(0, false)) }, 10015, 226},
+		{"kvload rf1", func() (uint64, uint64) { return runKV(kv(1, false)) }, 13999, 222},
+		{"kvload rf1 replica reads", func() (uint64, uint64) { return runKV(kv(1, true)) }, 29782, 214},
 		{"cluster 3x2", func() (uint64, uint64) {
 			w := BuildCluster(7, clusterConfig())
 			defer w.Close()
 			r := w.Run()
 			return w.C.Eng.Fired(), r.Responses
-		}, 44572, 154},
+		}, 42251, 153},
 	}
 	for _, c := range cases {
 		fired, responses := c.run()

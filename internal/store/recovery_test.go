@@ -36,8 +36,32 @@ type ackRec struct {
 // which closes the commit-to-ack races a sloppier crash point would
 // hit: at such an instant, durable records and acknowledged records are
 // the same set by construction, so the assertion is exact — and the
-// whole hunt is deterministic from the seed.
+// whole hunt is deterministic from the seed. The held-flush case also
+// requires a shard whose group commit is held behind that write, with
+// records appended since: the crash takes them before any write of
+// theirs is issued.
 func TestCrashMidFlushRecovery(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		point func(kv *Store) bool
+	}{
+		{"mid-flush", func(*Store) bool { return true }},
+		{"held-flush", func(kv *Store) bool {
+			for _, sh := range kv.shards {
+				if sh.flushHeld && sh.dirty > 0 {
+					return true
+				}
+			}
+			return false
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) { crashMidFlush(t, c.point) })
+	}
+}
+
+// crashMidFlush runs TestCrashMidFlushRecovery's hunt with one more
+// condition on the crash instant, point.
+func crashMidFlush(t *testing.T, point func(kv *Store) bool) {
 	const seed = 29
 	p := Params{Shards: 2, CacheBlocks: 2, FlushCycles: 20_000, LogBlocks: 64}
 
@@ -91,13 +115,13 @@ func TestCrashMidFlushRecovery(t *testing.T) {
 			kv.Counters().FlushesStarted > kv.Counters().FlushesDone &&
 			committed() == kv.Counters().FlushesDone+kv.Counters().EpochWritesDurable &&
 			ackedCount == kv.Counters().AckedWrites &&
-			issuedCount > ackedCount {
+			issuedCount > ackedCount && point(kv) {
 			found = true
 			break
 		}
 	}
 	if !found {
-		t.Fatal("never caught the store mid-flush with unacked writes")
+		t.Fatal("never caught the store mid-flush with unacked writes at the crash point")
 	}
 	unackedAtCrash := len(inflight)
 	if unackedAtCrash == 0 {

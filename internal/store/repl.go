@@ -452,6 +452,9 @@ func (sh *shard) armAdvert(t *core.Thread, r *replShard) {
 // the last sequence already on the wire (cumulative-ack safe), Tail the
 // last assigned. The replica learns how far behind it is without
 // waiting for the group commit that will carry the records themselves.
+// It does not re-arm: only a capture arms an advert, so each one
+// announces a tail that moved since the last, and the endpoint
+// retransmits what it sent.
 func (sh *shard) replAdvert(t *core.Thread, m replAdvertMsg) {
 	r := m.r
 	if !sh.hasRepl(r) || sh.failed != "" {
@@ -463,7 +466,6 @@ func (sh *shard) replAdvert(t *core.Thread, m replAdvertMsg) {
 	}
 	sh.m.ReplAdverts++
 	sh.replSend(t, r, ReplBatch{Shard: sh.id, Seq: r.lastShip, Epoch: sh.epoch})
-	sh.armAdvert(t, r) // keep advertising while records remain unshipped
 }
 
 // replShipOut ships every attachment's buffered records as one batch

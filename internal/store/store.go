@@ -58,9 +58,13 @@ type Params struct {
 	// log blocks. Default 64 (256 KB of hot values per shard).
 	CacheBlocks int
 	// FlushCycles is the group-commit interval: how long an appended
-	// record may wait before the open block is written back. Shorter
-	// means lower write latency, more (smaller) disk writes. Default
-	// 50_000 (25 µs).
+	// record may wait before the open block is written back, when the
+	// disk holds none of the shard's writes. While one of them is still
+	// on the disk the timer holds its write instead, and the completion
+	// that leaves none outstanding issues it, carrying every record
+	// appended meanwhile: the timer never queues a rewrite of the open
+	// block behind another write. Shorter means lower write latency,
+	// more (smaller) disk writes. Default 50_000 (25 µs).
 	FlushCycles uint64
 	// LogBlocks is the per-shard log region size in blocks. The device
 	// carries two regions plus a superblock; once 3/4 of the active
@@ -475,6 +479,10 @@ type shard struct {
 	dirty      int            // records appended since the last flush was issued
 	waiters    []pendingWrite // acks riding on the next flush
 	flushArmed bool
+	// flushHeld marks a group-commit write the timer deferred because an
+	// earlier flush write of this shard was still on the disk; the
+	// completion that leaves none outstanding issues it (flushed).
+	flushHeld bool
 	// diskFree recycles the disk completion records (diskDone); refFree
 	// the per-write replication refs, from replCapture to the answer.
 	diskFree sim.FreeList[diskDone]
@@ -736,7 +744,11 @@ func (s *Store) shardHandler(id int) kernel.Handler {
 		case "flush":
 			sh.flushArmed = false
 			if sh.dirty > 0 && sh.failed == "" {
-				sh.flush(t, false)
+				if sh.m.FlushesStarted > sh.m.FlushesDone {
+					sh.flushHeld = true
+				} else {
+					sh.flush(t, false)
+				}
 			}
 		case "flushed", "readdone", "epochdone":
 			d := req.Arg.(*diskDone)
@@ -1027,9 +1039,10 @@ func (sh *shard) append(t *core.Thread, op byte, key string, val []byte, ver uin
 }
 
 // armFlush schedules the group-commit timer (once) — it re-enters the
-// shard as a "flush" message.
+// shard as a "flush" message. A held flush needs no timer: records
+// appended while it is held ride the write its completion issues.
 func (sh *shard) armFlush(t *core.Thread) {
-	if sh.flushArmed {
+	if sh.flushArmed || sh.flushHeld {
 		return
 	}
 	sh.flushArmed = true
@@ -1087,6 +1100,15 @@ func (sh *shard) flushed(t *core.Thread, d *diskDone) {
 		// sort out the truth from the log.
 		sh.nackBatch(t, d.batch, sh.failed)
 		return
+	}
+	if sh.flushHeld && sh.m.FlushesDone == sh.m.FlushesStarted {
+		// The disk holds none of this shard's writes: issue the held
+		// flush before the acks below, so the disk is busy again while
+		// they go out.
+		sh.flushHeld = false
+		if sh.dirty > 0 {
+			sh.flush(t, false)
+		}
 	}
 	if d.sealed {
 		sh.cache.put(d.block, d.data)

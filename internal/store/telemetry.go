@@ -26,16 +26,12 @@ import (
 // the shard's private tally; Store.Counters() returns the fold across
 // shards. Field names are the metric names (telemetry.EmitCounters).
 type StoreCounters struct {
-	// Scans is always 0: the store has no SCAN verb. The name stays
-	// because a STATS reply carries the snapshot as JSON and bills its
-	// bytes, so dropping a metric name would move every world that
-	// scrapes STATS (E17, E18).
-	Gets, Puts, Deletes, Scans uint64
-	CacheHits, CacheMisses     uint64
-	GetNotFound                uint64 // GETs answered "no such key" (incl. tombstones)
-	ReadErrors                 uint64 // GETs refused or nacked with an error
-	DeleteMisses               uint64 // DELETEs of absent keys (nothing to make durable)
-	WriteErrors                uint64 // PUT/DELETEs refused or nacked with an error (excl. LogFull)
+	Gets, Puts, Deletes    uint64
+	CacheHits, CacheMisses uint64
+	GetNotFound            uint64 // GETs answered "no such key" (incl. tombstones)
+	ReadErrors             uint64 // GETs refused or nacked with an error
+	DeleteMisses           uint64 // DELETEs of absent keys (nothing to make durable)
+	WriteErrors            uint64 // PUT/DELETEs refused or nacked with an error (excl. LogFull)
 
 	// FlushesStarted and FlushesDone also sequence the shard's log
 	// writes: the disk is serial FIFO, so once FlushesDone reaches the
