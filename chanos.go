@@ -151,8 +151,5 @@ func (s *System) Cycles(sec float64) Time { return s.M.Cycles(sec) }
 // Stats snapshots runtime counters.
 func (s *System) Stats() Stats { return s.RT.Stats() }
 
-// Blocked lists threads that can no longer make progress.
-func (s *System) Blocked() []string { return s.RT.Blocked() }
-
 // Shutdown kills all remaining threads (call when done).
 func (s *System) Shutdown() { s.RT.Shutdown() }

@@ -79,6 +79,7 @@ func run(kind string) (opsPerSec float64, vnodes uint64) {
 	sys.Run()
 
 	counts := make([]uint64, clients)
+	stopped := false
 	sys.Boot("driver", func(t *chanos.Thread) {
 		v, _ := ready.Recv(t)
 		fs := v.(vfs.FS)
@@ -101,7 +102,7 @@ func run(kind string) (opsPerSec float64, vnodes uint64) {
 					handles[p] = h
 					return h
 				}
-				for {
+				for !stopped {
 					p := fmt.Sprintf("/vol%d/file%d", dirs.Next(), rng.Intn(nFiles))
 					h := open(p)
 					if h == nil {
@@ -131,6 +132,16 @@ func run(kind string) (opsPerSec float64, vnodes uint64) {
 	}
 	if m, ok := built.(*vfs.MsgFS); ok {
 		vnodes = m.VnodesSpawned
+		// Shut down in order once the numbers are taken: the clients
+		// finish the operation in flight and exit, then the file system
+		// writes its dirty blocks back and the driver stops.
+		stopped = true
+		sys.Run()
+		sys.Boot("shutdown", func(t *chanos.Thread) {
+			m.Stop(t)
+			drv.Stop(t)
+		})
+		sys.Run()
 	}
 	return float64(total) / sys.Seconds(window), vnodes
 }

@@ -116,9 +116,6 @@ type httpResp struct {
 	Body   string
 }
 
-// MsgBytes implements core.Sized.
-func (r httpResp) MsgBytes() int { return 16 + len(r.Body) }
-
 // serve handles one connection: read a request, render, respond, until
 // the client closes.
 func serve(t *core.Thread, c *chanos.Conn, bytesOut *uint64) {

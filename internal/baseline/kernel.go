@@ -127,17 +127,3 @@ func (k *SharedKernel) Syscall(t *core.Thread, obj int, extra uint64) {
 	k.Trap.Exit(t)
 	k.Ops++
 }
-
-// LockStats aggregates lock statistics across the kernel's locks.
-func (k *SharedKernel) LockStats() LockStats {
-	if k.mode == BigLock {
-		return k.big.Stats()
-	}
-	var s LockStats
-	for _, l := range k.objs {
-		ls := l.Stats()
-		s.Acquires += ls.Acquires
-		s.Contended += ls.Contended
-	}
-	return s
-}

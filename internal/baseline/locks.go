@@ -17,13 +17,6 @@ import (
 type Lock interface {
 	Acquire(t *core.Thread)
 	Release(t *core.Thread)
-	Stats() LockStats
-}
-
-// LockStats counts lock traffic.
-type LockStats struct {
-	Acquires  uint64
-	Contended uint64
 }
 
 // TicketLock is a FIFO queued lock in which every waiter spins on the
@@ -36,7 +29,6 @@ type TicketLock struct {
 	line    *machine.Line
 	holder  *core.Thread
 	waiters []*core.Thread
-	stats   LockStats
 }
 
 // NewTicketLock allocates a ticket lock on a fresh cache line.
@@ -48,12 +40,10 @@ func NewTicketLock(rt *core.Runtime) *TicketLock {
 func (l *TicketLock) Acquire(t *core.Thread) {
 	// Fetch-and-increment of the ticket counter: exclusive access.
 	t.Compute(l.line.AcquireExclusive(t.Core()))
-	l.stats.Acquires++
 	if l.holder == nil {
 		l.holder = t
 		return
 	}
-	l.stats.Contended++
 	// Join the spinner set: one shared read, then local spinning (parked
 	// here; the coherence cost is what matters).
 	l.waiters = append(l.waiters, t)
@@ -86,9 +76,6 @@ func (l *TicketLock) Release(t *core.Thread) {
 	l.holder = nil
 }
 
-// Stats implements Lock.
-func (l *TicketLock) Stats() LockStats { return l.stats }
-
 // mcsNode is one waiter's private spin line.
 type mcsNode struct {
 	t    *core.Thread
@@ -104,7 +91,6 @@ type MCSLock struct {
 	tail    *machine.Line // the swapped tail pointer
 	holder  *core.Thread
 	waiters []*mcsNode
-	stats   LockStats
 }
 
 // NewMCSLock allocates an MCS lock.
@@ -116,12 +102,10 @@ func NewMCSLock(rt *core.Runtime) *MCSLock {
 func (l *MCSLock) Acquire(t *core.Thread) {
 	// Swap on the tail pointer.
 	t.Compute(l.tail.AcquireExclusive(t.Core()))
-	l.stats.Acquires++
 	if l.holder == nil {
 		l.holder = t
 		return
 	}
-	l.stats.Contended++
 	node := &mcsNode{t: t, line: l.rt.M.NewLine()}
 	l.waiters = append(l.waiters, node)
 	t.Compute(node.line.AcquireShared(t.Core()))
@@ -160,9 +144,6 @@ func (l *MCSLock) handoff(t *core.Thread) bool {
 	return true
 }
 
-// Stats implements Lock.
-func (l *MCSLock) Stats() LockStats { return l.stats }
-
 // SharedCounter is a shared-memory statistics counter: every increment is
 // an exclusive line acquisition. Kernels love these; they are quiet
 // scalability poison.
@@ -180,10 +161,4 @@ func NewSharedCounter(rt *core.Runtime) *SharedCounter {
 func (c *SharedCounter) Inc(t *core.Thread) {
 	t.Compute(c.line.AcquireExclusive(t.Core()))
 	c.Value++
-}
-
-// Read reads the counter, paying a shared acquisition.
-func (c *SharedCounter) Read(t *core.Thread) uint64 {
-	t.Compute(c.line.AcquireShared(t.Core()))
-	return c.Value
 }

@@ -486,6 +486,3 @@ func (d *LockedDriver) SubmitSync(t *core.Thread, op Op, block int, data []byte)
 	v, _ := reply.Recv(t)
 	return v.(Result)
 }
-
-// Stop closes the request queue.
-func (d *LockedDriver) Stop(t *core.Thread) { d.In.Close(t) }

@@ -213,7 +213,7 @@ func TestLockedDriverNoHazards(t *testing.T) {
 	drv := NewLockedDriver(rt, disk, 32, 4, []int{0, 1, 2, 3}, true)
 	runStorm(t, rt, func(th *core.Thread, blk int) Result {
 		return drv.SubmitSync(th, Write, blk, nil)
-	}, func(th *core.Thread) { drv.Stop(th) })
+	}, func(th *core.Thread) { drv.In.Close(th) })
 	if disk.Hazards != 0 {
 		t.Fatalf("locked driver produced %d hazards", disk.Hazards)
 	}
@@ -225,7 +225,7 @@ func TestLocklessDriverHasHazards(t *testing.T) {
 	drv := NewLockedDriver(rt, disk, 32, 4, []int{0, 1, 2, 3}, false)
 	runStorm(t, rt, func(th *core.Thread, blk int) Result {
 		return drv.SubmitSync(th, Write, blk, nil)
-	}, func(th *core.Thread) { drv.Stop(th) })
+	}, func(th *core.Thread) { drv.In.Close(th) })
 	if disk.Hazards == 0 {
 		t.Fatal("lockless multithreaded driver produced no hazards — race model broken")
 	}
@@ -497,9 +497,11 @@ func TestRecycledBlockBuffers(t *testing.T) {
 	// test when it holds none: each case must exercise a recycled stage.
 	onSpare := func(t *testing.T, disk *Disk, do func()) {
 		t.Helper()
-		if disk.spare.Len() == 0 {
+		b := disk.spare.Get()
+		if b == nil {
 			t.Fatal("no spare buffer to stage into: the case tests nothing")
 		}
+		disk.spare.Put(b, spareBlocks)
 		do()
 	}
 
@@ -654,7 +656,7 @@ func TestShareFromAdoptsIdenticalBlocks(t *testing.T) {
 				programSync(rt, th, src, Request{Op: Write, Block: 5, Data: fill(0x52 + byte(i))})
 			}
 			programSync(rt, th, dst, Request{Op: Write, Block: 5, Data: fill(0x61)})
-			if dst.spare.Len() != 0 {
+			if dst.spare.Get() != nil {
 				t.Error("the adopter recycled the adopted block when it overwrote it")
 			}
 			for i := 0; i < 4; i++ {

@@ -114,7 +114,6 @@ func TestRunRefusesImpossibleKVLoad(t *testing.T) {
 	}
 	r, err := Run(Spec{Label: "repl", Seed: 1, Cfg: dump.Config{Replicas: 2}, Sched: sched})
 	if err == nil {
-		r.Close()
 		t.Fatalf("Run accepted a kvload config with two replica machines (%d/%d clauses fired)",
 			len(r.FiredClauses), len(sched))
 	}
@@ -152,14 +151,11 @@ func TestChaosDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d, err := r.Snapshot("determinism")
-				if err != nil {
-					t.Fatal(err)
-				}
+				d := r.World.Driver().C.Snapshot("determinism")
 				evs[i] = r.EventCount
 				snaps[i] = d.Encode()
 				fired[i] = len(r.FiredClauses)
-				r.Close()
+				r.World.Close()
 			}
 			if evs[0] != evs[1] {
 				t.Fatalf("event counts diverged: %d != %d", evs[0], evs[1])
@@ -247,14 +243,11 @@ func TestChaosRedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rr.Close()
+	defer rr.World.Close()
 	if rr.EventCount != orig.EventCount {
 		t.Fatalf("replay halted at event %d, recorded %d", rr.EventCount, orig.EventCount)
 	}
-	redump, err := rr.Snapshot(orig.Reason)
-	if err != nil {
-		t.Fatal(err)
-	}
+	redump := rr.World.Driver().C.Snapshot(orig.Reason)
 	if diff := dump.Diff(orig, redump); len(diff) > 0 {
 		t.Fatalf("replayed state differs from dump:\n%s", strings.Join(diff, "\n"))
 	}

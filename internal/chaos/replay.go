@@ -17,8 +17,9 @@ import (
 
 // Replay rebuilds a chaos dump's world and halts at its recorded
 // event, refusing first, as dump.Replay does, a dump that Validate
-// faults. The returned Result keeps its world open (Result.Close) so
-// callers can take a differential snapshot against the original dump.
+// faults. The returned Result keeps its world open (the caller closes
+// Result.World) so callers can take a differential snapshot against the
+// original dump.
 func Replay(d *dump.Dump) (*Result, error) {
 	if d.Config.Chaos == "" {
 		return nil, fmt.Errorf("chaos: dump carries no schedule; use dump.Replay")
@@ -47,19 +48,9 @@ func Replay(d *dump.Dump) (*Result, error) {
 	// An on-demand dump lands exactly on a drive loop's own exit, so
 	// the armed stop may never latch — the coordinate is the contract.
 	if r.EventCount != d.EventCount {
-		r.Close()
+		r.World.Close()
 		return nil, fmt.Errorf("chaos: replay finished at event %d, recorded %d (dump from a different build?)",
 			r.EventCount, d.EventCount)
 	}
 	return r, nil
-}
-
-// Snapshot re-dumps the replayed world for differential comparison
-// with the original (dump.Diff on the pair; byte-equal means the
-// machine state reproduced exactly).
-func (r *Result) Snapshot(reason string) (*dump.Dump, error) {
-	if r.World == nil {
-		return nil, fmt.Errorf("chaos: result holds no world (run without KeepWorld?)")
-	}
-	return r.World.Driver().C.Snapshot(reason), nil
 }

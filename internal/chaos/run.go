@@ -162,14 +162,6 @@ func (r *Result) violate(inv, format string, args ...any) {
 	r.Details = append(r.Details, inv+": "+fmt.Sprintf(format, args...))
 }
 
-// Close releases a kept world.
-func (r *Result) Close() {
-	if r.World != nil {
-		r.World.Close()
-		r.World = nil
-	}
-}
-
 // Run executes one chaos run per the spec and judges it.
 func Run(spec Spec) (*Result, error) {
 	if err := spec.Cfg.Check(); err != nil {

@@ -900,8 +900,8 @@ func TestThreadGoroutinesReused(t *testing.T) {
 		}
 	})
 	rt.Run()
-	if rt.Alive() != 0 || rt.idle.Len() > 3 {
-		t.Fatalf("%d threads alive, %d idle goroutines after 101 threads ran one or two at a time", rt.Alive(), rt.idle.Len())
+	if idle := runtime.NumGoroutine() - before; rt.Alive() != 0 || idle > 3 {
+		t.Fatalf("%d threads alive, %d idle goroutines after 101 threads ran one or two at a time", rt.Alive(), idle)
 	}
 	rt.Shutdown()
 	waitGoroutines(t, before)
@@ -950,7 +950,8 @@ func TestKillAnswersDeferredOpsWithPoison(t *testing.T) {
 			if !victim.Dead() || !errors.Is(victim.ExitReason(), ErrKilled) {
 				t.Fatalf("victim dead=%v reason=%v, want killed", victim.Dead(), victim.ExitReason())
 			}
-			if busy := rt.M.Core(1).BusyUntil(); busy > killAt {
+			// Work booked at the kill starts only once the core drains.
+			if busy, _ := rt.M.Core(1).Reserve(killAt, 0); busy > killAt {
 				t.Fatalf("victim's core busy until %d, past the kill at %d: the deferred Compute was charged", busy, killAt)
 			}
 			waitGoroutines(t, before)
@@ -1034,9 +1035,12 @@ func TestDeadThreadIsCollectable(t *testing.T) {
 		th.Kill(victim)
 	})
 	rt.Run()
-	if rt.Alive() != 0 || rt.idle.Len() == 0 {
-		t.Fatalf("%d threads alive and %d idle workers after the run", rt.Alive(), rt.idle.Len())
+	// takeWorker's test: a worker without a bound step was never started.
+	w := rt.idle.Get()
+	if rt.Alive() != 0 || w.step == nil {
+		t.Fatalf("%d threads alive and no idle worker after the run", rt.Alive())
 	}
+	rt.idle.Put(w)
 	runtime.GC()
 	for i, w := range dead {
 		if w.Value() != nil {

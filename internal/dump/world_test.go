@@ -108,7 +108,7 @@ func TestReplayRefusesADumpOfAnotherShape(t *testing.T) {
 	d.Config.Chaos = "cy:1000000:nic-slow:0:2:300000"
 	r, err := chaos.Replay(d)
 	if r != nil {
-		r.Close()
+		r.World.Close()
 	}
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("chaos.Replay = %v, want a refusal naming %q", err, want)

@@ -51,9 +51,6 @@ func (p *MachPort) Recv(t *core.Thread, bytes int) (core.Msg, bool) {
 	return v, ok
 }
 
-// Close closes the underlying queue.
-func (p *MachPort) Close(t *core.Thread) { p.q.Close(t) }
-
 // L4Server is a synchronous IPC endpoint: one server thread, call/reply
 // rendezvous, mode switch on each crossing. "These are really procedure
 // calls, not messages in the general sense" (§2).

@@ -27,7 +27,6 @@ import (
 
 	"chanos/internal/core"
 	"chanos/internal/sim"
-	"chanos/internal/sim/detmap"
 )
 
 // Request is the kernel syscall message format. Reply is the channel the
@@ -280,21 +279,4 @@ func (k *Kernel) CallAsync(t *core.Thread, service string, key int, op string, a
 func (k *Kernel) Post(t *core.Thread, service string, key int, op string, arg core.Msg) {
 	s := k.service(service)
 	s.Send(t, s.ShardFor(key), Request{Op: op, Key: key, Arg: arg})
-}
-
-// serviceNames returns service names in sorted order (map iteration
-// order would make shutdown nondeterministic).
-func (k *Kernel) serviceNames() []string {
-	return detmap.Keys(k.services)
-}
-
-// Stop closes all service channels; service threads drain and exit.
-func (k *Kernel) Stop(t *core.Thread) {
-	for _, n := range k.serviceNames() {
-		for _, ch := range k.services[n].shards {
-			if !ch.Closed() {
-				ch.Close(t)
-			}
-		}
-	}
 }

@@ -53,7 +53,6 @@ func TestSyscallRoundTrip(t *testing.T) {
 	var got core.Msg
 	rt.Boot("app", func(th *core.Thread) {
 		got = k.Call(th, "echo", 3, "ping", 1234)
-		k.Stop(th)
 	})
 	rt.Run()
 	if got != 1234 {
@@ -76,7 +75,6 @@ func TestShardRouting(t *testing.T) {
 		for key := 0; key < 8; key++ {
 			results[key] = k.Call(th, "which", key, "q", nil).(string)
 		}
-		k.Stop(th)
 	})
 	rt.Run()
 	// Same key -> same shard; keys 4 apart share a shard.
@@ -110,7 +108,6 @@ func TestServiceThreadsRunOnKernelCores(t *testing.T) {
 				allOK = false
 			}
 		}
-		k.Stop(th)
 	})
 	rt.Run()
 	if !allOK {
@@ -138,7 +135,6 @@ func TestCallAsyncOverlapsWork(t *testing.T) {
 		if v != "done" {
 			t.Error("bad async reply")
 		}
-		k.Stop(th)
 	}, core.OnCore(2)) // off the kernel core so app and service overlap
 	rt.Run()
 	// The async call must return to the caller long before the service
@@ -165,7 +161,6 @@ func TestPostOneWay(t *testing.T) {
 			k.Post(th, "sink", 0, "note", i)
 		}
 		th.Sleep(100_000) // let the posts drain
-		k.Stop(th)
 	})
 	rt.Run()
 	if seen != 5 {
@@ -212,7 +207,6 @@ func TestNullSyscallCheaperThanTrap(t *testing.T) {
 			k.Call(th, "null", 0, "null", nil)
 		}
 		elapsed = th.Now() - start
-		k.Stop(th)
 	}, core.OnCore(1))
 	rt.Run()
 	perCall := elapsed / 10
@@ -363,7 +357,6 @@ func TestDeferredReplySurvivesRecordReuse(t *testing.T) {
 		for i, r := range replies {
 			got[i], _ = r.Recv(th)
 		}
-		k.Stop(th)
 	}, core.OnCore(1))
 	rt.Run()
 	for i, rec := range recs {
@@ -398,7 +391,6 @@ func TestStrictModeServiceRoundTrip(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			got = k.Call(th, "scribble", 0, "w", sent).([]int)
 		}
-		k.Stop(th)
 	})
 	rt.Run()
 	if sent[0] != 1 {

@@ -29,12 +29,6 @@ func (m *Machine) NewLine() *Line {
 	return &Line{m: m, owner: -1, sharers: make(map[int]struct{})}
 }
 
-// Owner returns the current exclusive owner core, or -1.
-func (l *Line) Owner() int { return l.owner }
-
-// Sharers returns the current number of read-sharers.
-func (l *Line) Sharers() int { return len(l.sharers) }
-
 // serialize queues a transaction of the given duration on the line and
 // returns the total cycles the requester waits (queue + transaction).
 func (l *Line) serialize(cost uint64) uint64 {

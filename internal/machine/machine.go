@@ -210,9 +210,6 @@ func (c *Core) Reserve(now sim.Time, cycles uint64) (start, end sim.Time) {
 	return start, end
 }
 
-// BusyUntil returns the time at which the core's committed work drains.
-func (c *Core) BusyUntil() sim.Time { return c.busyUntil }
-
 // Utilization returns the fraction of [0, now] the core spent busy.
 func (c *Core) Utilization(now sim.Time) float64 {
 	if now == 0 {

@@ -144,8 +144,8 @@ func TestLineOwnershipCosts(t *testing.T) {
 	if c1 < m.P.LineTransfer {
 		t.Fatalf("remote acquire = %d, want >= %d", c1, m.P.LineTransfer)
 	}
-	if l.Owner() != 5 {
-		t.Fatalf("owner = %d, want 5", l.Owner())
+	if c := l.AcquireExclusive(5); c != m.P.L1 {
+		t.Fatalf("new owner's re-acquire = %d, want L1 %d: ownership did not move", c, m.P.L1)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestLineSharerInvalidation(t *testing.T) {
 	for i := 1; i < 9; i++ {
 		l.AcquireShared(i)
 	}
-	if l.Sharers() == 0 {
+	if len(l.sharers) == 0 {
 		t.Fatal("no sharers recorded")
 	}
 	base := m.NewLine()
@@ -167,8 +167,8 @@ func TestLineSharerInvalidation(t *testing.T) {
 	if costSharers <= costNoSharers {
 		t.Fatalf("invalidating sharers should cost more: %d vs %d", costSharers, costNoSharers)
 	}
-	if l.Sharers() != 0 {
-		t.Fatalf("sharers not cleared after exclusive acquire: %d", l.Sharers())
+	if len(l.sharers) != 0 {
+		t.Fatalf("sharers not cleared after exclusive acquire: %d", len(l.sharers))
 	}
 }
 

@@ -214,6 +214,3 @@ func (n *NIC) RxDone(q int) {
 		n.rxOcc[q]--
 	}
 }
-
-// RxOccupancy returns the descriptors currently in flight on RX queue q.
-func (n *NIC) RxOccupancy(q int) int { return n.rxOcc[q] }

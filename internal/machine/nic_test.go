@@ -56,8 +56,8 @@ func TestNICRxOverflowDrops(t *testing.T) {
 	if nic.Counters().RxDrops != 6 {
 		t.Fatalf("dropped %d frames, want 6", nic.Counters().RxDrops)
 	}
-	if nic.RxOccupancy(0) != 4 {
-		t.Fatalf("occupancy %d, want 4", nic.RxOccupancy(0))
+	if occ := nic.SnapshotQueues()[0].RxOccupancy; occ != 4 {
+		t.Fatalf("occupancy %d, want 4", occ)
 	}
 	// Returning descriptors reopens the ring.
 	nic.RxDone(0)

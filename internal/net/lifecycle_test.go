@@ -70,15 +70,17 @@ func TestServerFirstCloseRetiresOnClientFin(t *testing.T) {
 	})
 	st := w.st.states[0]
 	waiting := false
+	var conn *stackConn
 	ep := w.nw.Dial(80, EndpointHooks{OnClose: func(ep *Endpoint) {
 		// Close once the ack of the server's FIN has landed, so that
 		// the client's FIN is all the server still waits for.
 		w.eng.After(20*w.nw.P.DelayCycles, func() {
-			c := st.conns[ep.ID]
-			waiting = c != nil && c.finSent && !c.finRcvd && c.snd.done()
+			conn = st.conns[ep.ID]
+			waiting = conn != nil && conn.finSent && !conn.finRcvd && conn.snd.done()
 			ep.Close()
 		})
 	}})
+	flows := ep.flows
 	w.rt.Run()
 	if !waiting {
 		t.Fatal("the server's connection was not waiting for the client's FIN alone: the case tests nothing")
@@ -86,12 +88,13 @@ func TestServerFirstCloseRetiresOnClientFin(t *testing.T) {
 	if rec, was := st.closed[ep.ID]; len(st.conns) != 0 || !was || !rec.clean {
 		t.Fatalf("%d connections live, TIME_WAIT entry %v (clean %v), want none live and a clean entry", len(st.conns), was, rec.clean)
 	}
-	if st.free.Len() != 1 {
-		t.Fatalf("%d stack records free after the close, want 1", st.free.Len())
+	if st.free.Get() != conn {
+		t.Fatal("the closed connection's record is not the next one the shard's free list hands out")
 	}
-	if w.nw.Retransmits != 0 || w.nw.GaveUp != 0 || w.nw.flows.Len() != 1 {
-		t.Fatalf("the client's FIN went unanswered: %d retransmits, %d gave up, %d flow records reaped (want 0, 0, 1)",
-			w.nw.Retransmits, w.nw.GaveUp, w.nw.flows.Len())
+	reaped := w.nw.flows.Get() == flows
+	if w.nw.Retransmits != 0 || w.nw.GaveUp != 0 || !reaped {
+		t.Fatalf("the client's FIN went unanswered: %d retransmits, %d gave up, flows reaped %v (want 0, 0, true)",
+			w.nw.Retransmits, w.nw.GaveUp, reaped)
 	}
 }
 

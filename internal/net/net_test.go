@@ -530,8 +530,8 @@ func TestPacketPathAllocs(t *testing.T) {
 	if per > 0.5 {
 		t.Fatalf("an echo round trip allocates %.2f, want <= 0.5", per)
 	}
-	if !ep.Open() || w.nw.Retransmits != 0 {
-		t.Fatalf("connection open %v, %d retransmits: not a steady state", ep.Open(), w.nw.Retransmits)
+	if !ep.open || w.nw.Retransmits != 0 {
+		t.Fatalf("connection open %v, %d retransmits: not a steady state", ep.open, w.nw.Retransmits)
 	}
 }
 

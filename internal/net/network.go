@@ -222,9 +222,6 @@ func (n *Network) Dial(port int, hooks EndpointHooks) *Endpoint {
 	return ep
 }
 
-// Open reports whether the handshake has completed.
-func (ep *Endpoint) Open() bool { return ep.open }
-
 // Send puts one payload on the wire with the given simulated size — or
 // queues it locally when the server's advertised receive window is
 // closed, instead of blasting packets the peer would only shed. Queued

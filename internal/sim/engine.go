@@ -105,9 +105,6 @@ func (e *Engine) StopAtFired(n uint64) {
 // StopReached reports whether an armed StopAtFired limit has tripped.
 func (e *Engine) StopReached() bool { return e.stopReached }
 
-// Pending returns the number of scheduled, uncanceled events.
-func (e *Engine) Pending() int { return len(e.pq) }
-
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently reorder causality, which is always a bug in callers.
 func (e *Engine) At(t Time, fn func()) Timer {

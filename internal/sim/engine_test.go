@@ -199,7 +199,7 @@ func TestEngineStaleTimerInert(t *testing.T) {
 		t.Fatal("fired timer reports armed after its record was reused")
 	}
 	e.Cancel(fired)
-	if !next.Armed() || e.Pending() != 1 {
+	if !next.Armed() || len(e.pq) != 1 {
 		t.Fatal("Cancel through a stale timer disarmed the record's new event")
 	}
 
@@ -275,9 +275,9 @@ func TestEngineMatchesReferenceProperty(t *testing.T) {
 					fired++
 				}
 			}
-			if e.Fired() != fired || e.Pending() != len(ref) {
+			if e.Fired() != fired || len(e.pq) != len(ref) {
 				t.Fatalf("seed %d op %d: Fired/Pending = %d/%d, reference %d/%d",
-					seed, op, e.Fired(), e.Pending(), fired, len(ref))
+					seed, op, e.Fired(), len(e.pq), fired, len(ref))
 			}
 			live := make([]bool, len(timers))
 			for _, ev := range ref {

@@ -27,9 +27,6 @@ func (l *FreeList[T]) Get() *T {
 // Put returns x to the list. The caller must hold no other use of it.
 func (l *FreeList[T]) Put(x *T) { l.free = append(l.free, x) }
 
-// Len returns the number of records on the list.
-func (l *FreeList[T]) Len() int { return len(l.free) }
-
 // Hold returns a record from the list holding v.
 func (l *FreeList[T]) Hold(v T) *T {
 	x := l.Get()
@@ -88,6 +85,3 @@ func (l *BufList[T]) Put(b []T, bound int) {
 	clear(b[:cap(b)])
 	l.free = append(l.free, b)
 }
-
-// Len returns the number of buffers on the list.
-func (l *BufList[T]) Len() int { return len(l.free) }

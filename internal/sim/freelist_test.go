@@ -25,8 +25,8 @@ func TestBufListPutClearsToCapacity(t *testing.T) {
 		full[i] = new(int)
 	}
 	l.Put(b, math.MaxInt)
-	if l.Len() != 1 {
-		t.Fatalf("%d buffers kept, want 1", l.Len())
+	if len(l.free) != 1 {
+		t.Fatalf("%d buffers kept, want 1", len(l.free))
 	}
 	for i, p := range full {
 		if p != nil {
@@ -37,8 +37,8 @@ func TestBufListPutClearsToCapacity(t *testing.T) {
 	if len(got) != 0 || cap(got) != cap(b) || &got[:1][0] != &b[0] {
 		t.Fatalf("Get returned len %d cap %d, want the put array empty", len(got), cap(got))
 	}
-	if l.Len() != 0 {
-		t.Fatalf("%d buffers left after Get, want 0", l.Len())
+	if len(l.free) != 0 {
+		t.Fatalf("%d buffers left after Get, want 0", len(l.free))
 	}
 }
 
@@ -52,8 +52,8 @@ func TestBufListDropsPastItsBound(t *testing.T) {
 		b[0] = 1
 		l.Put(b, 2)
 	}
-	if l.Len() != 2 {
-		t.Fatalf("%d buffers kept under a bound of 2, want 2", l.Len())
+	if len(l.free) != 2 {
+		t.Fatalf("%d buffers kept under a bound of 2, want 2", len(l.free))
 	}
 	if bufs[2][0] != 1 {
 		t.Fatal("the dropped buffer was cleared: Put wrote to an array it does not keep")
@@ -78,7 +78,7 @@ func TestTakeBackReturnsToHomeList(t *testing.T) {
 	if got.v != 7 || got.home != nil {
 		t.Fatalf("took %+v, want v 7 and no home", got)
 	}
-	if home.Len() != 1 || *x != (rec{}) {
-		t.Fatalf("record not back on its list zeroed: %d free, record %+v", home.Len(), *x)
+	if len(home.free) != 1 || *x != (rec{}) {
+		t.Fatalf("record not back on its list zeroed: %d free, record %+v", len(home.free), *x)
 	}
 }

@@ -99,9 +99,6 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf, rng: rng}
 }
 
-// N returns the number of items.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Next draws the next rank in [0, n).
 func (z *Zipf) Next() int {
 	u := z.rng.Float64()

@@ -232,8 +232,8 @@ func TestReplicaLossDuringSyncDetaches(t *testing.T) {
 	if got := w2.kv.Lifecycle(); got != LifecycleFailedOver {
 		t.Fatalf("detached store Lifecycle = %q, want %q", got, LifecycleFailedOver)
 	}
-	if w2.kv.Replicated() {
-		t.Fatal("Replicated() still true after every shard detached")
+	if len(w2.kv.replicas) != 0 {
+		t.Fatal("a replica is still attached after every shard detached")
 	}
 	// Still serving, still degraded.
 	served := false

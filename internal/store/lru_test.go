@@ -23,6 +23,7 @@ func TestLRUDropRange(t *testing.T) {
 		c.put(b, []byte{byte(b)})
 	}
 	c.get(4)
+	dropped := []*lruNode{c.m[3], c.m[4], c.m[5]}
 	c.dropRange(3, 6)
 	if got, want := c.order(), []int{1, 12, 9}; !slices.Equal(got, want) {
 		t.Fatalf("recency order after dropRange(3, 6) = %v, want %v", got, want)
@@ -35,8 +36,8 @@ func TestLRUDropRange(t *testing.T) {
 			t.Fatalf("block %d still cached after its range was dropped", b)
 		}
 	}
-	if len(c.m) != 3 || c.free.Len() != 3 {
-		t.Fatalf("%d cached, %d free nodes; want 3 and 3", len(c.m), c.free.Len())
+	if len(c.m) != 3 {
+		t.Fatalf("%d cached, want 3", len(c.m))
 	}
 	// Refilling reuses the dropped nodes, and evicts in recency order
 	// once full.
@@ -46,8 +47,10 @@ func TestLRUDropRange(t *testing.T) {
 	if got, want := c.order(), []int{24, 23, 22, 21, 20, 1, 12, 9}; !slices.Equal(got, want) {
 		t.Fatalf("recency order after refill = %v, want %v", got, want)
 	}
-	if c.free.Len() != 0 {
-		t.Fatalf("%d free nodes left after the refill, want 0", c.free.Len())
+	for _, n := range dropped {
+		if c.m[n.block] != n {
+			t.Fatalf("the node dropped for block %d was not reused by the refill", n.block)
+		}
 	}
 }
 

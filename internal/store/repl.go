@@ -294,9 +294,6 @@ func (s *Store) dialReplica(rm *ReplicaMachine, i int) *replShard {
 	return r
 }
 
-// Replicated reports whether any replica machine is attached.
-func (s *Store) Replicated() bool { return len(s.replicas) > 0 }
-
 // ReplCaughtUp reports whether every shard's every attachment has
 // reached quorum: all bootstrap images are complete AND acknowledged —
 // from this point on, a primary loss loses nothing acknowledged,

@@ -56,7 +56,7 @@ func TestConservationOverMixedWorkload(t *testing.T) {
 		if bad := snap.Conservation(); len(bad) != 0 {
 			t.Fatalf("mid-run conservation violated at %d cycles: %v", snap.AtCycles, bad)
 		}
-		if snap.Total("store", "WritesInFlight") > 0 || snap.Total("store", "FlushesInFlight") > 0 {
+		if st := snap.Service("store"); st.Total("WritesInFlight") > 0 || st.Total("FlushesInFlight") > 0 {
 			sawInFlight = true
 		}
 	}
@@ -69,17 +69,18 @@ func TestConservationOverMixedWorkload(t *testing.T) {
 	if bad := snap.Conservation(); len(bad) != 0 {
 		t.Fatalf("final conservation violated: %v", bad)
 	}
+	st := snap.Service("store")
 	// The mix must actually have exercised every term the laws balance.
 	for _, name := range []string{"Gets", "Puts", "Deletes", "CacheHits", "CacheMisses", "GetNotFound", "AckedWrites", "FlushesDone"} {
-		if snap.Total("store", name) == 0 {
+		if st.Total(name) == 0 {
 			t.Errorf("workload never moved %s — the conservation check proved nothing about it", name)
 		}
 	}
 	if !sawInFlight {
 		t.Error("no mid-run snapshot caught an in-flight write or flush; the laws were only checked at rest")
 	}
-	if snap.Total("store", "WritesInFlight") != 0 || snap.Total("store", "FlushesInFlight") != 0 {
-		t.Fatalf("drained store still reports in-flight work: %+v", snap.Service("store").Totals)
+	if st.Total("WritesInFlight") != 0 || st.Total("FlushesInFlight") != 0 {
+		t.Fatalf("drained store still reports in-flight work: %+v", st.Totals)
 	}
 }
 

@@ -107,10 +107,6 @@ func (s *Supervisor) Stop(t *core.Thread) {
 	s.ctl.Send(t, ctlMsg{stop: true})
 }
 
-// Thread returns the supervisor's own thread (to supervise supervisors,
-// monitor it from a parent).
-func (s *Supervisor) Thread() *core.Thread { return s.self }
-
 func (s *Supervisor) run(t *core.Thread, specs []ChildSpec) {
 	notify := t.NewChan("sup.notify", 64)
 	children := make([]*childState, len(specs))

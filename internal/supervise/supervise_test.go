@@ -127,8 +127,8 @@ func TestRestartIntensityGivesUp(t *testing.T) {
 	if !sup.GaveUp {
 		t.Fatal("supervisor never gave up on a crash loop")
 	}
-	if !errors.Is(sup.Thread().ExitReason(), ErrRestartIntensity) {
-		t.Fatalf("supervisor exit = %v", sup.Thread().ExitReason())
+	if !errors.Is(sup.self.ExitReason(), ErrRestartIntensity) {
+		t.Fatalf("supervisor exit = %v", sup.self.ExitReason())
 	}
 }
 

@@ -219,14 +219,6 @@ func (s *Snapshot) Service(name string) *ServiceStats {
 	return nil
 }
 
-// Total returns service's named total (0 if either is absent).
-func (s *Snapshot) Total(service, name string) uint64 {
-	if svc := s.Service(service); svc != nil {
-		return svc.Total(name)
-	}
-	return 0
-}
-
 // collectService folds one source into a ServiceStats given its already
 // collected per-shard values.
 func foldService(name string, perShard [][]Value) ServiceStats {

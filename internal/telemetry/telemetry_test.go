@@ -84,7 +84,7 @@ func TestSnapshotFoldAndLookup(t *testing.T) {
 	if svc == nil || svc.Shards != 2 {
 		t.Fatalf("service missing or wrong shape: %+v", svc)
 	}
-	if got := snap.Total("svc", "Ops"); got != 3 {
+	if got := svc.Total("Ops"); got != 3 {
 		t.Fatalf("Ops total = %d, want 3 (per-shard sum)", got)
 	}
 	if got := svc.Total("Depth"); got != 10 {
@@ -95,7 +95,7 @@ func TestSnapshotFoldAndLookup(t *testing.T) {
 		t.Fatalf("merged histogram = %+v, want n=30 min=100 max=200", h)
 	}
 	// Absent names are zero/nil, never a panic.
-	if snap.Total("svc", "Nope") != 0 || snap.Total("nope", "Ops") != 0 || svc.TotalHist("Nope") != nil {
+	if svc.Total("Nope") != 0 || snap.Service("nope") != nil || svc.TotalHist("Nope") != nil {
 		t.Fatal("absent lookups not zero-valued")
 	}
 
@@ -109,7 +109,7 @@ func TestSnapshotFoldAndLookup(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatalf("snapshot JSON invalid: %v", err)
 	}
-	if back.Total("svc", "Ops") != 3 || back.Service("svc").Totals[0].Kind != KindCounter {
+	if back.Service("svc").Total("Ops") != 3 || back.Service("svc").Totals[0].Kind != KindCounter {
 		t.Fatalf("round-tripped snapshot = %+v", back)
 	}
 	if bh := back.Service("svc").TotalHist("Lat"); bh == nil || bh.N != 30 {
@@ -176,13 +176,15 @@ func TestStatdSkipsEmptySources(t *testing.T) {
 		emit(Counter("Ops", 7))
 	}})
 	snap := sd.SnapshotNow()
-	if snap.Total("svc", "Ops") != 7 {
+	if svc := snap.Service("svc"); svc == nil || svc.Total("Ops") != 7 {
 		t.Fatalf("fold after empty source wrong: %+v", snap)
 	}
 	if next := sd.SnapshotNow(); next.Seq != snap.Seq+1 {
 		t.Fatalf("snapshot seq %d after %d, want consecutive", next.Seq, snap.Seq)
 	}
-	if eng.Pending() != 0 || eng.Fired() != 0 {
-		t.Fatalf("snapshots touched the engine: %d pending, %d fired", eng.Pending(), eng.Fired())
+	fired := eng.Fired()
+	eng.Run()
+	if fired != 0 || eng.Fired() != 0 {
+		t.Fatalf("snapshots touched the engine: %d events fired, %d scheduled", fired, eng.Fired()-fired)
 	}
 }

@@ -24,14 +24,11 @@ type bitmapAlloc struct {
 	InodesFreed     uint64
 }
 
-func newBitmapAlloc(sb *Super, st BlockStore) *bitmapAlloc {
-	return &bitmapAlloc{sb: sb, st: st, ist: rawInodeStore{sb: sb, st: st}, inodeCursor: RootIno + 1}
-}
-
-// newBitmapAllocWithInodes uses a caller-supplied InodeStore so that
-// inode-table read-modify-writes stay atomic with respect to concurrent
-// vnode updates in the same block (required by the shard-lock frontend).
-func newBitmapAllocWithInodes(sb *Super, st BlockStore, ist InodeStore) *bitmapAlloc {
+// newBitmapAlloc allocates over st's bitmaps, claiming inodes through
+// ist so that inode-table read-modify-writes stay atomic with respect to
+// concurrent vnode updates in the same block. An allocator that only
+// allocates blocks takes a nil ist.
+func newBitmapAlloc(sb *Super, st BlockStore, ist InodeStore) *bitmapAlloc {
 	return &bitmapAlloc{sb: sb, st: st, ist: ist, inodeCursor: RootIno + 1}
 }
 

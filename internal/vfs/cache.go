@@ -7,14 +7,6 @@ import (
 	"chanos/internal/core"
 )
 
-// CacheStats counts buffer-cache traffic.
-type CacheStats struct {
-	Hits       uint64
-	Misses     uint64
-	Evictions  uint64
-	Writebacks uint64
-}
-
 // cacheCore is a write-back LRU buffer cache over the disk driver. It has
 // no locking of its own: the message frontend gives each cache shard its
 // own thread; the lock frontends guard it with locks.
@@ -27,8 +19,6 @@ type cacheCore struct {
 
 	// HitCycles is the CPU cost charged per cache access.
 	HitCycles uint64
-
-	Stats CacheStats
 }
 
 type centry struct {
@@ -55,11 +45,9 @@ func newCacheCore(drv *blockdev.Driver, capBlocks int) *cacheCore {
 func (c *cacheCore) get(t *core.Thread, blk int) []byte {
 	t.Compute(c.HitCycles)
 	if e, ok := c.entries[blk]; ok {
-		c.Stats.Hits++
 		c.lru.MoveToFront(e.el)
 		return append([]byte(nil), e.data...)
 	}
-	c.Stats.Misses++
 	c.evictIfFull(t)
 	res := c.drv.SubmitSync(t, blockdev.Read, blk, nil)
 	// The read lends the platter's own block, and put rewrites an
@@ -98,11 +86,9 @@ func (c *cacheCore) evictIfFull(t *core.Thread) {
 		e := back.Value.(*centry)
 		if e.dirty {
 			c.drv.SubmitSync(t, blockdev.Write, e.blk, e.data)
-			c.Stats.Writebacks++
 		}
 		c.lru.Remove(back)
 		delete(c.entries, e.blk)
-		c.Stats.Evictions++
 	}
 }
 
@@ -113,7 +99,6 @@ func (c *cacheCore) sync(t *core.Thread) {
 		if e.dirty {
 			c.drv.SubmitSync(t, blockdev.Write, e.blk, e.data)
 			e.dirty = false
-			c.Stats.Writebacks++
 		}
 	}
 }

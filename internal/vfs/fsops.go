@@ -80,21 +80,6 @@ type Ctx struct {
 	Al Alloc
 }
 
-// rawInodeStore implements InodeStore directly over a BlockStore; valid
-// only when the caller owns serialisation of the inode blocks.
-type rawInodeStore struct {
-	sb *Super
-	st BlockStore
-}
-
-func (r rawInodeStore) GetInode(t *core.Thread, ino int) (Inode, error) {
-	return ReadInode(t, r.st, r.sb, ino)
-}
-
-func (r rawInodeStore) PutInode(t *core.Thread, ino int, in Inode) error {
-	return WriteInode(t, r.st, r.sb, ino, in)
-}
-
 // ReadInode fetches inode ino straight from a BlockStore (no atomicity).
 func ReadInode(t *core.Thread, st BlockStore, sb *Super, ino int) (Inode, error) {
 	blk, off, err := sb.inodeLoc(ino)

@@ -81,7 +81,7 @@ func NewLockFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg LockFSConfi
 		}
 		fs.allocLock = baseline.NewMCSLock(rt)
 	}
-	fs.alloc = newBitmapAllocWithInodes(&fs.sb, lfStore{fs}, lfInodeStore{fs})
+	fs.alloc = newBitmapAlloc(&fs.sb, lfStore{fs}, lfInodeStore{fs})
 	return fs
 }
 
@@ -264,18 +264,6 @@ func (fs *LockFS) at(t *core.Thread, ino int, req vnReq) vnResp {
 	fs.enter(t)
 	defer fs.exit(t)
 	return fs.withTarget(t, fs.ctx(), ino, req)
-}
-
-// CacheStats aggregates shard statistics (engine must be idle).
-func (fs *LockFS) CacheStats() CacheStats {
-	var s CacheStats
-	for _, cc := range fs.caches {
-		s.Hits += cc.Stats.Hits
-		s.Misses += cc.Stats.Misses
-		s.Evictions += cc.Stats.Evictions
-		s.Writebacks += cc.Stats.Writebacks
-	}
-	return s
 }
 
 var (

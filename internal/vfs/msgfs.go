@@ -16,7 +16,6 @@ type MsgFS struct {
 	sb Super
 
 	cacheShards []*core.Chan
-	cacheCores  []*cacheCore // engine-idle inspection only
 	allocShards []*core.Chan
 	inodeAlloc  *core.Chan
 	vmShards    []*core.Chan
@@ -122,7 +121,6 @@ func NewMsgFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg MsgFSConfig)
 	per := cfg.CacheBlocks / nCacheShards
 	for i := 0; i < nCacheShards; i++ {
 		cc := newCacheCore(drv, per)
-		fs.cacheCores = append(fs.cacheCores, cc)
 		ch := rt.NewChan(fmt.Sprintf("fscache.%d", i), queueDepth)
 		fs.cacheShards = append(fs.cacheShards, ch)
 		rt.Boot(fmt.Sprintf("fscache.%d", i), func(t *core.Thread) {
@@ -181,7 +179,7 @@ func NewMsgFS(rt *core.Runtime, drv *blockdev.Driver, sb Super, cfg MsgFSConfig)
 	// The free-map / inode allocator thread.
 	fs.inodeAlloc = rt.NewChan("fsinodealloc", queueDepth)
 	rt.Boot("fsinodealloc", func(t *core.Thread) {
-		ia := newBitmapAllocWithInodes(&fs.sb, msgStore{fs}, msgInodeStore{fs})
+		ia := newBitmapAlloc(&fs.sb, msgStore{fs}, msgInodeStore{fs})
 		for {
 			v, ok := fs.inodeAlloc.Recv(t)
 			if !ok {
@@ -361,18 +359,6 @@ func (fs *MsgFS) Stop(t *core.Thread) {
 	}
 }
 
-// CacheStats aggregates shard statistics (engine must be idle).
-func (fs *MsgFS) CacheStats() CacheStats {
-	var s CacheStats
-	for _, cc := range fs.cacheCores {
-		s.Hits += cc.Stats.Hits
-		s.Misses += cc.Stats.Misses
-		s.Evictions += cc.Stats.Evictions
-		s.Writebacks += cc.Stats.Writebacks
-	}
-	return s
-}
-
 // --- client-side stubs used by vnode and allocator threads ---
 
 // msgStore routes block access to the owning cache shard.
@@ -484,7 +470,7 @@ type shardCGAlloc struct {
 }
 
 func newShardCGAlloc(sb *Super, st BlockStore, index, stride int) *shardCGAlloc {
-	sa := &shardCGAlloc{sb: sb, inner: newBitmapAlloc(sb, st)}
+	sa := &shardCGAlloc{sb: sb, inner: newBitmapAlloc(sb, st, nil)}
 	for cg := index; cg < int(sb.CGCount); cg += stride {
 		sa.myCGs = append(sa.myCGs, cg)
 	}

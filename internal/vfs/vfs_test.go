@@ -98,6 +98,21 @@ func (m *memStore) WriteBlock(t *core.Thread, blk int, data []byte) {
 	m.blocks[blk] = append([]byte(nil), data...)
 }
 
+// rawInodeStore implements InodeStore directly over a BlockStore; valid
+// only when the caller owns serialisation of the inode blocks.
+type rawInodeStore struct {
+	sb *Super
+	st BlockStore
+}
+
+func (r rawInodeStore) GetInode(t *core.Thread, ino int) (Inode, error) {
+	return ReadInode(t, r.st, r.sb, ino)
+}
+
+func (r rawInodeStore) PutInode(t *core.Thread, ino int, in Inode) error {
+	return WriteInode(t, r.st, r.sb, ino, in)
+}
+
 // memCtx builds an operation context over the in-memory store (no
 // simulation required for pure-logic tests, but a thread is still needed
 // for the API; we use a tiny runtime).
@@ -112,7 +127,8 @@ func memCtx(t *testing.T) (*core.Runtime, func(th *core.Thread) (Ctx, Super)) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := Ctx{SB: &sb, St: st, In: rawInodeStore{sb: &sb, st: st}, Al: newBitmapAlloc(&sb, st)}
+		in := rawInodeStore{sb: &sb, st: st}
+		x := Ctx{SB: &sb, St: st, In: in, Al: newBitmapAlloc(&sb, st, in)}
 		return x, sb
 	}
 }
@@ -240,7 +256,7 @@ func TestAllocatorExhaustionAndReuse(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		al := newBitmapAlloc(&sb, st)
+		al := newBitmapAlloc(&sb, st, nil)
 		var got []int
 		for {
 			blk, err := al.AllocBlock(th, -1)
@@ -477,19 +493,31 @@ func TestMsgFSVnodeThreadsSpawned(t *testing.T) {
 	})
 }
 
+// Fifty reads of one small file walk the root directory, the inode and
+// the data block each time; the buffer cache must answer nearly all of
+// those block reads without the disk.
 func TestCacheReducesDiskReads(t *testing.T) {
-	buildFS(t, "msg", 8, func(th *core.Thread, fs FS) {
-		m := fs.(*MsgFS)
+	fx := newFixture(t, 8)
+	disk := blockdev.NewDisk(fx.rt, blockdev.DefaultDiskParams(4096))
+	drv := blockdev.NewDriver(fx.rt, disk, 64, 0)
+	fx.rt.Boot("main", func(th *core.Thread) {
+		sb, err := Format(th, drv, 4096, 512)
+		if err != nil {
+			t.Errorf("format: %v", err)
+			return
+		}
+		fs := NewMsgFS(fx.rt, drv, sb, MsgFSConfig{})
 		fs.Create(th, "/hot")
 		fs.Write(th, "/hot", 0, []byte("data"))
+		before := disk.Reads
 		for i := 0; i < 50; i++ {
 			fs.Read(th, "/hot", 0, 4)
 		}
-		cs := m.CacheStats()
-		if cs.Hits < 10*cs.Misses {
-			t.Errorf("cache ineffective: %+v", cs)
+		if n := disk.Reads - before; n > 15 {
+			t.Errorf("cache ineffective: 50 reads of /hot read the disk %d times", n)
 		}
 	})
+	fx.rt.Run()
 }
 
 func TestSplitPath(t *testing.T) {

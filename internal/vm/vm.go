@@ -219,9 +219,6 @@ type TLB struct {
 // NewTLB returns an empty TLB.
 func NewTLB() *TLB { return &TLB{m: make(map[uint64]uint32)} }
 
-// Len returns the number of cached translations.
-func (tl *TLB) Len() int { return len(tl.m) }
-
 // Touch simulates an access to vpage: a TLB hit costs ~1 cycle; a miss
 // faults to the VM service (or is handled locally in LibOS mode).
 func (vm *VM) Touch(t *core.Thread, tl *TLB, vpage uint64) error {

@@ -42,9 +42,6 @@ func (m *Mix) Pick(rng *sim.RNG) int {
 // Name returns the name of operation i.
 func (m *Mix) Name(i int) string { return m.names[i] }
 
-// Len returns the number of operations in the mix.
-func (m *Mix) Len() int { return len(m.names) }
-
 // MetadataMix is the standard file-system metadata workload used by E5:
 // lookup-heavy with a write tail, loosely following published
 // fileserver traces.
@@ -72,6 +69,3 @@ func NewPopularity(rng *sim.RNG, n int, skew float64) *Popularity {
 
 // Next draws an object id.
 func (p *Popularity) Next() int { return p.perm[p.zipf.Next()] }
-
-// N returns the object count.
-func (p *Popularity) N() int { return len(p.perm) }

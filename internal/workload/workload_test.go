@@ -34,8 +34,8 @@ func TestMixPanicsWhenEmpty(t *testing.T) {
 
 func TestMetadataMixShape(t *testing.T) {
 	m := MetadataMix()
-	if m.Len() != 5 {
-		t.Fatalf("metadata mix has %d ops", m.Len())
+	if len(m.names) != 5 {
+		t.Fatalf("metadata mix has %d ops", len(m.names))
 	}
 	if m.Name(0) != "lookup" {
 		t.Fatalf("first op = %s", m.Name(0))

@@ -87,7 +87,6 @@ func TestWholeSystemScenario(t *testing.T) {
 				}
 				at.Sleep(2_000_000) // let the logger drain
 				sup.Stop(at)
-				k.Stop(at)
 			})
 			_ = app
 		})
@@ -121,7 +120,7 @@ func TestWholeSystemScenario(t *testing.T) {
 		if len(content) == 0 {
 			t.Fatal("no log content read back")
 		}
-		return sys.Now(), msgfs.CacheStats().Hits, sys.Stats().Kills
+		return sys.Now(), disk.Reads + disk.Writes, sys.Stats().Kills
 	}
 
 	t1, h1, k1 := run()
@@ -164,7 +163,7 @@ func TestFacadeBlockedReporting(t *testing.T) {
 	ch := sys.NewChan("never", 0)
 	sys.Boot("stuck", func(th *chanos.Thread) { ch.Recv(th) })
 	sys.Run()
-	b := sys.Blocked()
+	b := sys.RT.Blocked()
 	if len(b) != 1 || b[0] != "stuck" {
 		t.Fatalf("Blocked() = %v", b)
 	}
